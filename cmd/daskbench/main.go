@@ -2,7 +2,12 @@
 // the cuPy transpose-sum (y = x + x.T) over distributed array chunks,
 // reporting execution time and aggregate throughput per worker count.
 //
-//	daskbench -workers 8 -dim 10000 -chunk 1000 -codec zfp -rate 8
+//	daskbench -ranks 8 -dim 10000 -chunkdim 1000 -codec zfp -rate 8
+//
+// -ranks is the number of Dask workers (one MPI rank each) and -chunkdim the
+// edge of an array chunk; -workers and -chunk, as in every other driver, are
+// the host codec pool size and the pipelined-rendezvous chunk size from
+// cli.AddEngineFlags.
 package main
 
 import (
@@ -17,9 +22,9 @@ import (
 
 func main() {
 	cluster := flag.String("cluster", "ri2", "cluster model (paper: RI2, 1 GPU/node)")
-	workers := flag.Int("workers", 8, "Dask workers (ranks)")
+	ranks := flag.Int("ranks", 8, "Dask workers (one MPI rank each)")
 	dim := flag.Int("dim", 8192, "square matrix dimension")
-	chunk := flag.Int("chunk", 1024, "chunk edge length")
+	chunk := flag.Int("chunkdim", 1024, "array chunk edge length")
 	eng := cli.AddEngineFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -28,11 +33,11 @@ func main() {
 	c, err := cli.ClusterByName(*cluster)
 	cli.Fatal(err)
 
-	w, err := mpi.NewWorld(mpi.Options{Cluster: c, Nodes: *workers, PPN: 1, Engine: cfg})
+	w, err := mpi.NewWorld(mpi.Options{Cluster: c, Nodes: *ranks, PPN: 1, Engine: cfg})
 	cli.Fatal(err)
 
 	fmt.Printf("# Dask transpose-sum on %s: %d workers, %dx%d array, %dx%d chunks\n",
-		c.Name, *workers, *dim, *dim, *chunk, *chunk)
+		c.Name, *ranks, *dim, *dim, *chunk, *chunk)
 	res, err := dask.TransposeSum(w, dask.Matrix{Dim: *dim, ChunkDim: *chunk})
 	cli.Fatal(err)
 

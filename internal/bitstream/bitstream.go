@@ -88,9 +88,7 @@ func (w *Writer) WriteBits(v uint64, n uint) uint64 {
 }
 
 func (w *Writer) flushWord() {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], w.accum)
-	w.buf = append(w.buf, b[:]...)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.accum)
 	w.accum = 0
 	w.nbits = 0
 }
@@ -148,7 +146,15 @@ func (r *Reader) Reset(buf []byte) {
 	r.nread = 0
 }
 
+// fill loads the accumulator: a whole word at once when it is empty and 8
+// bytes remain, byte by byte at the tail of the buffer.
 func (r *Reader) fill() {
+	if r.nbits == 0 && len(r.buf)-r.pos >= 8 {
+		r.accum = binary.LittleEndian.Uint64(r.buf[r.pos:])
+		r.pos += 8
+		r.nbits = 64
+		return
+	}
 	for r.nbits <= 56 && r.pos < len(r.buf) {
 		r.accum |= uint64(r.buf[r.pos]) << r.nbits
 		r.pos++
@@ -188,7 +194,7 @@ func (r *Reader) ReadBits(n uint) uint64 {
 			r.fill()
 			if r.nbits == 0 {
 				// Zero padding past end of stream.
-				r.nread += uint64(n - got)
+				r.nread += uint64(n)
 				return v
 			}
 		}
@@ -210,9 +216,16 @@ func (r *Reader) ReadBits(n uint) uint64 {
 }
 
 // SkipToBit positions the reader at absolute bit offset pos (from the start
-// of the buffer). Only forward or backward seeks to byte-computable
-// positions are supported; the implementation reloads from the buffer.
+// of the buffer), forward or backward. A forward seek that stays inside the
+// loaded word drops the bits in between; any other reloads from the buffer.
 func (r *Reader) SkipToBit(pos uint64) {
+	if pos >= r.nread && pos-r.nread <= uint64(r.nbits) {
+		skip := uint(pos - r.nread)
+		r.accum >>= skip
+		r.nbits -= skip
+		r.nread = pos
+		return
+	}
 	bytePos := pos / 8
 	bitOff := uint(pos % 8)
 	if bytePos > uint64(len(r.buf)) {

@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -114,6 +115,16 @@ func TestReadPastEndYieldsZeros(t *testing.T) {
 	}
 }
 
+func TestReadAcrossEndCountsEveryBit(t *testing.T) {
+	r := NewReader([]byte{0xa5})
+	if got := r.ReadBits(12); got != 0xa5 {
+		t.Fatalf("got %x want a5", got)
+	}
+	if r.BitPos() != 12 {
+		t.Fatalf("BitPos: got %d want 12", r.BitPos())
+	}
+}
+
 func TestSkipToBit(t *testing.T) {
 	w := NewWriter()
 	for i := 0; i < 8; i++ {
@@ -215,5 +226,152 @@ func TestBytesNonDestructive(t *testing.T) {
 	b2 := w.Bytes()
 	if len(b1) != 1 || len(b2) != 1 || b1[0] != b2[0] {
 		t.Fatalf("Bytes should be repeatable: %v vs %v", b1, b2)
+	}
+}
+
+// bytewiseReader is the Reader as it was before it loaded whole words: one
+// byte per OR in fill, and a SkipToBit that always reloads. It is the
+// reference TestWordAtATimeMatchesBytewise holds the word-at-a-time Reader
+// to. One thing differs from the old code, in both: a ReadBits that runs off
+// the end of the buffer part-way now counts all n bits in BitPos, where it
+// used to forget the ones it did get.
+type bytewiseReader struct {
+	buf   []byte
+	pos   int
+	accum uint64
+	nbits uint
+	nread uint64
+}
+
+func (r *bytewiseReader) fill() {
+	for r.nbits <= 56 && r.pos < len(r.buf) {
+		r.accum |= uint64(r.buf[r.pos]) << r.nbits
+		r.pos++
+		r.nbits += 8
+	}
+}
+
+func (r *bytewiseReader) ReadBit() uint {
+	if r.nbits == 0 {
+		r.fill()
+		if r.nbits == 0 {
+			r.nread++
+			return 0
+		}
+	}
+	b := uint(r.accum & 1)
+	r.accum >>= 1
+	r.nbits--
+	r.nread++
+	return b
+}
+
+func (r *bytewiseReader) ReadBits(n uint) uint64 {
+	var v uint64
+	for got := uint(0); got < n; {
+		if r.nbits == 0 {
+			r.fill()
+			if r.nbits == 0 {
+				r.nread += uint64(n)
+				return v
+			}
+		}
+		take := min(n-got, r.nbits)
+		chunk := r.accum
+		if take < 64 {
+			chunk &= uint64(1)<<take - 1
+		}
+		v |= chunk << got
+		r.accum >>= take
+		r.nbits -= take
+		got += take
+	}
+	r.nread += uint64(n)
+	return v
+}
+
+func (r *bytewiseReader) SkipToBit(pos uint64) {
+	bytePos := min(pos/8, uint64(len(r.buf)))
+	bitOff := uint(pos % 8)
+	r.pos = int(bytePos)
+	r.accum = 0
+	r.nbits = 0
+	r.nread = pos - uint64(bitOff)
+	if bitOff > 0 {
+		r.ReadBits(bitOff)
+	}
+}
+
+// TestWordAtATimeMatchesBytewise interleaves random writes and pads, then
+// random reads and seeks (short and long, forward and backward, past the
+// end), and requires the same bytes out as a bit-at-a-time construction and
+// the same values and positions in as the byte-wise reader.
+func TestWordAtATimeMatchesBytewise(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var w Writer
+		prefix := make([]byte, rng.Intn(3))
+		rng.Read(prefix)
+		w.Reset(append([]byte(nil), prefix...))
+		var stream []uint
+		for op, ops := 0, rng.Intn(120); op < ops; op++ {
+			switch rng.Intn(4) {
+			case 0:
+				b := uint(rng.Intn(2))
+				w.WriteBit(b)
+				stream = append(stream, b)
+			case 1:
+				pad := w.BitLen() + uint64(rng.Intn(150))
+				w.PadToBit(pad)
+				for uint64(len(stream)) < pad {
+					stream = append(stream, 0)
+				}
+			default:
+				n := uint(rng.Intn(65))
+				v := rng.Uint64()
+				rest := w.WriteBits(v, n)
+				if want := v >> n; n < 64 && rest != want || n == 64 && rest != 0 {
+					t.Fatalf("seed %d: WriteBits(%x, %d) returned %x", seed, v, n, rest)
+				}
+				for j := uint(0); j < n; j++ {
+					stream = append(stream, uint(v>>j&1))
+				}
+			}
+		}
+		if w.BitLen() != uint64(len(stream)) {
+			t.Fatalf("seed %d: BitLen %d, wrote %d bits", seed, w.BitLen(), len(stream))
+		}
+		want := append(append([]byte(nil), prefix...), make([]byte, (len(stream)+7)/8)...)
+		for i, b := range stream {
+			want[len(prefix)+i/8] |= byte(b) << (i % 8)
+		}
+		snapshot := w.Bytes()
+		got := w.Final()
+		if !bytes.Equal(got, want) || !bytes.Equal(snapshot, want) {
+			t.Fatalf("seed %d: stream bytes differ\n got %x\nwant %x", seed, got, want)
+		}
+
+		r, ref := NewReader(got), &bytewiseReader{buf: got}
+		for op := 0; op < 200; op++ {
+			var a, b uint64
+			switch rng.Intn(5) {
+			case 0:
+				a, b = uint64(r.ReadBit()), uint64(ref.ReadBit())
+			case 1: // a seek inside the loaded word, most of the time
+				pos := r.BitPos() + uint64(rng.Intn(70))
+				r.SkipToBit(pos)
+				ref.SkipToBit(pos)
+			case 2: // a seek anywhere, up to two words past the end
+				pos := uint64(rng.Intn(8*len(got) + 128))
+				r.SkipToBit(pos)
+				ref.SkipToBit(pos)
+			default:
+				n := uint(rng.Intn(65))
+				a, b = r.ReadBits(n), ref.ReadBits(n)
+			}
+			if a != b || r.BitPos() != ref.nread {
+				t.Fatalf("seed %d op %d: read %x at bit %d, byte-wise reader %x at bit %d", seed, op, a, r.BitPos(), b, ref.nread)
+			}
+		}
 	}
 }

@@ -25,14 +25,46 @@
 // Decompression inverts each stage; with rate 16 the typical relative
 // error is ~1e-4, and reconstruction error decreases monotonically with
 // rate, which the tests verify.
+//
+// # The block-local coder
+//
+// Because a block occupies exactly maxbits <= 128 bits at bit offset
+// index*maxbits, the float32 kernel behind AppendCompress and
+// DecompressInto never touches a shared serial bit stream: encodeBlock
+// builds a block in one or two uint64 registers and the caller stores it
+// with one word-granular put; decodeBlock receives the block's bits from
+// one word load (three past rate 16) and shifts through them. Inside the
+// block
+//
+//   - the block exponent is read off the IEEE exponent field of the largest
+//     magnitude (the Frexp route remains for denormal, Inf and NaN blocks,
+//     which must stay bit-identical) and the cast scale is built with
+//     math.Float64frombits;
+//   - the four negabinary words are interleaved 16 planes at a time
+//     (interleave), so a bit plane is one nibble of a register;
+//   - the embedded coder steps through two tables derived at init from the
+//     bit-serial plane step itself (encodePlane, decodePlane): a plane's
+//     code depends only on its 4 bits and on how many values are already
+//     significant. Runs of planes that cost one fixed pattern — all-zero
+//     planes before anything is significant, planes that only extend value
+//     0 once it is — are coded with a count-leading-zeros and a bit spread
+//     instead of plane by plane;
+//   - the one plane the bit budget cuts short is the code's prefix when
+//     encoding and falls back to decodePlane when decoding.
+//
+// The output is byte-identical to the bit-serial coder, which lives on in
+// reference_test.go as the differential oracle (TestFastMatchesReference,
+// FuzzZFPDifferential, TestTablesMatchReference). The 2-D, 3-D and float64
+// variants in this package still go through internal/bitstream.
 package zfp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-
-	"mpicomp/internal/bitstream"
+	"math/bits"
+	"slices"
 )
 
 // BlockValues is the number of values per 1-D block (4^1).
@@ -163,8 +195,9 @@ func exponent(f float32) int {
 	return e
 }
 
-// blockExponent returns the maximum exponent over the block, considering
-// only finite values.
+// blockExponent returns the maximum exponent over the block by the
+// Frexp route. encodeBlock reads the exponent off the IEEE field and needs
+// this only for blocks whose largest magnitude is denormal, Inf or NaN.
 func blockExponent(b *[4]float32) int {
 	emax := -ebias
 	for _, f := range b {
@@ -177,172 +210,315 @@ func blockExponent(b *[4]float32) int {
 	return emax
 }
 
-// fwdCast converts the block to Q1.30 fixed point relative to emax.
-func fwdCast(dst *[4]int32, src *[4]float32, emax int) {
-	scale := math.Ldexp(1, intprec-2-emax)
-	for i, f := range src {
-		dst[i] = int32(float64(f) * scale)
+// The embedded coder is zfp's encode_ints/decode_ints specialised to
+// 4-value blocks. n counts the values whose significance is established;
+// it persists across planes. Within a plane the bits of those n values are
+// emitted verbatim and the rest is unary run-length coded (group testing).
+// A plane's code therefore depends only on (n, the plane's 4 bits), is at
+// most 7 bits long, and leaves a new n: encodePlane and decodePlane are
+// that one step, and encTab/decTab are the step tabulated for every state.
+
+// encodePlane codes plane bits x (bit i belongs to value i) with n values
+// already significant: code holds length bits, first bit lowest.
+func encodePlane(x, n uint) (code, length, next uint) {
+	code = x & (1<<n - 1)
+	length = n
+	x >>= n
+	for n < BlockValues {
+		if x == 0 {
+			length++ // group test: nothing significant remains
+			break
+		}
+		code |= 1 << length
+		length++
+		for n < BlockValues-1 {
+			b := x & 1
+			code |= b << length
+			length++
+			if b != 0 {
+				break
+			}
+			x >>= 1
+			n++
+		}
+		// Skip past the 1 bit just coded (or implied, when the scan
+		// reached the final value).
+		x >>= 1
+		n++
 	}
+	return code, length, n
+}
+
+// decodePlane inverts encodePlane on the stream bits w (first bit lowest),
+// reading at most bits of them; a code the budget cuts short decodes the
+// way zfp's decoder does when it runs out of bits mid-plane.
+func decodePlane(w uint64, n, bits uint) (x, used, next uint) {
+	budget := bits
+	m := min(n, bits)
+	x = uint(w) & (1<<m - 1)
+	w >>= m
+	bits -= m
+	for n < BlockValues && bits != 0 {
+		bits--
+		b := w & 1
+		w >>= 1
+		if b == 0 {
+			break
+		}
+		for n < BlockValues-1 && bits != 0 {
+			bits--
+			b := w & 1
+			w >>= 1
+			if b != 0 {
+				break
+			}
+			n++
+		}
+		x += 1 << n
+		n++
+	}
+	return x, budget - bits, n
+}
+
+// maxPlaneBits is the longest plane code (n = 0, all four bits set).
+const maxPlaneBits = 7
+
+// minRun is the shortest run of planes worth coding through the run paths
+// of encodeBlock and decodeBlock (a few dozen operations whatever the
+// length) instead of one table step per plane.
+const minRun = 4
+
+// encTab[n<<4|x] is encodePlane(x, n) packed as code<<8 | next<<4 | length,
+// so that entry&0x70 | nextPlane indexes the following step. decTab[n<<7|w]
+// is decodePlane(w, n, ∞) for the next 7 stream bits w, packed as
+// next<<7 | length<<4 | x, so that entry&0x380 | nextBits does the same.
+// Both are sized to the power of two their index masks span (n <= 4 is all
+// that occurs), which lets the compiler drop the bounds checks.
+var (
+	encTab [8 << 4]uint16
+	decTab [8 << maxPlaneBits]uint16
+)
+
+func init() {
+	for n := uint(0); n <= BlockValues; n++ {
+		for x := uint(0); x < 1<<BlockValues; x++ {
+			code, length, next := encodePlane(x, n)
+			encTab[n<<4|x] = uint16(code<<8 | next<<4 | length)
+		}
+		for w := uint(0); w < 1<<maxPlaneBits; w++ {
+			x, length, next := decodePlane(uint64(w), n, 64)
+			decTab[n<<maxPlaneBits|w] = uint16(next<<maxPlaneBits | length<<4 | x)
+		}
+	}
+}
+
+// interleave returns the 16 nibbles (bit j of a, b, c, d in bits 4j..4j+3)
+// of four 16-bit values, so that the coder takes a whole bit plane with one
+// shift. It is a 4x16 bit-matrix transpose: pack the rows, then rotate the
+// 6-bit position index by two with four delta swaps.
+func interleave(a, b, c, d uint32) uint64 {
+	x := uint64(a&0xffff) | uint64(b&0xffff)<<16 | uint64(c&0xffff)<<32 | uint64(d&0xffff)<<48
+	t := (x ^ x>>24) & 0x00000000ff00ff00
+	x ^= t ^ t<<24
+	t = (x ^ x>>6) & 0x00cc00cc00cc00cc
+	x ^= t ^ t<<6
+	t = (x ^ x>>12) & 0x0000f0f00000f0f0
+	x ^= t ^ t<<12
+	t = (x ^ x>>3) & 0x0a0a0a0a0a0a0a0a
+	x ^= t ^ t<<3
+	return x
+}
+
+// deinterleave inverts interleave.
+func deinterleave(x uint64) (a, b, c, d uint32) {
+	t := (x ^ x>>3) & 0x0a0a0a0a0a0a0a0a
+	x ^= t ^ t<<3
+	t = (x ^ x>>12) & 0x0000f0f00000f0f0
+	x ^= t ^ t<<12
+	t = (x ^ x>>6) & 0x00cc00cc00cc00cc
+	x ^= t ^ t<<6
+	t = (x ^ x>>24) & 0x00000000ff00ff00
+	x ^= t ^ t<<24
+	return uint32(x) & 0xffff, uint32(x>>16) & 0xffff, uint32(x>>32) & 0xffff, uint32(x >> 48)
+}
+
+// encodeBlock codes the four float32 bit patterns of one block into exactly
+// maxbits bits, returned first-bit-lowest in lo (bits 0..63) and hi.
+func encodeBlock(b0, b1, b2, b3 uint32, maxbits uint) (lo, hi uint64) {
+	const signless = 1<<31 - 1
+	amax := max(b0&signless, b1&signless, b2&signless, b3&signless)
+	// Blocks that are all zero — or all denormal-tiny, whose biased
+	// exponent would underflow the 8-bit field — are coded as a single
+	// 0 bit plus padding and reconstruct to exact zeros.
+	if amax == 0 {
+		return 0, 0
+	}
+	f0, f1 := math.Float32frombits(b0), math.Float32frombits(b1)
+	f2, f3 := math.Float32frombits(b2), math.Float32frombits(b3)
+	// The largest magnitude has the largest IEEE exponent field, and for a
+	// normal number Frexp's exponent is that field less ebias-1.
+	field := amax >> 23
+	emax := int(field) - (ebias - 1)
+	if field == 0 || field == 255 {
+		emax = blockExponent(&[4]float32{f0, f1, f2, f3})
+		if emax+ebias < 1 {
+			return 0, 0
+		}
+	}
+	// Block-floating-point cast to Q1.30 relative to emax, then the
+	// decorrelating transform and the negabinary mapping.
+	scale := math.Float64frombits(uint64(1023+intprec-2-emax) << 52)
+	q := [4]int32{int32(float64(f0) * scale), int32(float64(f1) * scale),
+		int32(float64(f2) * scale), int32(float64(f3) * scale)}
+	fwdLift(&q)
+	d0, d1, d2, d3 := int2nb(q[0]), int2nb(q[1]), int2nb(q[2]), int2nb(q[3])
+
+	lo = uint64(2*(emax+ebias) + 1)
+	// While no value is significant a plane without bits costs one 0 bit.
+	zeros := uint(bits.LeadingZeros32(d0 | d1 | d2 | d3))
+	pos := ebits + zeros
+	plane := intprec - zeros
+	// half holds the 16 bit planes, one per nibble, of the half word that
+	// the next plane is in: the upper one first.
+	upper := plane > 16
+	var half uint64
+	if upper {
+		half = interleave(d0>>16, d1>>16, d2>>16, d3>>16)
+	} else {
+		half = interleave(d0, d1, d2, d3)
+	}
+	// emit appends the low n bits of v at pos. A code reaching past bit
+	// 63 continues in hi; Go shifts by 64 or more to zero, which makes
+	// the two terms for hi exclusive.
+	emit := func(v uint64, n uint) {
+		lo |= v << pos
+		if pos+n > 64 {
+			hi |= v<<(pos-64) | v>>(64-pos)
+		}
+		pos += n
+	}
+	var e uint
+	for pos < maxbits && plane > 0 {
+		if e&0x70 == 1<<4 {
+			// With one value significant a plane that adds no other
+			// codes as "bit, 0": a run of them is value 0's bits,
+			// top plane first, in every second bit of the stream.
+			if run := min(uint(bits.LeadingZeros32((d1|d2|d3)<<(intprec-plane))), plane); run >= minRun {
+				s := uint64(bits.Reverse32(d0<<(intprec-plane))) & (1<<run - 1)
+				s = (s | s<<16) & 0x0000ffff0000ffff
+				s = (s | s<<8) & 0x00ff00ff00ff00ff
+				s = (s | s<<4) & 0x0f0f0f0f0f0f0f0f
+				s = (s | s<<2) & 0x3333333333333333
+				s = (s | s<<1) & 0x5555555555555555
+				emit(s, 2*run)
+				plane -= run
+				continue
+			}
+		}
+		if upper && plane <= 16 {
+			half, upper = interleave(d0, d1, d2, d3), false
+		}
+		plane--
+		e = uint(encTab[e&0x70|uint(half>>(plane&15<<2))&15])
+		emit(uint64(e>>8), e&7)
+	}
+	// The budget cuts the last code short: the bit-serial coder stops
+	// mid-code there, which leaves exactly the code's prefix.
+	if maxbits < 64 {
+		return lo & (1<<maxbits - 1), 0
+	}
+	return lo, hi & (1<<(maxbits-64) - 1)
+}
+
+// decodeBlock reconstructs the four values of a block from its bits.
+func decodeBlock(lo, hi uint64, maxbits uint) (f0, f1, f2, f3 float32) {
+	if lo&1 == 0 {
+		return 0, 0, 0, 0
+	}
+	emax := int(lo>>1&0xff) - ebias
+
+	// While no value is significant a 0 bit is a plane without bits.
+	w := lo >> ebits
+	left := maxbits - ebits
+	zeros := min(uint(bits.TrailingZeros64(w)), left, intprec)
+	w >>= zeros
+	left -= zeros
+	plane := intprec - zeros
+
+	// planes collects the decoded nibbles as interleave lays them out, the
+	// lower 16 bit planes in planes[0]; run0 the bits of value 0 that the
+	// run path below decodes by itself.
+	var planes [2]uint64
+	var run0 uint32
+	var e uint
+	// w holds 64-ebits stream bits; refill is the value of left below
+	// which fewer than maxPlaneBits of them remain and a two-word block
+	// has to reload it.
+	refill := uint(0)
+	if maxbits > 64 {
+		refill = maxbits - (64 - maxPlaneBits)
+	}
+	for left > 0 && plane > 0 {
+		if left < refill {
+			// Go shifts by 64 or more to zero, which makes the
+			// three terms exclusive.
+			pos := maxbits - left
+			w = lo>>pos | hi<<(64-pos) | hi>>(pos-64)
+			refill = max(left, 64-maxPlaneBits) - (64 - maxPlaneBits)
+		}
+		n := e >> maxPlaneBits
+		if n == 1 {
+			// With one value significant a plane that adds no other
+			// reads "bit, 0": a run of them is every second bit of
+			// the stream up to the first 1 in between.
+			if run := min(uint(bits.TrailingZeros64(w&0xaaaaaaaaaaaaaaaa))/2, (left-refill)/2, plane); run >= minRun {
+				v := w & 0x5555555555555555 & (1<<(2*run) - 1)
+				v = (v | v>>1) & 0x3333333333333333
+				v = (v | v>>2) & 0x0f0f0f0f0f0f0f0f
+				v = (v | v>>4) & 0x00ff00ff00ff00ff
+				v = (v | v>>8) & 0x0000ffff0000ffff
+				v |= v >> 16
+				run0 |= bits.Reverse32(uint32(v)) >> (32 - plane)
+				w >>= 2 * run
+				left -= 2 * run
+				plane -= run
+				continue
+			}
+		}
+		e = uint(decTab[e&0x380|uint(w)&(1<<maxPlaneBits-1)])
+		x, used := e&15, e>>4&7
+		if used > left {
+			// The budget cuts this plane's code short.
+			x, used, _ = decodePlane(w, n, left)
+		}
+		w >>= used
+		left -= used
+		plane--
+		planes[plane>>4&1] |= uint64(x) << (plane & 15 << 2)
+	}
+	h0, h1, h2, h3 := deinterleave(planes[1])
+	d0, d1, d2, d3 := run0|h0<<16, h1<<16, h2<<16, h3<<16
+	if planes[0] != 0 {
+		l0, l1, l2, l3 := deinterleave(planes[0])
+		d0, d1, d2, d3 = d0|l0, d1|l1, d2|l2, d3|l3
+	}
+	q := [4]int32{nb2int(d0), nb2int(d1), nb2int(d2), nb2int(d3)}
+	invLift(&q)
+	scale := math.Float64frombits(uint64(1023+emax-(intprec-2)) << 52)
+	return invCast(q[0], scale), invCast(q[1], scale), invCast(q[2], scale), invCast(q[3], scale)
 }
 
 // invCast converts Q1.30 fixed point back to float32. Quantization can
 // overshoot by a fraction of an ULP at the extreme of the exponent range,
 // so the result is clamped to the finite float32 domain.
-func invCast(dst *[4]float32, src *[4]int32, emax int) {
-	scale := math.Ldexp(1, emax-(intprec-2))
-	for i, v := range src {
-		f := float64(v) * scale
-		if f > math.MaxFloat32 {
-			f = math.MaxFloat32
-		} else if f < -math.MaxFloat32 {
-			f = -math.MaxFloat32
-		}
-		dst[i] = float32(f)
+func invCast(v int32, scale float64) float32 {
+	f := float64(v) * scale
+	if f > math.MaxFloat32 {
+		f = math.MaxFloat32
+	} else if f < -math.MaxFloat32 {
+		f = -math.MaxFloat32
 	}
-}
-
-// encodeInts is zfp's embedded group-testing bit-plane coder (a literal
-// translation of encode_ints from the zfp codec, specialized to 4-value
-// blocks). It writes at most maxbits bits of the 4 negabinary integers to
-// w, most significant plane first, and returns the number of bits written.
-//
-// n persists across planes: it counts the values whose significance has
-// been established, and those values' plane bits are emitted verbatim while
-// the rest of each plane is unary run-length coded (group testing).
-func encodeInts(w *bitstream.Writer, maxbits uint, data *[4]uint32) uint {
-	const size = BlockValues
-	bits := maxbits
-	n := uint(0)
-	for k := intprec; bits != 0 && k > 0; {
-		k--
-		// Step 1: extract bit plane k to x (bit i of x = bit k of data[i]).
-		var x uint64
-		for i := 0; i < size; i++ {
-			x += uint64((data[i]>>uint(k))&1) << uint(i)
-		}
-		// Step 2: encode the first n bits of the plane verbatim.
-		m := n
-		if m > bits {
-			m = bits
-		}
-		bits -= m
-		x = w.WriteBits(x, m)
-		// Step 3: unary run-length encode the remainder of the plane.
-		for n < size && bits != 0 {
-			bits--
-			if x == 0 {
-				w.WriteBit(0) // group test: nothing significant remains
-				break
-			}
-			w.WriteBit(1)
-			for n < size-1 && bits != 0 {
-				bits--
-				b := uint(x & 1)
-				w.WriteBit(b)
-				if b != 0 {
-					break
-				}
-				x >>= 1
-				n++
-			}
-			// Skip past the 1 bit just coded (or implied, when the
-			// scan reached the final value).
-			x >>= 1
-			n++
-		}
-	}
-	return maxbits - bits
-}
-
-// decodeInts inverts encodeInts, reading at most maxbits bits.
-func decodeInts(r *bitstream.Reader, maxbits uint, data *[4]uint32) {
-	const size = BlockValues
-	for i := range data {
-		data[i] = 0
-	}
-	bits := maxbits
-	n := uint(0)
-	for k := intprec; bits != 0 && k > 0; {
-		k--
-		// Step 1: decode the verbatim prefix of the plane.
-		m := n
-		if m > bits {
-			m = bits
-		}
-		bits -= m
-		x := r.ReadBits(m)
-		// Step 2: unary run-length decode the remainder.
-		for n < size && bits != 0 {
-			bits--
-			if r.ReadBit() == 0 {
-				break
-			}
-			for n < size-1 && bits != 0 {
-				bits--
-				if r.ReadBit() != 0 {
-					break
-				}
-				n++
-			}
-			x += uint64(1) << n
-			n++
-		}
-		// Step 3: deposit bit plane k.
-		for i := 0; x != 0; i, x = i+1, x>>1 {
-			data[i] += uint32(x&1) << uint(k)
-		}
-	}
-}
-
-// encodeBlock writes one block in exactly maxbits bits.
-func encodeBlock(w *bitstream.Writer, maxbits uint, block *[4]float32) {
-	startBits := w.BitLen()
-	emax := blockExponent(block)
-	// Blocks that are all zero — or all denormal-tiny, whose biased
-	// exponent would underflow the 8-bit field — are coded as a single
-	// 0 bit plus padding and reconstruct to exact zeros.
-	if emax+ebias < 1 {
-		w.WriteBit(0)
-	} else {
-		e := uint64(emax + ebias)
-		w.WriteBits(2*e+1, ebits)
-		var iblock [4]int32
-		fwdCast(&iblock, block, emax)
-		fwdLift(&iblock)
-		var ublock [4]uint32
-		for i, v := range iblock {
-			ublock[i] = int2nb(v)
-		}
-		budget := maxbits - ebits
-		encodeInts(w, budget, &ublock)
-	}
-	w.PadToBit(startBits + uint64(maxbits))
-}
-
-// decodeBlock reads one block of exactly maxbits bits.
-func decodeBlock(r *bitstream.Reader, maxbits uint, block *[4]float32) {
-	startBits := r.BitPos()
-	first := r.ReadBit()
-	if first == 0 {
-		for i := range block {
-			block[i] = 0
-		}
-	} else {
-		// Re-read the full exponent field: the first bit we consumed
-		// is the LSB of 2*e+1 (always 1).
-		rest := r.ReadBits(ebits - 1)
-		e := rest // (2*e+1)>>1 == e
-		emax := int(e) - ebias
-		var ublock [4]uint32
-		decodeInts(r, maxbits-ebits, &ublock)
-		var iblock [4]int32
-		for i, v := range ublock {
-			iblock[i] = nb2int(v)
-		}
-		invLift(&iblock)
-		invCast(block, &iblock, emax)
-	}
-	r.SkipToBit(startBits + uint64(maxbits))
+	return float32(f)
 }
 
 // Compress compresses src at the given fixed rate, appending the encoded
@@ -352,35 +528,59 @@ func Compress(dst []byte, src []float32, rate int) ([]byte, error) {
 	return AppendCompress(dst, src, rate)
 }
 
-// AppendCompress is the scratch-reuse entry point: it encodes directly
-// into dst through a stack bit writer (no intermediate stream buffer, no
-// final copy), so when the caller passes a reused buffer with cap(dst)
-// sized by CompressedSize the call performs zero heap allocations.
-// Output bytes are identical to what Compress has always produced —
-// every block codes to exactly 4*rate bits at a position fixed by its
-// index, so the encoding is independent of how the input is chunked.
+// AppendCompress is the scratch-reuse entry point: every block codes to
+// exactly 4*rate bits at a position fixed by its index, so blocks are
+// encoded in registers and stored straight into dst a word at a time (no
+// intermediate stream, no final copy). When the caller passes a reused
+// buffer with cap(dst) sized by CompressedSize the call performs zero heap
+// allocations, and the encoding is independent of how the input is chunked.
 func AppendCompress(dst []byte, src []float32, rate int) ([]byte, error) {
 	if err := checkRate(rate); err != nil {
 		return dst, err
 	}
-	maxbits := uint(BlockValues * rate)
-	var w bitstream.Writer
-	w.Reset(dst)
-	var block [4]float32
 	n := len(src)
-	for base := 0; base < n; base += BlockValues {
-		for i := 0; i < BlockValues; i++ {
-			if base+i < n {
-				block[i] = src[base+i]
-			} else if base+i > 0 {
-				block[i] = block[i-1]
-			} else {
-				block[i] = 0
-			}
+	want, _ := CompressedSize(n, rate)
+	start := len(dst)
+	dst = slices.Grow(dst, want)[:start+want]
+	out := dst[start:]
+	maxbits := uint(BlockValues * rate)
+
+	// acc holds the nacc < 64 stream bits not yet stored.
+	var acc uint64
+	var nacc uint
+	put := func(v uint64, nbits uint) {
+		acc |= v << nacc
+		if nacc += nbits; nacc >= 64 {
+			binary.LittleEndian.PutUint64(out, acc)
+			out = out[8:]
+			nacc -= 64
+			acc = v >> (nbits - nacc)
 		}
-		encodeBlock(&w, maxbits, &block)
 	}
-	return w.Final(), nil
+	block := func(b0, b1, b2, b3 float32) {
+		lo, hi := encodeBlock(math.Float32bits(b0), math.Float32bits(b1), math.Float32bits(b2), math.Float32bits(b3), maxbits)
+		if maxbits <= 64 {
+			put(lo, maxbits)
+		} else {
+			put(lo, 64)
+			put(hi, maxbits-64)
+		}
+	}
+	for ; len(src) >= BlockValues; src = src[BlockValues:] {
+		block(src[0], src[1], src[2], src[3])
+	}
+	if len(src) > 0 {
+		// Edge extension: a partial block repeats its last value.
+		last := src[len(src)-1]
+		b := [BlockValues]float32{last, last, last, last}
+		copy(b[:], src)
+		block(b[0], b[1], b[2], b[3])
+	}
+	for ; nacc > 0; nacc -= min(nacc, 8) {
+		out[0] = byte(acc)
+		out, acc = out[1:], acc>>8
+	}
+	return dst, nil
 }
 
 // Decompress reconstructs exactly n values from comp at the given rate,
@@ -403,6 +603,19 @@ func Decompress(dst []float32, comp []byte, n, rate int) ([]float32, error) {
 	return dst, nil
 }
 
+// load64 returns the 8 stream bytes from off on as a little-endian word,
+// reading bytes past the end of b as zero.
+func load64(b []byte, off int) uint64 {
+	if off+8 <= len(b) {
+		return binary.LittleEndian.Uint64(b[off:])
+	}
+	var v uint64
+	for i := len(b) - 1; i >= off; i-- {
+		v = v<<8 | uint64(b[i])
+	}
+	return v
+}
+
 // DecompressInto reconstructs exactly len(dst) values from comp at the
 // given rate, overwriting dst in place — the zero-allocation counterpart
 // of Decompress for callers that pre-slice a reused destination (e.g.
@@ -417,13 +630,22 @@ func DecompressInto(dst []float32, comp []byte, rate int) error {
 		return fmt.Errorf("%w: have %d bytes, want %d", ErrShortBuffer, len(comp), want)
 	}
 	maxbits := uint(BlockValues * rate)
-	var r bitstream.Reader
-	r.Reset(comp)
-	var block [4]float32
-	for base := 0; base < n; base += BlockValues {
-		decodeBlock(&r, maxbits, &block)
-		for i := 0; i < BlockValues && base+i < n; i++ {
-			dst[base+i] = block[i]
+	for i, bit := 0, uint(0); i < n; i, bit = i+BlockValues, bit+maxbits {
+		// A block starts on a byte or a half byte, so up to 60 bits of
+		// it, or all 64 when it is byte aligned, are in the first load.
+		off, sh := int(bit>>3), bit&7
+		lo, hi := load64(comp, off)>>sh, uint64(0)
+		if maxbits > 64 {
+			next := load64(comp, off+8)
+			lo |= next << (64 - sh)
+			hi = next>>sh | load64(comp, off+16)<<(64-sh)
+		}
+		if v := dst[i:]; len(v) >= BlockValues {
+			v[0], v[1], v[2], v[3] = decodeBlock(lo, hi, maxbits)
+		} else {
+			var f [BlockValues]float32
+			f[0], f[1], f[2], f[3] = decodeBlock(lo, hi, maxbits)
+			copy(v, f[:])
 		}
 	}
 	return nil

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mpicomp/internal/datasets"
 )
 
 func maxAbs(xs []float32) float64 {
@@ -324,6 +326,46 @@ func BenchmarkDecompressRate16_1MB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decompress(make([]float32, 0, len(src)), comp, len(src), 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// sppm4MiB is the p2p_zfp benchmark workload's payload: 4 MiB of Table
+// III's msg_sppm, the regime the paper runs ZFP rate 8 in.
+func sppm4MiB(b *testing.B) []float32 {
+	d, ok := datasets.ByName("msg_sppm")
+	if !ok {
+		b.Fatal("msg_sppm dataset missing")
+	}
+	return d.Values(1 << 20)
+}
+
+func BenchmarkCompressRate8Sppm(b *testing.B) {
+	src := sppm4MiB(b)
+	want, _ := CompressedSize(len(src), 8)
+	dst := make([]byte, 0, want)
+	b.SetBytes(int64(len(src) * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = AppendCompress(dst[:0], src, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecompressRate8Sppm(b *testing.B) {
+	src := sppm4MiB(b)
+	comp, err := Compress(nil, src, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float32, len(src))
+	b.SetBytes(int64(len(src) * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecompressInto(dst, comp, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
