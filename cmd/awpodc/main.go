@@ -27,7 +27,11 @@ func main() {
 	fields := flag.Int("fields", 9, "wavefield components per halo")
 	steps := flag.Int("steps", 4, "time steps")
 	eng := cli.AddEngineFlags(flag.CommandLine)
+	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
+	stopProfiles, err := prof.Start()
+	cli.Fatal(err)
+	defer stopProfiles()
 
 	cfg, err := eng.Config()
 	cli.Fatal(err)

@@ -55,7 +55,11 @@ func main() {
 	tuneTable := flag.String("tune-table", "", "tuning-table JSON path: warm-start from it if present, rewrite it with the updated table on exit")
 	tuneSeed := flag.Int64("tune-seed", 0, "tuner exploration seed")
 	eng := cli.AddEngineFlags(flag.CommandLine)
+	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
+	stopProfiles, err := prof.Start()
+	cli.Fatal(err)
+	defer stopProfiles()
 
 	cfg, err := eng.Config()
 	cli.Fatal(err)

@@ -11,6 +11,17 @@ import (
 	"testing"
 )
 
+// buildCommands builds every command under cmd/ into a fresh directory.
+func buildCommands(t *testing.T) string {
+	t.Helper()
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./...")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestEveryCommandStartsUp builds every command under cmd/ and runs it with
 // -h. Flag registration happens before flag.Parse, so a command that
 // registers one name twice (daskbench did, from PR 2 to PR 12: its own
@@ -21,11 +32,7 @@ func TestEveryCommandStartsUp(t *testing.T) {
 	if err != nil || len(dirs) == 0 {
 		t.Fatalf("no commands found under cmd/: %v", err)
 	}
-	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./...")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
-	}
+	bin := buildCommands(t)
 	for _, d := range dirs {
 		name := filepath.Dir(d)
 		t.Run(name, func(t *testing.T) {
@@ -47,5 +54,24 @@ func TestEveryCommandStartsUp(t *testing.T) {
 				t.Errorf("%s -h printed no usage", name)
 			}
 		})
+	}
+}
+
+// TestOmbrunWritesProfiles runs the real driver through the codec path with
+// -cpuprofile and -memprofile (cli.AddProfileFlags): host profiles of the
+// whole stack come from here, not from a micro-benchmark.
+func TestOmbrunWritesProfiles(t *testing.T) {
+	bin := buildCommands(t)
+	tmp := t.TempDir()
+	cpu, mem := filepath.Join(tmp, "cpu.prof"), filepath.Join(tmp, "mem.prof")
+	out, err := exec.Command(filepath.Join(bin, "ombrun"), "-bench", "latency", "-sizes", "1M",
+		"-codec", "mpc", "-cpuprofile", cpu, "-memprofile", mem).CombinedOutput()
+	if err != nil {
+		t.Fatalf("ombrun: %v\n%s", err, out)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("ombrun left no profile in %s (err %v)\n%s", filepath.Base(f), err, out)
+		}
 	}
 }

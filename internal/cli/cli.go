@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -615,6 +617,52 @@ func (t *Table) Write(w io.Writer) {
 	for _, row := range t.rows {
 		line(row)
 	}
+}
+
+// ProfileFlags collects the host-profiling flags of the executables that
+// drive the whole stack, so a profile comes from the program a user runs
+// rather than from a micro-benchmark.
+type ProfileFlags struct {
+	CPU *string
+	Mem *string
+}
+
+// AddProfileFlags registers -cpuprofile and -memprofile on fs.
+func AddProfileFlags(fs *flag.FlagSet) *ProfileFlags {
+	return &ProfileFlags{
+		CPU: fs.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)"),
+		Mem: fs.String("memprofile", "", "write a host heap profile taken at the end of the run to this file"),
+	}
+}
+
+// Start begins the CPU profile when one was asked for and returns the
+// function that finishes it and writes the heap profile. Call stop once,
+// on the normal way out of main; a run that ends in Fatal leaves no
+// profile.
+func (p *ProfileFlags) Start() (stop func(), err error) {
+	var cpu *os.File
+	if *p.CPU != "" {
+		if cpu, err = os.Create(*p.CPU); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			Fatal(cpu.Close())
+		}
+		if *p.Mem != "" {
+			f, err := os.Create(*p.Mem)
+			Fatal(err)
+			runtime.GC() // the profile reports the heap as of the last collection
+			Fatal(pprof.WriteHeapProfile(f))
+			Fatal(f.Close())
+		}
+	}, nil
 }
 
 // Fatal prints the error to stderr and exits with status 1 when err is

@@ -140,9 +140,7 @@ func (e *Engine) probeRatio(clk *simtime.Clock, buf *gpusim.Buffer) {
 	if n > buf.Len() {
 		n = buf.Len()
 	}
-	words := e.ar.wordsFor(n / 4)
-	bytesToWordsAt(words, buf.Data[:n])
-	cs, err := mpc.CompressedSize(words, e.cfg.MPCDim)
+	cs, err := mpc.CompressedSizeBytes(buf.Data[:n&^3], e.cfg.MPCDim)
 	if err != nil || cs == 0 {
 		return
 	}

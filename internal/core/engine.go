@@ -722,7 +722,11 @@ func (e *Engine) ReleaseRecv(clk *simtime.Clock, staged *gpusim.Buffer) {
 //
 // A truncated, padded, or otherwise malformed (header, payload) pair —
 // whatever a faulty fabric or a corrupted RTS could produce — yields an
-// error, never a panic and never silently short output.
+// error, never a panic and never silently short output. The codecs decode
+// straight into dst, so after an error the first hdr.OrigBytes bytes of
+// dst are unspecified (a corrupt MPC partition leaves its range partly
+// written and the other partitions decoded); the transport re-requests or
+// fails the message and never hands such a buffer to the application.
 func (e *Engine) Decompress(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -764,10 +768,10 @@ func (e *Engine) Decompress(clk *simtime.Clock, hdr Header, payload []byte, dst 
 	return err
 }
 
-// decompressMPC restores hdr.OrigBytes packed bytes into dst: written
-// contiguously when view is zero, scattered into strided runs (starting
-// at packed offset view.base) otherwise, during the decoder's existing
-// write-back pass.
+// decompressMPC restores hdr.OrigBytes packed bytes into dst: decoded in
+// place when view is zero, otherwise decoded into worker scratch and
+// scattered into strided runs (starting at packed offset view.base),
+// partition by partition and only for partitions that decoded.
 func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView) error {
 	opt := e.cfg.Mode == ModeOpt
 	nWords := hdr.OrigBytes / 4

@@ -45,8 +45,6 @@ type arena struct {
 	comp []byte
 	// payload stages the assembled multi-partition MPC wire payload.
 	payload []byte
-	// words stages word conversions for the dynamic-selection probe.
-	words []uint32
 	// ranges, partBytes, offs, outs, errs are the per-part bookkeeping
 	// slices formerly allocated per message.
 	ranges    [][2]int
@@ -69,14 +67,6 @@ func (a *arena) compFor(n int) []byte {
 	}
 	a.comp = a.comp[:n]
 	return a.comp
-}
-
-func (a *arena) wordsFor(n int) []uint32 {
-	if cap(a.words) < n {
-		a.words = make([]uint32, n)
-	}
-	a.words = a.words[:n]
-	return a.words
 }
 
 func (a *arena) rangesFor(n, parts int) [][2]int {
@@ -140,21 +130,9 @@ func firstErr(errs []error) (int, error) {
 	return -1, nil
 }
 
-// --- in-place byte/word/float conversions (the *At variants overwrite a
+// --- in-place byte/float conversions (the *At variants overwrite a
 // pre-sliced destination, so parallel parts can convert disjoint ranges
 // of one buffer) ---
-
-func bytesToWordsAt(dst []uint32, b []byte) {
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-}
-
-func wordsToBytesAt(dst []byte, w []uint32) {
-	for i, v := range w {
-		binary.LittleEndian.PutUint32(dst[4*i:], v)
-	}
-}
 
 func bytesToFloatsAt(dst []float32, b []byte) {
 	for i := range dst {
@@ -176,11 +154,13 @@ func floatsToBytesAt(dst []byte, f []float32) {
 // packed stream (nonzero for pipelined typed chunks). A zero typedView
 // (runs == nil) means contiguous — the pre-existing fast path.
 //
-// This is the pack+compress fusion point: the gather happens inside the
-// codec's existing byte-to-word read pass (and the scatter inside its
-// write-back pass), so a strided message costs the same number of passes
-// and the same scratch as a contiguous one. Runs and offs alias the
-// engine arena; workers only ever read them.
+// This is the pack+compress fusion point: each codec part gathers its own
+// packed range into worker scratch (and scatters it back out after
+// decoding), so a strided message never materializes its packed stream
+// and needs no message-sized staging buffer. For ZFP the gather is the
+// byte-to-float pass a contiguous message makes anyway; for MPC, which
+// reads a contiguous message's bytes in place, it is one part-sized copy.
+// Runs and offs alias the engine arena; workers only ever read them.
 type typedView struct {
 	runs [][2]int
 	offs []int
@@ -193,46 +173,10 @@ func runAt(offs []int, p int) int {
 	return sort.Search(len(offs)-1, func(i int) bool { return offs[i+1] > p })
 }
 
-// gatherWordsAt fills dst with the packed words starting at word w0 of
+// gatherFloatsAt fills dst with the packed values starting at value v0 of
 // the layout's packed stream, reading strided source runs. Run offsets
 // and lengths are multiples of 4 by construction (word-granular
-// layouts), so word boundaries never split a run element.
-func gatherWordsAt(dst []uint32, src []byte, runs [][2]int, offs []int, w0 int) {
-	p := 4 * w0
-	k := runAt(offs, p)
-	for di := 0; di < len(dst); k++ {
-		rg := runs[k]
-		ro := p - offs[k]
-		take := (rg[1] - ro) / 4
-		if rem := len(dst) - di; take > rem {
-			take = rem
-		}
-		bytesToWordsAt(dst[di:di+take], src[rg[0]+ro:rg[0]+ro+4*take])
-		di += take
-		p += 4 * take
-	}
-}
-
-// scatterWordsAt writes w as the packed words starting at word w0 of the
-// layout's packed stream, storing into strided destination runs — the
-// mirror of gatherWordsAt.
-func scatterWordsAt(dst []byte, runs [][2]int, offs []int, w0 int, w []uint32) {
-	p := 4 * w0
-	k := runAt(offs, p)
-	for si := 0; si < len(w); k++ {
-		rg := runs[k]
-		ro := p - offs[k]
-		take := (rg[1] - ro) / 4
-		if rem := len(w) - si; take > rem {
-			take = rem
-		}
-		wordsToBytesAt(dst[rg[0]+ro:rg[0]+ro+4*take], w[si:si+take])
-		si += take
-		p += 4 * take
-	}
-}
-
-// gatherFloatsAt is gatherWordsAt for float32 destinations (the ZFP path).
+// layouts), so value boundaries never split a run element.
 func gatherFloatsAt(dst []float32, src []byte, runs [][2]int, offs []int, v0 int) {
 	p := 4 * v0
 	k := runAt(offs, p)
@@ -249,7 +193,9 @@ func gatherFloatsAt(dst []float32, src []byte, runs [][2]int, offs []int, v0 int
 	}
 }
 
-// scatterFloatsAt is scatterWordsAt for float32 sources (the ZFP path).
+// scatterFloatsAt writes f as the packed values starting at value v0 of
+// the layout's packed stream, storing into strided destination runs — the
+// mirror of gatherFloatsAt.
 func scatterFloatsAt(dst []byte, runs [][2]int, offs []int, v0 int, f []float32) {
 	p := 4 * v0
 	k := runAt(offs, p)
@@ -305,11 +251,12 @@ func scatterBytesAt(dst []byte, runs [][2]int, offs []int, base int, src []byte)
 }
 
 // mpcCompressJob compresses the partition ranges of one message
-// concurrently. Part i converts its own byte range to words in worker
-// scratch and encodes into outs[i], a region of the arena's comp buffer
-// pre-sliced with cap mpc.Bound(partWords) — partitions cannot collide.
-// A non-nil view gathers each partition's words from strided source runs
-// during the same read pass (pack+compress fusion).
+// concurrently. Part i encodes its own byte range of src — the codec
+// reads the buffer's little-endian words in place — into outs[i], a
+// region of the arena's comp buffer pre-sliced with cap
+// mpc.Bound(partWords), so partitions cannot collide. A non-nil view
+// first gathers the partition's packed bytes from the strided source runs
+// into worker scratch (pack+compress fusion: one copy, no staging buffer).
 type mpcCompressJob struct {
 	src    []byte
 	ranges [][2]int
@@ -320,23 +267,23 @@ type mpcCompressJob struct {
 }
 
 func (j *mpcCompressJob) RunPart(i int, s *codecpool.Scratch) {
-	rg := j.ranges[i]
-	w := s.Words(rg[1] - rg[0])
+	lo, hi := 4*j.ranges[i][0], 4*j.ranges[i][1]
+	var part []byte
 	if j.view.runs == nil {
-		bytesToWordsAt(w, j.src[4*rg[0]:4*rg[1]])
+		part = j.src[lo:hi]
 	} else {
-		gatherWordsAt(w, j.src, j.view.runs, j.view.offs, j.view.base/4+rg[0])
+		part = s.Bytes(hi - lo)
+		gatherBytesAt(part, j.src, j.view.runs, j.view.offs, j.view.base+lo)
 	}
-	out, err := mpc.AppendCompressWords(j.outs[i][:0], w, j.dim)
-	j.outs[i] = out
-	j.errs[i] = err
+	j.outs[i], j.errs[i] = mpc.AppendCompressBytes(j.outs[i][:0], part, j.dim)
 }
 
 // mpcDecompressJob decodes the partitions of one payload concurrently.
-// Part i decodes payload[offs[i]:offs[i+1]] into worker scratch and
-// serializes into its own word range of dst. MPC's predictor is
-// partition-relative (each CompressWords call started a fresh stream),
-// so partitions decode independently.
+// Part i decodes payload[offs[i]:offs[i+1]] straight into its own byte
+// range of dst. MPC's predictor is partition-relative (each compress call
+// started a fresh stream), so partitions decode independently. A corrupt
+// partition leaves its range partly written; a non-nil view decodes into
+// worker scratch and scatters into the strided runs only on success.
 type mpcDecompressJob struct {
 	payload []byte
 	offs    []int // len(parts)+1 cumulative payload offsets
@@ -348,16 +295,15 @@ type mpcDecompressJob struct {
 }
 
 func (j *mpcDecompressJob) RunPart(i int, s *codecpool.Scratch) {
-	rg := j.ranges[i]
-	w := s.Words(rg[1] - rg[0])
-	if err := mpc.DecompressWordsInto(w, j.payload[j.offs[i]:j.offs[i+1]], j.dim); err != nil {
-		j.errs[i] = err
+	lo, hi := 4*j.ranges[i][0], 4*j.ranges[i][1]
+	comp := j.payload[j.offs[i]:j.offs[i+1]]
+	if j.view.runs == nil {
+		j.errs[i] = mpc.DecompressBytesInto(j.dst[lo:hi], comp, j.dim)
 		return
 	}
-	if j.view.runs == nil {
-		wordsToBytesAt(j.dst[4*rg[0]:4*rg[1]], w)
-	} else {
-		scatterWordsAt(j.dst, j.view.runs, j.view.offs, j.view.base/4+rg[0], w)
+	part := s.Bytes(hi - lo)
+	if j.errs[i] = mpc.DecompressBytesInto(part, comp, j.dim); j.errs[i] == nil {
+		scatterBytesAt(j.dst, j.view.runs, j.view.offs, j.view.base+lo, part)
 	}
 }
 

@@ -2,10 +2,15 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"mpicomp/internal/datasets"
+	"mpicomp/internal/dtype"
 	"mpicomp/internal/gpusim"
+	"mpicomp/internal/mpc"
 	"mpicomp/internal/simtime"
 )
 
@@ -155,6 +160,103 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: round trip allocated %.1f objects per message, want 0", algo, allocs)
+		}
+	}
+}
+
+// TestCorruptPartitionContract pins what a corrupt MPC partition does when
+// partitions decode straight into the receive buffer: the error wraps
+// mpc.ErrCorrupt and names the lowest corrupt partition for any worker
+// count, the d_off buffer goes back to its pool, the destination is
+// unspecified (contiguous) or untouched in the failed partition's range
+// (typed: scatter only on success) — and a following good Decompress into
+// the same buffer is bit-exact.
+func TestCorruptPartitionContract(t *testing.T) {
+	vals := smooth(2<<20, 31) // 8 MB, 4 partitions
+	for _, workers := range workerCounts {
+		cfg := Config{Mode: ModeOpt, Algorithm: AlgoMPC, MaxPartitions: 8, Workers: workers}
+		e, dev, clk := newTestEngine(t, cfg)
+		src := deviceBufferWith(dev, vals)
+		payload, hdr := e.Compress(clk, src)
+		parts := len(hdr.PartBytes)
+		if parts < 4 {
+			t.Fatalf("workers=%d: want >= 4 partitions, got %d", workers, parts)
+		}
+		dst := &gpusim.Buffer{Data: make([]byte, hdr.OrigBytes), Loc: gpusim.Device, Dev: dev}
+		if err := e.Decompress(clk, hdr, payload, dst); err != nil {
+			t.Fatal(err)
+		}
+		free := e.offPool.FreeCount()
+
+		for k := 0; k < parts; k++ {
+			// Drop the last 3 bytes of partition k and of every later
+			// odd partition: a stream that is not a whole number of
+			// words never decodes, so k is the lowest corrupt one.
+			bad := hdr
+			bad.PartBytes = append([]int(nil), hdr.PartBytes...)
+			var cut []byte
+			off := 0
+			for i, pb := range hdr.PartBytes {
+				if i == k || (i > k && i%2 == 1) {
+					bad.PartBytes[i] -= 3
+				}
+				cut = append(cut, payload[off:off+bad.PartBytes[i]]...)
+				off += pb
+			}
+			bad.CompBytes = len(cut)
+			err := e.Decompress(clk, bad, cut, dst)
+			if !errors.Is(err, mpc.ErrCorrupt) {
+				t.Fatalf("workers=%d partition %d: got %v, want mpc.ErrCorrupt", workers, k, err)
+			}
+			if want := fmt.Sprintf("partition %d:", k); !strings.Contains(err.Error(), want) {
+				t.Fatalf("workers=%d: error %q does not name %q", workers, err, want)
+			}
+			if got := e.offPool.FreeCount(); got != free {
+				t.Fatalf("workers=%d partition %d: d_off free count %d, want %d", workers, k, got, free)
+			}
+			if err := e.Decompress(clk, hdr, payload, dst); err != nil {
+				t.Fatalf("workers=%d: good decompress after a corrupt one: %v", workers, err)
+			}
+			if !bytes.Equal(dst.Data, src.Data) {
+				t.Fatalf("workers=%d partition %d: good decompress after a corrupt one is not bit-exact", workers, k)
+			}
+		}
+
+		// Typed receive, one partition: the strided destination keeps
+		// every byte when the decode fails.
+		ty := typedLayouts()[0]
+		tcfg := cfg
+		tcfg.Threshold = 1 << 10
+		te, tdev, tclk := newTestEngine(t, tcfg)
+		tsrc := typedSrcBuffer(tdev, ty)
+		tpayload, thdr := te.CompressTyped(tclk, tsrc, ty)
+		if !thdr.Compressed || len(thdr.PartBytes) != 1 {
+			t.Fatalf("typed sample: compressed=%v partitions=%d, want one compressed partition", thdr.Compressed, len(thdr.PartBytes))
+		}
+		tdst := &gpusim.Buffer{Data: bytes.Repeat([]byte{0xa5}, tsrc.Len()), Loc: gpusim.Device, Dev: tdev}
+		before := append([]byte(nil), tdst.Data...)
+		tbad := thdr
+		tbad.PartBytes = []int{thdr.PartBytes[0] - 3}
+		tbad.CompBytes -= 3
+		if err := te.DecompressTyped(tclk, tbad, tpayload[:len(tpayload)-3], tdst, ty); !errors.Is(err, mpc.ErrCorrupt) {
+			t.Fatalf("workers=%d typed: got %v, want mpc.ErrCorrupt", workers, err)
+		}
+		if !bytes.Equal(tdst.Data, before) {
+			t.Fatalf("workers=%d typed: a failed decode wrote to the strided destination", workers)
+		}
+		if err := te.DecompressTyped(tclk, thdr, tpayload, tdst, ty); err != nil {
+			t.Fatal(err)
+		}
+		packed := make([]byte, ty.Size())
+		if err := dtype.Pack(packed, tsrc.Data, ty); err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), before...)
+		if err := dtype.Unpack(want, packed, ty); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tdst.Data, want) {
+			t.Fatalf("workers=%d typed: good decode after a corrupt one is not bit-exact", workers)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 // Typed (derived-datatype) engine entry points: pack+compress fusion.
 //
 // A typed compression feeds the layout's strided source runs directly
-// into the codec pipelines — the gather happens inside the codec's
-// existing byte-to-word read pass (hostpar.go typedView), so a strided
-// message costs zero extra passes and zero staging allocations compared
-// to compressing the same bytes pre-packed. Partitioning, kernel
+// into the codec pipelines — each codec part gathers its own packed range
+// into worker scratch (hostpar.go typedView), so a strided message costs
+// no pack pass over the whole message and zero staging allocations
+// compared to compressing the same bytes pre-packed. Partitioning, kernel
 // charges, and headers are all computed over the packed size, so the
 // wire payload is bit-identical to Pack-then-Compress by construction
 // (the codecs see the identical word sequence); the differential oracle
@@ -178,9 +178,12 @@ func (e *Engine) BypassTypedChunk(clk *simtime.Clock, buf *gpusim.Buffer, t dtyp
 	return append([]byte(nil), view...), hdr
 }
 
-// DecompressTyped restores a typed message: the decoded words scatter
-// directly into the strided positions t selects in dst during the
-// decoder's write-back pass (no staging copy, no unpack pass).
+// DecompressTyped restores a typed message: each codec part decodes into
+// worker scratch and scatters into the strided positions t selects in dst
+// (no message-sized staging copy, no unpack pass). A part scatters only
+// if it decoded, but parts are independent, so as with Decompress the
+// selected positions of dst are unspecified after an error; bytes t does
+// not select are never written.
 func (e *Engine) DecompressTyped(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer, t dtype.Type) error {
 	return e.DecompressTypedChunk(clk, hdr, payload, dst, t, 0)
 }
@@ -245,9 +248,9 @@ func (e *Engine) probeRatioTyped(clk *simtime.Clock, buf *gpusim.Buffer, t dtype
 		pn = n
 	}
 	view := e.typedViewLocked(t)
-	words := e.ar.wordsFor(pn / 4)
-	gatherWordsAt(words, buf.Data, view.runs, view.offs, off/4)
-	cs, err := mpc.CompressedSize(words, e.cfg.MPCDim)
+	sample := e.ar.packedFor(pn &^ 3)
+	gatherBytesAt(sample, buf.Data, view.runs, view.offs, off)
+	cs, err := mpc.CompressedSizeBytes(sample, e.cfg.MPCDim)
 	if err != nil || cs == 0 {
 		return
 	}

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -204,21 +205,44 @@ func TestCompressedSizeMatchesCompress(t *testing.T) {
 				src[i] = rng.Uint32()
 			}
 		}
-		dim := 1 + rng.Intn(MaxDim)
-		comp, err := CompressWords(nil, src, dim)
-		if err != nil {
-			t.Fatal(err)
+		le := wordsToLE(src)
+		for dim := 1; dim <= MaxDim; dim++ {
+			comp, err := CompressWords(nil, src, dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, err := CompressedSize(src, dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			csb, err := CompressedSizeBytes(le, dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs != len(comp) || csb != len(comp) {
+				t.Fatalf("CompressedSize=%d CompressedSizeBytes=%d but len(comp)=%d (n=%d dim=%d)", cs, csb, len(comp), n, dim)
+			}
+			if len(comp) > Bound(n) {
+				t.Fatalf("compressed %d exceeds Bound %d", len(comp), Bound(n))
+			}
 		}
-		cs, err := CompressedSize(src, dim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cs != len(comp) {
-			t.Fatalf("CompressedSize=%d but len(comp)=%d (n=%d dim=%d)", cs, len(comp), n, dim)
-		}
-		if len(comp) > Bound(n) {
-			t.Fatalf("compressed %d exceeds Bound %d", len(comp), Bound(n))
-		}
+	}
+}
+
+// TestByteEntryPointsRejectPartialWords: the byte entry points take whole
+// little-endian words only.
+func TestByteEntryPointsRejectPartialWords(t *testing.T) {
+	if _, err := AppendCompressBytes(nil, make([]byte, 7), 1); !errors.Is(err, ErrUnaligned) {
+		t.Fatalf("AppendCompressBytes: got %v, want ErrUnaligned", err)
+	}
+	if err := DecompressBytesInto(make([]byte, 7), nil, 1); !errors.Is(err, ErrUnaligned) {
+		t.Fatalf("DecompressBytesInto: got %v, want ErrUnaligned", err)
+	}
+	if _, err := CompressedSizeBytes(make([]byte, 7), 1); !errors.Is(err, ErrUnaligned) {
+		t.Fatalf("CompressedSizeBytes: got %v, want ErrUnaligned", err)
+	}
+	if _, err := AppendCompressBytes(nil, make([]byte, 8), 0); !errors.Is(err, ErrBadDim) {
+		t.Fatalf("AppendCompressBytes dim 0: got %v, want ErrBadDim", err)
 	}
 }
 
@@ -310,47 +334,5 @@ func TestZigzagInverse(t *testing.T) {
 	// Small magnitudes must map to small codes.
 	if zigzag(1) != 2 || zigzag(^uint32(0)) != 1 || zigzag(0) != 0 {
 		t.Fatalf("zigzag ordering wrong: z(1)=%d z(-1)=%d z(0)=%d", zigzag(1), zigzag(^uint32(0)), zigzag(0))
-	}
-}
-
-func BenchmarkCompressSmooth1MB(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := make([]uint32, 1<<18) // 1 MiB
-	v := float32(1)
-	for i := range src {
-		v += float32(rng.NormFloat64()) * 0.01
-		src[i] = math.Float32bits(v)
-	}
-	b.SetBytes(int64(len(src) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := CompressWords(nil, src, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = buf
-	}
-}
-
-func BenchmarkDecompressSmooth1MB(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := make([]uint32, 1<<18)
-	v := float32(1)
-	for i := range src {
-		v += float32(rng.NormFloat64()) * 0.01
-		src[i] = math.Float32bits(v)
-	}
-	comp, err := CompressWords(nil, src, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(src) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := DecompressWords(make([]uint32, 0, len(src)), comp, len(src), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = out
 	}
 }
