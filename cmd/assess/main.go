@@ -1,7 +1,7 @@
 // Command assess reproduces the paper's Section II-B assessment of GPU
-// compression libraries, extended across all four codecs of Table I that
-// this repository implements: MPC and ZFP (the two the paper integrates)
-// plus GFC and SZ (the two prior GPU codecs it compares against).
+// compression libraries across the three codecs of Table I that this
+// repository implements: MPC and ZFP (the two the paper integrates) plus
+// SZ (the error-bounded prior GPU codec it compares against).
 //
 // For every Table III dataset it reports the measured compression ratio
 // of each codec and the host-side throughput of this implementation.
@@ -13,12 +13,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
 	"mpicomp/internal/cli"
 	"mpicomp/internal/datasets"
-	"mpicomp/internal/gfc"
 	"mpicomp/internal/mpc"
 	"mpicomp/internal/sz"
 	"mpicomp/internal/zfp"
@@ -38,8 +38,8 @@ func main() {
 	fmt.Printf("Assessment of GPU compression codecs (Section II-B, extended)\n")
 	fmt.Printf("%d MB per dataset; ZFP rate %d; SZ relative bound %g\n\n", *mb, *rate, *bound)
 
-	t := cli.NewTable("Dataset", "CR-MPC", "CR-ZFP", "CR-GFC", "CR-SZ",
-		"MPC MB/s", "ZFP MB/s", "GFC MB/s", "SZ MB/s")
+	t := cli.NewTable("Dataset", "CR-MPC", "CR-ZFP", "CR-SZ",
+		"MPC MB/s", "ZFP MB/s", "SZ MB/s")
 	for _, d := range datasets.All() {
 		vals := d.Values(*mb << 18)
 		bytes := len(vals) * 4
@@ -56,20 +56,11 @@ func main() {
 		cli.Fatal(err)
 		zfpTime := time.Since(start)
 
-		// GFC (lossless, double-precision: assess on the widened data).
-		dvals := make([]float64, len(vals))
-		var scale float64
-		for i, v := range vals {
-			dvals[i] = float64(v)
-			if a := abs64(float64(v)); a > scale {
-				scale = a
-			}
-		}
-		start = time.Now()
-		gfcComp := gfc.Compress(nil, dvals)
-		gfcTime := time.Since(start)
-
 		// SZ (error-bounded lossy; bound scaled to the data magnitude).
+		var scale float64
+		for _, v := range vals {
+			scale = math.Max(scale, math.Abs(float64(v)))
+		}
 		eb := *bound * scale
 		if eb <= 0 {
 			eb = *bound
@@ -85,21 +76,12 @@ func main() {
 		t.Row(d.Name,
 			fmt.Sprintf("%.3f", float64(bytes)/float64(len(mpcComp))),
 			fmt.Sprintf("%.3f", zfp.Ratio(*rate)),
-			fmt.Sprintf("%.3f", float64(len(dvals)*8)/float64(len(gfcComp))),
 			fmt.Sprintf("%.3f", float64(bytes)/float64(len(szComp))),
-			mbps(bytes, mpcTime), mbps(bytes, zfpTime),
-			mbps(len(dvals)*8, gfcTime), mbps(bytes, szTime))
+			mbps(bytes, mpcTime), mbps(bytes, zfpTime), mbps(bytes, szTime))
 		_ = zfpComp
 	}
 	t.Write(os.Stdout)
 	fmt.Println("\nRatios are measured on the synthetic Table III stand-ins; throughputs")
 	fmt.Println("are this Go implementation on the host CPU (the paper's Gb/s figures")
 	fmt.Println("are CUDA kernels — see internal/hw for the calibrated GPU model).")
-}
-
-func abs64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

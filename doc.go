@@ -7,12 +7,15 @@
 // The public surface lives in the internal packages (this module is a
 // self-contained research artifact):
 //
-//   - internal/core:   the compression framework (MPC-OPT, ZFP-OPT,
-//     naive integration, dynamic selection)
-//   - internal/mpi:    the message-passing runtime (rendezvous protocol,
-//     collectives)
-//   - internal/mpc:    the lossless MPC codec
-//   - internal/zfp:    the fixed-rate ZFP codec
+//   - internal/core:   the compression framework: one send path and one
+//     receive path for contiguous and derived-datatype messages alike,
+//     instantiated by a two-row codec table (MPC-OPT, ZFP-OPT, naive
+//     integration, dynamic selection)
+//   - internal/mpi:    the message-passing runtime (eager, rendezvous and
+//     pipelined protocols, collectives)
+//   - internal/mpc:    the lossless MPC codec (float32)
+//   - internal/zfp:    the fixed-rate ZFP codec (float32, 1-D on the wire)
+//   - internal/dtype:  derived-datatype layouts
 //   - internal/omb:    OSU microbenchmark workloads
 //   - internal/awpodc: the AWP-ODC proxy application
 //   - internal/dask:   the Dask data-science workload

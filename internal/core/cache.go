@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"mpicomp/internal/dtype"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/simtime"
 )
@@ -189,35 +190,48 @@ func (e *Engine) cacheInsertLocked(key cacheKey, epoch uint64, payload []byte, h
 	e.cacheBytes += len(payload)
 }
 
-// CompressForLinkCached is CompressForLink behind the compress-once
-// cache. For a tracked buffer whose (range, epoch, link) was compressed
-// before, the cached wire payload and header are returned with no
-// simulated-clock charge and no host codec work — the kernel was
-// charged once, at the miss. Untracked buffers fall through unchanged.
+// CompressForLinkCached is Compress behind the dynamic-selection gate
+// (dynamic.go) and the compress-once cache. For a tracked buffer whose
+// (range, epoch, link) was compressed before, the cached wire payload and
+// header are returned with no simulated-clock charge and no host codec
+// work — the kernel was charged once, at the miss. Untracked buffers fall
+// through unchanged.
 //
 // The returned payload and header are shared with the cache and with
 // other in-flight sends of the same block; they are read-only by
 // contract everywhere downstream (the transport snapshots on fault
 // injection, receivers never write into wire payloads).
 func (e *Engine) CompressForLinkCached(clk *simtime.Clock, buf *gpusim.Buffer, bwGBps float64) ([]byte, Header) {
-	id, off, epoch, tracked := buf.Version()
-	if e == nil || !tracked || !e.cacheEnabled() {
-		return e.CompressForLink(clk, buf, bwGBps)
-	}
-	key := cacheKey{id: id, off: off, n: buf.Len(), bw: e.cacheBWKey(bwGBps), sched: e.ScheduleTag()}
+	return e.CompressChunkCached(clk, buf, nil, 0, buf.Len(), bwGBps)
+}
+
+// CompressChunkCached is CompressForLinkCached for packed bytes
+// [off, off+n) of the words t selects from buf (of buf itself when t is
+// nil) — one chunk of a pipelined send, or a whole typed message. A
+// contiguous chunk is keyed by its own byte range of the allocation; a
+// layout's chunk by (layout signature, packed offset), so every chunk
+// caches independently and repeated sends of an unchanged strided face
+// reuse the first send's wire payload.
+func (e *Engine) CompressChunkCached(clk *simtime.Clock, buf *gpusim.Buffer, t dtype.Type, off, n int, bwGBps float64) ([]byte, Header) {
+	m := message{buf: buf, t: t, off: off, n: n}
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	id, allocOff, epoch, tracked := buf.Version()
+	if !tracked || !e.cacheEnabled() {
+		return snapshot(e.compressForLinkLocked(clk, m, bwGBps))
+	}
+	key := cacheKey{id: id, off: allocOff, n: n, bw: e.cacheBWKey(bwGBps), sched: e.schedTag.Load()}
+	if t == nil {
+		key.off += off
+	} else {
+		key.sig, key.poff = t.Signature(), off
+	}
 	if payload, hdr, ok := e.cacheLookupLocked(key, epoch); ok {
-		e.mu.Unlock()
 		return payload, hdr
 	}
 	e.CacheMisses++
 	fallbacksBefore := e.PoolFallbacks
-	e.mu.Unlock()
-
-	payload, hdr := e.CompressForLink(clk, buf, bwGBps)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	payload, hdr := snapshot(e.compressForLinkLocked(clk, m, bwGBps))
 	if e.PoolFallbacks != fallbacksBefore {
 		// Pool exhaustion is a transient condition of this moment, not a
 		// property of the bytes; caching the degraded form would freeze

@@ -38,18 +38,6 @@ const (
 	AlgoZFP
 )
 
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoMPC:
-		return "MPC"
-	case AlgoZFP:
-		return "ZFP"
-	default:
-		return "none"
-	}
-}
-
 // Mode selects the integration level.
 type Mode uint8
 

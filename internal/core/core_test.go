@@ -115,7 +115,7 @@ func TestSplitWordsProperties(t *testing.T) {
 	f := func(nRaw uint16, pRaw uint8) bool {
 		n := int(nRaw)
 		parts := 1 + int(pRaw)%8
-		ranges := splitWords(n, parts)
+		ranges := splitWordsInto(nil, n, parts)
 		if len(ranges) != parts {
 			return false
 		}

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"mpicomp/internal/gpusim"
 	"mpicomp/internal/model"
-	"mpicomp/internal/mpc"
 	"mpicomp/internal/simtime"
-	"mpicomp/internal/zfp"
 )
 
 // Dynamic selection is the paper's stated future work ("explore the
@@ -21,10 +18,6 @@ import (
 // estimate (new observations count 30%).
 const ratioEWMAWeight = 0.3
 
-// initialMPCRatioEstimate seeds the MPC ratio estimate before any message
-// has been observed (a conservative mid-regime value from Table III).
-const initialMPCRatioEstimate = 1.4
-
 // PredictedRatio returns the engine's current compression-ratio estimate
 // for its configured algorithm.
 func (e *Engine) PredictedRatio() float64 {
@@ -34,18 +27,10 @@ func (e *Engine) PredictedRatio() float64 {
 }
 
 func (e *Engine) predictedRatioLocked() float64 {
-	switch e.cfg.Algorithm {
-	case AlgoZFP:
-		// ZFP's fixed-rate ratio is exact by construction.
-		return zfp.Ratio(e.cfg.ZFPRate)
-	case AlgoMPC:
-		if e.crEstimate > 0 {
-			return e.crEstimate
-		}
-		return initialMPCRatioEstimate
-	default:
-		return 1
+	if c := codecFor(e.cfg.Algorithm); c != nil {
+		return c.ratio(e)
 	}
+	return 1
 }
 
 // observeRatio folds an achieved ratio into the running estimate.
@@ -62,46 +47,16 @@ func (e *Engine) observeRatio(r float64) {
 
 // estimateKernelCosts predicts the compression-side and decompression-side
 // kernel-and-overhead costs for a message of n bytes under the current
-// configuration, mirroring the Engine's own cost accounting.
+// configuration: the codec's own kernels plus the launch and sync every
+// kernel pays.
 func (e *Engine) estimateKernelCosts(n int) (compr, decompr simtime.Duration) {
-	spec := e.dev.Spec
-	fixed := 2*spec.KernelLaunch + 2*spec.StreamSync
-	switch e.cfg.Algorithm {
-	case AlgoMPC:
-		parts := 1
-		if e.cfg.Mode == ModeOpt {
-			parts = DefaultPartitions(n, e.cfg.MaxPartitions)
-		}
-		blocks := spec.SMs / parts
-		if blocks < 1 {
-			blocks = 1
-		}
-		kc := e.dev.KernelTime(gpusim.KernelSpec{
-			Blocks: blocks, Bytes: n / parts,
-			ThroughputGbps: spec.MPCCompressGbps, BusyWaitSync: true,
-		})
-		kd := e.dev.KernelTime(gpusim.KernelSpec{
-			Blocks: blocks, Bytes: n / parts,
-			ThroughputGbps: spec.MPCDecompressGbps, BusyWaitSync: true,
-		})
-		readback := spec.GDRCopySmall * simtime.Duration(parts)
-		if e.cfg.Mode != ModeOpt {
-			readback = spec.MemcpyD2HSmall * simtime.Duration(parts)
-		}
-		return kc + fixed + readback, kd + fixed
-	case AlgoZFP:
-		kc := e.dev.KernelTime(gpusim.KernelSpec{
-			Blocks: spec.SMs, Bytes: n,
-			ThroughputGbps: zfpKernelGbps(spec.ZFPCompressGbps, e.cfg.ZFPRate),
-		})
-		kd := e.dev.KernelTime(gpusim.KernelSpec{
-			Blocks: spec.SMs, Bytes: n,
-			ThroughputGbps: zfpKernelGbps(spec.ZFPDecompressGbps, e.cfg.ZFPRate),
-		})
-		return kc + fixed, kd + fixed
-	default:
+	c := codecFor(e.cfg.Algorithm)
+	if c == nil {
 		return 0, 0
 	}
+	fixed := 2*e.dev.Spec.KernelLaunch + 2*e.dev.Spec.StreamSync
+	compr, decompr = c.kernelCosts(e, n)
+	return compr + fixed, decompr + fixed
 }
 
 // PredictBenefit evaluates equation (2) against equation (1) for an
@@ -110,6 +65,10 @@ func (e *Engine) estimateKernelCosts(n int) (compr, decompr simtime.Duration) {
 func (e *Engine) PredictBenefit(n int, bwGBps float64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.predictBenefitLocked(n, bwGBps)
+}
+
+func (e *Engine) predictBenefitLocked(n int, bwGBps float64) bool {
 	compr, decompr := e.estimateKernelCosts(n)
 	p := model.Params{
 		Tcompr:        compr,
@@ -130,54 +89,45 @@ const probeBytes = 64 << 10
 // thereafter pay the small sampling cost.
 const probeInterval = 16
 
-// probeRatio measures the compression ratio of a small prefix of buf with
-// a real (sampled) compression, charging one small kernel launch.
-func (e *Engine) probeRatio(clk *simtime.Clock, buf *gpusim.Buffer) {
-	if e.cfg.Algorithm != AlgoMPC {
+// probeRatioLocked refreshes the ratio estimate from a small prefix of m's
+// packed stream — read in place for a contiguous message, gathered through
+// the layout's runs otherwise — with a real (sampled) compression.
+func (e *Engine) probeRatioLocked(clk *simtime.Clock, m message) {
+	c := codecFor(e.cfg.Algorithm)
+	if c == nil || c.probe == nil {
 		return
 	}
-	n := probeBytes
-	if n > buf.Len() {
-		n = buf.Len()
+	pn := probeBytes
+	if pn > m.n {
+		pn = m.n
 	}
-	cs, err := mpc.CompressedSizeBytes(buf.Data[:n&^3], e.cfg.MPCDim)
-	if err != nil || cs == 0 {
-		return
+	sample := m.buf.Data[m.off : m.off+pn&^3]
+	if m.t != nil {
+		view := e.typedViewLocked(m.t)
+		sample = e.ar.packedFor(pn &^ 3)
+		gatherBytesAt(sample, m.buf.Data, view.runs, view.offs, m.off)
 	}
-	blocks := e.dev.Spec.SMs / 2
-	if blocks < 1 {
-		blocks = 1
-	}
-	e.dev.LaunchKernel(clk, e.dev.Stream(0), gpusim.KernelSpec{
-		Blocks: blocks, Bytes: n, ThroughputGbps: e.dev.Spec.MPCCompressGbps, BusyWaitSync: true,
-	})
-	e.dev.StreamSync(clk, e.dev.Stream(0))
-	e.observeRatio(float64(n) / float64(cs))
+	c.probe(e, clk, sample, pn)
 }
 
-// CompressForLink is Compress with the dynamic-selection gate: when
-// Config.Dynamic is set, messages whose predicted benefit over the given
-// link is non-positive bypass compression. To avoid a cold-start lock-in
-// (a pessimistic initial ratio estimate would bypass forever and never be
-// corrected), gated messages are periodically probed: a small prefix is
-// sample-compressed to refresh the ratio estimate before the final
-// decision.
-func (e *Engine) CompressForLink(clk *simtime.Clock, buf *gpusim.Buffer, bwGBps float64) ([]byte, Header) {
-	if e.cfg.Dynamic && e.ShouldCompress(buf) && !e.PredictBenefit(buf.Len(), bwGBps) {
-		e.mu.Lock()
+// compressForLinkLocked is compressLocked behind the dynamic-selection
+// gate: when Config.Dynamic is set, messages whose predicted benefit over
+// the given link is non-positive bypass compression. To avoid a cold-start
+// lock-in (a pessimistic initial ratio estimate would bypass forever and
+// never be corrected), gated messages are periodically probed: a small
+// prefix is sample-compressed to refresh the ratio estimate before the
+// final decision.
+func (e *Engine) compressForLinkLocked(clk *simtime.Clock, m message, bwGBps float64) ([]byte, Header) {
+	if e.cfg.Dynamic && e.eligible(m) && !e.predictBenefitLocked(m.n, bwGBps) {
 		probe := e.probes%probeInterval == 0
 		e.probes++
 		if probe {
-			e.probeRatio(clk, buf)
+			e.probeRatioLocked(clk, m)
 		}
-		e.mu.Unlock()
-		if !probe || !e.PredictBenefit(buf.Len(), bwGBps) {
-			e.mu.Lock()
+		if !probe || !e.predictBenefitLocked(m.n, bwGBps) {
 			e.Bypasses++
-			payload, hdr := e.bypassLocked(clk, buf)
-			e.mu.Unlock()
-			return payload, hdr
+			return e.bypassViewLocked(clk, m)
 		}
 	}
-	return e.Compress(clk, buf)
+	return e.compressLocked(clk, m)
 }

@@ -80,7 +80,7 @@ func TestCompressForLinkGates(t *testing.T) {
 	// Over NVLink the dynamic engine must bypass even after its first
 	// gated message probes the data and learns the high ratio: MPC's
 	// kernels cannot beat a 75 GB/s link.
-	payload, hdr := dyn.CompressForLink(clk, deviceBufferWith(dev, vals), 75)
+	payload, hdr := dyn.CompressForLinkCached(clk, deviceBufferWith(dev, vals), 75)
 	if hdr.Compressed {
 		t.Fatal("dynamic engine should bypass compression on NVLink")
 	}
@@ -91,7 +91,7 @@ func TestCompressForLinkGates(t *testing.T) {
 		t.Fatalf("the probe should have learned the high ratio, estimate %v", dyn.PredictedRatio())
 	}
 	// Over EDR the learned ratio predicts a clear win.
-	_, hdr = dyn.CompressForLink(clk, deviceBufferWith(dev, vals), 12.5)
+	_, hdr = dyn.CompressForLinkCached(clk, deviceBufferWith(dev, vals), 12.5)
 	if !hdr.Compressed {
 		t.Fatal("dynamic engine should compress on EDR at the learned ratio")
 	}
@@ -107,14 +107,14 @@ func TestCompressForLinkGates(t *testing.T) {
 		noisy[i] = float32(h) / float32(1<<32)
 	}
 	dyn2, dev2, clk2 := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC, Dynamic: true})
-	_, hdr = dyn2.CompressForLink(clk2, deviceBufferWith(dev2, noisy), 12.5)
+	_, hdr = dyn2.CompressForLinkCached(clk2, deviceBufferWith(dev2, noisy), 12.5)
 	if hdr.Compressed {
 		t.Fatal("incompressible data should stay uncompressed on EDR")
 	}
 
 	// A non-dynamic engine compresses regardless of link.
 	static, sdev, sclk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC})
-	_, hdr = static.CompressForLink(sclk, deviceBufferWith(sdev, vals), 75)
+	_, hdr = static.CompressForLinkCached(sclk, deviceBufferWith(sdev, vals), 75)
 	if !hdr.Compressed {
 		t.Fatal("static engine should compress on any link")
 	}
@@ -124,7 +124,7 @@ func TestDynamicBypassStillSnapshotsPayload(t *testing.T) {
 	e, dev, clk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC, Dynamic: true})
 	vals := make([]float32, 1<<20)
 	buf := deviceBufferWith(dev, vals)
-	payload, _ := e.CompressForLink(clk, buf, 75)
+	payload, _ := e.CompressForLinkCached(clk, buf, 75)
 	buf.Data[0] = 0xFF
 	if payload[0] == 0xFF {
 		t.Fatal("bypass payload must be a snapshot, not an alias")

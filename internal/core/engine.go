@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mpicomp/internal/codecpool"
+	"mpicomp/internal/dtype"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/mpc"
 	"mpicomp/internal/simtime"
@@ -220,31 +221,62 @@ func (e *Engine) SetScheduleTag(tag uint32) {
 	e.schedTag.Store(tag)
 }
 
-// ScheduleTag returns the current algorithm-schedule cache namespace.
-func (e *Engine) ScheduleTag() uint32 {
-	if e == nil {
-		return 0
-	}
-	return e.schedTag.Load()
-}
-
 // Device returns the engine's GPU.
 func (e *Engine) Device() *gpusim.GPUDevice { return e.dev }
 
+// message is what the framework compresses or restores: packed bytes
+// [off, off+n) of the words layout t selects from buf. A nil layout is a
+// contiguous message, whose packed stream is buf.Data itself; a layout is
+// an optional argument of the one path, not a second path. Layouts are
+// validated at the API boundary (mpi.IsendTyped / IrecvTyped / Alltoallv):
+// the send side assumes t.Validate(buf.Len()) passed and
+// 0 <= off <= off+n <= t.Size().
+type message struct {
+	buf    *gpusim.Buffer
+	t      dtype.Type
+	off, n int
+}
+
+// whole is the message covering all of buf (nil layout) or all of t.
+func whole(buf *gpusim.Buffer, t dtype.Type) message {
+	if t == nil {
+		return message{buf: buf, n: buf.Len()}
+	}
+	return message{buf: buf, t: t, n: t.Size()}
+}
+
 // ShouldCompress implements the framework's eligibility test (step 1 of
-// Figure 4): device-resident data, size at or above the threshold, a
-// 4-byte-aligned element count, and compression enabled.
+// Figure 4) for a contiguous message: device-resident data, size at or
+// above the threshold, a 4-byte-aligned element count, and compression
+// enabled.
 func (e *Engine) ShouldCompress(buf *gpusim.Buffer) bool {
+	return e.ShouldCompressPacked(buf, buf.Len())
+}
+
+// ShouldCompressPacked is the eligibility test over a packed wire size n
+// — a layout's t.Size(), or one pipeline chunk — rather than the source
+// buffer's extent.
+func (e *Engine) ShouldCompressPacked(buf *gpusim.Buffer, n int) bool {
 	if e == nil || e.cfg.Mode == ModeOff || e.cfg.Algorithm == AlgoNone {
 		return false
 	}
 	if buf.Loc != gpusim.Device {
 		return false
 	}
-	if buf.Len() < e.cfg.Threshold || buf.Len()%4 != 0 {
+	if n < e.cfg.Threshold || n%4 != 0 {
 		return false
 	}
 	return true
+}
+
+// eligible is the eligibility test for m. The codecs read a contiguous
+// message's bytes wherever they start, but gather a layout word by word,
+// so only a layout needs its packed offset word-aligned.
+func (e *Engine) eligible(m message) bool {
+	if m.t != nil && m.off%4 != 0 {
+		return false
+	}
+	return e.ShouldCompressPacked(m.buf, m.n)
 }
 
 // Compress runs the send-side framework (Algorithms 1 and 3): it launches
@@ -256,19 +288,34 @@ func (e *Engine) ShouldCompress(buf *gpusim.Buffer) bool {
 // virtual clock like any other kernel, so receivers can verify integrity
 // end-to-end regardless of whether the payload was compressed.
 func (e *Engine) Compress(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte, Header) {
+	return e.CompressTyped(clk, buf, nil)
+}
+
+// CompressTyped is Compress over the words t selects from buf (all of buf
+// when t is nil). The strided runs feed the codec pipelines directly —
+// each codec part gathers its own packed range into worker scratch
+// (hostpar.go typedView) — so a strided message costs no pack pass and no
+// staging allocation. Partitioning, kernel charges and headers are all
+// computed over the packed size, so the wire payload is bit-identical to
+// Pack-then-Compress by construction; the differential oracle in
+// typed_test.go and the awpodc halo test pin that equivalence.
+func (e *Engine) CompressTyped(clk *simtime.Clock, buf *gpusim.Buffer, t dtype.Type) ([]byte, Header) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	view, hdr := e.compressLocked(clk, buf)
-	// Snapshot for transport ownership: the view aliases the engine arena
-	// (or the user buffer, on bypass), both of which outlive this call
-	// and get reused, while the wire payload and the header's partition
-	// table may sit in flight indefinitely (envelopes and collective
-	// relays retain them).
-	payload := append([]byte(nil), view...)
+	return snapshot(e.compressLocked(clk, whole(buf, t)))
+}
+
+// snapshot copies a payload view and its partition table for transport
+// ownership: the view aliases the engine arena (or the user buffer, on a
+// contiguous bypass), both of which outlive the call and get reused,
+// while the wire payload and the header may sit in flight indefinitely
+// (envelopes, collective relays and the cache retain them), and a sender
+// reusing its buffer after local completion must not corrupt them.
+func snapshot(view []byte, hdr Header) ([]byte, Header) {
 	if hdr.PartBytes != nil {
 		hdr.PartBytes = append([]int(nil), hdr.PartBytes...)
 	}
-	return payload, hdr
+	return append([]byte(nil), view...), hdr
 }
 
 // CompressAppend is the scratch-reuse variant of Compress: the wire
@@ -280,17 +327,17 @@ func (e *Engine) Compress(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte, Heade
 func (e *Engine) CompressAppend(clk *simtime.Clock, buf *gpusim.Buffer, dst []byte) ([]byte, Header) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	view, hdr := e.compressLocked(clk, buf)
+	view, hdr := e.compressLocked(clk, whole(buf, nil))
 	return append(dst, view...), hdr
 }
 
-// compressLocked runs the send-side framework and returns a payload view
-// that aliases engine-owned scratch (or buf.Data on bypass); callers
-// materialize it according to their ownership contract.
-func (e *Engine) compressLocked(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte, Header) {
-	if !e.ShouldCompress(buf) {
+// compressLocked runs the send-side framework on m and returns a payload
+// view that aliases engine-owned scratch (or buf.Data on a contiguous
+// bypass); callers materialize it according to their ownership contract.
+func (e *Engine) compressLocked(clk *simtime.Clock, m message) ([]byte, Header) {
+	if !e.eligible(m) {
 		e.Bypasses++
-		return e.bypassViewLocked(clk, buf)
+		return e.bypassViewLocked(clk, m)
 	}
 	// Graceful degradation: if the ModeOpt staging pool has no free
 	// buffer, send uncompressed instead of blocking on the pool (or
@@ -299,19 +346,15 @@ func (e *Engine) compressLocked(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte,
 	// the runtime live and the pool recovers as receives complete.
 	if e.poolExhaustedLocked() {
 		e.PoolFallbacks++
-		return e.bypassViewLocked(clk, buf)
+		return e.bypassViewLocked(clk, m)
 	}
-	e.Compressions++
-	var payload []byte
-	var hdr Header
-	switch e.cfg.Algorithm {
-	case AlgoMPC:
-		payload, hdr = e.compressMPC(clk, buf.Data, buf.Len(), typedView{})
-	case AlgoZFP:
-		payload, hdr = e.compressZFP(clk, buf.Data, buf.Len(), typedView{})
-	default:
+	c := codecFor(e.cfg.Algorithm)
+	if c == nil {
 		panic("core: unreachable algorithm")
 	}
+	e.Compressions++
+	src, view := e.spanLocked(m)
+	payload, hdr := c.compress(e, clk, src, m.n, view)
 	hdr.Checksum = e.checksumLocked(clk, payload)
 	e.BytesIn += int64(hdr.OrigBytes)
 	e.BytesOut += int64(hdr.CompBytes)
@@ -319,21 +362,34 @@ func (e *Engine) compressLocked(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte,
 	return payload, hdr
 }
 
-// bypassViewLocked returns buf's bytes as an uncompressed wire payload
-// view with a checksummed AlgoNone header; callers snapshot as needed.
-func (e *Engine) bypassViewLocked(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte, Header) {
-	hdr := Header{Algo: AlgoNone, OrigBytes: buf.Len(), CompBytes: buf.Len()}
-	hdr.Checksum = e.checksumLocked(clk, buf.Data)
-	return buf.Data, hdr
+// spanLocked resolves m for the codec kernels: a contiguous message is its
+// own byte range; a layout hands the kernels the whole buffer plus the run
+// table they gather from (or scatter into), starting at packed offset off.
+func (e *Engine) spanLocked(m message) ([]byte, typedView) {
+	if m.t == nil {
+		return m.buf.Data[m.off : m.off+m.n], typedView{}
+	}
+	view := e.typedViewLocked(m.t)
+	view.base = m.off
+	return m.buf.Data, view
 }
 
-// bypassLocked snapshots buf as an uncompressed wire payload with a
-// checksummed AlgoNone header. The snapshot matters: the transport owns
-// the payload from here on, so a sender reusing its buffer after local
-// completion cannot corrupt an in-flight message.
-func (e *Engine) bypassLocked(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte, Header) {
-	view, hdr := e.bypassViewLocked(clk, buf)
-	return append([]byte(nil), view...), hdr
+// bypassViewLocked returns m's packed bytes as an uncompressed wire
+// payload view with a checksummed AlgoNone header; callers snapshot as
+// needed. A contiguous message points at the user's bytes for free; a
+// strided one must actually be packed to travel uncompressed, so it is
+// gathered into the arena and one pack pass is charged.
+func (e *Engine) bypassViewLocked(clk *simtime.Clock, m message) ([]byte, Header) {
+	view := m.buf.Data[m.off : m.off+m.n]
+	if m.t != nil {
+		tv := e.typedViewLocked(m.t)
+		view = e.ar.packedFor(m.n)
+		gatherBytesAt(view, m.buf.Data, tv.runs, tv.offs, m.off)
+		e.packChargeLocked(clk, m.n)
+	}
+	hdr := Header{Algo: AlgoNone, OrigBytes: m.n, CompBytes: m.n}
+	hdr.Checksum = e.checksumLocked(clk, view)
+	return view, hdr
 }
 
 // Bypass produces the uncompressed wire form of buf — a checksummed
@@ -342,10 +398,16 @@ func (e *Engine) bypassLocked(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte, H
 // circuit breaker has opened for the destination: the message must still
 // travel, just not through the codec. Counted as a Bypass.
 func (e *Engine) Bypass(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte, Header) {
+	return e.BypassChunk(clk, buf, nil, 0, buf.Len())
+}
+
+// BypassChunk is Bypass for packed bytes [off, off+n) of the words t
+// selects from buf (of buf itself when t is nil).
+func (e *Engine) BypassChunk(clk *simtime.Clock, buf *gpusim.Buffer, t dtype.Type, off, n int) ([]byte, Header) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.Bypasses++
-	return e.bypassLocked(clk, buf)
+	return snapshot(e.bypassViewLocked(clk, message{buf: buf, t: t, off: off, n: n}))
 }
 
 // NoteFallbackRecv counts an arrived message whose header carried the
@@ -427,7 +489,8 @@ func (e *Engine) poolExhaustedLocked() bool {
 	if e.pool.FreeCount() == 0 {
 		return true
 	}
-	return e.cfg.Algorithm == AlgoMPC && e.offPool.FreeCount() == 0
+	c := codecFor(e.cfg.Algorithm)
+	return c != nil && c.needsOffPool && e.offPool.FreeCount() == 0
 }
 
 // checksumLocked computes the payload's CRC32-C, charging the cost of one
@@ -728,6 +791,30 @@ func (e *Engine) ReleaseRecv(clk *simtime.Clock, staged *gpusim.Buffer) {
 // written and the other partitions decoded); the transport re-requests or
 // fails the message and never hands such a buffer to the application.
 func (e *Engine) Decompress(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer) error {
+	return e.DecompressChunk(clk, hdr, payload, dst, nil, 0)
+}
+
+// DecompressTyped restores a typed message: each codec part decodes into
+// worker scratch and scatters into the strided positions t selects in dst
+// (no message-sized staging copy, no unpack pass). A part scatters only
+// if it decoded, but parts are independent, so as with Decompress the
+// selected positions of dst are unspecified after an error; bytes t does
+// not select are never written.
+func (e *Engine) DecompressTyped(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer, t dtype.Type) error {
+	return e.DecompressChunk(clk, hdr, payload, dst, t, 0)
+}
+
+// DecompressChunk restores one chunk of a message into the packed
+// positions starting at packed byte offset off: of the words t selects in
+// dst, or of dst itself when t is nil.
+func (e *Engine) DecompressChunk(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer, t dtype.Type, off int) error {
+	return e.decompress(clk, hdr, payload, message{buf: dst, t: t, off: off, n: hdr.OrigBytes})
+}
+
+// decompress runs the receive-side framework into m (whose n is the
+// header's OrigBytes). Everything is validated before the first byte of
+// m.buf is written.
+func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m message) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if hdr.OrigBytes < 0 || hdr.CompBytes < 0 {
@@ -736,34 +823,46 @@ func (e *Engine) Decompress(clk *simtime.Clock, hdr Header, payload []byte, dst 
 	if len(payload) != hdr.CompBytes {
 		return fmt.Errorf("core: payload is %d bytes, header says %d", len(payload), hdr.CompBytes)
 	}
-	if !hdr.Compressed {
-		n := copy(dst.Data, payload)
-		if n != hdr.OrigBytes {
-			return fmt.Errorf("core: uncompressed payload %d bytes, dst %d", len(payload), dst.Len())
+	capacity := m.buf.Len()
+	if m.t != nil {
+		if err := m.t.Validate(m.buf.Len()); err != nil {
+			return fmt.Errorf("core: typed decompress: %w", err)
 		}
-		dst.MarkDirty()
+		capacity = m.t.Size()
+	}
+	if m.off < 0 || m.n > capacity-m.off {
+		return fmt.Errorf("core: chunk [%d, %d) exceeds the destination's %d packed bytes", m.off, m.off+m.n, capacity)
+	}
+	if !hdr.Compressed {
+		if len(payload) != m.n {
+			return fmt.Errorf("core: uncompressed payload %d bytes, header says %d original", len(payload), m.n)
+		}
+		if m.t == nil {
+			copy(m.buf.Data[m.off:], payload)
+		} else {
+			// The uncompressed form arrives packed; scattering it back out is
+			// a real unpack pass, charged like the sender's pack.
+			tv := e.typedViewLocked(m.t)
+			scatterBytesAt(m.buf.Data, tv.runs, tv.offs, m.off, payload)
+			e.packChargeLocked(clk, m.n)
+		}
+		m.buf.MarkDirty()
 		return nil
 	}
-	if dst.Len() < hdr.OrigBytes {
-		return fmt.Errorf("core: dst %d bytes < original %d", dst.Len(), hdr.OrigBytes)
-	}
-	if hdr.OrigBytes%4 != 0 {
-		return fmt.Errorf("core: compressed message of %d bytes is not word-aligned", hdr.OrigBytes)
+	if m.n%4 != 0 || (m.t != nil && m.off%4 != 0) {
+		return fmt.Errorf("core: compressed chunk [%d, %d) is not word-aligned", m.off, m.off+m.n)
 	}
 	e.Decompressions++
-	var err error
-	switch hdr.Algo {
-	case AlgoMPC:
-		err = e.decompressMPC(clk, hdr, payload, dst.Data[:hdr.OrigBytes], typedView{})
-	case AlgoZFP:
-		err = e.decompressZFP(clk, hdr, payload, dst.Data[:hdr.OrigBytes], typedView{})
-	default:
-		return fmt.Errorf("core: unknown algorithm %v in header", hdr.Algo)
+	c := codecFor(hdr.Algo)
+	if c == nil {
+		return fmt.Errorf("core: unknown algorithm %d in header", uint8(hdr.Algo))
 	}
+	out, view := e.spanLocked(m)
+	err := c.decompress(e, clk, hdr, payload, out, view)
 	if err == nil {
-		// dst's contents changed: invalidate any cached compressed form
-		// of this allocation (no-op for untracked buffers).
-		dst.MarkDirty()
+		// The destination's contents changed: invalidate any cached
+		// compressed form of this allocation (no-op for untracked buffers).
+		m.buf.MarkDirty()
 	}
 	return err
 }
@@ -912,15 +1011,10 @@ func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, d
 	return nil
 }
 
-// splitWords divides n words into parts contiguous ranges aligned to MPC's
-// 32-word chunk size (identical on sender and receiver so partition
-// boundaries agree). Returned ranges are [start, end) pairs.
-func splitWords(n, parts int) [][2]int {
-	return splitWordsInto(nil, n, parts)
-}
-
-// splitWordsInto is splitWords appending into a caller-provided slice so
-// the engine can reuse its arena.
+// splitWordsInto divides n words into parts contiguous ranges aligned to
+// MPC's 32-word chunk size (identical on sender and receiver so partition
+// boundaries agree), appending the [start, end) pairs to dst so the engine
+// can reuse its arena.
 func splitWordsInto(dst [][2]int, n, parts int) [][2]int {
 	if parts < 1 {
 		parts = 1

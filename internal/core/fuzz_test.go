@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"mpicomp/internal/dtype"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
 	"mpicomp/internal/simtime"
@@ -122,70 +124,126 @@ func FuzzDecodeHeaderDecompress(f *testing.F) {
 }
 
 // TestDecompressCorruptedStreams exercises the fuzz property on every
-// `go test` run: real compressed streams, then truncated and bit-flipped
-// variants, for both codecs.
+// `go test` run: real compressed streams, then truncated, lying-header
+// and bit-flipped variants, for both codecs and for both destination
+// shapes — contiguous and through a layout (the fused payload of a layout
+// is the payload of its packed stream, so one capture serves both).
 func TestDecompressCorruptedStreams(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	const words = 8192
+	vec := dtype.Vector{Count: words / 128, BlockLen: 128, Stride: 192}
+	shapes := []struct {
+		name   string
+		t      dtype.Type
+		extent int
+	}{
+		{"contiguous", nil, 4 * words},
+		{"layout", vec, 4 * ((vec.Count-1)*vec.Stride + vec.BlockLen)},
+	}
 	for _, algo := range []Algorithm{AlgoMPC, AlgoZFP} {
-		e, dev, clk := fuzzEngine(algo)
-		payload, hdr := compressSample(e, dev, clk, 8192)
-		dst := &gpusim.Buffer{Data: make([]byte, hdr.OrigBytes), Loc: gpusim.Device, Dev: dev}
-
-		// The intact stream must decode.
-		if err := e.Decompress(clk, hdr, payload, dst); err != nil {
-			t.Fatalf("%v: intact stream failed: %v", algo, err)
-		}
-
-		// Truncations at every kind of boundary must error (the header
-		// still claims the full compressed size).
-		for _, cut := range []int{0, 1, len(payload) / 3, len(payload) - 1} {
-			if err := e.Decompress(clk, hdr, payload[:cut], dst); err == nil {
-				t.Errorf("%v: truncation to %d bytes decoded silently", algo, cut)
+		for _, shape := range shapes {
+			rng := rand.New(rand.NewSource(7))
+			e, dev, clk := fuzzEngine(algo)
+			payload, hdr := compressSample(e, dev, clk, words)
+			dst := &gpusim.Buffer{Data: make([]byte, shape.extent), Loc: gpusim.Device, Dev: dev}
+			decode := func(h Header, wire []byte) error {
+				return e.DecompressChunk(clk, h, wire, dst, shape.t, 0)
 			}
-		}
+			label := fmt.Sprintf("%v/%s", algo, shape.name)
 
-		// A header that also lies about CompBytes (so lengths agree) must
-		// still yield an error, not a panic or short output.
-		for _, cut := range []int{0, 1, len(payload) / 2} {
-			short := hdr
-			short.CompBytes = cut
-			if algo == AlgoMPC {
-				// Keep the partition table consistent with the lie.
-				short.PartBytes = []int{cut}
+			// The intact stream must decode.
+			if err := decode(hdr, payload); err != nil {
+				t.Fatalf("%s: intact stream failed: %v", label, err)
 			}
-			_ = e.Decompress(clk, short, payload[:cut], dst)
-		}
 
-		// Bit flips: must never panic; errors or garbage output are both
-		// legal here (the CRC layer rejects garbage end to end).
-		for trial := 0; trial < 200; trial++ {
-			wire := append([]byte(nil), payload...)
-			for f := 0; f < 1+rng.Intn(4); f++ {
-				bit := rng.Intn(len(wire) * 8)
-				wire[bit/8] ^= 1 << (bit % 8)
-			}
-			_ = e.Decompress(clk, hdr, wire, dst)
-		}
-
-		// Corrupt headers over an intact payload.
-		for trial := 0; trial < 200; trial++ {
-			h := hdr
-			switch trial % 5 {
-			case 0:
-				h.Dim = rng.Intn(64) - 8
-			case 1:
-				h.Rate = rng.Intn(64) - 8
-			case 2:
-				h.OrigBytes = rng.Intn(1 << 20)
-			case 3:
-				if len(h.PartBytes) > 0 {
-					h.PartBytes = append([]int(nil), h.PartBytes...)
-					h.PartBytes[0] = rng.Intn(1<<16) - 100
+			// Truncations at every kind of boundary must error (the header
+			// still claims the full compressed size).
+			for _, cut := range []int{0, 1, len(payload) / 3, len(payload) - 1} {
+				if err := decode(hdr, payload[:cut]); err == nil {
+					t.Errorf("%s: truncation to %d bytes decoded silently", label, cut)
 				}
-			case 4:
-				h.Algo = Algorithm(rng.Intn(8))
 			}
-			_ = e.Decompress(clk, h, payload, dst)
+
+			// A header that also lies about CompBytes (so lengths agree) must
+			// still yield an error, not a panic or short output.
+			for _, cut := range []int{0, 1, len(payload) / 2} {
+				short := hdr
+				short.CompBytes = cut
+				if algo == AlgoMPC {
+					// Keep the partition table consistent with the lie.
+					short.PartBytes = []int{cut}
+				}
+				_ = decode(short, payload[:cut])
+			}
+
+			// An uncompressed header lying about OrigBytes — shorter than,
+			// longer than, or (the silent-truncation case) clamped to the
+			// destination while the payload overruns it — must be refused
+			// before the destination is touched.
+			raw := make([]byte, 4*words+64)
+			rng.Read(raw)
+			for _, lie := range []struct{ orig, wire int }{
+				{4*words - 4, 4 * words}, {4 * words, 4*words - 4}, {4 * words, 4*words + 64},
+			} {
+				for i := range dst.Data {
+					dst.Data[i] = 0xEE
+				}
+				h := Header{Algo: AlgoNone, OrigBytes: lie.orig, CompBytes: lie.wire}
+				if err := decode(h, raw[:lie.wire]); err == nil {
+					t.Errorf("%s: uncompressed payload of %d bytes accepted under OrigBytes=%d", label, lie.wire, lie.orig)
+				}
+				for i, b := range dst.Data {
+					if b != 0xEE {
+						t.Fatalf("%s: refused uncompressed payload (orig=%d wire=%d) still wrote byte %d", label, lie.orig, lie.wire, i)
+					}
+				}
+			}
+
+			// An Algo byte outside the codec table — straight in the header
+			// or through the wire decoder — is an error, never a panic.
+			for _, id := range []int{len(codecs), 0x7f, 0xff} {
+				h := hdr
+				h.Algo = Algorithm(id)
+				if err := decode(h, payload); err == nil {
+					t.Errorf("%s: unknown algorithm id %d decoded", label, id)
+				}
+				enc := hdr.Encode()
+				enc[0] = byte(id)
+				if h, err := DecodeHeader(enc); err == nil && decode(h, payload) == nil {
+					t.Errorf("%s: wire header with algorithm byte %#x decoded", label, id)
+				}
+			}
+
+			// Bit flips: must never panic; errors or garbage output are both
+			// legal here (the CRC layer rejects garbage end to end).
+			for trial := 0; trial < 200; trial++ {
+				wire := append([]byte(nil), payload...)
+				for f := 0; f < 1+rng.Intn(4); f++ {
+					bit := rng.Intn(len(wire) * 8)
+					wire[bit/8] ^= 1 << (bit % 8)
+				}
+				_ = decode(hdr, wire)
+			}
+
+			// Corrupt headers over an intact payload.
+			for trial := 0; trial < 200; trial++ {
+				h := hdr
+				switch trial % 5 {
+				case 0:
+					h.Dim = rng.Intn(64) - 8
+				case 1:
+					h.Rate = rng.Intn(64) - 8
+				case 2:
+					h.OrigBytes = rng.Intn(1 << 20)
+				case 3:
+					if len(h.PartBytes) > 0 {
+						h.PartBytes = append([]int(nil), h.PartBytes...)
+						h.PartBytes[0] = rng.Intn(1<<16) - 100
+					}
+				case 4:
+					h.Algo = Algorithm(rng.Intn(8))
+				}
+				_ = decode(h, payload)
+			}
 		}
 	}
 }

@@ -157,11 +157,11 @@ func TestTypedChunksReassemble(t *testing.T) {
 		if off+n > ty.Size() {
 			n = ty.Size() - off
 		}
-		payload, hdr := e.CompressTypedChunk(clk, src, ty, off, n)
+		payload, hdr := e.CompressChunkCached(clk, src, ty, off, n, 12.5)
 		if hdr.OrigBytes != n {
 			t.Fatalf("chunk at %d: OrigBytes %d, want %d", off, hdr.OrigBytes, n)
 		}
-		if err := e.DecompressTypedChunk(clk, hdr, payload, dst, ty, off); err != nil {
+		if err := e.DecompressChunk(clk, hdr, payload, dst, ty, off); err != nil {
 			t.Fatalf("chunk at %d: %v", off, err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestTypedWorkerInvariance(t *testing.T) {
 }
 
 // TestTypedSteadyStateAllocs: after warm-up, the fused typed send path
-// (CompressTypedAppend into a caller slice) performs zero heap
+// (the framework's arena view appended into a caller slice) performs zero heap
 // allocations — the "zero staging allocations" acceptance gate.
 func TestTypedSteadyStateAllocs(t *testing.T) {
 	e, dev, clk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC, Workers: 1, Threshold: 1 << 10})
@@ -215,13 +215,17 @@ func TestTypedSteadyStateAllocs(t *testing.T) {
 	src := typedSrcBuffer(dev, ty)
 	dst := make([]byte, 0, ty.Size()+1024)
 
+	send := func() {
+		e.mu.Lock()
+		view, _ := e.compressLocked(clk, whole(src, ty))
+		dst = append(dst[:0], view...)
+		e.mu.Unlock()
+	}
 	// Warm the arena and the codec pool scratch.
 	for i := 0; i < 3; i++ {
-		dst, _ = e.CompressTypedAppend(clk, src, ty, dst[:0])
+		send()
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		dst, _ = e.CompressTypedAppend(clk, src, ty, dst[:0])
-	})
+	allocs := testing.AllocsPerRun(20, send)
 	if allocs != 0 {
 		t.Fatalf("steady-state typed compression allocates %.1f times per send, want 0", allocs)
 	}
@@ -238,10 +242,10 @@ func TestTypedCacheKeyedByLayout(t *testing.T) {
 	sub := dtype.Subarray3D{Dims: [3]int{96, 96, 1}, Sub: [3]int{64, 96, 1}, Start: [3]int{0, 0, 0}}
 	src := typedSrcBuffer(dev, vec).Track()
 
-	p1, h1 := e.CompressTypedForLinkCached(clk, src, vec, 12.5)
-	e.CompressTypedForLinkCached(clk, src, sub, 12.5)
+	p1, h1 := e.CompressChunkCached(clk, src, vec, 0, vec.Size(), 12.5)
+	e.CompressChunkCached(clk, src, sub, 0, sub.Size(), 12.5)
 	afterMisses := clk.Now()
-	p2, h2 := e.CompressTypedForLinkCached(clk, src, vec, 12.5)
+	p2, h2 := e.CompressChunkCached(clk, src, vec, 0, vec.Size(), 12.5)
 	if clk.Now() != afterMisses {
 		t.Fatal("typed cache hit advanced the clock")
 	}
@@ -255,7 +259,7 @@ func TestTypedCacheKeyedByLayout(t *testing.T) {
 
 	src.Data[0] ^= 0xFF
 	src.MarkDirty()
-	e.CompressTypedForLinkCached(clk, src, vec, 12.5)
+	e.CompressChunkCached(clk, src, vec, 0, vec.Size(), 12.5)
 	if st := e.CacheSnapshot(); st.Invalidations != 1 || st.Misses != 3 {
 		t.Fatalf("post-write stats: %+v", st)
 	}
@@ -274,7 +278,7 @@ func TestTypedValidationErrors(t *testing.T) {
 		t.Fatal("layout exceeding the destination must fail")
 	}
 	dst := &gpusim.Buffer{Data: make([]byte, src.Len()), Loc: gpusim.Device, Dev: dev}
-	if err := e.DecompressTypedChunk(clk, hdr, payload, dst, ty, 8); err == nil {
+	if err := e.DecompressChunk(clk, hdr, payload, dst, ty, 8); err == nil {
 		t.Fatal("chunk past the packed size must fail")
 	}
 	bad := hdr

@@ -23,21 +23,6 @@ func FuzzDecompressWords(f *testing.F) {
 	})
 }
 
-func FuzzDecompressWords64(f *testing.F) {
-	good, _ := CompressWords64(nil, seq64(100), 2)
-	f.Add(good, 100, 2)
-	f.Add([]byte{0xff}, 64, 1)
-	f.Fuzz(func(t *testing.T, comp []byte, n, dim int) {
-		if n < 0 || n > 1<<15 {
-			return
-		}
-		out, err := DecompressWords64(nil, comp, n, dim)
-		if err == nil && len(out) != n {
-			t.Fatalf("decoded %d words, want %d", len(out), n)
-		}
-	})
-}
-
 // TestDecompressRandomBytes drives the decoder over random garbage as a
 // plain test so the property is exercised on every `go test` run.
 func TestDecompressRandomBytes(t *testing.T) {
@@ -50,10 +35,6 @@ func TestDecompressRandomBytes(t *testing.T) {
 		out, err := DecompressWords(nil, comp, n, dim)
 		if err == nil && len(out) != n {
 			t.Fatalf("silent mis-size on garbage input")
-		}
-		out64, err := DecompressWords64(nil, comp, n, dim)
-		if err == nil && len(out64) != n {
-			t.Fatalf("silent mis-size on garbage input (64)")
 		}
 	}
 }

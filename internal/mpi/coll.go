@@ -388,7 +388,7 @@ func (r *Rank) scatter(root int, sendBuf, recvBuf *gpusim.Buffer) error {
 				recvBuf.MarkDirty()
 				continue
 			}
-			req, err := r.isend(dst, tag, src)
+			req, err := r.isend(dst, tag, src, nil)
 			if err != nil {
 				return err
 			}
@@ -556,7 +556,7 @@ func (r *Rank) alltoall(sendBuf, recvBuf *gpusim.Buffer) error {
 			rreq = req
 		}
 		if !(shr && w.isDoomed(dst)) {
-			req, err := r.isend(dst, tag, sendBuf.Slice(dst*blk, blk))
+			req, err := r.isend(dst, tag, sendBuf.Slice(dst*blk, blk), nil)
 			if err != nil {
 				return fmt.Errorf("mpi: alltoall step %d: %w", step, err)
 			}
@@ -579,7 +579,7 @@ func (r *Rank) alltoall(sendBuf, recvBuf *gpusim.Buffer) error {
 // namespace: it returns only once every fabric booking of the transfer
 // has been placed (the wave discipline in Alltoallv depends on that).
 func (r *Rank) sendBlocking(dst int, buf *gpusim.Buffer) error {
-	req, err := r.isend(dst, r.collTag(baseAlltoallv), buf)
+	req, err := r.isend(dst, r.collTag(baseAlltoallv), buf, nil)
 	if err != nil {
 		return err
 	}
@@ -732,7 +732,7 @@ func (r *Rank) alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 				recvDone = true
 				continue
 			}
-			sreq, err := r.isend(dst, tag, sb)
+			sreq, err := r.isend(dst, tag, sb, nil)
 			if err != nil {
 				return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
 			}
@@ -997,7 +997,7 @@ func (r *Rank) ringReduceStep(right, left int, src, recvBuf *gpusim.Buffer, sOff
 	}
 	sreqs := make([]*Request, len(sspans))
 	for c, sp := range sspans {
-		req, err := r.isend(right, tag, src.Slice(sOff+sp[0], sp[1]))
+		req, err := r.isend(right, tag, src.Slice(sOff+sp[0], sp[1]), nil)
 		if err != nil {
 			return err
 		}

@@ -115,7 +115,7 @@ func (r *Rank) rdExchange(peer int, src, acc, scratch *gpusim.Buffer, chunk, tag
 			return err
 		}
 		rreqs[c] = rreq
-		sreq, err := r.isend(peer, tag, src.Slice(sp[0], sp[1]))
+		sreq, err := r.isend(peer, tag, src.Slice(sp[0], sp[1]), nil)
 		if err != nil {
 			return err
 		}

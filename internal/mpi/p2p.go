@@ -500,12 +500,14 @@ func (r *Rank) Isend(dst, tag int, buf *gpusim.Buffer) (*Request, error) {
 	if tag < 0 {
 		return nil, fmt.Errorf("mpi: user tags must be non-negative (got %d)", tag)
 	}
-	return r.isend(dst, tag, buf)
+	return r.isend(dst, tag, buf, nil)
 }
 
-// isend is Isend without tag validation, shared with the collectives'
-// internal tag namespace.
-func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer) (*Request, error) {
+// isend is the one send path: Isend and IsendTyped without their boundary
+// validation, shared with the collectives' internal tag namespace. It
+// sends the words t selects from buf, or all of buf when t is nil; the
+// protocol tiers are the same either way and see only the packed size.
+func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, error) {
 	if err := r.checkPeer(dst); err != nil {
 		return nil, err
 	}
@@ -515,10 +517,25 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer) (*Request, error) {
 	w := r.world
 	dstRank := w.ranks[dst]
 	seq := r.nextSeq(dst)
+	total := buf.Len()
+	if t != nil {
+		total = t.Size()
+	}
 
-	if buf.Len() < w.eagerLimit {
-		// Eager protocol: one message carrying payload and checksum.
-		payload := append([]byte(nil), buf.Data...)
+	if total < w.eagerLimit {
+		// Eager protocol: one message carrying payload and checksum. A
+		// layout travels packed (there is no codec pass to fuse the gather
+		// into on this tier), produced straight from the strided source
+		// into the wire copy every eager send makes anyway.
+		var payload []byte
+		if t == nil {
+			payload = append(payload, buf.Data...)
+		} else {
+			payload = make([]byte, total)
+			if err := dtype.Pack(payload, buf.Data, t); err != nil {
+				return nil, fmt.Errorf("mpi: typed send to rank %d: %w", dst, err)
+			}
+		}
 		crc := r.Engine.ChecksumWire(r.Clock, payload)
 		wire, arrival, err := w.deliverPayload(faults.KindEager, r.id, dst, seq,
 			r.Node(), w.nodeOf(dst), r.Clock.Now(), payload, crc)
@@ -533,45 +550,44 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer) (*Request, error) {
 		return &Request{rank: r, isSend: true, done: true, err: err}, nil
 	}
 
-	if r.pipelineEligible(dst, buf.Len()) {
-		req, perr := r.isendPipelined(dst, tag, buf, seq)
-		if perr == nil {
-			r.trackInflight(req)
-		}
-		return req, perr
+	if r.pipelineEligible(dst, total) {
+		req := r.isendPipelined(dst, tag, buf, t, total, seq)
+		r.trackInflight(req)
+		return req, nil
 	}
 
-	// Rendezvous: compress (steps 1-3), then RTS with the piggybacked
-	// header (step 4). The engine sees the destination link's bandwidth
-	// so the dynamic-selection extension can gate per message. An open
-	// codec circuit breaker for this destination overrides compression
-	// entirely: the payload goes uncompressed with the Fallback bit set
-	// on the RTS header (the degradation negotiation), skipping the
-	// codec whose failures tripped the breaker.
+	// Rendezvous: compress (steps 1-3; a layout's gather rides the codec's
+	// read pass), then RTS with the piggybacked header (step 4). The engine
+	// sees the destination link's bandwidth so the dynamic-selection
+	// extension can gate per message. An open codec circuit breaker for
+	// this destination overrides compression entirely: the payload goes
+	// uncompressed with the Fallback bit set on the RTS header (the
+	// degradation negotiation), skipping the codec whose failures tripped
+	// the breaker.
 	var payload []byte
 	var hdr core.Header
 	var fb wireFallback
 	link := w.fabric.LinkFor(r.Node(), w.nodeOf(dst))
-	eligible := r.Engine.ShouldCompress(buf)
+	eligible := r.Engine.ShouldCompressPacked(buf, total)
 	if eligible && !r.Engine.BreakerAllow(dst, r.Clock.Now()) {
-		payload, hdr = r.Engine.Bypass(r.Clock, buf)
+		payload, hdr = r.Engine.BypassChunk(r.Clock, buf, t, 0, total)
 		hdr.Fallback = true
 	} else {
 		// The compress-once cache makes repeated sends of an unchanged
-		// tracked buffer (fan-out roots, warm benchmark iterations) reuse
-		// the first send's wire payload; untracked buffers take the
-		// original path.
-		payload, hdr = r.Engine.CompressForLinkCached(r.Clock, buf, link.BandwidthGBps)
+		// tracked buffer (fan-out roots, warm benchmark iterations, halo
+		// faces) reuse the first send's wire payload; untracked buffers
+		// take the original path.
+		payload, hdr = r.Engine.CompressChunkCached(r.Clock, buf, t, 0, total, link.BandwidthGBps)
 		switch {
 		case hdr.Compressed && r.Engine.BreakerEnabled():
 			// Mid-message degradation hook: if the breaker opens while
 			// this message retries, the transport regenerates it
 			// uncompressed. The closure reads buf, which MPI semantics
 			// keep frozen until Wait completes the send.
-			eng, src := r.Engine, buf
+			eng := r.Engine
 			fb = func(at simtime.Time) ([]byte, core.Header, simtime.Duration) {
 				clk := simtime.NewClock(at)
-				p, h := eng.Bypass(clk, src)
+				p, h := eng.BypassChunk(clk, buf, t, 0, total)
 				h.Fallback = true
 				return p, h, clk.Now().Sub(at)
 			}
@@ -631,7 +647,7 @@ func (r *Rank) irecv(src, tag int, buf *gpusim.Buffer) (*Request, error) {
 
 // send is the internal-tag blocking send.
 func (r *Rank) send(dst, tag int, buf *gpusim.Buffer) error {
-	req, err := r.isend(dst, tag, buf)
+	req, err := r.isend(dst, tag, buf, nil)
 	if err != nil {
 		return err
 	}
@@ -653,7 +669,7 @@ func (r *Rank) sendrecv(dst, sendTag int, sendBuf *gpusim.Buffer, src, recvTag i
 	if err != nil {
 		return err
 	}
-	sreq, err := r.isend(dst, sendTag, sendBuf)
+	sreq, err := r.isend(dst, sendTag, sendBuf, nil)
 	if err != nil {
 		return err
 	}
@@ -747,7 +763,7 @@ func (r *Rank) waitRecv(req *Request) error {
 		r.Engine.ReleaseRecv(r.Clock, env.staged)
 		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
 	}
-	if err := r.decompressInto(req, env.hdr, env.payload); err != nil {
+	if err := r.Engine.DecompressChunk(r.Clock, env.hdr, env.payload, req.buf, req.typ, 0); err != nil {
 		r.Engine.ReleaseRecv(r.Clock, env.staged)
 		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
 	}
@@ -762,16 +778,6 @@ func (r *Rank) recvCapacity(req *Request) int {
 		return req.typ.Size()
 	}
 	return req.buf.Len()
-}
-
-// decompressInto routes a whole-message payload into the receive buffer:
-// typed receives scatter through the layout during the decoder's
-// write-back pass, plain receives fill the buffer contiguously.
-func (r *Rank) decompressInto(req *Request, hdr core.Header, payload []byte) error {
-	if req.typ != nil {
-		return r.Engine.DecompressTyped(r.Clock, hdr, payload, req.buf, req.typ)
-	}
-	return r.Engine.Decompress(r.Clock, hdr, payload, req.buf)
 }
 
 // scatterPrefix places the leading len(src) packed bytes into the

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"mpicomp/internal/core"
+	"mpicomp/internal/dtype"
 	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/simtime"
@@ -180,12 +181,16 @@ func (r *Rank) pipelineEligible(dst, n int) bool {
 	return true
 }
 
-// isendPipelined starts a chunked rendezvous send: chunks are compressed
-// in order on the caller's clock, each becoming ready for transfer as its
-// kernel completes. An open codec circuit breaker for dst degrades every
-// chunk to its uncompressed form (Fallback set), exactly as on the
-// whole-message path.
-func (r *Rank) isendPipelined(dst, tag int, buf *gpusim.Buffer, seq uint64) (*Request, error) {
+// isendPipelined starts a chunked rendezvous send of the total packed
+// bytes t selects from buf (of buf itself when t is nil): the packed
+// stream is cut into PipelineChunkBytes-sized spans, compressed in order
+// on the caller's clock — a layout's span gathered and compressed in one
+// fused pass at its packed offset — each becoming ready for transfer as
+// its kernel completes. Chunk control headers describe packed offsets, so
+// the receiver places each chunk without seeing the others. An open codec
+// circuit breaker for dst degrades every chunk to its uncompressed form
+// (Fallback set), exactly as on the whole-message path.
+func (r *Rank) isendPipelined(dst, tag int, buf *gpusim.Buffer, t dtype.Type, total int, seq uint64) *Request {
 	w := r.world
 	chunkBytes := r.Engine.Config().PipelineChunkBytes
 	link := w.fabric.LinkFor(r.Node(), w.nodeOf(dst))
@@ -199,7 +204,7 @@ func (r *Rank) isendPipelined(dst, tag int, buf *gpusim.Buffer, seq uint64) (*Re
 		rtsArrival:  rtsArrival,
 		sendPost:    r.Clock.Now(),
 		senderDone:  make(chan sendOutcome, 1),
-		hdr:         core.Header{Algo: core.AlgoNone, OrigBytes: buf.Len(), CompBytes: buf.Len()},
+		hdr:         core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total},
 		pipelined:   true,
 		deliveryErr: rtsErr,
 		ticket:      r.pipeTx[dst].issue(),
@@ -209,19 +214,21 @@ func (r *Rank) isendPipelined(dst, tag int, buf *gpusim.Buffer, seq uint64) (*Re
 	// it degrades the whole chunk stream to the uncompressed wire form.
 	bypassAll := r.Engine.BreakerEnabled() && !r.Engine.BreakerAllow(dst, r.Clock.Now())
 	anyCompressed := false
-	for off := 0; off < buf.Len(); off += chunkBytes {
+	for off := 0; off < total; off += chunkBytes {
 		n := chunkBytes
-		if off+n > buf.Len() {
-			n = buf.Len() - off
+		if off+n > total {
+			n = total - off
 		}
-		view := buf.Slice(off, n)
 		var payload []byte
 		var hdr core.Header
-		if bypassAll && r.Engine.ShouldCompress(view) {
-			payload, hdr = r.Engine.Bypass(r.Clock, view)
+		// A layout packs to whole words, so its chunk at an unaligned
+		// offset also has an unaligned length: the size test alone agrees
+		// with the engine's eligibility rule for both shapes.
+		if bypassAll && r.Engine.ShouldCompressPacked(buf, n) {
+			payload, hdr = r.Engine.BypassChunk(r.Clock, buf, t, off, n)
 			hdr.Fallback = true
 		} else {
-			payload, hdr = r.Engine.CompressForLinkCached(r.Clock, view, link.BandwidthGBps)
+			payload, hdr = r.Engine.CompressChunkCached(r.Clock, buf, t, off, n, link.BandwidthGBps)
 		}
 		if hdr.Compressed {
 			anyCompressed = true
@@ -229,7 +236,7 @@ func (r *Rank) isendPipelined(dst, tag int, buf *gpusim.Buffer, seq uint64) (*Re
 		ch := core.ChunkHeader{
 			Seq: seq, Index: len(env.chunks), Offset: off,
 			OrigBytes: n, WireBytes: len(payload), Checksum: hdr.Checksum,
-			Last: off+n == buf.Len(),
+			Last: off+n == total,
 		}
 		env.chunks = append(env.chunks, chunkPart{
 			payload: payload, hdr: hdr, ctrl: ch.EncodeChunk(), crc: hdr.Checksum,
@@ -246,7 +253,7 @@ func (r *Rank) isendPipelined(dst, tag int, buf *gpusim.Buffer, seq uint64) (*Re
 	r.Engine.NotePipelinedChunks(len(env.chunks))
 	req := &Request{rank: r, isSend: true, env: env}
 	w.ranks[dst].box.deliver(env)
-	return req, nil
+	return req
 }
 
 // isendPayloadChunked is the chunked-relay send: an already-prepared wire
@@ -612,22 +619,14 @@ func (r *Rank) waitRecvPipelined(req *Request, env *envelope) error {
 		if c.hdr.Fallback {
 			sawFallback = true
 		}
-		// Verify, then decode, chunk by chunk. Typed receives scatter each
-		// chunk's words from its packed offset; plain receives decode into
-		// the matching slice of the user buffer.
+		// Verify, then decode, chunk by chunk, each at its packed offset.
 		if err := r.Engine.VerifyPayload(r.Clock, c.hdr, c.payload); err != nil {
 			r.releasePipelineStaging(env)
 			return fmt.Errorf("mpi: pipelined chunk %d: %w", i, err)
 		}
-		var decErr error
-		if req.typ != nil {
-			decErr = r.Engine.DecompressTypedChunk(r.Clock, c.hdr, c.payload, req.buf, req.typ, ch.Offset)
-		} else {
-			decErr = r.Engine.Decompress(r.Clock, c.hdr, c.payload, req.buf.Slice(ch.Offset, ch.OrigBytes))
-		}
-		if decErr != nil {
+		if err := r.Engine.DecompressChunk(r.Clock, c.hdr, c.payload, req.buf, req.typ, ch.Offset); err != nil {
 			r.releasePipelineStaging(env)
-			return fmt.Errorf("mpi: pipelined chunk %d: %w", i, decErr)
+			return fmt.Errorf("mpi: pipelined chunk %d: %w", i, err)
 		}
 	}
 	if sawFallback {
@@ -686,7 +685,7 @@ func (r *Rank) waitRecvRelayChunked(req *Request, env *envelope) error {
 		r.releasePipelineStaging(env)
 		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
 	}
-	if err := r.decompressInto(req, env.hdr, payload); err != nil {
+	if err := r.Engine.DecompressChunk(r.Clock, env.hdr, payload, req.buf, req.typ, 0); err != nil {
 		r.releasePipelineStaging(env)
 		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
 	}

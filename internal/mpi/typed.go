@@ -3,30 +3,22 @@ package mpi
 import (
 	"fmt"
 
-	"mpicomp/internal/core"
 	"mpicomp/internal/dtype"
-	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
-	"mpicomp/internal/simtime"
 )
 
-// Typed point-to-point: derived-datatype sends and receives with
-// pack+compress fusion (TEMPI-style, DESIGN.md §13).
-//
-// IsendTyped transmits the words a dtype layout selects from a source
-// buffer without ever materializing a packed copy on the send side: the
-// compression engine's typed entry points gather the strided runs
-// during the codec's own read pass, so the wire carries exactly the
-// bytes Pack-then-Isend would have produced — bit-identical payloads,
-// headers, and checksums — minus the pack kernel and the staging
-// allocation. IrecvTyped is the mirror: decoded words scatter into the
-// layout's positions during the decoder's write-back pass.
-//
-// The protocol tiers all carry over: layouts packing below the eager
-// limit travel as one eager message, large ones take the rendezvous
-// path (breaker fallback and dynamic gating included), and messages at
-// least twice the pipeline chunk size move chunk by chunk, each chunk
-// gathered/compressed/scattered independently at its packed offset.
+// Typed point-to-point: the public derived-datatype API and its boundary
+// validation (TEMPI-style pack+compress fusion, DESIGN.md §13). There is
+// no typed send path: a layout is an optional argument of isend, which
+// hands it to the engine, where the strided runs are gathered during the
+// codec's own read pass — so the wire carries exactly the bytes
+// Pack-then-Isend would have produced (bit-identical payloads, headers,
+// and checksums) minus the pack kernel and the staging allocation, and
+// every protocol tier, the breaker, the cache, inflight tracking and the
+// failure detector treat the send like any other. A typed receive is an
+// ordinary posted receive that remembers its layout; decoded words
+// scatter into the layout's positions during the decoder's write-back
+// pass.
 
 // SendTyped is the blocking form of IsendTyped.
 func (r *Rank) SendTyped(dst, tag int, buf *gpusim.Buffer, t dtype.Type) error {
@@ -58,7 +50,7 @@ func (r *Rank) IsendTyped(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Requ
 	if err := t.Validate(buf.Len()); err != nil {
 		return nil, fmt.Errorf("mpi: typed send to rank %d: %w", dst, err)
 	}
-	return r.isendTyped(dst, tag, buf, t)
+	return r.isend(dst, tag, buf, t)
 }
 
 // IrecvTyped starts a nonblocking receive that scatters the incoming
@@ -92,151 +84,4 @@ func (r *Rank) SendrecvTyped(dst, sendTag int, sendBuf *gpusim.Buffer, st dtype.
 		return err
 	}
 	return r.Waitall(sreq, rreq)
-}
-
-// isendTyped is the typed mirror of isend: same protocol tiers, with
-// every engine call replaced by its fused typed counterpart.
-func (r *Rank) isendTyped(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, error) {
-	if err := r.checkPeer(dst); err != nil {
-		return nil, err
-	}
-	if err := r.checkHealth(); err != nil {
-		return nil, err
-	}
-	w := r.world
-	dstRank := w.ranks[dst]
-	seq := r.nextSeq(dst)
-	total := t.Size()
-
-	if total < w.eagerLimit {
-		// Eager: the message travels packed (there is nothing to fuse the
-		// gather into on this tier), produced straight from the strided
-		// source into the wire copy every eager send makes anyway.
-		payload := make([]byte, total)
-		if err := dtype.Pack(payload, buf.Data, t); err != nil {
-			return nil, fmt.Errorf("mpi: typed send to rank %d: %w", dst, err)
-		}
-		crc := r.Engine.ChecksumWire(r.Clock, payload)
-		wire, arrival, err := w.deliverPayload(faults.KindEager, r.id, dst, seq,
-			r.Node(), w.nodeOf(dst), r.Clock.Now(), payload, crc)
-		env := &envelope{
-			src: r.id, tag: tag, eager: true, seq: seq,
-			payload: wire, crc: crc, arrival: arrival, deliveryErr: err,
-		}
-		r.Clock.Advance(simtime.FromMicroseconds(0.5))
-		dstRank.box.deliver(env)
-		return &Request{rank: r, isSend: true, done: true, err: err}, nil
-	}
-
-	if r.pipelineEligible(dst, total) {
-		return r.isendTypedPipelined(dst, tag, buf, t, seq)
-	}
-
-	// Rendezvous: fused compress (the gather rides the codec's read
-	// pass), then RTS with the piggybacked header — structurally
-	// identical to isend, including breaker fallback and dynamic gating.
-	var payload []byte
-	var hdr core.Header
-	var fb wireFallback
-	link := w.fabric.LinkFor(r.Node(), w.nodeOf(dst))
-	eligible := r.Engine.ShouldCompressTyped(buf, t)
-	if eligible && !r.Engine.BreakerAllow(dst, r.Clock.Now()) {
-		payload, hdr = r.Engine.BypassTyped(r.Clock, buf, t)
-		hdr.Fallback = true
-	} else {
-		payload, hdr = r.Engine.CompressTypedForLinkCached(r.Clock, buf, t, link.BandwidthGBps)
-		switch {
-		case hdr.Compressed && r.Engine.BreakerEnabled():
-			// Mid-message degradation hook: regenerate uncompressed (which
-			// for a typed message means packed) if the breaker opens while
-			// this message retries. MPI semantics keep buf frozen until
-			// Wait, so the closure's gather sees the sent bytes.
-			eng, src, ty := r.Engine, buf, t
-			fb = func(at simtime.Time) ([]byte, core.Header, simtime.Duration) {
-				clk := simtime.NewClock(at)
-				p, h := eng.BypassTyped(clk, src, ty)
-				h.Fallback = true
-				return p, h, clk.Now().Sub(at)
-			}
-		case eligible && !hdr.Compressed:
-			r.Engine.BreakerProbeAborted(dst)
-		}
-	}
-	rtsArrival, rtsErr := w.controlArrival(faults.KindRTS, r.id, dst, seq,
-		r.Node(), w.nodeOf(dst), r.Clock.Now())
-	env := &envelope{
-		src: r.id, tag: tag, seq: seq,
-		payload:     payload,
-		hdr:         hdr,
-		rtsArrival:  rtsArrival,
-		sendPost:    r.Clock.Now(),
-		senderDone:  make(chan sendOutcome, 1),
-		deliveryErr: rtsErr,
-		fb:          fb,
-	}
-	req := &Request{rank: r, isSend: true, env: env}
-	dstRank.box.deliver(env)
-	return req, nil
-}
-
-// isendTypedPipelined is the typed mirror of isendPipelined: the packed
-// stream is cut into PipelineChunkBytes-sized spans and each span is
-// gathered+compressed in one fused pass at its packed offset. Chunk
-// control headers describe packed offsets, so the receiver's scatter
-// (DecompressTypedChunk) places each chunk without seeing the others.
-func (r *Rank) isendTypedPipelined(dst, tag int, buf *gpusim.Buffer, t dtype.Type, seq uint64) (*Request, error) {
-	w := r.world
-	chunkBytes := r.Engine.Config().PipelineChunkBytes
-	link := w.fabric.LinkFor(r.Node(), w.nodeOf(dst))
-	total := t.Size()
-
-	rtsArrival, rtsErr := w.controlArrival(faults.KindRTS, r.id, dst, seq,
-		r.Node(), w.nodeOf(dst), r.Clock.Now())
-	env := &envelope{
-		src: r.id, dst: dst, tag: tag, seq: seq,
-		rtsArrival:  rtsArrival,
-		sendPost:    r.Clock.Now(),
-		senderDone:  make(chan sendOutcome, 1),
-		hdr:         core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total},
-		pipelined:   true,
-		deliveryErr: rtsErr,
-		ticket:      r.pipeTx[dst].issue(),
-		done:        make(chan struct{}),
-	}
-	bypassAll := r.Engine.BreakerEnabled() && !r.Engine.BreakerAllow(dst, r.Clock.Now())
-	anyCompressed := false
-	for off := 0; off < total; off += chunkBytes {
-		n := chunkBytes
-		if off+n > total {
-			n = total - off
-		}
-		var payload []byte
-		var hdr core.Header
-		if bypassAll && off%4 == 0 && r.Engine.ShouldCompressPacked(buf, n) {
-			payload, hdr = r.Engine.BypassTypedChunk(r.Clock, buf, t, off, n)
-			hdr.Fallback = true
-		} else {
-			payload, hdr = r.Engine.CompressTypedChunkCached(r.Clock, buf, t, off, n, link.BandwidthGBps)
-		}
-		if hdr.Compressed {
-			anyCompressed = true
-		}
-		ch := core.ChunkHeader{
-			Seq: seq, Index: len(env.chunks), Offset: off,
-			OrigBytes: n, WireBytes: len(payload), Checksum: hdr.Checksum,
-			Last: off+n == total,
-		}
-		env.chunks = append(env.chunks, chunkPart{
-			payload: payload, hdr: hdr, ctrl: ch.EncodeChunk(), crc: hdr.Checksum,
-			off: off, origBytes: n, compressed: hdr.Compressed,
-			ready: r.Clock.Now(),
-		})
-	}
-	if !bypassAll && !anyCompressed && r.Engine.BreakerEnabled() {
-		r.Engine.BreakerProbeAborted(dst)
-	}
-	r.Engine.NotePipelinedChunks(len(env.chunks))
-	req := &Request{rank: r, isSend: true, env: env}
-	w.ranks[dst].box.deliver(env)
-	return req, nil
 }

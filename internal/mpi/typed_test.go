@@ -9,8 +9,10 @@ import (
 	"mpicomp/internal/core"
 	"mpicomp/internal/datasets"
 	"mpicomp/internal/dtype"
+	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/simtime"
 )
 
 // typedP2PLayout builds a layout sized to exercise one protocol tier:
@@ -120,6 +122,115 @@ func TestTypedSendWireBytesIdentical(t *testing.T) {
 	typed, packed := wireBytes(true), wireBytes(false)
 	if typed != packed || typed == 0 {
 		t.Fatalf("typed send put %d bytes on the wire, pack-then-send %d", typed, packed)
+	}
+}
+
+// typedTierConfigs are the two rendezvous tiers a 256 KiB face can take:
+// whole-message, and chunked (four 64 KiB chunks).
+var typedTierConfigs = []struct {
+	name string
+	cfg  core.Config
+}{
+	{"rendezvous", core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC}},
+	{"pipelined", core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: 64 << 10}},
+}
+
+// typedFace is a 256 KiB Subarray3D face of a 34x130x130-word brick.
+var typedFace = dtype.Subarray3D{Dims: [3]int{34, 130, 130}, Sub: [3]int{4, 128, 128}, Start: [3]int{1, 1, 1}}
+
+// TestTypedSendFailureConfirmsRealPeer: a typed send that dies with its
+// destination must feed the failure detector the destination's rank. The
+// typed fork used to build its rendezvous envelope without dst, so the
+// outcome was filed under rank 0 — not fated, so the suspicion of rank 3
+// never confirmed. Both tiers run so they cannot diverge again.
+func TestTypedSendFailureConfirmsRealPeer(t *testing.T) {
+	const ranks = 4
+	fcfg := faults.Config{CrashRate: 0.2, FailWindow: 100 * simtime.Microsecond}
+	for seed := int64(1); ; seed++ {
+		if seed == 20000 {
+			t.Fatal("no seed crashes rank 3 alone")
+		}
+		fcfg.Seed = seed
+		inj := faults.New(fcfg)
+		alone := true
+		for id := 0; id < ranks; id++ {
+			_, silent, failed := inj.RankFate(id)
+			alone = alone && failed == (id == 3) && !silent
+		}
+		if alone {
+			break
+		}
+	}
+	for _, tier := range typedTierConfigs {
+		t.Run(tier.name, func(t *testing.T) {
+			w := mustWorld(t, Options{
+				Cluster: hw.Longhorn(), Nodes: ranks, PPN: 1, Engine: tier.cfg, Faults: &fcfg,
+				Health: HealthPolicy{Detector: DetectorPolicy{Lease: 150 * simtime.Microsecond, Confirm: 150 * simtime.Microsecond}},
+			})
+			_, errs := w.RunAll(func(r *Rank) error {
+				grid := emptyDevBuf(r, 34*130*130)
+				switch r.ID() {
+				case 2:
+					return r.SendTyped(3, 1, grid, typedFace)
+				case 3:
+					r.Clock.Advance(fcfg.FailWindow) // past the onset: the next call halts
+					return r.RecvTyped(2, 1, grid, typedFace)
+				}
+				return nil
+			})
+			assertNoRankGoroutines(t)
+			if !errors.Is(errs[3], ErrRankCrashed) {
+				t.Fatalf("rank 3: %v, want ErrRankCrashed", errs[3])
+			}
+			if !errors.Is(errs[2], ErrPeerFailed) {
+				t.Fatalf("rank 2: %v, want ErrPeerFailed", errs[2])
+			}
+			if rs := w.RecoveryStats(); rs.Confirms != 1 {
+				t.Fatalf("recovery stats %+v: the failed typed send must confirm rank 3 exactly once", rs)
+			}
+		})
+	}
+}
+
+// TestTypedSendIsTrackedInflight: an outstanding typed send sits in the
+// rank's inflight list exactly like a plain one — that list is what the
+// self-heal drain completes across a retry — and leaves it at Wait.
+func TestTypedSendIsTrackedInflight(t *testing.T) {
+	for _, tier := range typedTierConfigs {
+		t.Run(tier.name, func(t *testing.T) {
+			w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: tier.cfg})
+			if _, err := w.Run(func(r *Rank) error {
+				grid := emptyDevBuf(r, 34*130*130)
+				flat := grid.Slice(0, typedFace.Size())
+				if r.ID() == 1 {
+					if err := r.RecvTyped(0, 1, grid, typedFace); err != nil {
+						return err
+					}
+					return r.Recv(0, 2, flat)
+				}
+				for _, send := range []func() (*Request, error){
+					func() (*Request, error) { return r.IsendTyped(1, 1, grid, typedFace) },
+					func() (*Request, error) { return r.Isend(1, 2, flat) },
+				} {
+					req, err := send()
+					if err != nil {
+						return err
+					}
+					if len(r.inflight) != 1 || r.inflight[0] != req {
+						return fmt.Errorf("outstanding send not tracked: inflight=%d", len(r.inflight))
+					}
+					if err := r.Wait(req); err != nil {
+						return err
+					}
+					if len(r.inflight) != 0 {
+						return fmt.Errorf("completed send still tracked")
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
