@@ -156,21 +156,18 @@ func TestWriteBenchColl(t *testing.T) {
 	if os.Getenv("BENCH_COLL") == "" {
 		t.Skip("set BENCH_COLL=1 to run the collective sweep and write BENCH_coll.json")
 	}
-	type arm struct {
-		before func(w *mpi.World, bytes, warmup, iters int, gen omb.DataGen) (omb.CollResult, error)
-		after  func(w *mpi.World, bytes, warmup, iters int, gen omb.DataGen) (omb.CollResult, error)
-	}
+	// Each row names its two arms in omb's collective table.
 	colls := []struct {
-		name    string
-		arm     arm
-		sizes   []int // nil = the default {1 MB, 8 MB} sweep
-		chunked bool  // run both arms with 128K chunk pipelining
+		name          string
+		before, after string
+		sizes         []int // nil = the default {1 MB, 8 MB} sweep
+		chunked       bool  // run both arms with 128K chunk pipelining
 	}{
-		{"bcast", arm{before: omb.BcastLatency, after: omb.BcastLatency}, nil, false},
-		{"bcast-hier", arm{before: omb.BcastHierarchicalLatency, after: omb.BcastHierarchicalLatency}, nil, false},
-		{"allgather", arm{before: omb.AllgatherLatency, after: omb.AllgatherLatency}, nil, false},
-		{"alltoallv", arm{before: omb.AlltoallvLatency, after: omb.AlltoallvLatency}, nil, false},
-		{"ring-allreduce", arm{before: omb.RingAllreduceBlockingLatency, after: omb.RingAllreduceLatency}, nil, false},
+		{"bcast", "bcast", "bcast", nil, false},
+		{"bcast-hier", "bcast-hier", "bcast-hier", nil, false},
+		{"allgather", "allgather", "allgather", nil, false},
+		{"alltoallv", "alltoallv", "alltoallv", nil, false},
+		{"ring-allreduce", "ring-allreduce-blocking", "ring-allreduce", nil, false},
 		// Algorithm-crossover rows: the "before" arm is the pipelined
 		// ring (the previous best), the "after" arm the new schedule, so
 		// SpeedupPct > 0 means the new schedule beats the ring at that
@@ -178,10 +175,8 @@ func TestWriteBenchColl(t *testing.T) {
 		// run with chunk pipelining on BOTH arms — without chunking the
 		// ring serialises whole blocks and loses even the bandwidth
 		// regime, which is not the comparison production sweeps make.
-		{"rd-allreduce", arm{before: omb.RingAllreduceLatency, after: omb.RecursiveDoublingAllreduceLatency},
-			[]int{32 << 10, 4 << 20}, true},
-		{"rab-allreduce", arm{before: omb.RingAllreduceLatency, after: omb.RabenseifnerAllreduceLatency},
-			[]int{32 << 10, 4 << 20}, true},
+		{"rd-allreduce", "ring-allreduce", "rd-allreduce", []int{32 << 10, 4 << 20}, true},
+		{"rab-allreduce", "ring-allreduce", "rab-allreduce", []int{32 << 10, 4 << 20}, true},
 	}
 	doc := benchCollDoc{
 		Ranks:      benchCollNodes * benchCollPPN,
@@ -201,7 +196,7 @@ func TestWriteBenchColl(t *testing.T) {
 			if coll.chunked {
 				before = benchCollChunkedWorld(t, -1)
 			}
-			resB, err := coll.arm.before(before, size, benchCollWarmup, benchCollIters, nil)
+			resB, err := omb.CollectiveLatency(before, coll.before, size, benchCollWarmup, benchCollIters, nil)
 			if err != nil {
 				t.Fatalf("%s before: %v", coll.name, err)
 			}
@@ -212,7 +207,7 @@ func TestWriteBenchColl(t *testing.T) {
 			if coll.chunked {
 				after = benchCollChunkedWorld(t, 0)
 			}
-			resA, err := coll.arm.after(after, size, benchCollWarmup, benchCollIters, nil)
+			resA, err := omb.CollectiveLatency(after, coll.after, size, benchCollWarmup, benchCollIters, nil)
 			if err != nil {
 				t.Fatalf("%s after: %v", coll.name, err)
 			}

@@ -284,7 +284,7 @@ func BenchmarkFig11Collectives(b *testing.B) {
 			var lat simtime.Duration
 			for i := 0; i < b.N; i++ {
 				w := mustWorld(b, hw.FronteraLiquid(), 4, 2, sc.cfg)
-				res, err := omb.BcastLatency(w, 2<<20, 1, 2, gen)
+				res, err := omb.CollectiveLatency(w, "bcast", 2<<20, 1, 2, gen)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -296,7 +296,7 @@ func BenchmarkFig11Collectives(b *testing.B) {
 			var lat simtime.Duration
 			for i := 0; i < b.N; i++ {
 				w := mustWorld(b, hw.FronteraLiquid(), 4, 2, sc.cfg)
-				res, err := omb.AllgatherLatency(w, 2<<20, 1, 2, gen)
+				res, err := omb.CollectiveLatency(w, "allgather", 2<<20, 1, 2, gen)
 				if err != nil {
 					b.Fatal(err)
 				}

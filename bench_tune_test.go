@@ -85,7 +85,7 @@ func benchTuneMeasure(t *testing.T, cell benchTuneCell, algo mpi.AllreduceAlgo) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := omb.AllreduceLatency(w, cell.Bytes, 1, 2, nil)
+	res, err := omb.CollectiveLatency(w, "allreduce", cell.Bytes, 1, 2, nil)
 	if err != nil {
 		t.Fatalf("%s at %dB on %dx%d: %v", algo, cell.Bytes, cell.Nodes, cell.PPN, err)
 	}
@@ -109,7 +109,7 @@ func benchTuneRun(t *testing.T, workers int) *tune.Tuner {
 		}
 		epochs := len(benchTuneCandidates(cell.Nodes, cell.PPN)) + 2
 		for e := 0; e < epochs; e++ {
-			if _, err := omb.AllreduceLatency(w, cell.Bytes, 1, 2, nil); err != nil {
+			if _, err := omb.CollectiveLatency(w, "allreduce", cell.Bytes, 1, 2, nil); err != nil {
 				t.Fatalf("tuned allreduce at %dB on %dx%d: %v", cell.Bytes, cell.Nodes, cell.PPN, err)
 			}
 			var c tune.Counters

@@ -324,10 +324,10 @@ func fig11() {
 		fmt.Println()
 	}
 	run("MPI_Bcast", func(w *mpi.World, gen omb.DataGen) (omb.CollResult, error) {
-		return omb.BcastLatency(w, msg, *warmup, *iters, gen)
+		return omb.CollectiveLatency(w, "bcast", msg, *warmup, *iters, gen)
 	})
 	run("MPI_Allgather", func(w *mpi.World, gen omb.DataGen) (omb.CollResult, error) {
-		return omb.AllgatherLatency(w, msg, *warmup, *iters, gen)
+		return omb.CollectiveLatency(w, "allgather", msg, *warmup, *iters, gen)
 	})
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"strings"
@@ -32,7 +33,7 @@ import (
 //
 //simlint:wallclock bench harness reports real elapsed time alongside simulated results
 func main() {
-	bench := flag.String("bench", "latency", "benchmark: latency | bw | bibw | bcast | bcast-hier | allgather | allgather-hier | allreduce | ring-allreduce | ring-allreduce-blocking | rd-allreduce | rd-allreduce-blocking | rab-allreduce | rab-allreduce-blocking | two-level-allreduce | reduce | gather | scatter | alltoall | alltoallv")
+	bench := flag.String("bench", "latency", "benchmark: latency | bw | bibw | "+strings.Join(omb.Collectives(), " | "))
 	cluster := flag.String("cluster", "longhorn", "cluster model: longhorn | frontera | lassen | ri2")
 	nodes := flag.Int("nodes", 2, "number of nodes")
 	ppn := flag.Int("ppn", 1, "processes (GPUs) per node")
@@ -140,7 +141,7 @@ func main() {
 	switch *bench {
 	case "latency":
 		res, err := omb.Latency(w, sizes, *warmup, *iters, gen)
-		benchFatal(w, err)
+		benchFatal(w, cfg, health, err)
 		t := cli.NewTable("Size", "Latency (us)", "Ratio")
 		for _, r := range res {
 			t.Row(cli.FormatBytes(r.Bytes), fmt.Sprintf("%.2f", r.Latency.Microseconds()), fmt.Sprintf("%.2f", r.Ratio))
@@ -148,7 +149,7 @@ func main() {
 		t.Write(os.Stdout)
 	case "bw":
 		res, err := omb.Bandwidth(w, sizes, *warmup, *iters, *window, 0)
-		benchFatal(w, err)
+		benchFatal(w, cfg, health, err)
 		t := cli.NewTable("Size", "Bandwidth (GB/s)")
 		for _, r := range res {
 			t.Row(cli.FormatBytes(r.Bytes), fmt.Sprintf("%.3f", r.BandwidthGBps))
@@ -156,21 +157,26 @@ func main() {
 		t.Write(os.Stdout)
 	case "bibw":
 		res, err := omb.BiBandwidth(w, sizes, *warmup, *iters, *window)
-		benchFatal(w, err)
+		benchFatal(w, cfg, health, err)
 		t := cli.NewTable("Size", "Bandwidth (GB/s)")
 		for _, r := range res {
 			t.Row(cli.FormatBytes(r.Bytes), fmt.Sprintf("%.3f", r.BandwidthGBps))
 		}
 		t.Write(os.Stdout)
 	default:
-		coll, ok := collBenches[*bench]
-		if !ok {
+		// Everything else is a row of omb's collective table; all share the
+		// Size/Latency/Ratio shape.
+		known := false
+		for _, name := range omb.Collectives() {
+			known = known || name == *bench
+		}
+		if !known {
 			cli.Fatal(fmt.Errorf("unknown -bench %q", *bench))
 		}
 		t := cli.NewTable("Size", "Latency (us)", "Ratio")
 		for _, size := range sizes {
-			res, err := coll(w, size, *warmup, *iters, gen)
-			benchFatal(w, err)
+			res, err := omb.CollectiveLatency(w, *bench, size, *warmup, *iters, gen)
+			benchFatal(w, cfg, health, err)
 			t.Row(cli.FormatBytes(size), fmt.Sprintf("%.2f", res.Latency.Microseconds()), fmt.Sprintf("%.2f", res.Ratio))
 			if tuner != nil {
 				// Each measurement run starts from reset engine stats,
@@ -205,18 +211,7 @@ func main() {
 		wall.Round(time.Microsecond), host.CodecWall.Round(time.Microsecond),
 		host.CodecRuns, w.Rank(0).Engine.CodecWorkers())
 
-	if w.FaultsEnabled() {
-		st := w.FaultStats()
-		fmt.Printf("# faults injected: drops=%d corruptions=%d (bits=%d) degraded-windows=%d crashes=%d silences=%d codec-corruptions=%d duplicates=%d reorders=%d\n",
-			st.Drops, st.Corruptions, st.BitsFlipped, st.Degrades, st.Crashes, st.Silences, st.CodecCorruptions, st.Duplicates, st.Reorders)
-	}
-	printPipelineStats(w, cfg)
-	printRecoveryStats(w, health)
-	if cfg.Breaker.Enabled() {
-		bs, recvs := breakerTotals(w)
-		fmt.Printf("# breaker: opens=%d closes=%d probes=%d fallback-sends=%d fallback-recvs=%d\n",
-			bs.Opens, bs.Closes, bs.Probes, bs.FallbackSends, recvs)
-	}
+	writeStats(os.Stdout, w, cfg, health)
 
 	if tracer != nil {
 		f, err := os.Create(*traceOut)
@@ -225,28 +220,6 @@ func main() {
 		cli.Fatal(f.Close())
 		fmt.Printf("# wrote Chrome trace to %s (open in ui.perfetto.dev)\n", *traceOut)
 	}
-}
-
-// collBenches maps -bench names to the collective latency measurements.
-// All share the Size/Latency/Ratio table shape.
-var collBenches = map[string]func(*mpi.World, int, int, int, omb.DataGen) (omb.CollResult, error){
-	"bcast":                   omb.BcastLatency,
-	"bcast-hier":              omb.BcastHierarchicalLatency,
-	"allgather":               omb.AllgatherLatency,
-	"allreduce":               omb.AllreduceLatency,
-	"ring-allreduce":          omb.RingAllreduceLatency,
-	"ring-allreduce-blocking": omb.RingAllreduceBlockingLatency,
-	"rd-allreduce":            omb.RecursiveDoublingAllreduceLatency,
-	"rd-allreduce-blocking":   omb.RecursiveDoublingAllreduceBlockingLatency,
-	"rab-allreduce":           omb.RabenseifnerAllreduceLatency,
-	"rab-allreduce-blocking":  omb.RabenseifnerAllreduceBlockingLatency,
-	"two-level-allreduce":     omb.TwoLevelAllreduceLatency,
-	"allgather-hier":          omb.AllgatherHierarchicalLatency,
-	"reduce":                  omb.ReduceLatency,
-	"gather":                  omb.GatherLatency,
-	"scatter":                 omb.ScatterLatency,
-	"alltoall":                omb.AlltoallLatency,
-	"alltoallv":               omb.AlltoallvLatency,
 }
 
 // printCacheStats reports compress-once cache and relay activity summed
@@ -262,36 +235,49 @@ func printCacheStats(w *mpi.World) {
 		cs.RelayedBytes, cs.RecompressedBytes, cs.PipelinedChunks)
 }
 
-// printPipelineStats reports chunk-granular transport reliability summed
-// across all ranks when the pipelined path is on. Every counter derives
-// from seeded fault decisions and virtual-clock arithmetic, so the line is
-// byte-identical across same-seed runs and codec worker counts.
-func printPipelineStats(w *mpi.World, cfg core.Config) {
-	if cfg.PipelineChunkBytes <= 0 {
-		return
+// writeStats reports the run's fault, health, pipeline, recovery and
+// breaker activity, each line only when its subsystem is on — after a
+// successful run on stdout, after a failed one on stderr, so a failure is
+// attributable from the same lines a success prints. Every counter derives
+// from seeded fault decisions, sender program order and virtual-clock
+// arithmetic, so the lines are byte-identical across same-seed runs and
+// codec worker counts.
+func writeStats(out io.Writer, w *mpi.World, cfg core.Config, health mpi.HealthPolicy) {
+	if w.FaultsEnabled() {
+		st := w.FaultStats()
+		fmt.Fprintf(out, "# faults injected: drops=%d corruptions=%d (bits=%d) degraded-windows=%d crashes=%d silences=%d codec-corruptions=%d duplicates=%d reorders=%d\n",
+			st.Drops, st.Corruptions, st.BitsFlipped, st.Degrades, st.Crashes, st.Silences, st.CodecCorruptions, st.Duplicates, st.Reorders)
+		hs := w.HealthStats()
+		fmt.Fprintf(out, "# health: doomed=%v watchdog-wakeups=%d cascade-quiets=%d\n",
+			hs.Doomed, hs.WatchdogWakeups, hs.CascadeQuiets)
 	}
-	var ps core.PipelineStats
-	for r := 0; r < w.Size(); r++ {
-		ps.Add(w.Rank(r).Engine.PipeSnapshot())
+	if cfg.PipelineChunkBytes > 0 {
+		var ps core.PipelineStats
+		for r := 0; r < w.Size(); r++ {
+			ps.Add(w.Rank(r).Engine.PipeSnapshot())
+		}
+		fmt.Fprintf(out, "# pipeline: chunks=%d relay-chunks=%d retransmits=%d retransmit-bytes=%d credit-stalls=%d window-shrinks=%d degrades=%d bypass-small=%d bypass-degraded=%d\n",
+			ps.Chunks, ps.RelayChunks, ps.Retransmits, ps.RetransmitBytes,
+			ps.CreditStalls, ps.WindowShrinks, ps.DegradeEvents, ps.BypassSmall, ps.BypassDegraded)
 	}
-	fmt.Printf("# pipeline: chunks=%d relay-chunks=%d retransmits=%d retransmit-bytes=%d credit-stalls=%d window-shrinks=%d degrades=%d bypass-small=%d bypass-degraded=%d\n",
-		ps.Chunks, ps.RelayChunks, ps.Retransmits, ps.RetransmitBytes,
-		ps.CreditStalls, ps.WindowShrinks, ps.DegradeEvents, ps.BypassSmall, ps.BypassDegraded)
-}
-
-// printRecoveryStats reports self-healing and failure-detector activity
-// when either is armed. Every counter derives from seeded fate draws and
-// virtual-clock arithmetic, so the line is byte-identical across same-seed
-// runs and codec worker counts.
-func printRecoveryStats(w *mpi.World, health mpi.HealthPolicy) {
-	if !health.SelfHeal && !health.Detector.Enabled() {
-		return
+	if health.SelfHeal || health.Detector.Enabled() {
+		rs := w.RecoveryStats()
+		fmt.Fprintf(out, "# recovery: reroutes=%d shrink-completions=%d revoked-ops=%d suspects=%d false-suspects=%d confirms=%d resourced-chunks=%d link-drops=%d recovery-time=%.2fus\n",
+			rs.Reroutes, rs.ShrinkCompletions, rs.RevokedOps,
+			rs.Suspects, rs.FalseSuspects, rs.Confirms,
+			rs.ResourcedChunks, rs.LinkDrops, rs.RecoveryTime.Microseconds())
 	}
-	rs := w.RecoveryStats()
-	fmt.Printf("# recovery: reroutes=%d shrink-completions=%d revoked-ops=%d suspects=%d false-suspects=%d confirms=%d resourced-chunks=%d link-drops=%d recovery-time=%.2fus\n",
-		rs.Reroutes, rs.ShrinkCompletions, rs.RevokedOps,
-		rs.Suspects, rs.FalseSuspects, rs.Confirms,
-		rs.ResourcedChunks, rs.LinkDrops, rs.RecoveryTime.Microseconds())
+	if cfg.Breaker.Enabled() {
+		var bs core.BreakerStats
+		recvs := 0
+		for r := 0; r < w.Size(); r++ {
+			e := w.Rank(r).Engine
+			bs.Add(e.BreakerSnapshot())
+			recvs += e.FallbackRecvs
+		}
+		fmt.Fprintf(out, "# breaker: opens=%d closes=%d probes=%d fallback-sends=%d fallback-recvs=%d\n",
+			bs.Opens, bs.Closes, bs.Probes, bs.FallbackSends, recvs)
+	}
 }
 
 // engineCounters sums the engine activity the tuner adapts from across
@@ -311,38 +297,15 @@ func engineCounters(w *mpi.World) tune.Counters {
 	return c
 }
 
-// breakerTotals aggregates codec-breaker activity across every rank's
-// engine, along with the count of received Fallback-bit headers.
-func breakerTotals(w *mpi.World) (core.BreakerStats, int) {
-	var bs core.BreakerStats
-	recvs := 0
-	for r := 0; r < w.Size(); r++ {
-		e := w.Rank(r).Engine
-		bs.Add(e.BreakerSnapshot())
-		recvs += e.FallbackRecvs
-	}
-	return bs, recvs
-}
-
-// benchFatal reports a benchmark failure. Fault, health and breaker
-// activity go to stderr so the failure is attributable at a glance, and
-// the process exits with status 2 so harnesses can tell a delivery or
-// peer failure apart from a usage error.
-func benchFatal(w *mpi.World, err error) {
+// benchFatal reports a benchmark failure: the same stat lines a successful
+// run prints, on stderr, so the failure is attributable at a glance, and
+// exit status 2 so harnesses can tell a delivery or peer failure apart
+// from a usage error.
+func benchFatal(w *mpi.World, cfg core.Config, health mpi.HealthPolicy, err error) {
 	if err == nil {
 		return
 	}
-	if w.FaultsEnabled() {
-		st := w.FaultStats()
-		fmt.Fprintf(os.Stderr, "# faults injected: drops=%d corruptions=%d (bits=%d) degraded-windows=%d crashes=%d silences=%d codec-corruptions=%d\n",
-			st.Drops, st.Corruptions, st.BitsFlipped, st.Degrades, st.Crashes, st.Silences, st.CodecCorruptions)
-	}
-	hs := w.HealthStats()
-	fmt.Fprintf(os.Stderr, "# health: doomed=%v watchdog-wakeups=%d cascade-quiets=%d\n",
-		hs.Doomed, hs.WatchdogWakeups, hs.CascadeQuiets)
-	bs, recvs := breakerTotals(w)
-	fmt.Fprintf(os.Stderr, "# breaker: opens=%d closes=%d probes=%d fallback-sends=%d fallback-recvs=%d\n",
-		bs.Opens, bs.Closes, bs.Probes, bs.FallbackSends, recvs)
+	writeStats(os.Stderr, w, cfg, health)
 	fmt.Fprintln(os.Stderr, "error:", err)
 	os.Exit(2)
 }

@@ -5,21 +5,48 @@ package cmd
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
-// buildCommands builds every command under cmd/ into a fresh directory.
+// commands is the one build of every command under cmd/ the tests share.
+var commands struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+// TestMain removes the shared build when the tests are done.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if commands.dir != "" {
+		os.RemoveAll(commands.dir)
+	}
+	os.Exit(code)
+}
+
+// buildCommands builds every command under cmd/ into a fresh directory,
+// once per test binary.
 func buildCommands(t *testing.T) string {
 	t.Helper()
-	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./...")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
+	commands.once.Do(func() {
+		if commands.dir, commands.err = os.MkdirTemp("", "mpicomp-cmd"); commands.err != nil {
+			return
+		}
+		build := exec.Command("go", "build", "-o", commands.dir+string(filepath.Separator), "./...")
+		if out, err := build.CombinedOutput(); err != nil {
+			commands.err = fmt.Errorf("go build ./cmd/...: %v\n%s", err, out)
+		}
+	})
+	if commands.err != nil {
+		t.Fatal(commands.err)
 	}
-	return bin
+	return commands.dir
 }
 
 // TestEveryCommandStartsUp builds every command under cmd/ and runs it with
@@ -73,5 +100,50 @@ func TestOmbrunWritesProfiles(t *testing.T) {
 		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
 			t.Errorf("ombrun left no profile in %s (err %v)\n%s", filepath.Base(f), err, out)
 		}
+	}
+}
+
+// TestOmbrunFailureCarriesStatLines: a run whose retry budget is exhausted
+// exits 2, and its stderr carries the same stat lines (by name) a
+// successful run with the same subsystems on prints to stdout — the
+// failure path used to print a shorter fault line and no pipeline or
+// recovery line, exactly when a chunk stream had just run out of budget.
+func TestOmbrunFailureCarriesStatLines(t *testing.T) {
+	bin := buildCommands(t)
+	common := []string{"-bench", "latency", "-sizes", "1M", "-iters", "1", "-warmup", "0",
+		"-codec", "mpc", "-chunk", "256K", "-breaker", "threshold=3", "-heal", "on=true"}
+	statNames := func(out []byte) string {
+		var names []string
+		for _, line := range strings.Split(string(out), "\n") {
+			for _, name := range []string{"# faults injected:", "# health:", "# pipeline:", "# recovery:", "# breaker:"} {
+				if strings.HasPrefix(line, name) {
+					names = append(names, name)
+				}
+			}
+		}
+		return strings.Join(names, " ")
+	}
+	var stdout, stderr bytes.Buffer
+	ok := exec.Command(filepath.Join(bin, "ombrun"), append(common, "-faults", "seed=7,drop=0.05")...)
+	ok.Stdout = &stdout
+	if err := ok.Run(); err != nil {
+		t.Fatalf("ombrun under light loss: %v", err)
+	}
+	want := statNames(stdout.Bytes())
+	if strings.Count(want, "#") != 5 {
+		t.Fatalf("a successful run printed stat lines %q, want all five", want)
+	}
+	failing := exec.Command(filepath.Join(bin, "ombrun"),
+		append(common, "-faults", "seed=3,drop=0.9", "-retries", "-1", "-chunk-retry", "-1")...)
+	failing.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := failing.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("ombrun with no retry budget under 90%% loss: %v, want exit status 2\n%s", err, stderr.Bytes())
+	}
+	if got := statNames(stderr.Bytes()); got != want {
+		t.Errorf("failure stderr carries stat lines %q, a success prints %q\n%s", got, want, stderr.Bytes())
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte("retry budget exhausted")) {
+		t.Errorf("failure stderr does not name the cause:\n%s", stderr.Bytes())
 	}
 }

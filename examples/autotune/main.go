@@ -35,7 +35,7 @@ const (
 // the epoch's observations into the tuner at the world-synchronous
 // point — the same loop ombrun drives.
 func epoch(w *mpi.World, tn *tune.Tuner, bytes int) error {
-	if _, err := omb.AllreduceLatency(w, bytes, 1, 2, nil); err != nil {
+	if _, err := omb.CollectiveLatency(w, "allreduce", bytes, 1, 2, nil); err != nil {
 		return err
 	}
 	var c tune.Counters

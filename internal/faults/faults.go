@@ -48,10 +48,10 @@ const (
 	// genuinely avoids it — unlike wire corruption, which hits any bytes.
 	KindCodec
 	// KindChunk is one chunk of a pipelined (or chunked-relay) transfer.
-	// Chunk decisions key on a dedicated identity that carries the chunk
-	// index as its own hash field (chunkKey), so chunk fates never alias
-	// each other or any whole-message event regardless of how large the
-	// sequence number or chunk count grows.
+	// Chunk decisions carry the chunk index as its own hash field
+	// (eventKey), so chunk fates never alias each other or any
+	// whole-message event regardless of how large the sequence number or
+	// chunk count grows.
 	KindChunk
 	// KindChunkFate covers the chunk-specific delivery fates — duplicate
 	// and reorder — drawn once per chunk (not per attempt).
@@ -388,13 +388,34 @@ func (i *Injector) ResetStats() {
 	// repetition does not re-roll fates.
 }
 
-// ShouldDrop decides whether transmission attempt `attempt` of message
-// (kind, src rank, dst rank, seq) is lost, counting the drop when it is.
-func (i *Injector) ShouldDrop(kind Kind, src, dst int, seq uint64, attempt int) bool {
-	if i == nil || i.cfg.DropRate <= 0 {
+// NoChunk is the chunk index of a whole-message event. An event's identity
+// is (kind, src rank, dst rank, seq, chunk): NoChunk for an RTS, CTS, eager
+// or whole-message data event, the chunk's index for one chunk of a
+// pipelined or chunked-relay transfer. The index is its own hash field
+// (eventKey), never packed into the sequence number — the old
+// seq<<16|index packing aliased (seq=0, chunk=65536) with (seq=1, chunk=0)
+// — so chunk fates are collision-free and independent of every
+// whole-message event of the same message.
+const NoChunk = -1
+
+// rate picks the probability an event rolls against: a chunk uses its own
+// rate when one is configured and the generic one otherwise, so a plain
+// lossy-wire config exercises the chunked path too.
+func rate(chunk int, chunkRate, generic float64) float64 {
+	if chunk != NoChunk && chunkRate > 0 {
+		return chunkRate
+	}
+	return generic
+}
+
+// ShouldDrop decides whether transmission attempt `attempt` of the event
+// (kind, src, dst, seq, chunk) is lost, counting the drop when it is.
+func (i *Injector) ShouldDrop(kind Kind, src, dst int, seq uint64, chunk, attempt int) bool {
+	if i == nil {
 		return false
 	}
-	if i.uniform(eventKey(uint64(kind), 0x7d0b, src, dst, seq, attempt)) < i.cfg.DropRate {
+	p := rate(chunk, i.cfg.ChunkDropRate, i.cfg.DropRate)
+	if p > 0 && i.uniform(eventKey(uint64(kind), 0x7d0b, src, dst, seq, chunk, attempt)) < p {
 		i.drops.Add(1)
 		return true
 	}
@@ -402,28 +423,42 @@ func (i *Injector) ShouldDrop(kind Kind, src, dst int, seq uint64, attempt int) 
 }
 
 // Corrupt decides whether attempt `attempt` of the payload transfer
-// (src, dst, seq) is corrupted; when it is, it returns a copy of payload
-// with 1..MaxFlips deterministic bit flips and true. Otherwise it returns
-// payload unchanged and false. The original slice is never modified — the
-// intact bytes must survive for the retransmission.
-func (i *Injector) Corrupt(payload []byte, src, dst int, seq uint64, attempt int) ([]byte, bool) {
-	if i == nil || i.cfg.CorruptRate <= 0 || len(payload) == 0 {
+// (src, dst, seq, chunk) is corrupted; when it is, it returns a copy of
+// payload with 1..MaxFlips deterministic bit flips and true. Otherwise it
+// returns payload unchanged and false. The original slice is never
+// modified — the intact bytes must survive for the retransmission.
+func (i *Injector) Corrupt(payload []byte, src, dst int, seq uint64, chunk, attempt int) ([]byte, bool) {
+	if i == nil {
 		return payload, false
 	}
-	key := eventKey(0xc0, 0x1232, src, dst, seq, attempt)
-	if i.uniform(key) >= i.cfg.CorruptRate {
-		return payload, false
-	}
-	wire, flips := i.flipBits(payload, key)
-	i.corruptions.Add(1)
-	i.bitsFlipped.Add(int64(flips))
-	return wire, true
+	return i.flipAt(payload, eventKey(0xc0, 0x1232, src, dst, seq, chunk, attempt),
+		rate(chunk, i.cfg.ChunkCorruptRate, i.cfg.CorruptRate), &i.corruptions)
 }
 
-// flipBits returns a copy of payload with 1..MaxFlips deterministic bit
-// flips derived from the event key, plus the flip count. Shared by the
-// wire-corruption and codec-corruption paths.
-func (i *Injector) flipBits(payload []byte, key uint64) ([]byte, int) {
+// CorruptCodec decides whether the codec stage corrupts attempt `attempt`
+// of the *compressed* payload transfer (src, dst, seq, chunk) whose
+// transmission starts at `at` on the virtual clock; when it does, it
+// returns a flipped copy and true. Callers must only invoke it for
+// compressed payloads — the uncompressed path bypasses the codec entirely,
+// which is exactly the escape hatch the circuit breaker exploits. With
+// Config.CodecUntil set, faults stop once `at` passes it (the codec
+// "heals").
+func (i *Injector) CorruptCodec(payload []byte, src, dst int, seq uint64, chunk, attempt int, at simtime.Time) ([]byte, bool) {
+	if i == nil || i.cfg.CodecUntil > 0 && at >= simtime.Time(i.cfg.CodecUntil) {
+		return payload, false
+	}
+	return i.flipAt(payload, eventKey(uint64(KindCodec), 0x5ec7, src, dst, seq, chunk, attempt),
+		i.cfg.CodecRate, &i.codecCorr)
+}
+
+// flipAt rolls the event key against p and, on a hit, returns a copy of
+// payload with 1..MaxFlips deterministic bit flips derived from the key,
+// counting the corruption in hits. Shared by the wire-corruption and
+// codec-corruption decisions.
+func (i *Injector) flipAt(payload []byte, key uint64, p float64, hits *atomic.Int64) ([]byte, bool) {
+	if p <= 0 || len(payload) == 0 || i.uniform(key) >= p {
+		return payload, false
+	}
 	wire := append([]byte(nil), payload...)
 	h := splitmix64(uint64(i.cfg.Seed) ^ key ^ 0x9e3779b97f4a7c15)
 	flips := 1 + int(h%uint64(i.cfg.MaxFlips))
@@ -432,29 +467,7 @@ func (i *Injector) flipBits(payload []byte, key uint64) ([]byte, int) {
 		bit := h % uint64(len(wire)*8)
 		wire[bit/8] ^= 1 << (bit % 8)
 	}
-	return wire, flips
-}
-
-// CorruptCodec decides whether the codec stage corrupts attempt `attempt`
-// of the *compressed* payload transfer (src, dst, seq) whose transmission
-// starts at `at` on the virtual clock; when it does, it returns a flipped
-// copy and true. Callers must only invoke it for compressed payloads —
-// the uncompressed path bypasses the codec entirely, which is exactly the
-// escape hatch the circuit breaker exploits. With Config.CodecUntil set,
-// faults stop once `at` passes it (the codec "heals").
-func (i *Injector) CorruptCodec(payload []byte, src, dst int, seq uint64, attempt int, at simtime.Time) ([]byte, bool) {
-	if i == nil || i.cfg.CodecRate <= 0 || len(payload) == 0 {
-		return payload, false
-	}
-	if i.cfg.CodecUntil > 0 && at >= simtime.Time(i.cfg.CodecUntil) {
-		return payload, false
-	}
-	key := eventKey(uint64(KindCodec), 0x5ec7, src, dst, seq, attempt)
-	if i.uniform(key) >= i.cfg.CodecRate {
-		return payload, false
-	}
-	wire, flips := i.flipBits(payload, key)
-	i.codecCorr.Add(1)
+	hits.Add(1)
 	i.bitsFlipped.Add(int64(flips))
 	return wire, true
 }
@@ -472,14 +485,14 @@ func (i *Injector) RankFate(rank int) (onset simtime.Time, silent, failed bool) 
 	}
 	window := i.cfg.FailWindow
 	if i.cfg.CrashRate > 0 &&
-		i.uniform(eventKey(uint64(KindCrash), 0xc4a5, rank, 0, 0, 0)) < i.cfg.CrashRate {
-		u := i.uniform(eventKey(uint64(KindCrash), 0x0a5e, rank, 0, 1, 0))
+		i.uniform(eventKey(uint64(KindCrash), 0xc4a5, rank, 0, 0, NoChunk, 0)) < i.cfg.CrashRate {
+		u := i.uniform(eventKey(uint64(KindCrash), 0x0a5e, rank, 0, 1, NoChunk, 0))
 		i.crashes.Add(1)
 		return simtime.Time(float64(window) * u), false, true
 	}
 	if i.cfg.SilentRate > 0 &&
-		i.uniform(eventKey(uint64(KindSilence), 0x511e, rank, 0, 0, 0)) < i.cfg.SilentRate {
-		u := i.uniform(eventKey(uint64(KindSilence), 0x0a5e, rank, 0, 1, 0))
+		i.uniform(eventKey(uint64(KindSilence), 0x511e, rank, 0, 0, NoChunk, 0)) < i.cfg.SilentRate {
+		u := i.uniform(eventKey(uint64(KindSilence), 0x0a5e, rank, 0, 1, NoChunk, 0))
 		i.silences.Add(1)
 		return simtime.Time(float64(window) * u), true, true
 	}
@@ -496,86 +509,11 @@ func (i *Injector) BandwidthFactor(srcNode, dstNode int, at simtime.Time) float6
 		return 1
 	}
 	window := uint64(at / simtime.Time(i.cfg.DegradeWindow))
-	if i.uniform(eventKey(0xde, 0x6a3d, srcNode, dstNode, window, 0)) < i.cfg.DegradeRate {
+	if i.uniform(eventKey(0xde, 0x6a3d, srcNode, dstNode, window, NoChunk, 0)) < i.cfg.DegradeRate {
 		i.degrades.Add(1)
 		return i.cfg.DegradeFactor
 	}
 	return 1
-}
-
-// --- chunk-granular fates ---
-//
-// Chunk decisions hash a dedicated identity (chunkKey) that mixes the
-// chunk index as its own field, never packed into the sequence number:
-// the old seq<<16|index packing aliased (seq=0, chunk=65536) with
-// (seq=1, chunk=0) and silently truncated once a sequence number reached
-// the high bits. Distinct (seq, chunk) pairs now feed distinct hash
-// inputs, so chunk fates are collision-free and independent of every
-// whole-message event of the same message.
-
-// ShouldDropChunk decides whether attempt `attempt` of chunk `chunk` of
-// message (src, dst, seq) is lost. ChunkDropRate governs when set;
-// otherwise the generic DropRate applies to chunks too.
-func (i *Injector) ShouldDropChunk(src, dst int, seq uint64, chunk, attempt int) bool {
-	if i == nil {
-		return false
-	}
-	rate := i.cfg.ChunkDropRate
-	if rate <= 0 {
-		rate = i.cfg.DropRate
-	}
-	if rate <= 0 {
-		return false
-	}
-	if i.uniform(chunkKey(uint64(KindChunk), 0x7d0b, src, dst, seq, chunk, attempt)) < rate {
-		i.drops.Add(1)
-		return true
-	}
-	return false
-}
-
-// CorruptChunk is Corrupt for one chunk of a pipelined transfer, keyed by
-// the collision-free chunk identity. ChunkCorruptRate governs when set;
-// otherwise the generic CorruptRate applies.
-func (i *Injector) CorruptChunk(payload []byte, src, dst int, seq uint64, chunk, attempt int) ([]byte, bool) {
-	if i == nil || len(payload) == 0 {
-		return payload, false
-	}
-	rate := i.cfg.ChunkCorruptRate
-	if rate <= 0 {
-		rate = i.cfg.CorruptRate
-	}
-	if rate <= 0 {
-		return payload, false
-	}
-	key := chunkKey(0xc0, 0x1232, src, dst, seq, chunk, attempt)
-	if i.uniform(key) >= rate {
-		return payload, false
-	}
-	wire, flips := i.flipBits(payload, key)
-	i.corruptions.Add(1)
-	i.bitsFlipped.Add(int64(flips))
-	return wire, true
-}
-
-// CorruptCodecChunk is CorruptCodec for one chunk: same CodecRate and
-// CodecUntil healing, chunk-granular identity. Callers must only invoke it
-// for compressed chunks.
-func (i *Injector) CorruptCodecChunk(payload []byte, src, dst int, seq uint64, chunk, attempt int, at simtime.Time) ([]byte, bool) {
-	if i == nil || i.cfg.CodecRate <= 0 || len(payload) == 0 {
-		return payload, false
-	}
-	if i.cfg.CodecUntil > 0 && at >= simtime.Time(i.cfg.CodecUntil) {
-		return payload, false
-	}
-	key := chunkKey(uint64(KindCodec), 0x5ec7, src, dst, seq, chunk, attempt)
-	if i.uniform(key) >= i.cfg.CodecRate {
-		return payload, false
-	}
-	wire, flips := i.flipBits(payload, key)
-	i.codecCorr.Add(1)
-	i.bitsFlipped.Add(int64(flips))
-	return wire, true
 }
 
 // ChunkFate draws chunk (src, dst, seq, chunk)'s delivery fate, once per
@@ -583,17 +521,18 @@ func (i *Injector) CorruptCodecChunk(payload []byte, src, dst int, seq uint64, c
 // twice (the copy burns bandwidth; the receiver discards it by identity);
 // reorder means the chunk is held back by Config.ReorderDelay so it lands
 // after its successors. The fates are independent rolls and may combine.
+// A whole message (NoChunk) has neither.
 func (i *Injector) ChunkFate(src, dst int, seq uint64, chunk int) (duplicate, reorder bool) {
-	if i == nil {
+	if i == nil || chunk == NoChunk {
 		return false, false
 	}
 	if i.cfg.ChunkDuplicateRate > 0 &&
-		i.uniform(chunkKey(uint64(KindChunkFate), 0xd0b1, src, dst, seq, chunk, 0)) < i.cfg.ChunkDuplicateRate {
+		i.uniform(eventKey(uint64(KindChunkFate), 0xd0b1, src, dst, seq, chunk, 0)) < i.cfg.ChunkDuplicateRate {
 		i.duplicates.Add(1)
 		duplicate = true
 	}
 	if i.cfg.ChunkReorderRate > 0 &&
-		i.uniform(chunkKey(uint64(KindChunkFate), 0x0ede, src, dst, seq, chunk, 0)) < i.cfg.ChunkReorderRate {
+		i.uniform(eventKey(uint64(KindChunkFate), 0x0ede, src, dst, seq, chunk, 0)) < i.cfg.ChunkReorderRate {
 		i.reorders.Add(1)
 		reorder = true
 	}
@@ -651,16 +590,16 @@ func (i *Injector) linkFate(a, b int) LinkFate {
 	}
 	var f LinkFate
 	if i.cfg.LinkDownRate > 0 &&
-		i.uniform(eventKey(uint64(KindLink), 0xdead, a, b, 0, 0)) < i.cfg.LinkDownRate {
-		u := i.uniform(eventKey(uint64(KindLink), 0x0a5e, a, b, 1, 0))
+		i.uniform(eventKey(uint64(KindLink), 0xdead, a, b, 0, NoChunk, 0)) < i.cfg.LinkDownRate {
+		u := i.uniform(eventKey(uint64(KindLink), 0x0a5e, a, b, 1, NoChunk, 0))
 		f.Down = true
 		f.DownAt = simtime.Time(float64(i.cfg.LinkWindow) * u)
 		f.HealAt = f.DownAt.Add(i.cfg.LinkOutage)
 		return f
 	}
 	if i.cfg.LinkFlapRate > 0 &&
-		i.uniform(eventKey(uint64(KindLink), 0xf1a9, a, b, 0, 0)) < i.cfg.LinkFlapRate {
-		u := i.uniform(eventKey(uint64(KindLink), 0x9a5e, a, b, 1, 0))
+		i.uniform(eventKey(uint64(KindLink), 0xf1a9, a, b, 0, NoChunk, 0)) < i.cfg.LinkFlapRate {
+		u := i.uniform(eventKey(uint64(KindLink), 0x9a5e, a, b, 1, NoChunk, 0))
 		f.Flap = true
 		f.Period = i.cfg.FlapPeriod
 		f.Duty = i.cfg.FlapDuty
@@ -753,30 +692,23 @@ func (i *Injector) LinkLost(a, b int, at simtime.Time) bool {
 	return false
 }
 
-// chunkKey is eventKey with the chunk index as a dedicated hash field —
-// the collision-free chunk identity space.
-func chunkKey(kind, salt uint64, src, dst int, seq uint64, chunk, attempt int) uint64 {
-	h := splitmix64(kind ^ salt<<8)
-	h = splitmix64(h ^ uint64(uint32(src)))
-	h = splitmix64(h ^ uint64(uint32(dst)))
-	h = splitmix64(h ^ seq)
-	h = splitmix64(h ^ uint64(uint32(chunk)))
-	h = splitmix64(h ^ uint64(uint32(attempt)))
-	return h
-}
-
 // uniform maps an event key to [0, 1) under the injector's seed.
 func (i *Injector) uniform(key uint64) float64 {
 	h := splitmix64(uint64(i.cfg.Seed) ^ key)
 	return float64(h>>11) / float64(1<<53)
 }
 
-// eventKey packs an event's identity into one well-mixed 64-bit value.
-func eventKey(kind, salt uint64, src, dst int, seq uint64, attempt int) uint64 {
+// eventKey packs an event's identity into one well-mixed 64-bit value. A
+// chunk index is mixed as a field of its own; NoChunk contributes nothing,
+// so whole-message events hash as they did before chunks existed.
+func eventKey(kind, salt uint64, src, dst int, seq uint64, chunk, attempt int) uint64 {
 	h := splitmix64(kind ^ salt<<8)
 	h = splitmix64(h ^ uint64(uint32(src)))
 	h = splitmix64(h ^ uint64(uint32(dst)))
 	h = splitmix64(h ^ seq)
+	if chunk != NoChunk {
+		h = splitmix64(h ^ uint64(uint32(chunk)))
+	}
 	h = splitmix64(h ^ uint64(uint32(attempt)))
 	return h
 }

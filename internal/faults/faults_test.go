@@ -9,11 +9,11 @@ import (
 
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var i *Injector
-	if i.ShouldDrop(KindData, 0, 1, 0, 0) {
+	if i.ShouldDrop(KindData, 0, 1, 0, NoChunk, 0) {
 		t.Fatal("nil injector dropped a message")
 	}
 	p := []byte{1, 2, 3}
-	if _, corrupted := i.Corrupt(p, 0, 1, 0, 0); corrupted {
+	if _, corrupted := i.Corrupt(p, 0, 1, 0, NoChunk, 0); corrupted {
 		t.Fatal("nil injector corrupted a payload")
 	}
 	if f := i.BandwidthFactor(0, 1, 0); f != 1 {
@@ -51,8 +51,8 @@ func TestDecisionsAreDeterministic(t *testing.T) {
 	}
 	query := func(inj *Injector, seq uint64, attempt int) result {
 		var r result
-		r.drop = inj.ShouldDrop(KindData, 3, 5, seq, attempt)
-		r.wire, r.corrupted = inj.Corrupt(payload, 3, 5, seq, attempt)
+		r.drop = inj.ShouldDrop(KindData, 3, 5, seq, NoChunk, attempt)
+		r.wire, r.corrupted = inj.Corrupt(payload, 3, 5, seq, NoChunk, attempt)
 		r.factor = inj.BandwidthFactor(0, 1, simtime.Time(seq)*simtime.Time(simtime.Millisecond))
 		return r
 	}
@@ -76,7 +76,7 @@ func TestCorruptPreservesOriginal(t *testing.T) {
 	inj := New(Config{Seed: 1, CorruptRate: 1})
 	payload := bytes.Repeat([]byte{0xAA}, 128)
 	orig := append([]byte(nil), payload...)
-	wire, corrupted := inj.Corrupt(payload, 0, 1, 9, 0)
+	wire, corrupted := inj.Corrupt(payload, 0, 1, 9, NoChunk, 0)
 	if !corrupted {
 		t.Fatal("rate-1 corruption did not fire")
 	}
@@ -108,10 +108,10 @@ func TestRatesApproximatelyHonored(t *testing.T) {
 	const n = 20000
 	var drops, corrupts, degrades int
 	for i := 0; i < n; i++ {
-		if inj.ShouldDrop(KindRTS, 0, 1, uint64(i), 0) {
+		if inj.ShouldDrop(KindRTS, 0, 1, uint64(i), NoChunk, 0) {
 			drops++
 		}
-		if _, c := inj.Corrupt(payload, 0, 1, uint64(i), 0); c {
+		if _, c := inj.Corrupt(payload, 0, 1, uint64(i), NoChunk, 0); c {
 			corrupts++
 		}
 		if inj.BandwidthFactor(0, 1, simtime.Time(i)*simtime.Time(simtime.Millisecond)) < 1 {
@@ -144,8 +144,8 @@ func TestKindsDecideIndependently(t *testing.T) {
 	same := 0
 	const n = 4096
 	for i := 0; i < n; i++ {
-		a := inj.ShouldDrop(KindRTS, 1, 2, uint64(i), 0)
-		b := inj.ShouldDrop(KindCTS, 1, 2, uint64(i), 0)
+		a := inj.ShouldDrop(KindRTS, 1, 2, uint64(i), NoChunk, 0)
+		b := inj.ShouldDrop(KindCTS, 1, 2, uint64(i), NoChunk, 0)
 		if a == b {
 			same++
 		}
@@ -226,7 +226,7 @@ func TestRankFateDeterministicAndCounted(t *testing.T) {
 func TestResetStatsKeepsFateCounters(t *testing.T) {
 	i := New(Config{Seed: 17, CrashRate: 1, CodecRate: 1})
 	i.RankFate(0)
-	if _, hit := i.CorruptCodec([]byte{1, 2, 3, 4}, 0, 1, 0, 0, 0); !hit {
+	if _, hit := i.CorruptCodec([]byte{1, 2, 3, 4}, 0, 1, 0, NoChunk, 0, 0); !hit {
 		t.Fatal("CodecRate=1 did not corrupt")
 	}
 	st := i.Stats()
@@ -249,7 +249,7 @@ func TestCorruptCodec(t *testing.T) {
 	// Rate 1: every compressed payload corrupts, the original is preserved.
 	i := New(Config{Seed: 3, CodecRate: 1})
 	orig := append([]byte(nil), payload...)
-	wire, hit := i.CorruptCodec(payload, 0, 1, 9, 0, 0)
+	wire, hit := i.CorruptCodec(payload, 0, 1, 9, NoChunk, 0, 0)
 	if !hit {
 		t.Fatal("CodecRate=1 did not corrupt")
 	}
@@ -265,32 +265,32 @@ func TestCorruptCodec(t *testing.T) {
 
 	// Identical identity -> identical corruption; a different attempt
 	// draws independently.
-	wire2, _ := New(Config{Seed: 3, CodecRate: 1}).CorruptCodec(payload, 0, 1, 9, 0, 0)
+	wire2, _ := New(Config{Seed: 3, CodecRate: 1}).CorruptCodec(payload, 0, 1, 9, NoChunk, 0, 0)
 	if !bytes.Equal(wire, wire2) {
 		t.Error("same event identity corrupted differently")
 	}
 
 	// Rate 0 and the nil injector are no-ops.
-	if _, hit := New(Config{Seed: 3, DropRate: 0.5}).CorruptCodec(payload, 0, 1, 9, 0, 0); hit {
+	if _, hit := New(Config{Seed: 3, DropRate: 0.5}).CorruptCodec(payload, 0, 1, 9, NoChunk, 0, 0); hit {
 		t.Error("CodecRate=0 corrupted")
 	}
 	var nilInj *Injector
-	if w, hit := nilInj.CorruptCodec(payload, 0, 1, 9, 0, 0); hit || !bytes.Equal(w, payload) {
+	if w, hit := nilInj.CorruptCodec(payload, 0, 1, 9, NoChunk, 0, 0); hit || !bytes.Equal(w, payload) {
 		t.Error("nil injector corrupted")
 	}
 
 	// CodecUntil heals the codec: instants at or past the bound pass
 	// untouched, instants before it still corrupt.
 	h := New(Config{Seed: 3, CodecRate: 1, CodecUntil: 100 * simtime.Microsecond})
-	if _, hit := h.CorruptCodec(payload, 0, 1, 9, 0, simtime.Time(100*simtime.Microsecond)); hit {
+	if _, hit := h.CorruptCodec(payload, 0, 1, 9, NoChunk, 0, simtime.Time(100*simtime.Microsecond)); hit {
 		t.Error("healed codec still corrupts at the bound")
 	}
-	if _, hit := h.CorruptCodec(payload, 0, 1, 9, 0, simtime.Time(99*simtime.Microsecond)); !hit {
+	if _, hit := h.CorruptCodec(payload, 0, 1, 9, NoChunk, 0, simtime.Time(99*simtime.Microsecond)); !hit {
 		t.Error("codec already healed before CodecUntil")
 	}
 
 	// Empty payloads cannot corrupt.
-	if _, hit := i.CorruptCodec(nil, 0, 1, 9, 0, 0); hit {
+	if _, hit := i.CorruptCodec(nil, 0, 1, 9, NoChunk, 0, 0); hit {
 		t.Error("empty payload corrupted")
 	}
 }

@@ -125,9 +125,9 @@ func (r *Rank) runAllreduce(algo AllreduceAlgo, sendBuf, recvBuf *gpusim.Buffer)
 	defer r.Engine.SetScheduleTag(0)
 	switch algo {
 	case AllreduceRing:
-		return r.ringAllreduceSum(sendBuf, recvBuf)
+		return r.ringAllreduce(sendBuf, recvBuf, true)
 	case AllreduceRingBlocking:
-		return r.ringAllreduceSumBlocking(sendBuf, recvBuf)
+		return r.ringAllreduce(sendBuf, recvBuf, false)
 	case AllreduceRecursiveDoubling:
 		return r.rdAllreduce(sendBuf, recvBuf, true)
 	case AllreduceRabenseifner:

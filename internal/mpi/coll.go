@@ -37,6 +37,15 @@ func (v collView) real(vr int) int {
 	return v.live[vr]
 }
 
+// peers lists the view's world ranks in view order.
+func (v collView) peers() []int {
+	ids := make([]int, v.size)
+	for i := range ids {
+		ids[i] = v.real(i)
+	}
+	return ids
+}
+
 // vof maps a world rank to its view coordinate, -1 if excluded.
 func (v collView) vof(world int) int {
 	if v.live == nil {
@@ -127,6 +136,23 @@ func (r *Rank) consumeRaw(raw rawResult, dst *gpusim.Buffer) error {
 	return err
 }
 
+// binomial is the one tree every rooted collective walks: vrank's parent
+// (-1 at the root, vrank 0) and its children, nearest first, in the
+// binomial tree over [0, size). A reduction drains the children in that
+// order and then sends to the parent; a broadcast receives from the parent
+// and serves the children farthest first.
+func binomial(vrank, size int) (parent int, children []int) {
+	for mask := 1; mask < size; mask <<= 1 {
+		if vrank&mask != 0 {
+			return vrank - mask, children
+		}
+		if vrank+mask < size {
+			children = append(children, vrank+mask)
+		}
+	}
+	return -1, children
+}
+
 // Bcast broadcasts root's buf to every rank using a binomial tree — the
 // algorithm osu_bcast exercises for large messages.
 //
@@ -158,59 +184,80 @@ func (r *Rank) bcast(root int, buf *gpusim.Buffer) error {
 	if size == 1 {
 		return nil
 	}
-	vrank := (v.vrank - vroot + size) % size
 	tag := r.collTag(baseBcast)
-
-	var payload []byte
-	var hdr core.Header
-	var raw rawResult
+	parent, children := binomial((v.vrank-vroot+size)%size, size)
 
 	// Obtain the payload: the root compresses, everyone else receives
 	// the raw compressed bytes from the parent.
-	mask := 1
-	if vrank == 0 {
-		payload, hdr = r.Engine.CompressForLinkCached(r.Clock, buf, r.world.cluster.InterNode.BandwidthGBps)
-		for mask < size {
-			mask <<= 1
-		}
+	var raw rawResult
+	if parent < 0 {
+		raw.payload, raw.hdr = r.Engine.CompressForLinkCached(r.Clock, buf, r.world.cluster.InterNode.BandwidthGBps)
 	} else {
-		for mask < size {
-			if vrank&mask != 0 {
-				parent := v.real(((vrank - mask) + vroot) % size)
-				req, err := r.irecvRaw(parent, tag)
-				if err != nil {
-					return err
-				}
-				if err := r.Wait(req); err != nil {
-					return fmt.Errorf("mpi: bcast recv: %w", err)
-				}
-				raw = req.raw
-				payload, hdr = raw.payload, raw.hdr
-				break
-			}
-			mask <<= 1
+		req, err := r.irecv(v.real((parent+vroot)%size), tag, nil)
+		if err != nil {
+			return err
 		}
+		if err := r.Wait(req); err != nil {
+			return fmt.Errorf("mpi: bcast recv: %w", err)
+		}
+		raw = req.raw
 	}
 
-	// Relay to children first (decreasing mask order), then decompress
-	// locally — the decompression kernel runs while the forwards drain.
+	// Relay to children first (farthest first), then decompress locally —
+	// the decompression kernel runs while the forwards drain.
 	var sends []*Request
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask < size {
-			child := v.real((vrank + mask + vroot) % size)
-			req, err := r.isendPayload(child, tag, payload, hdr)
-			if err != nil {
-				return fmt.Errorf("mpi: bcast send: %w", err)
-			}
-			sends = append(sends, req)
+	for i := len(children) - 1; i >= 0; i-- {
+		req, err := r.isendPayload(v.real((children[i]+vroot)%size), tag, raw.payload, raw.hdr)
+		if err != nil {
+			return fmt.Errorf("mpi: bcast send: %w", err)
 		}
+		sends = append(sends, req)
 	}
-	if vrank != 0 {
+	if parent >= 0 {
 		if err := r.consumeRaw(raw, buf); err != nil {
 			return fmt.Errorf("mpi: bcast decompress: %w", err)
 		}
 	}
 	return r.Waitall(sends...)
+}
+
+// relayRing is the compression-aware ring every allgather-shaped phase
+// runs: `steps` times, forward payload to right while the next one arrives
+// from left, and decompress the previous step's arrival — into dstOf of
+// the step that received it — while this step's transfers are in flight.
+// The wire payload travels verbatim, so each block is compressed once at
+// its origin and decompressed once per rank.
+func (r *Rank) relayRing(left, right, tag, steps int, payload []byte, hdr core.Header, dstOf func(step int) *gpusim.Buffer) error {
+	var arrived rawResult
+	var into *gpusim.Buffer // nil until the first arrival
+	consume := func() error {
+		if into == nil {
+			return nil
+		}
+		if err := r.consumeRaw(arrived, into); err != nil {
+			return fmt.Errorf("relay decompress: %w", err)
+		}
+		return nil
+	}
+	for step := 0; step < steps; step++ {
+		rreq, err := r.irecv(left, tag, nil)
+		if err != nil {
+			return err
+		}
+		sreq, err := r.isendPayload(right, tag, payload, hdr)
+		if err != nil {
+			return fmt.Errorf("relay step %d: %w", step, err)
+		}
+		if err := consume(); err != nil {
+			return err
+		}
+		if err := r.Waitall(sreq, rreq); err != nil {
+			return fmt.Errorf("relay step %d: %w", step, err)
+		}
+		arrived, into = rreq.raw, dstOf(step)
+		payload, hdr = arrived.payload, arrived.hdr
+	}
+	return consume()
 }
 
 // Allgather gathers each rank's sendBuf into every rank's recvBuf
@@ -245,13 +292,7 @@ func (r *Rank) allgather(sendBuf, recvBuf *gpusim.Buffer) error {
 	if size == 1 {
 		return nil
 	}
-	right := v.real((v.vrank + 1) % size)
-	left := v.real((v.vrank - 1 + size) % size)
-
-	// Compression-aware ring: each rank compresses its own block once;
-	// at every step it forwards the compressed payload received in the
-	// previous step and decompresses it into place while the transfers
-	// of the current step are in flight. The compression source is
+	// Each rank compresses its own block once. The compression source is
 	// sendBuf when possible — its bytes equal the just-copied own block,
 	// and an unchanged tracked sendBuf hits the compress-once cache on
 	// warm iterations, whereas the own block's epoch was just bumped.
@@ -260,39 +301,12 @@ func (r *Rank) allgather(sendBuf, recvBuf *gpusim.Buffer) error {
 		srcBlk = sendBuf
 	}
 	payload, hdr := r.Engine.CompressForLinkCached(r.Clock, srcBlk, r.world.cluster.InterNode.BandwidthGBps)
-	type pending struct {
-		raw rawResult
-		dst *gpusim.Buffer
-	}
-	var todo *pending
-	tag := r.collTag(baseAllgather)
-	for step := 0; step < size-1; step++ {
-		recvIdx := v.real((v.vrank - step - 1 + size) % size)
-		rreq, err := r.irecvRaw(left, tag)
-		if err != nil {
-			return err
-		}
-		sreq, err := r.isendPayload(right, tag, payload, hdr)
-		if err != nil {
-			return fmt.Errorf("mpi: allgather step %d: %w", step, err)
-		}
-		// Decompress the previous step's block while this step's
-		// transfers progress.
-		if todo != nil {
-			if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-				return fmt.Errorf("mpi: allgather decompress: %w", err)
-			}
-		}
-		if err := r.Waitall(sreq, rreq); err != nil {
-			return fmt.Errorf("mpi: allgather step %d: %w", step, err)
-		}
-		todo = &pending{raw: rreq.raw, dst: recvBuf.Slice(recvIdx*blk, blk)}
-		payload, hdr = rreq.raw.payload, rreq.raw.hdr
-	}
-	if todo != nil {
-		if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-			return fmt.Errorf("mpi: allgather decompress: %w", err)
-		}
+	err = r.relayRing(v.real((v.vrank-1+size)%size), v.real((v.vrank+1)%size), r.collTag(baseAllgather), size-1, payload, hdr,
+		func(step int) *gpusim.Buffer {
+			return recvBuf.Slice(v.real((v.vrank-step-1+size)%size)*blk, blk)
+		})
+	if err != nil {
+		return fmt.Errorf("mpi: allgather %w", err)
 	}
 	return nil
 }
@@ -420,39 +434,37 @@ func (r *Rank) reduceSum(root int, sendBuf, recvBuf *gpusim.Buffer) error {
 	size := v.size
 	vrank := (v.vrank - vroot + size) % size
 	tag := r.collTag(baseReduce)
+	parent, children := binomial(vrank, size)
 	// Leaf ranks (odd view rank) forward their contribution unmodified:
 	// sending sendBuf itself instead of a scratch copy lets a tracked,
 	// unchanged buffer reuse its cached compressed form across calls.
-	if size > 1 && vrank&1 == 1 {
-		parent := v.real(((vrank &^ 1) + vroot) % size)
-		return r.send(parent, tag, sendBuf)
+	if vrank&1 == 1 {
+		return r.send(v.real((parent+vroot)%size), tag, sendBuf)
 	}
 	// Accumulator starts as a copy of the local contribution.
-	acc := append([]byte(nil), sendBuf.Data...)
-	tmp := &gpusim.Buffer{Data: make([]byte, len(acc)), Loc: sendBuf.Loc, Dev: sendBuf.Dev}
-	accBuf := &gpusim.Buffer{Data: acc, Loc: sendBuf.Loc, Dev: sendBuf.Dev}
-
-	for mask := 1; mask < size; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := v.real(((vrank &^ mask) + vroot) % size)
-			return r.send(parent, tag, accBuf)
+	acc := scratchLike(sendBuf, sendBuf.Len())
+	copy(acc.Data, sendBuf.Data)
+	tmp := scratchLike(sendBuf, sendBuf.Len())
+	for _, child := range children {
+		if err := r.recv(v.real((child+vroot)%size), tag, tmp); err != nil {
+			return fmt.Errorf("mpi: reduce recv: %w", err)
 		}
-		if vrank+mask < size {
-			child := v.real((vrank + mask + vroot) % size)
-			if err := r.recv(child, tag, tmp); err != nil {
-				return fmt.Errorf("mpi: reduce recv: %w", err)
-			}
-			sumFloat32(r, accBuf, tmp.Data)
-		}
+		sumFloat32(r, acc, tmp.Data)
 	}
-	if r.id == root {
-		if recvBuf.Len() != len(acc) {
-			return fmt.Errorf("mpi: reduce recv buffer %d bytes, want %d", recvBuf.Len(), len(acc))
-		}
-		copy(recvBuf.Data, acc)
-		recvBuf.MarkDirty()
+	if parent >= 0 {
+		return r.send(v.real((parent+vroot)%size), tag, acc)
 	}
+	if recvBuf.Len() != acc.Len() {
+		return fmt.Errorf("mpi: reduce recv buffer %d bytes, want %d", recvBuf.Len(), acc.Len())
+	}
+	copy(recvBuf.Data, acc.Data)
+	recvBuf.MarkDirty()
 	return nil
+}
+
+// scratchLike allocates an n-byte scratch buffer living where like does.
+func scratchLike(like *gpusim.Buffer, n int) *gpusim.Buffer {
+	return &gpusim.Buffer{Data: make([]byte, n), Loc: like.Loc, Dev: like.Dev}
 }
 
 // AllreduceSum computes the element-wise float32 sum into every rank's
@@ -527,40 +539,20 @@ func (r *Rank) alltoall(sendBuf, recvBuf *gpusim.Buffer) error {
 	// Local block.
 	copy(recvBuf.Slice(r.id*blk, blk).Data, sendBuf.Slice(r.id*blk, blk).Data)
 	recvBuf.MarkDirty()
-	pow2 := size&(size-1) == 0
 	for step := 1; step < size; step++ {
-		if pow2 {
-			// XOR pairing: both sides of each pair exchange directly.
-			peer := r.id ^ step
-			if shr && w.isDoomed(peer) {
-				continue
-			}
-			sb := sendBuf.Slice(peer*blk, blk)
-			rb := recvBuf.Slice(peer*blk, blk)
-			if err := r.sendrecv(peer, tag, sb, peer, tag, rb); err != nil {
-				return fmt.Errorf("mpi: alltoall step %d: %w", step, err)
-			}
-			continue
-		}
-		// General ring: send to rank+step, receive from rank-step. Post
-		// and wait orders match sendrecv's (receive posted first, send
-		// waited first) so the skip-free path's timeline is unchanged.
-		dst := (r.id + step) % size
-		src := (r.id - step + size) % size
+		// Receive posted first, send waited first — sendrecv's order.
+		dst, src := exchangePeers(r.id, step, size)
 		var sreq, rreq *Request
+		var err error
 		if !(shr && w.isDoomed(src)) {
-			req, err := r.irecv(src, tag, recvBuf.Slice(src*blk, blk))
-			if err != nil {
+			if rreq, err = r.irecv(src, tag, recvBuf.Slice(src*blk, blk)); err != nil {
 				return fmt.Errorf("mpi: alltoall step %d: %w", step, err)
 			}
-			rreq = req
 		}
 		if !(shr && w.isDoomed(dst)) {
-			req, err := r.isend(dst, tag, sendBuf.Slice(dst*blk, blk), nil)
-			if err != nil {
+			if sreq, err = r.isend(dst, tag, sendBuf.Slice(dst*blk, blk), nil); err != nil {
 				return fmt.Errorf("mpi: alltoall step %d: %w", step, err)
 			}
-			sreq = req
 		}
 		reqs := make([]*Request, 0, 2)
 		for _, req := range []*Request{sreq, rreq} {
@@ -575,15 +567,15 @@ func (r *Rank) alltoall(sendBuf, recvBuf *gpusim.Buffer) error {
 	return nil
 }
 
-// sendBlocking is a blocking send on the collectives' internal tag
-// namespace: it returns only once every fabric booking of the transfer
-// has been placed (the wave discipline in Alltoallv depends on that).
-func (r *Rank) sendBlocking(dst int, buf *gpusim.Buffer) error {
-	req, err := r.isend(dst, r.collTag(baseAlltoallv), buf, nil)
-	if err != nil {
-		return err
+// exchangePeers is the pairwise-exchange schedule Alltoall and Alltoallv
+// share: at each step a power-of-two world pairs ranks by XOR (both sides
+// of a pair exchange directly, dst == src); any other size runs the ring
+// (send to rank+step, receive from rank-step).
+func exchangePeers(id, step, size int) (dst, src int) {
+	if size&(size-1) == 0 {
+		return id ^ step, id ^ step
 	}
-	return r.Wait(req)
+	return (id + step) % size, (id - step + size) % size
 }
 
 // checkAlltoallv validates one side's count/displacement vectors against
@@ -668,16 +660,7 @@ func (r *Rank) alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 	ppn := r.world.ppn
 	tag := r.collTag(baseAlltoallv)
 	for step := 1; step < size; step++ {
-		var dst, src int
-		if pow2 {
-			// XOR pairing: both sides of each pair exchange directly.
-			dst = r.id ^ step
-			src = dst
-		} else {
-			// General ring: send to rank+step, receive from rank-step.
-			dst = (r.id + step) % size
-			src = (r.id - step + size) % size
-		}
+		dst, src := exchangePeers(r.id, step, size)
 		// On a self-heal retry, exchanges with fated peers are skipped and
 		// their segments left untouched — but every live rank still runs
 		// each step's full barrier-wave schedule, so the wave discipline
@@ -713,9 +696,11 @@ func (r *Rank) alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 			}
 			if pow2 && r.world.nodeOf(dst) == r.Node() {
 				// Intra-node pair: both directions would share the
-				// node's GPU-link calendar, so they go one at a time.
+				// node's GPU-link calendar, so they go one at a time (a
+				// blocking send returns only once every fabric booking of
+				// the transfer has been placed).
 				if r.id < dst {
-					if err := r.sendBlocking(dst, sb); err != nil {
+					if err := r.send(dst, tag, sb); err != nil {
 						return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
 					}
 					if err := r.Wait(rreq); err != nil {
@@ -725,7 +710,7 @@ func (r *Rank) alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 					if err := r.Wait(rreq); err != nil {
 						return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
 					}
-					if err := r.sendBlocking(dst, sb); err != nil {
+					if err := r.send(dst, tag, sb); err != nil {
 						return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
 					}
 				}
@@ -884,24 +869,15 @@ func (r *Rank) bcastHierarchical(root int, buf *gpusim.Buffer) error {
 	if r.id == leader {
 		nodes := len(liveNodes)
 		rootIdx := nodeIdx[rootNode]
-		vnode := (nodeIdx[myNode] - rootIdx + nodes) % nodes
-		mask := 1
-		for mask < nodes {
-			if vnode&mask != 0 {
-				parentNode := liveNodes[((vnode-mask)+rootIdx)%nodes]
-				if err := r.recv(leaderOf[parentNode], tag, buf); err != nil {
-					return err
-				}
-				break
+		parent, children := binomial((nodeIdx[myNode]-rootIdx+nodes)%nodes, nodes)
+		if parent >= 0 {
+			if err := r.recv(leaderOf[liveNodes[(parent+rootIdx)%nodes]], tag, buf); err != nil {
+				return err
 			}
-			mask <<= 1
 		}
-		for mask >>= 1; mask > 0; mask >>= 1 {
-			if vnode+mask < nodes {
-				childNode := liveNodes[(vnode+mask+rootIdx)%nodes]
-				if err := r.send(leaderOf[childNode], tag, buf); err != nil {
-					return err
-				}
+		for i := len(children) - 1; i >= 0; i-- {
+			if err := r.send(leaderOf[liveNodes[(children[i]+rootIdx)%nodes]], tag, buf); err != nil {
+				return err
 			}
 		}
 	}
@@ -973,17 +949,19 @@ func ringChunkSpans(n, chunk int) [][2]int {
 	return spans
 }
 
-// ringReduceStep runs one pipelined reduce-scatter step: the send block
-// streams to the right neighbor chunk by chunk while the block arriving
-// from the left is reduced into place chunk by chunk — chunk k's
-// sumFloat32 overlaps chunk k+1's transfer and decompression, the
-// overlap the whole-block sendrecv serializes away. Sender and receiver
-// derive identical chunk boundaries from the world-uniform engine
-// config, so the per-chunk messages pair up by FIFO matching. src is
-// the buffer the send block is compressed from — recvBuf, except at
-// step 0 where the caller may pass the untouched sendBuf (identical
-// bytes, stable epoch) so warm iterations hit the compress-once cache.
-func (r *Rank) ringReduceStep(right, left int, src, recvBuf *gpusim.Buffer, sOff, sN, dOff, dN int, scratch *gpusim.Buffer, chunk int) error {
+// ringReduceStep runs one reduce-scatter step: the send block streams to
+// the right neighbor chunk by chunk while the block arriving from the left
+// is reduced into place chunk by chunk — chunk k's sumFloat32 overlaps
+// chunk k+1's transfer and decompression, the overlap a whole-block
+// sendrecv serializes away. Sender and receiver derive identical chunk
+// boundaries from the world-uniform engine config, so the per-chunk
+// messages pair up by FIFO matching. src is the buffer the send block is
+// compressed from — recvBuf, except at step 0 where the caller may pass
+// the untouched sendBuf (identical bytes, stable epoch) so warm iterations
+// hit the compress-once cache. sendFirst selects the blocking ring's wait
+// order — the sends drain before anything is reduced, as in sendrecv —
+// instead of receive, reduce, then send.
+func (r *Rank) ringReduceStep(right, left int, src, recvBuf *gpusim.Buffer, sOff, sN, dOff, dN int, scratch *gpusim.Buffer, chunk int, sendFirst bool) error {
 	tag := r.collTag(baseAllreduce)
 	rspans := ringChunkSpans(dN, chunk)
 	sspans := ringChunkSpans(sN, chunk)
@@ -1003,6 +981,11 @@ func (r *Rank) ringReduceStep(right, left int, src, recvBuf *gpusim.Buffer, sOff
 		}
 		sreqs[c] = req
 	}
+	if sendFirst {
+		if err := r.Waitall(sreqs...); err != nil {
+			return err
+		}
+	}
 	for c, sp := range rspans {
 		if err := r.Wait(rreqs[c]); err != nil {
 			return err
@@ -1013,6 +996,27 @@ func (r *Rank) ringReduceStep(right, left int, src, recvBuf *gpusim.Buffer, sOff
 		r.Engine.NotePipelinedChunks(len(rspans))
 	}
 	return r.Waitall(sreqs...)
+}
+
+// allreduceSetup is the preamble every allreduce schedule shares: the
+// view, the length check, the one-rank copy, the fallback to
+// reduce+broadcast for sizes the schedule cannot partition (not
+// word-aligned, or — perRank — fewer words than ranks), and the copy of
+// the local contribution into recvBuf that every schedule then reduces in
+// place. done reports that the call has been served in full.
+func (r *Rank) allreduceSetup(name string, sendBuf, recvBuf *gpusim.Buffer, perRank bool) (v collView, done bool, err error) {
+	if v, err = r.collView(); err != nil {
+		return v, true, err
+	}
+	switch n := sendBuf.Len(); {
+	case recvBuf.Len() != n:
+		return v, true, fmt.Errorf("mpi: %s allreduce buffers differ: %d vs %d", name, n, recvBuf.Len())
+	case v.size > 1 && (n%4 != 0 || perRank && n/4 < v.size):
+		return v, true, r.allreduceSum(sendBuf, recvBuf)
+	}
+	copy(recvBuf.Data, sendBuf.Data)
+	recvBuf.MarkDirty()
+	return v, v.size == 1, nil
 }
 
 // RingAllreduceSum is the bandwidth-optimal allreduce (ring
@@ -1036,106 +1040,7 @@ func (r *Rank) ringReduceStep(right, left int, src, recvBuf *gpusim.Buffer, sOff
 // CRC-protected, selectively retransmitted, credit-windowed chunks, so a
 // lossy link slows one step instead of failing the collective.
 func (r *Rank) RingAllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
-	return r.healRun(func() error { return r.ringAllreduceSum(sendBuf, recvBuf) })
-}
-
-func (r *Rank) ringAllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
-	v, err := r.collView()
-	if err != nil {
-		return err
-	}
-	size := v.size
-	if recvBuf.Len() != sendBuf.Len() {
-		return fmt.Errorf("mpi: ring allreduce buffers differ: %d vs %d", sendBuf.Len(), recvBuf.Len())
-	}
-	if size == 1 {
-		copy(recvBuf.Data, sendBuf.Data)
-		recvBuf.MarkDirty()
-		return nil
-	}
-	if sendBuf.Len()%4 != 0 || sendBuf.Len()/4 < size {
-		return r.allreduceSum(sendBuf, recvBuf)
-	}
-	offs := ringBlocks(sendBuf.Len(), size)
-	copy(recvBuf.Data, sendBuf.Data)
-	recvBuf.MarkDirty()
-	right := v.real((v.vrank + 1) % size)
-	left := v.real((v.vrank - 1 + size) % size)
-	maxBlk := 0
-	for i := 0; i < size; i++ {
-		if n := offs[i+1] - offs[i]; n > maxBlk {
-			maxBlk = n
-		}
-	}
-	scratch := &gpusim.Buffer{Data: make([]byte, maxBlk), Loc: recvBuf.Loc, Dev: recvBuf.Dev}
-	chunk := ringChunk(r.Engine.Config().PipelineChunkBytes)
-
-	// Phase 1: pipelined reduce-scatter. After step s, the block each
-	// rank just received accumulates one more contribution; after P-1
-	// steps view rank i holds the fully reduced block (i+1) mod P.
-	// Block indices are view coordinates — all participants agree on
-	// the partition.
-	for step := 0; step < size-1; step++ {
-		sendIdx := (v.vrank - step + size) % size
-		recvIdx := (v.vrank - step - 1 + size) % size
-		// Step 0 sends the rank's own block, which no reduction has
-		// touched yet — its bytes in recvBuf still equal sendBuf's, so
-		// compress from sendBuf: a persistent send buffer keeps a stable
-		// epoch across iterations and step 0's compression becomes a
-		// cache hit on every warm iteration.
-		src := recvBuf
-		if step == 0 && sendBuf.Loc == gpusim.Device {
-			src = sendBuf
-		}
-		if err := r.ringReduceStep(right, left, src, recvBuf,
-			offs[sendIdx], offs[sendIdx+1]-offs[sendIdx],
-			offs[recvIdx], offs[recvIdx+1]-offs[recvIdx],
-			scratch, chunk); err != nil {
-			return fmt.Errorf("mpi: ring reduce-scatter step %d: %w", step, err)
-		}
-	}
-
-	// Phase 2: relay allgather. Each rank compresses its fully reduced
-	// block once and every subsequent hop forwards the received wire
-	// payload verbatim, decompressing the previous step's block while
-	// the current step's transfers are in flight (the Allgather/Bcast
-	// relay pattern).
-	ownIdx := (v.vrank + 1) % size
-	own := recvBuf.Slice(offs[ownIdx], offs[ownIdx+1]-offs[ownIdx])
-	payload, hdr := r.Engine.CompressForLinkCached(r.Clock, own, r.world.cluster.InterNode.BandwidthGBps)
-	type pending struct {
-		raw rawResult
-		dst *gpusim.Buffer
-	}
-	var todo *pending
-	tag := r.collTag(baseAllreduce)
-	for step := 0; step < size-1; step++ {
-		recvIdx := (v.vrank - step + size) % size
-		rreq, err := r.irecvRaw(left, tag)
-		if err != nil {
-			return err
-		}
-		sreq, err := r.isendPayload(right, tag, payload, hdr)
-		if err != nil {
-			return fmt.Errorf("mpi: ring allgather step %d: %w", step, err)
-		}
-		if todo != nil {
-			if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-				return fmt.Errorf("mpi: ring allgather decompress: %w", err)
-			}
-		}
-		if err := r.Waitall(sreq, rreq); err != nil {
-			return fmt.Errorf("mpi: ring allgather step %d: %w", step, err)
-		}
-		todo = &pending{raw: rreq.raw, dst: recvBuf.Slice(offs[recvIdx], offs[recvIdx+1]-offs[recvIdx])}
-		payload, hdr = rreq.raw.payload, rreq.raw.hdr
-	}
-	if todo != nil {
-		if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-			return fmt.Errorf("mpi: ring allgather decompress: %w", err)
-		}
-	}
-	return nil
+	return r.healRun(func() error { return r.ringAllreduce(sendBuf, recvBuf, true) })
 }
 
 // RingAllreduceSumBlocking is the pre-fast-path ring allreduce: whole
@@ -1146,29 +1051,22 @@ func (r *Rank) ringAllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 // it exists as the measured baseline for the pipelined/relay fast path
 // and as its differential-testing oracle.
 func (r *Rank) RingAllreduceSumBlocking(sendBuf, recvBuf *gpusim.Buffer) error {
-	return r.healRun(func() error { return r.ringAllreduceSumBlocking(sendBuf, recvBuf) })
+	return r.healRun(func() error { return r.ringAllreduce(sendBuf, recvBuf, false) })
 }
 
-func (r *Rank) ringAllreduceSumBlocking(sendBuf, recvBuf *gpusim.Buffer) error {
-	v, err := r.collView()
-	if err != nil {
+func (r *Rank) ringAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) error {
+	v, done, err := r.allreduceSetup("ring", sendBuf, recvBuf, true)
+	if done {
 		return err
 	}
 	size := v.size
-	if recvBuf.Len() != sendBuf.Len() {
-		return fmt.Errorf("mpi: ring allreduce buffers differ: %d vs %d", sendBuf.Len(), recvBuf.Len())
-	}
-	if size == 1 {
-		copy(recvBuf.Data, sendBuf.Data)
-		recvBuf.MarkDirty()
-		return nil
-	}
-	if sendBuf.Len()%4 != 0 || sendBuf.Len()/4 < size {
-		return r.allreduceSum(sendBuf, recvBuf)
-	}
 	offs := ringBlocks(sendBuf.Len(), size)
-	copy(recvBuf.Data, sendBuf.Data)
-	recvBuf.MarkDirty()
+	// Block indices are view coordinates — all participants agree on the
+	// partition.
+	block := func(i int) *gpusim.Buffer {
+		i = (i + size) % size
+		return recvBuf.Slice(offs[i], offs[i+1]-offs[i])
+	}
 	right := v.real((v.vrank + 1) % size)
 	left := v.real((v.vrank - 1 + size) % size)
 	maxBlk := 0
@@ -1177,31 +1075,50 @@ func (r *Rank) ringAllreduceSumBlocking(sendBuf, recvBuf *gpusim.Buffer) error {
 			maxBlk = n
 		}
 	}
-	scratch := &gpusim.Buffer{Data: make([]byte, maxBlk), Loc: recvBuf.Loc, Dev: recvBuf.Dev}
-	tag := r.collTag(baseAllreduce)
+	scratch := scratchLike(recvBuf, maxBlk)
+	chunk := 0
+	if pipelined {
+		chunk = ringChunk(r.Engine.Config().PipelineChunkBytes)
+	}
 
-	// Phase 1: reduce-scatter with whole-block blocking exchanges.
+	// Phase 1: reduce-scatter. After step s, the block each rank just
+	// received accumulates one more contribution; after P-1 steps view
+	// rank i holds the fully reduced block (i+1) mod P.
 	for step := 0; step < size-1; step++ {
 		sendIdx := (v.vrank - step + size) % size
 		recvIdx := (v.vrank - step - 1 + size) % size
-		sb := recvBuf.Slice(offs[sendIdx], offs[sendIdx+1]-offs[sendIdx])
-		dN := offs[recvIdx+1] - offs[recvIdx]
-		sc := scratch.Slice(0, dN)
-		if err := r.sendrecv(right, tag, sb, left, tag, sc); err != nil {
+		// Step 0 sends the rank's own block, which no reduction has
+		// touched yet — its bytes in recvBuf still equal sendBuf's, so
+		// compress from sendBuf: a persistent send buffer keeps a stable
+		// epoch across iterations and step 0's compression becomes a
+		// cache hit on every warm iteration.
+		src := recvBuf
+		if pipelined && step == 0 && sendBuf.Loc == gpusim.Device {
+			src = sendBuf
+		}
+		if err := r.ringReduceStep(right, left, src, recvBuf,
+			offs[sendIdx], offs[sendIdx+1]-offs[sendIdx],
+			offs[recvIdx], offs[recvIdx+1]-offs[recvIdx],
+			scratch, chunk, !pipelined); err != nil {
 			return fmt.Errorf("mpi: ring reduce-scatter step %d: %w", step, err)
 		}
-		sumFloat32(r, recvBuf.Slice(offs[recvIdx], dN), sc.Data)
 	}
-	// Phase 2: allgather the reduced blocks around the ring,
-	// recompressing at every hop.
-	for step := 0; step < size-1; step++ {
-		sendIdx := (v.vrank + 1 - step + size) % size
-		recvIdx := (v.vrank - step + size) % size
-		sb := recvBuf.Slice(offs[sendIdx], offs[sendIdx+1]-offs[sendIdx])
-		rb := recvBuf.Slice(offs[recvIdx], offs[recvIdx+1]-offs[recvIdx])
-		if err := r.sendrecv(right, tag, sb, left, tag, rb); err != nil {
-			return fmt.Errorf("mpi: ring allgather step %d: %w", step, err)
+
+	// Phase 2: allgather the reduced blocks around the ring. Pipelined,
+	// each rank compresses its block once and every hop forwards the wire
+	// payload verbatim (the Allgather/Bcast relay pattern); blocking, every
+	// hop recompresses.
+	tag := r.collTag(baseAllreduce)
+	if pipelined {
+		payload, hdr := r.Engine.CompressForLinkCached(r.Clock, block(v.vrank+1), r.world.cluster.InterNode.BandwidthGBps)
+		err = r.relayRing(left, right, tag, size-1, payload, hdr, func(step int) *gpusim.Buffer { return block(v.vrank - step) })
+	} else {
+		for step := 0; step < size-1 && err == nil; step++ {
+			err = r.sendrecv(right, tag, block(v.vrank+1-step), left, tag, block(v.vrank-step))
 		}
+	}
+	if err != nil {
+		return fmt.Errorf("mpi: ring allgather %w", err)
 	}
 	return nil
 }

@@ -135,55 +135,73 @@ func (r *Rank) rdExchange(peer int, src, acc, scratch *gpusim.Buffer, chunk, tag
 	return nil
 }
 
-// rdRoundsOver runs the fold preamble plus the recursive-doubling core
-// of an allreduce over an explicit world-rank list: peers in exchange
-// order, me this rank's index in it. acc holds the local contribution on
-// entry and the full sum on return; scratch must match its length. src0,
-// when non-nil, is the stable compression source for this rank's first
+// foldIn runs the non-power-of-two fold preamble over an explicit
+// world-rank list (me this rank's index in it, rem the remainder rdPow2
+// folds away): each odd member of the first 2*rem sends its whole vector —
+// from src, the stable compression source, when it has one — to its even
+// neighbor, sits the power-of-two core out and receives the finished
+// result; the even neighbor reduces it into acc. out reports the former.
+func (r *Rank) foldIn(peers []int, me, rem int, acc, scratch, src *gpusim.Buffer, tag int) (out bool, err error) {
+	if me >= 2*rem {
+		return false, nil
+	}
+	partner := peers[me^1]
+	if me&1 == 1 {
+		if err := r.send(partner, tag, src); err != nil {
+			return true, fmt.Errorf("mpi: allreduce fold send: %w", err)
+		}
+		if err := r.recv(partner, tag, acc); err != nil {
+			return true, fmt.Errorf("mpi: allreduce fold result: %w", err)
+		}
+		return true, nil
+	}
+	if err := r.recv(partner, tag, scratch); err != nil {
+		return false, fmt.Errorf("mpi: allreduce fold recv: %w", err)
+	}
+	sumFloat32(r, acc, scratch.Data[:acc.Len()])
+	return false, nil
+}
+
+// foldOut is foldIn's other half, run by the members that stayed in: an
+// even member of a fold pair hands its partner the finished result.
+func (r *Rank) foldOut(peers []int, me, rem int, acc *gpusim.Buffer, tag int) error {
+	if me >= 2*rem {
+		return nil
+	}
+	if err := r.send(peers[me+1], tag, acc); err != nil {
+		return fmt.Errorf("mpi: allreduce unfold send: %w", err)
+	}
+	return nil
+}
+
+// rdRoundsOver runs the fold plus the recursive-doubling core of an
+// allreduce over an explicit world-rank list: peers in exchange order, me
+// this rank's index in it. acc holds the local contribution on entry and
+// the full sum on return; scratch must match its length. src0, when
+// non-nil, is the stable compression source for this rank's first
 // transmission (the compress-once cache trick); the two-level allreduce
 // reuses these rounds for its inter-node leader stage.
 func (r *Rank) rdRoundsOver(peers []int, me int, acc, scratch, src0 *gpusim.Buffer, chunk, tag int) error {
 	pow2, rem := rdPow2(len(peers))
-	if me < 2*rem {
-		partner := peers[me^1]
-		if me&1 == 1 {
-			src := acc
-			if src0 != nil {
-				src = src0
-			}
-			if err := r.send(partner, tag, src); err != nil {
-				return fmt.Errorf("mpi: rd fold send: %w", err)
-			}
-			if err := r.recv(partner, tag, acc); err != nil {
-				return fmt.Errorf("mpi: rd fold result: %w", err)
-			}
-			return nil
-		}
-		if err := r.recv(partner, tag, scratch); err != nil {
-			return fmt.Errorf("mpi: rd fold recv: %w", err)
-		}
-		sumFloat32(r, acc, scratch.Data[:acc.Len()])
+	first := acc
+	if src0 != nil {
+		first = src0
+	}
+	if out, err := r.foldIn(peers, me, rem, acc, scratch, first, tag); out || err != nil {
+		return err
 	}
 	nr := foldRank(me, rem)
-	fresh := me >= 2*rem // acc still byte-equal to the send buffer
 	for mask := 1; mask < pow2; mask <<= 1 {
 		peer := peers[unfoldRank(nr^mask, rem)]
 		src := acc
-		if fresh && mask == 1 && src0 != nil {
-			src = src0
+		if mask == 1 && me >= 2*rem { // acc still byte-equal to the send buffer
+			src = first
 		}
 		if err := r.rdExchange(peer, src, acc, scratch, chunk, tag); err != nil {
 			return fmt.Errorf("mpi: rd round (mask %d): %w", mask, err)
 		}
 	}
-	if rem > 0 && me < 2*rem {
-		// me is even here (odd members returned above): hand the
-		// folded-out partner the finished result.
-		if err := r.send(peers[me+1], tag, acc); err != nil {
-			return fmt.Errorf("mpi: rd unfold send: %w", err)
-		}
-	}
-	return nil
+	return r.foldOut(peers, me, rem, acc, tag)
 }
 
 // RecursiveDoublingAllreduceSum is the latency-optimal allreduce: ceil(
@@ -210,38 +228,26 @@ func (r *Rank) RecursiveDoublingAllreduceSumBlocking(sendBuf, recvBuf *gpusim.Bu
 }
 
 func (r *Rank) rdAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) error {
-	v, err := r.collView()
-	if err != nil {
+	v, done, err := r.allreduceSetup("rd", sendBuf, recvBuf, false)
+	if done {
 		return err
 	}
-	size := v.size
-	if recvBuf.Len() != sendBuf.Len() {
-		return fmt.Errorf("mpi: rd allreduce buffers differ: %d vs %d", sendBuf.Len(), recvBuf.Len())
+	chunk, src0 := r.pipelineShape(sendBuf, pipelined)
+	return r.rdRoundsOver(v.peers(), v.vrank, recvBuf, scratchLike(recvBuf, sendBuf.Len()), src0, chunk, r.collTag(baseAllreduce))
+}
+
+// pipelineShape is what `pipelined` turns on in a logarithmic schedule:
+// the chunk granularity of its rounds, and sendBuf as the stable
+// compression source of the first transmission when it is device-resident
+// (nil otherwise, and for the blocking oracles: compress from recvBuf).
+func (r *Rank) pipelineShape(sendBuf *gpusim.Buffer, pipelined bool) (chunk int, src0 *gpusim.Buffer) {
+	if !pipelined {
+		return 0, nil
 	}
-	if size == 1 {
-		copy(recvBuf.Data, sendBuf.Data)
-		recvBuf.MarkDirty()
-		return nil
+	if sendBuf.Loc == gpusim.Device {
+		src0 = sendBuf
 	}
-	if sendBuf.Len()%4 != 0 {
-		return r.allreduceSum(sendBuf, recvBuf)
-	}
-	copy(recvBuf.Data, sendBuf.Data)
-	recvBuf.MarkDirty()
-	scratch := &gpusim.Buffer{Data: make([]byte, sendBuf.Len()), Loc: recvBuf.Loc, Dev: recvBuf.Dev}
-	peers := make([]int, size)
-	for i := range peers {
-		peers[i] = v.real(i)
-	}
-	chunk := 0
-	var src0 *gpusim.Buffer
-	if pipelined {
-		chunk = ringChunk(r.Engine.Config().PipelineChunkBytes)
-		if sendBuf.Loc == gpusim.Device {
-			src0 = sendBuf
-		}
-	}
-	return r.rdRoundsOver(peers, v.vrank, recvBuf, scratch, src0, chunk, r.collTag(baseAllreduce))
+	return ringChunk(r.Engine.Config().PipelineChunkBytes), src0
 }
 
 // RabenseifnerAllreduceSum is the bandwidth-optimal logarithmic
@@ -270,57 +276,26 @@ func (r *Rank) RabenseifnerAllreduceSumBlocking(sendBuf, recvBuf *gpusim.Buffer)
 }
 
 func (r *Rank) rabAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) error {
-	v, err := r.collView()
-	if err != nil {
+	v, done, err := r.allreduceSetup("rabenseifner", sendBuf, recvBuf, true)
+	if done {
 		return err
 	}
-	size := v.size
-	if recvBuf.Len() != sendBuf.Len() {
-		return fmt.Errorf("mpi: rabenseifner allreduce buffers differ: %d vs %d", sendBuf.Len(), recvBuf.Len())
-	}
-	if size == 1 {
-		copy(recvBuf.Data, sendBuf.Data)
-		recvBuf.MarkDirty()
-		return nil
-	}
-	if sendBuf.Len()%4 != 0 || sendBuf.Len()/4 < size {
-		return r.allreduceSum(sendBuf, recvBuf)
-	}
-	copy(recvBuf.Data, sendBuf.Data)
-	recvBuf.MarkDirty()
-	scratch := &gpusim.Buffer{Data: make([]byte, sendBuf.Len()), Loc: recvBuf.Loc, Dev: recvBuf.Dev}
+	scratch := scratchLike(recvBuf, sendBuf.Len())
 	tag := r.collTag(baseAllreduce)
-	chunk := 0
-	if pipelined {
-		chunk = ringChunk(r.Engine.Config().PipelineChunkBytes)
+	chunk, src0 := r.pipelineShape(sendBuf, pipelined)
+	first := recvBuf
+	if src0 != nil {
+		first = src0
 	}
-	pow2, rem := rdPow2(size)
+	pow2, rem := rdPow2(v.size)
 	offs := ringBlocks(sendBuf.Len(), pow2)
-	vrank := v.vrank
+	peers, vrank := v.peers(), v.vrank
 
-	// Fold preamble (whole vector, like recursive doubling's).
-	if vrank < 2*rem {
-		partner := v.real(vrank ^ 1)
-		if vrank&1 == 1 {
-			src := recvBuf
-			if pipelined && sendBuf.Loc == gpusim.Device {
-				src = sendBuf
-			}
-			if err := r.send(partner, tag, src); err != nil {
-				return fmt.Errorf("mpi: rabenseifner fold send: %w", err)
-			}
-			if err := r.recv(partner, tag, recvBuf); err != nil {
-				return fmt.Errorf("mpi: rabenseifner fold result: %w", err)
-			}
-			return nil
-		}
-		if err := r.recv(partner, tag, scratch); err != nil {
-			return fmt.Errorf("mpi: rabenseifner fold recv: %w", err)
-		}
-		sumFloat32(r, recvBuf, scratch.Data)
+	// Fold (whole vector, like recursive doubling's).
+	if out, err := r.foldIn(peers, vrank, rem, recvBuf, scratch, first, tag); out || err != nil {
+		return err
 	}
 	nr := foldRank(vrank, rem)
-	fresh := vrank >= 2*rem
 
 	// Phase 1: reduce-scatter by recursive halving over block ranges.
 	// [lo, hi) is the block range this rank still accumulates; each round
@@ -328,20 +303,20 @@ func (r *Rank) rabAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) err
 	// log2 pow2 rounds core rank nr holds block nr fully reduced.
 	lo, hi := 0, pow2
 	for mask := pow2 >> 1; mask > 0; mask >>= 1 {
-		peer := v.real(unfoldRank(nr^mask, rem))
+		peer := peers[unfoldRank(nr^mask, rem)]
 		mid := (lo + hi) / 2
 		keepLo, keepHi, sendLo, sendHi := lo, mid, mid, hi
 		if nr&mask != 0 {
 			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
 		}
 		src := recvBuf
-		if fresh && mask == pow2>>1 && pipelined && sendBuf.Loc == gpusim.Device {
-			src = sendBuf
+		if mask == pow2>>1 && vrank >= 2*rem { // recvBuf still byte-equal to sendBuf
+			src = first
 		}
 		if err := r.ringReduceStep(peer, peer, src, recvBuf,
 			offs[sendLo], offs[sendHi]-offs[sendLo],
 			offs[keepLo], offs[keepHi]-offs[keepLo],
-			scratch, chunk); err != nil {
+			scratch, chunk, false); err != nil {
 			return fmt.Errorf("mpi: rabenseifner halving (mask %d): %w", mask, err)
 		}
 		lo, hi = keepLo, keepHi
@@ -351,7 +326,7 @@ func (r *Rank) rabAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) err
 	// each round by exchanging it with the partner holding the adjacent
 	// aligned range.
 	for mask := 1; mask < pow2; mask <<= 1 {
-		peer := v.real(unfoldRank(nr^mask, rem))
+		peer := peers[unfoldRank(nr^mask, rem)]
 		width := hi - lo
 		plo, phi := hi, hi+width
 		if nr&mask != 0 {
@@ -369,10 +344,5 @@ func (r *Rank) rabAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) err
 		}
 	}
 
-	if rem > 0 && vrank < 2*rem {
-		if err := r.send(v.real(vrank+1), tag, recvBuf); err != nil {
-			return fmt.Errorf("mpi: rabenseifner unfold send: %w", err)
-		}
-	}
-	return nil
+	return r.foldOut(peers, vrank, rem, recvBuf, tag)
 }

@@ -419,10 +419,7 @@ func (r *Rank) drainAborted() {
 	for len(r.inflight) > 0 {
 		_ = r.Wait(r.inflight[len(r.inflight)-1]) // Wait untracks the request
 	}
-	for _, b := range r.rawStaged {
-		r.Engine.ReleaseRecv(r.Clock, b)
-	}
-	r.rawStaged = nil
+	r.releaseRawStaged()
 }
 
 // RecoveryStats is the world's self-healing activity snapshot. Read it

@@ -344,7 +344,7 @@ func (w *World) failSend(env *envelope, onset simtime.Time, err error) {
 }
 
 // failEnvelope synthesizes the envelope a woken receive consumes: it flows
-// through the ordinary waitRecv paths (advance to the detection instant,
+// through waitRecv like any other (advance to the detection instant,
 // surface the wrapped error) with no staging buffer and no payload.
 func failEnvelope(src, tag int, t simtime.Time, err error) *envelope {
 	return &envelope{

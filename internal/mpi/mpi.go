@@ -442,15 +442,10 @@ func (w *World) reapInflight() {
 					continue // match never completed; nothing staged
 				}
 			}
-			r.releasePipelineStaging(env)
+			r.releaseStaging(env)
 		}
 		r.inflight = nil
-		// A raw receive completed by Wait parks its staging buffer until
-		// consumeRaw hands it back; an abort between the two leaks it.
-		for _, b := range r.rawStaged {
-			r.Engine.ReleaseRecv(r.Clock, b)
-		}
-		r.rawStaged = nil
+		r.releaseRawStaged()
 	}
 }
 

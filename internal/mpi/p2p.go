@@ -46,11 +46,10 @@ type envelope struct {
 	// (src, dst) it is the identity the fault injector hashes.
 	seq uint64
 
+	// hdr describes payload on every tier (an eager message's is the
+	// uncompressed form: sizes and the payload checksum).
 	payload []byte
 	hdr     core.Header
-	// crc protects eager payloads (rendezvous payloads carry their
-	// checksum in hdr).
-	crc uint32
 
 	// deliveryErr marks a message whose transport gave up (wrapped
 	// ErrDeliveryFailed). The envelope still flows through matching so
@@ -260,191 +259,6 @@ func (m *mailbox) failedFor(postSrc int) (int, srcFail, bool) {
 	return best, m.failedSrcs[best], true
 }
 
-// controlArrival computes the arrival of a small control packet (RTS/CTS)
-// under the fault model: dropped packets are discovered by the sender's
-// retransmission timeout and resent after exponential backoff on the
-// virtual clock, up to the retry budget. With no injector this is exactly
-// one ControlMessage. src/dst identify the *message* (sender rank,
-// receiver rank) regardless of which direction the packet travels.
-func (w *World) controlArrival(kind faults.Kind, src, dst int, seq uint64, fromNode, toNode int, ready simtime.Time) (simtime.Time, error) {
-	limit := w.retry.limit()
-	for attempt := 0; ; attempt++ {
-		if !w.linkLost(fromNode, toNode, ready) && !w.inj.ShouldDrop(kind, src, dst, seq, attempt) {
-			return w.fabric.ControlMessage(fromNode, toNode, ready), nil
-		}
-		if attempt >= limit {
-			return ready, fmt.Errorf("mpi: %v %d->%d seq %d lost after %d attempts: %w",
-				kind, src, dst, seq, attempt+1, ErrDeliveryFailed)
-		}
-		ready = ready.Add(w.retry.delay(attempt))
-	}
-}
-
-// linkLost asks the fabric whether the inter-node link refuses an attempt
-// at instant `ready`. A refused attempt is exactly a wire drop: the sender
-// discovers it by timeout and retries after backoff, so the exponential
-// schedule rides out a deterministic outage or flap window instead of
-// deadlocking on it. Gated so fault-free worlds never make the call.
-func (w *World) linkLost(fromNode, toNode int, ready simtime.Time) bool {
-	return w.linkFaults && w.fabric.LinkLost(fromNode, toNode, ready)
-}
-
-// deliverPayload simulates the bounded-retry transfer of one wire payload:
-// attempts may be dropped (discovered by the sender's timeout) or
-// corrupted (detected by the receiver's checksum pass and NACKed); each
-// retransmission backs off exponentially on the virtual clock. It returns
-// the delivered bytes and the arrival of the final attempt, or a wrapped
-// ErrDeliveryFailed once the retry budget is spent. With no injector this
-// is exactly one fabric Transfer.
-//
-//simlint:nocharge the verification pass is costed on the arrival timestamp (ThroughputTime below), not the rank clock
-func (w *World) deliverPayload(kind faults.Kind, src, dst int, seq uint64, srcNode, dstNode int, ready simtime.Time, payload []byte, crc uint32) ([]byte, simtime.Time, error) {
-	limit := w.retry.limit()
-	for attempt := 0; ; attempt++ {
-		if w.linkLost(srcNode, dstNode, ready) || w.inj.ShouldDrop(kind, src, dst, seq, attempt) {
-			if attempt >= limit {
-				return nil, ready, fmt.Errorf("mpi: %v %d->%d seq %d lost after %d attempts: %w",
-					kind, src, dst, seq, attempt+1, ErrDeliveryFailed)
-			}
-			ready = ready.Add(w.retry.delay(attempt))
-			continue
-		}
-		wire, corrupted := w.inj.Corrupt(payload, src, dst, seq, attempt)
-		arrival := w.fabric.Transfer(srcNode, dstNode, ready, len(wire))
-		if !corrupted || core.Checksum(wire) == crc {
-			// Intact — or an undetectable checksum collision, which is
-			// exactly how a real CRC fails; the garbage then surfaces (or
-			// not) from the decoder, never as a hang.
-			return wire, arrival, nil
-		}
-		// The receiver's verification pass detects the corruption and
-		// NACKs; the sender retransmits after backoff.
-		verified := arrival.Add(simtime.ThroughputTime(len(wire), w.cluster.GPU.MemBWGBps*8))
-		if attempt >= limit {
-			return nil, verified, fmt.Errorf("mpi: %v %d->%d seq %d corrupted after %d attempts: %w",
-				kind, src, dst, seq, attempt+1, ErrDeliveryFailed)
-		}
-		nack := w.fabric.ControlMessage(dstNode, srcNode, verified)
-		ready = simtime.Max(ready, nack.Add(w.retry.delay(attempt)))
-	}
-}
-
-// deliverData is deliverPayload for the rendezvous data stage, where the
-// payload travels with a full compression header. On top of the wire
-// fault model it injects codec-stage corruption (compressed payloads
-// only) and drives the sender's per-peer circuit breaker: every corrupted
-// compressed attempt records a failure, every delivered one a success,
-// and when the breaker opens mid-retry the remaining attempts switch to
-// the uncompressed wire form via fb — so even the message whose failures
-// tripped the breaker completes within its retry budget. The possibly
-// swapped header is returned for the receiver to decode with.
-//
-//simlint:nocharge the verification pass is costed on the arrival timestamp (ThroughputTime below), not the rank clock
-func (w *World) deliverData(src, dst int, seq uint64, srcNode, dstNode int, ready simtime.Time, payload []byte, hdr core.Header, fb wireFallback) ([]byte, core.Header, simtime.Time, error) {
-	eng := w.ranks[src].Engine
-	limit := w.retry.limit()
-	for attempt := 0; ; attempt++ {
-		if w.linkLost(srcNode, dstNode, ready) || w.inj.ShouldDrop(faults.KindData, src, dst, seq, attempt) {
-			if attempt >= limit {
-				return nil, hdr, ready, fmt.Errorf("mpi: %v %d->%d seq %d lost after %d attempts: %w",
-					faults.KindData, src, dst, seq, attempt+1, ErrDeliveryFailed)
-			}
-			ready = ready.Add(w.retry.delay(attempt))
-			continue
-		}
-		wire, corrupted := w.inj.Corrupt(payload, src, dst, seq, attempt)
-		if !corrupted && hdr.Compressed {
-			// The codec fault path only ever touches compressed payloads:
-			// a flaky compression engine cannot corrupt bytes it never
-			// processes, which is exactly why breaker fallback works.
-			wire, corrupted = w.inj.CorruptCodec(wire, src, dst, seq, attempt, ready)
-		}
-		arrival := w.fabric.Transfer(srcNode, dstNode, ready, len(wire))
-		if !corrupted || core.Checksum(wire) == hdr.Checksum {
-			if hdr.Compressed {
-				eng.BreakerSuccess(dst)
-			}
-			return wire, hdr, arrival, nil
-		}
-		// The receiver's verification pass detects the corruption and
-		// NACKs; the sender retransmits after backoff.
-		verified := arrival.Add(simtime.ThroughputTime(len(wire), w.cluster.GPU.MemBWGBps*8))
-		if hdr.Compressed {
-			eng.BreakerFailure(dst, verified)
-		}
-		if attempt >= limit {
-			return nil, hdr, verified, fmt.Errorf("mpi: %v %d->%d seq %d corrupted after %d attempts: %w",
-				faults.KindData, src, dst, seq, attempt+1, ErrDeliveryFailed)
-		}
-		nack := w.fabric.ControlMessage(dstNode, srcNode, verified)
-		ready = simtime.Max(ready, nack.Add(w.retry.delay(attempt)))
-		if fb != nil && hdr.Compressed && eng.BreakerOpen(dst, ready) {
-			// The breaker just opened on this pair: degrade the in-flight
-			// message to its uncompressed form for the remaining attempts.
-			var cost simtime.Duration
-			payload, hdr, cost = fb(ready)
-			ready = ready.Add(cost)
-			fb = nil
-		}
-	}
-}
-
-// completeMatch performs the rendezvous protocol's receiver-side steps
-// (Figure 4, steps 4-5): record the match, stage the temporary device
-// buffer for the compressed payload, send the CTS, and compute the data
-// transfer over the fabric. Eager envelopes need no work.
-func completeMatch(p *recvPost, env *envelope) {
-	if env.eager {
-		return
-	}
-	if env.pipelined {
-		completePipelinedMatch(p, env)
-		return
-	}
-	r := p.rank
-	w := r.world
-	// The receive proceeds once both the RTS has arrived and the receive
-	// is posted (asynchronous progress-thread semantics).
-	match := simtime.Max(p.postTime, env.rtsArrival)
-	if env.deliveryErr != nil {
-		// The RTS never made it; rtsArrival is the sender's give-up
-		// instant and both sides observe the failure from there.
-		env.matchTime = match
-		env.dataArrival = match
-		env.senderDone <- sendOutcome{t: match, err: env.deliveryErr}
-		return
-	}
-	// Stage the receive buffer before clearing the sender to send.
-	stageClk := simtime.NewClock(match)
-	env.staged = r.Engine.StageRecv(stageClk, env.hdr)
-	env.matchTime = stageClk.Now()
-	srcNode := w.nodeOf(env.src)
-	dstNode := w.nodeOf(r.id)
-	cts, err := w.controlArrival(faults.KindCTS, env.src, r.id, env.seq, dstNode, srcNode, env.matchTime)
-	if err != nil {
-		env.deliveryErr = err
-		env.dataArrival = cts
-		env.senderDone <- sendOutcome{t: cts, err: err}
-		return
-	}
-	// The RDMA transfer is posted by the sender's HCA when the CTS
-	// arrives; the sender's CPU is not involved.
-	ready := simtime.Max(env.sendPost, cts)
-	wire, hdr, arrival, err := w.deliverData(env.src, r.id, env.seq,
-		srcNode, dstNode, ready, env.payload, env.hdr, env.fb)
-	if err != nil {
-		env.deliveryErr = err
-		env.dataArrival = arrival
-		env.senderDone <- sendOutcome{t: arrival, err: err}
-		return
-	}
-	env.payload = wire
-	env.hdr = hdr
-	env.dataArrival = arrival
-	w.tracer.Add(fmt.Sprintf("net %d->%d", env.src, r.id), "transfer", ready, env.dataArrival)
-	env.senderDone <- sendOutcome{t: env.dataArrival}
-}
-
 // Request is a handle for a nonblocking operation, completed by Wait.
 type Request struct {
 	rank *Rank
@@ -458,7 +272,7 @@ type Request struct {
 	isSend bool
 	env    *envelope
 
-	// receive side
+	// receive side (buf is nil for a raw receive)
 	buf   *gpusim.Buffer
 	post  *recvPost
 	early *envelope // match found at post time
@@ -466,15 +280,20 @@ type Request struct {
 	// packed words scatter into the layout's positions in buf instead of
 	// filling it contiguously.
 	typ dtype.Type
-	// raw receive (collective relay path)
-	wantRaw bool
-	raw     rawResult
+	// raw receive (collective relay path): a receive with no buf captures
+	// the verified wire payload here instead of decoding it.
+	raw rawResult
 }
 
 // Send transmits buf to rank dst with the given tag, blocking until the
 // local buffer is reusable (rendezvous: transfer drained).
 func (r *Rank) Send(dst, tag int, buf *gpusim.Buffer) error {
-	req, err := r.Isend(dst, tag, buf)
+	return r.await(r.Isend(dst, tag, buf))
+}
+
+// await completes an operation that was just started: every blocking form
+// is its nonblocking one plus Wait.
+func (r *Rank) await(req *Request, err error) error {
 	if err != nil {
 		return err
 	}
@@ -484,11 +303,7 @@ func (r *Rank) Send(dst, tag int, buf *gpusim.Buffer) error {
 // Recv receives into buf from rank src (or AnySource) with the given tag
 // (or AnyTag), blocking until the message content is available in buf.
 func (r *Rank) Recv(src, tag int, buf *gpusim.Buffer) error {
-	req, err := r.Irecv(src, tag, buf)
-	if err != nil {
-		return err
-	}
-	return r.Wait(req)
+	return r.await(r.Irecv(src, tag, buf))
 }
 
 // Isend starts a nonblocking send. Compression (when eligible) happens
@@ -499,6 +314,9 @@ func (r *Rank) Recv(src, tag int, buf *gpusim.Buffer) error {
 func (r *Rank) Isend(dst, tag int, buf *gpusim.Buffer) (*Request, error) {
 	if tag < 0 {
 		return nil, fmt.Errorf("mpi: user tags must be non-negative (got %d)", tag)
+	}
+	if buf == nil {
+		return nil, fmt.Errorf("mpi: send to rank %d: nil buffer", dst)
 	}
 	return r.isend(dst, tag, buf, nil)
 }
@@ -536,12 +354,12 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, 
 				return nil, fmt.Errorf("mpi: typed send to rank %d: %w", dst, err)
 			}
 		}
-		crc := r.Engine.ChecksumWire(r.Clock, payload)
-		wire, arrival, err := w.deliverPayload(faults.KindEager, r.id, dst, seq,
-			r.Node(), w.nodeOf(dst), r.Clock.Now(), payload, crc)
+		hdr := core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total,
+			Checksum: r.Engine.ChecksumWire(r.Clock, payload)}
+		out, err := w.transmit(w.messageEvent(faults.KindEager, r.id, dst, seq), r.Clock.Now(), payload, hdr)
 		env := &envelope{
 			src: r.id, dst: dst, tag: tag, eager: true, seq: seq,
-			payload: wire, crc: crc, arrival: arrival, deliveryErr: err,
+			payload: out.wire, hdr: hdr, arrival: out.arrival, deliveryErr: err,
 		}
 		// The sender's CPU returns as soon as the message is injected;
 		// a delivery failure surfaces from Wait, as MPI semantics demand.
@@ -551,19 +369,21 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, 
 	}
 
 	if r.pipelineEligible(dst, total) {
-		req := r.isendPipelined(dst, tag, buf, t, total, seq)
-		r.trackInflight(req)
-		return req, nil
+		// The RTS goes out first — the receiver can match, stage, and return
+		// the CTS while the sender is still compressing chunks.
+		env := r.rendezvous(dst, tag, seq, core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total}, true)
+		r.compressChunks(env, buf, t, total)
+		return r.startSend(env), nil
 	}
 
-	// Rendezvous: compress (steps 1-3; a layout's gather rides the codec's
-	// read pass), then RTS with the piggybacked header (step 4). The engine
-	// sees the destination link's bandwidth so the dynamic-selection
-	// extension can gate per message. An open codec circuit breaker for
-	// this destination overrides compression entirely: the payload goes
-	// uncompressed with the Fallback bit set on the RTS header (the
-	// degradation negotiation), skipping the codec whose failures tripped
-	// the breaker.
+	// Whole-message rendezvous: compress (steps 1-3; a layout's gather rides
+	// the codec's read pass), then RTS with the piggybacked header (step 4).
+	// The engine sees the destination link's bandwidth so the
+	// dynamic-selection extension can gate per message. An open codec circuit
+	// breaker for this destination overrides compression entirely: the
+	// payload goes uncompressed with the Fallback bit set on the RTS header
+	// (the degradation negotiation), skipping the codec whose failures
+	// tripped the breaker.
 	var payload []byte
 	var hdr core.Header
 	var fb wireFallback
@@ -599,22 +419,43 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, 
 			r.Engine.BreakerProbeAborted(dst)
 		}
 	}
-	rtsArrival, rtsErr := w.controlArrival(faults.KindRTS, r.id, dst, seq,
-		r.Node(), w.nodeOf(dst), r.Clock.Now())
+	env := r.rendezvous(dst, tag, seq, hdr, false)
+	env.payload, env.fb = payload, fb
+	return r.startSend(env), nil
+}
+
+// rendezvous issues the RTS of a rendezvous-class message and builds its
+// envelope with everything the tiers share; stream adds a chunk stream's
+// lane ticket and completion gate. What differs by tier is how the payload
+// or chunk list is produced and *when* this is called: before chunk
+// compression on the pipelined tier, after compression on the
+// whole-message tier (the header rides the RTS).
+func (r *Rank) rendezvous(dst, tag int, seq uint64, hdr core.Header, stream bool) *envelope {
+	w := r.world
+	rts, err := w.transmit(w.messageEvent(faults.KindRTS, r.id, dst, seq), r.Clock.Now(), nil, core.Header{})
 	env := &envelope{
 		src: r.id, dst: dst, tag: tag, seq: seq,
-		payload:     payload,
 		hdr:         hdr,
-		rtsArrival:  rtsArrival,
+		rtsArrival:  rts.arrival,
 		sendPost:    r.Clock.Now(),
 		senderDone:  make(chan sendOutcome, 1),
-		deliveryErr: rtsErr,
-		fb:          fb,
+		deliveryErr: err,
 	}
+	if stream {
+		env.pipelined = true
+		env.ticket = r.pipeTx[dst].issue()
+		env.done = make(chan struct{})
+	}
+	return env
+}
+
+// startSend tracks a rendezvous-class send and hands its envelope to the
+// destination's mailbox.
+func (r *Rank) startSend(env *envelope) *Request {
 	req := &Request{rank: r, isSend: true, env: env}
 	r.trackInflight(req)
-	dstRank.box.deliver(env)
-	return req, nil
+	r.world.ranks[env.dst].box.deliver(env)
+	return req
 }
 
 // Irecv starts a nonblocking receive into buf. The tag must be
@@ -623,11 +464,16 @@ func (r *Rank) Irecv(src, tag int, buf *gpusim.Buffer) (*Request, error) {
 	if tag < 0 && tag != AnyTag {
 		return nil, fmt.Errorf("mpi: user tags must be non-negative or AnyTag (got %d)", tag)
 	}
+	if buf == nil {
+		return nil, fmt.Errorf("mpi: receive from rank %d: nil buffer", src)
+	}
 	return r.irecv(src, tag, buf)
 }
 
-// irecv is Irecv without tag validation, shared with the collectives'
-// internal tag namespace.
+// irecv is Irecv without its boundary validation, shared with the
+// collectives' internal tag namespace. A nil buf posts a raw receive: Wait
+// captures the verified wire payload in req.raw instead of decoding it
+// (the relay collectives' receive, see isendPayload).
 func (r *Rank) irecv(src, tag int, buf *gpusim.Buffer) (*Request, error) {
 	if src != AnySource {
 		if err := r.checkPeer(src); err != nil {
@@ -647,20 +493,12 @@ func (r *Rank) irecv(src, tag int, buf *gpusim.Buffer) (*Request, error) {
 
 // send is the internal-tag blocking send.
 func (r *Rank) send(dst, tag int, buf *gpusim.Buffer) error {
-	req, err := r.isend(dst, tag, buf, nil)
-	if err != nil {
-		return err
-	}
-	return r.Wait(req)
+	return r.await(r.isend(dst, tag, buf, nil))
 }
 
 // recv is the internal-tag blocking receive.
 func (r *Rank) recv(src, tag int, buf *gpusim.Buffer) error {
-	req, err := r.irecv(src, tag, buf)
-	if err != nil {
-		return err
-	}
-	return r.Wait(req)
+	return r.await(r.irecv(src, tag, buf))
 }
 
 // sendrecv is the internal-tag simultaneous exchange.
@@ -701,74 +539,142 @@ func (r *Rank) Wait(req *Request) error {
 		r.det.noteOutcome(req.env.dst, r.Clock.Now(), req.err)
 		return out.err
 	}
-	if req.wantRaw {
-		req.err = r.waitRecvRaw(req)
-	} else {
-		req.err = r.waitRecv(req)
-	}
+	req.err = r.waitRecv(req)
 	r.det.noteOutcome(req.post.src, r.Clock.Now(), req.err)
 	return req.err
 }
 
+// waitRecv is the one receive completion. The tiers differ in how the
+// clock follows the message and in how the bytes are assembled; everything
+// else — delivery error, capacity, fallback note, staging copy, end-to-end
+// verification before any decoder sees the bytes, decode or raw capture —
+// is one sequence, and whatever staging the envelope still holds at the
+// end goes back to the pool on the one exit.
 func (r *Rank) waitRecv(req *Request) error {
 	env := req.early
 	if env == nil {
 		env = <-req.post.matched
 	}
-	if env.eager {
+	if env.pipelined {
+		// The match completion may still be parked on the sender's
+		// pipeLane; the close publishes the filled timeline
+		// (happens-before the reads below).
+		<-env.done
+	}
+	defer r.releaseStaging(env)
+	switch {
+	case env.eager:
 		r.Clock.AdvanceTo(env.arrival)
 		r.Clock.Advance(simtime.FromMicroseconds(0.5)) // unpack
+	case env.pipelined:
+		// Chunks are consumed as they land; a failed stream is observed at
+		// its bounded give-up instant.
+		r.Clock.AdvanceTo(env.matchTime)
 		if env.deliveryErr != nil {
-			return env.deliveryErr
+			r.Clock.AdvanceTo(env.dataArrival)
 		}
-		if len(env.payload) > r.recvCapacity(req) {
-			return fmt.Errorf("mpi: message of %d bytes truncated into %d-byte buffer", len(env.payload), r.recvCapacity(req))
-		}
-		// End-to-end integrity: verify the eager payload before unpacking.
-		if err := r.Engine.VerifyPayload(r.Clock, core.Header{Checksum: env.crc}, env.payload); err != nil {
-			return fmt.Errorf("mpi: eager message from rank %d: %w", env.src, err)
-		}
-		if req.typ != nil {
-			scatterPrefix(req.buf.Data, env.payload, req.typ)
-		} else {
-			copy(req.buf.Data, env.payload)
-		}
-		req.buf.MarkDirty()
-		return nil
+	default:
+		// The payload lands in the staged device buffer once the transfer
+		// completes (step 5).
+		r.Clock.AdvanceTo(simtime.Max(env.matchTime, env.dataArrival))
 	}
-	if env.pipelined {
-		return r.waitRecvPipelined(req, env)
-	}
-	// Rendezvous: the payload lands in the staged device buffer once the
-	// transfer completes (step 5), then the decompression kernel
-	// restores it into the user buffer (steps 6-7).
-	r.Clock.AdvanceTo(simtime.Max(env.matchTime, env.dataArrival))
 	if env.deliveryErr != nil {
-		r.Engine.ReleaseRecv(r.Clock, env.staged)
 		return env.deliveryErr
 	}
-	if env.hdr.OrigBytes > r.recvCapacity(req) {
-		r.Engine.ReleaseRecv(r.Clock, env.staged)
+	if req.buf != nil && env.hdr.OrigBytes > r.recvCapacity(req) {
 		return fmt.Errorf("mpi: message of %d bytes truncated into %d-byte buffer", env.hdr.OrigBytes, r.recvCapacity(req))
+	}
+	payload := env.payload
+	if env.pipelined {
+		// Chunks drain in (arrival, index) order — out-of-order completions
+		// reassemble deterministically — each validated against the control
+		// header it traveled with. A relay segment is placed at its offset
+		// in the wire payload, which is then handled whole below; a
+		// compression chunk is verified and decoded at its packed offset
+		// while later chunks are still on the wire.
+		if env.relayChunks {
+			payload = make([]byte, env.hdr.CompBytes)
+		}
+		fallback := false
+		for _, i := range chunkOrder(env.chunks) {
+			c := &env.chunks[i]
+			r.Clock.AdvanceTo(c.arrival)
+			ch, err := core.DecodeChunkHeader(c.ctrl)
+			if err != nil {
+				return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
+			}
+			if ch.Relay != env.relayChunks || ch.Index != i || ch.Offset != c.off || ch.OrigBytes != c.origBytes ||
+				ch.WireBytes != len(c.payload) || env.relayChunks && ch.Offset+ch.WireBytes > len(payload) {
+				return fmt.Errorf("mpi: chunk %d from rank %d: control header mismatch", i, env.src)
+			}
+			if env.relayChunks {
+				copy(payload[ch.Offset:], c.payload)
+				continue
+			}
+			fallback = fallback || c.hdr.Fallback
+			if err := r.Engine.VerifyPayload(r.Clock, c.hdr, c.payload); err != nil {
+				return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
+			}
+			if err := r.Engine.DecompressChunk(r.Clock, c.hdr, c.payload, req.buf, req.typ, ch.Offset); err != nil {
+				return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
+			}
+		}
+		if !env.relayChunks {
+			if fallback {
+				r.Engine.NoteFallbackRecv()
+			}
+			return nil
+		}
 	}
 	if env.hdr.Fallback {
 		r.Engine.NoteFallbackRecv()
 	}
 	if env.staged != nil {
-		copy(env.staged.Data, env.payload)
+		copy(env.staged.Data, payload)
 	}
 	// End-to-end integrity: verify the wire payload against the header
-	// checksum before handing it to the decoder.
-	if err := r.Engine.VerifyPayload(r.Clock, env.hdr, env.payload); err != nil {
-		r.Engine.ReleaseRecv(r.Clock, env.staged)
+	// checksum before it reaches a decoder or is relayed onward — a relay
+	// chain then detects corruption at the hop where it happened.
+	if err := r.Engine.VerifyPayload(r.Clock, env.hdr, payload); err != nil {
 		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
 	}
-	if err := r.Engine.DecompressChunk(r.Clock, env.hdr, env.payload, req.buf, req.typ, 0); err != nil {
-		r.Engine.ReleaseRecv(r.Clock, env.staged)
-		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
+	switch {
+	case req.buf == nil:
+		// Raw: capture for forwarding. The staging buffer parks on the
+		// rank until consumeRaw, so it is no longer the envelope's to
+		// release.
+		req.raw = rawResult{payload: payload, hdr: env.hdr, staged: env.staged}
+		r.noteRawStaged(env.staged)
+		env.staged = nil
+	case env.eager:
+		if req.typ != nil {
+			scatterPrefix(req.buf.Data, payload, req.typ)
+		} else {
+			copy(req.buf.Data, payload)
+		}
+		req.buf.MarkDirty()
+	default:
+		// The decompression kernel restores the payload into the user
+		// buffer (steps 6-7).
+		if err := r.Engine.DecompressChunk(r.Clock, env.hdr, payload, req.buf, req.typ, 0); err != nil {
+			return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
+		}
 	}
-	r.Engine.ReleaseRecv(r.Clock, env.staged)
 	return nil
+}
+
+// releaseStaging hands back whatever receive staging an envelope still
+// holds, at this rank's clock: waitRecv's one exit, and the reap of
+// requests an aborted collective abandoned.
+func (r *Rank) releaseStaging(env *envelope) {
+	for _, b := range env.stagedChunks {
+		r.Engine.ReleaseRecv(r.Clock, b)
+	}
+	env.stagedChunks = nil
+	if env.staged != nil {
+		r.Engine.ReleaseRecv(r.Clock, env.staged)
+		env.staged = nil
+	}
 }
 
 // recvCapacity is the number of packed bytes a receive can absorb: the
@@ -830,13 +736,16 @@ func (r *Rank) Sendrecv(dst, sendTag int, sendBuf *gpusim.Buffer, src, recvTag i
 // full decompress + recompress at every hop if they used plain Send/Recv.
 // The framework's header makes this unnecessary: a rank can forward the
 // compressed payload it received, and every consumer decompresses exactly
-// once. isendPayload and irecvRaw expose the rendezvous path at that
-// level; they are internal to the collectives.
+// once. isendPayload and a raw receive (irecv with no buffer) expose the
+// rendezvous path at that level; they are internal to the collectives.
 
 // isendPayload starts a rendezvous send of an already-prepared payload
 // with its compression header (no engine work on this rank). The header's
 // checksum travels with the payload, so integrity holds hop by hop across
-// a relay chain.
+// a relay chain. Large relayed payloads ride the chunk-granular
+// reliability path: segmented with per-chunk CRCs, selectively
+// retransmitted, and credit-windowed exactly like a pipelined compression
+// stream, then reassembled and decoded against the message's own header.
 func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header) (*Request, error) {
 	if err := r.checkPeer(dst); err != nil {
 		return nil, err
@@ -844,35 +753,32 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header) (*Req
 	if err := r.checkHealth(); err != nil {
 		return nil, err
 	}
-	w := r.world
 	seq := r.nextSeq(dst)
 	r.Engine.NoteRelay(len(payload))
 	r.Clock.Advance(simtime.FromMicroseconds(0.3))
-	if r.pipelineEligible(dst, len(payload)) {
-		// Large relayed payloads ride the chunk-granular reliability path:
-		// segmented with per-chunk CRCs, selectively retransmitted, and
-		// credit-windowed exactly like a pipelined compression stream.
-		req, perr := r.isendPayloadChunked(dst, tag, payload, hdr, seq)
-		if perr == nil {
-			r.trackInflight(req)
+	if !r.pipelineEligible(dst, len(payload)) {
+		env := r.rendezvous(dst, tag, seq, hdr, false)
+		env.payload = payload
+		return r.startSend(env), nil
+	}
+	// One checksum pass over the payload pays for stamping the
+	// per-segment CRCs (the bytes are scanned once either way).
+	r.Engine.ChecksumWire(r.Clock, payload)
+	env := r.rendezvous(dst, tag, seq, hdr, true)
+	env.relayChunks = true
+	chunkBytes := r.Engine.Config().PipelineChunkBytes
+	for off := 0; off < len(payload); off += chunkBytes {
+		n := chunkBytes
+		if off+n > len(payload) {
+			n = len(payload) - off
 		}
-		return req, perr
+		seg := payload[off : off+n]
+		env.addChunk(r.Clock.Now(), seg, core.Header{Compressed: hdr.Compressed}, core.ChunkHeader{
+			Offset: off, OrigBytes: n, Checksum: core.Checksum(seg), Relay: true, Last: off+n == len(payload),
+		})
 	}
-	rtsArrival, rtsErr := w.controlArrival(faults.KindRTS, r.id, dst, seq,
-		r.Node(), w.nodeOf(dst), r.Clock.Now())
-	env := &envelope{
-		src: r.id, dst: dst, tag: tag, seq: seq,
-		payload:     payload,
-		hdr:         hdr,
-		rtsArrival:  rtsArrival,
-		sendPost:    r.Clock.Now(),
-		senderDone:  make(chan sendOutcome, 1),
-		deliveryErr: rtsErr,
-	}
-	req := &Request{rank: r, isSend: true, env: env}
-	r.trackInflight(req)
-	w.ranks[dst].box.deliver(env)
-	return req, nil
+	r.Engine.NotePipeRelayChunks(len(env.chunks))
+	return r.startSend(env), nil
 }
 
 // rawResult is what a raw receive yields: the wire payload, its header,
@@ -883,76 +789,11 @@ type rawResult struct {
 	staged  *gpusim.Buffer
 }
 
-// irecvRaw posts a receive whose Wait captures the raw payload instead of
-// decompressing into a user buffer. The result appears in req.raw.
-func (r *Rank) irecvRaw(src, tag int) (*Request, error) {
-	if src != AnySource {
-		if err := r.checkPeer(src); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.checkHealth(); err != nil {
-		return nil, err
-	}
-	p := &recvPost{src: src, tag: tag, postTime: r.Clock.Now(), matched: make(chan *envelope, 1), rank: r}
-	req := &Request{rank: r, post: p, wantRaw: true}
-	r.trackInflight(req)
-	req.early = r.box.post(p)
-	r.Clock.Advance(simtime.FromMicroseconds(0.3))
-	return req, nil
-}
-
-// waitRecvRaw completes a raw receive: the clock advances to payload
-// arrival and the payload is verified, but no decompression happens.
-func (r *Rank) waitRecvRaw(req *Request) error {
-	env := req.early
-	if env == nil {
-		env = <-req.post.matched
-	}
-	if env.eager {
-		r.Clock.AdvanceTo(env.arrival)
-		r.Clock.Advance(simtime.FromMicroseconds(0.5))
-		if env.deliveryErr != nil {
-			return env.deliveryErr
-		}
-		if err := r.Engine.VerifyPayload(r.Clock, core.Header{Checksum: env.crc}, env.payload); err != nil {
-			return fmt.Errorf("mpi: eager message from rank %d: %w", env.src, err)
-		}
-		req.raw = rawResult{
-			payload: env.payload,
-			hdr:     core.Header{Algo: core.AlgoNone, OrigBytes: len(env.payload), CompBytes: len(env.payload), Checksum: env.crc},
-		}
-		return nil
-	}
-	if env.pipelined {
-		return r.waitRecvRawChunked(req, env)
-	}
-	r.Clock.AdvanceTo(simtime.Max(env.matchTime, env.dataArrival))
-	if env.deliveryErr != nil {
-		r.Engine.ReleaseRecv(r.Clock, env.staged)
-		return env.deliveryErr
-	}
-	if env.hdr.Fallback {
-		r.Engine.NoteFallbackRecv()
-	}
-	if env.staged != nil {
-		copy(env.staged.Data, env.payload)
-	}
-	// Verify before the payload is relayed onward: a relay chain then
-	// detects corruption at the hop where it happened.
-	if err := r.Engine.VerifyPayload(r.Clock, env.hdr, env.payload); err != nil {
-		r.Engine.ReleaseRecv(r.Clock, env.staged)
-		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
-	}
-	req.raw = rawResult{payload: env.payload, hdr: env.hdr, staged: env.staged}
-	r.noteRawStaged(env.staged)
-	return nil
-}
-
 // noteRawStaged / dropRawStaged bracket the window where a completed raw
 // receive's staging buffer is parked on the request: between Wait and
 // consumeRaw an abort would otherwise leak the slot, so the reap
-// (reapInflight) and the self-heal drain release whatever is still noted.
+// (reapInflight) and the self-heal drain release whatever is still noted
+// (releaseRawStaged).
 func (r *Rank) noteRawStaged(b *gpusim.Buffer) {
 	if b != nil {
 		r.rawStaged = append(r.rawStaged, b)
@@ -966,4 +807,11 @@ func (r *Rank) dropRawStaged(b *gpusim.Buffer) {
 			return
 		}
 	}
+}
+
+func (r *Rank) releaseRawStaged() {
+	for _, b := range r.rawStaged {
+		r.Engine.ReleaseRecv(r.Clock, b)
+	}
+	r.rawStaged = nil
 }

@@ -12,11 +12,17 @@ import (
 	"mpicomp/internal/simtime"
 )
 
-// Pipelined rendezvous (extension). MVAPICH2-GDR moves large GPU messages
-// through a chunk pipeline; composing that with on-the-fly compression
-// lets chunk k's network transfer overlap chunk k+1's compression kernel
-// on the sender and chunk k-1's decompression on the receiver. The
-// whole-message path of the paper's Figure 4 serializes
+// The wire under every tier: what happens to a message between the
+// mailbox match and the receiver's Wait. One bounded-retry loop (transmit)
+// carries every packet and payload — RTS, CTS, eager message, whole
+// rendezvous payload, chunk — and one match completion (runMatch) resolves
+// a rendezvous-class message's timeline, whole or chunked.
+//
+// The chunked tier is the pipelined rendezvous (extension). MVAPICH2-GDR
+// moves large GPU messages through a chunk pipeline; composing that with
+// on-the-fly compression lets chunk k's network transfer overlap chunk
+// k+1's compression kernel on the sender and chunk k-1's decompression on
+// the receiver. The whole-message path of the paper's Figure 4 serializes
 // compress -> transfer -> decompress; the pipeline's end-to-end time
 // approaches max(compress, transfer, decompress) plus a fill term.
 //
@@ -34,8 +40,9 @@ import (
 // chunkPart is one pipeline stage's payload.
 type chunkPart struct {
 	payload []byte
-	// hdr is the chunk's compression header (zero for relay segments,
-	// which decode against the message's own header after reassembly).
+	// hdr is the chunk's compression header (a relay segment decodes
+	// against the message's own header after reassembly; only Compressed
+	// is set on its).
 	hdr core.Header
 	// ctrl is the encoded core.ChunkHeader the chunk travels with; the
 	// receiver decodes and validates it before placing the chunk.
@@ -181,38 +188,21 @@ func (r *Rank) pipelineEligible(dst, n int) bool {
 	return true
 }
 
-// isendPipelined starts a chunked rendezvous send of the total packed
-// bytes t selects from buf (of buf itself when t is nil): the packed
-// stream is cut into PipelineChunkBytes-sized spans, compressed in order
-// on the caller's clock — a layout's span gathered and compressed in one
-// fused pass at its packed offset — each becoming ready for transfer as
-// its kernel completes. Chunk control headers describe packed offsets, so
-// the receiver places each chunk without seeing the others. An open codec
-// circuit breaker for dst degrades every chunk to its uncompressed form
-// (Fallback set), exactly as on the whole-message path.
-func (r *Rank) isendPipelined(dst, tag int, buf *gpusim.Buffer, t dtype.Type, total int, seq uint64) *Request {
-	w := r.world
+// compressChunks builds a pipelined send's chunk list: the packed stream
+// of the total bytes t selects from buf (of buf itself when t is nil) is
+// cut into PipelineChunkBytes-sized spans, compressed in order on the
+// caller's clock — a layout's span gathered and compressed in one fused
+// pass at its packed offset — each becoming ready for transfer as its
+// kernel completes. Chunk control headers describe packed offsets, so the
+// receiver places each chunk without seeing the others. An open codec
+// circuit breaker for the destination degrades every chunk to its
+// uncompressed form (Fallback set), exactly as on the whole-message path.
+func (r *Rank) compressChunks(env *envelope, buf *gpusim.Buffer, t dtype.Type, total int) {
 	chunkBytes := r.Engine.Config().PipelineChunkBytes
-	link := w.fabric.LinkFor(r.Node(), w.nodeOf(dst))
-
-	// The RTS goes out first — the receiver can match, stage, and
-	// return the CTS while the sender is still compressing chunks.
-	rtsArrival, rtsErr := w.controlArrival(faults.KindRTS, r.id, dst, seq,
-		r.Node(), w.nodeOf(dst), r.Clock.Now())
-	env := &envelope{
-		src: r.id, dst: dst, tag: tag, seq: seq,
-		rtsArrival:  rtsArrival,
-		sendPost:    r.Clock.Now(),
-		senderDone:  make(chan sendOutcome, 1),
-		hdr:         core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total},
-		pipelined:   true,
-		deliveryErr: rtsErr,
-		ticket:      r.pipeTx[dst].issue(),
-		done:        make(chan struct{}),
-	}
+	link := r.world.fabric.LinkFor(r.Node(), r.world.nodeOf(env.dst))
 	// BreakerAllow is one cheap check while the breaker is closed; open,
 	// it degrades the whole chunk stream to the uncompressed wire form.
-	bypassAll := r.Engine.BreakerEnabled() && !r.Engine.BreakerAllow(dst, r.Clock.Now())
+	bypassAll := r.Engine.BreakerEnabled() && !r.Engine.BreakerAllow(env.dst, r.Clock.Now())
 	anyCompressed := false
 	for off := 0; off < total; off += chunkBytes {
 		n := chunkBytes
@@ -230,270 +220,334 @@ func (r *Rank) isendPipelined(dst, tag int, buf *gpusim.Buffer, t dtype.Type, to
 		} else {
 			payload, hdr = r.Engine.CompressChunkCached(r.Clock, buf, t, off, n, link.BandwidthGBps)
 		}
-		if hdr.Compressed {
-			anyCompressed = true
-		}
-		ch := core.ChunkHeader{
-			Seq: seq, Index: len(env.chunks), Offset: off,
-			OrigBytes: n, WireBytes: len(payload), Checksum: hdr.Checksum,
-			Last: off+n == total,
-		}
-		env.chunks = append(env.chunks, chunkPart{
-			payload: payload, hdr: hdr, ctrl: ch.EncodeChunk(), crc: hdr.Checksum,
-			off: off, origBytes: n, compressed: hdr.Compressed,
-			ready: r.Clock.Now(),
+		anyCompressed = anyCompressed || hdr.Compressed
+		env.addChunk(r.Clock.Now(), payload, hdr, core.ChunkHeader{
+			Offset: off, OrigBytes: n, Checksum: hdr.Checksum, Last: off+n == total,
 		})
 	}
 	if !bypassAll && !anyCompressed && r.Engine.BreakerEnabled() {
 		// The breaker allowed the stream — possibly consuming its
 		// half-open probe — but no chunk compressed, proving nothing
 		// about the codec; rearm so the next send probes again.
-		r.Engine.BreakerProbeAborted(dst)
+		r.Engine.BreakerProbeAborted(env.dst)
 	}
 	r.Engine.NotePipelinedChunks(len(env.chunks))
-	req := &Request{rank: r, isSend: true, env: env}
-	w.ranks[dst].box.deliver(env)
-	return req
 }
 
-// isendPayloadChunked is the chunked-relay send: an already-prepared wire
-// payload (a forwarded compressed message) is segmented into chunks, each
-// with its own CRC and control header, and moved under the same
-// chunk-granular reliability as a pipelined compression send. The receiver
-// reassembles the segments into the original payload before decoding it
-// against the message's own header.
-func (r *Rank) isendPayloadChunked(dst, tag int, payload []byte, hdr core.Header, seq uint64) (*Request, error) {
-	w := r.world
-	chunkBytes := r.Engine.Config().PipelineChunkBytes
-	// One checksum pass over the payload pays for stamping the
-	// per-segment CRCs (the bytes are scanned once either way).
-	r.Engine.ChecksumWire(r.Clock, payload)
-	rtsArrival, rtsErr := w.controlArrival(faults.KindRTS, r.id, dst, seq,
-		r.Node(), w.nodeOf(dst), r.Clock.Now())
-	env := &envelope{
-		src: r.id, dst: dst, tag: tag, seq: seq,
-		payload:     nil, // travels as chunks
-		hdr:         hdr,
-		rtsArrival:  rtsArrival,
-		sendPost:    r.Clock.Now(),
-		senderDone:  make(chan sendOutcome, 1),
-		pipelined:   true,
-		relayChunks: true,
-		deliveryErr: rtsErr,
-		ticket:      r.pipeTx[dst].issue(),
-		done:        make(chan struct{}),
-	}
-	for off := 0; off < len(payload); off += chunkBytes {
-		n := chunkBytes
-		if off+n > len(payload) {
-			n = len(payload) - off
-		}
-		seg := payload[off : off+n]
-		ch := core.ChunkHeader{
-			Seq: seq, Index: len(env.chunks), Offset: off,
-			OrigBytes: n, WireBytes: n, Checksum: core.Checksum(seg),
-			Relay: true, Last: off+n == len(payload),
-		}
-		env.chunks = append(env.chunks, chunkPart{
-			payload: seg, ctrl: ch.EncodeChunk(), crc: ch.Checksum,
-			off: off, origBytes: n, compressed: hdr.Compressed,
-			ready: r.Clock.Now(),
-		})
-	}
-	r.Engine.NotePipeRelayChunks(len(env.chunks))
-	req := &Request{rank: r, isSend: true, env: env}
-	w.ranks[dst].box.deliver(env)
-	return req, nil
+// addChunk appends one chunk, completing its control header with the
+// stream's identity.
+func (env *envelope) addChunk(ready simtime.Time, payload []byte, hdr core.Header, ch core.ChunkHeader) {
+	ch.Seq, ch.Index, ch.WireBytes = env.seq, len(env.chunks), len(payload)
+	env.chunks = append(env.chunks, chunkPart{
+		payload: payload, hdr: hdr, ctrl: ch.EncodeChunk(), crc: ch.Checksum,
+		off: ch.Offset, origBytes: ch.OrigBytes, compressed: hdr.Compressed,
+		ready: ready,
+	})
 }
 
-// deliverChunk simulates the bounded-retry transfer of one chunk: attempts
-// may be dropped (discovered by the sender's per-chunk retransmission
-// timeout) or corrupted (detected by the receiver's checksum pass and
-// selectively NACKed — the NACK names exactly this (seq, chunk)); each
-// retransmission backs off exponentially on the virtual clock within the
-// chunk's own budget. Chunk-specific fates apply on top: a duplicated
-// chunk burns the wire twice (the receiver discards the copy by identity),
-// a reordered one is held back to land after its successors. It returns
-// the delivered bytes, the arrival, and the retransmission count/bytes the
-// chunk consumed, or a wrapped ErrDeliveryFailed at a bounded instant once
-// the budget is spent.
+// linkLost asks the fabric whether the inter-node link refuses an attempt
+// at instant `ready`. A refused attempt is exactly a wire drop: the sender
+// discovers it by timeout and retries after backoff, so the exponential
+// schedule rides out a deterministic outage or flap window instead of
+// deadlocking on it. Gated so fault-free worlds never make the call.
+func (w *World) linkLost(fromNode, toNode int, ready simtime.Time) bool {
+	return w.linkFaults && w.fabric.LinkLost(fromNode, toNode, ready)
+}
+
+// wireEvent is one packet or payload crossing the fabric under the fault
+// model. (kind, src, dst, seq, chunk) is the identity the injector hashes —
+// src/dst are the *message's* sender and receiver rank whichever way the
+// packet travels, chunk is faults.NoChunk for a whole message — from/to are
+// the nodes in travel direction, and limit is the retransmission budget
+// (retry.limit() per whole-message stage, retry.chunkLimit() per chunk).
+// fb is set on the whole-message data stage only.
+type wireEvent struct {
+	kind     faults.Kind
+	src, dst int
+	seq      uint64
+	chunk    int
+	from, to int
+	limit    int
+	fb       wireFallback
+}
+
+// messageEvent is a whole-message event traveling sender to receiver under
+// the per-stage budget; the CTS turns it around, a chunk stream refines it.
+func (w *World) messageEvent(kind faults.Kind, src, dst int, seq uint64) wireEvent {
+	return wireEvent{
+		kind: kind, src: src, dst: dst, seq: seq, chunk: faults.NoChunk,
+		from: w.nodeOf(src), to: w.nodeOf(dst), limit: w.retry.limit(),
+	}
+}
+
+func (ev wireEvent) String() string {
+	if ev.chunk == faults.NoChunk {
+		return fmt.Sprintf("%v %d->%d seq %d", ev.kind, ev.src, ev.dst, ev.seq)
+	}
+	return fmt.Sprintf("%v %d->%d seq %d chunk %d", ev.kind, ev.src, ev.dst, ev.seq, ev.chunk)
+}
+
+// wireResult is what transmit delivers: the bytes that arrived, the header
+// to decode them with (swapped when the breaker degraded the message
+// mid-retry), the arrival of the final attempt — the give-up instant on
+// failure — and the retransmissions the event consumed.
+type wireResult struct {
+	wire            []byte
+	hdr             core.Header
+	arrival         simtime.Time
+	retransmits     int
+	retransmitBytes int64
+}
+
+// transmit is the transport's one bounded-retry loop (DESIGN.md §7): an
+// attempt may be dropped (discovered by the sender's retransmission
+// timeout) or, for a payload, corrupted (detected by the receiver's
+// checksum pass against hdr.Checksum and NACKed); each retransmission backs
+// off exponentially on the virtual clock, and a spent budget returns a
+// wrapped ErrDeliveryFailed at a bounded instant. With no injector this is
+// exactly one ControlMessage (RTS, CTS) or one fabric Transfer.
+//
+// What differs by tier is data, not code. Only compressed payloads see
+// codec-stage corruption (a flaky compression engine cannot corrupt bytes
+// it never processes, which is why breaker fallback works) and drive the
+// sender's per-peer breaker; when it opens mid-retry, a message carrying
+// fb switches to its uncompressed form for the remaining attempts, so even
+// the message whose failures tripped the breaker completes within budget.
+// Only chunks draw duplicate and reorder fates — a duplicate burns the wire
+// twice and the receiver drops the copy by (seq, chunk) identity, a
+// reordered chunk is held back to land after its successors — and have
+// their NACK cross the wire encoded, naming exactly this (seq, chunk) while
+// later chunks keep flowing.
 //
 //simlint:nocharge the verification pass is costed on the arrival timestamp (ThroughputTime below), not the rank clock
-func (w *World) deliverChunk(src, dst int, seq uint64, chunk, srcNode, dstNode int, ready simtime.Time, payload []byte, crc uint32, compressed bool) ([]byte, simtime.Time, int, int64, error) {
-	eng := w.ranks[src].Engine
-	limit := w.retry.chunkLimit()
-	retrans := 0
-	var retransBytes int64
-	dup, reorder := w.inj.ChunkFate(src, dst, seq, chunk)
+func (w *World) transmit(ev wireEvent, ready simtime.Time, payload []byte, hdr core.Header) (wireResult, error) {
+	eng := w.ranks[ev.src].Engine
+	out := wireResult{hdr: hdr}
+	dup, reorder := w.inj.ChunkFate(ev.src, ev.dst, ev.seq, ev.chunk)
 	if reorder {
 		ready = ready.Add(w.inj.Config().ReorderDelay)
 	}
 	for attempt := 0; ; attempt++ {
-		if w.linkLost(srcNode, dstNode, ready) || w.inj.ShouldDropChunk(src, dst, seq, chunk, attempt) {
-			if attempt >= limit {
-				return nil, ready, retrans, retransBytes, fmt.Errorf("mpi: %v %d->%d seq %d chunk %d lost after %d attempts: %w",
-					faults.KindChunk, src, dst, seq, chunk, attempt+1, ErrDeliveryFailed)
+		if w.linkLost(ev.from, ev.to, ready) || w.inj.ShouldDrop(ev.kind, ev.src, ev.dst, ev.seq, ev.chunk, attempt) {
+			if attempt >= ev.limit {
+				out.arrival = ready
+				return out, fmt.Errorf("mpi: %v lost after %d attempts: %w", ev, attempt+1, ErrDeliveryFailed)
 			}
 			ready = ready.Add(w.retry.delay(attempt))
-			retrans++
-			retransBytes += int64(len(payload))
+			out.retransmits++
+			out.retransmitBytes += int64(len(payload))
 			continue
 		}
-		wire, corrupted := w.inj.CorruptChunk(payload, src, dst, seq, chunk, attempt)
-		if !corrupted && compressed {
-			wire, corrupted = w.inj.CorruptCodecChunk(wire, src, dst, seq, chunk, attempt, ready)
+		if ev.kind == faults.KindRTS || ev.kind == faults.KindCTS {
+			out.arrival = w.fabric.ControlMessage(ev.from, ev.to, ready)
+			return out, nil
 		}
-		arrival := w.fabric.Transfer(srcNode, dstNode, ready, len(wire))
+		wire, corrupted := w.inj.Corrupt(payload, ev.src, ev.dst, ev.seq, ev.chunk, attempt)
+		if !corrupted && out.hdr.Compressed {
+			wire, corrupted = w.inj.CorruptCodec(wire, ev.src, ev.dst, ev.seq, ev.chunk, attempt, ready)
+		}
+		arrival := w.fabric.Transfer(ev.from, ev.to, ready, len(wire))
 		if dup && attempt == 0 {
-			// The fabric delivers the chunk twice: the copy occupies the
-			// link after the original and the receiver drops it by
-			// (seq, chunk) identity — only bandwidth is lost.
-			w.fabric.Transfer(srcNode, dstNode, arrival, len(wire))
+			w.fabric.Transfer(ev.from, ev.to, arrival, len(wire))
 		}
-		if !corrupted || core.Checksum(wire) == crc {
+		if !corrupted || core.Checksum(wire) == out.hdr.Checksum {
 			// Intact — or an undetectable checksum collision, which is
-			// exactly how a real CRC fails; the garbage then surfaces
-			// from the decoder, never as a hang.
-			if compressed {
-				eng.BreakerSuccess(dst)
+			// exactly how a real CRC fails; the garbage then surfaces (or
+			// not) from the decoder, never as a hang.
+			if out.hdr.Compressed {
+				eng.BreakerSuccess(ev.dst)
 			}
-			return wire, arrival, retrans, retransBytes, nil
+			out.wire, out.arrival = wire, arrival
+			return out, nil
 		}
-		// The receiver's verification pass detects the corruption and
-		// sends a selective NACK for exactly this chunk; the sender
-		// decodes it and retransmits after backoff while later chunks
-		// keep flowing.
 		verified := arrival.Add(simtime.ThroughputTime(len(wire), w.cluster.GPU.MemBWGBps*8))
-		if compressed {
-			eng.BreakerFailure(dst, verified)
+		if out.hdr.Compressed {
+			eng.BreakerFailure(ev.dst, verified)
 		}
-		if attempt >= limit {
-			return nil, verified, retrans, retransBytes, fmt.Errorf("mpi: %v %d->%d seq %d chunk %d corrupted after %d attempts: %w",
-				faults.KindChunk, src, dst, seq, chunk, attempt+1, ErrDeliveryFailed)
+		if attempt >= ev.limit {
+			out.arrival = verified
+			return out, fmt.Errorf("mpi: %v corrupted after %d attempts: %w", ev, attempt+1, ErrDeliveryFailed)
 		}
-		nk, err := core.DecodeChunkNack(core.ChunkNack{
-			Seq: seq, Index: chunk, Attempt: attempt, Reason: core.NackCorrupt,
-		}.EncodeNack())
-		if err != nil || nk.Index != chunk || nk.Seq != seq {
-			return nil, verified, retrans, retransBytes, fmt.Errorf("mpi: chunk NACK decode %d->%d seq %d chunk %d: %w",
-				src, dst, seq, chunk, ErrDeliveryFailed)
+		if ev.chunk != faults.NoChunk {
+			nk, err := core.DecodeChunkNack(core.ChunkNack{
+				Seq: ev.seq, Index: ev.chunk, Attempt: attempt, Reason: core.NackCorrupt,
+			}.EncodeNack())
+			if err != nil || nk.Index != ev.chunk || nk.Seq != ev.seq || nk.Attempt != attempt {
+				out.arrival = verified
+				return out, fmt.Errorf("mpi: %v NACK decode: %w", ev, ErrDeliveryFailed)
+			}
 		}
-		nack := w.fabric.ControlMessage(dstNode, srcNode, verified)
-		ready = simtime.Max(ready, nack.Add(w.retry.delay(nk.Attempt)))
-		retrans++
-		retransBytes += int64(len(payload))
+		nack := w.fabric.ControlMessage(ev.to, ev.from, verified)
+		ready = simtime.Max(ready, nack.Add(w.retry.delay(attempt)))
+		out.retransmits++
+		out.retransmitBytes += int64(len(payload))
+		if ev.fb != nil && out.hdr.Compressed && eng.BreakerOpen(ev.dst, ready) {
+			var cost simtime.Duration
+			payload, out.hdr, cost = ev.fb(ready)
+			ready = ready.Add(cost)
+			ev.fb = nil
+		}
 	}
 }
 
-// completePipelinedMatch routes the chunk-timeline resolution through the
-// sender's per-destination pipeLane so concurrent matches toward the same
+// completeMatch performs the rendezvous protocol's receiver-side steps
+// (Figure 4, steps 4-5) in whichever goroutine completed the match. Eager
+// envelopes need no work. A chunk stream's completion retires through the
+// sender's per-destination pipeLane, so concurrent matches toward the same
 // peer reserve fabric bandwidth in sender program order; closing env.done
 // publishes the filled envelope to the receiver's Wait.
-func completePipelinedMatch(p *recvPost, env *envelope) {
-	lane := &p.rank.world.ranks[env.src].pipeTx[env.dst]
-	lane.retire(env.ticket, func() {
-		runPipelinedMatch(p, env)
-		close(env.done)
-	})
+func completeMatch(p *recvPost, env *envelope) {
+	switch {
+	case env.eager:
+	case env.pipelined:
+		lane := &p.rank.world.ranks[env.src].pipeTx[env.dst]
+		lane.retire(env.ticket, func() {
+			runMatch(p, env)
+			close(env.done)
+		})
+	default:
+		runMatch(p, env)
+	}
 }
 
-// runPipelinedMatch resolves the chunk transfer timeline at match time
-// (the pipelined analogue of completeMatch): stage the credit window's
-// worth of receive buffers, send the CTS, then move each chunk under the
-// credit window and its own retry budget. A chunk out of budget fails the
-// message at a bounded instant — max(arrivals so far, the failing chunk's
-// give-up instant) — and both endpoints observe the wrapped
-// ErrDeliveryFailed from Wait; chunks already delivered are never re-sent.
-func runPipelinedMatch(p *recvPost, env *envelope) {
+// runMatch resolves a rendezvous-class message's timeline at match time:
+// record the match, stage the receive side (the temporary device buffer
+// for a whole payload, the credit window's worth of slots for a chunk
+// stream), send the CTS, and move the payload — one delivery for a whole
+// message, the credit-windowed chunk loop for a stream. Whatever happens,
+// the one epilogue stamps the envelope and publishes the sender's outcome,
+// so neither side ever depends on the other reaching Wait. A stage out of
+// budget fails the message at a bounded instant and both endpoints observe
+// the wrapped ErrDeliveryFailed.
+func runMatch(p *recvPost, env *envelope) {
 	r := p.rank
 	w := r.world
+	finish := func(t simtime.Time, err error, retransmits int) {
+		if err != nil {
+			env.deliveryErr = err
+		}
+		env.dataArrival = t
+		// Chunk staging slots live exactly as long as the stream: the credit
+		// return already models each slot drained one memory pass after its
+		// chunk arrives, so they go back to the pool here, on the lane — the
+		// receiver pool's hit/miss sequence follows ticket order instead of
+		// racing the receiver's Wait. (env.staged, a whole payload's buffer
+		// or a relay stream's reassembly buffer, stays: the receiver decodes
+		// or forwards out of it.)
+		if len(env.stagedChunks) > 0 {
+			relClk := simtime.NewClock(t)
+			for _, b := range env.stagedChunks {
+				r.Engine.ReleaseRecv(relClk, b)
+			}
+			env.stagedChunks = nil
+		}
+		env.senderDone <- sendOutcome{t: t, err: err, retransmits: retransmits}
+	}
+	// The receive proceeds once both the RTS has arrived and the receive
+	// is posted (asynchronous progress-thread semantics).
 	match := simtime.Max(p.postTime, env.rtsArrival)
 	if env.deliveryErr != nil {
+		// The RTS never made it; rtsArrival is the sender's give-up
+		// instant and both sides observe the failure from there.
 		env.matchTime = match
-		env.dataArrival = match
-		env.senderDone <- sendOutcome{t: match, err: env.deliveryErr}
+		finish(match, env.deliveryErr, 0)
 		return
 	}
-	// The credit window W: at most W chunks in flight, each holding one
-	// of the receiver's staging slots; a chunk's transfer may not start
-	// until the chunk W places earlier has drained its slot and the
-	// credit has traveled back. PipelineCredits is clamped to the staging
-	// pool size, so pool capacity is the window — exhaustion becomes
-	// backpressure (a credit stall) instead of a mode switch. Negative
-	// disables gating.
-	credits := r.Engine.Config().PipelineCredits
-	gating := credits >= 0
-	window := credits
-	if !gating || window > len(env.chunks) {
-		window = len(env.chunks)
+	// Stage the receive side before clearing the sender to send.
+	stageClk := simtime.NewClock(match)
+	r.stageRecv(stageClk, env)
+	env.matchTime = stageClk.Now()
+	ev := w.messageEvent(faults.KindCTS, env.src, r.id, env.seq)
+	ev.from, ev.to = ev.to, ev.from // the CTS travels receiver to sender
+	cts, err := w.transmit(ev, env.matchTime, nil, core.Header{})
+	if err != nil {
+		finish(cts.arrival, err, 0)
+		return
+	}
+	ev.from, ev.to = ev.to, ev.from
+	if env.pipelined {
+		ev.kind, ev.limit = faults.KindChunk, w.retry.chunkLimit()
+		last, retransmits, err := w.moveChunks(ev, env, cts.arrival)
+		finish(last, err, retransmits)
+		return
+	}
+	// The RDMA transfer is posted by the sender's HCA when the CTS
+	// arrives; the sender's CPU is not involved.
+	ev.kind, ev.fb = faults.KindData, env.fb
+	ready := simtime.Max(env.sendPost, cts.arrival)
+	out, err := w.transmit(ev, ready, env.payload, env.hdr)
+	if err == nil {
+		env.payload, env.hdr = out.wire, out.hdr
+		w.tracer.Add(fmt.Sprintf("net %d->%d", env.src, r.id), "transfer", ready, out.arrival)
+	}
+	finish(out.arrival, err, 0)
+}
+
+// creditWindow is the credit window W of an n-chunk stream into this rank:
+// at most W chunks in flight, each holding one of the receiver's staging
+// slots. PipelineCredits is clamped to the staging pool size, so pool
+// capacity is the window — exhaustion becomes backpressure (a credit
+// stall) instead of a mode switch. Negative disables gating.
+func (r *Rank) creditWindow(n int) (window int, gating bool) {
+	window = r.Engine.Config().PipelineCredits
+	gating = window >= 0
+	if !gating || window > n {
+		window = n
 	}
 	if window < 1 {
 		window = 1
 	}
-	stageClk := simtime.NewClock(match)
-	if env.relayChunks {
-		// Relay segments reassemble into one wire payload; the staging
-		// buffer covers it whole, as on the non-chunked relay path.
-		env.staged = r.Engine.StageRecv(stageClk, env.hdr)
-	} else {
-		biggest, anyCompressed := 0, false
-		for i := range env.chunks {
-			if n := len(env.chunks[i].payload); n > biggest {
-				biggest = n
-			}
-			if env.chunks[i].compressed {
-				anyCompressed = true
-			}
-		}
-		if anyCompressed {
-			slots := window
-			if slots > len(env.chunks) {
-				slots = len(env.chunks)
-			}
-			for j := 0; j < slots; j++ {
-				env.stagedChunks = append(env.stagedChunks, r.Engine.StageRecv(stageClk, core.Header{
-					Algo: core.AlgoMPC, Compressed: true,
-					OrigBytes: biggest, CompBytes: biggest,
-				}))
-			}
-		}
-	}
-	env.matchTime = stageClk.Now()
-	// The chunk staging slots live exactly as long as the stream: the
-	// credit return already models each slot drained one memory pass
-	// after its chunk arrives, so the slots go back to the pool when the
-	// stream resolves — here, on the lane, which keeps the receiver
-	// pool's hit/miss sequence in ticket order instead of racing against
-	// the receiver's Wait. (env.staged, the relay reassembly buffer, is
-	// different: the receiver may forward out of it, so it lives until
-	// the receive — or the relay hop — lets it go.)
-	releaseSlots := func(at simtime.Time) {
-		relClk := simtime.NewClock(at)
-		for _, b := range env.stagedChunks {
-			r.Engine.ReleaseRecv(relClk, b)
-		}
-		env.stagedChunks = nil
-	}
-	srcNode := w.nodeOf(env.src)
-	dstNode := w.nodeOf(r.id)
-	cts, err := w.controlArrival(faults.KindCTS, env.src, r.id, env.seq, dstNode, srcNode, env.matchTime)
-	if err != nil {
-		env.deliveryErr = err
-		env.dataArrival = cts
-		releaseSlots(cts)
-		env.senderDone <- sendOutcome{t: cts, err: err}
+	return window, gating
+}
+
+// stageRecv stages the receive side of a matched rendezvous-class message
+// on clk: one buffer for a whole wire payload — relay segments reassemble
+// into it, as on the non-chunked relay path — or the credit window's worth
+// of slots for a stream of compressed chunks.
+func (r *Rank) stageRecv(clk *simtime.Clock, env *envelope) {
+	if !env.pipelined || env.relayChunks {
+		env.staged = r.Engine.StageRecv(clk, env.hdr)
 		return
 	}
-	eng := w.ranks[env.src].Engine
+	biggest, anyCompressed := 0, false
+	for i := range env.chunks {
+		if n := len(env.chunks[i].payload); n > biggest {
+			biggest = n
+		}
+		anyCompressed = anyCompressed || env.chunks[i].compressed
+	}
+	if !anyCompressed {
+		return
+	}
+	slots, _ := r.creditWindow(len(env.chunks))
+	for j := 0; j < slots; j++ {
+		env.stagedChunks = append(env.stagedChunks, r.Engine.StageRecv(clk, core.Header{
+			Algo: core.AlgoMPC, Compressed: true,
+			OrigBytes: biggest, CompBytes: biggest,
+		}))
+	}
+}
+
+// moveChunks moves a matched stream's chunks once the CTS is back: each
+// under the credit window and its own retry budget (ev carries the
+// stream's identity and the per-chunk limit). A chunk's transfer may not
+// start until the chunk W places earlier has drained its slot and the
+// credit has traveled back. A chunk out of budget stops the stream at a
+// bounded instant — max(arrivals so far, the failing chunk's give-up
+// instant) — with delivered chunks never re-sent. It returns the stream's
+// last arrival and the retransmissions it consumed.
+func (w *World) moveChunks(ev wireEvent, env *envelope, cts simtime.Time) (simtime.Time, int, error) {
+	window, gating := w.ranks[ev.dst].creditWindow(len(env.chunks))
 	memBW := w.cluster.GPU.MemBWGBps
 	last := simtime.Time(0)
-	track := fmt.Sprintf("net %d->%d", env.src, r.id)
+	track := fmt.Sprintf("net %d->%d", ev.src, ev.dst)
 	// returns[k] is when the k-th started chunk's credit is back at the
 	// sender: the chunk arrived, the receiver drained its staging slot
 	// (one memory pass), and the credit update crossed the wire.
 	returns := make([]simtime.Time, 0, len(env.chunks))
 	totRetrans, stalls, shrinks := 0, 0, 0
 	var totBytes int64
+	var err error
 	nextShrink := pipeShrinkThreshold
 	for i := range env.chunks {
 		c := &env.chunks[i]
@@ -510,22 +564,16 @@ func runPipelinedMatch(p *recvPost, env *envelope) {
 				ready = gate
 			}
 		}
-		wire, arrival, retrans, rbytes, err := w.deliverChunk(env.src, r.id, env.seq, i,
-			srcNode, dstNode, ready, c.payload, c.crc, c.compressed)
-		totRetrans += retrans
-		totBytes += rbytes
-		if err != nil {
-			// This chunk is out of budget: the stream stops here, at a
-			// bounded instant, with delivered chunks never re-sent.
-			eng.NotePipeTransfer(totRetrans, totBytes, stalls, shrinks)
-			env.deliveryErr = err
-			env.dataArrival = simtime.Max(last, arrival)
-			releaseSlots(env.dataArrival)
-			env.senderDone <- sendOutcome{t: env.dataArrival, err: err, retransmits: totRetrans}
-			return
+		ev.chunk = i
+		out, cerr := w.transmit(ev, ready, c.payload, core.Header{Compressed: c.compressed, Checksum: c.crc})
+		totRetrans += out.retransmits
+		totBytes += out.retransmitBytes
+		if cerr != nil {
+			last, err = simtime.Max(last, out.arrival), cerr
+			break
 		}
-		c.payload = wire
-		c.arrival = arrival
+		c.payload = out.wire
+		c.arrival = out.arrival
 		// Degrade ladder step 2: repeated loss within the message shrinks
 		// the window, trading overlap for fewer bytes exposed to the
 		// lossy wire; each further shrink needs double the evidence.
@@ -536,17 +584,15 @@ func runPipelinedMatch(p *recvPost, env *envelope) {
 				shrinks++
 			}
 		}
-		drained := arrival.Add(simtime.ThroughputTime(len(wire), memBW))
-		returns = append(returns, w.fabric.ControlMessage(dstNode, srcNode, drained))
+		drained := c.arrival.Add(simtime.ThroughputTime(len(c.payload), memBW))
+		returns = append(returns, w.fabric.ControlMessage(ev.to, ev.from, drained))
 		w.tracer.Add(track, fmt.Sprintf("chunk %d", i), ready, c.arrival)
 		if c.arrival > last {
 			last = c.arrival
 		}
 	}
-	eng.NotePipeTransfer(totRetrans, totBytes, stalls, shrinks)
-	env.dataArrival = last
-	releaseSlots(last)
-	env.senderDone <- sendOutcome{t: last, retransmits: totRetrans}
+	w.ranks[ev.src].Engine.NotePipeTransfer(totRetrans, totBytes, stalls, shrinks)
+	return last, totRetrans, err
 }
 
 // chunkOrder returns the chunk indexes sorted by (arrival, index) — the
@@ -566,162 +612,4 @@ func chunkOrder(chunks []chunkPart) []int {
 		return order[a] < order[b]
 	})
 	return order
-}
-
-// releasePipelineStaging returns every staging buffer the pipelined match
-// acquired.
-func (r *Rank) releasePipelineStaging(env *envelope) {
-	for _, b := range env.stagedChunks {
-		r.Engine.ReleaseRecv(r.Clock, b)
-	}
-	env.stagedChunks = nil
-	r.Engine.ReleaseRecv(r.Clock, env.staged)
-}
-
-// waitRecvPipelined consumes the chunk stream: chunks are verified and
-// decompressed into their slices of the user buffer in arrival order —
-// out-of-order completions reassemble deterministically by the (arrival,
-// index) sort — overlapping with the transfers of later chunks.
-func (r *Rank) waitRecvPipelined(req *Request, env *envelope) error {
-	// The match completion may still be parked on the sender's pipeLane;
-	// the close publishes the filled timeline (happens-before the reads
-	// below).
-	<-env.done
-	if env.relayChunks {
-		return r.waitRecvRelayChunked(req, env)
-	}
-	total := 0
-	for i := range env.chunks {
-		total += env.chunks[i].origBytes
-	}
-	if total > r.recvCapacity(req) {
-		return fmt.Errorf("mpi: pipelined message of %d bytes truncated into %d-byte buffer", total, r.recvCapacity(req))
-	}
-	r.Clock.AdvanceTo(env.matchTime)
-	if env.deliveryErr != nil {
-		r.Clock.AdvanceTo(env.dataArrival)
-		r.releasePipelineStaging(env)
-		return env.deliveryErr
-	}
-	sawFallback := false
-	for _, i := range chunkOrder(env.chunks) {
-		c := &env.chunks[i]
-		r.Clock.AdvanceTo(c.arrival)
-		ch, err := core.DecodeChunkHeader(c.ctrl)
-		if err != nil {
-			r.releasePipelineStaging(env)
-			return fmt.Errorf("mpi: pipelined chunk %d: %w", i, err)
-		}
-		if ch.Relay || ch.Index != i || ch.Offset != c.off || ch.OrigBytes != c.origBytes || ch.WireBytes != len(c.payload) {
-			r.releasePipelineStaging(env)
-			return fmt.Errorf("mpi: pipelined chunk %d: control header mismatch", i)
-		}
-		if c.hdr.Fallback {
-			sawFallback = true
-		}
-		// Verify, then decode, chunk by chunk, each at its packed offset.
-		if err := r.Engine.VerifyPayload(r.Clock, c.hdr, c.payload); err != nil {
-			r.releasePipelineStaging(env)
-			return fmt.Errorf("mpi: pipelined chunk %d: %w", i, err)
-		}
-		if err := r.Engine.DecompressChunk(r.Clock, c.hdr, c.payload, req.buf, req.typ, ch.Offset); err != nil {
-			r.releasePipelineStaging(env)
-			return fmt.Errorf("mpi: pipelined chunk %d: %w", i, err)
-		}
-	}
-	if sawFallback {
-		r.Engine.NoteFallbackRecv()
-	}
-	r.releasePipelineStaging(env)
-	return nil
-}
-
-// reassembleRelay walks the relay segments in completion order, validating
-// each control header and placing each verified-length segment at its wire
-// offset; the caller then verifies the reassembled payload end-to-end
-// against the message header's checksum.
-func (r *Rank) reassembleRelay(env *envelope) ([]byte, error) {
-	buf := make([]byte, env.hdr.CompBytes)
-	for _, i := range chunkOrder(env.chunks) {
-		c := &env.chunks[i]
-		r.Clock.AdvanceTo(c.arrival)
-		ch, err := core.DecodeChunkHeader(c.ctrl)
-		if err != nil {
-			return nil, fmt.Errorf("mpi: relay chunk %d: %w", i, err)
-		}
-		if !ch.Relay || ch.Index != i || ch.Offset != c.off || ch.WireBytes != len(c.payload) || ch.Offset+ch.WireBytes > len(buf) {
-			return nil, fmt.Errorf("mpi: relay chunk %d: control header mismatch", i)
-		}
-		copy(buf[ch.Offset:], c.payload)
-	}
-	return buf, nil
-}
-
-// waitRecvRelayChunked completes an ordinary receive whose payload arrived
-// as relay segments: reassemble, verify end-to-end, decode whole.
-func (r *Rank) waitRecvRelayChunked(req *Request, env *envelope) error {
-	r.Clock.AdvanceTo(env.matchTime)
-	if env.deliveryErr != nil {
-		r.Clock.AdvanceTo(env.dataArrival)
-		r.releasePipelineStaging(env)
-		return env.deliveryErr
-	}
-	if env.hdr.OrigBytes > r.recvCapacity(req) {
-		r.releasePipelineStaging(env)
-		return fmt.Errorf("mpi: message of %d bytes truncated into %d-byte buffer", env.hdr.OrigBytes, r.recvCapacity(req))
-	}
-	payload, err := r.reassembleRelay(env)
-	if err != nil {
-		r.releasePipelineStaging(env)
-		return err
-	}
-	if env.hdr.Fallback {
-		r.Engine.NoteFallbackRecv()
-	}
-	if env.staged != nil {
-		copy(env.staged.Data, payload)
-	}
-	if err := r.Engine.VerifyPayload(r.Clock, env.hdr, payload); err != nil {
-		r.releasePipelineStaging(env)
-		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
-	}
-	if err := r.Engine.DecompressChunk(r.Clock, env.hdr, payload, req.buf, req.typ, 0); err != nil {
-		r.releasePipelineStaging(env)
-		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
-	}
-	r.releasePipelineStaging(env)
-	return nil
-}
-
-// waitRecvRawChunked completes a raw (relay) receive whose payload arrived
-// as chunk segments: the reassembled, verified payload is captured for
-// forwarding without decompression.
-func (r *Rank) waitRecvRawChunked(req *Request, env *envelope) error {
-	<-env.done
-	r.Clock.AdvanceTo(env.matchTime)
-	if env.deliveryErr != nil {
-		r.Clock.AdvanceTo(env.dataArrival)
-		r.releasePipelineStaging(env)
-		return env.deliveryErr
-	}
-	payload, err := r.reassembleRelay(env)
-	if err != nil {
-		r.releasePipelineStaging(env)
-		return err
-	}
-	if env.hdr.Fallback {
-		r.Engine.NoteFallbackRecv()
-	}
-	if env.staged != nil {
-		copy(env.staged.Data, payload)
-	}
-	// Verify before the payload is relayed onward: a relay chain then
-	// detects corruption at the hop where it happened.
-	if err := r.Engine.VerifyPayload(r.Clock, env.hdr, payload); err != nil {
-		r.releasePipelineStaging(env)
-		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
-	}
-	req.raw = rawResult{payload: payload, hdr: env.hdr, staged: env.staged}
-	r.noteRawStaged(env.staged)
-	return nil
 }

@@ -55,27 +55,18 @@ func (r *Rank) AllreduceSumHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
 
 func (r *Rank) allreduceSumHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
 	w := r.world
-	v, err := r.collView()
-	if err != nil {
-		return err
-	}
-	if recvBuf.Len() != sendBuf.Len() {
-		return fmt.Errorf("mpi: two-level allreduce buffers differ: %d vs %d", sendBuf.Len(), recvBuf.Len())
-	}
-	if w.ppn == 1 || w.nodes == 1 || v.size == 1 {
+	if w.ppn == 1 || w.nodes == 1 {
 		return r.rdAllreduce(sendBuf, recvBuf, true)
 	}
-	if sendBuf.Len()%4 != 0 {
-		return r.allreduceSum(sendBuf, recvBuf)
+	v, done, err := r.allreduceSetup("two-level", sendBuf, recvBuf, false)
+	if done {
+		return err
 	}
 	nodeIdx, leaderOf, liveNodes := w.electLeaders(v)
 	myNode := r.Node()
 	leader := leaderOf[myNode]
 	rtag := r.collTag(baseReduce)
 	btag := r.collTag(baseBcast)
-
-	copy(recvBuf.Data, sendBuf.Data)
-	recvBuf.MarkDirty()
 
 	if r.id != leader {
 		// Stage 1: fold into the node leader — sendBuf itself when
@@ -96,7 +87,7 @@ func (r *Rank) allreduceSumHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
 
 	// Leader: accumulate the node's contributions in view order (a fixed
 	// order keeps the float sum deterministic).
-	scratch := &gpusim.Buffer{Data: make([]byte, sendBuf.Len()), Loc: recvBuf.Loc, Dev: recvBuf.Dev}
+	scratch := scratchLike(recvBuf, sendBuf.Len())
 	for vr := 0; vr < v.size; vr++ {
 		peer := v.real(vr)
 		if w.nodeOf(peer) != myNode || peer == r.id {
@@ -195,46 +186,16 @@ func (r *Rank) allgatherHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
 	}
 
 	// Stage 2: ring-relay whole node superblocks among the leaders —
-	// compress once, forward the wire payload verbatim, decompress the
-	// previous step's superblock while the current step's transfers are
-	// in flight.
+	// compress once, forward the wire payload verbatim (relayRing).
 	nodes := w.nodes
 	nblk := w.ppn * blk
-	rightLeader := ((myNode + 1) % nodes) * w.ppn
-	leftLeader := ((myNode - 1 + nodes) % nodes) * w.ppn
-	region := recvBuf.Slice(myNode*nblk, nblk)
-	payload, hdr := r.Engine.CompressForLinkCached(r.Clock, region, w.cluster.InterNode.BandwidthGBps)
-	type pending struct {
-		raw rawResult
-		dst *gpusim.Buffer
-	}
-	var todo *pending
-	atag := r.collTag(baseAllgather)
-	for step := 0; step < nodes-1; step++ {
-		recvNode := (myNode - step - 1 + nodes) % nodes
-		rreq, err := r.irecvRaw(leftLeader, atag)
-		if err != nil {
-			return err
-		}
-		sreq, err := r.isendPayload(rightLeader, atag, payload, hdr)
-		if err != nil {
-			return fmt.Errorf("mpi: two-level allgather step %d: %w", step, err)
-		}
-		if todo != nil {
-			if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-				return fmt.Errorf("mpi: two-level allgather decompress: %w", err)
-			}
-		}
-		if err := r.Waitall(sreq, rreq); err != nil {
-			return fmt.Errorf("mpi: two-level allgather step %d: %w", step, err)
-		}
-		todo = &pending{raw: rreq.raw, dst: recvBuf.Slice(recvNode*nblk, nblk)}
-		payload, hdr = rreq.raw.payload, rreq.raw.hdr
-	}
-	if todo != nil {
-		if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-			return fmt.Errorf("mpi: two-level allgather decompress: %w", err)
-		}
+	payload, hdr := r.Engine.CompressForLinkCached(r.Clock, recvBuf.Slice(myNode*nblk, nblk), w.cluster.InterNode.BandwidthGBps)
+	err = r.relayRing(((myNode-1+nodes)%nodes)*w.ppn, ((myNode+1)%nodes)*w.ppn, r.collTag(baseAllgather), nodes-1, payload, hdr,
+		func(step int) *gpusim.Buffer {
+			return recvBuf.Slice(((myNode-step-1+nodes)%nodes)*nblk, nblk)
+		})
+	if err != nil {
+		return fmt.Errorf("mpi: two-level allgather %w", err)
 	}
 
 	// Stage 3: hand the assembled vector back to the node.

@@ -22,20 +22,12 @@ import (
 
 // SendTyped is the blocking form of IsendTyped.
 func (r *Rank) SendTyped(dst, tag int, buf *gpusim.Buffer, t dtype.Type) error {
-	req, err := r.IsendTyped(dst, tag, buf, t)
-	if err != nil {
-		return err
-	}
-	return r.Wait(req)
+	return r.await(r.IsendTyped(dst, tag, buf, t))
 }
 
 // RecvTyped is the blocking form of IrecvTyped.
 func (r *Rank) RecvTyped(src, tag int, buf *gpusim.Buffer, t dtype.Type) error {
-	req, err := r.IrecvTyped(src, tag, buf, t)
-	if err != nil {
-		return err
-	}
-	return r.Wait(req)
+	return r.await(r.IrecvTyped(src, tag, buf, t))
 }
 
 // IsendTyped starts a nonblocking send of the words t selects from buf.
@@ -46,6 +38,9 @@ func (r *Rank) RecvTyped(src, tag int, buf *gpusim.Buffer, t dtype.Type) error {
 func (r *Rank) IsendTyped(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, error) {
 	if tag < 0 {
 		return nil, fmt.Errorf("mpi: user tags must be non-negative (got %d)", tag)
+	}
+	if buf == nil {
+		return nil, fmt.Errorf("mpi: typed send to rank %d: nil buffer", dst)
 	}
 	if err := t.Validate(buf.Len()); err != nil {
 		return nil, fmt.Errorf("mpi: typed send to rank %d: %w", dst, err)
@@ -59,6 +54,9 @@ func (r *Rank) IsendTyped(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Requ
 func (r *Rank) IrecvTyped(src, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, error) {
 	if tag < 0 && tag != AnyTag {
 		return nil, fmt.Errorf("mpi: user tags must be non-negative or AnyTag (got %d)", tag)
+	}
+	if buf == nil {
+		return nil, fmt.Errorf("mpi: typed receive from rank %d: nil buffer", src)
 	}
 	if err := t.Validate(buf.Len()); err != nil {
 		return nil, fmt.Errorf("mpi: typed receive from rank %d: %w", src, err)

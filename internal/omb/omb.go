@@ -11,6 +11,7 @@ package omb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"mpicomp/internal/core"
@@ -280,50 +281,152 @@ func (c *chanMax) update(it int, d simtime.Duration) {
 	c.mu.Unlock()
 }
 
-// BcastLatency runs osu_bcast with the given payload for the whole world.
-func BcastLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	vals := gen(bytes / 4)
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		buf := deviceBuffer(r, vals)
-		return func() error { return r.Bcast(0, buf) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
+// collective is one row of the collective benchmark table: the name
+// ombrun's -bench flag selects it by, and the per-rank setup that
+// allocates the buffers the rank reuses for the whole measurement and
+// returns one iteration. data draws the message contents; draws of the
+// same length are shared between ranks.
+type collective struct {
+	name  string
+	setup setupFunc
 }
 
-// BcastHierarchicalLatency runs osu_bcast over the two-level
-// (leader + node-local fan-out) broadcast.
-func BcastHierarchicalLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
+type setupFunc func(r *mpi.Rank, bytes int, data DataGen) (func() error, error)
+
+// bcastShape is osu_bcast: rank 0's buffer of `bytes` to everyone.
+func bcastShape(call func(*mpi.Rank, int, *gpusim.Buffer) error) setupFunc {
+	return func(r *mpi.Rank, bytes int, data DataGen) (func() error, error) {
+		buf := deviceBuffer(r, data(bytes/4))
+		return func() error { return call(r, 0, buf) }, nil
 	}
-	vals := gen(bytes / 4)
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		buf := deviceBuffer(r, vals)
-		return func() error { return r.BcastHierarchical(0, buf) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
 }
 
-// AllgatherLatency runs osu_allgather: every rank contributes bytes of
-// payload and receives world*bytes.
-func AllgatherLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	vals := gen(bytes / 4)
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		send := deviceBuffer(r, vals)
+// allgatherShape is osu_allgather: every rank contributes `bytes` and
+// receives world*bytes.
+func allgatherShape(call func(*mpi.Rank, *gpusim.Buffer, *gpusim.Buffer) error) setupFunc {
+	return func(r *mpi.Rank, bytes int, data DataGen) (func() error, error) {
+		send := deviceBuffer(r, data(bytes/4))
 		recv := emptyDeviceBuffer(r, bytes*r.Size())
-		return func() error { return r.Allgather(send, recv) }, nil
+		return func() error { return call(r, send, recv) }, nil
+	}
+}
+
+// allreduceShape is osu_allreduce: a float32 sum over `bytes` per rank.
+func allreduceShape(call func(*mpi.Rank, *gpusim.Buffer, *gpusim.Buffer) error) setupFunc {
+	return func(r *mpi.Rank, bytes int, data DataGen) (func() error, error) {
+		send := deviceBuffer(r, data(bytes/4))
+		recv := emptyDeviceBuffer(r, bytes)
+		return func() error { return call(r, send, recv) }, nil
+	}
+}
+
+// collectives is the table behind CollectiveLatency and ombrun's -bench
+// names. The paper lists compressed Alltoall and Allreduce as future work;
+// the rows past allgather-hier exercise them end to end.
+var collectives = []collective{
+	{"bcast", bcastShape((*mpi.Rank).Bcast)},
+	{"bcast-hier", bcastShape((*mpi.Rank).BcastHierarchical)},
+	{"allgather", allgatherShape((*mpi.Rank).Allgather)},
+	{"allgather-hier", allgatherShape((*mpi.Rank).AllgatherHierarchical)},
+	{"allreduce", allreduceShape((*mpi.Rank).AllreduceSum)},
+	{"ring-allreduce", allreduceShape((*mpi.Rank).RingAllreduceSum)},
+	{"ring-allreduce-blocking", allreduceShape((*mpi.Rank).RingAllreduceSumBlocking)},
+	{"rd-allreduce", allreduceShape((*mpi.Rank).RecursiveDoublingAllreduceSum)},
+	{"rd-allreduce-blocking", allreduceShape((*mpi.Rank).RecursiveDoublingAllreduceSumBlocking)},
+	{"rab-allreduce", allreduceShape((*mpi.Rank).RabenseifnerAllreduceSum)},
+	{"rab-allreduce-blocking", allreduceShape((*mpi.Rank).RabenseifnerAllreduceSumBlocking)},
+	{"two-level-allreduce", allreduceShape((*mpi.Rank).AllreduceSumHierarchical)},
+	{"reduce", allreduceShape(func(r *mpi.Rank, send, recv *gpusim.Buffer) error { return r.ReduceSum(0, send, recv) })},
+	{"gather", func(r *mpi.Rank, bytes int, data DataGen) (func() error, error) {
+		send := deviceBuffer(r, data(bytes/4))
+		var recv *gpusim.Buffer
+		if r.ID() == 0 {
+			recv = emptyDeviceBuffer(r, bytes*r.Size())
+		}
+		return func() error { return r.Gather(0, send, recv) }, nil
+	}},
+	{"scatter", func(r *mpi.Rank, bytes int, data DataGen) (func() error, error) {
+		var send *gpusim.Buffer
+		if r.ID() == 0 {
+			send = deviceBuffer(r, data(bytes/4*r.Size()))
+		}
+		recv := emptyDeviceBuffer(r, bytes)
+		return func() error { return r.Scatter(0, send, recv) }, nil
+	}},
+	{"alltoall", func(r *mpi.Rank, bytes int, data DataGen) (func() error, error) {
+		// Every rank exchanges a block of `bytes` with every other rank.
+		send := deviceBuffer(r, data(bytes/4*r.Size()))
+		recv := emptyDeviceBuffer(r, bytes*r.Size())
+		return func() error { return r.Alltoall(send, recv) }, nil
+	}},
+	{"alltoallv", func(r *mpi.Rank, bytes int, data DataGen) (func() error, error) {
+		// Rank i sends each peer j a ragged segment whose size follows a
+		// deterministic (i+j)-keyed pattern averaging `bytes` — the vector
+		// collective's defining feature, and what the TEMPI-style compressed
+		// Alltoallv must get right per destination. In words: bytes/8 *
+		// {1,2,3}.
+		if bytes < 8 {
+			return nil, fmt.Errorf("omb: alltoallv needs bytes >= 8, got %d", bytes)
+		}
+		segWords := func(i, j int) int { return bytes / 8 * (1 + (i+j)%3) }
+		size, me := r.Size(), r.ID()
+		sendCounts, sendDispls := make([]int, size), make([]int, size)
+		recvCounts, recvDispls := make([]int, size), make([]int, size)
+		stot, rtot := 0, 0
+		for j := 0; j < size; j++ {
+			sendDispls[j], recvDispls[j] = stot, rtot
+			sendCounts[j] = 4 * segWords(me, j)
+			recvCounts[j] = 4 * segWords(j, me)
+			stot += sendCounts[j]
+			rtot += recvCounts[j]
+		}
+		send := deviceBuffer(r, data(stot/4))
+		recv := emptyDeviceBuffer(r, rtot)
+		return func() error {
+			return r.Alltoallv(send, sendCounts, sendDispls, recv, recvCounts, recvDispls)
+		}, nil
+	}},
+}
+
+// Collectives lists the collective benchmarks CollectiveLatency runs, in
+// table order.
+func Collectives() []string {
+	names := make([]string, len(collectives))
+	for i, c := range collectives {
+		names[i] = c.name
+	}
+	return names
+}
+
+// CollectiveLatency runs the named osu_*-style collective measurement with
+// `bytes` of payload per rank (per block for the all-to-alls, in total for
+// the broadcasts) drawn from gen (nil: dummy data).
+func CollectiveLatency(w *mpi.World, name string, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
+	var setup setupFunc
+	for _, c := range collectives {
+		if c.name == name {
+			setup = c.setup
+		}
+	}
+	if setup == nil {
+		return CollResult{}, fmt.Errorf("omb: unknown collective %q (have %s)", name, strings.Join(Collectives(), ", "))
+	}
+	if gen == nil {
+		gen = DummyData
+	}
+	// One draw per length, shared: ranks start from the same bytes.
+	var mu sync.Mutex
+	drawn := map[int][]float32{}
+	data := func(n int) []float32 {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, ok := drawn[n]; !ok {
+			drawn[n] = gen(n)
+		}
+		return drawn[n]
+	}
+	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
+		return setup(r, bytes, data)
 	})
 	if err != nil {
 		return CollResult{}, err
@@ -360,192 +463,6 @@ func avgRatioAll(w *mpi.World) float64 {
 		ids[i] = i
 	}
 	return avgRatio(w, ids...)
-}
-
-// AlltoallLatency runs an osu_alltoall-style measurement: every rank
-// exchanges a block of `bytes` with every other rank. The paper lists
-// compressed Alltoall as future work; this exercises it end to end.
-func AlltoallLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	vals := gen(bytes / 4 * w.Size())
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		send := deviceBuffer(r, vals)
-		recv := emptyDeviceBuffer(r, bytes*r.Size())
-		return func() error { return r.Alltoall(send, recv) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
-}
-
-// AlltoallvLatency runs an osu_alltoallv-style measurement: rank i
-// sends each peer j a ragged segment whose size follows a deterministic
-// (i+j)-keyed pattern averaging `bytes` — the vector collective's
-// defining feature, and what the TEMPI-style compressed Alltoallv must
-// get right per destination. Requires bytes >= 8.
-func AlltoallvLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	if bytes < 8 {
-		return CollResult{}, fmt.Errorf("omb: alltoallv needs bytes >= 8, got %d", bytes)
-	}
-	// Segment i->j in words: bytes/8 * {1,2,3} keyed by (i+j) — ragged,
-	// deterministic, mean close to `bytes`.
-	segWords := func(i, j int) int { return bytes / 8 * (1 + (i+j)%3) }
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		size := r.Size()
-		me := r.ID()
-		sendCounts := make([]int, size)
-		sendDispls := make([]int, size)
-		recvCounts := make([]int, size)
-		recvDispls := make([]int, size)
-		stot, rtot := 0, 0
-		for j := 0; j < size; j++ {
-			sendDispls[j], recvDispls[j] = stot, rtot
-			sendCounts[j] = 4 * segWords(me, j)
-			recvCounts[j] = 4 * segWords(j, me)
-			stot += sendCounts[j]
-			rtot += recvCounts[j]
-		}
-		send := deviceBuffer(r, gen(stot/4))
-		recv := emptyDeviceBuffer(r, rtot)
-		return func() error {
-			return r.Alltoallv(send, sendCounts, sendDispls, recv, recvCounts, recvDispls)
-		}, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
-}
-
-// AllreduceLatency runs an osu_allreduce-style measurement (float32 sum).
-func AllreduceLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	vals := gen(bytes / 4)
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		send := deviceBuffer(r, vals)
-		recv := emptyDeviceBuffer(r, bytes)
-		return func() error { return r.AllreduceSum(send, recv) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
-}
-
-// RingAllreduceLatency runs the osu_allreduce measurement over the
-// pipelined ring allreduce (reduce-scatter + relay allgather).
-func RingAllreduceLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	vals := gen(bytes / 4)
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		send := deviceBuffer(r, vals)
-		recv := emptyDeviceBuffer(r, bytes)
-		return func() error { return r.RingAllreduceSum(send, recv) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
-}
-
-// RingAllreduceBlockingLatency measures the blocking whole-block ring
-// allreduce — the fast path's baseline for before/after comparisons.
-func RingAllreduceBlockingLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	vals := gen(bytes / 4)
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		send := deviceBuffer(r, vals)
-		recv := emptyDeviceBuffer(r, bytes)
-		return func() error { return r.RingAllreduceSumBlocking(send, recv) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
-}
-
-// allreduceVariantLatency measures one allreduce entry point under the
-// shared osu_allreduce shape.
-func allreduceVariantLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen,
-	call func(*mpi.Rank, *gpusim.Buffer, *gpusim.Buffer) error) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	vals := gen(bytes / 4)
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		send := deviceBuffer(r, vals)
-		recv := emptyDeviceBuffer(r, bytes)
-		return func() error { return call(r, send, recv) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
-}
-
-// RecursiveDoublingAllreduceLatency measures the chunked recursive
-// doubling schedule under the osu_allreduce shape.
-func RecursiveDoublingAllreduceLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	return allreduceVariantLatency(w, bytes, warmup, iters, gen,
-		(*mpi.Rank).RecursiveDoublingAllreduceSum)
-}
-
-// RecursiveDoublingAllreduceBlockingLatency measures the whole-block
-// recursive doubling oracle.
-func RecursiveDoublingAllreduceBlockingLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	return allreduceVariantLatency(w, bytes, warmup, iters, gen,
-		(*mpi.Rank).RecursiveDoublingAllreduceSumBlocking)
-}
-
-// RabenseifnerAllreduceLatency measures the chunked reduce-scatter +
-// allgather schedule under the osu_allreduce shape.
-func RabenseifnerAllreduceLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	return allreduceVariantLatency(w, bytes, warmup, iters, gen,
-		(*mpi.Rank).RabenseifnerAllreduceSum)
-}
-
-// RabenseifnerAllreduceBlockingLatency measures the whole-block
-// Rabenseifner oracle.
-func RabenseifnerAllreduceBlockingLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	return allreduceVariantLatency(w, bytes, warmup, iters, gen,
-		(*mpi.Rank).RabenseifnerAllreduceSumBlocking)
-}
-
-// TwoLevelAllreduceLatency measures the topology-aware leader schedule
-// under the osu_allreduce shape.
-func TwoLevelAllreduceLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	return allreduceVariantLatency(w, bytes, warmup, iters, gen,
-		(*mpi.Rank).AllreduceSumHierarchical)
-}
-
-// AllgatherHierarchicalLatency measures the leader-relayed allgather
-// under the osu_allgather shape.
-func AllgatherHierarchicalLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	vals := gen(bytes / 4)
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		send := deviceBuffer(r, vals)
-		recv := emptyDeviceBuffer(r, bytes*r.Size())
-		return func() error { return r.AllgatherHierarchical(send, recv) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
 }
 
 // BiBandwidth runs osu_bibw: both ranks stream `window` messages at each
@@ -609,62 +526,4 @@ func BiBandwidth(w *mpi.World, sizes []int, warmup, iters, window int) ([]P2PRes
 		results = append(results, P2PResult{Bytes: size, BandwidthGBps: bw})
 	}
 	return results, nil
-}
-
-// ReduceLatency runs an osu_reduce-style measurement (float32 sum to
-// rank 0).
-func ReduceLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	vals := gen(bytes / 4)
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		send := deviceBuffer(r, vals)
-		recv := emptyDeviceBuffer(r, bytes)
-		return func() error { return r.ReduceSum(0, send, recv) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
-}
-
-// GatherLatency runs an osu_gather-style measurement (to rank 0).
-func GatherLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	vals := gen(bytes / 4)
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		send := deviceBuffer(r, vals)
-		var recv *gpusim.Buffer
-		if r.ID() == 0 {
-			recv = emptyDeviceBuffer(r, bytes*r.Size())
-		}
-		return func() error { return r.Gather(0, send, recv) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
-}
-
-// ScatterLatency runs an osu_scatter-style measurement (from rank 0).
-func ScatterLatency(w *mpi.World, bytes, warmup, iters int, gen DataGen) (CollResult, error) {
-	if gen == nil {
-		gen = DummyData
-	}
-	lat, err := collectiveLatency(w, warmup, iters, func(r *mpi.Rank) (func() error, error) {
-		var send *gpusim.Buffer
-		if r.ID() == 0 {
-			vals := gen(bytes / 4 * r.Size())
-			send = deviceBuffer(r, vals)
-		}
-		recv := emptyDeviceBuffer(r, bytes)
-		return func() error { return r.Scatter(0, send, recv) }, nil
-	})
-	if err != nil {
-		return CollResult{}, err
-	}
-	return CollResult{Bytes: bytes, Latency: lat, Ratio: avgRatioAll(w)}, nil
 }

@@ -1,6 +1,7 @@
 package omb
 
 import (
+	"strings"
 	"testing"
 
 	"mpicomp/internal/core"
@@ -148,11 +149,11 @@ func TestBcastAndAllgatherDatasets(t *testing.T) {
 	base := newW(t, hw.FronteraLiquid(), 4, 2, core.Config{})
 	comp := newW(t, hw.FronteraLiquid(), 4, 2, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC})
 
-	b0, err := BcastLatency(base, 2<<20, 1, 2, gen)
+	b0, err := CollectiveLatency(base, "bcast", 2<<20, 1, 2, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := BcastLatency(comp, 2<<20, 1, 2, gen)
+	b1, err := CollectiveLatency(comp, "bcast", 2<<20, 1, 2, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +164,11 @@ func TestBcastAndAllgatherDatasets(t *testing.T) {
 		t.Fatalf("msg_sppm should compress > 4x, got %v", b1.Ratio)
 	}
 
-	a0, err := AllgatherLatency(base, 4<<20, 1, 2, gen)
+	a0, err := CollectiveLatency(base, "allgather", 4<<20, 1, 2, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := AllgatherLatency(comp, 4<<20, 1, 2, gen)
+	a1, err := CollectiveLatency(comp, "allgather", 4<<20, 1, 2, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +204,11 @@ func TestAlltoallAndAllreduce(t *testing.T) {
 	base := newW(t, hw.FronteraLiquid(), 4, 1, core.Config{})
 	comp := newW(t, hw.FronteraLiquid(), 4, 1, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8})
 
-	a0, err := AlltoallLatency(base, 2<<20, 1, 2, nil)
+	a0, err := CollectiveLatency(base, "alltoall", 2<<20, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := AlltoallLatency(comp, 2<<20, 1, 2, nil)
+	a1, err := CollectiveLatency(comp, "alltoall", 2<<20, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +216,11 @@ func TestAlltoallAndAllreduce(t *testing.T) {
 		t.Fatalf("compressed alltoall should win on FDR: %v vs %v", a1.Latency, a0.Latency)
 	}
 
-	r0, err := AllreduceLatency(base, 2<<20, 1, 2, nil)
+	r0, err := CollectiveLatency(base, "allreduce", 2<<20, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := AllreduceLatency(comp, 2<<20, 1, 2, nil)
+	r1, err := CollectiveLatency(comp, "allreduce", 2<<20, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +238,11 @@ func TestAlltoallvDeterministicAndCompressible(t *testing.T) {
 	base := newW(t, hw.FronteraLiquid(), 4, 1, core.Config{})
 	comp := newW(t, hw.FronteraLiquid(), 4, 1, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8})
 
-	v0, err := AlltoallvLatency(base, 2<<20, 1, 2, nil)
+	v0, err := CollectiveLatency(base, "alltoallv", 2<<20, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := AlltoallvLatency(comp, 2<<20, 1, 2, nil)
+	v1, err := CollectiveLatency(comp, "alltoallv", 2<<20, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +252,14 @@ func TestAlltoallvDeterministicAndCompressible(t *testing.T) {
 	if v1.Ratio < 3.9 {
 		t.Fatalf("ZFP r8 ratio should be 4: %v", v1.Ratio)
 	}
-	again, err := AlltoallvLatency(newW(t, hw.FronteraLiquid(), 4, 1, core.Config{}), 2<<20, 1, 2, nil)
+	again, err := CollectiveLatency(newW(t, hw.FronteraLiquid(), 4, 1, core.Config{}), "alltoallv", 2<<20, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Latency != v0.Latency {
 		t.Fatalf("alltoallv latency not deterministic: %v vs %v", again.Latency, v0.Latency)
 	}
-	if _, err := AlltoallvLatency(base, 4, 0, 1, nil); err == nil {
+	if _, err := CollectiveLatency(base, "alltoallv", 4, 0, 1, nil); err == nil {
 		t.Fatal("bytes < 8 should fail")
 	}
 }
@@ -288,11 +289,8 @@ func TestReduceGatherScatterLatencies(t *testing.T) {
 	comp := newW(t, hw.Longhorn(), 2, 2,
 		core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8, Threshold: 256 << 10})
 	const msg = 2 << 20
-	for name, f := range map[string]func(w *mpi.World) (CollResult, error){
-		"reduce":  func(w *mpi.World) (CollResult, error) { return ReduceLatency(w, msg, 1, 2, nil) },
-		"gather":  func(w *mpi.World) (CollResult, error) { return GatherLatency(w, msg, 1, 2, nil) },
-		"scatter": func(w *mpi.World) (CollResult, error) { return ScatterLatency(w, msg, 1, 2, nil) },
-	} {
+	for _, name := range []string{"reduce", "gather", "scatter"} {
+		f := func(w *mpi.World) (CollResult, error) { return CollectiveLatency(w, name, msg, 1, 2, nil) }
 		b, err := f(base)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", name, err)
@@ -309,5 +307,25 @@ func TestReduceGatherScatterLatencies(t *testing.T) {
 		if c.Latency >= b.Latency {
 			t.Errorf("%s: compression should help: %v vs %v", name, c.Latency, b.Latency)
 		}
+	}
+}
+
+// TestCollectiveTable: every table row runs, names are unique (ombrun's
+// -bench flag dispatches on them), and an unknown name lists the table.
+func TestCollectiveTable(t *testing.T) {
+	w := newW(t, hw.Longhorn(), 2, 2, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, Threshold: 16 << 10})
+	seen := map[string]bool{}
+	for _, name := range Collectives() {
+		if seen[name] {
+			t.Errorf("collective %q listed twice", name)
+		}
+		seen[name] = true
+		res, err := CollectiveLatency(w, name, 64<<10, 0, 1, nil)
+		if err != nil || res.Latency <= 0 || res.Bytes != 64<<10 {
+			t.Errorf("%s: %+v, %v", name, res, err)
+		}
+	}
+	if _, err := CollectiveLatency(w, "allscatter", 64<<10, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "rab-allreduce") {
+		t.Errorf("unknown collective: %v, want an error listing the table", err)
 	}
 }
