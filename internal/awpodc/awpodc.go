@@ -15,6 +15,7 @@
 package awpodc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -174,6 +175,9 @@ func newSubdomain(cfg Config, rx, ry, px, py int) *subdomain {
 				for x := 1; x <= s.nx; x++ {
 					dx, dy, dz := float64(x-cx), float64(y-cy), float64(z-cz)
 					r2 := (dx*dx + dy*dy + dz*dz) / sigma2
+					if r2 > gaussianCutoff {
+						continue
+					}
 					v := float32(math.Exp(-r2))
 					idx := s.index(x, y, z)
 					s.u[idx] = v
@@ -184,6 +188,12 @@ func newSubdomain(cfg Config, rx, ry, px, py int) *subdomain {
 	}
 	return s
 }
+
+// gaussianCutoff is where the source pulse is exactly zero in float32:
+// exp(-r2) rounds to 0 once it is below half the smallest denormal, 2^-150,
+// which is r2 > 103.98, and the freshly allocated field already holds that
+// zero — so most of the mesh skips math.Exp.
+const gaussianCutoff = 104
 
 func minInt(a, b int) int {
 	if a < b {
@@ -196,28 +206,36 @@ func (s *subdomain) index(x, y, z int) int { return (z*s.sy+y)*s.sx + x }
 
 // step advances the interior one time step with a 7-point stencil:
 // u_new = 2u - uprev + C*laplacian(u). X/Y ghosts hold neighbor data;
-// the Z boundary is reflective.
+// the Z boundary is reflective: a missing neighbor plane reads as the
+// point's own, which is decided once per row, not per point. Each (y, z)
+// row takes its seven input rows and its output row as equal-length
+// slices, so the inner loop indexes without bounds checks; the arithmetic
+// is in the order of the per-point loop it replaces (stepReference in the
+// tests), bit for bit.
 func (s *subdomain) step() {
-	sx, sy := s.sx, s.sy
+	sx, sy, nx := s.sx, s.sy, s.nx
 	plane := sx * sy
+	u, coef := s.u, s.coef
 	for z := 0; z < s.nz; z++ {
+		below, above := -plane, plane
+		if z == 0 {
+			below = 0
+		}
+		if z == s.nz-1 {
+			above = 0
+		}
 		for y := 1; y <= s.ny; y++ {
-			base := (z*sy + y) * sx
-			for x := 1; x <= s.nx; x++ {
-				i := base + x
-				c := s.u[i]
-				lap := s.u[i-1] + s.u[i+1] + s.u[i-sx] + s.u[i+sx] - 6*c
-				if z > 0 {
-					lap += s.u[i-plane]
-				} else {
-					lap += c
-				}
-				if z < s.nz-1 {
-					lap += s.u[i+plane]
-				} else {
-					lap += c
-				}
-				s.uprev[i] = 2*c - s.uprev[i] + s.coef*lap
+			i := (z*sy+y)*sx + 1
+			out := s.uprev[i:][:nx]
+			c, w, e := u[i:][:nx], u[i-1:][:nx], u[i+1:][:nx]
+			so, no := u[i-sx:][:nx], u[i+sx:][:nx]
+			dn, up := u[i+below:][:nx], u[i+above:][:nx]
+			for x := range out {
+				cv := c[x]
+				lap := w[x] + e[x] + so[x] + no[x] - 6*cv
+				lap += dn[x]
+				lap += up[x]
+				out[x] = 2*cv - out[x] + coef*lap
 			}
 		}
 	}
@@ -275,11 +293,17 @@ func (s *subdomain) boundaryViewY(side int) dtype.Subarray3D {
 	}
 }
 
+// fieldScale is the affine factor of wavefield component f: each stands in
+// for one of AWP-ODC's velocity/stress components (all smooth, all
+// distinct), and field 0 is the unscaled plane the ghosts are restored from.
+func fieldScale(f int) float32 { return float32(1 + 0.125*float64(f)) }
+
 // fillBoundary writes the face's multi-field plane into its side of the
 // per-axis boundary mirror — the device-resident face data a fused
 // stencil kernel would leave behind, and the source the typed send's
 // gather reads. Same values as packHalo, interleaved by side instead of
-// packed.
+// packed. It walks the mirror a row at a time: an X face takes one word
+// per wavefield row, a Y face a whole one.
 func (s *subdomain) fillBoundary(buf []byte, face int) {
 	side := faceSide(face)
 	switch face {
@@ -288,12 +312,13 @@ func (s *subdomain) fillBoundary(buf []byte, face int) {
 		if face == faceEast {
 			x = s.nx
 		}
-		for f := 0; f < s.cfg.Fields; f++ {
-			scale := float32(1 + 0.125*float64(f))
-			for z := 0; z < s.nz; z++ {
-				row := ((f*s.nz + z) * s.ny) * 2
-				for y := 1; y <= s.ny; y++ {
-					putFloat(buf[4*(row+(y-1)*2+side):], s.u[s.index(x, y, z)]*scale)
+		for z := 0; z < s.nz; z++ {
+			col := s.u[s.index(x, 1, z):]
+			for f := 0; f < s.cfg.Fields; f++ {
+				scale := fieldScale(f)
+				row := buf[4*((f*s.nz+z)*s.ny*2+side):]
+				for y := 0; y < s.ny; y++ {
+					putFloat(row[8*y:], col[y*s.sx]*scale)
 				}
 			}
 		}
@@ -302,12 +327,13 @@ func (s *subdomain) fillBoundary(buf []byte, face int) {
 		if face == faceNorth {
 			y = s.ny
 		}
-		for f := 0; f < s.cfg.Fields; f++ {
-			scale := float32(1 + 0.125*float64(f))
-			for z := 0; z < s.nz; z++ {
-				row := ((f*s.nz+z)*2 + side) * s.nx
-				for x := 1; x <= s.nx; x++ {
-					putFloat(buf[4*(row+(x-1)):], s.u[s.index(x, y, z)]*scale)
+		for z := 0; z < s.nz; z++ {
+			src := s.u[s.index(1, y, z):][:s.nx]
+			for f := 0; f < s.cfg.Fields; f++ {
+				scale := fieldScale(f)
+				row := buf[4*((f*s.nz+z)*2+side)*s.nx:][:4*s.nx]
+				for x, v := range src {
+					putFloat(row[4*x:], v*scale)
 				}
 			}
 		}
@@ -326,9 +352,10 @@ func (s *subdomain) restoreGhost(buf []byte, face int) {
 			x = s.nx + 1
 		}
 		for z := 0; z < s.nz; z++ {
-			row := (z * s.ny) * 2
-			for y := 1; y <= s.ny; y++ {
-				s.u[s.index(x, y, z)] = getFloat(buf[4*(row+(y-1)*2+side):])
+			col := s.u[s.index(x, 1, z):]
+			row := buf[4*(z*s.ny*2+side):]
+			for y := 0; y < s.ny; y++ {
+				col[y*s.sx] = getFloat(row[8*y:])
 			}
 		}
 	case faceSouth, faceNorth:
@@ -337,51 +364,40 @@ func (s *subdomain) restoreGhost(buf []byte, face int) {
 			y = s.ny + 1
 		}
 		for z := 0; z < s.nz; z++ {
-			row := (z*2 + side) * s.nx
-			for x := 1; x <= s.nx; x++ {
-				s.u[s.index(x, y, z)] = getFloat(buf[4*(row+(x-1)):])
+			dst := s.u[s.index(1, y, z):][:s.nx]
+			row := buf[4*(z*2+side)*s.nx:][:4*s.nx]
+			for x := range dst {
+				dst[x] = getFloat(row[4*x:])
 			}
 		}
 	}
 }
 
-// packHalo builds a multi-field halo message from the named boundary face:
-// field f is an affine variant of the wavefield plane, standing in for
-// AWP-ODC's velocity/stress components (all smooth, all distinct). It is
-// the staging copy of the legacy HaloPacked arm; the typed path never
-// materializes it.
-func (s *subdomain) packHalo(buf []byte, face int) {
-	vals := s.faceValues(face, false)
-	n := len(vals)
+// packHalo builds a multi-field halo message from the boundary plane whose
+// field indices are idxs (faceIndices, ghost=false). It is the staging copy
+// of the legacy HaloPacked arm; the typed path never materializes it.
+func (s *subdomain) packHalo(buf []byte, idxs []int) {
 	for f := 0; f < s.cfg.Fields; f++ {
-		scale := float32(1 + 0.125*float64(f))
-		off := f * n * 4
-		for i, v := range vals {
-			putFloat(buf[off+4*i:], v*scale)
+		scale := fieldScale(f)
+		plane := buf[4*f*len(idxs):]
+		for i, idx := range idxs {
+			putFloat(plane[4*i:], s.u[idx]*scale)
 		}
 	}
 }
 
-// unpackHalo restores the primary field's ghost layer from a received halo
-// (field 0 carries the unscaled plane).
-func (s *subdomain) unpackHalo(buf []byte, face int) {
-	idxs := s.faceIndices(face, true)
+// unpackHalo restores the primary field's ghost layer, whose field indices
+// are idxs (faceIndices, ghost=true), from a received halo (field 0 carries
+// the unscaled plane).
+func (s *subdomain) unpackHalo(buf []byte, idxs []int) {
 	for i, idx := range idxs {
 		s.u[idx] = getFloat(buf[4*i:])
 	}
 }
 
-// faceValues gathers the boundary (ghost=false) or ghost (ghost=true)
-// plane values of the face.
-func (s *subdomain) faceValues(face int, ghost bool) []float32 {
-	idxs := s.faceIndices(face, ghost)
-	out := make([]float32, len(idxs))
-	for i, idx := range idxs {
-		out[i] = s.u[idx]
-	}
-	return out
-}
-
+// faceIndices lists the field indices of the face's boundary (ghost=false)
+// or ghost (ghost=true) plane, z outermost — the staged arm's gather and
+// scatter table, built once per neighbor and run.
 func (s *subdomain) faceIndices(face int, ghost bool) []int {
 	var out []int
 	switch face {
@@ -425,18 +441,9 @@ func (s *subdomain) faceIndices(face int, ghost bool) []int {
 	return out
 }
 
-func putFloat(b []byte, v float32) {
-	bits := math.Float32bits(v)
-	b[0] = byte(bits)
-	b[1] = byte(bits >> 8)
-	b[2] = byte(bits >> 16)
-	b[3] = byte(bits >> 24)
-}
+func putFloat(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) }
 
-func getFloat(b []byte) float32 {
-	bits := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	return math.Float32frombits(bits)
-}
+func getFloat(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
 
 // Run executes the simulation on an existing world and reports the
 // performance metrics of the paper's application study.
@@ -484,13 +491,18 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 		// side by its Subarray3D signature). Staged path: one contiguous
 		// staging pair per neighbor, as the original implementation.
 		var sendBufs, recvBufs []*gpusim.Buffer
+		var sendIdx, recvIdx [][]int
 		var sbx, rbx, sby, rby *gpusim.Buffer
 		if cfg.HaloPacked {
 			sendBufs = make([]*gpusim.Buffer, len(nbs))
 			recvBufs = make([]*gpusim.Buffer, len(nbs))
+			sendIdx = make([][]int, len(nbs))
+			recvIdx = make([][]int, len(nbs))
 			for i, n := range nbs {
 				sendBufs[i] = &gpusim.Buffer{Data: make([]byte, n.bytes), Loc: gpusim.Device, Dev: dev}
 				recvBufs[i] = &gpusim.Buffer{Data: make([]byte, n.bytes), Loc: gpusim.Device, Dev: dev}
+				sendIdx[i] = s.faceIndices(n.face, false)
+				recvIdx[i] = s.faceIndices(n.face, true)
 			}
 		} else {
 			if rx > 0 || rx < px-1 {
@@ -546,6 +558,7 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 
 		var compute, comm simtime.Duration
 		var staging int64
+		reqs := make([]*mpi.Request, 0, 2*len(nbs))
 		for step := 0; step < cfg.Steps; step++ {
 			// GPU compute phase: the stencil kernel.
 			t0 := r.Clock.Now()
@@ -557,7 +570,7 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 			// Halo exchange (CUDA-aware Isend/Irecv of device buffers,
 			// as the paper's modified AWP-ODC does).
 			t0 = r.Clock.Now()
-			reqs := make([]*mpi.Request, 0, 2*len(nbs))
+			reqs = reqs[:0]
 			if cfg.HaloPacked {
 				for i, n := range nbs {
 					rq, err := r.Irecv(n.peer, n.recvTag, recvBufs[i])
@@ -567,7 +580,7 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 					reqs = append(reqs, rq)
 				}
 				for i, n := range nbs {
-					s.packHalo(sendBufs[i].Data, n.face)
+					s.packHalo(sendBufs[i].Data, sendIdx[i])
 					stagedCopy(n.bytes, faceAmp(n.face))
 					staging += int64(n.bytes)
 					sq, err := r.Isend(n.peer, n.sendTag, sendBufs[i])
@@ -582,7 +595,7 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 				for i, n := range nbs {
 					stagedCopy(n.bytes, faceAmp(n.face))
 					staging += int64(n.bytes)
-					s.unpackHalo(recvBufs[i].Data, n.face)
+					s.unpackHalo(recvBufs[i].Data, recvIdx[i])
 				}
 			} else {
 				// Typed path: receives scatter straight into the mirror,

@@ -2,6 +2,7 @@ package awpodc
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"mpicomp/internal/core"
@@ -113,10 +114,37 @@ func TestZFPCompressionBoundedError(t *testing.T) {
 	}
 }
 
+// paperCfg is the paper-scale weak-scaling point two tests assert on: 16
+// GPUs, 1.7 GB of wavefield. Its Mode-off run is the same world in both,
+// so they share one.
+var paperCfg = Config{NX: 320, NY: 320, NZ: 128, Fields: 9, Steps: 2}
+
+var paperOff struct {
+	once sync.Once
+	res  Result
+	err  error
+}
+
+func paperOffRun(t *testing.T) Result {
+	t.Helper()
+	paperOff.once.Do(func() {
+		w, err := mpi.NewWorld(mpi.Options{Cluster: hw.Longhorn(), Nodes: 4, PPN: 4})
+		if err != nil {
+			paperOff.err = err
+			return
+		}
+		paperOff.res, paperOff.err = Run(w, paperCfg)
+	})
+	if paperOff.err != nil {
+		t.Fatal(paperOff.err)
+	}
+	return paperOff.res
+}
+
 func TestCommunicationIsSignificantFraction(t *testing.T) {
 	// Figure 2(b): communication is a significant share of runtime at
 	// multi-node scale.
-	res := runWorld(t, 4, 4, core.Config{}, Config{NX: 320, NY: 320, NZ: 128, Fields: 9, Steps: 2})
+	res := paperOffRun(t)
 	frac := float64(res.CommTime) / float64(res.CommTime+res.ComputeTime)
 	if frac < 0.15 || frac > 0.75 {
 		t.Fatalf("communication fraction out of the paper's regime: %.2f", frac)
@@ -126,8 +154,8 @@ func TestCommunicationIsSignificantFraction(t *testing.T) {
 func TestCompressionImprovesFlops(t *testing.T) {
 	// Figures 12/13: MPC-OPT and ZFP-OPT improve the aggregate GPU
 	// computing FLOPS under weak scaling at 4 GPUs/node.
-	cfg := Config{NX: 320, NY: 320, NZ: 128, Fields: 9, Steps: 2}
-	base := runWorld(t, 4, 4, core.Config{}, cfg)
+	cfg := paperCfg
+	base := paperOffRun(t)
 	mpcR := runWorld(t, 4, 4, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC}, cfg)
 	zfpR := runWorld(t, 4, 4, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8}, cfg)
 	if mpcR.TFlops <= base.TFlops {
@@ -222,5 +250,115 @@ func TestHaloRatioInPaperRange(t *testing.T) {
 		Config{NX: 320, NY: 320, NZ: 64, Fields: 9, Steps: 3})
 	if res.Ratio < 3 || res.Ratio > 40 {
 		t.Fatalf("halo MPC ratio %v outside the paper's 3-31 range", res.Ratio)
+	}
+}
+
+// stepReference is the per-point stencil loop step replaced: index
+// arithmetic and both Z-boundary branches for every point.
+func (s *subdomain) stepReference() {
+	sx, sy := s.sx, s.sy
+	plane := sx * sy
+	for z := 0; z < s.nz; z++ {
+		for y := 1; y <= s.ny; y++ {
+			base := (z*sy + y) * sx
+			for x := 1; x <= s.nx; x++ {
+				i := base + x
+				c := s.u[i]
+				lap := s.u[i-1] + s.u[i+1] + s.u[i-sx] + s.u[i+sx] - 6*c
+				if z > 0 {
+					lap += s.u[i-plane]
+				} else {
+					lap += c
+				}
+				if z < s.nz-1 {
+					lap += s.u[i+plane]
+				} else {
+					lap += c
+				}
+				s.uprev[i] = 2*c - s.uprev[i] + s.coef*lap
+			}
+		}
+	}
+	s.u, s.uprev = s.uprev, s.u
+}
+
+// sourceReference is newSubdomain's initial pulse without the cutoff: Exp
+// at every point of the mesh.
+func sourceReference(s *subdomain) []float32 {
+	u := make([]float32, len(s.u))
+	cx, cy, cz := s.nx/2, s.ny/2, s.nz/2
+	sigma2 := float64(minInt(s.nx, minInt(s.ny, s.nz)))
+	sigma2 = sigma2 * sigma2 / 25
+	for z := 0; z < s.nz; z++ {
+		for y := 1; y <= s.ny; y++ {
+			for x := 1; x <= s.nx; x++ {
+				dx, dy, dz := float64(x-cx), float64(y-cy), float64(z-cz)
+				u[s.index(x, y, z)] = float32(math.Exp(-(dx*dx + dy*dy + dz*dz) / sigma2))
+			}
+		}
+	}
+	return u
+}
+
+func sameBits(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestStepMatchesReference pins the row-sliced stencil and the source's
+// Exp cutoff to the loops they replaced, bit for bit: on the bench mesh
+// and on the meshes where the two reflective Z boundaries coincide (NZ = 1)
+// or touch (NZ = 2).
+func TestStepMatchesReference(t *testing.T) {
+	for _, mesh := range [][3]int{{320, 320, 32}, {64, 48, 1}, {48, 64, 2}, {33, 17, 5}} {
+		cfg := Config{NX: mesh[0], NY: mesh[1], NZ: mesh[2]}.withDefaults()
+		got := newSubdomain(cfg, 0, 0, 1, 1)
+		if i := sameBits(got.u, sourceReference(got)); i >= 0 {
+			t.Fatalf("mesh %v: source point %d differs from the unguarded Exp loop", mesh, i)
+		}
+		if i := sameBits(got.uprev, got.u); i >= 0 {
+			t.Fatalf("mesh %v: uprev point %d differs from u at t = 0", mesh, i)
+		}
+		// Ghost cells take neighbor data in a real run; give them some.
+		for i := range got.u {
+			if got.u[i] == 0 {
+				got.u[i] = float32(i%97) * 1e-3
+			}
+		}
+		want := *got
+		want.u, want.uprev = append([]float32(nil), got.u...), append([]float32(nil), got.uprev...)
+		for step := 1; step <= 6; step++ {
+			got.step()
+			want.stepReference()
+			if i := sameBits(got.u, want.u); i >= 0 {
+				t.Fatalf("mesh %v step %d: u[%d] = %x, reference %x", mesh, step, i,
+					math.Float32bits(got.u[i]), math.Float32bits(want.u[i]))
+			}
+			if i := sameBits(got.uprev, want.uprev); i >= 0 {
+				t.Fatalf("mesh %v step %d: uprev[%d] differs from the reference", mesh, step, i)
+			}
+		}
+	}
+}
+
+// BenchmarkStep is one stencil step of the bench mesh's subdomain, by the
+// row-sliced loop and by the per-point loop it replaced.
+func BenchmarkStep(b *testing.B) {
+	for name, step := range map[string]func(*subdomain){
+		"rows":      (*subdomain).step,
+		"reference": (*subdomain).stepReference,
+	} {
+		b.Run(name, func(b *testing.B) {
+			s := newSubdomain(Config{NX: 320, NY: 320, NZ: 32}.withDefaults(), 0, 0, 1, 1)
+			b.SetBytes(int64(4 * s.nx * s.ny * s.nz))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(s)
+			}
+		})
 	}
 }

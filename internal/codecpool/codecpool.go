@@ -38,9 +38,8 @@ import (
 // mark of the work they serve and are then reused allocation-free; the
 // contents are garbage on entry to every part.
 type Scratch struct {
-	words  []uint32
-	floats []float32
-	bytes  []byte
+	words []uint32
+	bytes []byte
 }
 
 // Words returns a length-n uint32 buffer, reusing capacity when possible.
@@ -50,15 +49,6 @@ func (s *Scratch) Words(n int) []uint32 {
 	}
 	s.words = s.words[:n]
 	return s.words
-}
-
-// Floats returns a length-n float32 buffer, reusing capacity when possible.
-func (s *Scratch) Floats(n int) []float32 {
-	if cap(s.floats) < n {
-		s.floats = make([]float32, n)
-	}
-	s.floats = s.floats[:n]
-	return s.floats
 }
 
 // Bytes returns a length-n byte buffer, reusing capacity when possible.

@@ -77,11 +77,6 @@ func TestScratchReuse(t *testing.T) {
 	if len(b) != 50 {
 		t.Fatalf("Words(50) has len %d", len(b))
 	}
-	f := s.Floats(10)
-	g := s.Floats(10)
-	if &f[0] != &g[0] {
-		t.Fatal("Floats did not reuse capacity")
-	}
 	x := s.Bytes(8)
 	y := s.Bytes(4)
 	if &x[0] != &y[0] {

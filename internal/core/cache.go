@@ -159,11 +159,23 @@ func (e *Engine) cacheLookupLocked(key cacheKey, epoch uint64) ([]byte, Header, 
 			return e.cache[i].payload, e.cache[i].hdr, true
 		}
 		e.CacheInvalidations++
-		e.cacheBytes -= len(e.cache[i].payload)
-		e.cache = append(e.cache[:i], e.cache[i+1:]...)
+		e.cacheDropLocked(i)
 		break
 	}
 	return nil, Header{}, false
+}
+
+// cacheDropLocked removes entry i, keeping the FIFO order of the rest: the
+// entries above it move down and the vacated last slot is cleared, so the
+// backing array keeps no dropped payload reachable (the table is at most
+// CacheEntries long; re-slicing it instead pinned up to a second
+// CacheBudgetBytes of evicted payloads per engine).
+func (e *Engine) cacheDropLocked(i int) {
+	e.cacheBytes -= len(e.cache[i].payload)
+	last := len(e.cache) - 1
+	copy(e.cache[i:], e.cache[i+1:])
+	e.cache[last] = cacheEntry{}
+	e.cache = e.cache[:last]
 }
 
 // cacheInsertLocked retains (payload, hdr) for key at epoch, evicting
@@ -175,15 +187,13 @@ func (e *Engine) cacheInsertLocked(key cacheKey, epoch uint64, payload []byte, h
 	}
 	for i := range e.cache {
 		if e.cache[i].key == key {
-			e.cacheBytes -= len(e.cache[i].payload)
-			e.cache = append(e.cache[:i], e.cache[i+1:]...)
+			e.cacheDropLocked(i)
 			break
 		}
 	}
 	for len(e.cache) > 0 &&
 		(len(e.cache) >= e.cfg.CacheEntries || e.cacheBytes+len(payload) > e.cfg.CacheBudgetBytes) {
-		e.cacheBytes -= len(e.cache[0].payload)
-		e.cache = e.cache[1:]
+		e.cacheDropLocked(0)
 		e.CacheEvictions++
 	}
 	e.cache = append(e.cache, cacheEntry{key: key, epoch: epoch, payload: payload, hdr: hdr})

@@ -148,6 +148,92 @@ func TestCacheEvictionRespectsBudgets(t *testing.T) {
 	}
 }
 
+// TestCacheDropsReleasePayloads is the white-box half of the budget: an
+// entry that was evicted or invalidated must leave the table's backing
+// array, not just its length, or the payload stays reachable past the
+// byte budget — in the slots a re-sliced table leaves behind its start, or
+// in the tail slot a shifted one leaves behind its end. The counters the
+// run passes through are pinned alongside, so the fix cannot have changed
+// which sends hit.
+func TestCacheDropsReleasePayloads(t *testing.T) {
+	cfg := cacheConfig()
+	cfg.CacheEntries = 3
+	e, dev, clk := newTestEngine(t, cfg)
+	bufs := make([]*gpusim.Buffer, 5)
+	for i := range bufs {
+		bufs[i] = deviceBufferWith(dev, smooth(1<<16, int64(30+i))).Track()
+	}
+	send := func(i int) { e.CompressForLinkCached(clk, bufs[i], 12.5) }
+
+	send(0)
+	send(1)
+	send(2)
+	// The table is full: from here on it must stay where it is in its
+	// backing array, with nothing in the slots past its length.
+	base := &e.cache[0]
+	var got []CacheStats
+	check := func() {
+		t.Helper()
+		st := e.CacheSnapshot()
+		got = append(got, CacheStats{Hits: st.Hits, Misses: st.Misses, Invalidations: st.Invalidations,
+			Evictions: st.Evictions, Entries: st.Entries})
+		if &e.cache[0] != base {
+			t.Fatalf("step %d: the table moved up its backing array, leaving dropped entries behind it", len(got))
+		}
+		for i, ce := range e.cache[len(e.cache):cap(e.cache)] {
+			if ce.payload != nil {
+				t.Fatalf("step %d: slot %d past the table's %d entries still holds a %d-byte payload",
+					len(got), len(e.cache)+i, len(e.cache), len(ce.payload))
+			}
+		}
+		sum := 0
+		for _, ce := range e.cache {
+			sum += len(ce.payload)
+		}
+		if sum != st.Bytes {
+			t.Fatalf("step %d: entries hold %d bytes, the budget counts %d", len(got), sum, st.Bytes)
+		}
+	}
+	check()
+	send(3) // evicts 0
+	check()
+	bufs[2].MarkDirty() // a middle entry goes stale and is re-inserted
+	send(2)
+	check()
+	send(1) // both still hit
+	send(3)
+	check()
+	send(4) // evicts 1, then 3
+	send(0)
+	check()
+	bufs[0].MarkDirty() // 0 and 4 go stale; 4 is re-inserted, 2 hits
+	bufs[4].MarkDirty()
+	send(4)
+	send(2)
+	check()
+	// An invalidation with no insert behind it: the lookup alone must
+	// clear the slot it vacates.
+	e.mu.Lock()
+	e.cacheLookupLocked(e.cache[1].key, e.cache[1].epoch+1)
+	e.mu.Unlock()
+	check()
+
+	want := []CacheStats{
+		{Misses: 3, Entries: 3},
+		{Misses: 4, Evictions: 1, Entries: 3},
+		{Misses: 5, Invalidations: 1, Evictions: 1, Entries: 3},
+		{Hits: 2, Misses: 5, Invalidations: 1, Evictions: 1, Entries: 3},
+		{Hits: 2, Misses: 7, Invalidations: 1, Evictions: 3, Entries: 3},
+		{Hits: 3, Misses: 8, Invalidations: 2, Evictions: 3, Entries: 3},
+		{Hits: 3, Misses: 8, Invalidations: 3, Evictions: 3, Entries: 2},
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("step %d: stats %+v, want %+v", i+1, got[i], want[i])
+		}
+	}
+}
+
 // TestCacheDynamicKeyPerLink: with dynamic selection the gate's decision
 // depends on the link, so each bandwidth gets its own entry; without it
 // all links share one.

@@ -139,7 +139,7 @@ func TestSplitWordsProperties(t *testing.T) {
 
 // --- engine tests ---
 
-func newTestEngine(t *testing.T, cfg Config) (*Engine, *gpusim.GPUDevice, *simtime.Clock) {
+func newTestEngine(t testing.TB, cfg Config) (*Engine, *gpusim.GPUDevice, *simtime.Clock) {
 	t.Helper()
 	dev := gpusim.NewDevice(hw.TeslaV100(), 8)
 	clk := simtime.NewClock(0)

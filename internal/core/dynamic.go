@@ -91,7 +91,7 @@ const probeInterval = 16
 
 // probeRatioLocked refreshes the ratio estimate from a small prefix of m's
 // packed stream — read in place for a contiguous message, gathered through
-// the layout's runs otherwise — with a real (sampled) compression.
+// the layout's plan otherwise — with a real (sampled) compression.
 func (e *Engine) probeRatioLocked(clk *simtime.Clock, m message) {
 	c := codecFor(e.cfg.Algorithm)
 	if c == nil || c.probe == nil {
@@ -103,9 +103,8 @@ func (e *Engine) probeRatioLocked(clk *simtime.Clock, m message) {
 	}
 	sample := m.buf.Data[m.off : m.off+pn&^3]
 	if m.t != nil {
-		view := e.typedViewLocked(m.t)
 		sample = e.ar.packedFor(pn &^ 3)
-		gatherBytesAt(sample, m.buf.Data, view.runs, view.offs, m.off)
+		m.t.Plan().Gather(sample, m.buf.Data, m.off)
 	}
 	c.probe(e, clk, sample, pn)
 }

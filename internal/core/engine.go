@@ -292,10 +292,10 @@ func (e *Engine) Compress(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte, Heade
 }
 
 // CompressTyped is Compress over the words t selects from buf (all of buf
-// when t is nil). The strided runs feed the codec pipelines directly —
-// each codec part gathers its own packed range into worker scratch
-// (hostpar.go typedView) — so a strided message costs no pack pass and no
-// staging allocation. Partitioning, kernel charges and headers are all
+// when t is nil). The layout feeds the codec pipelines directly — each
+// codec part gathers its own packed range into worker scratch (typed.go
+// typedView) — so a strided message costs no pack pass and no staging
+// allocation. Partitioning, kernel charges and headers are all
 // computed over the packed size, so the wire payload is bit-identical to
 // Pack-then-Compress by construction; the differential oracle in
 // typed_test.go and the awpodc halo test pin that equivalence.
@@ -353,7 +353,7 @@ func (e *Engine) compressLocked(clk *simtime.Clock, m message) ([]byte, Header) 
 		panic("core: unreachable algorithm")
 	}
 	e.Compressions++
-	src, view := e.spanLocked(m)
+	src, view := span(m)
 	payload, hdr := c.compress(e, clk, src, m.n, view)
 	hdr.Checksum = e.checksumLocked(clk, payload)
 	e.BytesIn += int64(hdr.OrigBytes)
@@ -362,16 +362,14 @@ func (e *Engine) compressLocked(clk *simtime.Clock, m message) ([]byte, Header) 
 	return payload, hdr
 }
 
-// spanLocked resolves m for the codec kernels: a contiguous message is its
-// own byte range; a layout hands the kernels the whole buffer plus the run
-// table they gather from (or scatter into), starting at packed offset off.
-func (e *Engine) spanLocked(m message) ([]byte, typedView) {
+// span resolves m for the codec kernels: a contiguous message is its own
+// byte range; a layout hands the kernels the whole buffer plus the plan
+// they gather through (or scatter through), starting at packed offset off.
+func span(m message) ([]byte, typedView) {
 	if m.t == nil {
 		return m.buf.Data[m.off : m.off+m.n], typedView{}
 	}
-	view := e.typedViewLocked(m.t)
-	view.base = m.off
-	return m.buf.Data, view
+	return m.buf.Data, typedView{plan: m.t.Plan(), base: m.off}
 }
 
 // bypassViewLocked returns m's packed bytes as an uncompressed wire
@@ -382,9 +380,8 @@ func (e *Engine) spanLocked(m message) ([]byte, typedView) {
 func (e *Engine) bypassViewLocked(clk *simtime.Clock, m message) ([]byte, Header) {
 	view := m.buf.Data[m.off : m.off+m.n]
 	if m.t != nil {
-		tv := e.typedViewLocked(m.t)
 		view = e.ar.packedFor(m.n)
-		gatherBytesAt(view, m.buf.Data, tv.runs, tv.offs, m.off)
+		m.t.Plan().Gather(view, m.buf.Data, m.off)
 		e.packChargeLocked(clk, m.n)
 	}
 	hdr := Header{Algo: AlgoNone, OrigBytes: m.n, CompBytes: m.n}
@@ -842,8 +839,7 @@ func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m me
 		} else {
 			// The uncompressed form arrives packed; scattering it back out is
 			// a real unpack pass, charged like the sender's pack.
-			tv := e.typedViewLocked(m.t)
-			scatterBytesAt(m.buf.Data, tv.runs, tv.offs, m.off, payload)
+			m.t.Plan().Scatter(m.buf.Data, m.off, payload)
 			e.packChargeLocked(clk, m.n)
 		}
 		m.buf.MarkDirty()
@@ -857,7 +853,7 @@ func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m me
 	if c == nil {
 		return fmt.Errorf("core: unknown algorithm %d in header", uint8(hdr.Algo))
 	}
-	out, view := e.spanLocked(m)
+	out, view := span(m)
 	err := c.decompress(e, clk, hdr, payload, out, view)
 	if err == nil {
 		// The destination's contents changed: invalidate any cached

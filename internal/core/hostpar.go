@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"sort"
 
 	"mpicomp/internal/codecpool"
 	"mpicomp/internal/mpc"
@@ -52,10 +49,6 @@ type arena struct {
 	offs      []int
 	outs      [][]byte
 	errs      []error
-	// truns/troffs hold the current typed message's contiguous source
-	// runs and their cumulative packed byte offsets (typed.go).
-	truns  [][2]int
-	troffs []int
 	// packed stages the gathered bytes of a typed message that bypasses
 	// compression (the typed analogue of the AlgoNone view of buf.Data).
 	packed []byte
@@ -130,133 +123,13 @@ func firstErr(errs []error) (int, error) {
 	return -1, nil
 }
 
-// --- in-place byte/float conversions (the *At variants overwrite a
-// pre-sliced destination, so parallel parts can convert disjoint ranges
-// of one buffer) ---
-
-func bytesToFloatsAt(dst []float32, b []byte) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-}
-
-func floatsToBytesAt(dst []byte, f []float32) {
-	for i, v := range f {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
-}
-
-// typedView routes a codec job's reads (compress) or writes (decompress)
-// through a strided layout instead of a contiguous byte range. runs are
-// the layout's maximal contiguous byte runs over the buffer, offs their
-// cumulative packed byte offsets (len(runs)+1 entries), and base the
-// packed byte offset of this message's first byte within the layout's
-// packed stream (nonzero for pipelined typed chunks). A zero typedView
-// (runs == nil) means contiguous — the pre-existing fast path.
-//
-// This is the pack+compress fusion point: each codec part gathers its own
-// packed range into worker scratch (and scatters it back out after
-// decoding), so a strided message never materializes its packed stream
-// and needs no message-sized staging buffer. For ZFP the gather is the
-// byte-to-float pass a contiguous message makes anyway; for MPC, which
-// reads a contiguous message's bytes in place, it is one part-sized copy.
-// Runs and offs alias the engine arena; workers only ever read them.
-type typedView struct {
-	runs [][2]int
-	offs []int
-	base int
-}
-
-// runAt locates the run containing packed byte offset p.
-func runAt(offs []int, p int) int {
-	// offs has len(runs)+1 entries; find the first run ending past p.
-	return sort.Search(len(offs)-1, func(i int) bool { return offs[i+1] > p })
-}
-
-// gatherFloatsAt fills dst with the packed values starting at value v0 of
-// the layout's packed stream, reading strided source runs. Run offsets
-// and lengths are multiples of 4 by construction (word-granular
-// layouts), so value boundaries never split a run element.
-func gatherFloatsAt(dst []float32, src []byte, runs [][2]int, offs []int, v0 int) {
-	p := 4 * v0
-	k := runAt(offs, p)
-	for di := 0; di < len(dst); k++ {
-		rg := runs[k]
-		ro := p - offs[k]
-		take := (rg[1] - ro) / 4
-		if rem := len(dst) - di; take > rem {
-			take = rem
-		}
-		bytesToFloatsAt(dst[di:di+take], src[rg[0]+ro:rg[0]+ro+4*take])
-		di += take
-		p += 4 * take
-	}
-}
-
-// scatterFloatsAt writes f as the packed values starting at value v0 of
-// the layout's packed stream, storing into strided destination runs — the
-// mirror of gatherFloatsAt.
-func scatterFloatsAt(dst []byte, runs [][2]int, offs []int, v0 int, f []float32) {
-	p := 4 * v0
-	k := runAt(offs, p)
-	for si := 0; si < len(f); k++ {
-		rg := runs[k]
-		ro := p - offs[k]
-		take := (rg[1] - ro) / 4
-		if rem := len(f) - si; take > rem {
-			take = rem
-		}
-		floatsToBytesAt(dst[rg[0]+ro:rg[0]+ro+4*take], f[si:si+take])
-		si += take
-		p += 4 * take
-	}
-}
-
-// gatherBytesAt copies n packed bytes starting at packed offset base into
-// dst — byte-granular, so typed bypass payloads of any (mis)alignment
-// pack correctly.
-func gatherBytesAt(dst []byte, src []byte, runs [][2]int, offs []int, base int) {
-	p := base
-	k := runAt(offs, p)
-	for di := 0; di < len(dst); k++ {
-		rg := runs[k]
-		ro := p - offs[k]
-		take := rg[1] - ro
-		if rem := len(dst) - di; take > rem {
-			take = rem
-		}
-		copy(dst[di:di+take], src[rg[0]+ro:rg[0]+ro+take])
-		di += take
-		p += take
-	}
-}
-
-// scatterBytesAt copies src into the layout's positions starting at
-// packed offset base — the mirror of gatherBytesAt, used by typed
-// receives of uncompressed payloads.
-func scatterBytesAt(dst []byte, runs [][2]int, offs []int, base int, src []byte) {
-	p := base
-	k := runAt(offs, p)
-	for si := 0; si < len(src); k++ {
-		rg := runs[k]
-		ro := p - offs[k]
-		take := rg[1] - ro
-		if rem := len(src) - si; take > rem {
-			take = rem
-		}
-		copy(dst[rg[0]+ro:rg[0]+ro+take], src[si:si+take])
-		si += take
-		p += take
-	}
-}
-
 // mpcCompressJob compresses the partition ranges of one message
 // concurrently. Part i encodes its own byte range of src — the codec
 // reads the buffer's little-endian words in place — into outs[i], a
 // region of the arena's comp buffer pre-sliced with cap
-// mpc.Bound(partWords), so partitions cannot collide. A non-nil view
-// first gathers the partition's packed bytes from the strided source runs
-// into worker scratch (pack+compress fusion: one copy, no staging buffer).
+// mpc.Bound(partWords), so partitions cannot collide. A strided view first
+// gathers the partition's packed bytes out of the layout into worker
+// scratch (pack+compress fusion: one copy, no staging buffer).
 type mpcCompressJob struct {
 	src    []byte
 	ranges [][2]int
@@ -268,12 +141,10 @@ type mpcCompressJob struct {
 
 func (j *mpcCompressJob) RunPart(i int, s *codecpool.Scratch) {
 	lo, hi := 4*j.ranges[i][0], 4*j.ranges[i][1]
-	var part []byte
-	if j.view.runs == nil {
-		part = j.src[lo:hi]
-	} else {
+	part := j.src[lo:hi]
+	if j.view.strided() {
 		part = s.Bytes(hi - lo)
-		gatherBytesAt(part, j.src, j.view.runs, j.view.offs, j.view.base+lo)
+		j.view.plan.Gather(part, j.src, j.view.base+lo)
 	}
 	j.outs[i], j.errs[i] = mpc.AppendCompressBytes(j.outs[i][:0], part, j.dim)
 }
@@ -282,8 +153,8 @@ func (j *mpcCompressJob) RunPart(i int, s *codecpool.Scratch) {
 // Part i decodes payload[offs[i]:offs[i+1]] straight into its own byte
 // range of dst. MPC's predictor is partition-relative (each compress call
 // started a fresh stream), so partitions decode independently. A corrupt
-// partition leaves its range partly written; a non-nil view decodes into
-// worker scratch and scatters into the strided runs only on success.
+// partition leaves its range partly written; a strided view decodes into
+// worker scratch and scatters into the layout only on success.
 type mpcDecompressJob struct {
 	payload []byte
 	offs    []int // len(parts)+1 cumulative payload offsets
@@ -297,13 +168,13 @@ type mpcDecompressJob struct {
 func (j *mpcDecompressJob) RunPart(i int, s *codecpool.Scratch) {
 	lo, hi := 4*j.ranges[i][0], 4*j.ranges[i][1]
 	comp := j.payload[j.offs[i]:j.offs[i+1]]
-	if j.view.runs == nil {
+	if !j.view.strided() {
 		j.errs[i] = mpc.DecompressBytesInto(j.dst[lo:hi], comp, j.dim)
 		return
 	}
 	part := s.Bytes(hi - lo)
 	if j.errs[i] = mpc.DecompressBytesInto(part, comp, j.dim); j.errs[i] == nil {
-		scatterBytesAt(j.dst, j.view.runs, j.view.offs, j.view.base+lo, part)
+		j.view.plan.Scatter(j.dst, j.view.base+lo, part)
 	}
 }
 
@@ -311,7 +182,8 @@ func (j *mpcDecompressJob) RunPart(i int, s *codecpool.Scratch) {
 // concurrently. Chunk i covers values [i*chunkVals, min(n, (i+1)*chunkVals))
 // and writes exactly CompressedSize(chunkLen, rate) bytes at byte offset
 // i*chunkVals*rate/8 of out (see zfpChunkValues for why that offset is
-// always byte-exact).
+// always byte-exact). Like MPC, the coder reads a contiguous message's
+// little-endian words in place and a strided one from worker scratch.
 type zfpCompressJob struct {
 	src   []byte
 	out   []byte
@@ -327,19 +199,18 @@ func (j *zfpCompressJob) RunPart(i int, s *codecpool.Scratch) {
 	if v1 > j.nVals {
 		v1 = j.nVals
 	}
-	f := s.Floats(v1 - v0)
-	if j.view.runs == nil {
-		bytesToFloatsAt(f, j.src[4*v0:4*v1])
-	} else {
-		gatherFloatsAt(f, j.src, j.view.runs, j.view.offs, j.view.base/4+v0)
-	}
 	off := i * (zfpChunkValues * j.rate / 8)
 	want, err := zfp.CompressedSize(v1-v0, j.rate)
 	if err != nil {
 		j.errs[i] = err
 		return
 	}
-	out, err := zfp.AppendCompress(j.out[off:off:off+want], f, j.rate)
+	part := j.src[4*v0 : 4*v1]
+	if j.view.strided() {
+		part = s.Bytes(4 * (v1 - v0))
+		j.view.plan.Gather(part, j.src, j.view.base+4*v0)
+	}
+	out, err := zfp.AppendCompressBytes(j.out[off:off:off+want], part, j.rate)
 	if err != nil {
 		j.errs[i] = err
 		return
@@ -350,7 +221,8 @@ func (j *zfpCompressJob) RunPart(i int, s *codecpool.Scratch) {
 }
 
 // zfpDecompressJob decodes independent chunk rows concurrently, the
-// mirror of zfpCompressJob.
+// mirror of zfpCompressJob: straight into the chunk's bytes of dst, or
+// into worker scratch and out through the layout once the chunk decoded.
 type zfpDecompressJob struct {
 	comp  []byte
 	dst   []byte
@@ -366,20 +238,19 @@ func (j *zfpDecompressJob) RunPart(i int, s *codecpool.Scratch) {
 	if v1 > j.nVals {
 		v1 = j.nVals
 	}
-	f := s.Floats(v1 - v0)
 	off := i * (zfpChunkValues * j.rate / 8)
 	want, err := zfp.CompressedSize(v1-v0, j.rate)
 	if err != nil {
 		j.errs[i] = err
 		return
 	}
-	if err := zfp.DecompressInto(f, j.comp[off:off+want], j.rate); err != nil {
-		j.errs[i] = err
+	comp := j.comp[off : off+want]
+	if !j.view.strided() {
+		j.errs[i] = zfp.DecompressBytesInto(j.dst[4*v0:4*v1], comp, j.rate)
 		return
 	}
-	if j.view.runs == nil {
-		floatsToBytesAt(j.dst[4*v0:4*v1], f)
-	} else {
-		scatterFloatsAt(j.dst, j.view.runs, j.view.offs, j.view.base/4+v0, f)
+	part := s.Bytes(4 * (v1 - v0))
+	if j.errs[i] = zfp.DecompressBytesInto(part, comp, j.rate); j.errs[i] == nil {
+		j.view.plan.Scatter(j.dst, j.view.base+4*v0, part)
 	}
 }

@@ -5,29 +5,29 @@ import (
 	"mpicomp/internal/simtime"
 )
 
-// What a layout adds to the one message path (engine.go): the run table
-// the codec parts gather from and scatter into, and the explicit pack pass
-// an uncompressed strided message pays.
+// What a layout adds to the one message path (engine.go): the plan the
+// codec parts gather through and scatter through, and the explicit pack
+// pass an uncompressed strided message pays.
 
-// typedViewLocked flattens t into the arena's run table. The returned
-// view aliases arena storage valid until the engine's next typed
-// operation; workers only read it.
-func (e *Engine) typedViewLocked(t dtype.Type) typedView {
-	e.ar.truns = t.AppendRuns(e.ar.truns[:0])
-	runs := e.ar.truns
-	if cap(e.ar.troffs) < len(runs)+1 {
-		e.ar.troffs = make([]int, 0, len(runs)+1)
-	}
-	offs := e.ar.troffs[:0]
-	sum := 0
-	for _, rg := range runs {
-		offs = append(offs, sum)
-		sum += rg[1]
-	}
-	offs = append(offs, sum)
-	e.ar.troffs = offs
-	return typedView{runs: runs, offs: offs}
+// typedView routes a codec job's reads (compress) or writes (decompress)
+// through a strided layout instead of a contiguous byte range: plan is the
+// layout's canonical form and base the packed byte offset of this message's
+// first byte within the layout's packed stream (nonzero for pipelined
+// chunks). The zero typedView means contiguous — the codecs then work on
+// the buffer's bytes in place.
+//
+// This is the pack+compress fusion point: each codec part gathers its own
+// packed range into worker scratch (and scatters it back out after
+// decoding), so a strided message never materializes its packed stream
+// and needs no message-sized staging buffer. A view is a handful of
+// integers computed from the layout's own, so every message takes a fresh
+// one and nothing about a layout is cached or tabulated.
+type typedView struct {
+	plan dtype.Plan
+	base int
 }
+
+func (v typedView) strided() bool { return v.plan.Run != 0 }
 
 // packChargeLocked charges the cost of explicitly packing (or unpacking)
 // n strided bytes outside the codec: one read plus one write pass at

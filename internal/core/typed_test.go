@@ -348,3 +348,42 @@ func fuzzAbs(v int) int {
 	}
 	return v
 }
+
+// benchTypedRoundTrip times one engine round trip (compress, then restore)
+// of awp_halo's X face — 92,160 one-word runs out of a two-sided boundary
+// mirror — next to the same number of bytes sent flat, so the gap a layout
+// costs on the host clock has a go test -bench number.
+func benchTypedRoundTrip(b *testing.B, cfg Config) {
+	xFace := dtype.Subarray3D{Dims: [3]int{2, 320, 288}, Sub: [3]int{1, 320, 288}, Start: [3]int{1, 0, 0}}
+	for _, c := range []struct {
+		name  string
+		t     dtype.Type
+		words int
+	}{
+		{"flat", nil, xFace.Size() / 4},
+		{"xface", xFace, 2 * xFace.Size() / 4},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			e, dev, clk := newTestEngine(b, cfg)
+			src := deviceBufferWith(dev, smooth(c.words, 7))
+			dst := &gpusim.Buffer{Data: make([]byte, src.Len()), Loc: gpusim.Device, Dev: dev}
+			b.SetBytes(int64(xFace.Size()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				payload, hdr := e.CompressTyped(clk, src, c.t)
+				if err := e.DecompressTyped(clk, hdr, payload, dst, c.t); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkTypedRoundTripMPC(b *testing.B) {
+	benchTypedRoundTrip(b, Config{Mode: ModeOpt, Algorithm: AlgoMPC, Workers: 1})
+}
+
+func BenchmarkTypedRoundTripZFP(b *testing.B) {
+	benchTypedRoundTrip(b, Config{Mode: ModeOpt, Algorithm: AlgoZFP, ZFPRate: 8, Workers: 1})
+}

@@ -10,10 +10,11 @@
 //
 // The layout is consumed two ways:
 //
-//   - AppendRuns flattens it into maximal contiguous byte runs in packed
-//     order. The engine's fused compress path walks these runs during the
-//     codec's existing read pass, so packing costs zero extra passes and
-//     zero staging allocations.
+//   - Plan canonicalises it, in O(1), into runs of contiguous bytes at up to
+//     two levels of constant stride. Plan.Gather and Plan.Scatter move any
+//     byte range of the packed stream through that form; the engine's fused
+//     compress path calls them from each codec part, so packing costs no
+//     extra pass, no staging allocation and no per-message table.
 //   - Pack/Unpack are the plain reference path: an explicit gather into /
 //     scatter from a contiguous buffer. The fused path must produce
 //     bit-identical payloads to Pack-then-compress; tests enforce that.
@@ -32,8 +33,7 @@ var ErrInvalid = errors.New("dtype: invalid datatype")
 // Type is a strided layout of 4-byte words over a byte buffer.
 //
 // All offsets and lengths produced by a Type are multiples of 4: the
-// codec pipelines operate on whole words, and keeping the runs
-// word-aligned lets the fused gather convert bytes to words in place.
+// codec pipelines operate on whole words.
 type Type interface {
 	// Size returns the packed size in bytes (the wire size of one send).
 	Size() int
@@ -44,10 +44,11 @@ type Type interface {
 	// same signature select the same bytes from a buffer, so the
 	// compress-once cache may key on (allocation, signature, epoch).
 	Signature() uint64
-	// AppendRuns appends the layout's maximal contiguous byte runs
-	// {srcByteOff, byteLen} in packed order and returns the extended
-	// slice. Adjacent runs are coalesced.
-	AppendRuns(dst [][2]int) [][2]int
+	// Plan returns the layout's canonical strided form. It is computed
+	// from the layout's few integers, so callers take a fresh one per
+	// message instead of caching it. Only a layout that passed Validate
+	// has a meaningful plan.
+	Plan() Plan
 }
 
 // Contiguous is Words consecutive 4-byte words starting at offset 0 —
@@ -65,8 +66,9 @@ func (t Contiguous) Validate(bufLen int) error {
 	if t.Words < 1 {
 		return fmt.Errorf("%w: contiguous word count must be positive (got %d)", ErrInvalid, t.Words)
 	}
-	if 4*t.Words > bufLen {
-		return fmt.Errorf("%w: contiguous extent %dB exceeds buffer length %dB", ErrInvalid, 4*t.Words, bufLen)
+	// Compared in words: 4*Words wraps for counts no buffer can hold.
+	if t.Words > bufLen/4 {
+		return fmt.Errorf("%w: contiguous extent of %d words exceeds buffer length %dB", ErrInvalid, t.Words, bufLen)
 	}
 	return nil
 }
@@ -76,9 +78,9 @@ func (t Contiguous) Signature() uint64 {
 	return sigFinish(sigMix(sigMix(sigSeed, 1), uint64(t.Words)))
 }
 
-// AppendRuns appends the single contiguous run.
-func (t Contiguous) AppendRuns(dst [][2]int) [][2]int {
-	return appendRun(dst, 0, 4*t.Words)
+// Plan is the single run.
+func (t Contiguous) Plan() Plan {
+	return newPlan(0, 4*t.Words, [2]int{1, 1}, [2]int{})
 }
 
 // Vector is Count blocks of BlockLen words, the start of consecutive
@@ -129,12 +131,9 @@ func (t Vector) Signature() uint64 {
 	return sigFinish(h)
 }
 
-// AppendRuns appends one run per block, coalescing when Stride == BlockLen.
-func (t Vector) AppendRuns(dst [][2]int) [][2]int {
-	for i := 0; i < t.Count; i++ {
-		dst = appendRun(dst, 4*i*t.Stride, 4*t.BlockLen)
-	}
-	return dst
+// Plan is one run per block; Stride == BlockLen collapses to a single run.
+func (t Vector) Plan() Plan {
+	return newPlan(0, 4*t.BlockLen, [2]int{t.Count, 1}, [2]int{4 * t.Stride, 0})
 }
 
 // Subarray3D selects the box Sub starting at Start out of a dense
@@ -153,6 +152,7 @@ func (t Subarray3D) Size() int { return 4 * t.Sub[0] * t.Sub[1] * t.Sub[2] }
 
 // Validate checks the layout fits a buffer of bufLen bytes.
 func (t Subarray3D) Validate(bufLen int) error {
+	room := bufLen / 4
 	for ax := 0; ax < 3; ax++ {
 		if t.Dims[ax] < 1 {
 			return fmt.Errorf("%w: subarray dim[%d] must be positive (got %d)", ErrInvalid, ax, t.Dims[ax])
@@ -167,15 +167,15 @@ func (t Subarray3D) Validate(bufLen int) error {
 			return fmt.Errorf("%w: subarray axis %d exceeds extent: start %d + sub %d > dim %d",
 				ErrInvalid, ax, t.Start[ax], t.Sub[ax], t.Dims[ax])
 		}
-		// Overflow guard: the full extent is at least Dims[ax] words on
-		// every axis, so one oversized axis proves the extent check
-		// fails without evaluating the (possibly overflowing) product.
-		if t.Dims[ax] > bufLen/4 {
-			return fmt.Errorf("%w: subarray full extent exceeds buffer length %dB", ErrInvalid, bufLen)
+		// The extent check, axis by axis: room is how many times the
+		// product of the axes so far still fits the buffer's words, so
+		// Dims[0]*Dims[1]*Dims[2] <= bufLen/4 is decided exactly without
+		// forming a product that could wrap.
+		if t.Dims[ax] > room {
+			return fmt.Errorf("%w: subarray full extent %dx%dx%d words exceeds buffer length %dB",
+				ErrInvalid, t.Dims[0], t.Dims[1], t.Dims[2], bufLen)
 		}
-	}
-	if ext := 4 * t.Dims[0] * t.Dims[1] * t.Dims[2]; ext > bufLen {
-		return fmt.Errorf("%w: subarray full extent %dB exceeds buffer length %dB", ErrInvalid, ext, bufLen)
+		room /= t.Dims[ax]
 	}
 	return nil
 }
@@ -191,28 +191,13 @@ func (t Subarray3D) Signature() uint64 {
 	return sigFinish(h)
 }
 
-// AppendRuns appends one run per (y, z) row, coalescing full planes and
-// full rows into longer runs.
-func (t Subarray3D) AppendRuns(dst [][2]int) [][2]int {
+// Plan is one run per (y, z) row: rows at stride nx inside a plane, planes
+// at stride nx*ny. Full rows and full planes collapse into longer runs, and
+// a box spanning the whole y axis (an X halo face) into a single level.
+func (t Subarray3D) Plan() Plan {
 	nx, ny := t.Dims[0], t.Dims[1]
-	for z := t.Start[2]; z < t.Start[2]+t.Sub[2]; z++ {
-		for y := t.Start[1]; y < t.Start[1]+t.Sub[1]; y++ {
-			off := 4 * ((z*ny+y)*nx + t.Start[0])
-			dst = appendRun(dst, off, 4*t.Sub[0])
-		}
-	}
-	return dst
-}
-
-// appendRun appends {off, n}, merging with the previous run when the two
-// are contiguous in the source. Merging preserves packed order because
-// runs are appended in packed order.
-func appendRun(dst [][2]int, off, n int) [][2]int {
-	if k := len(dst); k > 0 && dst[k-1][0]+dst[k-1][1] == off {
-		dst[k-1][1] += n
-		return dst
-	}
-	return append(dst, [2]int{off, n})
+	base := 4 * ((t.Start[2]*ny+t.Start[1])*nx + t.Start[0])
+	return newPlan(base, 4*t.Sub[0], [2]int{t.Sub[1], t.Sub[2]}, [2]int{4 * nx, 4 * nx * ny})
 }
 
 // Pack gathers the layout's words from src into dst in packed order —
@@ -225,10 +210,7 @@ func Pack(dst, src []byte, t Type) error {
 	if len(dst) < t.Size() {
 		return fmt.Errorf("%w: pack destination %dB shorter than packed size %dB", ErrInvalid, len(dst), t.Size())
 	}
-	w := 0
-	for _, rg := range t.AppendRuns(nil) {
-		w += copy(dst[w:w+rg[1]], src[rg[0]:rg[0]+rg[1]])
-	}
+	t.Plan().Gather(dst[:t.Size()], src, 0)
 	return nil
 }
 
@@ -242,10 +224,7 @@ func Unpack(dst, src []byte, t Type) error {
 	if len(src) < t.Size() {
 		return fmt.Errorf("%w: unpack source %dB shorter than packed size %dB", ErrInvalid, len(src), t.Size())
 	}
-	r := 0
-	for _, rg := range t.AppendRuns(nil) {
-		r += copy(dst[rg[0]:rg[0]+rg[1]], src[r:r+rg[1]])
-	}
+	t.Plan().Scatter(dst, 0, src[:t.Size()])
 	return nil
 }
 

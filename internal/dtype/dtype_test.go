@@ -3,6 +3,7 @@ package dtype
 import (
 	"bytes"
 	"errors"
+	"math/big"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestContiguous(t *testing.T) {
 	if err := ty.Validate(24); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	runs := ty.AppendRuns(nil)
+	runs := runsOf(ty)
 	if len(runs) != 1 || runs[0] != [2]int{0, 24} {
 		t.Fatalf("runs = %v, want [{0 24}]", runs)
 	}
@@ -33,7 +34,7 @@ func TestVectorRuns(t *testing.T) {
 	if ty.Size() != 24 {
 		t.Fatalf("size = %d, want 24", ty.Size())
 	}
-	runs := ty.AppendRuns(nil)
+	runs := runsOf(ty)
 	want := [][2]int{{0, 8}, {20, 8}, {40, 8}}
 	if len(runs) != len(want) {
 		t.Fatalf("runs = %v, want %v", runs, want)
@@ -49,7 +50,7 @@ func TestVectorCoalesce(t *testing.T) {
 	// Stride == BlockLen: the blocks are contiguous and must merge into
 	// one run so the codec sees the largest possible copy granule.
 	ty := Vector{Count: 4, BlockLen: 3, Stride: 3}
-	runs := ty.AppendRuns(nil)
+	runs := runsOf(ty)
 	if len(runs) != 1 || runs[0] != [2]int{0, 48} {
 		t.Fatalf("runs = %v, want single coalesced run {0 48}", runs)
 	}
@@ -58,13 +59,13 @@ func TestVectorCoalesce(t *testing.T) {
 func TestSubarrayRuns(t *testing.T) {
 	// Full x rows coalesce across y when the box spans the whole x axis.
 	full := Subarray3D{Dims: [3]int{4, 3, 2}, Sub: [3]int{4, 3, 1}, Start: [3]int{0, 0, 1}}
-	runs := full.AppendRuns(nil)
+	runs := runsOf(full)
 	if len(runs) != 1 || runs[0] != [2]int{4 * 12, 4 * 12} {
 		t.Fatalf("full-plane runs = %v, want single run", runs)
 	}
 
 	face := Subarray3D{Dims: [3]int{4, 3, 2}, Sub: [3]int{1, 3, 2}, Start: [3]int{2, 0, 0}}
-	runs = face.AppendRuns(nil)
+	runs = runsOf(face)
 	if len(runs) != 6 {
 		t.Fatalf("face runs = %v, want 6 single-word runs", runs)
 	}
@@ -185,32 +186,115 @@ func TestPackShortDst(t *testing.T) {
 	}
 }
 
-// FuzzPackUnpack round-trips arbitrary Vector and Subarray3D layouts
-// through Pack -> Unpack -> Pack and checks the packed bytes are a
-// fixed point. Invalid layouts must be rejected by Validate, never
-// panic or read out of bounds.
-func FuzzPackUnpack(f *testing.F) {
-	f.Add(3, 2, 5, uint8(0))
-	f.Add(4, 1, 1, uint8(1))
-	f.Add(2, 3, 3, uint8(1))
-	f.Fuzz(func(t *testing.T, a, b, c int, kind uint8) {
-		var ty Type
-		if kind%2 == 0 {
-			ty = Vector{Count: a, BlockLen: b, Stride: c}
-		} else {
-			ty = Subarray3D{
-				Dims:  [3]int{8, 8, 8},
-				Sub:   [3]int{clampDim(a), clampDim(b), clampDim(c)},
-				Start: [3]int{abs(a) % 8, abs(b) % 8, abs(c) % 8},
-			}
+// overflowShapes are layouts whose extent, computed in int, wraps to
+// something small: Validate must decide them without forming the product.
+// Both subarrays passed Validate(8<<20) before the extent check went
+// axis by axis (4 * 2^63 and 4 * 2^62 are 0 mod 2^64), and Pack then
+// sliced out of range; the vector and the contiguous run are the analogous
+// shapes for the other two layouts.
+var overflowShapes = []Type{
+	Subarray3D{Dims: [3]int{1 << 21, 1 << 21, 1 << 21}, Sub: [3]int{1, 1, 2}},
+	Subarray3D{Dims: [3]int{1 << 21, 1 << 21, 1 << 20}, Sub: [3]int{1, 1, 2}},
+	Vector{Count: 1<<31 + 1, BlockLen: 1, Stride: 1 << 31},
+	Contiguous{Words: 1 << 62},
+}
+
+func TestValidateRejectsOverflowingExtents(t *testing.T) {
+	src := make([]byte, 8<<20)
+	dst := make([]byte, 64)
+	for _, ty := range overflowShapes {
+		if err := ty.Validate(len(src)); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%+v: Validate(%d) = %v, want ErrInvalid", ty, len(src), err)
 		}
-		src := fill(4 * 8 * 8 * 8)
-		if err := ty.Validate(len(src)); err != nil {
-			if !errors.Is(err, ErrInvalid) {
-				t.Fatalf("validation error %v does not wrap ErrInvalid", err)
-			}
+		if err := Pack(dst, src, ty); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%+v: Pack = %v, want ErrInvalid", ty, err)
+		}
+		if err := Unpack(src, dst, ty); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%+v: Unpack = %v, want ErrInvalid", ty, err)
+		}
+	}
+}
+
+// extentBytes is the layout's source extent in bytes, computed without
+// overflow; ok is false when a field is out of the range the formula
+// assumes (Validate must then reject the layout on that ground).
+func extentBytes(ty Type) (ext *big.Int, ok bool) {
+	mul := func(vs ...int) *big.Int {
+		p := big.NewInt(1)
+		for _, v := range vs {
+			p.Mul(p, big.NewInt(int64(v)))
+		}
+		return p
+	}
+	switch t := ty.(type) {
+	case Contiguous:
+		return mul(4, t.Words), t.Words >= 1
+	case Vector:
+		ext := mul(t.Count-1, t.Stride)
+		ext.Add(ext, big.NewInt(int64(t.BlockLen)))
+		return ext.Mul(ext, big.NewInt(4)), t.Count >= 1 && t.BlockLen >= 1 && t.Stride >= t.BlockLen
+	case Subarray3D:
+		ok := true
+		for ax := 0; ax < 3; ax++ {
+			ok = ok && t.Dims[ax] >= 1 && t.Sub[ax] >= 1 && t.Start[ax] >= 0 &&
+				t.Sub[ax] <= t.Dims[ax] && t.Start[ax] <= t.Dims[ax]-t.Sub[ax]
+		}
+		return mul(4, t.Dims[0], t.Dims[1], t.Dims[2]), ok
+	}
+	return nil, false
+}
+
+// fuzzLayout builds one of the three layouts from raw fuzz integers.
+func fuzzLayout(kind uint8, a, b, c int, dims, start [3]int) Type {
+	switch kind % 3 {
+	case 0:
+		return Vector{Count: a, BlockLen: b, Stride: c}
+	case 1:
+		return Subarray3D{Dims: dims, Sub: [3]int{a, b, c}, Start: start}
+	}
+	return Contiguous{Words: a}
+}
+
+// FuzzPackUnpack checks Validate against the overflow-free extent for
+// arbitrary layouts and buffer lengths — every field is the fuzzer's, the
+// subarray's Dims included — and, where the buffer is small enough to
+// allocate, round-trips Pack -> Unpack -> Pack to a fixed point. Invalid
+// layouts must be rejected by Validate, never panic or read out of bounds.
+func FuzzPackUnpack(f *testing.F) {
+	f.Add(uint8(0), 3, 2, 5, 0, 0, 0, 0, 0, 0, 2048)
+	f.Add(uint8(1), 4, 1, 1, 8, 8, 8, 2, 3, 0, 2048)
+	f.Add(uint8(1), 2, 3, 3, 3, 5, 7, 1, 2, 4, 420)
+	f.Add(uint8(2), 16, 0, 0, 0, 0, 0, 0, 0, 0, 64)
+	for _, ty := range overflowShapes {
+		switch t := ty.(type) {
+		case Subarray3D:
+			f.Add(uint8(1), t.Sub[0], t.Sub[1], t.Sub[2], t.Dims[0], t.Dims[1], t.Dims[2], 0, 0, 0, 8<<20)
+		case Vector:
+			f.Add(uint8(0), t.Count, t.BlockLen, t.Stride, 0, 0, 0, 0, 0, 0, 8<<20)
+		case Contiguous:
+			f.Add(uint8(2), t.Words, 0, 0, 0, 0, 0, 0, 0, 0, 8<<20)
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, a, b, c, d0, d1, d2, s0, s1, s2, bufLen int) {
+		if bufLen < 0 {
+			bufLen = -(bufLen + 1)
+		}
+		ty := fuzzLayout(kind, a, b, c, [3]int{d0, d1, d2}, [3]int{s0, s1, s2})
+		ext, wellFormed := extentBytes(ty)
+		fits := wellFormed && ext.Cmp(big.NewInt(int64(bufLen))) <= 0
+		err := ty.Validate(bufLen)
+		if err != nil && !errors.Is(err, ErrInvalid) {
+			t.Fatalf("validation error %v does not wrap ErrInvalid", err)
+		}
+		// Vector's guard also rejects a stride wider than the buffer
+		// whatever the extent, so only the other two are decided exactly.
+		if _, vec := ty.(Vector); (err == nil && !fits) || (err != nil && fits && !vec) {
+			t.Fatalf("%+v: Validate(%d) = %v, but the extent is %v bytes (well-formed %v)", ty, bufLen, err, ext, wellFormed)
+		}
+		if err != nil || bufLen > 1<<16 {
 			return
 		}
+		src := fill(bufLen)
 		if ty.Size() <= 0 || ty.Size() > len(src) {
 			t.Fatalf("valid layout with bad size %d", ty.Size())
 		}
@@ -229,35 +313,5 @@ func FuzzPackUnpack(f *testing.F) {
 		if !bytes.Equal(packed, repacked) {
 			t.Fatal("pack -> unpack -> pack not a fixed point")
 		}
-		// Runs must be word-aligned, in packed order, and sum to Size.
-		total, prevEnd := 0, -1
-		for _, rg := range ty.AppendRuns(nil) {
-			if rg[0]%4 != 0 || rg[1]%4 != 0 || rg[1] <= 0 {
-				t.Fatalf("misaligned run %v", rg)
-			}
-			if rg[0] == prevEnd {
-				t.Fatalf("uncoalesced adjacent run at %d", rg[0])
-			}
-			total += rg[1]
-			prevEnd = rg[0] + rg[1]
-		}
-		if total != ty.Size() {
-			t.Fatalf("runs sum to %d, want %d", total, ty.Size())
-		}
 	})
-}
-
-func clampDim(v int) int {
-	v = abs(v) % 9
-	if v == 0 {
-		return 1
-	}
-	return v
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -648,7 +648,9 @@ func (r *Rank) waitRecv(req *Request) error {
 		env.staged = nil
 	case env.eager:
 		if req.typ != nil {
-			scatterPrefix(req.buf.Data, payload, req.typ)
+			// The payload may be shorter than the layout's packed size,
+			// like a short contiguous receive: it fills a packed prefix.
+			req.typ.Plan().Scatter(req.buf.Data, 0, payload)
 		} else {
 			copy(req.buf.Data, payload)
 		}
@@ -684,25 +686,6 @@ func (r *Rank) recvCapacity(req *Request) int {
 		return req.typ.Size()
 	}
 	return req.buf.Len()
-}
-
-// scatterPrefix places the leading len(src) packed bytes into the
-// layout's positions in dst (eager typed receives; the payload may be
-// shorter than the layout's full packed size, like a short contiguous
-// receive).
-func scatterPrefix(dst, src []byte, t dtype.Type) {
-	p := 0
-	for _, rg := range t.AppendRuns(nil) {
-		n := rg[1]
-		if p+n > len(src) {
-			n = len(src) - p
-		}
-		if n <= 0 {
-			return
-		}
-		copy(dst[rg[0]:rg[0]+n], src[p:p+n])
-		p += n
-	}
 }
 
 // Waitall completes all requests (in order).

@@ -261,6 +261,23 @@ func TestTypedValidationAtBoundary(t *testing.T) {
 		if _, err := r.IsendTyped(1, -5, buf, dtype.Contiguous{Words: 4}); err == nil {
 			return fmt.Errorf("negative tag accepted")
 		}
+		// Extents that wrap in int: over an 8 MiB buffer both subarrays
+		// used to pass validation (4 * 2^63 and 4 * 2^62 are 0 mod 2^64)
+		// and the eager pack then sliced out of range.
+		big := emptyDevBuf(r, 2<<20)
+		for i, ty := range []dtype.Type{
+			dtype.Subarray3D{Dims: [3]int{1 << 21, 1 << 21, 1 << 21}, Sub: [3]int{1, 1, 2}},
+			dtype.Subarray3D{Dims: [3]int{1 << 21, 1 << 21, 1 << 20}, Sub: [3]int{1, 1, 2}},
+			dtype.Vector{Count: 1<<31 + 1, BlockLen: 1, Stride: 1 << 31},
+			dtype.Contiguous{Words: 1 << 62},
+		} {
+			if err := r.SendTyped(1, 0, big, ty); !errors.Is(err, dtype.ErrInvalid) {
+				return fmt.Errorf("overflowing layout %d: SendTyped error %v does not wrap dtype.ErrInvalid", i, err)
+			}
+			if err := r.RecvTyped(1, 0, big, ty); !errors.Is(err, dtype.ErrInvalid) {
+				return fmt.Errorf("overflowing layout %d: RecvTyped error %v does not wrap dtype.ErrInvalid", i, err)
+			}
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package zfp
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,11 +45,17 @@ var diffInputs = []struct {
 	{"tiny", func(rng *rand.Rand) uint32 { return rng.Uint32()&0x80ffffff | uint32(rng.Intn(3))<<23 }},
 }
 
-// checkAgainstReference runs one (input, rate) case through both coders and
-// fails on the first differing compressed byte or decoded bit pattern.
+// checkAgainstReference runs one (input, rate) case through both coders —
+// the fast one by its float32 and its byte-direct entry points — and fails
+// on the first differing compressed byte or decoded bit pattern.
 func checkAgainstReference(t testing.TB, src []float32, rate int, junk []byte) {
 	t.Helper()
 	n := len(src)
+	// The same values as they sit in a message buffer.
+	raw := make([]byte, 4*n)
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
+	}
 	want, err := CompressedSize(n, rate)
 	if err != nil {
 		t.Fatal(err)
@@ -62,25 +69,30 @@ func checkAgainstReference(t testing.TB, src []float32, rate int, junk []byte) {
 	// non-empty prefix — how core's zfpCompressJob calls it. A coder
 	// that reallocates or writes outside its window shows here.
 	const prefix, guard = 5, 9
-	backing := bytes.Repeat([]byte{0xa5}, prefix+want+guard)
-	got, err := AppendCompress(backing[:prefix:prefix+want], src, rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != prefix+want || (want > 0 && &got[0] != &backing[0]) {
-		t.Fatalf("n=%d rate=%d: AppendCompress left its exact-capacity window (len %d, want %d)", n, rate, len(got), prefix+want)
-	}
-	if !bytes.Equal(got[prefix:], ref) {
-		t.Fatalf("n=%d rate=%d: compressed bytes differ from the reference\n got %x\nwant %x", n, rate, got[prefix:], ref)
-	}
-	for i, b := range backing {
-		if (i < prefix || i >= prefix+want) && b != 0xa5 {
-			t.Fatalf("n=%d rate=%d: byte %d outside the window was overwritten", n, rate, i)
+	for name, compress := range map[string]func(dst []byte) ([]byte, error){
+		"AppendCompress":      func(dst []byte) ([]byte, error) { return AppendCompress(dst, src, rate) },
+		"AppendCompressBytes": func(dst []byte) ([]byte, error) { return AppendCompressBytes(dst, raw, rate) },
+	} {
+		backing := bytes.Repeat([]byte{0xa5}, prefix+want+guard)
+		got, err := compress(backing[: prefix : prefix+want])
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Growing from nil must give the same bytes.
-	if grown, _ := AppendCompress(nil, src, rate); !bytes.Equal(grown, ref) {
-		t.Fatalf("n=%d rate=%d: AppendCompress(nil) differs from the reference", n, rate)
+		if len(got) != prefix+want || (want > 0 && &got[0] != &backing[0]) {
+			t.Fatalf("n=%d rate=%d: %s left its exact-capacity window (len %d, want %d)", n, rate, name, len(got), prefix+want)
+		}
+		if !bytes.Equal(got[prefix:], ref) {
+			t.Fatalf("n=%d rate=%d: %s bytes differ from the reference\n got %x\nwant %x", n, rate, name, got[prefix:], ref)
+		}
+		for i, b := range backing {
+			if (i < prefix || i >= prefix+want) && b != 0xa5 {
+				t.Fatalf("n=%d rate=%d: %s overwrote byte %d outside the window", n, rate, name, i)
+			}
+		}
+		// Growing from nil must give the same bytes.
+		if grown, _ := compress(nil); !bytes.Equal(grown, ref) {
+			t.Fatalf("n=%d rate=%d: %s(nil) differs from the reference", n, rate, name)
+		}
 	}
 
 	for _, comp := range [][]byte{ref, junk} {
@@ -93,12 +105,41 @@ func checkAgainstReference(t testing.TB, src []float32, rate int, junk []byte) {
 		if err := DecompressInto(out, comp, rate); err != nil {
 			t.Fatal(err)
 		}
+		// Straight into a window of a message buffer: the bytes around it
+		// must survive.
+		window := bytes.Repeat([]byte{0xa5}, prefix+4*n+guard)
+		if err := DecompressBytesInto(window[prefix:prefix+4*n], comp, rate); err != nil {
+			t.Fatal(err)
+		}
 		for i := range out {
-			if math.Float32bits(out[i]) != math.Float32bits(refOut[i]) {
+			want := math.Float32bits(refOut[i])
+			if got := math.Float32bits(out[i]); got != want {
 				t.Fatalf("n=%d rate=%d: decoded value %d is %08x, reference %08x (block %x)", n, rate, i,
-					math.Float32bits(out[i]), math.Float32bits(refOut[i]), comp[i/4*4*rate/8:])
+					got, want, comp[i/4*4*rate/8:])
+			}
+			if got := binary.LittleEndian.Uint32(window[prefix+4*i:]); got != want {
+				t.Fatalf("n=%d rate=%d: DecompressBytesInto value %d is %08x, reference %08x", n, rate, i, got, want)
 			}
 		}
+		for i, b := range window {
+			if (i < prefix || i >= prefix+4*n) && b != 0xa5 {
+				t.Fatalf("n=%d rate=%d: DecompressBytesInto overwrote byte %d outside its window", n, rate, i)
+			}
+		}
+	}
+}
+
+// TestBytesEntryPointsRejectPartialValues: the byte-direct coder works on
+// whole 4-byte values and says so instead of truncating.
+func TestBytesEntryPointsRejectPartialValues(t *testing.T) {
+	if _, err := AppendCompressBytes(nil, make([]byte, 6), 8); !errors.Is(err, ErrUnaligned) {
+		t.Fatalf("AppendCompressBytes(6 bytes) = %v, want ErrUnaligned", err)
+	}
+	if err := DecompressBytesInto(make([]byte, 6), make([]byte, 16), 8); !errors.Is(err, ErrUnaligned) {
+		t.Fatalf("DecompressBytesInto(6 bytes) = %v, want ErrUnaligned", err)
+	}
+	if err := DecompressBytesInto(make([]byte, 32), make([]byte, 7), 8); !errors.Is(err, ErrShortBuffer) {
+		t.Fatalf("DecompressBytesInto(short stream) = %v, want ErrShortBuffer", err)
 	}
 }
 

@@ -30,7 +30,9 @@
 //
 // Because a block occupies exactly maxbits <= 128 bits at bit offset
 // index*maxbits, the float32 kernel behind AppendCompress and
-// DecompressInto never touches a shared serial bit stream: encodeBlock
+// DecompressInto — and behind AppendCompressBytes and DecompressBytesInto,
+// the same loops over a message buffer's little-endian bytes — never
+// touches a shared serial bit stream: encodeBlock
 // builds a block in one or two uint64 registers and the caller stores it
 // with one word-granular put; decodeBlock receives the block's bits from
 // one word load (three past rate 16) and shifts through them. Inside the
@@ -97,6 +99,9 @@ var (
 	// ErrShortBuffer reports a compressed buffer too small for the
 	// stated element count and rate.
 	ErrShortBuffer = errors.New("zfp: compressed buffer too short")
+	// ErrUnaligned reports a byte-level entry point handed a length that
+	// is not a whole number of 4-byte values.
+	ErrUnaligned = errors.New("zfp: byte length is not a multiple of 4")
 )
 
 func checkRate(rate int) error {
@@ -528,58 +533,113 @@ func Compress(dst []byte, src []float32, rate int) ([]byte, error) {
 	return AppendCompress(dst, src, rate)
 }
 
-// AppendCompress is the scratch-reuse entry point: every block codes to
-// exactly 4*rate bits at a position fixed by its index, so blocks are
-// encoded in registers and stored straight into dst a word at a time (no
-// intermediate stream, no final copy). When the caller passes a reused
-// buffer with cap(dst) sized by CompressedSize the call performs zero heap
-// allocations, and the encoding is independent of how the input is chunked.
+// blockWriter stores consecutive blocks of maxbits bits each, a 64-bit word
+// at a time: every block codes to exactly 4*rate bits at a position fixed
+// by its index, so blocks are encoded in registers and land straight in the
+// output (no intermediate stream, no final copy). acc holds the nacc < 64
+// stream bits not yet stored. It is the one store path under both
+// AppendCompress and AppendCompressBytes.
+type blockWriter struct {
+	out     []byte
+	acc     uint64
+	nacc    uint
+	maxbits uint
+}
+
+func (w *blockWriter) put(v uint64, nbits uint) {
+	w.acc |= v << w.nacc
+	if w.nacc += nbits; w.nacc >= 64 {
+		binary.LittleEndian.PutUint64(w.out, w.acc)
+		w.out = w.out[8:]
+		w.nacc -= 64
+		w.acc = v >> (nbits - w.nacc)
+	}
+}
+
+// block codes the four float32 bit patterns of one block.
+func (w *blockWriter) block(b0, b1, b2, b3 uint32) {
+	lo, hi := encodeBlock(b0, b1, b2, b3, w.maxbits)
+	if w.maxbits <= 64 {
+		w.put(lo, w.maxbits)
+	} else {
+		w.put(lo, 64)
+		w.put(hi, w.maxbits-64)
+	}
+}
+
+// partial codes a final block holding only n < 4 values, the first n of b:
+// zfp's edge extension repeats the last of them.
+func (w *blockWriter) partial(b [BlockValues]uint32, n int) {
+	for i := n; i < BlockValues; i++ {
+		b[i] = b[n-1]
+	}
+	w.block(b[0], b[1], b[2], b[3])
+}
+
+// flush stores the bits of the last, partial word.
+func (w *blockWriter) flush() {
+	for ; w.nacc > 0; w.nacc -= min(w.nacc, 8) {
+		w.out[0] = byte(w.acc)
+		w.out, w.acc = w.out[1:], w.acc>>8
+	}
+}
+
+// reserve extends dst by the compressed size of n values at rate and
+// returns it with a writer over the extension.
+func reserve(dst []byte, n, rate int) ([]byte, blockWriter) {
+	want, _ := CompressedSize(n, rate)
+	start := len(dst)
+	dst = slices.Grow(dst, want)[:start+want]
+	return dst, blockWriter{out: dst[start:], maxbits: uint(BlockValues * rate)}
+}
+
+// AppendCompress is the scratch-reuse entry point. When the caller passes a
+// reused buffer with cap(dst) sized by CompressedSize the call performs
+// zero heap allocations, and the encoding is independent of how the input
+// is chunked.
 func AppendCompress(dst []byte, src []float32, rate int) ([]byte, error) {
 	if err := checkRate(rate); err != nil {
 		return dst, err
 	}
-	n := len(src)
-	want, _ := CompressedSize(n, rate)
-	start := len(dst)
-	dst = slices.Grow(dst, want)[:start+want]
-	out := dst[start:]
-	maxbits := uint(BlockValues * rate)
-
-	// acc holds the nacc < 64 stream bits not yet stored.
-	var acc uint64
-	var nacc uint
-	put := func(v uint64, nbits uint) {
-		acc |= v << nacc
-		if nacc += nbits; nacc >= 64 {
-			binary.LittleEndian.PutUint64(out, acc)
-			out = out[8:]
-			nacc -= 64
-			acc = v >> (nbits - nacc)
-		}
-	}
-	block := func(b0, b1, b2, b3 float32) {
-		lo, hi := encodeBlock(math.Float32bits(b0), math.Float32bits(b1), math.Float32bits(b2), math.Float32bits(b3), maxbits)
-		if maxbits <= 64 {
-			put(lo, maxbits)
-		} else {
-			put(lo, 64)
-			put(hi, maxbits-64)
-		}
-	}
+	dst, w := reserve(dst, len(src), rate)
 	for ; len(src) >= BlockValues; src = src[BlockValues:] {
-		block(src[0], src[1], src[2], src[3])
+		w.block(math.Float32bits(src[0]), math.Float32bits(src[1]), math.Float32bits(src[2]), math.Float32bits(src[3]))
 	}
 	if len(src) > 0 {
-		// Edge extension: a partial block repeats its last value.
-		last := src[len(src)-1]
-		b := [BlockValues]float32{last, last, last, last}
-		copy(b[:], src)
-		block(b[0], b[1], b[2], b[3])
+		var b [BlockValues]uint32
+		for i, v := range src {
+			b[i] = math.Float32bits(v)
+		}
+		w.partial(b, len(src))
 	}
-	for ; nacc > 0; nacc -= min(nacc, 8) {
-		out[0] = byte(acc)
-		out, acc = out[1:], acc>>8
+	w.flush()
+	return dst, nil
+}
+
+// AppendCompressBytes is AppendCompress over the values' little-endian
+// bytes — a message as it sits in a send buffer — and produces the same
+// output as converting src to float32 first. len(src) must be a multiple
+// of 4.
+func AppendCompressBytes(dst, src []byte, rate int) ([]byte, error) {
+	if err := checkRate(rate); err != nil {
+		return dst, err
 	}
+	if len(src)%4 != 0 {
+		return dst, fmt.Errorf("%w: %d source bytes", ErrUnaligned, len(src))
+	}
+	dst, w := reserve(dst, len(src)/4, rate)
+	for ; len(src) >= 4*BlockValues; src = src[4*BlockValues:] {
+		w.block(binary.LittleEndian.Uint32(src), binary.LittleEndian.Uint32(src[4:]),
+			binary.LittleEndian.Uint32(src[8:]), binary.LittleEndian.Uint32(src[12:]))
+	}
+	if n := len(src) / 4; n > 0 {
+		var b [BlockValues]uint32
+		for i := 0; i < n; i++ {
+			b[i] = binary.LittleEndian.Uint32(src[4*i:])
+		}
+		w.partial(b, n)
+	}
+	w.flush()
 	return dst, nil
 }
 
@@ -616,37 +676,79 @@ func load64(b []byte, off int) uint64 {
 	return v
 }
 
+// loadBlock returns the maxbits bits of the block that starts at stream bit
+// `bit` of comp, first bit lowest in lo.
+func loadBlock(comp []byte, bit, maxbits uint) (lo, hi uint64) {
+	// A block starts on a byte or a half byte, so up to 60 bits of it, or
+	// all 64 when it is byte aligned, are in the first load.
+	off, sh := int(bit>>3), bit&7
+	lo = load64(comp, off) >> sh
+	if maxbits > 64 {
+		next := load64(comp, off+8)
+		lo |= next << (64 - sh)
+		hi = next>>sh | load64(comp, off+16)<<(64-sh)
+	}
+	return lo, hi
+}
+
+// checkStream validates rate and that comp holds n values' worth of blocks.
+func checkStream(comp []byte, n, rate int) error {
+	if err := checkRate(rate); err != nil {
+		return err
+	}
+	if want, _ := CompressedSize(n, rate); len(comp) < want {
+		return fmt.Errorf("%w: have %d bytes, want %d", ErrShortBuffer, len(comp), want)
+	}
+	return nil
+}
+
 // DecompressInto reconstructs exactly len(dst) values from comp at the
 // given rate, overwriting dst in place — the zero-allocation counterpart
 // of Decompress for callers that pre-slice a reused destination (e.g.
 // parallel block-row decode writing disjoint ranges of one buffer).
 func DecompressInto(dst []float32, comp []byte, rate int) error {
-	if err := checkRate(rate); err != nil {
+	if err := checkStream(comp, len(dst), rate); err != nil {
 		return err
 	}
-	n := len(dst)
-	want, _ := CompressedSize(n, rate)
-	if len(comp) < want {
-		return fmt.Errorf("%w: have %d bytes, want %d", ErrShortBuffer, len(comp), want)
-	}
 	maxbits := uint(BlockValues * rate)
-	for i, bit := 0, uint(0); i < n; i, bit = i+BlockValues, bit+maxbits {
-		// A block starts on a byte or a half byte, so up to 60 bits of
-		// it, or all 64 when it is byte aligned, are in the first load.
-		off, sh := int(bit>>3), bit&7
-		lo, hi := load64(comp, off)>>sh, uint64(0)
-		if maxbits > 64 {
-			next := load64(comp, off+8)
-			lo |= next << (64 - sh)
-			hi = next>>sh | load64(comp, off+16)<<(64-sh)
-		}
-		if v := dst[i:]; len(v) >= BlockValues {
-			v[0], v[1], v[2], v[3] = decodeBlock(lo, hi, maxbits)
-		} else {
+	for bit := uint(0); len(dst) > 0; bit += maxbits {
+		lo, hi := loadBlock(comp, bit, maxbits)
+		if len(dst) < BlockValues {
 			var f [BlockValues]float32
 			f[0], f[1], f[2], f[3] = decodeBlock(lo, hi, maxbits)
-			copy(v, f[:])
+			copy(dst, f[:])
+			break
 		}
+		dst[0], dst[1], dst[2], dst[3] = decodeBlock(lo, hi, maxbits)
+		dst = dst[BlockValues:]
+	}
+	return nil
+}
+
+// DecompressBytesInto is DecompressInto onto the values' little-endian
+// bytes — a receive buffer. len(dst) must be a multiple of 4.
+func DecompressBytesInto(dst, comp []byte, rate int) error {
+	if len(dst)%4 != 0 {
+		return fmt.Errorf("%w: %d destination bytes", ErrUnaligned, len(dst))
+	}
+	if err := checkStream(comp, len(dst)/4, rate); err != nil {
+		return err
+	}
+	maxbits := uint(BlockValues * rate)
+	for bit := uint(0); len(dst) > 0; bit += maxbits {
+		lo, hi := loadBlock(comp, bit, maxbits)
+		f0, f1, f2, f3 := decodeBlock(lo, hi, maxbits)
+		if len(dst) < 4*BlockValues {
+			for i, f := range []float32{f0, f1, f2, f3}[:len(dst)/4] {
+				binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(f))
+			}
+			break
+		}
+		binary.LittleEndian.PutUint32(dst, math.Float32bits(f0))
+		binary.LittleEndian.PutUint32(dst[4:], math.Float32bits(f1))
+		binary.LittleEndian.PutUint32(dst[8:], math.Float32bits(f2))
+		binary.LittleEndian.PutUint32(dst[12:], math.Float32bits(f3))
+		dst = dst[4*BlockValues:]
 	}
 	return nil
 }
