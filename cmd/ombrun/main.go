@@ -204,12 +204,16 @@ func main() {
 	// Wall-clock is real (non-deterministic) time, so it goes to stderr:
 	// stdout stays byte-identical across same-seed runs.
 	var host core.HostStats
+	decompressions := 0
 	for r := 0; r < w.Size(); r++ {
 		host.Add(w.Rank(r).Engine.HostSnapshot())
+		decompressions += w.Rank(r).Engine.Decompressions
 	}
-	fmt.Fprintf(os.Stderr, "# wall-clock: run=%v codec=%v (%d batches across %d workers)\n",
+	// decode jobs < decompressions is the relay collectives' decode-once:
+	// every rank is charged its decompression, one rank per payload runs it.
+	fmt.Fprintf(os.Stderr, "# wall-clock: run=%v codec=%v (%d batches across %d workers; %d decode jobs run for %d decompressions simulated)\n",
 		wall.Round(time.Microsecond), host.CodecWall.Round(time.Microsecond),
-		host.CodecRuns, w.Rank(0).Engine.CodecWorkers())
+		host.CodecRuns, w.Rank(0).Engine.CodecWorkers(), host.DecodeJobs, decompressions)
 
 	writeStats(os.Stdout, w, cfg, health)
 

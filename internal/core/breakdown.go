@@ -161,12 +161,18 @@ type HostStats struct {
 	CodecWall time.Duration
 	// CodecRuns counts the batches submitted.
 	CodecRuns int
+	// DecodeJobs counts the decompression batches among them: codec jobs
+	// actually run, against the Decompressions the simulation charged —
+	// the two differ by the relayed payloads a rank copied out of another
+	// rank's decode (Decoded).
+	DecodeJobs int
 }
 
 // Add merges other into h.
 func (h *HostStats) Add(other HostStats) {
 	h.CodecWall += other.CodecWall
 	h.CodecRuns += other.CodecRuns
+	h.DecodeJobs += other.DecodeJobs
 }
 
 // timer is a tiny helper that charges elapsed clock time to a phase.

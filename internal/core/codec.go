@@ -15,8 +15,10 @@ type codec struct {
 	name string
 	// compress and decompress are the codec's kernels under the
 	// compressMPC contract (engine.go): packed sizes, arena-aliased output.
-	compress   func(e *Engine, clk *simtime.Clock, src []byte, n int, view typedView) ([]byte, Header)
-	decompress func(e *Engine, clk *simtime.Clock, hdr Header, payload, dst []byte, view typedView) error
+	compress func(e *Engine, clk *simtime.Clock, src []byte, n int, view typedView) ([]byte, Header)
+	// decoded is runDecode's: the job's output when another rank already
+	// holds it, nil otherwise.
+	decompress func(e *Engine, clk *simtime.Clock, hdr Header, payload, dst []byte, view typedView, decoded []byte) error
 	// ratio predicts the compression ratio of the next message.
 	ratio func(e *Engine) float64
 	// kernelCosts predicts the compression-side and decompression-side

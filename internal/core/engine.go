@@ -193,6 +193,19 @@ func (e *Engine) runCodec(n int, job codecpool.Job) {
 	e.Host.CodecRuns++
 }
 
+// runDecode is runCodec for a decompression job writing dst — unless
+// decoded holds the output the same job already produced on another rank
+// of this process (Decoded), in which case one copy stands in for it. The
+// one place a decode is skipped; Host.DecodeJobs counts the ones that ran.
+func (e *Engine) runDecode(n int, job codecpool.Job, dst, decoded []byte) {
+	if decoded != nil {
+		copy(dst, decoded)
+		return
+	}
+	e.runCodec(n, job)
+	e.Host.DecodeJobs++
+}
+
 // NewEngine builds an engine at initialization time (MPI_Init): ModeOpt
 // allocates its buffer pools now, off the critical communication path.
 func NewEngine(clk *simtime.Clock, dev *gpusim.GPUDevice, cfg Config) *Engine {
@@ -542,8 +555,8 @@ func (e *Engine) compressMPC(clk *simtime.Clock, src []byte, n int, view typedVi
 		tmp = e.pool.Get(clk, bound)
 		dOff = e.offPool.Get(clk, 4*e.dev.Spec.SMs)
 	} else {
-		tmp = e.dev.Malloc(clk, bound)
-		dOff = e.dev.Malloc(clk, 4*e.dev.Spec.SMs)
+		tmp = e.dev.Reserve(clk, bound)
+		dOff = e.dev.Reserve(clk, 4*e.dev.Spec.SMs)
 	}
 	// d_off must be initialized to -1 before each kernel (a small
 	// memset launch).
@@ -643,9 +656,10 @@ func (e *Engine) compressMPC(clk *simtime.Clock, src []byte, n int, view typedVi
 		payload = e.ar.payload[:0]
 		for i, p := range outs {
 			// Combine copies follow a fixed order; partition 0 is
-			// already in place, later ones are moved D2D.
+			// already in place, later ones are moved D2D (into tmp, a
+			// reservation: the host-side combine is the append below).
 			if i > 0 {
-				e.dev.MemcpyD2D(clk, e.dev.Stream(0), tmp.Data[:len(p)], p)
+				e.dev.CopyD2D(clk, e.dev.Stream(0), len(p))
 			}
 			payload = append(payload, p...)
 			hdr.PartBytes[i] = len(p)
@@ -697,7 +711,7 @@ func (e *Engine) compressZFP(clk *simtime.Clock, src []byte, n int, view typedVi
 	if opt {
 		tmp = e.pool.Get(clk, compSize)
 	} else {
-		tmp = e.dev.Malloc(clk, compSize)
+		tmp = e.dev.Reserve(clk, compSize)
 	}
 	e.charge(t, PhaseMemAlloc)
 
@@ -757,7 +771,7 @@ func (e *Engine) StageRecv(clk *simtime.Clock, hdr Header) *gpusim.Buffer {
 	if e.cfg.Mode == ModeOpt {
 		return e.pool.Get(clk, hdr.CompBytes)
 	}
-	return e.dev.Malloc(clk, hdr.CompBytes)
+	return e.dev.Reserve(clk, hdr.CompBytes)
 }
 
 // ReleaseRecv returns/frees the staging buffer after decompression.
@@ -805,13 +819,15 @@ func (e *Engine) DecompressTyped(clk *simtime.Clock, hdr Header, payload []byte,
 // positions starting at packed byte offset off: of the words t selects in
 // dst, or of dst itself when t is nil.
 func (e *Engine) DecompressChunk(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer, t dtype.Type, off int) error {
-	return e.decompress(clk, hdr, payload, message{buf: dst, t: t, off: off, n: hdr.OrigBytes})
+	return e.decompress(clk, hdr, payload, message{buf: dst, t: t, off: off, n: hdr.OrigBytes}, nil)
 }
 
 // decompress runs the receive-side framework into m (whose n is the
 // header's OrigBytes). Everything is validated before the first byte of
-// m.buf is written.
-func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m message) error {
+// m.buf is written. decoded, when non-nil, is the output another rank's
+// codec job already produced from these bytes (DecompressRelayed); it
+// reaches runDecode and nothing else.
+func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m message, decoded []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if hdr.OrigBytes < 0 || hdr.CompBytes < 0 {
@@ -854,7 +870,7 @@ func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m me
 		return fmt.Errorf("core: unknown algorithm %d in header", uint8(hdr.Algo))
 	}
 	out, view := span(m)
-	err := c.decompress(e, clk, hdr, payload, out, view)
+	err := c.decompress(e, clk, hdr, payload, out, view, decoded)
 	if err == nil {
 		// The destination's contents changed: invalidate any cached
 		// compressed form of this allocation (no-op for untracked buffers).
@@ -867,7 +883,7 @@ func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m me
 // place when view is zero, otherwise decoded into worker scratch and
 // scattered into strided runs (starting at packed offset view.base),
 // partition by partition and only for partitions that decoded.
-func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView) error {
+func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView, decoded []byte) error {
 	opt := e.cfg.Mode == ModeOpt
 	nWords := hdr.OrigBytes / 4
 	parts := len(hdr.PartBytes)
@@ -898,7 +914,7 @@ func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, d
 	if opt {
 		dOff = e.offPool.Get(clk, 4*e.dev.Spec.SMs)
 	} else {
-		dOff = e.dev.Malloc(clk, 4*e.dev.Spec.SMs)
+		dOff = e.dev.Reserve(clk, 4*e.dev.Spec.SMs)
 	}
 	e.dev.LaunchKernel(clk, e.dev.Stream(0), gpusim.KernelSpec{Blocks: 1, Bytes: 4 * e.dev.Spec.SMs, ThroughputGbps: e.dev.Spec.MemBWGBps * 8})
 	e.charge(t, PhaseMemAlloc)
@@ -939,7 +955,7 @@ func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, d
 		payload: payload, offs: offs, ranges: ranges, dim: hdr.Dim,
 		view: view, dst: dst, errs: e.ar.errsFor(parts),
 	}
-	e.runCodec(parts, &e.mpcD)
+	e.runDecode(parts, &e.mpcD, dst, decoded)
 	if i, err := firstErr(e.mpcD.errs); err != nil {
 		// A corrupt partition must not bleed the d_off buffer: the
 		// receive path retries after NACKs, and every retry would
@@ -964,7 +980,7 @@ func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, d
 }
 
 // decompressZFP follows the decompressMPC dst/view contract.
-func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView) error {
+func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView, decoded []byte) error {
 	opt := e.cfg.Mode == ModeOpt
 	n := hdr.OrigBytes / 4
 	// Validate rate and total size up front so the parallel chunks can
@@ -999,7 +1015,7 @@ func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, d
 		comp: payload, dst: dst, rate: hdr.Rate,
 		nVals: n, view: view, errs: e.ar.errsFor(nChunks),
 	}
-	e.runCodec(nChunks, &e.zfpD)
+	e.runDecode(nChunks, &e.zfpD, dst, decoded)
 	if i, err := firstErr(e.zfpD.errs); err != nil {
 		return fmt.Errorf("core: zfp decompress chunk %d: %w", i, err)
 	}

@@ -47,6 +47,13 @@ type Buffer struct {
 
 	pooled bool // came from a BufferPool; returned via pool.Put
 
+	// reserved is the size of a device reservation that owns no host
+	// bytes (Reserve, BufferPool.Get): the engine's staging temporaries
+	// exist to be charged, counted and handed back — the payload they
+	// stand for stays in the transport's own slice — so Data is nil and
+	// Len reports this instead.
+	reserved int
+
 	// trk is the content-version tracker of the root allocation this
 	// buffer belongs to (nil for untracked buffers), and trkOff the
 	// buffer's byte offset within that allocation. Views made with Slice
@@ -71,7 +78,12 @@ type tracker struct {
 var trackerIDs atomic.Uint64
 
 // Len returns the buffer's size in bytes.
-func (b *Buffer) Len() int { return len(b.Data) }
+func (b *Buffer) Len() int {
+	if b.Data == nil {
+		return b.reserved
+	}
+	return len(b.Data)
+}
 
 // Track opts the buffer into content-version tracking, enabling the
 // engine's compress-once cache to key compressed blocks by
@@ -174,11 +186,20 @@ func (d *GPUDevice) MemUsed() int64 { return d.memUsed }
 // cudaMalloc cost (base + per-MB component). This is the expensive
 // operation the paper's buffer pool removes from the critical path.
 func (d *GPUDevice) Malloc(clk *simtime.Clock, n int) *Buffer {
+	b := d.Reserve(clk, n)
+	b.Data = make([]byte, n)
+	return b
+}
+
+// Reserve is Malloc without the host bytes: the same cudaMalloc charge
+// and the same accounting (MemUsed, MallocCount, Free), for a device
+// temporary whose contents nothing on the host ever reads.
+func (d *GPUDevice) Reserve(clk *simtime.Clock, n int) *Buffer {
 	cost := d.Spec.CudaMallocBase + simtime.Duration(float64(d.Spec.CudaMallocPerMB)*float64(n)/(1<<20))
 	clk.Advance(cost)
 	d.memUsed += int64(n)
 	d.MallocCount++
-	return &Buffer{Data: make([]byte, n), Loc: Device, Dev: d}
+	return &Buffer{Loc: Device, Dev: d, reserved: n}
 }
 
 // Free releases a device buffer, charging the cudaFree cost.
@@ -187,9 +208,9 @@ func (d *GPUDevice) Free(clk *simtime.Clock, b *Buffer) {
 		return
 	}
 	clk.Advance(d.Spec.CudaFree)
-	d.memUsed -= int64(len(b.Data))
+	d.memUsed -= int64(b.Len())
 	d.FreeCount++
-	b.Data = nil
+	b.Data, b.reserved = nil, 0
 }
 
 // NewHostBuffer wraps n bytes of host memory (no device cost).
@@ -224,10 +245,16 @@ func (d *GPUDevice) MemcpyD2D(clk *simtime.Clock, s *Stream, dst, src []byte) {
 	if len(dst) < n {
 		n = len(dst)
 	}
-	// A D2D copy reads and writes HBM: effective bandwidth is half peak.
-	dur := simtime.TransferTime(n, d.Spec.MemBWGBps/2)
-	d.launch(clk, s, dur)
+	d.CopyD2D(clk, s, n)
 	copy(dst, src[:n])
+}
+
+// CopyD2D enqueues a device-to-device copy of n bytes on s whose
+// destination is a reservation (Reserve, BufferPool.Get): MemcpyD2D's
+// charge with no host bytes to move.
+func (d *GPUDevice) CopyD2D(clk *simtime.Clock, s *Stream, n int) {
+	// A D2D copy reads and writes HBM: effective bandwidth is half peak.
+	d.launch(clk, s, simtime.TransferTime(n, d.Spec.MemBWGBps/2))
 }
 
 // KernelSpec describes one kernel launch for the cost model.
@@ -354,19 +381,23 @@ type BufferPool struct {
 // critical path).
 //
 // Simulated device memory is reserved up front (that is the point of the
-// design), but the backing host memory of each buffer materializes lazily
-// on first Get and grows only to the sizes actually used — so a large
-// simulation whose ranks never compress costs the host nothing.
+// design); the buffers are reservations (GPUDevice.Reserve) and never own
+// host memory — a staged payload stays in the transport's own slice — so
+// a pool of any size, and a pool that grew on a miss, costs the host
+// nothing.
 func NewBufferPool(clk *simtime.Clock, dev *GPUDevice, n, bufBytes int) *BufferPool {
 	p := &BufferPool{dev: dev, bufBytes: bufBytes}
 	for i := 0; i < n; i++ {
-		cost := dev.Spec.CudaMallocBase + simtime.Duration(float64(dev.Spec.CudaMallocPerMB)*float64(bufBytes)/(1<<20))
-		clk.Advance(cost)
-		dev.memUsed += int64(bufBytes)
-		dev.MallocCount++
-		p.free = append(p.free, &Buffer{Loc: Device, Dev: dev, pooled: true})
+		p.free = append(p.free, p.grow(clk, bufBytes))
 	}
 	return p
+}
+
+// grow reserves one more pooled buffer of size bytes.
+func (p *BufferPool) grow(clk *simtime.Clock, size int) *Buffer {
+	b := p.dev.Reserve(clk, size)
+	b.pooled = true
+	return b
 }
 
 // BufBytes reports the fixed size of the pool's buffers.
@@ -383,12 +414,6 @@ func (p *BufferPool) Get(clk *simtime.Clock, n int) *Buffer {
 	if n <= p.bufBytes && len(p.free) > 0 {
 		b := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
-		if len(b.Data) < n {
-			// Materialize (or grow) the host backing lazily; the
-			// simulated VRAM was reserved at pool construction, so
-			// this costs no simulated time.
-			b.Data = make([]byte, n)
-		}
 		clk.Advance(simtime.FromMicroseconds(0.2))
 		return b
 	}
@@ -397,9 +422,7 @@ func (p *BufferPool) Get(clk *simtime.Clock, n int) *Buffer {
 	if size < p.bufBytes {
 		size = p.bufBytes
 	}
-	b := p.dev.Malloc(clk, size)
-	b.pooled = true
-	return b
+	return p.grow(clk, size)
 }
 
 // Put returns a buffer to the pool.

@@ -274,14 +274,6 @@ func TestPoolMiscellany(t *testing.T) {
 	if p.FreeCount() != 2 {
 		t.Fatalf("stray puts should be ignored: %d", p.FreeCount())
 	}
-	// Undersized pooled buffers are fine: Get grows them lazily.
-	b := &Buffer{Data: make([]byte, 10), pooled: true}
-	p.Put(b)
-	clk := simtime.NewClock(0)
-	got := p.Get(clk, 2048)
-	if got.Len() < 2048 {
-		t.Fatalf("Get should grow lazily: %d", got.Len())
-	}
 }
 
 func TestPoolLazyMaterialization(t *testing.T) {
@@ -291,16 +283,53 @@ func TestPoolLazyMaterialization(t *testing.T) {
 	if d.MemUsed() != 4*32<<20 {
 		t.Fatalf("VRAM should be reserved: %d", d.MemUsed())
 	}
-	// ...but no host memory is committed until a Get asks for it.
-	for _, b := range p.free {
+	// ...but no host memory is ever committed: pooled buffers are
+	// reservations, on a hit and on a miss alike.
+	clk := simtime.NewClock(0)
+	held := []*Buffer{p.Get(clk, 1<<20), p.Get(clk, 1<<20), p.Get(clk, 1<<20), p.Get(clk, 1<<20), p.Get(clk, 1<<20), p.Get(clk, 40<<20)}
+	if p.Misses != 2 {
+		t.Fatalf("a drained pool and an oversized request should both miss: %d", p.Misses)
+	}
+	for i, b := range held {
 		if b.Data != nil {
-			t.Fatal("pool buffers must materialize lazily")
+			t.Fatalf("pooled buffer %d owns %d host bytes", i, len(b.Data))
+		}
+		if b.Len() < 1<<20 {
+			t.Fatalf("pooled buffer %d reports %d bytes, want at least the request", i, b.Len())
 		}
 	}
-	clk := simtime.NewClock(0)
-	b := p.Get(clk, 1<<20)
-	if b.Len() != 1<<20 {
-		t.Fatalf("Get should materialize exactly the requested size: %d", b.Len())
+	if want := int64(4*32<<20 + 32<<20 + 40<<20); d.MemUsed() != want {
+		t.Fatalf("misses must still reserve VRAM: %d, want %d", d.MemUsed(), want)
+	}
+}
+
+func TestReserveAccountsLikeMalloc(t *testing.T) {
+	d := NewDevice(v100(), 1)
+	mclk, rclk := simtime.NewClock(0), simtime.NewClock(0)
+	m := d.Malloc(mclk, 3<<20)
+	r := d.Reserve(rclk, 3<<20)
+	if mclk.Now() != rclk.Now() || m.Len() != r.Len() || d.MallocCount != 2 || d.MemUsed() != 6<<20 {
+		t.Fatalf("Reserve must charge and count like Malloc: %v vs %v, len %d vs %d, mallocs %d, used %d",
+			mclk.Now(), rclk.Now(), m.Len(), r.Len(), d.MallocCount, d.MemUsed())
+	}
+	if r.Data != nil || len(m.Data) != 3<<20 {
+		t.Fatalf("Malloc owns host bytes, Reserve does not: %d / %d", len(m.Data), len(r.Data))
+	}
+	d.Free(mclk, m)
+	d.Free(rclk, r)
+	if mclk.Now() != rclk.Now() || d.FreeCount != 2 || d.MemUsed() != 0 || r.Len() != 0 {
+		t.Fatalf("Free must release a reservation like an allocation: frees %d, used %d", d.FreeCount, d.MemUsed())
+	}
+	// CopyD2D is MemcpyD2D's charge.
+	cclk, sclk := simtime.NewClock(0), simtime.NewClock(0)
+	d2 := NewDevice(v100(), 1)
+	d.ResetStreams()
+	d.MemcpyD2D(cclk, d.Stream(0), make([]byte, 1<<20), make([]byte, 1<<20))
+	d.StreamSync(cclk, d.Stream(0))
+	d2.CopyD2D(sclk, d2.Stream(0), 1<<20)
+	d2.StreamSync(sclk, d2.Stream(0))
+	if cclk.Now() != sclk.Now() {
+		t.Fatalf("CopyD2D charges %v, MemcpyD2D %v", sclk.Now(), cclk.Now())
 	}
 }
 

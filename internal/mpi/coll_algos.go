@@ -233,7 +233,9 @@ func (r *Rank) rdAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) erro
 		return err
 	}
 	chunk, src0 := r.pipelineShape(sendBuf, pipelined)
-	return r.rdRoundsOver(v.peers(), v.vrank, recvBuf, scratchLike(recvBuf, sendBuf.Len()), src0, chunk, r.collTag(baseAllreduce))
+	scratch := r.takeScratch(recvBuf, sendBuf.Len())
+	defer r.putScratch()
+	return r.rdRoundsOver(v.peers(), v.vrank, recvBuf, scratch, src0, chunk, r.collTag(baseAllreduce))
 }
 
 // pipelineShape is what `pipelined` turns on in a logarithmic schedule:
@@ -280,7 +282,8 @@ func (r *Rank) rabAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) err
 	if done {
 		return err
 	}
-	scratch := scratchLike(recvBuf, sendBuf.Len())
+	scratch := r.takeScratch(recvBuf, sendBuf.Len())
+	defer r.putScratch()
 	tag := r.collTag(baseAllreduce)
 	chunk, src0 := r.pipelineShape(sendBuf, pipelined)
 	first := recvBuf

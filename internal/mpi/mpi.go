@@ -171,6 +171,11 @@ type World struct {
 	allreduce  AllreduceAlgo
 	tuner      CollTuner
 
+	// decodePerRank makes every rank run its own codec job on a relayed
+	// payload (no core.Decoded companions). Set only by tests, which
+	// compare the two ways of running the same simulation.
+	decodePerRank bool
+
 	// Failure handling (see health.go). doomed/live are fixed at
 	// initialization — fate assignment is deterministic per seed — so
 	// every survivor observes the identical failed set.
@@ -507,6 +512,10 @@ type Rank struct {
 	// handed back through consumeRaw.
 	inflight  []*Request
 	rawStaged []*gpusim.Buffer
+	// scratch is the rank's pair of reusable collective scratch vectors,
+	// scratchHeld how many a running collective holds (takeScratch).
+	scratch     [2][]byte
+	scratchHeld int
 	// det is the rank's failure detector (nil unless configured).
 	det *detector
 }
@@ -529,6 +538,7 @@ func (r *Rank) untrackInflight(req *Request) {
 	last := len(r.inflight) - 1
 	r.inflight[i] = r.inflight[last]
 	r.inflight[i].inf = i + 1
+	r.inflight[last] = nil // a completed request must not stay reachable
 	r.inflight = r.inflight[:last]
 	req.inf = 0
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mpicomp/internal/core"
@@ -47,9 +48,13 @@ type envelope struct {
 	seq uint64
 
 	// hdr describes payload on every tier (an eager message's is the
-	// uncompressed form: sizes and the payload checksum).
+	// uncompressed form: sizes and the payload checksum). decoded is a
+	// relayed payload's host-only companion (core.Decoded; nil on every
+	// other message): it rides next to the bytes it is the decoded form of
+	// and is dropped with them.
 	payload []byte
 	hdr     core.Header
+	decoded *core.Decoded
 
 	// deliveryErr marks a message whose transport gave up (wrapped
 	// ErrDeliveryFailed). The envelope still flows through matching so
@@ -163,7 +168,9 @@ func (m *mailbox) deliver(env *envelope) {
 	}
 	for i, p := range m.posted {
 		if srcMatches(p.src, env.src) && tagMatches(p.tag, env.tag) {
-			m.posted = append(m.posted[:i], m.posted[i+1:]...)
+			// Delete, not re-slice: the vacated tail slot is cleared, so the
+			// queue's backing array keeps no matched receive reachable.
+			m.posted = slices.Delete(m.posted, i, i+1)
 			m.mu.Unlock()
 			completeMatch(p, env)
 			p.matched <- env
@@ -194,7 +201,9 @@ func (m *mailbox) post(p *recvPost) *envelope {
 	m.mu.Lock()
 	for i, env := range m.unexpected {
 		if srcMatches(p.src, env.src) && tagMatches(p.tag, env.tag) {
-			m.unexpected = append(m.unexpected[:i], m.unexpected[i+1:]...)
+			// As in deliver: a matched envelope (payload and all) must not
+			// stay reachable from the queue's tail.
+			m.unexpected = slices.Delete(m.unexpected, i, i+1)
 			m.mu.Unlock()
 			completeMatch(p, env)
 			return env
@@ -629,9 +638,6 @@ func (r *Rank) waitRecv(req *Request) error {
 	if env.hdr.Fallback {
 		r.Engine.NoteFallbackRecv()
 	}
-	if env.staged != nil {
-		copy(env.staged.Data, payload)
-	}
 	// End-to-end integrity: verify the wire payload against the header
 	// checksum before it reaches a decoder or is relayed onward — a relay
 	// chain then detects corruption at the hop where it happened.
@@ -643,7 +649,7 @@ func (r *Rank) waitRecv(req *Request) error {
 		// Raw: capture for forwarding. The staging buffer parks on the
 		// rank until consumeRaw, so it is no longer the envelope's to
 		// release.
-		req.raw = rawResult{payload: payload, hdr: env.hdr, staged: env.staged}
+		req.raw = rawResult{payload: payload, hdr: env.hdr, decoded: env.decoded, staged: env.staged}
 		r.noteRawStaged(env.staged)
 		env.staged = nil
 	case env.eager:
@@ -729,7 +735,9 @@ func (r *Rank) Sendrecv(dst, sendTag int, sendBuf *gpusim.Buffer, src, recvTag i
 // reliability path: segmented with per-chunk CRCs, selectively
 // retransmitted, and credit-windowed exactly like a pipelined compression
 // stream, then reassembled and decoded against the message's own header.
-func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header) (*Request, error) {
+// dec, the payload's decoded-form companion (nil: none), rides the envelope
+// on either tier.
+func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header, dec *core.Decoded) (*Request, error) {
 	if err := r.checkPeer(dst); err != nil {
 		return nil, err
 	}
@@ -741,14 +749,14 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header) (*Req
 	r.Clock.Advance(simtime.FromMicroseconds(0.3))
 	if !r.pipelineEligible(dst, len(payload)) {
 		env := r.rendezvous(dst, tag, seq, hdr, false)
-		env.payload = payload
+		env.payload, env.decoded = payload, dec
 		return r.startSend(env), nil
 	}
 	// One checksum pass over the payload pays for stamping the
 	// per-segment CRCs (the bytes are scanned once either way).
 	r.Engine.ChecksumWire(r.Clock, payload)
 	env := r.rendezvous(dst, tag, seq, hdr, true)
-	env.relayChunks = true
+	env.relayChunks, env.decoded = true, dec
 	chunkBytes := r.Engine.Config().PipelineChunkBytes
 	for off := 0; off < len(payload); off += chunkBytes {
 		n := chunkBytes
@@ -765,10 +773,12 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header) (*Req
 }
 
 // rawResult is what a raw receive yields: the wire payload, its header,
-// and the staging buffer to release after decompression.
+// the decoded-form companion it traveled with (nil: none), and the staging
+// buffer to release after decompression.
 type rawResult struct {
 	payload []byte
 	hdr     core.Header
+	decoded *core.Decoded
 	staged  *gpusim.Buffer
 }
 
@@ -786,7 +796,7 @@ func (r *Rank) noteRawStaged(b *gpusim.Buffer) {
 func (r *Rank) dropRawStaged(b *gpusim.Buffer) {
 	for i, x := range r.rawStaged {
 		if x == b {
-			r.rawStaged = append(r.rawStaged[:i], r.rawStaged[i+1:]...)
+			r.rawStaged = slices.Delete(r.rawStaged, i, i+1)
 			return
 		}
 	}

@@ -73,7 +73,7 @@ func TestShortReceiveByTier(t *testing.T) {
 								if len(payload) < 2*chunk {
 									t.Errorf("relay payload of %d bytes would not be segmented", len(payload))
 								}
-								req, err = r.isendPayload(1, 0, payload, hdr)
+								req, err = r.isendPayload(1, 0, payload, hdr, nil)
 							case typed:
 								req, err = r.IsendTyped(1, 0, goldenPayload(r, 0, extent(tier.sendT)), tier.sendT)
 							default:

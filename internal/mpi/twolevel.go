@@ -87,7 +87,8 @@ func (r *Rank) allreduceSumHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
 
 	// Leader: accumulate the node's contributions in view order (a fixed
 	// order keeps the float sum deterministic).
-	scratch := scratchLike(recvBuf, sendBuf.Len())
+	scratch := r.takeScratch(recvBuf, sendBuf.Len())
+	defer r.putScratch()
 	for vr := 0; vr < v.size; vr++ {
 		peer := v.real(vr)
 		if w.nodeOf(peer) != myNode || peer == r.id {

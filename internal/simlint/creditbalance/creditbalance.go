@@ -2,7 +2,7 @@
 // balanced by a release on all paths out of the acquiring function.
 //
 // The simulator's compression engines stage payloads through
-// gpusim.BufferPool (Get/Put) and raw device memory (Malloc/Free); a
+// gpusim.BufferPool (Get/Put) and raw device memory (Malloc or Reserve/Free); a
 // buffer that misses its release on one error path silently shrinks the
 // pool until staging falls back to cudaMalloc and the modeled overlap
 // collapses — exactly the regression the paper's pooled-staging design
@@ -46,7 +46,7 @@ const directive = "creditok"
 // Analyzer is the creditbalance check.
 var Analyzer = &analysis.Analyzer{
 	Name: "creditbalance",
-	Doc: "check that every staging-buffer acquire (BufferPool.Get, GPUDevice.Malloc, or a function with an acquires fact) " +
+	Doc: "check that every staging-buffer acquire (BufferPool.Get, GPUDevice.Malloc/Reserve, or a function with an acquires fact) " +
 		"is released on all paths — via Put/Free, a function with a releases fact, a defer, or an ownership hand-off; " +
 		"suppress with //simlint:creditok <reason>",
 	Requires:  []*analysis.Analyzer{callgraph.Analyzer},
@@ -237,7 +237,7 @@ func (cb *checker) isAcquireFn(f *types.Func) bool {
 	}
 	if recv := analysis.ReceiverNamed(f); recv != nil && recv.Obj().Pkg() != nil && analysis.PkgPathIs(recv.Obj().Pkg(), "gpusim") {
 		switch recv.Obj().Name() + "." + f.Name() {
-		case "BufferPool.Get", "GPUDevice.Malloc":
+		case "BufferPool.Get", "GPUDevice.Malloc", "GPUDevice.Reserve":
 			return true
 		}
 	}

@@ -32,6 +32,14 @@ func leakAtEnd() {
 	use(b.Data)
 }
 
+func leakReservation() {
+	b := dev.Reserve(clk, 64) // want "not released on every path"
+	if cond() {
+		return
+	}
+	dev.Free(clk, b)
+}
+
 func loopLeak() {
 	for cond() {
 		b := pool.Get(clk, 8) // want "acquired inside the loop"
