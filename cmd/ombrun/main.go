@@ -34,7 +34,7 @@ import (
 //simlint:wallclock bench harness reports real elapsed time alongside simulated results
 func main() {
 	bench := flag.String("bench", "latency", "benchmark: latency | bw | bibw | "+strings.Join(omb.Collectives(), " | "))
-	cluster := flag.String("cluster", "longhorn", "cluster model: longhorn | frontera | lassen | ri2")
+	cluster := flag.String("cluster", "longhorn", "cluster model: "+strings.Join(cli.ClusterNames(), " | "))
 	nodes := flag.Int("nodes", 2, "number of nodes")
 	ppn := flag.Int("ppn", 1, "processes (GPUs) per node")
 	sizesFlag := flag.String("sizes", "256K,512K,1M,2M,4M,8M,16M,32M", "message sizes")
@@ -52,7 +52,7 @@ func main() {
 	breakerFlag := flag.String("breaker", "", "codec circuit-breaker spec, e.g. threshold=3,cooldown=2ms,seed=11 (empty = off)")
 	retries := flag.Int("retries", 0, "retransmission budget per protocol stage (0 = default, negative = retries off)")
 	chunkRetry := flag.Int("chunk-retry", 0, "per-chunk retransmission budget on the pipelined path (0 = inherit -retries, negative = off)")
-	algoFlag := flag.String("algo", "auto", "allreduce algorithm: auto | ring | ring-blocking | rd | rab | two-level | reduce-bcast (auto routes through the tuner)")
+	algoFlag := flag.String("algo", mpi.AllreduceAuto.String(), fmt.Sprintf("allreduce algorithm, one of %v (auto routes through the tuner)", mpi.AllreduceAlgos()))
 	tuneTable := flag.String("tune-table", "", "tuning-table JSON path: warm-start from it if present, rewrite it with the updated table on exit")
 	tuneSeed := flag.Int64("tune-seed", 0, "tuner exploration seed")
 	eng := cli.AddEngineFlags(flag.CommandLine)
@@ -183,7 +183,7 @@ func main() {
 				// so the totals here are this size's epoch. Folding
 				// between sizes is world-synchronous: no collective is
 				// in flight while Advance commits.
-				tuner.NoteCounters(engineCounters(w))
+				tuner.NoteCounters(tune.WorldCounters(w))
 				tuner.Advance()
 			}
 		}
@@ -282,23 +282,6 @@ func writeStats(out io.Writer, w *mpi.World, cfg core.Config, health mpi.HealthP
 		fmt.Fprintf(out, "# breaker: opens=%d closes=%d probes=%d fallback-sends=%d fallback-recvs=%d\n",
 			bs.Opens, bs.Closes, bs.Probes, bs.FallbackSends, recvs)
 	}
-}
-
-// engineCounters sums the engine activity the tuner adapts from across
-// every rank. All counters derive from program order and seeded fates,
-// so the sum is deterministic.
-func engineCounters(w *mpi.World) tune.Counters {
-	var c tune.Counters
-	for r := 0; r < w.Size(); r++ {
-		e := w.Rank(r).Engine
-		c.Compressions += int64(e.Compressions)
-		c.Bypasses += int64(e.Bypasses)
-		c.PoolFallbacks += int64(e.PoolFallbacks)
-		c.CacheHits += int64(e.CacheHits)
-		c.CacheMisses += int64(e.CacheMisses)
-		c.PipelinedChunks += int64(e.PipelinedChunks)
-	}
-	return c
 }
 
 // benchFatal reports a benchmark failure: the same stat lines a successful

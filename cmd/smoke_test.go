@@ -147,3 +147,21 @@ func TestOmbrunFailureCarriesStatLines(t *testing.T) {
 		t.Errorf("failure stderr does not name the cause:\n%s", stderr.Bytes())
 	}
 }
+
+// TestTable3ReproducesCommittedRun: Table III has one definition, cmd/tables,
+// and one committed run, results_table3.txt; the first must print the second
+// byte for byte (its ratios are measured by the real codecs on the eight
+// datasets, its throughputs come from the calibrated kernel model).
+func TestTable3ReproducesCommittedRun(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "results_table3.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Command(filepath.Join(buildCommands(t), "tables"), "-table", "3").Output()
+	if err != nil {
+		t.Fatalf("tables -table 3: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("tables -table 3 no longer prints results_table3.txt:\n%s", got)
+	}
+}

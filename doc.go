@@ -21,7 +21,7 @@
 //   - internal/dask:   the Dask data-science workload
 //
 // See README.md for a tour, DESIGN.md for the architecture, and
-// EXPERIMENTS.md for the paper-vs-measured record. The benchmarks in
-// bench_test.go regenerate every table and figure of the paper's
-// evaluation; cmd/figures and cmd/tables print them as text tables.
+// EXPERIMENTS.md for the paper-vs-measured record. cmd/figures and
+// cmd/tables regenerate every figure and table of the paper's evaluation
+// as text tables; bench/ times the reproduction itself.
 package mpicomp

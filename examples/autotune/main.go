@@ -38,17 +38,7 @@ func epoch(w *mpi.World, tn *tune.Tuner, bytes int) error {
 	if _, err := omb.CollectiveLatency(w, "allreduce", bytes, 1, 2, nil); err != nil {
 		return err
 	}
-	var c tune.Counters
-	for r := 0; r < w.Size(); r++ {
-		e := w.Rank(r).Engine
-		c.Compressions += int64(e.Compressions)
-		c.Bypasses += int64(e.Bypasses)
-		c.PoolFallbacks += int64(e.PoolFallbacks)
-		c.CacheHits += int64(e.CacheHits)
-		c.CacheMisses += int64(e.CacheMisses)
-		c.PipelinedChunks += int64(e.PipelinedChunks)
-	}
-	tn.NoteCounters(c)
+	tn.NoteCounters(tune.WorldCounters(w))
 	tn.Advance()
 	return nil
 }

@@ -41,17 +41,6 @@ type Config struct {
 	Fields int
 	// Steps is the number of time steps to run.
 	Steps int
-	// FlopsPerPoint is the stencil cost used for the GPU compute-time
-	// model and the reported FLOPS (default 135).
-	FlopsPerPoint float64
-	// Efficiency is the fraction of peak FP32 the stencil kernel
-	// sustains (default 0.05 — finite-difference seismic kernels are
-	// heavily memory-bound; this lands per-GPU sustained performance in
-	// the paper's ~0.1-0.3 TFLOPS regime and communication at the
-	// 30-50% share of Figure 2(b)).
-	Efficiency float64
-	// CourantNumber scales the time step (default 0.4, stable).
-	CourantNumber float64
 	// HaloPacked selects the legacy staged halo path: each face is
 	// packed into a contiguous staging buffer by a dedicated kernel,
 	// sent, and the received halo unpacked by a second kernel. The
@@ -65,6 +54,19 @@ type Config struct {
 	// of the fusion benchmark.
 	HaloPacked bool
 }
+
+const (
+	// flopsPerPoint is the stencil cost used for the GPU compute-time
+	// model and the reported FLOPS.
+	flopsPerPoint = 135
+	// efficiency is the fraction of peak FP32 the stencil kernel sustains:
+	// finite-difference seismic kernels are heavily memory-bound; this
+	// lands per-GPU sustained performance in the paper's ~0.1-0.3 TFLOPS
+	// regime and communication at the 30-50% share of Figure 2(b).
+	efficiency = 0.05
+	// courantNumber scales the time step (stable).
+	courantNumber = 0.4
+)
 
 func (c Config) withDefaults() Config {
 	if c.NX == 0 {
@@ -81,15 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Steps == 0 {
 		c.Steps = 4
-	}
-	if c.FlopsPerPoint == 0 {
-		c.FlopsPerPoint = 135
-	}
-	if c.Efficiency == 0 {
-		c.Efficiency = 0.05
-	}
-	if c.CourantNumber == 0 {
-		c.CourantNumber = 0.4
 	}
 	return c
 }
@@ -159,7 +152,7 @@ func newSubdomain(cfg Config, rx, ry, px, py int) *subdomain {
 	s := &subdomain{
 		cfg: cfg, nx: cfg.NX, ny: cfg.NY, nz: cfg.NZ,
 		sx: cfg.NX + 2, sy: cfg.NY + 2,
-		coef: float32(cfg.CourantNumber * cfg.CourantNumber),
+		coef: float32(courantNumber * courantNumber),
 	}
 	n := s.sx * s.sy * s.nz
 	s.u = make([]float32, n)
@@ -553,8 +546,8 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 			dev.StreamSync(r.Clock, dev.Stream(0))
 		}
 
-		flopsPerStep := float64(s.nx*s.ny*s.nz) * cfg.FlopsPerPoint
-		computeDur := simtime.FromSeconds(flopsPerStep / (dev.Spec.FP32TFlops * 1e12 * cfg.Efficiency))
+		flopsPerStep := float64(s.nx*s.ny*s.nz) * flopsPerPoint
+		computeDur := simtime.FromSeconds(flopsPerStep / (dev.Spec.FP32TFlops * 1e12 * efficiency))
 
 		var compute, comm simtime.Duration
 		var staging int64
@@ -653,7 +646,7 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 		}
 		checksum += o.checksum
 	}
-	flopsTotal := float64(cfg.NX*cfg.NY*cfg.NZ) * cfg.FlopsPerPoint * float64(cfg.Steps) * float64(size)
+	flopsTotal := float64(cfg.NX*cfg.NY*cfg.NZ) * flopsPerPoint * float64(cfg.Steps) * float64(size)
 	res := Result{
 		Ranks:       size,
 		Steps:       cfg.Steps,

@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -91,47 +92,56 @@ func (e *EngineFlags) Config() (core.Config, error) {
 // ErrBadAlgo is the sentinel ParseAlgo failures wrap.
 var ErrBadAlgo = errors.New("unknown collective algorithm")
 
-// ParseAlgo parses a collective algorithm name (the -algo pin on
-// ombrun) into its mpi enum value. Names are the AllreduceAlgo String
-// forms: auto, ring, ring-blocking, rd, rab, two-level, reduce-bcast.
+// ParseAlgo parses an -algo value, ignoring case and surrounding blanks,
+// into its mpi enum value; empty means auto.
 func ParseAlgo(s string) (mpi.AllreduceAlgo, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "auto", "":
+	name := strings.ToLower(strings.TrimSpace(s))
+	if name == "" {
 		return mpi.AllreduceAuto, nil
-	case "reduce-bcast":
-		return mpi.AllreduceReduceBcast, nil
-	case "ring":
-		return mpi.AllreduceRing, nil
-	case "ring-blocking":
-		return mpi.AllreduceRingBlocking, nil
-	case "rd":
-		return mpi.AllreduceRecursiveDoubling, nil
-	case "rab":
-		return mpi.AllreduceRabenseifner, nil
-	case "two-level":
-		return mpi.AllreduceTwoLevel, nil
 	}
-	return 0, fmt.Errorf("%w %q (want auto, ring, ring-blocking, rd, rab, two-level or reduce-bcast)", ErrBadAlgo, s)
+	a, ok := mpi.ParseAllreduceAlgo(name)
+	if !ok {
+		return 0, fmt.Errorf("%w %q (want one of %v)", ErrBadAlgo, s, mpi.AllreduceAlgos())
+	}
+	return a, nil
+}
+
+// ClusterNames lists the -cluster values, sorted.
+func ClusterNames() []string {
+	names := make([]string, 0, len(hw.Clusters()))
+	for name := range hw.Clusters() {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // ClusterByName resolves a cluster flag value.
 func ClusterByName(name string) (hw.Cluster, error) {
 	c, ok := hw.Clusters()[strings.ToLower(name)]
 	if !ok {
-		return hw.Cluster{}, fmt.Errorf("unknown cluster %q (want longhorn, frontera, lassen, ri2, sierra or ampere)", name)
+		return hw.Cluster{}, fmt.Errorf("unknown cluster %q (want %s)", name, strings.Join(ClusterNames(), ", "))
 	}
 	return c, nil
+}
+
+// commaParts splits a comma-separated flag value into its parts, blanks
+// around each trimmed and empty parts dropped.
+func commaParts(s string) []string {
+	var parts []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			parts = append(parts, part)
+		}
+	}
+	return parts
 }
 
 // ParseSizes parses a comma-separated size list with K/M suffixes
 // ("256K,1M,32M").
 func ParseSizes(s string) ([]int, error) {
 	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	for _, part := range commaParts(s) {
 		mult := 1
 		switch {
 		case strings.HasSuffix(part, "K"), strings.HasSuffix(part, "k"):
@@ -153,62 +163,96 @@ func ParseSizes(s string) ([]int, error) {
 	return out, nil
 }
 
-// ParseFaults parses a fault-injection spec of the form
-// "seed=7,drop=0.01,corrupt=0.005,degrade=0.1,factor=0.25" into a
-// faults.Config. Chunk-granular fates use chunkdrop, chunkcorrupt,
-// chunkdup, and chunkreorder. Rates are probabilities in [0,1]; omitted
-// keys stay zero. An empty string yields nil (fault injection off).
-func ParseFaults(s string) (*faults.Config, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
+// field is one key of a spec flag and the setter that parses its value
+// into place; a setter's error says what the value must be.
+type field struct {
+	key string
+	set func(val string) error
+}
+
+// opt is the field that parses key's value with parse and stores it in dst.
+// The spec flags take six kinds of value: parseProb, ParseSimDuration,
+// parseCount, strconv.ParseBool, parseSeed and parseGroups.
+func opt[T any](key string, dst *T, parse func(string) (T, error)) field {
+	return field{key, func(val string) error {
+		v, err := parse(val)
+		if err == nil {
+			*dst = v
+		}
+		return err
+	}}
+}
+
+func parseProb(val string) (float64, error) {
+	p, err := strconv.ParseFloat(val, 64)
+	if err != nil || p < 0 || p > 1 {
+		return 0, errors.New("must be a probability in [0,1]")
 	}
-	cfg := &faults.Config{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+	return p, nil
+}
+
+func parseCount(val string) (int, error) {
+	n, err := strconv.Atoi(val)
+	if err != nil || n < 0 {
+		return 0, errors.New("must be a non-negative integer")
+	}
+	return n, nil
+}
+
+func parseSeed(val string) (int64, error) { return strconv.ParseInt(val, 10, 64) }
+
+// parseSpec is the grammar of every spec flag (-faults, -crash, -partition,
+// -heal, -detector, -health, -breaker): comma-separated key=value parts,
+// blanks around parts, keys and values ignored, keys case-insensitive, a
+// repeated key overwriting the earlier one as a repeated flag would. what
+// names the flag in errors; an unknown key's error lists the keys of fields.
+func parseSpec(what, spec string, fields ...field) error {
+	for _, part := range commaParts(spec) {
+		key, val, ok := strings.Cut(part, "=")
+		if !ok {
+			return fmt.Errorf("bad %s option %q (want key=value)", what, part)
+		}
+		key, val = strings.ToLower(strings.TrimSpace(key)), strings.TrimSpace(val)
+		i := slices.IndexFunc(fields, func(f field) bool { return f.key == key })
+		if i < 0 {
+			keys := make([]string, len(fields))
+			for j, f := range fields {
+				keys[j] = f.key
+			}
+			return fmt.Errorf("unknown %s option %q (want %s)", what, key, strings.Join(keys, ", "))
+		}
+		if err := fields[i].set(val); err != nil {
+			var num *strconv.NumError // names the function and repeats val
+			if errors.As(err, &num) {
+				err = num.Err
+			}
+			return fmt.Errorf("%s option %s=%q: %w", what, key, val, err)
+		}
+	}
+	return nil
+}
+
+// parseGroups parses a partition plan like "0:1|2:3" into node-id groups.
+func parseGroups(val string) ([][]int, error) {
+	var groups [][]int
+	for _, g := range strings.Split(val, "|") {
+		if g = strings.TrimSpace(g); g == "" {
 			continue
 		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad fault option %q (want key=value)", part)
+		var nodes []int
+		for _, id := range strings.Split(g, ":") {
+			n, err := strconv.Atoi(strings.TrimSpace(id))
+			if err != nil || n < 0 {
+				return nil, fmt.Errorf("bad node %q (want a non-negative node id)", id)
+			}
+			nodes = append(nodes, n)
 		}
-		key, val := strings.ToLower(strings.TrimSpace(kv[0])), strings.TrimSpace(kv[1])
-		switch key {
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad fault seed %q: %w", val, err)
-			}
-			cfg.Seed = n
-		case "drop", "corrupt", "degrade", "factor",
-			"chunkdrop", "chunkcorrupt", "chunkdup", "chunkreorder":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
-				return nil, fmt.Errorf("fault option %s=%q must be a probability in [0,1]", key, val)
-			}
-			switch key {
-			case "drop":
-				cfg.DropRate = f
-			case "corrupt":
-				cfg.CorruptRate = f
-			case "degrade":
-				cfg.DegradeRate = f
-			case "factor":
-				cfg.DegradeFactor = f
-			case "chunkdrop":
-				cfg.ChunkDropRate = f
-			case "chunkcorrupt":
-				cfg.ChunkCorruptRate = f
-			case "chunkdup":
-				cfg.ChunkDuplicateRate = f
-			case "chunkreorder":
-				cfg.ChunkReorderRate = f
-			}
-		default:
-			return nil, fmt.Errorf("unknown fault option %q (want seed, drop, corrupt, degrade, factor, chunkdrop, chunkcorrupt, chunkdup, chunkreorder)", key)
-		}
+		groups = append(groups, nodes)
 	}
-	return cfg, nil
+	if len(groups) < 2 {
+		return nil, errors.New("need at least two |-separated groups")
+	}
+	return groups, nil
 }
 
 // ParseSimDuration parses a simulated duration such as "500us", "2ms",
@@ -236,317 +280,100 @@ func ParseSimDuration(s string) (simtime.Duration, error) {
 	return simtime.Duration(f * float64(unit)), nil
 }
 
-// ParseCrash parses a process-failure spec of the form
-// "seed=7,crash=0.125,silent=0.06,window=2ms,codec=0.5,until=1ms" and
-// merges it into cfg (which may be nil — a Config is allocated then).
-// crash/silent/codec are probabilities in [0,1]; window bounds failure
-// onsets; until heals codec faults past that simulated instant. An empty
-// spec returns cfg unchanged.
-func ParseCrash(s string, cfg *faults.Config) (*faults.Config, error) {
-	if strings.TrimSpace(s) == "" {
+// faultSpec parses spec into cfg (allocated when nil) through the fields
+// table lays over it. An empty spec returns cfg unchanged, nil included.
+func faultSpec(what, spec string, cfg *faults.Config, table func(*faults.Config) []field) (*faults.Config, error) {
+	if strings.TrimSpace(spec) == "" {
 		return cfg, nil
 	}
 	if cfg == nil {
 		cfg = &faults.Config{}
 	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad crash option %q (want key=value)", part)
-		}
-		key, val := strings.ToLower(strings.TrimSpace(kv[0])), strings.TrimSpace(kv[1])
-		switch key {
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad crash seed %q: %w", val, err)
-			}
-			cfg.Seed = n
-		case "crash", "silent", "codec":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
-				return nil, fmt.Errorf("crash option %s=%q must be a probability in [0,1]", key, val)
-			}
-			switch key {
-			case "crash":
-				cfg.CrashRate = f
-			case "silent":
-				cfg.SilentRate = f
-			case "codec":
-				cfg.CodecRate = f
-			}
-		case "window", "until":
-			d, err := ParseSimDuration(val)
-			if err != nil {
-				return nil, fmt.Errorf("crash option %s: %w", key, err)
-			}
-			if key == "window" {
-				cfg.FailWindow = d
-			} else {
-				cfg.CodecUntil = d
-			}
-		default:
-			return nil, fmt.Errorf("unknown crash option %q (want seed, crash, silent, window, codec, until)", key)
-		}
+	if err := parseSpec(what, spec, table(cfg)...); err != nil {
+		return nil, err
 	}
 	return cfg, nil
+}
+
+// ParseFaults parses a fault-injection spec of the form
+// "seed=7,drop=0.01,corrupt=0.005,degrade=0.1,factor=0.25" into a
+// faults.Config; the chunk* keys are the chunk-granular fates. Omitted keys
+// stay zero. An empty string yields nil (fault injection off).
+func ParseFaults(s string) (*faults.Config, error) {
+	return faultSpec("fault", s, nil, func(c *faults.Config) []field {
+		return []field{
+			opt("seed", &c.Seed, parseSeed),
+			opt("drop", &c.DropRate, parseProb), opt("corrupt", &c.CorruptRate, parseProb),
+			opt("degrade", &c.DegradeRate, parseProb), opt("factor", &c.DegradeFactor, parseProb),
+			opt("chunkdrop", &c.ChunkDropRate, parseProb), opt("chunkcorrupt", &c.ChunkCorruptRate, parseProb),
+			opt("chunkdup", &c.ChunkDuplicateRate, parseProb), opt("chunkreorder", &c.ChunkReorderRate, parseProb),
+		}
+	})
+}
+
+// ParseCrash parses a process-failure spec of the form
+// "seed=7,crash=0.125,silent=0.06,window=2ms,codec=0.5,until=1ms" and
+// merges it into cfg (which may be nil). window bounds failure onsets;
+// until heals codec faults past that simulated instant.
+func ParseCrash(s string, cfg *faults.Config) (*faults.Config, error) {
+	return faultSpec("crash", s, cfg, func(c *faults.Config) []field {
+		return []field{
+			opt("seed", &c.Seed, parseSeed),
+			opt("crash", &c.CrashRate, parseProb), opt("silent", &c.SilentRate, parseProb),
+			opt("window", &c.FailWindow, ParseSimDuration),
+			opt("codec", &c.CodecRate, parseProb), opt("until", &c.CodecUntil, ParseSimDuration),
+		}
+	})
 }
 
 // ParsePartition parses a link/partition fault spec of the form
 // "seed=3,linkdown=0.25,outage=600us,flap=0.1,period=400us,duty=0.25,
 // window=2ms,groups=0:1|2:3,at=200us,heal=1ms" and merges it into cfg
-// (which may be nil — a Config is allocated then). linkdown/flap are
-// per-node-pair probabilities; groups is a |-separated list of :-separated
-// node-id groups naming an explicit partition plan; at/heal bound the
-// partition window. An empty spec returns cfg unchanged.
+// (which may be nil). linkdown/flap are per-node-pair probabilities; groups
+// names an explicit partition plan; at/heal bound the partition window.
 func ParsePartition(s string, cfg *faults.Config) (*faults.Config, error) {
-	if strings.TrimSpace(s) == "" {
-		return cfg, nil
-	}
-	if cfg == nil {
-		cfg = &faults.Config{}
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+	return faultSpec("partition", s, cfg, func(c *faults.Config) []field {
+		return []field{
+			opt("seed", &c.Seed, parseSeed),
+			opt("linkdown", &c.LinkDownRate, parseProb), opt("outage", &c.LinkOutage, ParseSimDuration),
+			opt("flap", &c.LinkFlapRate, parseProb), opt("period", &c.FlapPeriod, ParseSimDuration),
+			opt("duty", &c.FlapDuty, parseProb), opt("window", &c.LinkWindow, ParseSimDuration),
+			opt("groups", &c.PartitionGroups, parseGroups),
+			opt("at", &c.PartitionAt, ParseSimDuration), opt("heal", &c.PartitionHeal, ParseSimDuration),
 		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad partition option %q (want key=value)", part)
-		}
-		key, val := strings.ToLower(strings.TrimSpace(kv[0])), strings.TrimSpace(kv[1])
-		switch key {
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad partition seed %q: %w", val, err)
-			}
-			cfg.Seed = n
-		case "linkdown", "flap", "duty":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
-				return nil, fmt.Errorf("partition option %s=%q must be in [0,1]", key, val)
-			}
-			switch key {
-			case "linkdown":
-				cfg.LinkDownRate = f
-			case "flap":
-				cfg.LinkFlapRate = f
-			case "duty":
-				cfg.FlapDuty = f
-			}
-		case "outage", "period", "window", "at", "heal":
-			d, err := ParseSimDuration(val)
-			if err != nil {
-				return nil, fmt.Errorf("partition option %s: %w", key, err)
-			}
-			switch key {
-			case "outage":
-				cfg.LinkOutage = d
-			case "period":
-				cfg.FlapPeriod = d
-			case "window":
-				cfg.LinkWindow = d
-			case "at":
-				cfg.PartitionAt = d
-			case "heal":
-				cfg.PartitionHeal = d
-			}
-		case "groups":
-			groups, err := parseGroups(val)
-			if err != nil {
-				return nil, err
-			}
-			cfg.PartitionGroups = groups
-		default:
-			return nil, fmt.Errorf("unknown partition option %q (want seed, linkdown, outage, flap, period, duty, window, groups, at, heal)", key)
-		}
-	}
-	return cfg, nil
-}
-
-// parseGroups parses a partition plan like "0:1|2:3" into node-id groups.
-func parseGroups(s string) ([][]int, error) {
-	var groups [][]int
-	for _, g := range strings.Split(s, "|") {
-		g = strings.TrimSpace(g)
-		if g == "" {
-			continue
-		}
-		var nodes []int
-		for _, id := range strings.Split(g, ":") {
-			n, err := strconv.Atoi(strings.TrimSpace(id))
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("bad partition group node %q (want a non-negative node id)", id)
-			}
-			nodes = append(nodes, n)
-		}
-		groups = append(groups, nodes)
-	}
-	if len(groups) < 2 {
-		return nil, fmt.Errorf("partition groups %q need at least two |-separated groups", s)
-	}
-	return groups, nil
+	})
 }
 
 // ParseHeal parses a self-heal spec of the form "on=true,attempts=4" and
-// merges it into pol (typically the policy from -health). An empty spec
-// returns pol unchanged.
+// merges it into pol (typically the policy from -health).
 func ParseHeal(s string, pol mpi.HealthPolicy) (mpi.HealthPolicy, error) {
-	if strings.TrimSpace(s) == "" {
-		return pol, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return pol, fmt.Errorf("bad heal option %q (want key=value)", part)
-		}
-		key, val := strings.ToLower(strings.TrimSpace(kv[0])), strings.TrimSpace(kv[1])
-		switch key {
-		case "on":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return pol, fmt.Errorf("heal option on=%q must be a boolean", val)
-			}
-			pol.SelfHeal = b
-		case "attempts":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return pol, fmt.Errorf("heal option attempts=%q must be a non-negative integer", val)
-			}
-			pol.MaxAttempts = n
-		default:
-			return pol, fmt.Errorf("unknown heal option %q (want on, attempts)", key)
-		}
-	}
-	return pol, nil
+	err := parseSpec("heal", s,
+		opt("on", &pol.SelfHeal, strconv.ParseBool), opt("attempts", &pol.MaxAttempts, parseCount))
+	return pol, err
 }
 
 // ParseDetector parses a failure-detector spec of the form
-// "lease=200us,confirm=300us" into an mpi.DetectorPolicy. An empty string
-// yields the zero policy (detector off).
-func ParseDetector(s string) (mpi.DetectorPolicy, error) {
-	var pol mpi.DetectorPolicy
-	if strings.TrimSpace(s) == "" {
-		return pol, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return pol, fmt.Errorf("bad detector option %q (want key=value)", part)
-		}
-		key, val := strings.ToLower(strings.TrimSpace(kv[0])), strings.TrimSpace(kv[1])
-		switch key {
-		case "lease", "confirm":
-			d, err := ParseSimDuration(val)
-			if err != nil {
-				return pol, fmt.Errorf("detector option %s: %w", key, err)
-			}
-			if key == "lease" {
-				pol.Lease = d
-			} else {
-				pol.Confirm = d
-			}
-		default:
-			return pol, fmt.Errorf("unknown detector option %q (want lease, confirm)", key)
-		}
-	}
-	return pol, nil
+// "lease=200us,confirm=300us"; empty is the zero policy (detector off).
+func ParseDetector(s string) (pol mpi.DetectorPolicy, err error) {
+	err = parseSpec("detector", s,
+		opt("lease", &pol.Lease, ParseSimDuration), opt("confirm", &pol.Confirm, ParseSimDuration))
+	return pol, err
 }
 
 // ParseHealth parses a failure-handling spec of the form
-// "deadline=500us,shrink=true" into an mpi.HealthPolicy. An empty string
-// yields the zero policy (library defaults).
-func ParseHealth(s string) (mpi.HealthPolicy, error) {
-	var pol mpi.HealthPolicy
-	if strings.TrimSpace(s) == "" {
-		return pol, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return pol, fmt.Errorf("bad health option %q (want key=value)", part)
-		}
-		key, val := strings.ToLower(strings.TrimSpace(kv[0])), strings.TrimSpace(kv[1])
-		switch key {
-		case "deadline":
-			d, err := ParseSimDuration(val)
-			if err != nil {
-				return pol, fmt.Errorf("health option deadline: %w", err)
-			}
-			pol.Deadline = d
-		case "shrink":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return pol, fmt.Errorf("health option shrink=%q must be a boolean", val)
-			}
-			pol.ShrinkCollectives = b
-		default:
-			return pol, fmt.Errorf("unknown health option %q (want deadline, shrink)", key)
-		}
-	}
-	return pol, nil
+// "deadline=500us,shrink=true"; empty is the zero policy (library defaults).
+func ParseHealth(s string) (pol mpi.HealthPolicy, err error) {
+	err = parseSpec("health", s,
+		opt("deadline", &pol.Deadline, ParseSimDuration), opt("shrink", &pol.ShrinkCollectives, strconv.ParseBool))
+	return pol, err
 }
 
 // ParseBreaker parses a codec-circuit-breaker spec of the form
-// "threshold=3,cooldown=2ms,seed=11" into a core.BreakerPolicy. An empty
-// string yields the zero policy (breaker off).
-func ParseBreaker(s string) (core.BreakerPolicy, error) {
-	var pol core.BreakerPolicy
-	if strings.TrimSpace(s) == "" {
-		return pol, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return pol, fmt.Errorf("bad breaker option %q (want key=value)", part)
-		}
-		key, val := strings.ToLower(strings.TrimSpace(kv[0])), strings.TrimSpace(kv[1])
-		switch key {
-		case "threshold":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return pol, fmt.Errorf("breaker option threshold=%q must be a non-negative integer", val)
-			}
-			pol.Threshold = n
-		case "cooldown":
-			d, err := ParseSimDuration(val)
-			if err != nil {
-				return pol, fmt.Errorf("breaker option cooldown: %w", err)
-			}
-			pol.Cooldown = d
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return pol, fmt.Errorf("bad breaker seed %q: %w", val, err)
-			}
-			pol.Seed = n
-		default:
-			return pol, fmt.Errorf("unknown breaker option %q (want threshold, cooldown, seed)", key)
-		}
-	}
-	return pol, nil
+// "threshold=3,cooldown=2ms,seed=11"; empty is the zero policy (breaker off).
+func ParseBreaker(s string) (pol core.BreakerPolicy, err error) {
+	err = parseSpec("breaker", s, opt("threshold", &pol.Threshold, parseCount),
+		opt("cooldown", &pol.Cooldown, ParseSimDuration), opt("seed", &pol.Seed, parseSeed))
+	return pol, err
 }
 
 // FormatBytes renders a byte count with a binary suffix ("32M", "256K").

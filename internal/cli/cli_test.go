@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
 	"strings"
 	"testing"
@@ -380,5 +383,142 @@ func TestParseBreaker(t *testing.T) {
 		if _, err := ParseBreaker(in); err == nil {
 			t.Errorf("ParseBreaker(%q) accepted", in)
 		}
+	}
+}
+
+// TestSpecGrammar runs one matrix through all seven spec parsers: what the
+// grammar accepts and rejects is decided once, in parseSpec, so it must be
+// the same for every flag.
+func TestSpecGrammar(t *testing.T) {
+	base := mpi.HealthPolicy{Deadline: 500 * simtime.Microsecond}
+	parsers := []struct {
+		what  string // the flag's noun in errors
+		keys  string // the keys of its table, as an unknown key's error lists them
+		a, b  string // one valid option, and the same key with another value
+		parse func(string) (any, error)
+	}{
+		{"fault", "seed, drop, corrupt, degrade, factor, chunkdrop, chunkcorrupt, chunkdup, chunkreorder",
+			"drop=0.5", "drop=0.25", func(s string) (any, error) { return ParseFaults(s) }},
+		{"crash", "seed, crash, silent, window, codec, until",
+			"window=2ms", "window=3ms", func(s string) (any, error) { return ParseCrash(s, nil) }},
+		{"partition", "seed, linkdown, outage, flap, period, duty, window, groups, at, heal",
+			"groups=0:1|2:3", "groups=0|1|2", func(s string) (any, error) { return ParsePartition(s, nil) }},
+		{"heal", "on, attempts", "attempts=3", "attempts=5", func(s string) (any, error) { return ParseHeal(s, base) }},
+		{"detector", "lease, confirm", "lease=200us", "lease=1ms", func(s string) (any, error) { return ParseDetector(s) }},
+		{"health", "deadline, shrink", "shrink=true", "shrink=false", func(s string) (any, error) { return ParseHealth(s) }},
+		{"breaker", "threshold, cooldown, seed", "seed=11", "seed=-4", func(s string) (any, error) { return ParseBreaker(s) }},
+	}
+	for _, p := range parsers {
+		empty, err := p.parse("")
+		if err != nil {
+			t.Errorf("%s: empty spec: %v", p.what, err)
+		}
+		want, err := p.parse(p.a)
+		if err != nil || reflect.DeepEqual(want, empty) {
+			t.Errorf("%s: %q parsed to %+v, %v; want a change from the empty spec", p.what, p.a, want, err)
+			continue
+		}
+		key, val, _ := strings.Cut(p.a, "=")
+		for name, spec := range map[string]string{
+			"stray commas and blanks": " , " + key + " = " + val + " ,, ",
+			"upper-case key":          strings.ToUpper(key) + "=" + val,
+			"repeated key, last wins": p.b + "," + p.a,
+		} {
+			if got, err := p.parse(spec); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s: %q parsed to %+v, %v; want what %q parses to", p.what, name, spec, got, err, p.a)
+			}
+		}
+		for spec, wantErr := range map[string]string{
+			key:                   `bad ` + p.what + ` option "` + key + `" (want key=value)`,
+			p.a + ",bogus=1":      `unknown ` + p.what + ` option "bogus" (want ` + p.keys + `)`,
+			p.a + ",=1":           `unknown ` + p.what + ` option ""`,
+			p.a + "," + key + "=": p.what + ` option ` + key + `=""`,
+		} {
+			if _, err := p.parse(spec); err == nil || !strings.Contains(err.Error(), wantErr) {
+				t.Errorf("%s: %q: error %v, want one containing %q", p.what, spec, err, wantErr)
+			}
+		}
+	}
+
+	// The six value kinds reject what they must, naming flag, key and value.
+	for _, c := range []struct {
+		parser        int
+		spec, wantErr string
+	}{
+		{0, "drop=1.5", `fault option drop="1.5": must be a probability in [0,1]`},
+		{1, "crash=-0.1", `crash option crash="-0.1": must be a probability in [0,1]`},
+		{2, "duty=2", `partition option duty="2": must be a probability in [0,1]`},
+		{3, "attempts=-1", `heal option attempts="-1": must be a non-negative integer`},
+		{6, "threshold=1.5", `breaker option threshold="1.5": must be a non-negative integer`},
+		{1, "window=5h", `crash option window="5h": bad duration`},
+		{2, "at=-1ms", `partition option at="-1ms": bad duration`},
+		{4, "lease=5", `detector option lease="5": bad duration`},
+		{5, "deadline=1m", `health option deadline="1m": bad duration`},
+		{6, "cooldown=ms", `breaker option cooldown="ms": bad duration`},
+		{3, "on=maybe", `heal option on="maybe": `},
+		{5, "shrink=2", `health option shrink="2": `},
+		{0, "seed=x", `fault option seed="x": `},
+		{6, "seed=1.5", `breaker option seed="1.5": `},
+		{2, "groups=0:1", `partition option groups="0:1": need at least two |-separated groups`},
+		{2, "groups=0:x|2", `partition option groups="0:x|2": bad node "x"`},
+	} {
+		if _, err := parsers[c.parser].parse(c.spec); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%q: error %v, want one containing %q", c.spec, err, c.wantErr)
+		}
+	}
+
+	// The three merging parsers keep what the spec does not name, and an
+	// empty spec hands back what it was given.
+	cfg := &faults.Config{Seed: 1, DropRate: 0.25}
+	if got, err := ParseCrash("crash=0.5", cfg); err != nil || got != cfg || !reflect.DeepEqual(*got, faults.Config{Seed: 1, DropRate: 0.25, CrashRate: 0.5}) {
+		t.Errorf("ParseCrash merge: %+v, %v", got, err)
+	}
+	if got, err := ParsePartition("seed=9,flap=0.5", cfg); err != nil || got != cfg || got.Seed != 9 || got.DropRate != 0.25 || got.CrashRate != 0.5 || got.LinkFlapRate != 0.5 {
+		t.Errorf("ParsePartition merge: %+v, %v", got, err)
+	}
+	if got, err := ParsePartition(" ", cfg); err != nil || got != cfg {
+		t.Errorf("ParsePartition blank spec: %p, %v; want the config it was given", got, err)
+	}
+	if got, err := ParseHeal("on=true", base); err != nil || got != (mpi.HealthPolicy{Deadline: base.Deadline, SelfHeal: true}) {
+		t.Errorf("ParseHeal merge: %+v, %v", got, err)
+	}
+}
+
+// TestOneSpecLoop keeps the grammar from forking again: this package splits a
+// flag value on commas in exactly one place, and only parseSpec cuts a part
+// at its "=".
+func TestOneSpecLoop(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "cli.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := map[string][]string{}
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 2 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			sep, isLit := call.Args[1].(*ast.BasicLit)
+			if ok && isLit && strings.HasPrefix(sel.Sel.Name, "Split") || ok && isLit && sel.Sel.Name == "Cut" {
+				sites[sel.Sel.Name+sep.Value] = append(sites[sel.Sel.Name+sep.Value], fn.Name.Name)
+			}
+			return true
+		})
+	}
+	if got := sites[`Split","`]; !reflect.DeepEqual(got, []string{"commaParts"}) {
+		t.Errorf("a flag value is split on commas in %v, want commaParts alone", got)
+	}
+	if got := sites[`Cut"="`]; !reflect.DeepEqual(got, []string{"parseSpec"}) {
+		t.Errorf("a key=value part is cut in %v, want parseSpec alone", got)
+	}
+	if len(sites[`SplitN"="`]) != 0 || len(sites[`SplitN","`]) != 0 {
+		t.Errorf("a hand-written spec loop is back: %v", sites)
 	}
 }

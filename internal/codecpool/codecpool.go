@@ -38,17 +38,7 @@ import (
 // mark of the work they serve and are then reused allocation-free; the
 // contents are garbage on entry to every part.
 type Scratch struct {
-	words []uint32
 	bytes []byte
-}
-
-// Words returns a length-n uint32 buffer, reusing capacity when possible.
-func (s *Scratch) Words(n int) []uint32 {
-	if cap(s.words) < n {
-		s.words = make([]uint32, n)
-	}
-	s.words = s.words[:n]
-	return s.words
 }
 
 // Bytes returns a length-n byte buffer, reusing capacity when possible.

@@ -34,9 +34,9 @@ type sumJob struct {
 }
 
 func (j *sumJob) RunPart(i int, s *Scratch) {
-	w := s.Words(64)
+	w := s.Bytes(64)
 	for k := range w {
-		w[k] = uint32(i + k)
+		w[k] = byte(i + k)
 	}
 	total := 0
 	for _, v := range w {
@@ -69,18 +69,13 @@ func TestDeterministicAcrossPoolSizes(t *testing.T) {
 
 func TestScratchReuse(t *testing.T) {
 	var s Scratch
-	a := s.Words(100)
-	b := s.Words(50)
-	if &a[0] != &b[0] {
-		t.Fatal("Words did not reuse capacity")
-	}
-	if len(b) != 50 {
-		t.Fatalf("Words(50) has len %d", len(b))
-	}
-	x := s.Bytes(8)
-	y := s.Bytes(4)
+	x := s.Bytes(100)
+	y := s.Bytes(50)
 	if &x[0] != &y[0] {
 		t.Fatal("Bytes did not reuse capacity")
+	}
+	if len(y) != 50 {
+		t.Fatalf("Bytes(50) has len %d", len(y))
 	}
 }
 

@@ -154,7 +154,7 @@ func (b *Breakdown) String() string {
 // HostStats records real wall-clock spent executing host-side codec
 // work, as opposed to the simulated durations in Breakdown. The two
 // never mix: Breakdown drives the figures, HostStats drives performance
-// tracking of the reproduction itself (BENCH_codec.json, ombrun output).
+// tracking of the reproduction itself (ombrun's wall-clock line).
 type HostStats struct {
 	// CodecWall is the total wall-clock spent inside codec worker-pool
 	// batches (compress + decompress, both algorithms).

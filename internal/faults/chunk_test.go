@@ -163,10 +163,6 @@ func TestChunkNilAndDisabled(t *testing.T) {
 			t.Errorf("config %+v yielded a nil injector", cfg)
 		}
 	}
-	// ReorderDelay defaults when any chunk fate is possible.
-	if got := New(Config{ChunkReorderRate: 0.1}).Config().ReorderDelay; got != DefaultReorderDelay {
-		t.Errorf("ReorderDelay defaulted to %v, want %v", got, DefaultReorderDelay)
-	}
 }
 
 // TestChunkKindsDecideIndependently: a chunk's drop, corruption, and fate

@@ -101,13 +101,12 @@ func (k Kind) String() string {
 // degraded window when Config.DegradeFactor is zero.
 const DefaultDegradeFactor = 0.25
 
-// DefaultDegradeWindow is the duration of one degrade decision window when
-// Config.DegradeWindow is zero: the link's fate is re-rolled per window.
-const DefaultDegradeWindow = simtime.Millisecond
+// DegradeWindow is the duration of one degrade decision window on the
+// virtual clock: the link's fate is re-rolled per window.
+const DegradeWindow = simtime.Millisecond
 
-// DefaultMaxFlips bounds the bit flips applied to one corrupted payload
-// when Config.MaxFlips is zero.
-const DefaultMaxFlips = 4
+// MaxFlips bounds the bit flips applied to one corrupted payload.
+const MaxFlips = 4
 
 // DefaultFailWindow is the virtual-time horizon within which a fated
 // rank's crash/silence onset is drawn when Config.FailWindow is zero.
@@ -131,12 +130,6 @@ type Config struct {
 	// DegradeFactor is the bandwidth multiplier inside a degraded window
 	// (0 means DefaultDegradeFactor).
 	DegradeFactor float64
-	// DegradeWindow is the granularity of degrade decisions on the
-	// virtual clock (0 means DefaultDegradeWindow).
-	DegradeWindow simtime.Duration
-	// MaxFlips bounds the bit flips per corrupted payload (0 means
-	// DefaultMaxFlips).
-	MaxFlips int
 	// CrashRate is the per-rank probability of a crash-stop failure: the
 	// rank halts at a seeded onset instant within FailWindow.
 	CrashRate float64
@@ -170,9 +163,6 @@ type Config struct {
 	// back in the fabric by ReorderDelay, landing after its successors —
 	// the receiver must reassemble out of order.
 	ChunkReorderRate float64
-	// ReorderDelay is the holdback applied to a reordered chunk (0 means
-	// DefaultReorderDelay).
-	ReorderDelay simtime.Duration
 	// LinkDownRate is the per-node-pair probability that the pair's link
 	// suffers a hard outage: down from a seeded onset within LinkWindow,
 	// healed deterministically LinkOutage later. Intra-node "links" (a
@@ -204,10 +194,9 @@ type Config struct {
 	PartitionHeal simtime.Duration
 }
 
-// DefaultReorderDelay is the fabric holdback of a reordered chunk when
-// Config.ReorderDelay is zero: long enough to land a chunk after several
-// successors at realistic chunk transfer times.
-const DefaultReorderDelay = 200 * simtime.Microsecond
+// ReorderDelay is the fabric holdback of a reordered chunk: long enough to
+// land a chunk after several successors at realistic chunk transfer times.
+const ReorderDelay = 200 * simtime.Microsecond
 
 // DefaultLinkOutage is a hard link outage's duration when Config.LinkOutage
 // is zero: long enough that several delivery attempts hit the dead link,
@@ -247,17 +236,8 @@ func (c Config) withDefaults() Config {
 	if c.DegradeFactor <= 0 || c.DegradeFactor > 1 {
 		c.DegradeFactor = DefaultDegradeFactor
 	}
-	if c.DegradeWindow <= 0 {
-		c.DegradeWindow = DefaultDegradeWindow
-	}
-	if c.MaxFlips <= 0 {
-		c.MaxFlips = DefaultMaxFlips
-	}
 	if c.FailWindow <= 0 {
 		c.FailWindow = DefaultFailWindow
-	}
-	if c.ReorderDelay <= 0 {
-		c.ReorderDelay = DefaultReorderDelay
 	}
 	if c.LinkOutage <= 0 {
 		c.LinkOutage = DefaultLinkOutage
@@ -461,7 +441,7 @@ func (i *Injector) flipAt(payload []byte, key uint64, p float64, hits *atomic.In
 	}
 	wire := append([]byte(nil), payload...)
 	h := splitmix64(uint64(i.cfg.Seed) ^ key ^ 0x9e3779b97f4a7c15)
-	flips := 1 + int(h%uint64(i.cfg.MaxFlips))
+	flips := 1 + int(h%MaxFlips)
 	for f := 0; f < flips; f++ {
 		h = splitmix64(h)
 		bit := h % uint64(len(wire)*8)
@@ -508,7 +488,7 @@ func (i *Injector) BandwidthFactor(srcNode, dstNode int, at simtime.Time) float6
 	if i == nil || i.cfg.DegradeRate <= 0 {
 		return 1
 	}
-	window := uint64(at / simtime.Time(i.cfg.DegradeWindow))
+	window := uint64(at / simtime.Time(DegradeWindow))
 	if i.uniform(eventKey(0xde, 0x6a3d, srcNode, dstNode, window, NoChunk, 0)) < i.cfg.DegradeRate {
 		i.degrades.Add(1)
 		return i.cfg.DegradeFactor
@@ -519,7 +499,7 @@ func (i *Injector) BandwidthFactor(srcNode, dstNode int, at simtime.Time) float6
 // ChunkFate draws chunk (src, dst, seq, chunk)'s delivery fate, once per
 // chunk (not per attempt): duplicate means the fabric delivers the chunk
 // twice (the copy burns bandwidth; the receiver discards it by identity);
-// reorder means the chunk is held back by Config.ReorderDelay so it lands
+// reorder means the chunk is held back by ReorderDelay so it lands
 // after its successors. The fates are independent rolls and may combine.
 // A whole message (NoChunk) has neither.
 func (i *Injector) ChunkFate(src, dst int, seq uint64, chunk int) (duplicate, reorder bool) {

@@ -86,7 +86,6 @@ func TestCorruptPreservesOriginal(t *testing.T) {
 	if bytes.Equal(wire, orig) {
 		t.Fatal("corrupted wire copy equals the original")
 	}
-	maxFlips := inj.Config().MaxFlips
 	flips := 0
 	for i := range wire {
 		for b := 0; b < 8; b++ {
@@ -95,8 +94,8 @@ func TestCorruptPreservesOriginal(t *testing.T) {
 			}
 		}
 	}
-	if flips < 1 || flips > maxFlips {
-		t.Fatalf("flipped %d bits, want 1..%d", flips, maxFlips)
+	if flips < 1 || flips > MaxFlips {
+		t.Fatalf("flipped %d bits, want 1..%d", flips, MaxFlips)
 	}
 }
 
@@ -161,14 +160,14 @@ func TestDegradeWindowsAreTransient(t *testing.T) {
 	inj := New(Config{Seed: 11, DegradeRate: 0.5})
 	healthy, degraded := 0, 0
 	for wdw := 0; wdw < 200; wdw++ {
-		at := simtime.Time(wdw) * simtime.Time(DefaultDegradeWindow)
+		at := simtime.Time(wdw) * simtime.Time(DegradeWindow)
 		if inj.BandwidthFactor(2, 3, at) < 1 {
 			degraded++
 		} else {
 			healthy++
 		}
 		// Within one window the decision must be stable.
-		if inj.BandwidthFactor(2, 3, at) != inj.BandwidthFactor(2, 3, at.Add(DefaultDegradeWindow/2)) {
+		if inj.BandwidthFactor(2, 3, at) != inj.BandwidthFactor(2, 3, at.Add(DegradeWindow/2)) {
 			t.Fatal("decision flipped inside one window")
 		}
 	}

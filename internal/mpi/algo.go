@@ -39,25 +39,72 @@ const (
 	AllreduceTwoLevel
 )
 
-// String returns the CLI name of the schedule (cli.ParseAlgo inverts it).
+// allreduceAlgos is the schedule table, indexed by AllreduceAlgo: the one
+// place a schedule's name, its runner and its standing with the tuner are
+// declared. String, ParseAllreduceAlgo, AllreduceAlgos, the dispatch and
+// internal/tune's search space all read it.
+var allreduceAlgos = [...]struct {
+	name string
+	// run executes the schedule; nil (auto) resolves before dispatch.
+	run func(r *Rank, sendBuf, recvBuf *gpusim.Buffer) error
+	// candidate marks the schedules a tuner searches. The others exist as
+	// baselines and bit-identity oracles and run only when pinned.
+	candidate bool
+	// hierarchicalOnly restricts a candidate to multi-node, ppn > 1 layouts.
+	hierarchicalOnly bool
+}{
+	AllreduceAuto:        {name: "auto"},
+	AllreduceReduceBcast: {name: "reduce-bcast", run: (*Rank).allreduceSum},
+	AllreduceRing: {name: "ring", candidate: true,
+		run: func(r *Rank, s, d *gpusim.Buffer) error { return r.ringAllreduce(s, d, true) }},
+	AllreduceRingBlocking: {name: "ring-blocking",
+		run: func(r *Rank, s, d *gpusim.Buffer) error { return r.ringAllreduce(s, d, false) }},
+	AllreduceRecursiveDoubling: {name: "rd", candidate: true,
+		run: func(r *Rank, s, d *gpusim.Buffer) error { return r.rdAllreduce(s, d, true) }},
+	AllreduceRabenseifner: {name: "rab", candidate: true,
+		run: func(r *Rank, s, d *gpusim.Buffer) error { return r.rabAllreduce(s, d, true) }},
+	AllreduceTwoLevel: {name: "two-level", candidate: true, hierarchicalOnly: true,
+		run: (*Rank).allreduceSumHierarchical},
+}
+
+// String returns the schedule's name: the -algo value and the tuning
+// table's algo field.
 func (a AllreduceAlgo) String() string {
-	switch a {
-	case AllreduceAuto:
-		return "auto"
-	case AllreduceReduceBcast:
-		return "reduce-bcast"
-	case AllreduceRing:
-		return "ring"
-	case AllreduceRingBlocking:
-		return "ring-blocking"
-	case AllreduceRecursiveDoubling:
-		return "rd"
-	case AllreduceRabenseifner:
-		return "rab"
-	case AllreduceTwoLevel:
-		return "two-level"
+	if a < 0 || int(a) >= len(allreduceAlgos) {
+		return fmt.Sprintf("algo(%d)", int(a))
 	}
-	return fmt.Sprintf("algo(%d)", int(a))
+	return allreduceAlgos[a].name
+}
+
+// AllreduceAlgos lists every schedule, AllreduceAuto first, in enum order.
+func AllreduceAlgos() []AllreduceAlgo {
+	out := make([]AllreduceAlgo, len(allreduceAlgos))
+	for i := range out {
+		out[i] = AllreduceAlgo(i)
+	}
+	return out
+}
+
+// ParseAllreduceAlgo inverts String; ok is false for an unknown name.
+func ParseAllreduceAlgo(name string) (a AllreduceAlgo, ok bool) {
+	for i := range allreduceAlgos {
+		if allreduceAlgos[i].name == name {
+			return AllreduceAlgo(i), true
+		}
+	}
+	return 0, false
+}
+
+// AllreduceCandidates lists the schedules a tuner searches on a layout, in
+// enum order (the tuner's tie-break order).
+func AllreduceCandidates(hierarchical bool) []AllreduceAlgo {
+	out := make([]AllreduceAlgo, 0, len(allreduceAlgos))
+	for i, row := range allreduceAlgos {
+		if row.candidate && (hierarchical || !row.hierarchicalOnly) {
+			out = append(out, AllreduceAlgo(i))
+		}
+	}
+	return out
 }
 
 // scheduleTag is the engine cache namespace the schedule runs under.
@@ -119,22 +166,14 @@ func probeSample(buf *gpusim.Buffer) []byte {
 	return buf.Data[:n]
 }
 
-// runAllreduce executes one pinned schedule under its cache tag.
+// runAllreduce executes one pinned schedule under its cache tag. A value
+// outside the table (a tuner's answer is not validated) runs the historical
+// reduce+broadcast.
 func (r *Rank) runAllreduce(algo AllreduceAlgo, sendBuf, recvBuf *gpusim.Buffer) error {
 	r.Engine.SetScheduleTag(algo.scheduleTag())
 	defer r.Engine.SetScheduleTag(0)
-	switch algo {
-	case AllreduceRing:
-		return r.ringAllreduce(sendBuf, recvBuf, true)
-	case AllreduceRingBlocking:
-		return r.ringAllreduce(sendBuf, recvBuf, false)
-	case AllreduceRecursiveDoubling:
-		return r.rdAllreduce(sendBuf, recvBuf, true)
-	case AllreduceRabenseifner:
-		return r.rabAllreduce(sendBuf, recvBuf, true)
-	case AllreduceTwoLevel:
-		return r.allreduceSumHierarchical(sendBuf, recvBuf)
-	default:
-		return r.allreduceSum(sendBuf, recvBuf)
+	if algo > 0 && int(algo) < len(allreduceAlgos) {
+		return allreduceAlgos[algo].run(r, sendBuf, recvBuf)
 	}
+	return r.allreduceSum(sendBuf, recvBuf)
 }

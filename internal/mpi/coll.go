@@ -1064,13 +1064,13 @@ func (r *Rank) ringReduceStep(right, left int, src, recvBuf *gpusim.Buffer, sOff
 // word-aligned, or — perRank — fewer words than ranks), and the copy of
 // the local contribution into recvBuf that every schedule then reduces in
 // place. done reports that the call has been served in full.
-func (r *Rank) allreduceSetup(name string, sendBuf, recvBuf *gpusim.Buffer, perRank bool) (v collView, done bool, err error) {
+func (r *Rank) allreduceSetup(algo AllreduceAlgo, sendBuf, recvBuf *gpusim.Buffer, perRank bool) (v collView, done bool, err error) {
 	if v, err = r.collView(); err != nil {
 		return v, true, err
 	}
 	switch n := sendBuf.Len(); {
 	case recvBuf.Len() != n:
-		return v, true, fmt.Errorf("mpi: %s allreduce buffers differ: %d vs %d", name, n, recvBuf.Len())
+		return v, true, fmt.Errorf("mpi: %s allreduce buffers differ: %d vs %d", algo, n, recvBuf.Len())
 	case v.size > 1 && (n%4 != 0 || perRank && n/4 < v.size):
 		return v, true, r.allreduceSum(sendBuf, recvBuf)
 	}
@@ -1115,7 +1115,7 @@ func (r *Rank) RingAllreduceSumBlocking(sendBuf, recvBuf *gpusim.Buffer) error {
 }
 
 func (r *Rank) ringAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) error {
-	v, done, err := r.allreduceSetup("ring", sendBuf, recvBuf, true)
+	v, done, err := r.allreduceSetup(AllreduceRing, sendBuf, recvBuf, true)
 	if done {
 		return err
 	}

@@ -228,7 +228,7 @@ func (r *Rank) RecursiveDoublingAllreduceSumBlocking(sendBuf, recvBuf *gpusim.Bu
 }
 
 func (r *Rank) rdAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) error {
-	v, done, err := r.allreduceSetup("rd", sendBuf, recvBuf, false)
+	v, done, err := r.allreduceSetup(AllreduceRecursiveDoubling, sendBuf, recvBuf, false)
 	if done {
 		return err
 	}
@@ -278,7 +278,7 @@ func (r *Rank) RabenseifnerAllreduceSumBlocking(sendBuf, recvBuf *gpusim.Buffer)
 }
 
 func (r *Rank) rabAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) error {
-	v, done, err := r.allreduceSetup("rabenseifner", sendBuf, recvBuf, true)
+	v, done, err := r.allreduceSetup(AllreduceRabenseifner, sendBuf, recvBuf, true)
 	if done {
 		return err
 	}

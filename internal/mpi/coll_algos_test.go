@@ -131,6 +131,7 @@ func TestAllreduceOraclesBitIdentical(t *testing.T) {
 		fast func(r *Rank, in, out *gpusim.Buffer) error
 		slow func(r *Rank, in, out *gpusim.Buffer) error
 	}{
+		{"ring", (*Rank).RingAllreduceSum, (*Rank).RingAllreduceSumBlocking},
 		{"rd",
 			func(r *Rank, in, out *gpusim.Buffer) error { return r.RecursiveDoublingAllreduceSum(in, out) },
 			func(r *Rank, in, out *gpusim.Buffer) error { return r.RecursiveDoublingAllreduceSumBlocking(in, out) }},

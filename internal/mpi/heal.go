@@ -152,16 +152,7 @@ func (w *World) abortAttempt(r *Rank, epoch int, fromOp uint64) {
 		box.mu.Lock()
 		if peer == r {
 			box.ownQuits = append(box.ownQuits, q)
-			var failed []*envelope
-			keep := box.unexpected[:0]
-			for _, env := range box.unexpected {
-				if quitCovers(q, env.tag) {
-					failed = append(failed, env)
-				} else {
-					keep = append(keep, env)
-				}
-			}
-			box.unexpected = keep
+			failed := takeOut(&box.unexpected, func(env *envelope) bool { return quitCovers(q, env.tag) })
 			box.mu.Unlock()
 			for _, env := range failed {
 				w.failSend(env, at, w.revokeErr())
@@ -169,16 +160,7 @@ func (w *World) abortAttempt(r *Rank, epoch int, fromOp uint64) {
 			continue
 		}
 		box.quits = append(box.quits, q)
-		var woken []*recvPost
-		rest := box.posted[:0]
-		for _, p := range box.posted {
-			if p.src == r.id && quitCovers(q, p.tag) {
-				woken = append(woken, p)
-			} else {
-				rest = append(rest, p)
-			}
-		}
-		box.posted = rest
+		woken := takeOut(&box.posted, func(p *recvPost) bool { return p.src == r.id && quitCovers(q, p.tag) })
 		box.mu.Unlock()
 		for _, p := range woken {
 			p.matched <- failEnvelope(r.id, p.tag, simtime.Max(p.postTime, at).Add(w.health.Deadline), w.revokeErr())

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mpicomp/internal/core"
@@ -631,5 +632,72 @@ func TestHealRetryBound(t *testing.T) {
 	}
 	if errs[1] == nil {
 		t.Error("fated rank completed all iterations")
+	}
+}
+
+// TestFailureSweepsReleaseWokenReceives: a receive the watchdog's sweep or
+// an attempt's revocation wakes, and an envelope the revocation fails, must
+// not stay reachable from the vacated tail of the queue it was filtered out
+// of — the envelope pins its payload and the payload's decoded form. One
+// mailbox per filter: rank 1 waits on rank 0 inside the attempt rank 0
+// revokes, rank 2's rendezvous send sits unmatched in rank 0's mailbox, and
+// rank 4 waits on rank 3, which quits with an error. The wait group pins
+// host order: all three are queued before either failure is announced.
+func TestFailureSweepsReleaseWokenReceives(t *testing.T) {
+	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 5, PPN: 1,
+		Health: HealthPolicy{SelfHeal: true, Deadline: 100 * simtime.Microsecond}})
+	var queued sync.WaitGroup
+	queued.Add(3)
+	_, errs := w.RunAll(func(r *Rank) error {
+		buf := emptyDevBuf(r, 64<<10)
+		var req *Request
+		var err error
+		want := ErrCollRevoked
+		switch r.ID() {
+		case 0:
+			queued.Wait()
+			w.abortAttempt(r, r.healEpoch, r.curOp)
+			return nil
+		case 1:
+			req, err = r.irecv(0, r.collTag(baseBcast), buf)
+		case 2:
+			req, err = r.isend(0, r.collTag(baseBcast), buf, nil)
+		case 3:
+			queued.Wait()
+			return errors.New("rank 3 gives up")
+		case 4:
+			req, err = r.Irecv(3, 7, buf)
+			want = ErrPeerFailed
+		}
+		queued.Done()
+		if err != nil {
+			return err
+		}
+		if err := r.Wait(req); !errors.Is(err, want) {
+			return fmt.Errorf("woken with %v, want %v", err, want)
+		}
+		return nil
+	})
+	assertNoRankGoroutines(t)
+	for id, err := range errs {
+		if (id == 3) != (err != nil) {
+			t.Errorf("rank %d: %v", id, err)
+		}
+	}
+	for id := 0; id < w.Size(); id++ {
+		box := w.Rank(id).box
+		box.mu.Lock()
+		posted, unexpected := box.posted, box.unexpected
+		box.mu.Unlock()
+		for i, p := range posted[len(posted):cap(posted)] {
+			if p != nil {
+				t.Errorf("rank %d: posted[%d] of %d still holds a woken receive", id, len(posted)+i, cap(posted))
+			}
+		}
+		for i, env := range unexpected[len(unexpected):cap(unexpected)] {
+			if env != nil {
+				t.Errorf("rank %d: unexpected[%d] of %d still holds a failed envelope", id, len(unexpected)+i, cap(unexpected))
+			}
+		}
 	}
 }

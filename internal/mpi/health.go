@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mpicomp/internal/simtime"
@@ -300,16 +301,7 @@ func (w *World) sweep(id int, onset simtime.Time, err error) {
 			box.failedSrcs = make(map[int]srcFail)
 		}
 		box.failedSrcs[id] = srcFail{onset: onset, err: err}
-		var woken []*recvPost
-		rest := box.posted[:0]
-		for _, p := range box.posted {
-			if srcMatches(p.src, id) {
-				woken = append(woken, p)
-			} else {
-				rest = append(rest, p)
-			}
-		}
-		box.posted = rest
+		woken := takeOut(&box.posted, func(p *recvPost) bool { return srcMatches(p.src, id) })
 		box.mu.Unlock()
 		for _, p := range woken {
 			t := simtime.Max(p.postTime, onset).Add(w.health.Deadline)
@@ -317,6 +309,22 @@ func (w *World) sweep(id int, onset simtime.Time, err error) {
 			w.watchdogWakeups.Add(1)
 		}
 	}
+}
+
+// takeOut removes from *queue the entries pick selects and returns them, in
+// queue order. slices.DeleteFunc clears the vacated tail, so a woken receive
+// or a failed envelope — payload, decoded companion and all — does not stay
+// reachable from the queue it left.
+func takeOut[T any](queue *[]*T, pick func(*T) bool) []*T {
+	var taken []*T
+	*queue = slices.DeleteFunc(*queue, func(x *T) bool {
+		if pick(x) {
+			taken = append(taken, x)
+			return true
+		}
+		return false
+	})
+	return taken
 }
 
 // failSend completes a sender blocked on an envelope the dead rank will

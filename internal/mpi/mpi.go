@@ -35,9 +35,13 @@ const AnyTag = -2
 // cannot collide with user tags (which must be >= 0).
 const internalTagBase = -1 << 20
 
-// DefaultEagerLimit is the rendezvous threshold: messages at or above this
-// size use RTS/CTS, below it they are sent eagerly.
-const DefaultEagerLimit = 16 << 10
+// eagerLimit is the rendezvous threshold: messages at or above this size
+// use RTS/CTS, below it they are sent eagerly.
+const eagerLimit = 16 << 10
+
+// deviceStreams is the number of CUDA streams per device: enough for
+// MPC-OPT's maximum partitioning.
+const deviceStreams = 8
 
 // DefaultRetryLimit is the per-protocol-stage retransmission budget when
 // RetryPolicy.Limit is zero: each RTS, CTS, data transfer, or eager
@@ -127,11 +131,6 @@ type Options struct {
 	// Engine is the compression framework configuration applied to
 	// every rank.
 	Engine core.Config
-	// EagerLimit overrides the rendezvous threshold (0 = default).
-	EagerLimit int
-	// Streams is the number of CUDA streams per device (0 = 8, enough
-	// for MPC-OPT's maximum partitioning).
-	Streams int
 	// Tracer, when non-nil, records every engine phase and network
 	// transfer for timeline inspection (trace.WriteChromeTrace).
 	Tracer *trace.Collector
@@ -162,7 +161,6 @@ type World struct {
 	cluster    hw.Cluster
 	nodes, ppn int
 	size       int
-	eagerLimit int
 	fabric     *netsim.Fabric
 	ranks      []*Rank
 	tracer     *trace.Collector
@@ -227,33 +225,24 @@ func NewWorld(opt Options) (*World, error) {
 	if opt.PPN > opt.Cluster.GPUsPerNode {
 		return nil, fmt.Errorf("mpi: ppn %d exceeds %s's %d GPUs/node", opt.PPN, opt.Cluster.Name, opt.Cluster.GPUsPerNode)
 	}
-	eager := opt.EagerLimit
-	if eager == 0 {
-		eager = DefaultEagerLimit
-	}
-	streams := opt.Streams
-	if streams == 0 {
-		streams = 8
-	}
 	w := &World{
-		cluster:    opt.Cluster,
-		nodes:      opt.Nodes,
-		ppn:        opt.PPN,
-		size:       opt.Nodes * opt.PPN,
-		eagerLimit: eager,
-		fabric:     netsim.NewFabric(opt.Cluster, opt.Nodes),
-		tracer:     opt.Tracer,
-		retry:      opt.Retry,
-		health:     opt.Health.withDefaults(),
-		allreduce:  opt.Allreduce,
-		tuner:      opt.Tuner,
+		cluster:   opt.Cluster,
+		nodes:     opt.Nodes,
+		ppn:       opt.PPN,
+		size:      opt.Nodes * opt.PPN,
+		fabric:    netsim.NewFabric(opt.Cluster, opt.Nodes),
+		tracer:    opt.Tracer,
+		retry:     opt.Retry,
+		health:    opt.Health.withDefaults(),
+		allreduce: opt.Allreduce,
+		tuner:     opt.Tuner,
 	}
 	if opt.Faults != nil {
 		w.inj = faults.New(*opt.Faults) // nil when the config is disabled
 		w.fabric.SetFaults(w.inj)
 	}
 	for id := 0; id < w.size; id++ {
-		dev := gpusim.NewDevice(opt.Cluster.GPU, streams)
+		dev := gpusim.NewDevice(opt.Cluster.GPU, deviceStreams)
 		// Engine construction (including ModeOpt's pool allocation) is
 		// MPI_Init-time work: it happens before the simulated timeline
 		// starts, exactly as the paper moves it off the critical path.

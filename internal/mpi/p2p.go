@@ -349,7 +349,7 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, 
 		total = t.Size()
 	}
 
-	if total < w.eagerLimit {
+	if total < eagerLimit {
 		// Eager protocol: one message carrying payload and checksum. A
 		// layout travels packed (there is no codec pass to fuse the gather
 		// into on this tier), produced straight from the strided source

@@ -325,7 +325,7 @@ func (w *World) transmit(ev wireEvent, ready simtime.Time, payload []byte, hdr c
 	out := wireResult{hdr: hdr}
 	dup, reorder := w.inj.ChunkFate(ev.src, ev.dst, ev.seq, ev.chunk)
 	if reorder {
-		ready = ready.Add(w.inj.Config().ReorderDelay)
+		ready = ready.Add(faults.ReorderDelay)
 	}
 	for attempt := 0; ; attempt++ {
 		if w.linkLost(ev.from, ev.to, ready) || w.inj.ShouldDrop(ev.kind, ev.src, ev.dst, ev.seq, ev.chunk, attempt) {

@@ -6,8 +6,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -245,5 +247,82 @@ func TestTransportWrittenOnce(t *testing.T) {
 		if strings.Join(got, " ") != strings.Join(c.want, " ") {
 			t.Errorf("%s appears in %v, want exactly %v", c.what, got, c.want)
 		}
+	}
+}
+
+// TestAllreduceSchedulesDeclaredOnce keeps the schedule space in one place:
+// outside algo.go's table no non-test Go file of the repository spells a
+// schedule's name as a string literal (names come from String, parsing from
+// ParseAllreduceAlgo) or lists the schedules in a composite literal (lists
+// come from AllreduceAlgos and AllreduceCandidates). internal/tune's
+// cost-model switch prices schedules one case at a time and is no list.
+func TestAllreduceSchedulesDeclaredOnce(t *testing.T) {
+	names, consts := map[string]bool{}, map[string]bool{}
+	for _, a := range AllreduceAlgos() {
+		names[strconv.Quote(a.String())] = true
+	}
+	fset := token.NewFileSet()
+	table, err := parser.ParseFile(fset, "algo.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(table, func(n ast.Node) bool {
+		if spec, ok := n.(*ast.ValueSpec); ok {
+			for _, id := range spec.Names {
+				if strings.HasPrefix(id.Name, "Allreduce") {
+					consts[id.Name] = true
+				}
+			}
+		}
+		return true
+	})
+	if len(consts) != len(names) {
+		t.Fatalf("algo.go declares %d Allreduce* constants for %d table rows", len(consts), len(names))
+	}
+	root := filepath.Join("..", "..")
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// bench/ is its own module, frozen outside [benchmark] PRs.
+			if name := d.Name(); name == "testdata" || name == "bench" || strings.HasPrefix(name, ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || path == filepath.Join(root, "internal", "mpi", "algo.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BasicLit:
+				if n.Kind == token.STRING && names[n.Value] {
+					t.Errorf("%s: schedule name %s spelled outside mpi/algo.go", fset.Position(n.Pos()), n.Value)
+				}
+			case *ast.CompositeLit:
+				listed := 0
+				for _, elt := range n.Elts {
+					if sel, ok := elt.(*ast.SelectorExpr); ok {
+						elt = sel.Sel
+					}
+					if id, ok := elt.(*ast.Ident); ok && consts[id.Name] {
+						listed++
+					}
+				}
+				if listed > 1 {
+					t.Errorf("%s: composite literal lists %d schedules; range over mpi.AllreduceAlgos or AllreduceCandidates", fset.Position(n.Pos()), listed)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -58,7 +58,7 @@ func (r *Rank) allreduceSumHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
 	if w.ppn == 1 || w.nodes == 1 {
 		return r.rdAllreduce(sendBuf, recvBuf, true)
 	}
-	v, done, err := r.allreduceSetup("two-level", sendBuf, recvBuf, false)
+	v, done, err := r.allreduceSetup(AllreduceTwoLevel, sendBuf, recvBuf, false)
 	if done {
 		return err
 	}

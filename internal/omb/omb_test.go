@@ -329,3 +329,60 @@ func TestCollectiveTable(t *testing.T) {
 		t.Errorf("unknown collective: %v, want an error listing the table", err)
 	}
 }
+
+// The collective fast-path gates: the 4x2 Longhorn world with MPC-OPT and
+// dummy data, one warm-up and three measured iterations. cache < 0 turns
+// the compress-once cache off; chunk > 0 pipelines rendezvous in chunks.
+func fastPathArm(t *testing.T, name string, size, cache, chunk int) (simtime.Duration, core.CacheStats) {
+	t.Helper()
+	w := newW(t, hw.Longhorn(), 4, 2, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
+		CacheEntries: cache, PipelineChunkBytes: chunk})
+	res, err := CollectiveLatency(w, name, size, 1, 3, nil)
+	if err != nil {
+		t.Fatalf("%s at %d B: %v", name, size, err)
+	}
+	var cs core.CacheStats
+	for i := 0; i < w.Size(); i++ {
+		cs.Add(w.Rank(i).Engine.CacheSnapshot())
+	}
+	return res.Latency, cs
+}
+
+// TestRingAllreduceBeatsBlockingRing: compress once, relay the wire payload,
+// reduce while the next chunk is in flight — together at least a quarter off
+// the whole-block ring that recompresses at every hop. The gap only opens
+// once blocks are large enough to chunk (-8..-10 % at 1 MiB and below).
+func TestRingAllreduceBeatsBlockingRing(t *testing.T) {
+	const size = 2 << 20
+	before, _ := fastPathArm(t, "ring-allreduce-blocking", size, -1, 0)
+	after, _ := fastPathArm(t, "ring-allreduce", size, 0, 0)
+	if gain := 1 - float64(after)/float64(before); gain < 0.25 {
+		t.Errorf("ring allreduce at %d B: %.1f %% under the blocking ring with the cache off, want >= 25 %% (%v vs %v)",
+			size, 100*gain, after, before)
+	}
+}
+
+// TestRecursiveDoublingCrossover: log2 P whole-vector rounds win the latency
+// regime, the bandwidth-optimal ring wins the large one — with both chunk-
+// pipelined, as the tuner compares them.
+func TestRecursiveDoublingCrossover(t *testing.T) {
+	const chunk = 128 << 10
+	for _, c := range []struct {
+		size   int
+		rdWins bool
+	}{{32 << 10, true}, {4 << 20, false}} {
+		rd, _ := fastPathArm(t, "rd-allreduce", c.size, 0, chunk)
+		ring, _ := fastPathArm(t, "ring-allreduce", c.size, 0, chunk)
+		if (rd < ring) != c.rdWins || rd == ring {
+			t.Errorf("at %d B rd takes %v and the ring %v; want rd faster: %v", c.size, rd, ring, c.rdWins)
+		}
+	}
+}
+
+// TestBcastHierServedFromCache: the leaders' fan-out of an unchanged root
+// buffer compresses once and is served from the cache after that.
+func TestBcastHierServedFromCache(t *testing.T) {
+	if _, cs := fastPathArm(t, "bcast-hier", 1<<20, 0, 0); cs.Hits == 0 {
+		t.Errorf("hierarchical bcast recorded no compress-once hits: %+v", cs)
+	}
+}

@@ -9,9 +9,8 @@
 // overwrite — a data race the race detector only catches if two parts
 // happen to collide in one run, and a silent corruption otherwise.
 //
-// The analyzer taints every value obtained from Scratch.Words /
-// Scratch.Floats / Scratch.Bytes (and local aliases or subslices of
-// one) and reports when a tainted value:
+// The analyzer taints every value obtained from Scratch.Bytes (and
+// local aliases or subslices of one) and reports when a tainted value:
 //
 //   - is returned;
 //   - is stored through a field, a dereference, a package-level
@@ -35,8 +34,8 @@ import (
 // Directive is the annotation that blesses a flagged arena use.
 const Directive = "arenaok"
 
-// scratchMethods are the arena accessors whose results must not escape.
-var scratchMethods = map[string]bool{"Words": true, "Floats": true, "Bytes": true}
+// scratchMethod is the arena accessor whose results must not escape.
+const scratchMethod = "Bytes"
 
 // Analyzer is the arenaescape pass.
 var Analyzer = &analysis.Analyzer{
@@ -90,7 +89,7 @@ func (f *fn) isArenaCall(e ast.Expr) bool {
 		return false
 	}
 	m := analysis.Callee(f.pass.TypesInfo, call)
-	if m == nil || !scratchMethods[m.Name()] {
+	if m == nil || m.Name() != scratchMethod {
 		return false
 	}
 	recv := analysis.ReceiverNamed(m)

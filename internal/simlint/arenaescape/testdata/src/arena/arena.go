@@ -5,14 +5,14 @@ package arena
 import "codecpool"
 
 type job struct {
-	held  []uint32
+	held  []byte
 	parts [][]byte
 }
 
 var global []byte
 
 func (j *job) RunPart(part int, s *codecpool.Scratch) {
-	buf := s.Words(64)
+	buf := s.Bytes(64)
 	j.held = buf // want "codecpool scratch buffer stored in field j.held"
 	sub := buf[2:8]
 	j.held = sub // want "codecpool scratch buffer stored in field j.held"
@@ -23,8 +23,8 @@ func (j *job) stash(part int, s *codecpool.Scratch) {
 	j.parts[part] = s.Bytes(8) // want "codecpool scratch buffer stored in element of j.parts"
 }
 
-func leakByReturn(s *codecpool.Scratch) []float32 {
-	f := s.Floats(32)
+func leakByReturn(s *codecpool.Scratch) []byte {
+	f := s.Bytes(32)
 	return f // want "codecpool scratch buffer returned"
 }
 
@@ -32,15 +32,15 @@ func leakByChannel(s *codecpool.Scratch, ch chan []byte) {
 	ch <- s.Bytes(4) // want "codecpool scratch buffer sent on a channel"
 }
 
-func leakToGoroutine(s *codecpool.Scratch, sink func([]uint32)) {
-	buf := s.Words(8)
+func leakToGoroutine(s *codecpool.Scratch, sink func([]byte)) {
+	buf := s.Bytes(8)
 	go func() {
 		sink(buf) // want "codecpool scratch buffer captured by a goroutine"
 	}()
 }
 
-func leakIntoCallerSlice(s *codecpool.Scratch, results [][]uint32, part int) {
-	results[part] = s.Words(16) // want "codecpool scratch buffer stored in element of results"
+func leakIntoCallerSlice(s *codecpool.Scratch, results [][]byte, part int) {
+	results[part] = s.Bytes(16) // want "codecpool scratch buffer stored in element of results"
 }
 
 // transientUse is the contract-respecting shape: scratch is used as
@@ -59,6 +59,6 @@ func transientUse(s *codecpool.Scratch, dst []byte, out [][]byte, part int) []by
 
 // annotated is blessed: the pool call's own dispatch plumbing may hold
 // a scratch reference by design.
-func annotated(s *codecpool.Scratch, hold *[][]uint32) {
-	(*hold)[0] = s.Words(4) //simlint:arenaok dispatch plumbing owns the arena lifecycle
+func annotated(s *codecpool.Scratch, hold *[][]byte) {
+	(*hold)[0] = s.Bytes(4) //simlint:arenaok dispatch plumbing owns the arena lifecycle
 }

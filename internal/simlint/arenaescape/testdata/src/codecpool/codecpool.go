@@ -6,27 +6,7 @@ package codecpool
 
 // Scratch is one worker's reusable arena.
 type Scratch struct {
-	words  []uint32
-	floats []float32
-	bytes  []byte
-}
-
-// Words returns a length-n uint32 buffer.
-func (s *Scratch) Words(n int) []uint32 {
-	if cap(s.words) < n {
-		s.words = make([]uint32, n)
-	}
-	s.words = s.words[:n]
-	return s.words
-}
-
-// Floats returns a length-n float32 buffer.
-func (s *Scratch) Floats(n int) []float32 {
-	if cap(s.floats) < n {
-		s.floats = make([]float32, n)
-	}
-	s.floats = s.floats[:n]
-	return s.floats
+	bytes []byte
 }
 
 // Bytes returns a length-n byte buffer.

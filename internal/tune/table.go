@@ -53,22 +53,11 @@ type Score struct {
 	Samples  int64  `json:"samples"`
 }
 
-// algoNames maps table algorithm names back to their enum values; it
-// is derived from String() so the two can never drift.
-var algoNames = func() map[string]mpi.AllreduceAlgo {
-	m := make(map[string]mpi.AllreduceAlgo)
-	for _, a := range []mpi.AllreduceAlgo{
-		mpi.AllreduceReduceBcast, mpi.AllreduceRing, mpi.AllreduceRingBlocking,
-		mpi.AllreduceRecursiveDoubling, mpi.AllreduceRabenseifner, mpi.AllreduceTwoLevel,
-	} {
-		m[a.String()] = a
-	}
-	return m
-}()
-
+// parseAlgoName resolves a table algorithm name. Auto is a dispatch mode,
+// not a schedule a score can belong to.
 func parseAlgoName(s string) (mpi.AllreduceAlgo, error) {
-	a, ok := algoNames[s]
-	if !ok {
+	a, ok := mpi.ParseAllreduceAlgo(s)
+	if !ok || a == mpi.AllreduceAuto {
 		return 0, fmt.Errorf("%w: unknown algorithm %q", ErrBadTable, s)
 	}
 	return a, nil

@@ -39,17 +39,6 @@ import (
 	"mpicomp/internal/simtime"
 )
 
-// autoCandidates is the schedule space the tuner searches, in the
-// deterministic order used for tie-breaks. Two-level is appended for
-// hierarchical topologies; the historical reduce+broadcast and the
-// blocking ring oracle are excluded (they exist for baselines and
-// bit-identity checks, not as contenders).
-var autoCandidates = []mpi.AllreduceAlgo{
-	mpi.AllreduceRing,
-	mpi.AllreduceRecursiveDoubling,
-	mpi.AllreduceRabenseifner,
-}
-
 // chunkCandidates is the pipeline chunk-size menu RecommendChunk
 // scores with the cost model.
 var chunkCandidates = []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
@@ -137,6 +126,23 @@ func (c *Counters) add(d Counters) {
 	c.PipelinedChunks += d.PipelinedChunks
 }
 
+// WorldCounters sums the engine activity the tuner adapts from across every
+// rank of w — what a driver hands NoteCounters before each Advance. All
+// counters derive from program order and seeded fates, so the sum is
+// deterministic.
+func WorldCounters(w *mpi.World) Counters {
+	var c Counters
+	for r := 0; r < w.Size(); r++ {
+		e := w.Rank(r).Engine
+		c.add(Counters{
+			Compressions: int64(e.Compressions), Bypasses: int64(e.Bypasses),
+			PoolFallbacks: int64(e.PoolFallbacks), CacheHits: int64(e.CacheHits),
+			CacheMisses: int64(e.CacheMisses), PipelinedChunks: int64(e.PipelinedChunks),
+		})
+	}
+	return c
+}
+
 // Options configures NewTuner.
 type Options struct {
 	// Seed rotates the exploration order among candidates whose
@@ -199,14 +205,11 @@ func NewTuner(opt Options) *Tuner {
 }
 
 // candidatesFor returns the schedule space for a point, in tie-break
-// order.
+// order: mpi's tuner candidates, two-level among them on hierarchical
+// topologies only. The historical reduce+broadcast and the blocking ring
+// oracle are not contenders.
 func candidatesFor(p mpi.TunePoint) []mpi.AllreduceAlgo {
-	cands := make([]mpi.AllreduceAlgo, len(autoCandidates), len(autoCandidates)+1)
-	copy(cands, autoCandidates)
-	if netsim.ClassifyTopo(p.Nodes, p.PPN) == netsim.TopoHierarchical {
-		cands = append(cands, mpi.AllreduceTwoLevel)
-	}
-	return cands
+	return mpi.AllreduceCandidates(netsim.ClassifyTopo(p.Nodes, p.PPN) == netsim.TopoHierarchical)
 }
 
 // PickAllreduce selects the schedule for one collective call. It reads
@@ -627,10 +630,7 @@ func (t *Tuner) StatsLine() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	picks := ""
-	for _, a := range []mpi.AllreduceAlgo{
-		mpi.AllreduceReduceBcast, mpi.AllreduceRing, mpi.AllreduceRingBlocking,
-		mpi.AllreduceRecursiveDoubling, mpi.AllreduceRabenseifner, mpi.AllreduceTwoLevel,
-	} {
+	for _, a := range mpi.AllreduceAlgos() {
 		if n := t.pickCount[a]; n > 0 {
 			if picks != "" {
 				picks += " "

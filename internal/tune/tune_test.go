@@ -6,8 +6,10 @@ import (
 	"errors"
 	"testing"
 
+	"mpicomp/internal/core"
 	"mpicomp/internal/hw"
 	"mpicomp/internal/mpi"
+	"mpicomp/internal/omb"
 	"mpicomp/internal/simtime"
 )
 
@@ -359,5 +361,95 @@ func TestMarshalFixpoint(t *testing.T) {
 	}
 	if !bytes.Equal(out1, out2) {
 		t.Fatalf("marshal is not a fixpoint:\n%s\nvs\n%s", out1, out2)
+	}
+}
+
+// TestTunerMatchesOracleOnFlatWorlds drives a tuner over live worlds the
+// way ombrun does — one epoch per measurement, counters folded at each
+// world-synchronous Advance — on the 8x1 Longhorn cells of the latency, mid
+// and bandwidth regimes (MPC-OPT, 128K chunks, dummy data). The converged
+// pick must land within 10 % of the fastest pinned schedule, the committed
+// snapshot must be byte-identical across codec worker counts 1/2/8, and a
+// tuner warm-started from the persisted table must answer every cell with
+// the same pick and no probe. Flat layouts only: on hierarchical ones the
+// EMAs are not yet a function of virtual time alone (ROADMAP item 1).
+func TestTunerMatchesOracleOnFlatWorlds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a simulated-latency gate: 4 s here, 200 s under the -race -short pass, which has nothing to add to it")
+	}
+	const nodes, seed = 8, 7
+	cells := []int{32 << 10, 1 << 20, 4 << 20}
+	world := func(workers int, algo mpi.AllreduceAlgo, tn *Tuner) *mpi.World {
+		opt := mpi.Options{Cluster: hw.Longhorn(), Nodes: nodes, PPN: 1, Allreduce: algo,
+			Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
+				PipelineChunkBytes: 128 << 10, Workers: workers}}
+		if tn != nil {
+			opt.Tuner = tn
+		}
+		w, err := mpi.NewWorld(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	measure := func(w *mpi.World, bytes int) simtime.Duration {
+		res, err := omb.CollectiveLatency(w, "allreduce", bytes, 1, 2, nil)
+		if err != nil {
+			t.Fatalf("allreduce at %d B: %v", bytes, err)
+		}
+		return res.Latency
+	}
+
+	snapshots := map[int][]byte{}
+	var tuned *Tuner
+	for _, workers := range []int{1, 2, 8} {
+		tn := NewTuner(Options{Seed: seed, Cluster: hw.Longhorn()})
+		for _, bytes := range cells {
+			w := world(workers, mpi.AllreduceAuto, tn)
+			// Every candidate explored once, then two epochs to settle.
+			for e := 0; e < len(candidatesFor(flatPoint(bytes, 0)))+2; e++ {
+				measure(w, bytes)
+				tn.NoteCounters(WorldCounters(w))
+				tn.Advance()
+			}
+		}
+		snap, err := tn.Snapshot().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshots[workers] = snap
+		if workers == 1 {
+			tuned = tn
+		} else if !bytes.Equal(snap, snapshots[1]) {
+			t.Errorf("tuner snapshot differs between workers=1 and workers=%d:\n%s\nvs\n%s", workers, snapshots[1], snap)
+		}
+	}
+
+	tab, err := ParseTable(snapshots[1])
+	if err != nil {
+		t.Fatalf("snapshot does not round-trip: %v", err)
+	}
+	warm := NewTuner(Options{Seed: seed, Cluster: hw.Longhorn(), Table: tab})
+	for _, bytes := range cells {
+		p := flatPoint(bytes, 0)
+		lat := map[mpi.AllreduceAlgo]simtime.Duration{}
+		oracle := mpi.AllreduceAuto
+		for _, algo := range candidatesFor(p) {
+			lat[algo] = measure(world(1, algo, nil), bytes)
+			if oracle == mpi.AllreduceAuto || lat[algo] < lat[oracle] {
+				oracle = algo
+			}
+		}
+		pick := tuned.PickAllreduce(p)
+		if gap := float64(lat[pick])/float64(lat[oracle]) - 1; gap > 0.10 {
+			t.Errorf("%d B: pick %s (%v) is %.1f %% over oracle %s (%v), want <= 10 %%",
+				bytes, pick, lat[pick], 100*gap, oracle, lat[oracle])
+		}
+		if warm.NeedProbe(p) {
+			t.Errorf("%d B: warm-started tuner wants to re-probe", bytes)
+		}
+		if wp := warm.PickAllreduce(p); wp != pick {
+			t.Errorf("%d B: warm pick %s != converged pick %s", bytes, wp, pick)
+		}
 	}
 }
