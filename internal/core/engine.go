@@ -549,15 +549,9 @@ func (e *Engine) compressMPC(clk *simtime.Clock, src []byte, n int, view typedVi
 
 	// --- temporary device buffers (compressed output + d_off) ---
 	t := startTimer(clk)
-	var tmp, dOff *gpusim.Buffer
 	bound := mpc.Bound(nWords)
-	if opt {
-		tmp = e.pool.Get(clk, bound)
-		dOff = e.offPool.Get(clk, 4*e.dev.Spec.SMs)
-	} else {
-		tmp = e.dev.Reserve(clk, bound)
-		dOff = e.dev.Reserve(clk, 4*e.dev.Spec.SMs)
-	}
+	tmp := e.take(clk, e.pool, bound)
+	dOff := e.take(clk, e.offPool, 4*e.dev.Spec.SMs)
 	// d_off must be initialized to -1 before each kernel (a small
 	// memset launch).
 	e.dev.LaunchKernel(clk, e.dev.Stream(0), gpusim.KernelSpec{Blocks: 1, Bytes: 4 * e.dev.Spec.SMs, ThroughputGbps: e.dev.Spec.MemBWGBps * 8})
@@ -672,13 +666,8 @@ func (e *Engine) compressMPC(clk *simtime.Clock, src []byte, n int, view typedVi
 
 	// --- release temporaries ---
 	t = startTimer(clk)
-	if opt {
-		e.pool.Put(tmp)
-		e.offPool.Put(dOff)
-	} else {
-		e.dev.Free(clk, tmp)
-		e.dev.Free(clk, dOff)
-	}
+	e.give(clk, e.pool, tmp)
+	e.give(clk, e.offPool, dOff)
 	e.charge(t, PhaseMemAlloc)
 
 	return payload, hdr
@@ -707,12 +696,7 @@ func (e *Engine) compressZFP(clk *simtime.Clock, src []byte, n int, view typedVi
 	if err != nil {
 		panic(fmt.Sprintf("core: zfp size: %v", err))
 	}
-	var tmp *gpusim.Buffer
-	if opt {
-		tmp = e.pool.Get(clk, compSize)
-	} else {
-		tmp = e.dev.Reserve(clk, compSize)
-	}
+	tmp := e.take(clk, e.pool, compSize)
 	e.charge(t, PhaseMemAlloc)
 
 	// --- compression kernel ---
@@ -747,11 +731,7 @@ func (e *Engine) compressZFP(clk *simtime.Clock, src []byte, n int, view typedVi
 	}
 
 	t = startTimer(clk)
-	if opt {
-		e.pool.Put(tmp)
-	} else {
-		e.dev.Free(clk, tmp)
-	}
+	e.give(clk, e.pool, tmp)
 	e.charge(t, PhaseMemAlloc)
 
 	return payload, hdr
@@ -768,10 +748,7 @@ func (e *Engine) StageRecv(clk *simtime.Clock, hdr Header) *gpusim.Buffer {
 	}
 	t := startTimer(clk)
 	defer e.charge(t, PhaseMemAlloc)
-	if e.cfg.Mode == ModeOpt {
-		return e.pool.Get(clk, hdr.CompBytes)
-	}
-	return e.dev.Reserve(clk, hdr.CompBytes)
+	return e.take(clk, e.pool, hdr.CompBytes)
 }
 
 // ReleaseRecv returns/frees the staging buffer after decompression.
@@ -783,11 +760,26 @@ func (e *Engine) ReleaseRecv(clk *simtime.Clock, staged *gpusim.Buffer) {
 	}
 	t := startTimer(clk)
 	defer e.charge(t, PhaseMemAlloc)
+	e.give(clk, e.pool, staged)
+}
+
+// take is Section III's allocation decision, made in one place: a
+// temporary device buffer of n bytes from p (the staging pool or the d_off
+// pool) under the optimized design, a cudaMalloc otherwise.
+func (e *Engine) take(clk *simtime.Clock, p *gpusim.BufferPool, n int) *gpusim.Buffer {
 	if e.cfg.Mode == ModeOpt {
-		e.pool.Put(staged)
-	} else {
-		e.dev.Free(clk, staged)
+		return p.Get(clk, n)
 	}
+	return e.dev.Reserve(clk, n)
+}
+
+// give returns a buffer take handed out: back to p, or cudaFree.
+func (e *Engine) give(clk *simtime.Clock, p *gpusim.BufferPool, b *gpusim.Buffer) {
+	if e.cfg.Mode == ModeOpt {
+		p.Put(b)
+		return
+	}
+	e.dev.Free(clk, b)
 }
 
 // Decompress runs the receive-side framework (Algorithm 2): given the RTS
@@ -884,7 +876,6 @@ func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m me
 // scattered into strided runs (starting at packed offset view.base),
 // partition by partition and only for partitions that decoded.
 func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView, decoded []byte) error {
-	opt := e.cfg.Mode == ModeOpt
 	nWords := hdr.OrigBytes / 4
 	parts := len(hdr.PartBytes)
 	if parts == 0 {
@@ -910,12 +901,7 @@ func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, d
 
 	// d_off buffer for the decompression kernel.
 	t := startTimer(clk)
-	var dOff *gpusim.Buffer
-	if opt {
-		dOff = e.offPool.Get(clk, 4*e.dev.Spec.SMs)
-	} else {
-		dOff = e.dev.Reserve(clk, 4*e.dev.Spec.SMs)
-	}
+	dOff := e.take(clk, e.offPool, 4*e.dev.Spec.SMs)
 	e.dev.LaunchKernel(clk, e.dev.Stream(0), gpusim.KernelSpec{Blocks: 1, Bytes: 4 * e.dev.Spec.SMs, ThroughputGbps: e.dev.Spec.MemBWGBps * 8})
 	e.charge(t, PhaseMemAlloc)
 
@@ -960,21 +946,13 @@ func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, d
 		// A corrupt partition must not bleed the d_off buffer: the
 		// receive path retries after NACKs, and every retry would
 		// shrink the pool until staging degrades to cudaMalloc.
-		if opt {
-			e.offPool.Put(dOff)
-		} else {
-			e.dev.Free(clk, dOff)
-		}
+		e.give(clk, e.offPool, dOff)
 		return fmt.Errorf("core: mpc decompress partition %d: %w", i, err)
 	}
 	e.charge(t, PhaseDecompressKernel)
 
 	t = startTimer(clk)
-	if opt {
-		e.offPool.Put(dOff)
-	} else {
-		e.dev.Free(clk, dOff)
-	}
+	e.give(clk, e.offPool, dOff)
 	e.charge(t, PhaseMemAlloc)
 	return nil
 }

@@ -77,9 +77,8 @@ func TestRouteUpdateDecodeRejects(t *testing.T) {
 	}
 }
 
-// FuzzDecodeHealthControl hardens both health-plane decoders the same way
-// FuzzDecodeChunkControl hardens the chunk decoders: any accepted packet
-// must re-encode byte-identically (no silent canonicalization a spoofed
+// FuzzDecodeHealthControl hardens both health-plane decoders: any accepted
+// packet must re-encode byte-identically (no silent canonicalization a spoofed
 // packet could hide in). Seeds are live-captured from a self-healing chaos
 // run — the heartbeats and route updates the verdict round actually
 // exchanges when a fated rank dies mid-allreduce — plus edge shapes.

@@ -40,31 +40,29 @@ const (
 )
 
 // allreduceAlgos is the schedule table, indexed by AllreduceAlgo: the one
-// place a schedule's name, its runner and its standing with the tuner are
-// declared. String, ParseAllreduceAlgo, AllreduceAlgos, the dispatch and
-// internal/tune's search space all read it.
+// place a schedule's name, its generator and its standing with the tuner are
+// declared. String, ParseAllreduceAlgo, AllreduceAlgos, the dispatch,
+// PriceAllreduce and internal/tune's search space all read it.
 var allreduceAlgos = [...]struct {
 	name string
-	// run executes the schedule; nil (auto) resolves before dispatch.
-	run func(r *Rank, sendBuf, recvBuf *gpusim.Buffer) error
+	// gen generates the schedule (schedule.go); nil for auto, which resolves
+	// before dispatch, and for reduce+broadcast, which is no generator.
+	gen generator
+	// blocking runs gen's blocking form: the bit-identity oracle.
+	blocking bool
 	// candidate marks the schedules a tuner searches. The others exist as
 	// baselines and bit-identity oracles and run only when pinned.
 	candidate bool
 	// hierarchicalOnly restricts a candidate to multi-node, ppn > 1 layouts.
 	hierarchicalOnly bool
 }{
-	AllreduceAuto:        {name: "auto"},
-	AllreduceReduceBcast: {name: "reduce-bcast", run: (*Rank).allreduceSum},
-	AllreduceRing: {name: "ring", candidate: true,
-		run: func(r *Rank, s, d *gpusim.Buffer) error { return r.ringAllreduce(s, d, true) }},
-	AllreduceRingBlocking: {name: "ring-blocking",
-		run: func(r *Rank, s, d *gpusim.Buffer) error { return r.ringAllreduce(s, d, false) }},
-	AllreduceRecursiveDoubling: {name: "rd", candidate: true,
-		run: func(r *Rank, s, d *gpusim.Buffer) error { return r.rdAllreduce(s, d, true) }},
-	AllreduceRabenseifner: {name: "rab", candidate: true,
-		run: func(r *Rank, s, d *gpusim.Buffer) error { return r.rabAllreduce(s, d, true) }},
-	AllreduceTwoLevel: {name: "two-level", candidate: true, hierarchicalOnly: true,
-		run: (*Rank).allreduceSumHierarchical},
+	AllreduceAuto:              {name: "auto"},
+	AllreduceReduceBcast:       {name: "reduce-bcast"},
+	AllreduceRing:              {name: "ring", gen: ringSteps, candidate: true},
+	AllreduceRingBlocking:      {name: "ring-blocking", gen: ringSteps, blocking: true},
+	AllreduceRecursiveDoubling: {name: "rd", gen: rdSteps, candidate: true},
+	AllreduceRabenseifner:      {name: "rab", gen: rabSteps, candidate: true},
+	AllreduceTwoLevel:          {name: "two-level", gen: twoLevelSteps, candidate: true, hierarchicalOnly: true},
 }
 
 // String returns the schedule's name: the -algo value and the tuning
@@ -172,8 +170,8 @@ func probeSample(buf *gpusim.Buffer) []byte {
 func (r *Rank) runAllreduce(algo AllreduceAlgo, sendBuf, recvBuf *gpusim.Buffer) error {
 	r.Engine.SetScheduleTag(algo.scheduleTag())
 	defer r.Engine.SetScheduleTag(0)
-	if algo > 0 && int(algo) < len(allreduceAlgos) {
-		return allreduceAlgos[algo].run(r, sendBuf, recvBuf)
+	if algo > 0 && int(algo) < len(allreduceAlgos) && allreduceAlgos[algo].gen != nil {
+		return r.runSchedule(allreduceAlgos[algo].gen, !allreduceAlgos[algo].blocking, sendBuf, recvBuf)
 	}
 	return r.allreduceSum(sendBuf, recvBuf)
 }

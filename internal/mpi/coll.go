@@ -906,7 +906,7 @@ func (r *Rank) bcastHierarchical(root int, buf *gpusim.Buffer) error {
 	// node in view order leads it (view order within a node is ascending
 	// rank order, so this is the lowest live rank); leaderless nodes drop
 	// out. liveNodes fixes the inter-node tree's node order.
-	nodeIdx, leaderOf, liveNodes := w.electLeaders(v)
+	nodeIdx, leaderOf, liveNodes := w.layout(v).electLeaders()
 	rootNode := w.nodeOf(root)
 	myNode := r.Node()
 	leader := leaderOf[myNode]
@@ -1021,10 +1021,9 @@ func ringChunkSpans(n, chunk int) [][2]int {
 // hit the compress-once cache. sendFirst selects the blocking ring's wait
 // order — the sends drain before anything is reduced, as in sendrecv —
 // instead of receive, reduce, then send.
-func (r *Rank) ringReduceStep(right, left int, src, recvBuf *gpusim.Buffer, sOff, sN, dOff, dN int, scratch *gpusim.Buffer, chunk int, sendFirst bool) error {
-	tag := r.collTag(baseAllreduce)
-	rspans := ringChunkSpans(dN, chunk)
-	sspans := ringChunkSpans(sN, chunk)
+func (r *Rank) ringReduceStep(right, left, tag int, src, recvBuf *gpusim.Buffer, send, recv span, scratch *gpusim.Buffer, chunk int, sendFirst bool) error {
+	rspans := ringChunkSpans(recv.n, chunk)
+	sspans := ringChunkSpans(send.n, chunk)
 	rreqs := make([]*Request, len(rspans))
 	for c, sp := range rspans {
 		req, err := r.irecv(left, tag, scratch.Slice(sp[0], sp[1]))
@@ -1035,7 +1034,7 @@ func (r *Rank) ringReduceStep(right, left int, src, recvBuf *gpusim.Buffer, sOff
 	}
 	sreqs := make([]*Request, len(sspans))
 	for c, sp := range sspans {
-		req, err := r.isend(right, tag, src.Slice(sOff+sp[0], sp[1]), nil)
+		req, err := r.isend(right, tag, src.Slice(send.off+sp[0], sp[1]), nil)
 		if err != nil {
 			return err
 		}
@@ -1050,136 +1049,10 @@ func (r *Rank) ringReduceStep(right, left int, src, recvBuf *gpusim.Buffer, sOff
 		if err := r.Wait(rreqs[c]); err != nil {
 			return err
 		}
-		sumFloat32(r, recvBuf.Slice(dOff+sp[0], sp[1]), scratch.Data[sp[0]:sp[0]+sp[1]])
+		sumFloat32(r, recvBuf.Slice(recv.off+sp[0], sp[1]), scratch.Data[sp[0]:sp[0]+sp[1]])
 	}
 	if len(rspans) > 1 {
 		r.Engine.NotePipelinedChunks(len(rspans))
 	}
 	return r.Waitall(sreqs...)
-}
-
-// allreduceSetup is the preamble every allreduce schedule shares: the
-// view, the length check, the one-rank copy, the fallback to
-// reduce+broadcast for sizes the schedule cannot partition (not
-// word-aligned, or — perRank — fewer words than ranks), and the copy of
-// the local contribution into recvBuf that every schedule then reduces in
-// place. done reports that the call has been served in full.
-func (r *Rank) allreduceSetup(algo AllreduceAlgo, sendBuf, recvBuf *gpusim.Buffer, perRank bool) (v collView, done bool, err error) {
-	if v, err = r.collView(); err != nil {
-		return v, true, err
-	}
-	switch n := sendBuf.Len(); {
-	case recvBuf.Len() != n:
-		return v, true, fmt.Errorf("mpi: %s allreduce buffers differ: %d vs %d", algo, n, recvBuf.Len())
-	case v.size > 1 && (n%4 != 0 || perRank && n/4 < v.size):
-		return v, true, r.allreduceSum(sendBuf, recvBuf)
-	}
-	copy(recvBuf.Data, sendBuf.Data)
-	recvBuf.MarkDirty()
-	return v, v.size == 1, nil
-}
-
-// RingAllreduceSum is the bandwidth-optimal allreduce (ring
-// reduce-scatter followed by ring allgather), the algorithm large-message
-// reductions use in practice. Buffers must hold float32 data; only
-// genuinely tiny messages (fewer words than ranks) or non-word-aligned
-// sizes fall back to reduce+broadcast — uneven sizes get a ragged
-// word-aligned partition (ringBlocks).
-//
-// Both phases are fast paths. The reduce-scatter streams each block in
-// Config.PipelineChunkBytes-sized chunks, overlapping reduction with
-// transfer (ringReduceStep). The allgather relays each fully reduced
-// block's compressed payload verbatim around the ring — one compression
-// at the block's origin, one decompression per rank, no per-hop
-// recompression — exactly like Bcast's relay path. Reduction results
-// are bit-identical to RingAllreduceSumBlocking for lossless configs:
-// the per-element float additions happen in the same order.
-//
-// Both phases inherit the transport's chunk-granular reliability: every
-// point-to-point step above twice the chunk size moves as independently
-// CRC-protected, selectively retransmitted, credit-windowed chunks, so a
-// lossy link slows one step instead of failing the collective.
-func (r *Rank) RingAllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
-	return r.healRun(func() error { return r.ringAllreduce(sendBuf, recvBuf, true) })
-}
-
-// RingAllreduceSumBlocking is the pre-fast-path ring allreduce: whole
-// blocks move through blocking sendrecv exchanges, every hop of the
-// allgather phase paying a fresh compress + decompress. It uses the
-// same ragged partition and the same reduction order as
-// RingAllreduceSum, so lossless configs produce bit-identical results —
-// it exists as the measured baseline for the pipelined/relay fast path
-// and as its differential-testing oracle.
-func (r *Rank) RingAllreduceSumBlocking(sendBuf, recvBuf *gpusim.Buffer) error {
-	return r.healRun(func() error { return r.ringAllreduce(sendBuf, recvBuf, false) })
-}
-
-func (r *Rank) ringAllreduce(sendBuf, recvBuf *gpusim.Buffer, pipelined bool) error {
-	v, done, err := r.allreduceSetup(AllreduceRing, sendBuf, recvBuf, true)
-	if done {
-		return err
-	}
-	size := v.size
-	offs := ringBlocks(sendBuf.Len(), size)
-	// Block indices are view coordinates — all participants agree on the
-	// partition.
-	block := func(i int) *gpusim.Buffer {
-		i = (i + size) % size
-		return recvBuf.Slice(offs[i], offs[i+1]-offs[i])
-	}
-	right := v.real((v.vrank + 1) % size)
-	left := v.real((v.vrank - 1 + size) % size)
-	maxBlk := 0
-	for i := 0; i < size; i++ {
-		if n := offs[i+1] - offs[i]; n > maxBlk {
-			maxBlk = n
-		}
-	}
-	scratch := r.takeScratch(recvBuf, maxBlk)
-	defer r.putScratch()
-	chunk := 0
-	if pipelined {
-		chunk = ringChunk(r.Engine.Config().PipelineChunkBytes)
-	}
-
-	// Phase 1: reduce-scatter. After step s, the block each rank just
-	// received accumulates one more contribution; after P-1 steps view
-	// rank i holds the fully reduced block (i+1) mod P.
-	for step := 0; step < size-1; step++ {
-		sendIdx := (v.vrank - step + size) % size
-		recvIdx := (v.vrank - step - 1 + size) % size
-		// Step 0 sends the rank's own block, which no reduction has
-		// touched yet — its bytes in recvBuf still equal sendBuf's, so
-		// compress from sendBuf: a persistent send buffer keeps a stable
-		// epoch across iterations and step 0's compression becomes a
-		// cache hit on every warm iteration.
-		src := recvBuf
-		if pipelined && step == 0 && sendBuf.Loc == gpusim.Device {
-			src = sendBuf
-		}
-		if err := r.ringReduceStep(right, left, src, recvBuf,
-			offs[sendIdx], offs[sendIdx+1]-offs[sendIdx],
-			offs[recvIdx], offs[recvIdx+1]-offs[recvIdx],
-			scratch, chunk, !pipelined); err != nil {
-			return fmt.Errorf("mpi: ring reduce-scatter step %d: %w", step, err)
-		}
-	}
-
-	// Phase 2: allgather the reduced blocks around the ring. Pipelined,
-	// each rank compresses its block once and every hop forwards the wire
-	// payload verbatim (the Allgather/Bcast relay pattern); blocking, every
-	// hop recompresses.
-	tag := r.collTag(baseAllreduce)
-	if pipelined {
-		payload, hdr := r.Engine.CompressForLinkCached(r.Clock, block(v.vrank+1), r.world.cluster.InterNode.BandwidthGBps)
-		err = r.relayRing(left, right, tag, size-1, payload, hdr, func(step int) *gpusim.Buffer { return block(v.vrank - step) })
-	} else {
-		for step := 0; step < size-1 && err == nil; step++ {
-			err = r.sendrecv(right, tag, block(v.vrank+1-step), left, tag, block(v.vrank-step))
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("mpi: ring allgather %w", err)
-	}
-	return nil
 }

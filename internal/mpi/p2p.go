@@ -596,9 +596,8 @@ func (r *Rank) waitRecv(req *Request) error {
 	payload := env.payload
 	if env.pipelined {
 		// Chunks drain in (arrival, index) order — out-of-order completions
-		// reassemble deterministically — each validated against the control
-		// header it traveled with. A relay segment is placed at its offset
-		// in the wire payload, which is then handled whole below; a
+		// reassemble deterministically. A relay segment is placed at its
+		// offset in the wire payload, which is then handled whole below; a
 		// compression chunk is verified and decoded at its packed offset
 		// while later chunks are still on the wire.
 		if env.relayChunks {
@@ -608,23 +607,15 @@ func (r *Rank) waitRecv(req *Request) error {
 		for _, i := range chunkOrder(env.chunks) {
 			c := &env.chunks[i]
 			r.Clock.AdvanceTo(c.arrival)
-			ch, err := core.DecodeChunkHeader(c.ctrl)
-			if err != nil {
-				return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
-			}
-			if ch.Relay != env.relayChunks || ch.Index != i || ch.Offset != c.off || ch.OrigBytes != c.origBytes ||
-				ch.WireBytes != len(c.payload) || env.relayChunks && ch.Offset+ch.WireBytes > len(payload) {
-				return fmt.Errorf("mpi: chunk %d from rank %d: control header mismatch", i, env.src)
-			}
 			if env.relayChunks {
-				copy(payload[ch.Offset:], c.payload)
+				copy(payload[c.off:], c.payload)
 				continue
 			}
 			fallback = fallback || c.hdr.Fallback
 			if err := r.Engine.VerifyPayload(r.Clock, c.hdr, c.payload); err != nil {
 				return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
 			}
-			if err := r.Engine.DecompressChunk(r.Clock, c.hdr, c.payload, req.buf, req.typ, ch.Offset); err != nil {
+			if err := r.Engine.DecompressChunk(r.Clock, c.hdr, c.payload, req.buf, req.typ, c.off); err != nil {
 				return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
 			}
 		}
@@ -764,9 +755,7 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header, dec *
 			n = len(payload) - off
 		}
 		seg := payload[off : off+n]
-		env.addChunk(r.Clock.Now(), seg, core.Header{Compressed: hdr.Compressed}, core.ChunkHeader{
-			Offset: off, OrigBytes: n, Checksum: core.Checksum(seg), Relay: true, Last: off+n == len(payload),
-		})
+		env.addChunk(r.Clock.Now(), seg, core.Header{Compressed: hdr.Compressed}, off, core.Checksum(seg))
 	}
 	r.Engine.NotePipeRelayChunks(len(env.chunks))
 	return r.startSend(env), nil

@@ -27,7 +27,7 @@ import (
 // approaches max(compress, transfer, decompress) plus a fill term.
 //
 // Reliability is chunk-granular (DESIGN.md §12): every chunk carries its
-// own control header and CRC, retries independently within its own budget
+// own CRC, retries independently within its own budget
 // (a corrupted chunk is selectively NACKed; delivered chunks never cross
 // the wire again), and the receiver reassembles completions in arrival
 // order. A credit window sized by the receiver's staging pool bounds the
@@ -44,15 +44,12 @@ type chunkPart struct {
 	// against the message's own header after reassembly; only Compressed
 	// is set on its).
 	hdr core.Header
-	// ctrl is the encoded core.ChunkHeader the chunk travels with; the
-	// receiver decodes and validates it before placing the chunk.
-	ctrl []byte
 	// crc protects the chunk's wire payload (hdr.Checksum for compressed
 	// chunks, a per-segment CRC for relay segments).
 	crc uint32
-	// off and origBytes locate the chunk's span: in the original message
-	// for compressed chunks, in the relayed wire payload for segments.
-	off, origBytes int
+	// off locates the chunk's span: in the original message for
+	// compressed chunks, in the relayed wire payload for segments.
+	off int
 	// compressed routes the chunk through the codec fault model and the
 	// sender's circuit breaker.
 	compressed bool
@@ -193,8 +190,8 @@ func (r *Rank) pipelineEligible(dst, n int) bool {
 // cut into PipelineChunkBytes-sized spans, compressed in order on the
 // caller's clock — a layout's span gathered and compressed in one fused
 // pass at its packed offset — each becoming ready for transfer as its
-// kernel completes. Chunk control headers describe packed offsets, so the
-// receiver places each chunk without seeing the others. An open codec
+// kernel completes. Each chunk records its packed offset, so the receiver
+// places it without seeing the others. An open codec
 // circuit breaker for the destination degrades every chunk to its
 // uncompressed form (Fallback set), exactly as on the whole-message path.
 func (r *Rank) compressChunks(env *envelope, buf *gpusim.Buffer, t dtype.Type, total int) {
@@ -221,9 +218,7 @@ func (r *Rank) compressChunks(env *envelope, buf *gpusim.Buffer, t dtype.Type, t
 			payload, hdr = r.Engine.CompressChunkCached(r.Clock, buf, t, off, n, link.BandwidthGBps)
 		}
 		anyCompressed = anyCompressed || hdr.Compressed
-		env.addChunk(r.Clock.Now(), payload, hdr, core.ChunkHeader{
-			Offset: off, OrigBytes: n, Checksum: hdr.Checksum, Last: off+n == total,
-		})
+		env.addChunk(r.Clock.Now(), payload, hdr, off, hdr.Checksum)
 	}
 	if !bypassAll && !anyCompressed && r.Engine.BreakerEnabled() {
 		// The breaker allowed the stream — possibly consuming its
@@ -234,14 +229,11 @@ func (r *Rank) compressChunks(env *envelope, buf *gpusim.Buffer, t dtype.Type, t
 	r.Engine.NotePipelinedChunks(len(env.chunks))
 }
 
-// addChunk appends one chunk, completing its control header with the
-// stream's identity.
-func (env *envelope) addChunk(ready simtime.Time, payload []byte, hdr core.Header, ch core.ChunkHeader) {
-	ch.Seq, ch.Index, ch.WireBytes = env.seq, len(env.chunks), len(payload)
+// addChunk appends one chunk: its payload and header, the offset of its
+// span, and the CRC the retry loop checks it against.
+func (env *envelope) addChunk(ready simtime.Time, payload []byte, hdr core.Header, off int, crc uint32) {
 	env.chunks = append(env.chunks, chunkPart{
-		payload: payload, hdr: hdr, ctrl: ch.EncodeChunk(), crc: ch.Checksum,
-		off: ch.Offset, origBytes: ch.OrigBytes, compressed: hdr.Compressed,
-		ready: ready,
+		payload: payload, hdr: hdr, crc: crc, off: off, compressed: hdr.Compressed, ready: ready,
 	})
 }
 
@@ -315,9 +307,8 @@ type wireResult struct {
 // the message whose failures tripped the breaker completes within budget.
 // Only chunks draw duplicate and reorder fates — a duplicate burns the wire
 // twice and the receiver drops the copy by (seq, chunk) identity, a
-// reordered chunk is held back to land after its successors — and have
-// their NACK cross the wire encoded, naming exactly this (seq, chunk) while
-// later chunks keep flowing.
+// reordered chunk is held back to land after its successors — and their
+// NACK names exactly this (seq, chunk) while later chunks keep flowing.
 //
 //simlint:nocharge the verification pass is costed on the arrival timestamp (ThroughputTime below), not the rank clock
 func (w *World) transmit(ev wireEvent, ready simtime.Time, payload []byte, hdr core.Header) (wireResult, error) {
@@ -367,15 +358,6 @@ func (w *World) transmit(ev wireEvent, ready simtime.Time, payload []byte, hdr c
 		if attempt >= ev.limit {
 			out.arrival = verified
 			return out, fmt.Errorf("mpi: %v corrupted after %d attempts: %w", ev, attempt+1, ErrDeliveryFailed)
-		}
-		if ev.chunk != faults.NoChunk {
-			nk, err := core.DecodeChunkNack(core.ChunkNack{
-				Seq: ev.seq, Index: ev.chunk, Attempt: attempt, Reason: core.NackCorrupt,
-			}.EncodeNack())
-			if err != nil || nk.Index != ev.chunk || nk.Seq != ev.seq || nk.Attempt != attempt {
-				out.arrival = verified
-				return out, fmt.Errorf("mpi: %v NACK decode: %w", ev, ErrDeliveryFailed)
-			}
 		}
 		nack := w.fabric.ControlMessage(ev.to, ev.from, verified)
 		ready = simtime.Max(ready, nack.Add(w.retry.delay(attempt)))

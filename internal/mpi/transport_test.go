@@ -254,8 +254,10 @@ func TestTransportWrittenOnce(t *testing.T) {
 // outside algo.go's table no non-test Go file of the repository spells a
 // schedule's name as a string literal (names come from String, parsing from
 // ParseAllreduceAlgo) or lists the schedules in a composite literal (lists
-// come from AllreduceAlgos and AllreduceCandidates). internal/tune's
-// cost-model switch prices schedules one case at a time and is no list.
+// come from AllreduceAlgos and AllreduceCandidates), and internal/tune names
+// no schedule at all — it prices the steps a schedule runs
+// (PriceAllreduce), so it has nothing to branch on (AllreduceAuto, the
+// dispatch mode, is not a schedule).
 func TestAllreduceSchedulesDeclaredOnce(t *testing.T) {
 	names, consts := map[string]bool{}, map[string]bool{}
 	for _, a := range AllreduceAlgos() {
@@ -298,8 +300,13 @@ func TestAllreduceSchedulesDeclaredOnce(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		inTune := filepath.Dir(path) == filepath.Join(root, "internal", "tune")
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && inTune && id.Name == "mpi" && consts[n.Sel.Name] && n.Sel.Name != "AllreduceAuto" {
+					t.Errorf("%s: internal/tune names schedule %s; price the steps it runs instead", fset.Position(n.Pos()), n.Sel.Name)
+				}
 			case *ast.BasicLit:
 				if n.Kind == token.STRING && names[n.Value] {
 					t.Errorf("%s: schedule name %s spelled outside mpi/algo.go", fset.Position(n.Pos()), n.Value)

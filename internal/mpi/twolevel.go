@@ -5,125 +5,14 @@ package mpi
 // leader, node-local traffic rides the fast intra-node link, and only
 // the leaders talk across the network — so the slow inter-node link
 // carries one message stream per node instead of one per rank.
-// BcastHierarchical (coll.go) is the broadcast member of the family;
-// this file adds the allreduce and allgather.
-//
-// Leader election mirrors bcastHierarchical: the first surviving rank of
-// a node in view order leads it, so on the identity view the leader is
-// simply each node's first rank and the schedule is deterministic; under
-// a shrunken view the allreduce re-elects and completes on survivors.
+// BcastHierarchical (coll.go) is the broadcast member of the family and
+// twoLevelSteps (schedule.go) the allreduce; this file adds the allgather.
 
 import (
 	"fmt"
 
 	"mpicomp/internal/gpusim"
 )
-
-// electLeaders walks the view in order and picks each node's first
-// surviving rank as its leader. nodeIdx maps a node to its dense index
-// in liveNodes (-1 when no rank of the node survives), leaderOf to its
-// leader's world rank.
-func (w *World) electLeaders(v collView) (nodeIdx, leaderOf, liveNodes []int) {
-	nodeIdx = make([]int, w.nodes)
-	leaderOf = make([]int, w.nodes)
-	for i := range nodeIdx {
-		nodeIdx[i] = -1
-	}
-	for vr := 0; vr < v.size; vr++ {
-		id := v.real(vr)
-		if n := w.nodeOf(id); nodeIdx[n] < 0 {
-			nodeIdx[n] = len(liveNodes)
-			leaderOf[n] = id
-			liveNodes = append(liveNodes, n)
-		}
-	}
-	return nodeIdx, leaderOf, liveNodes
-}
-
-// AllreduceSumHierarchical is the two-level allreduce: ranks fold their
-// vectors into their node leader over the intra-node link, the leaders
-// run a recursive-doubling allreduce across the network, and each leader
-// fans the result back out to its node. The inter-node stage reuses the
-// recursive-doubling rounds (chunk pipelining, fold for non-power-of-two
-// node counts), so only ceil(log2 nodes) network latencies are paid and
-// each node's vector crosses the network log2(nodes) times instead of
-// once per rank. Worlds with no hierarchy to exploit (one node, or one
-// rank per node) run flat recursive doubling instead.
-func (r *Rank) AllreduceSumHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
-	return r.healRun(func() error { return r.allreduceSumHierarchical(sendBuf, recvBuf) })
-}
-
-func (r *Rank) allreduceSumHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
-	w := r.world
-	if w.ppn == 1 || w.nodes == 1 {
-		return r.rdAllreduce(sendBuf, recvBuf, true)
-	}
-	v, done, err := r.allreduceSetup(AllreduceTwoLevel, sendBuf, recvBuf, false)
-	if done {
-		return err
-	}
-	nodeIdx, leaderOf, liveNodes := w.electLeaders(v)
-	myNode := r.Node()
-	leader := leaderOf[myNode]
-	rtag := r.collTag(baseReduce)
-	btag := r.collTag(baseBcast)
-
-	if r.id != leader {
-		// Stage 1: fold into the node leader — sendBuf itself when
-		// device-resident, for the compress-once cache's benefit — then
-		// wait for the finished result from stage 3.
-		src := recvBuf
-		if sendBuf.Loc == gpusim.Device {
-			src = sendBuf
-		}
-		if err := r.send(leader, rtag, src); err != nil {
-			return fmt.Errorf("mpi: two-level reduce send: %w", err)
-		}
-		if err := r.recv(leader, btag, recvBuf); err != nil {
-			return fmt.Errorf("mpi: two-level result recv: %w", err)
-		}
-		return nil
-	}
-
-	// Leader: accumulate the node's contributions in view order (a fixed
-	// order keeps the float sum deterministic).
-	scratch := r.takeScratch(recvBuf, sendBuf.Len())
-	defer r.putScratch()
-	for vr := 0; vr < v.size; vr++ {
-		peer := v.real(vr)
-		if w.nodeOf(peer) != myNode || peer == r.id {
-			continue
-		}
-		if err := r.recv(peer, rtag, scratch); err != nil {
-			return fmt.Errorf("mpi: two-level reduce recv: %w", err)
-		}
-		sumFloat32(r, recvBuf, scratch.Data)
-	}
-
-	// Stage 2: recursive doubling among the surviving node leaders.
-	if len(liveNodes) > 1 {
-		peers := make([]int, len(liveNodes))
-		for i, nd := range liveNodes {
-			peers[i] = leaderOf[nd]
-		}
-		chunk := ringChunk(r.Engine.Config().PipelineChunkBytes)
-		if err := r.rdRoundsOver(peers, nodeIdx[myNode], recvBuf, scratch, nil, chunk, r.collTag(baseAllreduce)); err != nil {
-			return fmt.Errorf("mpi: two-level inter-node stage: %w", err)
-		}
-	}
-
-	// Stage 3: fan the result back out within the node.
-	for vr := 0; vr < v.size; vr++ {
-		peer := v.real(vr)
-		if w.nodeOf(peer) != myNode || peer == r.id {
-			continue
-		}
-		if err := r.send(peer, btag, recvBuf); err != nil {
-			return fmt.Errorf("mpi: two-level result send: %w", err)
-		}
-	}
-	return nil
-}
 
 // AllgatherHierarchical is the two-level allgather: node members deposit
 // their blocks with the node leader, the leaders ring-exchange whole

@@ -1,7 +1,7 @@
 // Package wireparity keeps the fixed-layout wire codecs honest: for
 // every control-packet struct T with an `Encode*` method and a
-// `Decode*` function (core's Header, ChunkHeader, ChunkNack, Heartbeat,
-// RouteUpdate), the two directions must agree field-for-field, the
+// `Decode*` function (core's Header, Heartbeat, RouteUpdate), the two
+// directions must agree field-for-field, the
 // fixed byte count the encoder appends must match the declared size
 // constant, and every decoder must be exercised by a fuzz target — the
 // repo's standing rule that anything parsing bytes off the simulated

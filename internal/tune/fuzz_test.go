@@ -10,16 +10,16 @@ import (
 // that parses must re-encode to a canonical fixpoint — Marshal of the
 // parsed table parses again and marshals byte-identically.
 func FuzzTableJSON(f *testing.F) {
-	f.Add([]byte(`{"version":1,"seed":0,"entries":[]}`))
-	f.Add([]byte(`{"version":1,"seed":42,"entries":[{"size_class":20,"ranks":8,"topo":"flat","ratio_milli":1430,"chunk_bytes":131072,"codec_hint":"mpc","scores":[{"algo":"rd","ema_nanos":1048576,"samples":3},{"algo":"ring","ema_nanos":2097152,"samples":1}]}]}`))
-	f.Add([]byte(`{"version":1,"seed":0,"entries":[{"size_class":12,"ranks":6,"topo":"hierarchical","ratio_milli":1000,"chunk_bytes":65536,"codec_hint":"none","scores":[{"algo":"two-level","ema_nanos":4096,"samples":9}]}]}`))
 	f.Add([]byte(`{"version":2,"seed":0,"entries":[]}`))
-	f.Add([]byte(`{"version":1,"seed":0,"entries":[{"size_class":-3,"ranks":0,"topo":"mesh","ratio_milli":-1,"chunk_bytes":-1,"codec_hint":"lz4","scores":null}]}`))
+	f.Add([]byte(`{"version":2,"seed":42,"entries":[{"size_class":20,"ranks":8,"topo":"flat","ratio_milli":1430,"scores":[{"algo":"rd","ema_nanos":1048576,"samples":3},{"algo":"ring","ema_nanos":2097152,"samples":1}]}]}`))
+	f.Add([]byte(`{"version":2,"seed":0,"entries":[{"size_class":12,"ranks":6,"topo":"hierarchical","ratio_milli":1000,"scores":[{"algo":"two-level","ema_nanos":4096,"samples":9}]}]}`))
+	f.Add([]byte(`{"version":1,"seed":0,"entries":[{"size_class":20,"ranks":8,"topo":"flat","ratio_milli":1430,"chunk_bytes":131072,"codec_hint":"mpc","scores":[]}]}`))
+	f.Add([]byte(`{"version":2,"seed":0,"entries":[{"size_class":-3,"ranks":0,"topo":"mesh","ratio_milli":-1,"scores":null}]}`))
 	f.Add([]byte(`not a table`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte("{\"version\":1,\"seed\":0,\"entries\":[]}\n{\"version\":1}"))
+	f.Add([]byte("{\"version\":2,\"seed\":0,\"entries\":[]}\n{\"version\":2}"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, err := ParseTable(data)

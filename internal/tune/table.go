@@ -20,10 +20,10 @@ import (
 )
 
 // TableVersion is the current tuning-table schema version. ParseTable
-// rejects any other value: schema evolution means bumping this and
-// teaching ParseTable the migration, not silently reinterpreting
-// fields.
-const TableVersion = 1
+// rejects any other value: a table is a warm-start cache, not data, so a
+// schema change bumps this and an old table is re-tuned, never silently
+// reinterpreted.
+const TableVersion = 2
 
 // ErrBadTable is the sentinel all table parse/validate failures wrap.
 var ErrBadTable = errors.New("tune: bad table")
@@ -41,8 +41,6 @@ type Entry struct {
 	Ranks      int     `json:"ranks"`
 	Topo       string  `json:"topo"`
 	RatioMilli int64   `json:"ratio_milli"`
-	ChunkBytes int     `json:"chunk_bytes"`
-	CodecHint  string  `json:"codec_hint"`
 	Scores     []Score `json:"scores"`
 }
 
@@ -71,18 +69,16 @@ func validTopo(s string) bool {
 	return false
 }
 
-func validCodecHint(s string) bool {
-	switch s {
-	case "", "none", "mpc", "zfp":
-		return true
-	}
-	return false
-}
-
 // ParseTable decodes, validates, and canonicalizes a table. The
 // returned table always satisfies Validate and marshals to the
 // canonical byte form.
 func ParseTable(data []byte) (*Table, error) {
+	// An old schema's columns would fail the strict decode below as
+	// unknown fields; say what to do about it instead.
+	var head struct{ Version int }
+	if json.Unmarshal(data, &head) == nil && head.Version != TableVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d: re-tune (a table is a warm-start cache)", ErrBadTable, head.Version, TableVersion)
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var t Table
@@ -140,12 +136,6 @@ func (t *Table) Validate() error {
 		}
 		if e.RatioMilli < 0 || e.RatioMilli > 1<<20 {
 			return fmt.Errorf("%w: entry %d: ratio_milli %d out of range", ErrBadTable, i, e.RatioMilli)
-		}
-		if e.ChunkBytes < 0 || e.ChunkBytes > 1<<30 {
-			return fmt.Errorf("%w: entry %d: chunk_bytes %d out of range", ErrBadTable, i, e.ChunkBytes)
-		}
-		if !validCodecHint(e.CodecHint) {
-			return fmt.Errorf("%w: entry %d: unknown codec hint %q", ErrBadTable, i, e.CodecHint)
 		}
 		k := Key{SizeClass: e.SizeClass, Ranks: e.Ranks, Topo: netsim.TopoClass(e.Topo)}
 		if seenKey[k] {

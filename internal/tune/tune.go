@@ -11,12 +11,12 @@
 //
 // The selector keys on (size class, rank count, topology class) and
 // scores each candidate schedule with an EMA of measured virtual-time
-// latency, seeded by an alpha-beta cost model whose effective
-// bandwidth term is discounted by the measured compressibility (a
-// cheap first-touch probe: XOR-delta leading-zero-byte coding over a
-// bounded sample, the same value locality MPC exploits) and by the
-// fraction of traffic that actually compressed (pool fallbacks and
-// breaker bypasses shrink the effective ratio toward 1). Until every
+// latency, seeded by an alpha-beta price of the steps the schedule runs
+// (mpi.PriceAllreduce) whose wire bytes are discounted by the measured
+// compressibility (a cheap first-touch probe: XOR-delta leading-zero-byte
+// coding over a bounded sample, the same value locality MPC exploits)
+// and by the fraction of traffic that actually compressed (pool
+// fallbacks shrink the effective ratio toward 1). Until every
 // candidate for a key has at least one folded sample the tuner
 // explores: unsampled candidates are tried in ascending predicted
 // cost, with the configured seed rotating the starting point, so
@@ -29,6 +29,7 @@ package tune
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -38,10 +39,6 @@ import (
 	"mpicomp/internal/netsim"
 	"mpicomp/internal/simtime"
 )
-
-// chunkCandidates is the pipeline chunk-size menu RecommendChunk
-// scores with the cost model.
-var chunkCandidates = []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
 
 // latQuantum quantizes folded latency observations. Ragged compressed
 // transfers racing a shared adapter calendar can swap sub-microsecond
@@ -105,25 +102,17 @@ type probeObs struct {
 	estBytes  int64
 }
 
-// Counters carries engine activity the tuner adapts from: the
-// compressed/fallback split discounts the effective ratio the cost
-// model uses, and cache/pipeline figures ride into the stats line.
+// Counters carries the engine activity the tuner adapts from: the
+// compressed/fallback split discounts the effective ratio the cost model
+// uses.
 type Counters struct {
-	Compressions    int64
-	Bypasses        int64
-	PoolFallbacks   int64
-	CacheHits       int64
-	CacheMisses     int64
-	PipelinedChunks int64
+	Compressions  int64
+	PoolFallbacks int64
 }
 
 func (c *Counters) add(d Counters) {
 	c.Compressions += d.Compressions
-	c.Bypasses += d.Bypasses
 	c.PoolFallbacks += d.PoolFallbacks
-	c.CacheHits += d.CacheHits
-	c.CacheMisses += d.CacheMisses
-	c.PipelinedChunks += d.PipelinedChunks
 }
 
 // WorldCounters sums the engine activity the tuner adapts from across every
@@ -134,11 +123,7 @@ func WorldCounters(w *mpi.World) Counters {
 	var c Counters
 	for r := 0; r < w.Size(); r++ {
 		e := w.Rank(r).Engine
-		c.add(Counters{
-			Compressions: int64(e.Compressions), Bypasses: int64(e.Bypasses),
-			PoolFallbacks: int64(e.PoolFallbacks), CacheHits: int64(e.CacheHits),
-			CacheMisses: int64(e.CacheMisses), PipelinedChunks: int64(e.PipelinedChunks),
-		})
+		c.add(Counters{Compressions: int64(e.Compressions), PoolFallbacks: int64(e.PoolFallbacks)})
 	}
 	return c
 }
@@ -228,23 +213,22 @@ func (t *Tuner) PickAllreduce(p mpi.TunePoint) mpi.AllreduceAlgo {
 	// Exploration phase: while any candidate lacks a folded sample,
 	// walk the unsampled set in ascending predicted cost, starting at
 	// a seed-rotated offset.
-	var unsampled []mpi.AllreduceAlgo
+	type priced struct {
+		algo  mpi.AllreduceAlgo
+		nanos int64
+	}
+	var unsampled []priced
 	for _, a := range cands {
 		if e == nil || e.scores[a] == nil || e.scores[a].samples == 0 {
-			unsampled = append(unsampled, a)
+			unsampled = append(unsampled, priced{a, t.predictNanos(a, p, ratio)})
 		}
 	}
 	if len(unsampled) > 0 {
-		sort.SliceStable(unsampled, func(i, j int) bool {
-			ci := t.predictNanos(unsampled[i], p, ratio)
-			cj := t.predictNanos(unsampled[j], p, ratio)
-			if ci != cj {
-				return ci < cj
-			}
-			return unsampled[i] < unsampled[j]
+		sort.Slice(unsampled, func(i, j int) bool {
+			x, y := unsampled[i], unsampled[j]
+			return x.nanos < y.nanos || x.nanos == y.nanos && x.algo < y.algo
 		})
-		idx := int(uint64(t.seed) % uint64(len(unsampled)))
-		return unsampled[idx]
+		return unsampled[int(uint64(t.seed)%uint64(len(unsampled)))].algo
 	}
 
 	// Exploitation: argmin committed EMA, enum order breaking ties.
@@ -432,65 +416,36 @@ func estimateSample(sample []byte) (orig, est int64) {
 	return int64(words * 4), est
 }
 
-// predictNanos prices one schedule with the alpha-beta model.
-// ratioMilli is the effective compression ratio (x1000) applied to
-// wire bytes on the compressed (inter-node, or only) link.
+// predictNanos prices the steps the schedule runs (mpi.PriceAllreduce)
+// under the alpha-beta model: a message costs its link's latency and
+// per-message overhead plus its wire time, and ratioMilli, the effective
+// compression ratio (x1000), shrinks the wire bytes on the compressed link
+// — the inter-node one, or the only one. A schedule that would hand the
+// point to reduce+broadcast is explored last.
 func (t *Tuner) predictNanos(algo mpi.AllreduceAlgo, p mpi.TunePoint, ratioMilli int64) int64 {
-	link := t.cluster.InterNode
-	if netsim.ClassifyTopo(p.Nodes, p.PPN) == netsim.TopoSingleNode {
-		link = t.cluster.IntraNode
-	}
-	alpha := int64(link.Latency + link.PerMsgOverhead)
-	n := int64(p.Bytes)
-	nw := n * 1000 / ratioMilli
-	pp := int64(p.Ranks)
-	if pp < 2 {
-		return alpha
-	}
-	logP := int64(bits.Len(uint(pp - 1))) // ceil(log2 P)
-	wire := func(bytes int64) int64 {
-		if bytes <= 0 {
-			return 0
+	singleNode := netsim.ClassifyTopo(p.Nodes, p.PPN) == netsim.TopoSingleNode
+	nanos, ok := mpi.PriceAllreduce(algo, p, func(intra bool, bytes int) int64 {
+		link := t.cluster.InterNode
+		if intra {
+			link = t.cluster.IntraNode
 		}
-		return int64(simtime.TransferTime(int(bytes), link.BandwidthGBps))
+		if !intra || singleNode {
+			bytes = int(int64(bytes) * 1000 / ratioMilli)
+		}
+		cost := int64(link.Latency + link.PerMsgOverhead)
+		if bytes > 0 {
+			cost += int64(simtime.TransferTime(bytes, link.BandwidthGBps))
+		}
+		return cost
+	})
+	if !ok {
+		return math.MaxInt64
 	}
-	switch algo {
-	case mpi.AllreduceRing:
-		return 2*(pp-1)*alpha + wire(2*nw*(pp-1)/pp)
-	case mpi.AllreduceRecursiveDoubling:
-		return logP * (alpha + wire(nw))
-	case mpi.AllreduceRabenseifner:
-		return 2*logP*alpha + wire(2*nw*(pp-1)/pp)
-	case mpi.AllreduceTwoLevel:
-		intra := t.cluster.IntraNode
-		ai := int64(intra.Latency + intra.PerMsgOverhead)
-		ppn := int64(p.PPN)
-		nodes := int64(p.Nodes)
-		if ppn < 1 {
-			ppn = 1
-		}
-		if nodes < 1 {
-			nodes = 1
-		}
-		intraWire := func(bytes int64) int64 {
-			if bytes <= 0 {
-				return 0
-			}
-			return int64(simtime.TransferTime(int(bytes), intra.BandwidthGBps))
-		}
-		local := 2 * (ppn - 1) * (ai + intraWire(n))
-		logN := int64(bits.Len(uint(nodes - 1)))
-		return local + logN*(alpha+wire(nw))
-	default:
-		// Historical reduce+broadcast: two binomial trees moving the
-		// whole vector per hop.
-		return 2 * logP * (alpha + wire(nw))
-	}
+	return nanos
 }
 
-// PredictNanos exposes the cost model for benches and the recommend
-// helpers: the schedule's predicted latency at the tuner's current
-// effective ratio for the point's key.
+// PredictNanos exposes the cost model: the schedule's predicted latency at
+// the tuner's current effective ratio for the point's key.
 func (t *Tuner) PredictNanos(algo mpi.AllreduceAlgo, p mpi.TunePoint) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -499,66 +454,6 @@ func (t *Tuner) PredictNanos(algo mpi.AllreduceAlgo, p mpi.TunePoint) int64 {
 		ratio = t.effRatioMilliLocked(e.ratioMilli)
 	}
 	return t.predictNanos(algo, p, ratio)
-}
-
-// RecommendChunk scores the pipeline chunk-size menu for a point with
-// the cost model: chunks pay a per-chunk alpha but overlap the wire,
-// so the winner balances (P-1+numChunks) pipeline stages against
-// per-stage cost. Ties go to the smaller chunk.
-func (t *Tuner) RecommendChunk(p mpi.TunePoint) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ratio := int64(1000)
-	if e := t.entries[keyOf(p)]; e != nil && e.ratioMilli > 0 {
-		ratio = t.effRatioMilliLocked(e.ratioMilli)
-	}
-	return t.recommendChunkLocked(p, ratio)
-}
-
-func (t *Tuner) recommendChunkLocked(p mpi.TunePoint, ratioMilli int64) int {
-	link := t.cluster.InterNode
-	if netsim.ClassifyTopo(p.Nodes, p.PPN) == netsim.TopoSingleNode {
-		link = t.cluster.IntraNode
-	}
-	alpha := int64(link.Latency + link.PerMsgOverhead)
-	pp := int64(p.Ranks)
-	if pp < 2 {
-		pp = 2
-	}
-	per := int64(p.Bytes) / pp // ring block each stage relays
-	if per < 1 {
-		per = 1
-	}
-	perWire := per * 1000 / ratioMilli
-	best, bestCost := chunkCandidates[0], int64(-1)
-	for _, c := range chunkCandidates {
-		chunks := (perWire + int64(c) - 1) / int64(c)
-		if chunks < 1 {
-			chunks = 1
-		}
-		stage := alpha + int64(simtime.TransferTime(int(minInt64(perWire, int64(c))), link.BandwidthGBps))
-		cost := (pp - 1 + chunks) * stage
-		if bestCost < 0 || cost < bestCost {
-			best, bestCost = c, cost
-		}
-	}
-	return best
-}
-
-// codecHint names the codec the measured ratio justifies: below ~5%
-// savings the compression pipeline is pure overhead.
-func codecHint(ratioMilli int64) string {
-	if ratioMilli >= 1050 {
-		return "mpc"
-	}
-	return "none"
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Snapshot exports the committed state as a canonical Table (entries
@@ -579,8 +474,6 @@ func (t *Tuner) Snapshot() *Table {
 			Ranks:      k.Ranks,
 			Topo:       string(k.Topo),
 			RatioMilli: e.ratioMilli,
-			ChunkBytes: t.recommendChunkForKeyLocked(k, e),
-			CodecHint:  codecHint(e.ratioMilli),
 		}
 		algos := make([]mpi.AllreduceAlgo, 0, len(e.scores))
 		for a := range e.scores {
@@ -596,31 +489,6 @@ func (t *Tuner) Snapshot() *Table {
 		tab.Entries = append(tab.Entries, te)
 	}
 	return tab
-}
-
-// recommendChunkForKeyLocked reconstructs a representative point from
-// the key (2^sizeClass bytes, flat vs hierarchical shape) and scores
-// the chunk menu for the snapshot's chunk_bytes column.
-func (t *Tuner) recommendChunkForKeyLocked(k Key, e *entry) int {
-	bytes := 1
-	if k.SizeClass > 0 && k.SizeClass < 31 {
-		bytes = 1 << k.SizeClass
-	}
-	nodes, ppn := k.Ranks, 1
-	switch k.Topo {
-	case netsim.TopoSingleNode:
-		nodes, ppn = 1, k.Ranks
-	case netsim.TopoHierarchical:
-		if k.Ranks%2 == 0 {
-			nodes, ppn = k.Ranks/2, 2
-		}
-	}
-	p := mpi.TunePoint{Bytes: bytes, Ranks: k.Ranks, Nodes: nodes, PPN: ppn}
-	ratio := int64(1000)
-	if e.ratioMilli > 0 {
-		ratio = t.effRatioMilliLocked(e.ratioMilli)
-	}
-	return t.recommendChunkLocked(p, ratio)
 }
 
 // StatsLine renders the deterministic one-line summary ombrun prints

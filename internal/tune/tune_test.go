@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"mpicomp/internal/core"
@@ -265,18 +266,6 @@ func TestCountersDiscountEffectiveRatio(t *testing.T) {
 	}
 }
 
-func TestRecommendChunkScalesWithMessage(t *testing.T) {
-	tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
-	small := tn.RecommendChunk(flatPoint(256<<10, 0))
-	big := tn.RecommendChunk(mpi.TunePoint{Bytes: 64 << 20, Ranks: 2, Nodes: 2, PPN: 1})
-	if small != chunkCandidates[0] {
-		t.Errorf("small-message chunk = %d, want %d (alpha-bound)", small, chunkCandidates[0])
-	}
-	if big <= small {
-		t.Errorf("large-message chunk %d not above small-message chunk %d", big, small)
-	}
-}
-
 func TestStatsLineDeterministic(t *testing.T) {
 	tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
 	p := flatPoint(1<<20, 0)
@@ -315,18 +304,22 @@ func TestParseTableRejectsMalformed(t *testing.T) {
 
 	cases := map[string][]byte{
 		"not json":       []byte("not json"),
-		"wrong version":  []byte(`{"version": 2, "seed": 0, "entries": []}`),
-		"unknown field":  []byte(`{"version": 1, "seed": 0, "entries": [], "bogus": 1}`),
+		"wrong version":  []byte(`{"version": 3, "seed": 0, "entries": []}`),
+		"v1 table":       []byte(`{"version":1,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"chunk_bytes":65536,"codec_hint":"none","scores":[]}]}`),
+		"unknown field":  []byte(`{"version": 2, "seed": 0, "entries": [], "bogus": 1}`),
 		"trailing data":  append(append([]byte{}, valid...), []byte("{}")...),
-		"bad topo":       []byte(`{"version":1,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"mesh","ratio_milli":1000,"chunk_bytes":0,"codec_hint":"","scores":[]}]}`),
-		"bad algo":       []byte(`{"version":1,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"chunk_bytes":0,"codec_hint":"","scores":[{"algo":"warp","ema_nanos":1,"samples":1}]}]}`),
-		"negative ranks": []byte(`{"version":1,"seed":0,"entries":[{"size_class":10,"ranks":-1,"topo":"flat","ratio_milli":1000,"chunk_bytes":0,"codec_hint":"","scores":[]}]}`),
-		"duplicate key":  []byte(`{"version":1,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"chunk_bytes":0,"codec_hint":"","scores":[]},{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"chunk_bytes":0,"codec_hint":"","scores":[]}]}`),
+		"bad topo":       []byte(`{"version":2,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"mesh","ratio_milli":1000,"scores":[]}]}`),
+		"bad algo":       []byte(`{"version":2,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"scores":[{"algo":"warp","ema_nanos":1,"samples":1}]}]}`),
+		"negative ranks": []byte(`{"version":2,"seed":0,"entries":[{"size_class":10,"ranks":-1,"topo":"flat","ratio_milli":1000,"scores":[]}]}`),
+		"duplicate key":  []byte(`{"version":2,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"scores":[]},{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"scores":[]}]}`),
 	}
 	for name, data := range cases {
 		if _, err := ParseTable(data); !errors.Is(err, ErrBadTable) {
 			t.Errorf("%s: err = %v, want ErrBadTable", name, err)
 		}
+	}
+	if _, err := ParseTable(cases["v1 table"]); err == nil || !strings.Contains(err.Error(), "re-tune") {
+		t.Errorf("a v1 table must be rejected with a re-tune hint, got %v", err)
 	}
 }
 
