@@ -1,28 +1,17 @@
 // Command simlint runs the repository's custom static analyzers — the
-// determinism, virtual-clock, and arena-aliasing invariants described
-// in DESIGN.md §10 — over Go packages.
-//
-// Standalone (multichecker) mode:
+// determinism, virtual-clock, arena-aliasing and phase-charging
+// invariants described in DESIGN.md §10 — over Go packages:
 //
 //	simlint [-checks a,b,...] [packages]
 //
 // analyzes the given package patterns (default ./...) and prints one
-// line per finding. Exit status: 0 clean, 1 findings, 2 failure.
-// `simlint help` prints the analyzer catalog with full documentation
-// and the exit-code contract of both modes; `simlint -list` prints
-// just the analyzer names.
-//
-// Vet-tool mode: when the final argument ends in .cfg the tool speaks
-// the cmd/go vet protocol, so the whole suite also runs as
-//
-//	go vet -vettool=$(which simlint) ./...
-//
-// reusing the build cache's export data per compilation unit.
+// line per finding; a //simlint: directive no analyzer declares is a
+// finding too. Exit status: 0 clean, 1 findings, 2 usage or load failure.
+// `simlint help` prints the analyzer catalog with full documentation;
+// `simlint -list` prints just the analyzer names.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,59 +20,23 @@ import (
 	"strings"
 
 	"mpicomp/internal/simlint"
-	"mpicomp/internal/simlint/unitcheck"
 )
 
 func main() {
 	progname := filepath.Base(os.Args[0])
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
-	versionFlag := fs.String("V", "", "print version information (-V=full) and exit")
 	checks := fs.String("checks", "", "comma-separated subset of analyzers to run (default all)")
-	jsonFlag := fs.Bool("json", false, "accepted for vet protocol compatibility")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	printflags := fs.Bool("flags", false, "print flag descriptions as JSON (vet protocol) and exit")
 	fs.Usage = func() { printHelp(os.Stderr, progname) }
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
-	_ = jsonFlag
-
-	// cmd/go probes `tool -flags` to learn which vet flags the tool
-	// understands; the reply is a JSON array of flag descriptions.
-	if *printflags {
-		type jsonFlag struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		var flags []jsonFlag
-		fs.VisitAll(func(f *flag.Flag) {
-			b, ok := f.Value.(interface{ IsBoolFlag() bool })
-			flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-		})
-		data, err := json.MarshalIndent(flags, "", "\t")
-		if err != nil {
-			os.Exit(2)
-		}
-		os.Stdout.Write(data)
-		return
-	}
-
-	// cmd/go probes `tool -V=full` to stamp the build cache.
-	if *versionFlag != "" {
-		if *versionFlag != "full" {
-			fmt.Fprintf(os.Stderr, "%s: unsupported flag -V=%s\n", progname, *versionFlag)
-			os.Exit(2)
-		}
-		printVersion(progname)
-		return
-	}
-
 	if *list {
 		printList(os.Stdout)
 		return
 	}
-	if args := fs.Args(); len(args) > 0 && args[0] == "help" {
+	args := fs.Args()
+	if len(args) > 0 && args[0] == "help" {
 		printHelp(os.Stdout, progname)
 		return
 	}
@@ -97,23 +50,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
 		os.Exit(2)
 	}
-
-	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		diags, err := unitcheck.Run(args[0], analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			os.Exit(1)
-		}
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", d.Position, d.Message, d.Analyzer)
-		}
-		if len(diags) > 0 {
-			os.Exit(2)
-		}
-		return
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
@@ -141,28 +77,14 @@ func printList(w io.Writer) {
 }
 
 // printHelp writes the analyzer catalog — every analyzer with its full
-// Doc — and the exit-code contract of both run modes.
+// Doc — and the exit-code contract.
 func printHelp(w io.Writer, progname string) {
 	fmt.Fprintf(w, "%s runs the repository's custom static analyzers (DESIGN.md §10).\n\n", progname)
-	fmt.Fprintf(w, "usage: %s [-checks a,b] [packages | unit.cfg]\n", progname)
+	fmt.Fprintf(w, "usage: %s [-checks a,b] [packages]\n", progname)
 	fmt.Fprintf(w, "       %s help | -list\n\nAnalyzers:\n\n", progname)
 	for _, a := range simlint.Analyzers() {
 		fmt.Fprintf(w, "  %s\n      %s\n", a.Name, a.Doc)
 	}
-	fmt.Fprintf(w, "\nExit codes, standalone mode: 0 no findings, 1 findings, 2 usage or load failure.\n")
-	fmt.Fprintf(w, "Exit codes, vet-tool .cfg mode (the cmd/go protocol inverts them): 0 clean, 2 findings, 1 failure.\n")
-}
-
-// printVersion emits the `-V=full` handshake line: the executable's
-// content hash makes `go vet` cache entries invalidate when the tool
-// changes.
-func printVersion(progname string) {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel buildID=%02x\n", progname, h.Sum(nil)[:16])
+	fmt.Fprintf(w, "\nA //simlint: directive that no analyzer declares is reported as a finding.\n")
+	fmt.Fprintf(w, "Exit codes: 0 no findings, 1 findings, 2 usage or load failure.\n")
 }

@@ -26,8 +26,8 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 }
 
 // TestHelpDocumentsAnalyzersAndExitCodes pins the help contract: every
-// analyzer appears with its full Doc, and both modes' exit codes are
-// documented.
+// analyzer appears with its full Doc, and the exit codes are documented —
+// the standalone ones, the only mode there is.
 func TestHelpDocumentsAnalyzersAndExitCodes(t *testing.T) {
 	var buf bytes.Buffer
 	printHelp(&buf, "simlint")
@@ -40,12 +40,10 @@ func TestHelpDocumentsAnalyzersAndExitCodes(t *testing.T) {
 			t.Errorf("help does not include the doc of %q", a.Name)
 		}
 	}
-	for _, want := range []string{
-		"0 no findings, 1 findings, 2 usage or load failure",
-		"0 clean, 2 findings, 1 failure",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("help does not document exit codes %q", want)
-		}
+	if want := "Exit codes: 0 no findings, 1 findings, 2 usage or load failure."; !strings.Contains(out, want) {
+		t.Errorf("help does not document exit codes %q", want)
+	}
+	if strings.Contains(out, "vet") || strings.Contains(out, ".cfg") {
+		t.Errorf("help still documents a vet-tool mode:\n%s", out)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -16,18 +17,11 @@ func TestHeaderEncodeDecode(t *testing.T) {
 	h := Header{
 		Algo: AlgoMPC, Compressed: true,
 		OrigBytes: 32 << 20, CompBytes: 12345678,
-		Rate: 0, Dim: 5,
+		Rate: 3, Dim: 5,
 		PartBytes: []int{100, 200, 300, 400},
+		Checksum:  0xdeadbeef, Fallback: true,
 	}
-	got, err := DecodeHeader(h.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Algo != h.Algo || got.Compressed != h.Compressed ||
-		got.OrigBytes != h.OrigBytes || got.CompBytes != h.CompBytes ||
-		got.Dim != h.Dim || len(got.PartBytes) != 4 || got.PartBytes[2] != 300 {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, h)
-	}
+	roundTripEveryField(t, h, Header.Encode, DecodeHeader, Header.wireSize)
 }
 
 func TestHeaderDecodeRejectsGarbage(t *testing.T) {
@@ -402,8 +396,15 @@ func TestDecompressErrors(t *testing.T) {
 
 // A partition decode error used to leak the d_off staging buffer (the
 // early return skipped the Put/Free pair); since the receive path
-// retries after NACKs, every retry shrank the pool. Found by the
-// creditbalance analyzer; pinned here.
+// retries after NACKs, every retry shrank the pool. The creditbalance
+// analyzer found it and guarded the engine's acquire/release pairs until
+// it was retired; today this test and the pool-balance check in
+// tryDecompress (every seed and input of FuzzDecompressMPC,
+// FuzzDecompressZFP and FuzzDecodeHeaderDecompress) own the rule. The
+// test asserts it reached the partition decode: once the engine began
+// checking CompBytes against the payload first, a truncation that left
+// CompBytes alone failed before d_off was taken and the test passed with
+// the leak re-planted.
 func TestDecompressErrorReleasesOffBuffer(t *testing.T) {
 	e, dev, clk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC})
 	vals := smooth(1<<20, 8)
@@ -431,8 +432,9 @@ func TestDecompressErrorReleasesOffBuffer(t *testing.T) {
 		t.Fatalf("last partition too small to truncate: %d", hdr.PartBytes[last])
 	}
 	hdr.PartBytes[last] -= cut
-	if err := e.Decompress(clk, hdr, payload[:len(payload)-cut], dst); err == nil {
-		t.Fatal("truncated MPC partition should fail to decompress")
+	hdr.CompBytes -= cut
+	if err := e.Decompress(clk, hdr, payload[:len(payload)-cut], dst); err == nil || !strings.Contains(err.Error(), "decompress partition") {
+		t.Fatalf("truncated MPC partition should fail inside the partition decode, got %v", err)
 	}
 	if got := e.offPool.FreeCount(); got != free {
 		t.Fatalf("decompress error leaked a d_off buffer: free count %d, want %d", got, free)

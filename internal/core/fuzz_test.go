@@ -31,17 +31,21 @@ func compressSample(e *Engine, dev *gpusim.GPUDevice, clk *simtime.Clock, n int)
 	return e.Compress(clk, deviceBufferWith(dev, vals))
 }
 
-// tryDecompress runs one decode attempt and reports whether the output is
-// either an error or a full-size write — the invariant the fuzzers check.
+// tryDecompress runs one decode attempt and checks the fuzzers' invariants:
+// no panic, and every staging buffer it took back in its pool, failed or not.
 func tryDecompress(t *testing.T, e *Engine, clk *simtime.Clock, hdr Header, payload []byte) {
 	t.Helper()
 	if hdr.OrigBytes < 0 || hdr.OrigBytes > 1<<24 {
 		return
 	}
 	dst := &gpusim.Buffer{Data: make([]byte, maxInt(hdr.OrigBytes, 0)), Loc: gpusim.Device, Dev: e.Device()}
+	free, offFree := e.pool.FreeCount(), e.offPool.FreeCount()
 	// Any outcome but a panic is acceptable; corrupted streams that
 	// happen to decode are caught one layer up by the CRC check.
-	_ = e.Decompress(clk, hdr, payload, dst)
+	err := e.Decompress(clk, hdr, payload, dst)
+	if e.pool.FreeCount() != free || e.offPool.FreeCount() != offFree {
+		t.Fatalf("decode (err %v) left %d/%d pool buffers free, want %d/%d", err, e.pool.FreeCount(), e.offPool.FreeCount(), free, offFree)
+	}
 }
 
 func maxInt(a, b int) int {

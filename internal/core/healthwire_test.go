@@ -7,17 +7,7 @@ import (
 
 func TestHeartbeatRoundTrip(t *testing.T) {
 	h := Heartbeat{Src: 5, Epoch: 2, Op: 31, LeaseNS: 500_000, SentAtNS: 1_234_567, Failed: true, Suspect: true}
-	wire := h.EncodeHeartbeat()
-	if len(wire) != HeartbeatSize {
-		t.Fatalf("heartbeat wire size: %d", len(wire))
-	}
-	got, err := DecodeHeartbeat(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("round trip drifted:\n in: %+v\nout: %+v", h, got)
-	}
+	roundTripEveryField(t, h, Heartbeat.EncodeHeartbeat, DecodeHeartbeat, func(Heartbeat) int { return HeartbeatSize })
 }
 
 func TestHeartbeatDecodeRejects(t *testing.T) {
@@ -40,19 +30,8 @@ func TestHeartbeatDecodeRejects(t *testing.T) {
 
 func TestRouteUpdateRoundTrip(t *testing.T) {
 	u := RouteUpdate{Epoch: 3, Op: 12, Retry: true, View: []int{0, 2, 6, 1, 3}}
-	wire := u.EncodeRouteUpdate()
-	got, err := DecodeRouteUpdate(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != u.Epoch || got.Op != u.Op || got.Retry != u.Retry || len(got.View) != len(u.View) {
-		t.Fatalf("round trip drifted:\n in: %+v\nout: %+v", u, got)
-	}
-	for i := range u.View {
-		if got.View[i] != u.View[i] {
-			t.Fatalf("view drifted: %v vs %v", u.View, got.View)
-		}
-	}
+	roundTripEveryField(t, u, RouteUpdate.EncodeRouteUpdate, DecodeRouteUpdate,
+		func(u RouteUpdate) int { return routeUpdateFixed + 4*len(u.View) })
 	// Empty view on a no-retry decision.
 	empty, err := DecodeRouteUpdate(RouteUpdate{Epoch: 1, Op: 9}.EncodeRouteUpdate())
 	if err != nil || empty.Retry || empty.View != nil {

@@ -148,21 +148,13 @@ func (w *World) abortAttempt(r *Rank, epoch int, fromOp uint64) {
 
 	q := attemptQuit{src: r.id, epoch: epoch, fromOp: fromOp, at: at}
 	for _, peer := range w.ranks {
-		box := peer.box
-		box.mu.Lock()
 		if peer == r {
-			box.ownQuits = append(box.ownQuits, q)
-			failed := takeOut(&box.unexpected, func(env *envelope) bool { return quitCovers(q, env.tag) })
-			box.mu.Unlock()
-			for _, env := range failed {
+			for _, env := range peer.box.recordOwnQuit(q) {
 				w.failSend(env, at, w.revokeErr())
 			}
 			continue
 		}
-		box.quits = append(box.quits, q)
-		woken := takeOut(&box.posted, func(p *recvPost) bool { return p.src == r.id && quitCovers(q, p.tag) })
-		box.mu.Unlock()
-		for _, p := range woken {
+		for _, p := range peer.box.recordQuit(q) {
 			p.matched <- failEnvelope(r.id, p.tag, simtime.Max(p.postTime, at).Add(w.health.Deadline), w.revokeErr())
 			w.watchdogWakeups.Add(1)
 		}

@@ -685,10 +685,7 @@ func TestFailureSweepsReleaseWokenReceives(t *testing.T) {
 		}
 	}
 	for id := 0; id < w.Size(); id++ {
-		box := w.Rank(id).box
-		box.mu.Lock()
-		posted, unexpected := box.posted, box.unexpected
-		box.mu.Unlock()
+		posted, unexpected := w.Rank(id).box.queues()
 		for i, p := range posted[len(posted):cap(posted)] {
 			if p != nil {
 				t.Errorf("rank %d: posted[%d] of %d still holds a woken receive", id, len(posted)+i, cap(posted))

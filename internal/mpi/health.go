@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"mpicomp/internal/simtime"
@@ -278,16 +277,7 @@ func (w *World) markAnnounced(id int) bool {
 // the failed-source table, so no real message is ever displaced by a
 // failure envelope.
 func (w *World) sweep(id int, onset simtime.Time, err error) {
-	own := w.ranks[id].box
-	own.mu.Lock()
-	own.dead = true
-	own.deadAt = onset
-	own.failErr = err
-	pending := own.unexpected
-	own.unexpected = nil
-	own.posted = nil // the dead rank's own waits never resume
-	own.mu.Unlock()
-	for _, env := range pending {
+	for _, env := range w.ranks[id].box.markDead(onset, err) {
 		w.failSend(env, onset, err)
 	}
 
@@ -295,36 +285,12 @@ func (w *World) sweep(id int, onset simtime.Time, err error) {
 		if peer.id == id {
 			continue
 		}
-		box := peer.box
-		box.mu.Lock()
-		if box.failedSrcs == nil {
-			box.failedSrcs = make(map[int]srcFail)
-		}
-		box.failedSrcs[id] = srcFail{onset: onset, err: err}
-		woken := takeOut(&box.posted, func(p *recvPost) bool { return srcMatches(p.src, id) })
-		box.mu.Unlock()
-		for _, p := range woken {
+		for _, p := range peer.box.markPeerFailed(id, onset, err) {
 			t := simtime.Max(p.postTime, onset).Add(w.health.Deadline)
 			p.matched <- failEnvelope(id, p.tag, t, err)
 			w.watchdogWakeups.Add(1)
 		}
 	}
-}
-
-// takeOut removes from *queue the entries pick selects and returns them, in
-// queue order. slices.DeleteFunc clears the vacated tail, so a woken receive
-// or a failed envelope — payload, decoded companion and all — does not stay
-// reachable from the queue it left.
-func takeOut[T any](queue *[]*T, pick func(*T) bool) []*T {
-	var taken []*T
-	*queue = slices.DeleteFunc(*queue, func(x *T) bool {
-		if pick(x) {
-			taken = append(taken, x)
-			return true
-		}
-		return false
-	})
-	return taken
 }
 
 // failSend completes a sender blocked on an envelope the dead rank will

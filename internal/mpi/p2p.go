@@ -115,16 +115,21 @@ type recvPost struct {
 // incoming envelopes in arrival order, with wildcard source/tag;
 // unmatched envelopes queue as "unexpected messages".
 //
-// The failure fields are written only by the watchdog sweep (health.go):
-// dead marks the owner itself failed — senders get failErr instead of
-// queuing — and failedSrcs records announced peer failures so receives
-// posted after the sweep still observe them.
+// The failure fields are written only on behalf of the watchdog sweep
+// (health.go): dead marks the owner itself failed — senders get failErr
+// instead of queuing — and failedSrcs records announced peer failures so
+// receives posted after the sweep still observe them.
 //
-// Every field below mu is guarded by it (enforced by simlint's
-// lockorder analyzer); world alone is set once at construction and read
-// lock-free.
-//
-//simlint:guarded
+// The mailbox owns its lock. Every field below mu is guarded by it and
+// named only inside this file's mailbox methods, between m.mu.Lock() and
+// Unlock() or in a *Locked method, which runs with mu held and is called
+// only from those spans. Mailbox locks are leaf locks, no channel send
+// happens under one, and none is held across a loop iteration or left in
+// another state by a branch or a return. A method that takes entries out
+// returns them, so its caller sends the wakeups after the unlock. world
+// alone is set once at construction and read lock-free.
+// TestMailboxOwnsItsLock (mailbox_test.go) checks all of this on the
+// source.
 type mailbox struct {
 	mu         sync.Mutex
 	unexpected []*envelope
@@ -143,8 +148,9 @@ type mailbox struct {
 	quits    []attemptQuit
 	ownQuits []attemptQuit
 
-	// world backlinks for the watchdog (deadline, wakeup accounting).
-	world *World //simlint:unguarded immutable after newMailbox
+	// world backlinks for the watchdog (deadline, wakeup accounting);
+	// immutable after newMailbox.
+	world *World
 }
 
 func newMailbox(w *World) *mailbox { return &mailbox{world: w} }
@@ -209,7 +215,7 @@ func (m *mailbox) post(p *recvPost) *envelope {
 			return env
 		}
 	}
-	if q, ok := m.quitFor(p.src, p.tag); ok {
+	if q, ok := m.quitForLocked(p.src, p.tag); ok {
 		// The source already abandoned the attempt this receive belongs to:
 		// wake it immediately with the revocation error, at the same
 		// instant the source's abort sweep would have used had the receive
@@ -218,7 +224,7 @@ func (m *mailbox) post(p *recvPost) *envelope {
 		m.world.watchdogWakeups.Add(1)
 		return failEnvelope(p.src, p.tag, simtime.Max(p.postTime, q.at).Add(m.world.health.Deadline), m.world.revokeErr())
 	}
-	if src, f, ok := m.failedFor(p.src); ok {
+	if src, f, ok := m.failedForLocked(p.src); ok {
 		m.mu.Unlock()
 		t := simtime.Max(p.postTime, f.onset).Add(m.world.health.Deadline)
 		m.world.watchdogWakeups.Add(1)
@@ -229,13 +235,11 @@ func (m *mailbox) post(p *recvPost) *envelope {
 	return nil
 }
 
-// quitFor looks up a quit record covering a posted receive: its source
-// abandoned the attempt the receive's tag belongs to. At most one record
-// per (source, epoch) can exist, so the scan's answer is order-free.
-// Called with m.mu held.
-//
-//simlint:lockheld callers lock m.mu before the scan
-func (m *mailbox) quitFor(postSrc, tag int) (attemptQuit, bool) {
+// quitForLocked looks up a quit record covering a posted receive: its
+// source abandoned the attempt the receive's tag belongs to. At most one
+// record per (source, epoch) can exist, so the scan's answer is
+// order-free.
+func (m *mailbox) quitForLocked(postSrc, tag int) (attemptQuit, bool) {
 	for _, q := range m.quits {
 		if q.src == postSrc && quitCovers(q, tag) {
 			return q, true
@@ -244,13 +248,10 @@ func (m *mailbox) quitFor(postSrc, tag int) (attemptQuit, bool) {
 	return attemptQuit{}, false
 }
 
-// failedFor looks up an announced failure matching a posted source: the
-// exact rank, or — for AnySource, which cannot rule a dead sender out —
-// the lowest announced rank, so the choice is deterministic. Called with
-// m.mu held.
-//
-//simlint:lockheld callers lock m.mu before the scan
-func (m *mailbox) failedFor(postSrc int) (int, srcFail, bool) {
+// failedForLocked looks up an announced failure matching a posted source:
+// the exact rank, or — for AnySource, which cannot rule a dead sender
+// out — the lowest announced rank, so the choice is deterministic.
+func (m *mailbox) failedForLocked(postSrc int) (int, srcFail, bool) {
 	if len(m.failedSrcs) == 0 {
 		return 0, srcFail{}, false
 	}
@@ -266,6 +267,82 @@ func (m *mailbox) failedFor(postSrc int) (int, srcFail, bool) {
 		}
 	}
 	return best, m.failedSrcs[best], true
+}
+
+// recordOwnQuit is the owner abandoning attempt q: inbound traffic of the
+// attempt is refused from now on, and the envelopes of it already queued
+// are taken out for the caller to fail.
+func (m *mailbox) recordOwnQuit(q attemptQuit) []*envelope {
+	m.mu.Lock()
+	m.ownQuits = append(m.ownQuits, q)
+	failed := takeOut(&m.unexpected, func(env *envelope) bool { return quitCovers(q, env.tag) })
+	m.mu.Unlock()
+	return failed
+}
+
+// recordQuit is peer q.src abandoning attempt q: receives posted from now
+// on observe the record, and the posted receives it covers are taken out
+// for the caller to wake.
+func (m *mailbox) recordQuit(q attemptQuit) []*recvPost {
+	m.mu.Lock()
+	m.quits = append(m.quits, q)
+	woken := takeOut(&m.posted, func(p *recvPost) bool { return p.src == q.src && quitCovers(q, p.tag) })
+	m.mu.Unlock()
+	return woken
+}
+
+// markDead is the owner failing at onset: senders get err instead of
+// queuing, the owner's own posted receives never resume, and the queued
+// envelopes are taken out for the caller to fail.
+func (m *mailbox) markDead(onset simtime.Time, err error) []*envelope {
+	m.mu.Lock()
+	m.dead = true
+	m.deadAt = onset
+	m.failErr = err
+	pending := m.unexpected
+	m.unexpected = nil
+	m.posted = nil
+	m.mu.Unlock()
+	return pending
+}
+
+// markPeerFailed records rank id failing at onset, so receives posted
+// from now on observe it, and takes out the posted receives matching id
+// (AnySource included) for the caller to wake.
+func (m *mailbox) markPeerFailed(id int, onset simtime.Time, err error) []*recvPost {
+	m.mu.Lock()
+	if m.failedSrcs == nil {
+		m.failedSrcs = make(map[int]srcFail)
+	}
+	m.failedSrcs[id] = srcFail{onset: onset, err: err}
+	woken := takeOut(&m.posted, func(p *recvPost) bool { return srcMatches(p.src, id) })
+	m.mu.Unlock()
+	return woken
+}
+
+// queues returns the two match queues as they stand, for tests that check
+// what their vacated tails still reference.
+func (m *mailbox) queues() ([]*recvPost, []*envelope) {
+	m.mu.Lock()
+	posted, unexpected := m.posted, m.unexpected
+	m.mu.Unlock()
+	return posted, unexpected
+}
+
+// takeOut removes from *queue the entries pick selects and returns them, in
+// queue order. slices.DeleteFunc clears the vacated tail, so a woken receive
+// or a failed envelope — payload, decoded companion and all — does not stay
+// reachable from the queue it left.
+func takeOut[T any](queue *[]*T, pick func(*T) bool) []*T {
+	var taken []*T
+	*queue = slices.DeleteFunc(*queue, func(x *T) bool {
+		if pick(x) {
+			taken = append(taken, x)
+			return true
+		}
+		return false
+	})
+	return taken
 }
 
 // Request is a handle for a nonblocking operation, completed by Wait.

@@ -279,9 +279,7 @@ func TestQueuesReleaseRemovedMessages(t *testing.T) {
 	}
 	for id := 0; id < w.Size(); id++ {
 		r := w.Rank(id)
-		r.box.mu.Lock()
-		posted, unexpected := r.box.posted, r.box.unexpected
-		r.box.mu.Unlock()
+		posted, unexpected := r.box.queues()
 		if len(posted)+len(unexpected)+len(r.rawStaged)+len(r.inflight) != 0 {
 			t.Fatalf("rank %d: queues not drained: %d posted, %d unexpected, %d raw, %d inflight",
 				id, len(posted), len(unexpected), len(r.rawStaged), len(r.inflight))

@@ -1,8 +1,8 @@
 // Package analysis is a minimal, dependency-free workalike of
 // golang.org/x/tools/go/analysis: just enough surface for the simlint
-// suite to express per-package analyzers and for the drivers (the
-// standalone multichecker, the `go vet -vettool` unit checker, and the
-// linttest golden runner) to execute them.
+// suite to express per-package analyzers and for simlint.Run (the one
+// driver, behind cmd/simlint and TestTreeIsSimlintClean) and the linttest
+// golden runner to execute them.
 //
 // The repository vendors no third-party modules, so the real x/tools
 // framework is out of reach; this clone keeps the same shape (Analyzer,
@@ -18,9 +18,9 @@ import (
 )
 
 // Analyzer describes one simlint check. Like the x/tools original it
-// may depend on other analyzers' results (Requires) and exchange
-// serialized facts across package boundaries (FactTypes); drivers are
-// expected to run analyzers through RunUnit, which resolves both.
+// may depend on other analyzers' results (Requires) and exchange facts
+// across package boundaries (FactTypes); drivers are expected to run
+// analyzers through RunUnit, which resolves both.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and flags. It must be
 	// a valid Go identifier.
@@ -29,6 +29,11 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by `simlint help`.
 	Doc string
 
+	// Directives lists the //simlint:<name> directives the analyzer
+	// reads. simlint.Run reports any directive no registered analyzer
+	// declares, so a misspelled or retired one cannot pass silently.
+	Directives []string
+
 	// Requires lists analyzers whose Run must complete on the same
 	// package first; their results appear in Pass.ResultOf. The graph
 	// must be acyclic.
@@ -36,7 +41,7 @@ type Analyzer struct {
 
 	// FactTypes declares the fact types this analyzer exports or
 	// imports. Each entry is a prototype pointer value (e.g.
-	// (*releasesFact)(nil)); an analyzer with no FactTypes neither
+	// (*chargesFact)(nil)); an analyzer with no FactTypes neither
 	// sees nor produces facts.
 	FactTypes []Fact
 

@@ -51,7 +51,7 @@ func indexDirectives(fset *token.FileSet, file *ast.File) *Directives {
 	}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			for _, name := range directiveNames(c.Text) {
+			for _, name := range DirectiveNames(c.Text) {
 				set := d.lines[name]
 				if set == nil {
 					set = make(map[int]bool)
@@ -74,7 +74,7 @@ func indexDirectives(fset *token.FileSet, file *ast.File) *Directives {
 			continue
 		}
 		for _, c := range fd.Doc.List {
-			for _, name := range directiveNames(c.Text) {
+			for _, name := range DirectiveNames(c.Text) {
 				d.funcs[name] = append(d.funcs[name], fd)
 			}
 		}
@@ -82,13 +82,14 @@ func indexDirectives(fset *token.FileSet, file *ast.File) *Directives {
 	return d
 }
 
-// directiveNames extracts every directive name from one comment's text:
+// DirectiveNames extracts every directive name from one comment's text:
 // "wallclock" from "//simlint:wallclock reason…", both names from
 // "//simlint:orderok …; simlint:arenaok …", and block-comment forms
 // like "/*simlint:wallclock reason*/". Non-directive comments yield nil.
-// A directive token must start the comment or follow whitespace, so
-// prose mentioning "simlint:" mid-word is not a directive.
-func directiveNames(text string) []string {
+// A directive token must start the comment or follow whitespace, and its
+// name must be an identifier, so prose mentioning "simlint:" mid-word or
+// quoting a placeholder such as `simlint:<name>` is not a directive.
+func DirectiveNames(text string) []string {
 	// Strip the comment markers so both forms scan identically.
 	switch {
 	case strings.HasPrefix(text, "//"):
@@ -113,7 +114,7 @@ func directiveNames(text string) []string {
 		if k := strings.IndexFunc(rest, func(r rune) bool { return r == ' ' || r == '\t' || r == '\n' }); k >= 0 {
 			rest = rest[:k]
 		}
-		if rest != "" {
+		if rest != "" && strings.Trim(rest, "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_") == "" {
 			names = append(names, rest)
 		}
 		i = j + len(marker)

@@ -1,24 +1,16 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
-// A Fact is a serializable observation one analyzer pass records about a
+// A Fact is an observation one analyzer pass records about a
 // package-level object (or a whole package) for later passes of the same
 // analyzer over importing packages — the mechanism that makes the suite
 // interprocedural across package boundaries. Implementations must be
-// pointers to JSON-marshalable structs and must be declared in the
-// analyzer's FactTypes.
-//
-// Facts flow through whichever channel the driver uses: in-memory for the
-// standalone multichecker and the linttest golden runner, and serialized
-// into the build cache's .vetx files on the `go vet -vettool` path
-// (internal/simlint/unitcheck), exactly like x/tools' unitchecker.
+// pointers to structs and must be declared in the analyzer's FactTypes.
 type Fact interface {
 	// AFact is a marker method; it has no behavior.
 	AFact()
@@ -48,33 +40,27 @@ func ObjectKey(obj types.Object) string {
 
 // factKey identifies one fact slot: the owning analyzer's name, the
 // package, the object within it ("" for package facts), and the fact's
-// registered type.
+// pointer type.
 type factKey struct {
 	analyzer string
 	pkg      string
 	object   string
-	typ      string
+	typ      reflect.Type
 }
 
-// FactStore holds the serialized facts of one analysis run. It is shared
-// across every package the driver processes, so facts exported while
-// analyzing a dependency are visible while analyzing its importers
-// (packages must therefore be processed in dependency order). Facts are
-// kept JSON-encoded internally: every driver — including the purely
-// in-process ones — exercises the same round-trip the unitchecker's
-// .vetx files do.
+// FactStore holds the facts of one analysis run as plain Go values. It is
+// shared across every package the driver processes, so facts exported
+// while analyzing a dependency are visible while analyzing its importers
+// (packages must therefore be processed in dependency order).
 type FactStore struct {
-	types map[string]reflect.Type // registered fact type name -> struct type
-	facts map[factKey]json.RawMessage
+	types map[reflect.Type]bool // registered fact pointer types
+	facts map[factKey]Fact
 }
 
 // NewFactStore returns an empty store with the fact types of the given
 // analyzers (Requires closure included) registered.
 func NewFactStore(analyzers []*Analyzer) *FactStore {
-	s := &FactStore{
-		types: make(map[string]reflect.Type),
-		facts: make(map[factKey]json.RawMessage),
-	}
+	s := &FactStore{types: make(map[reflect.Type]bool), facts: make(map[factKey]Fact)}
 	seen := make(map[*Analyzer]bool)
 	var walk func(a *Analyzer)
 	walk = func(a *Analyzer) {
@@ -87,7 +73,7 @@ func NewFactStore(analyzers []*Analyzer) *FactStore {
 			if t == nil || t.Kind() != reflect.Pointer {
 				panic(fmt.Sprintf("analysis: fact type %T of %s is not a pointer", f, a.Name))
 			}
-			s.types[factTypeName(t)] = t.Elem()
+			s.types[t] = true
 		}
 		for _, dep := range a.Requires {
 			walk(dep)
@@ -99,113 +85,23 @@ func NewFactStore(analyzers []*Analyzer) *FactStore {
 	return s
 }
 
-// factTypeName names a registered fact type: the pointee's import path
-// and type name, stable across builds of the same tool.
-func factTypeName(t reflect.Type) string {
-	e := t.Elem()
-	return e.PkgPath() + "." + e.Name()
-}
-
 func (s *FactStore) export(a *Analyzer, pkg, object string, fact Fact) {
 	if object == "" && pkg == "" {
 		return
 	}
 	t := reflect.TypeOf(fact)
-	name := factTypeName(t)
-	if _, ok := s.types[name]; !ok {
+	if !s.types[t] {
 		panic(fmt.Sprintf("analysis: analyzer %s exports unregistered fact type %T (add it to FactTypes)", a.Name, fact))
 	}
-	data, err := json.Marshal(fact)
-	if err != nil {
-		panic(fmt.Sprintf("analysis: marshaling fact %T: %v", fact, err))
-	}
-	s.facts[factKey{a.Name, pkg, object, name}] = data
+	s.facts[factKey{a.Name, pkg, object, t}] = fact
 }
 
+// lookup copies the stored fact of fact's type into fact, reporting
+// whether one existed.
 func (s *FactStore) lookup(a *Analyzer, pkg, object string, fact Fact) bool {
-	data, ok := s.facts[factKey{a.Name, pkg, object, factTypeName(reflect.TypeOf(fact))}]
-	if !ok {
-		return false
+	stored, ok := s.facts[factKey{a.Name, pkg, object, reflect.TypeOf(fact)}]
+	if ok {
+		reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	}
-	if err := json.Unmarshal(data, fact); err != nil {
-		panic(fmt.Sprintf("analysis: unmarshaling fact %T: %v", fact, err))
-	}
-	return true
+	return ok
 }
-
-// serialFact is the wire form of one fact in an encoded store.
-type serialFact struct {
-	Analyzer string          `json:"analyzer"`
-	Pkg      string          `json:"pkg"`
-	Object   string          `json:"object,omitempty"`
-	Type     string          `json:"type"`
-	Data     json.RawMessage `json:"data"`
-}
-
-// serialStore is the wire form of a whole store (one .vetx payload).
-type serialStore struct {
-	Version int          `json:"version"`
-	Facts   []serialFact `json:"facts"`
-}
-
-// factsVersion stamps the .vetx payload format.
-const factsVersion = 1
-
-// Encode serializes every fact in the store, deterministically ordered,
-// for a .vetx file. An empty store encodes to a valid empty payload.
-//
-//simlint:wireok build-cache payload, not a wire codec; the paired reader is the Decode method
-func (s *FactStore) Encode() []byte {
-	facts := make([]serialFact, 0, len(s.facts))
-	for k, data := range s.facts {
-		facts = append(facts, serialFact{
-			Analyzer: k.analyzer, Pkg: k.pkg, Object: k.object, Type: k.typ, Data: data,
-		})
-	}
-	sort.Slice(facts, func(i, j int) bool {
-		a, b := facts[i], facts[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Type < b.Type
-	})
-	out := serialStore{Version: factsVersion, Facts: facts}
-	data, err := json.Marshal(out)
-	if err != nil {
-		panic(fmt.Sprintf("analysis: encoding fact store: %v", err))
-	}
-	return data
-}
-
-// Decode merges a payload produced by Encode into the store. Facts whose
-// type is not registered are skipped (a different analyzer subset may
-// have produced the payload); an empty payload decodes to no facts, so
-// the empty .vetx files of pre-facts tool versions remain readable.
-func (s *FactStore) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var in serialStore
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("analysis: decoding fact store: %v", err)
-	}
-	if in.Version != factsVersion {
-		return fmt.Errorf("analysis: fact store version %d (want %d)", in.Version, factsVersion)
-	}
-	for _, f := range in.Facts {
-		if _, ok := s.types[f.Type]; !ok {
-			continue
-		}
-		s.facts[factKey{f.Analyzer, f.Pkg, f.Object, f.Type}] = f.Data
-	}
-	return nil
-}
-
-// Len reports the number of facts in the store.
-func (s *FactStore) Len() int { return len(s.facts) }

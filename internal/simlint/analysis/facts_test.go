@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bytes"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -27,96 +26,38 @@ func factAnalyzer(name string, facts ...Fact) *Analyzer {
 	}
 }
 
-// TestFactStoreRoundTrip pins the .vetx payload contract: object and
-// package facts survive Encode/Decode with their payloads intact, and
-// the encoding is deterministic regardless of export order.
+// TestFactStoreRoundTrip pins the in-memory store: object, package and
+// method facts come back with their payloads, lookups copy (a caller
+// editing its copy leaves the store alone), and facts never cross
+// analyzer, package or object boundaries.
 func TestFactStoreRoundTrip(t *testing.T) {
 	a := factAnalyzer("alpha", (*noteFact)(nil))
 	b := factAnalyzer("beta", (*countFact)(nil))
-	analyzers := []*Analyzer{a, b}
-
-	store := NewFactStore(analyzers)
+	store := NewFactStore([]*Analyzer{a, b})
 	store.export(a, "pkg/x", "Fn", &noteFact{Note: "object fact"})
 	store.export(a, "pkg/x", "", &noteFact{Note: "package fact"})
 	store.export(b, "pkg/y", "T.M", &countFact{N: 7})
-	enc := store.Encode()
 
-	// Same facts exported in the reverse order must encode identically.
-	again := NewFactStore(analyzers)
-	again.export(b, "pkg/y", "T.M", &countFact{N: 7})
-	again.export(a, "pkg/x", "", &noteFact{Note: "package fact"})
-	again.export(a, "pkg/x", "Fn", &noteFact{Note: "object fact"})
-	if !bytes.Equal(enc, again.Encode()) {
-		t.Errorf("encoding depends on export order:\n%s\n%s", enc, again.Encode())
-	}
-
-	fresh := NewFactStore(analyzers)
-	if err := fresh.Decode(enc); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Len() != 3 {
-		t.Fatalf("decoded %d facts, want 3", fresh.Len())
-	}
 	nf := new(noteFact)
-	if !fresh.lookup(a, "pkg/x", "Fn", nf) || nf.Note != "object fact" {
+	if !store.lookup(a, "pkg/x", "Fn", nf) || nf.Note != "object fact" {
 		t.Errorf("object fact: got %+v", nf)
 	}
-	if !fresh.lookup(a, "pkg/x", "", nf) || nf.Note != "package fact" {
+	nf.Note = "edited copy"
+	if !store.lookup(a, "pkg/x", "Fn", nf) || nf.Note != "object fact" {
+		t.Errorf("lookup handed out the stored fact, not a copy: %+v", nf)
+	}
+	if !store.lookup(a, "pkg/x", "", nf) || nf.Note != "package fact" {
 		t.Errorf("package fact: got %+v", nf)
 	}
 	cf := new(countFact)
-	if !fresh.lookup(b, "pkg/y", "T.M", cf) || cf.N != 7 {
+	if !store.lookup(b, "pkg/y", "T.M", cf) || cf.N != 7 {
 		t.Errorf("method fact: got %+v", cf)
 	}
-	if fresh.lookup(a, "pkg/x", "Missing", nf) {
+	if store.lookup(a, "pkg/x", "Missing", nf) {
 		t.Error("lookup of an absent fact reported true")
 	}
-	if fresh.lookup(b, "pkg/x", "Fn", cf) {
+	if store.lookup(b, "pkg/x", "Fn", cf) {
 		t.Error("lookup crossed analyzer boundaries")
-	}
-}
-
-// TestFactStoreDecodeSkipsUnknownTypes: a payload produced by a larger
-// analyzer set decodes cleanly into a store that only registers a
-// subset — the unknown facts are skipped, not an error.
-func TestFactStoreDecodeSkipsUnknownTypes(t *testing.T) {
-	a := factAnalyzer("alpha", (*noteFact)(nil))
-	b := factAnalyzer("beta", (*countFact)(nil))
-	full := NewFactStore([]*Analyzer{a, b})
-	full.export(a, "p", "F", &noteFact{Note: "kept"})
-	full.export(b, "p", "G", &countFact{N: 1})
-
-	subset := NewFactStore([]*Analyzer{a})
-	if err := subset.Decode(full.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if subset.Len() != 1 {
-		t.Fatalf("subset decoded %d facts, want 1", subset.Len())
-	}
-	nf := new(noteFact)
-	if !subset.lookup(a, "p", "F", nf) || nf.Note != "kept" {
-		t.Errorf("registered fact lost in subset decode: %+v", nf)
-	}
-}
-
-// TestFactStoreDecodeEdgeCases: empty payloads (pre-facts .vetx files)
-// decode to nothing, and a future payload version is rejected loudly.
-func TestFactStoreDecodeEdgeCases(t *testing.T) {
-	s := NewFactStore(nil)
-	if err := s.Decode(nil); err != nil {
-		t.Errorf("empty payload: %v", err)
-	}
-	if err := s.Decode([]byte{}); err != nil {
-		t.Errorf("zero-length payload: %v", err)
-	}
-	if s.Len() != 0 {
-		t.Errorf("empty payloads produced %d facts", s.Len())
-	}
-	if err := s.Decode([]byte(`{"version":99,"facts":[]}`)); err == nil {
-		t.Error("future version accepted silently")
-	}
-	if err := s.Decode([]byte(`not json`)); err == nil {
-		t.Error("malformed payload accepted silently")
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 )
 
 // Unit is one type-checked package handed to RunUnit — the common
-// currency of the three drivers (the standalone multichecker, the
-// `go vet -vettool` unitchecker, and the linttest golden runner).
+// currency of simlint.Run and the linttest golden runner.
 type Unit struct {
 	Fset  *token.FileSet
 	Files []*ast.File

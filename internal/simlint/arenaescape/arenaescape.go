@@ -39,9 +39,10 @@ const scratchMethod = "Bytes"
 
 // Analyzer is the arenaescape pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "arenaescape",
-	Doc:  "flag codecpool scratch slices that escape their RunPart (fields, returns, channels, goroutines)",
-	Run:  run,
+	Name:       "arenaescape",
+	Doc:        "flag codecpool scratch slices that escape their RunPart (fields, returns, channels, goroutines)",
+	Directives: []string{Directive},
+	Run:        run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

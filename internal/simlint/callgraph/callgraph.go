@@ -2,8 +2,8 @@
 // suite: every function or method declared in the package, with the
 // statically resolvable calls its body (closures included) makes. It is
 // not itself a check — it reports nothing — but the interprocedural
-// analyzers (creditbalance, lockorder, phasecharge) declare it in their
-// Requires and read the graph from Pass.ResultOf.
+// analyzer phasecharge declares it in its Requires and reads the graph
+// from Pass.ResultOf.
 //
 // Edges to functions declared in the same package point at nodes of the
 // graph; edges to imported functions carry only the callee object, which

@@ -44,9 +44,10 @@ const Directive = "orderok"
 
 // Analyzer is the detrange pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "detrange",
-	Doc:  "flag range-over-map loops with order-dependent effects (wire bytes, charges, stats)",
-	Run:  run,
+	Name:       "detrange",
+	Doc:        "flag range-over-map loops with order-dependent effects (wire bytes, charges, stats)",
+	Directives: []string{Directive},
+	Run:        run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -34,9 +34,10 @@ var Analyzer = &analysis.Analyzer{
 	Name: "phasecharge",
 	Doc: "check that host work on payload bytes (copy into gpusim.Buffer.Data, core.Checksum) reaches a Phase charge; " +
 		"suppress with //simlint:nocharge",
-	Requires:  []*analysis.Analyzer{callgraph.Analyzer},
-	FactTypes: []analysis.Fact{(*chargesFact)(nil)},
-	Run:       run,
+	Directives: []string{directive},
+	Requires:   []*analysis.Analyzer{callgraph.Analyzer},
+	FactTypes:  []analysis.Fact{(*chargesFact)(nil)},
+	Run:        run,
 }
 
 // chargesFact marks an exported function that (transitively) charges a

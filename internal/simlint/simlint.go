@@ -1,29 +1,27 @@
 // Package simlint bundles the repository's custom static analyzers:
 // compile-time enforcement of the simulator's determinism, virtual-
-// clock, and arena-aliasing invariants. See DESIGN.md §10 for the
-// contract each analyzer guards.
+// clock, arena-aliasing and phase-charging invariants. See DESIGN.md §10
+// for the contract each analyzer guards.
 //
-// The suite runs three ways: standalone via cmd/simlint, under
-// `go vet -vettool=$(which simlint) ./...`, and in-process from tests
-// (TestTreeIsSimlintClean keeps the tree at zero diagnostics).
+// Run is the one driver: cmd/simlint calls it on the command line, and
+// TestTreeIsSimlintClean calls it in-process to keep the tree at zero
+// diagnostics.
 package simlint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"sort"
 
 	"mpicomp/internal/simlint/analysis"
 	"mpicomp/internal/simlint/arenaescape"
-	"mpicomp/internal/simlint/creditbalance"
 	"mpicomp/internal/simlint/detrange"
 	"mpicomp/internal/simlint/errwrap"
 	"mpicomp/internal/simlint/loader"
-	"mpicomp/internal/simlint/lockorder"
 	"mpicomp/internal/simlint/phasecharge"
 	"mpicomp/internal/simlint/seedrand"
 	"mpicomp/internal/simlint/vclockpurity"
-	"mpicomp/internal/simlint/wireparity"
 )
 
 // Analyzers returns the full simlint suite in reporting order.
@@ -34,9 +32,6 @@ func Analyzers() []*analysis.Analyzer {
 		seedrand.Analyzer,
 		arenaescape.Analyzer,
 		errwrap.Analyzer,
-		creditbalance.Analyzer,
-		lockorder.Analyzer,
-		wireparity.Analyzer,
 		phasecharge.Analyzer,
 	}
 }
@@ -77,8 +72,10 @@ func (d Diagnostic) String() string {
 // analyzers, returning findings sorted by position. Packages are
 // processed in dependency order with one shared fact store, so facts an
 // analyzer exports over a dependency are visible while its importers
-// are analyzed. Type-check errors in the tree are returned as an error:
-// analyzers need sound type information to be trusted.
+// are analyzed. Every //simlint:<name> directive that no analyzer of the
+// suite declares is a finding too. Type-check errors in the tree are
+// returned as an error: analyzers need sound type information to be
+// trusted.
 func Run(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]Diagnostic, error) {
 	pkgs, err := loader.Load(dir, patterns...)
 	if err != nil {
@@ -91,6 +88,7 @@ func Run(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]Diag
 			return nil, fmt.Errorf("type errors in %s (simlint needs a compiling tree): %v",
 				pkg.ImportPath, pkg.TypeErrors[0])
 		}
+		diags = append(diags, unownedDirectives(pkg.Fset, pkg.Files)...)
 		unit := analysis.Unit{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
 		err := analysis.RunUnit(unit, analyzers, store, func(a *analysis.Analyzer, d analysis.Diagnostic) {
 			diags = append(diags, Diagnostic{
@@ -114,6 +112,32 @@ func Run(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]Diag
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
 	return diags, nil
+}
+
+// unownedDirectives reports the directives in files that no analyzer of
+// the suite declares — a typo, or one left behind by a retired analyzer —
+// which would otherwise suppress nothing and pass silently.
+func unownedDirectives(fset *token.FileSet, files []*ast.File) []Diagnostic {
+	owned := map[string]bool{}
+	for _, a := range Analyzers() {
+		for _, name := range a.Directives {
+			owned[name] = true
+		}
+	}
+	var out []Diagnostic
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, name := range analysis.DirectiveNames(c.Text) {
+					if !owned[name] {
+						out = append(out, Diagnostic{Position: fset.Position(c.Pos()), Analyzer: "simlint",
+							Message: fmt.Sprintf("unknown directive simlint:%s: no analyzer declares it", name)})
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // depOrder returns the target packages with every dependency before its

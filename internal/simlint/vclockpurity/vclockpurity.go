@@ -40,9 +40,10 @@ var wallFuncs = map[string]bool{
 
 // Analyzer is the vclockpurity pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "vclockpurity",
-	Doc:  "forbid wall-clock reads (time.Now etc.) outside //simlint:wallclock functions",
-	Run:  run,
+	Name:       "vclockpurity",
+	Doc:        "forbid wall-clock reads (time.Now etc.) outside //simlint:wallclock functions",
+	Directives: []string{Directive},
+	Run:        run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
