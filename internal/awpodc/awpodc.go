@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"mpicomp/internal/core"
 	"mpicomp/internal/dtype"
@@ -155,8 +156,8 @@ func newSubdomain(cfg Config, rx, ry, px, py int) *subdomain {
 		coef: float32(courantNumber * courantNumber),
 	}
 	n := s.sx * s.sy * s.nz
-	s.u = make([]float32, n)
-	s.uprev = make([]float32, n)
+	s.u = take[float32](&fields, n)
+	s.uprev = take[float32](&fields, n)
 	// Single moment source: a smooth Gaussian pulse at the global mesh
 	// center, initialized by the rank owning it.
 	if rx == px/2 && ry == py/2 {
@@ -187,6 +188,24 @@ func newSubdomain(cfg Config, rx, ry, px, py int) *subdomain {
 // which is r2 > 103.98, and the freshly allocated field already holds that
 // zero — so most of the mesh skips math.Exp.
 const gaussianCutoff = 104
+
+// Run's wavefields and boundary mirrors outlive the call in these pools,
+// so that repeated runs reuse them: a 320x320x32 field is 13 MB and every
+// rank takes two. take hands a slice out zeroed, exactly as make would.
+var fields, mirrors sync.Pool
+
+// take returns a zeroed slice of length n, from p when p holds one large
+// enough.
+func take[T float32 | byte](p *sync.Pool, n int) []T {
+	if s, ok := p.Get().(*[]T); ok && cap(*s) >= n {
+		clear((*s)[:n])
+		return (*s)[:n]
+	}
+	return make([]T, n)
+}
+
+// give returns s to p for a later take. Nothing may use s afterwards.
+func give[T float32 | byte](p *sync.Pool, s []T) { p.Put(&s) }
 
 func minInt(a, b int) int {
 	if a < b {
@@ -498,13 +517,14 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 				recvIdx[i] = s.faceIndices(n.face, true)
 			}
 		} else {
+			mirror := func(n int) *gpusim.Buffer {
+				return (&gpusim.Buffer{Data: take[byte](&mirrors, n), Loc: gpusim.Device, Dev: dev}).Track()
+			}
 			if rx > 0 || rx < px-1 {
-				sbx = (&gpusim.Buffer{Data: make([]byte, 2*hx), Loc: gpusim.Device, Dev: dev}).Track()
-				rbx = (&gpusim.Buffer{Data: make([]byte, 2*hx), Loc: gpusim.Device, Dev: dev}).Track()
+				sbx, rbx = mirror(2*hx), mirror(2*hx)
 			}
 			if ry > 0 || ry < py-1 {
-				sby = (&gpusim.Buffer{Data: make([]byte, 2*hy), Loc: gpusim.Device, Dev: dev}).Track()
-				rby = (&gpusim.Buffer{Data: make([]byte, 2*hy), Loc: gpusim.Device, Dev: dev}).Track()
+				sby, rby = mirror(2*hy), mirror(2*hy)
 			}
 		}
 		xAxis := func(face int) bool { return face == faceWest || face == faceEast }
@@ -629,6 +649,13 @@ func Run(w *mpi.World, cfg Config) (Result, error) {
 		var sum float64
 		for _, v := range s.u {
 			sum += float64(v) * float64(v)
+		}
+		give(&fields, s.u)
+		give(&fields, s.uprev)
+		for _, b := range []*gpusim.Buffer{sbx, rbx, sby, rby} {
+			if b != nil {
+				give(&mirrors, b.Data)
+			}
 		}
 		outs[me] = rankOut{compute: compute, comm: comm, checksum: sum, staging: staging}
 		return nil

@@ -369,3 +369,41 @@ func BenchmarkStep(b *testing.B) {
 		})
 	}
 }
+
+// TestRunOnRecycledFields runs a mesh on fresh fields, then a larger mesh,
+// then the first again on what the larger one left in the pools: dirty
+// slices with spare capacity. Both physics and wire bytes must repeat.
+func TestRunOnRecycledFields(t *testing.T) {
+	for _, packed := range []bool{false, true} {
+		small, large := testCfg(), testCfg()
+		small.HaloPacked, large.HaloPacked = packed, packed
+		large.NX, large.NY = 96, 80
+		engine := testEngine(core.ModeOpt, core.AlgoMPC, 0)
+		fresh := runWorld(t, 2, 2, engine, small)
+		runWorld(t, 2, 2, engine, large)
+		again := runWorld(t, 2, 2, engine, small)
+		if again.Checksum != fresh.Checksum || again.WireBytes != fresh.WireBytes || again.Ratio != fresh.Ratio {
+			t.Errorf("packed=%v: recycled run %v/%d/%v, fresh %v/%d/%v", packed,
+				again.Checksum, again.WireBytes, again.Ratio, fresh.Checksum, fresh.WireBytes, fresh.Ratio)
+		}
+	}
+}
+
+// BenchmarkRun is one awp_halo operation: the 320x320x32 bench mesh, nine
+// fields, four steps, on Frontera Liquid 2x4 with ZFP-OPT rate 8. Its
+// B/op is mostly what the fields pool saves.
+func BenchmarkRun(b *testing.B) {
+	w, err := mpi.NewWorld(mpi.Options{Cluster: hw.FronteraLiquid(), Nodes: 2, PPN: 4,
+		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{NX: 320, NY: 320, NZ: 32, Fields: 9, Steps: 4}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w.ResetClocks()
+		if _, err := Run(w, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,7 +2,9 @@ package mpc
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"mpicomp/internal/datasets"
 )
@@ -15,12 +17,13 @@ import (
 // same 16 MiB with a reused destination, so one `go test -bench 16MB`
 // prints before and after.
 
-func benchWords(b *testing.B, name string) []uint32 {
+// benchWords returns size bytes of the dataset name as words.
+func benchWords(tb testing.TB, name string, size int) []uint32 {
 	d, ok := datasets.ByName(name)
 	if !ok {
-		b.Fatalf("no dataset %s", name)
+		tb.Fatalf("no dataset %s", name)
 	}
-	vals := d.Values(16 << 20 / 4)
+	vals := d.Values(size / 4)
 	w := make([]uint32, len(vals))
 	for i, f := range vals {
 		w[i] = math.Float32bits(f)
@@ -29,7 +32,7 @@ func benchWords(b *testing.B, name string) []uint32 {
 }
 
 func benchCompress(b *testing.B, name string, dim int) {
-	src := benchWords(b, name)
+	src := benchWords(b, name, 16<<20)
 	le := wordsToLE(src)
 	dst := make([]byte, 0, Bound(len(src)))
 	run := func(name string, compress func() ([]byte, error)) {
@@ -48,7 +51,7 @@ func benchCompress(b *testing.B, name string, dim int) {
 }
 
 func benchDecompress(b *testing.B, name string, dim int) {
-	src := benchWords(b, name)
+	src := benchWords(b, name, 16<<20)
 	comp, err := CompressWords(nil, src, dim)
 	if err != nil {
 		b.Fatal(err)
@@ -77,7 +80,7 @@ func BenchmarkDecompressSp16MB(b *testing.B)   { benchDecompress(b, "msg_sp", 5)
 
 // BenchmarkCompressedSizeSp16MB is one of TuneDim's 32 trial passes.
 func BenchmarkCompressedSizeSp16MB(b *testing.B) {
-	src := benchWords(b, "msg_sp")
+	src := benchWords(b, "msg_sp", 16<<20)
 	b.SetBytes(int64(4 * len(src)))
 	for i := 0; i < b.N; i++ {
 		if _, err := CompressedSize(src, 5); err != nil {
@@ -88,3 +91,78 @@ func BenchmarkCompressedSizeSp16MB(b *testing.B) {
 
 func BenchmarkCompressSweep16MB(b *testing.B)   { benchCompress(b, "msg_sweep3d", 1) }
 func BenchmarkDecompressSweep16MB(b *testing.B) { benchDecompress(b, "msg_sweep3d", 1) }
+
+// TestByteCoderOutrunsLoopCoder is the chunk coder's speed gate. The byte
+// coder and the loop coder run in one process, interleaved, best of three
+// runs each, so their ratio does not depend on how fast the machine is.
+// Each floor sits at about 70 % of the ratio the 64-bit network measures
+// (EXPERIMENTS.md, "Host codec throughput — MPC").
+func TestByteCoderOutrunsLoopCoder(t *testing.T) {
+	if testing.Short() || raceEnabled() {
+		t.Skip("timing gate: skipped under -short and -race")
+	}
+	for _, c := range []struct {
+		name                 string
+		dim                  int
+		compress, decompress float64 // floors on byte-coder over loop-coder speed
+	}{
+		{"msg_sppm", 1, 4.9, 5.2},
+		{"msg_sp", 5, 1.6, 1.45},
+	} {
+		src := benchWords(t, c.name, 2<<20)
+		le := wordsToLE(src)
+		comp, err := CompressWords(nil, src, c.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 0, Bound(len(src)))
+		words := make([]uint32, len(src))
+		gate := func(op string, floor float64, fast, loop func() error) {
+			ratio, err := speedRatio(fast, loop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s dim %d %s: byte coder %.2fx the loop coder (floor %.2fx)", c.name, c.dim, op, ratio, floor)
+			if ratio < floor {
+				t.Errorf("%s dim %d %s: byte coder only %.2fx the loop coder, floor %.2fx", c.name, c.dim, op, ratio, floor)
+			}
+		}
+		gate("compress", c.compress,
+			func() error { _, err := AppendCompressBytes(dst, le, c.dim); return err },
+			func() error { _, err := refCompressWords(dst, src, c.dim); return err })
+		gate("decompress", c.decompress,
+			func() error { return DecompressBytesInto(le, comp, c.dim) },
+			func() error { return refDecompressWordsInto(words, comp, c.dim) })
+	}
+}
+
+// speedRatio returns how many times faster fast runs than loop: the best
+// of three runs of four passes each, the two coders taking turns.
+func speedRatio(fast, loop func() error) (float64, error) {
+	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+	for run := 0; run < 3; run++ {
+		for i, f := range [2]func() error{fast, loop} {
+			start := time.Now()
+			for pass := 0; pass < 4; pass++ {
+				if err := f(); err != nil {
+					return 0, err
+				}
+			}
+			best[i] = min(best[i], time.Since(start))
+		}
+	}
+	return float64(best[1]) / float64(best[0]), nil
+}
+
+// raceEnabled reports whether the test binary was built with -race, which
+// slows the two coders by different factors.
+func raceEnabled() bool {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}

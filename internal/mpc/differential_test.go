@@ -316,20 +316,81 @@ func TestBitmapIsReversedOR(t *testing.T) {
 	}
 }
 
-// TestTransposeMatchesReference holds the staged network to the loop one
-// on random matrices (TestBitmapIsReversedOR covers sparse ones).
+// pairRows and unpairRows convert between the reference's 32 rows and
+// the paired form of the chunk coder: row k low, row k+16 high in word k.
+// Transposed, the same layout holds plane p in the low half of word p and
+// plane p+16 in the high half.
+func pairRows(a *[32]uint32) (w [16]uint64) {
+	for k := range w {
+		w[k] = uint64(a[k]) | uint64(a[k+16])<<32
+	}
+	return w
+}
+
+func unpairRows(w *[16]uint64) (a [32]uint32) {
+	for k, v := range w {
+		a[k], a[k+16] = uint32(v), uint32(v>>32)
+	}
+	return a
+}
+
+// transpose32 is transpose64 on the reference's form.
+func transpose32(a *[32]uint32) {
+	w := pairRows(a)
+	transpose64(&w)
+	*a = unpairRows(&w)
+}
+
+// TestTransposeMatchesReference holds the 64-bit network to the loop one
+// on random matrices (TestBitmapIsReversedOR covers sparse ones), and the
+// whole chunk coder — the full network and the 8-word half network behind
+// OR < 1<<16 — to the reference's chunk bytes through putChunk, and back
+// to the rows through getChunk.
 func TestTransposeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 2000; trial++ {
+	for trial := 0; trial < 4000; trial++ {
 		var a [32]uint32
+		limit := uint32(1<<16 - 1)
+		if trial%2 == 0 {
+			limit = ^uint32(0)
+		}
+		var or uint32
 		for i := range a {
-			a[i] = rng.Uint32() & rng.Uint32() >> uint(rng.Intn(32))
+			a[i] = rng.Uint32() & rng.Uint32() >> uint(rng.Intn(32)) & limit
+			or |= a[i]
 		}
 		got, want := a, a
 		transpose32(&got)
 		refTranspose32(&want)
 		if got != want {
-			t.Fatalf("transpose32 differs from the reference on %x", a)
+			t.Fatalf("transpose64 differs from the reference on %x", a)
+		}
+
+		var ref []byte
+		var bitmap uint32
+		for j, p := range want {
+			if p != 0 {
+				bitmap |= 1 << uint(j)
+			}
+		}
+		ref = binary.LittleEndian.AppendUint32(ref, bitmap)
+		for _, p := range want {
+			if p != 0 {
+				ref = binary.LittleEndian.AppendUint32(ref, p)
+			}
+		}
+		w := pairRows(&a)
+		out := make([]byte, 4+4*ChunkWords)
+		end := putChunk(out, 0, &w, or)
+		if !bytes.Equal(out[:end], ref) {
+			t.Fatalf("rows %x (OR %08x): putChunk wrote %x, reference %x", a, or, out[:end], ref)
+		}
+		if bitmap == 0 {
+			continue // getChunk is never handed a zero bitmap
+		}
+		var back [16]uint64
+		if next, err := getChunk(&back, ref, 0, 0); err != nil || next != len(ref) || unpairRows(&back) != a {
+			t.Fatalf("rows %x (OR %08x): getChunk gave %x, next %d, err %v", a, or, unpairRows(&back), next, err)
 		}
 	}
 }

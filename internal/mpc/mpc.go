@@ -15,7 +15,11 @@
 //  3. 32x32 bit transpose per chunk: bit plane j of the 32 residuals in a
 //     chunk becomes output word j. Smooth data concentrates entropy in the
 //     low planes, so most high-plane words become zero. (A chunk maps to
-//     one warp in the CUDA implementation.)
+//     one warp in the CUDA implementation.) The host coder holds the 32
+//     rows as 16 uint64, two rows to a word, so every stage of the
+//     block-swap network moves two rows per operation, and runs the last
+//     three stages on registers. A chunk of zero residuals skips the
+//     transpose: it decodes as its predictors, repeated.
 //  4. Zero-word elimination: each chunk emits a 32-bit occupancy bitmap
 //     followed by only the nonzero plane words.
 //
@@ -79,49 +83,90 @@ func zigzag(v uint32) uint32 { return (v << 1) ^ uint32(int32(v)>>31) }
 // unzigzag inverts zigzag.
 func unzigzag(v uint32) uint32 { return (v >> 1) ^ (-(v & 1)) }
 
-// transpose32 performs an in-place 32x32 bit-matrix transpose: the
-// Hacker's Delight block-swap network written out stage by stage, so every
-// shift is a constant and every index a loop counter plus a constant. The
-// network is MSB-first — bit j of word i lands at bit 31-i of word 31-j
-// (TestTransposeMovesBits) — and applying it twice is the identity.
-func transpose32(a *[32]uint32) {
-	for k := 0; k < 16; k++ {
-		t := (a[k] ^ a[k+16]>>16) & 0x0000ffff
-		a[k] ^= t
-		a[k+16] ^= t << 16
-	}
-	transposeHalf((*[16]uint32)(a[:16]))
-	transposeHalf((*[16]uint32)(a[16:]))
+// The transpose works on a chunk's 32 rows held as 16 uint64: row k in the
+// low half of word k, row k+16 in the high half. It is the Hacker's Delight
+// block-swap network, MSB-first — bit j of row i lands at bit 31-i of plane
+// 31-j (TestTransposeMovesBits) — so afterwards word p holds plane p in its
+// low half and plane p+16 in its high half, and applying it twice is the
+// identity. The distance-16 stage swaps between the halves of one word;
+// the distance-8 to 1 stages pair whole words, and their masks have zero
+// top bits in each half, so no bit crosses from one half to the other. The
+// stages commute (each swaps one bit of the row index with the same bit
+// of the column index), so any order gives the transpose.
+
+// Masks of the distance-8, 4, 2 and 1 stages, one copy per half.
+const (
+	mask8 = 0x00ff00ff_00ff00ff
+	mask4 = 0x0f0f0f0f_0f0f0f0f
+	mask2 = 0x33333333_33333333
+	mask1 = 0x55555555_55555555
+)
+
+// swap is one step of the network across two words: the bits of a under
+// m trade places with the bits of b under m<<s.
+func swap(a, b uint64, s uint, m uint64) (uint64, uint64) {
+	t := (a ^ b>>s) & m
+	return a ^ t, b ^ t<<s
 }
 
-// transposeHalf runs the distance-8 to distance-1 stages of the network
-// on 16 rows. The stages commute with each other and with the distance-16
-// stage of transpose32 (each swaps one bit of the row index with the same
-// bit of the column index), so any order gives the transpose.
-func transposeHalf(a *[16]uint32) {
+// fold is one step of the network inside a word: the bits under m trade
+// places with the bits under m<<s.
+func fold(w uint64, s uint, m uint64) uint64 {
+	t := (w ^ w>>s) & m
+	return w ^ t ^ t<<s
+}
+
+// transpose64 transposes the 32 rows held in w in place.
+func transpose64(w *[16]uint64) {
 	for k := 0; k < 8; k++ {
-		t := (a[k] ^ a[k+8]>>8) & 0x00ff00ff
-		a[k] ^= t
-		a[k+8] ^= t << 8
+		w[k], w[k+8] = swap(fold(w[k], 48, 0xffff), fold(w[k+8], 48, 0xffff), 8, mask8)
 	}
-	// From here on j counts the 8 row pairs and k skips the rows that are
-	// the upper half of a pair.
-	for j := 0; j < 8; j++ {
-		k := j + j&4
-		t := (a[k] ^ a[k+4]>>4) & 0x0f0f0f0f
-		a[k] ^= t
-		a[k+4] ^= t << 4
+	transpose8((*[8]uint64)(w[:8]))
+	transpose8((*[8]uint64)(w[8:]))
+}
+
+// transpose8 runs the distance-4, 2 and 1 stages on eight words,
+// straight-line on locals so that no step goes through memory.
+func transpose8(a *[8]uint64) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
+	a0, a4 = swap(a0, a4, 4, mask4)
+	a1, a5 = swap(a1, a5, 4, mask4)
+	a2, a6 = swap(a2, a6, 4, mask4)
+	a3, a7 = swap(a3, a7, 4, mask4)
+	a0, a2 = swap(a0, a2, 2, mask2)
+	a1, a3 = swap(a1, a3, 2, mask2)
+	a4, a6 = swap(a4, a6, 2, mask2)
+	a5, a7 = swap(a5, a7, 2, mask2)
+	a0, a1 = swap(a0, a1, 1, mask1)
+	a2, a3 = swap(a2, a3, 1, mask1)
+	a4, a5 = swap(a4, a5, 1, mask1)
+	a6, a7 = swap(a6, a7, 1, mask1)
+	*a = [8]uint64{a0, a1, a2, a3, a4, a5, a6, a7}
+}
+
+// When every residual fits in 16 bits, the distance-16 stage leaves rows
+// 0..15 zero (planes the bitmap does not select) and packs rows k and k+16
+// into row k+16 as r[k+16] | r[k]<<16. The chunk coder then runs the rest
+// of the network on those 16 rows alone, held as 8 words — row k+16 low,
+// row k+24 high — where the distance-8 stage is the one inside a word and
+// word q ends up holding planes q+16 and q+24. halfPack and halfUnpack
+// convert between that form and the 16-word one.
+
+// halfPack packs w, whose rows are all below 1<<16, into the 8-word form
+// and runs the distance-8 stage.
+func halfPack(x *[8]uint64, w *[16]uint64) {
+	for k := range x {
+		lo, hi := w[k], w[k+8]
+		x[k] = fold(lo>>32|lo<<16&0xffff_0000|hi&^0xffff_ffff|hi<<48, 40, 0x00ff00ff)
 	}
-	for j := 0; j < 8; j++ {
-		k := j + j&6
-		t := (a[k] ^ a[k+2]>>2) & 0x33333333
-		a[k] ^= t
-		a[k+2] ^= t << 2
-	}
-	for k := 0; k < 16; k += 2 {
-		t := (a[k] ^ a[k+1]>>1) & 0x55555555
-		a[k] ^= t
-		a[k+1] ^= t << 1
+}
+
+// halfUnpack is halfPack's inverse, distance-8 stage first.
+func halfUnpack(w *[16]uint64, x *[8]uint64) {
+	for k, v := range x {
+		v = fold(v, 40, 0x00ff00ff)
+		w[k] = v>>16&0xffff | v&0xffff<<32
+		w[k+8] = v>>48 | v&0xffff_0000_0000
 	}
 }
 
@@ -136,163 +181,210 @@ func transposeHalf(a *[16]uint32) {
 // with its predictors before they form a single residual.
 //
 // The word and the byte entry points share everything but the loader
-// (residuals*) that fills r and the store (restore*) that inverts it.
+// (residuals*) that fills the rows and the stores (restore*, fill*) that
+// invert it.
 
-// residualsWords fills r with the zig-zag residuals of the 32 words at
-// src[base:] and returns their OR. r is unspecified when that is zero.
-func residualsWords(r *[32]uint32, src []uint32, base, dim int) uint32 {
+// residualsWords fills w with the zig-zag residuals of the 32 words at
+// src[base:], paired as transpose64 wants them, and returns their OR. w is
+// unspecified when that is zero.
+func residualsWords(w *[16]uint64, src []uint32, base, dim int) uint32 {
 	if base == 0 {
 		// The stream's first chunk is predicted from the zeros before it
 		// (dim <= 32, so no later chunk reaches back that far).
 		var first [2 * ChunkWords]uint32
 		copy(first[ChunkWords:], src[:ChunkWords])
-		return residualsWords(r, first[:], ChunkWords, dim)
+		return residualsWords(w, first[:], ChunkWords, dim)
 	}
 	cur, prev := (*[32]uint32)(src[base:]), (*[32]uint32)(src[base-dim:])
 	if *cur == *prev {
 		return 0
 	}
-	var or uint32
-	for i := range r {
-		r[i] = zigzag(cur[i] - prev[i])
-		or |= r[i]
+	var or uint64
+	for k := range w {
+		w[k] = uint64(zigzag(cur[k]-prev[k])) | uint64(zigzag(cur[k+16]-prev[k+16]))<<32
+		or |= w[k]
 	}
-	return or
+	return uint32(or) | uint32(or>>32)
 }
 
 // residualsBytes is residualsWords over the words' little-endian bytes;
 // base still counts words.
-func residualsBytes(r *[32]uint32, src []byte, base, dim int) uint32 {
+func residualsBytes(w *[16]uint64, src []byte, base, dim int) uint32 {
 	if base == 0 {
 		var first [2 * 4 * ChunkWords]byte
 		copy(first[4*ChunkWords:], src[:4*ChunkWords])
-		return residualsBytes(r, first[:], ChunkWords, dim)
+		return residualsBytes(w, first[:], ChunkWords, dim)
 	}
 	cur, prev := (*[128]byte)(src[4*base:]), (*[128]byte)(src[4*(base-dim):])
 	if *cur == *prev {
 		return 0
 	}
-	var or uint32
-	for i := range r {
-		r[i] = zigzag(binary.LittleEndian.Uint32(cur[4*i:]) - binary.LittleEndian.Uint32(prev[4*i:]))
-		or |= r[i]
+	var or uint64
+	for k := range w {
+		lo := zigzag(binary.LittleEndian.Uint32(cur[4*k:]) - binary.LittleEndian.Uint32(prev[4*k:]))
+		hi := zigzag(binary.LittleEndian.Uint32(cur[4*k+64:]) - binary.LittleEndian.Uint32(prev[4*k+64:]))
+		w[k] = uint64(lo) | uint64(hi)<<32
+		or |= w[k]
 	}
-	return or
+	return uint32(or) | uint32(or>>32)
 }
 
-// putChunk writes the chunk with residuals r, whose OR is or, at
-// out[pos:] and returns the position after it. out must have room for an
-// incompressible chunk; a region sized by Bound does.
-func putChunk(out []byte, pos int, r *[32]uint32, or uint32) int {
+// putChunk writes the chunk with rows w, whose OR is or, at out[pos:] and
+// returns the position after it. out must have room for an incompressible
+// chunk; a region sized by Bound does.
+func putChunk(out []byte, pos int, w *[16]uint64, or uint32) int {
 	bitmap := bits.Reverse32(or)
 	binary.LittleEndian.PutUint32(out[pos:], bitmap)
 	pos += 4
 	if bitmap == 0 {
 		return pos
 	}
-	if or < 1<<16 {
-		// Every residual fits in 16 bits: the distance-16 stage would
-		// leave rows 0..15 zero (planes the bitmap does not select) and
-		// pack two residuals into each of rows 16..31.
-		hi := (*[16]uint32)(r[16:])
-		for k := range hi {
-			hi[k] |= r[k] << 16
-		}
-		transposeHalf(hi)
-	} else {
-		transpose32(r)
-	}
 	end := pos + 4*bits.OnesCount32(bitmap)
 	planes := out[pos:end]
+	if or < 1<<16 {
+		var x [8]uint64
+		halfPack(&x, w)
+		transpose8(&x)
+		for b := bitmap; b != 0; b &= b - 1 {
+			p := uint(bits.TrailingZeros32(b))
+			binary.LittleEndian.PutUint32(planes, uint32(x[p&7]>>(p&8<<2)))
+			planes = planes[4:]
+		}
+		return end
+	}
+	transpose64(w)
 	for b := bitmap; b != 0; b &= b - 1 {
-		binary.LittleEndian.PutUint32(planes, r[bits.TrailingZeros32(b)&31])
+		p := uint(bits.TrailingZeros32(b))
+		binary.LittleEndian.PutUint32(planes, uint32(w[p&15]>>(p&16<<1)))
 		planes = planes[4:]
 	}
 	return end
 }
 
-// getChunk reads chunk c at comp[pos:] back into its residuals and
-// returns its bitmap and the position after it. The plane bytes are
-// checked once, against the bitmap's population count. A zero bitmap
-// leaves r as it was: restore* does not read it then.
-func getChunk(r *[32]uint32, comp []byte, pos, c int) (uint32, int, error) {
+// getChunk reads chunk c, whose bitmap at comp[pos:] is nonzero, back into
+// its rows and returns the position after it. The plane bytes are checked
+// once, against the bitmap's population count.
+func getChunk(w *[16]uint64, comp []byte, pos, c int) (int, error) {
 	if pos+4 > len(comp) {
-		return 0, pos, fmt.Errorf("%w: truncated bitmap at chunk %d", ErrCorrupt, c)
+		return pos, fmt.Errorf("%w: truncated bitmap at chunk %d", ErrCorrupt, c)
 	}
 	bitmap := binary.LittleEndian.Uint32(comp[pos:])
 	pos += 4
-	if bitmap == 0 {
-		return 0, pos, nil
-	}
 	end := pos + 4*bits.OnesCount32(bitmap)
 	if end > len(comp) {
-		return 0, pos, fmt.Errorf("%w: truncated plane at chunk %d", ErrCorrupt, c)
+		return pos, fmt.Errorf("%w: truncated plane at chunk %d", ErrCorrupt, c)
 	}
 	planes := comp[pos:end]
-	*r = [32]uint32{}
-	for b := bitmap; b != 0; b &= b - 1 {
-		r[bits.TrailingZeros32(b)&31] = binary.LittleEndian.Uint32(planes)
-		planes = planes[4:]
-	}
 	if bitmap&0xffff == 0 {
 		// Planes 0..15 are absent, so every residual fits in 16 bits:
-		// the mirror of putChunk's shortcut, distance-16 stage last.
-		hi := (*[16]uint32)(r[16:])
-		transposeHalf(hi)
-		for k, w := range hi {
-			r[k], hi[k] = w>>16, w&0xffff
+		// the mirror of putChunk's half path.
+		var x [8]uint64
+		for b := bitmap; b != 0; b &= b - 1 {
+			p := uint(bits.TrailingZeros32(b))
+			x[p&7] |= uint64(binary.LittleEndian.Uint32(planes)) << (p & 8 << 2)
+			planes = planes[4:]
 		}
-	} else {
-		transpose32(r)
+		transpose8(&x)
+		halfUnpack(w, &x)
+		return end, nil
 	}
-	return bitmap, end, nil
+	*w = [16]uint64{}
+	for b := bitmap; b != 0; b &= b - 1 {
+		p := uint(bits.TrailingZeros32(b))
+		w[p&15] |= uint64(binary.LittleEndian.Uint32(planes)) << (p & 16 << 1)
+		planes = planes[4:]
+	}
+	transpose64(w)
+	return end, nil
 }
 
-// restoreWords writes the 32 words at dst[base:] from their residuals:
+// zeroRun counts the zero bitmaps at comp[pos:], up to limit of them: a
+// run of chunks that each repeat their predictors.
+func zeroRun(comp []byte, pos, limit int) int {
+	n := 0
+	for n < limit && pos+4 <= len(comp) && binary.LittleEndian.Uint32(comp[pos:]) == 0 {
+		n++
+		pos += 4
+	}
+	return n
+}
+
+// restoreWords writes the 32 words at dst[base:] from their rows:
 // un-zig-zag fused with the prefix sum over the word dim positions back.
-// zero says every residual is zero and r is not to be read, which makes
-// the chunk a copy of its predictors: the dim words before it, repeated.
-func restoreWords(dst []uint32, base, dim int, r *[32]uint32, zero bool) {
+func restoreWords(dst []uint32, base, dim int, w *[16]uint64) {
 	if base == 0 {
 		// The stream's first chunk, restored after a chunk of zeros.
 		var first [2 * ChunkWords]uint32
-		restoreWords(first[:], ChunkWords, dim, r, zero)
+		restoreWords(first[:], ChunkWords, dim, w)
 		copy(dst, first[ChunkWords:])
 		return
 	}
-	// prev overlaps cur when dim < 32, so both loops must run forward:
-	// a word may be predicted by one this chunk has just written.
+	// prev overlaps cur when dim < 32, so the words must be written in
+	// order: a word may be predicted by one this chunk has just written.
 	cur, prev := (*[32]uint32)(dst[base:]), (*[32]uint32)(dst[base-dim:])
-	if zero {
-		copy(cur[:dim], prev[:dim])
-		for n := dim; n < ChunkWords; n *= 2 {
-			copy(cur[n:], cur[:n])
-		}
-		return
+	for k, v := range w {
+		cur[k] = unzigzag(uint32(v)) + prev[k]
 	}
-	for i := range cur {
-		cur[i] = unzigzag(r[i]) + prev[i]
+	for k, v := range w {
+		cur[k+16] = unzigzag(uint32(v>>32)) + prev[k+16]
 	}
 }
 
 // restoreBytes is restoreWords onto the words' little-endian bytes.
-func restoreBytes(dst []byte, base, dim int, r *[32]uint32, zero bool) {
+func restoreBytes(dst []byte, base, dim int, w *[16]uint64) {
 	if base == 0 {
 		var first [2 * 4 * ChunkWords]byte
-		restoreBytes(first[:], ChunkWords, dim, r, zero)
+		restoreBytes(first[:], ChunkWords, dim, w)
 		copy(dst, first[4*ChunkWords:])
 		return
 	}
 	cur, prev := (*[128]byte)(dst[4*base:]), (*[128]byte)(dst[4*(base-dim):])
-	if zero {
-		copy(cur[:4*dim], prev[:4*dim])
-		for n := 4 * dim; n < 4*ChunkWords; n *= 2 {
-			copy(cur[n:], cur[:n])
-		}
+	for k, v := range w {
+		binary.LittleEndian.PutUint32(cur[4*k:], unzigzag(uint32(v))+binary.LittleEndian.Uint32(prev[4*k:]))
+	}
+	for k, v := range w {
+		binary.LittleEndian.PutUint32(cur[4*k+64:], unzigzag(uint32(v>>32))+binary.LittleEndian.Uint32(prev[4*k+64:]))
+	}
+}
+
+// fill writes run, which starts right after pattern in the same buffer, as
+// pattern repeated: a run of chunks with every residual zero. Each copy
+// doubles what is written, so a long run costs a few large copies and no
+// step reads a word written in the same step.
+func fill[T uint32 | byte](run, pattern []T) {
+	for n := copy(run, pattern); n < len(run); {
+		n += copy(run[n:], run[:n])
+	}
+}
+
+// fillWords writes the n chunks at dst[base:] as copies of their
+// predictors: the dim words before base, repeated, or zeros at the start
+// of the stream.
+func fillWords(dst []uint32, base, n, dim int) {
+	run := dst[base : base+n*ChunkWords]
+	if base == 0 {
+		clear(run)
 		return
 	}
-	for i := range r {
-		binary.LittleEndian.PutUint32(cur[4*i:], unzigzag(r[i])+binary.LittleEndian.Uint32(prev[4*i:]))
+	fill(run, dst[base-dim:base])
+}
+
+// fillBytes is fillWords onto the words' little-endian bytes. At dim 1
+// the pattern is one word, loaded once and stored two at a time.
+func fillBytes(dst []byte, base, n, dim int) {
+	run := dst[4*base : 4*(base+n*ChunkWords)]
+	switch {
+	case base == 0:
+		clear(run)
+	case dim == 1:
+		p := uint64(binary.LittleEndian.Uint32(dst[4*base-4:])) * (1<<32 | 1)
+		c := (*[128]byte)(run)
+		for i := 0; i < 128; i += 8 {
+			binary.LittleEndian.PutUint64(c[i:], p)
+		}
+		fill(run[128:], run[:128])
+	default:
+		fill(run, dst[4*(base-dim):4*base])
 	}
 }
 
@@ -311,9 +403,9 @@ func CompressWords(dst []byte, src []uint32, dim int) ([]byte, error) {
 	}
 	n := len(src)
 	out, pos := reserve(dst, Bound(n))
-	var r [32]uint32
+	var w [16]uint64
 	for base := 0; base+ChunkWords <= n; base += ChunkWords {
-		pos = putChunk(out, pos, &r, residualsWords(&r, src, base, dim))
+		pos = putChunk(out, pos, &w, residualsWords(&w, src, base, dim))
 	}
 	// Tail: stored verbatim.
 	for _, w := range src[n-n%ChunkWords:] {
@@ -346,9 +438,9 @@ func AppendCompressBytes(dst, src []byte, dim int) ([]byte, error) {
 	}
 	n := len(src) / 4
 	out, pos := reserve(dst, Bound(n))
-	var r [32]uint32
+	var w [16]uint64
 	for base := 0; base+ChunkWords <= n; base += ChunkWords {
-		pos = putChunk(out, pos, &r, residualsBytes(&r, src, base, dim))
+		pos = putChunk(out, pos, &w, residualsBytes(&w, src, base, dim))
 	}
 	pos += copy(out[pos:], src[4*(n-n%ChunkWords):])
 	return out[:pos], nil
@@ -365,15 +457,22 @@ func DecompressWordsInto(dst []uint32, comp []byte, dim int) error {
 		return err
 	}
 	full := len(dst) / ChunkWords
-	var r [32]uint32
+	var w [16]uint64
 	pos := 0
-	for c := 0; c < full; c++ {
-		bitmap, next, err := getChunk(&r, comp, pos, c)
+	for c := 0; c < full; {
+		if run := zeroRun(comp, pos, full-c); run > 0 {
+			fillWords(dst, c*ChunkWords, run, dim)
+			c += run
+			pos += 4 * run
+			continue
+		}
+		next, err := getChunk(&w, comp, pos, c)
 		if err != nil {
 			return err
 		}
+		restoreWords(dst, c*ChunkWords, dim, &w)
+		c++
 		pos = next
-		restoreWords(dst, c*ChunkWords, dim, &r, bitmap == 0)
 	}
 	tail := dst[full*ChunkWords:]
 	if err := checkTail(comp, pos, len(tail)); err != nil {
@@ -395,15 +494,22 @@ func DecompressBytesInto(dst, comp []byte, dim int) error {
 		return fmt.Errorf("%w: %d destination bytes", ErrUnaligned, len(dst))
 	}
 	full := len(dst) / 4 / ChunkWords
-	var r [32]uint32
+	var w [16]uint64
 	pos := 0
-	for c := 0; c < full; c++ {
-		bitmap, next, err := getChunk(&r, comp, pos, c)
+	for c := 0; c < full; {
+		if run := zeroRun(comp, pos, full-c); run > 0 {
+			fillBytes(dst, c*ChunkWords, run, dim)
+			c += run
+			pos += 4 * run
+			continue
+		}
+		next, err := getChunk(&w, comp, pos, c)
 		if err != nil {
 			return err
 		}
+		restoreBytes(dst, c*ChunkWords, dim, &w)
+		c++
 		pos = next
-		restoreBytes(dst, c*ChunkWords, dim, &r, bitmap == 0)
 	}
 	tail := dst[4*full*ChunkWords:]
 	if err := checkTail(comp, pos, len(tail)/4); err != nil {
@@ -477,9 +583,9 @@ func CompressedSize(src []uint32, dim int) (int, error) {
 	}
 	n := len(src)
 	size := n % ChunkWords * 4
-	var r [32]uint32
+	var w [16]uint64
 	for base := 0; base+ChunkWords <= n; base += ChunkWords {
-		size += 4 + 4*bits.OnesCount32(residualsWords(&r, src, base, dim))
+		size += 4 + 4*bits.OnesCount32(residualsWords(&w, src, base, dim))
 	}
 	return size, nil
 }
@@ -495,9 +601,9 @@ func CompressedSizeBytes(src []byte, dim int) (int, error) {
 	}
 	n := len(src) / 4
 	size := n % ChunkWords * 4
-	var r [32]uint32
+	var w [16]uint64
 	for base := 0; base+ChunkWords <= n; base += ChunkWords {
-		size += 4 + 4*bits.OnesCount32(residualsBytes(&r, src, base, dim))
+		size += 4 + 4*bits.OnesCount32(residualsBytes(&w, src, base, dim))
 	}
 	return size, nil
 }

@@ -288,38 +288,67 @@ func TestDecompressAppendsToDst(t *testing.T) {
 	}
 }
 
+// TestTransposeInvolution: the 16-word network, and the 8-word half
+// network with its pack and unpack, are each their own inverse.
 func TestTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var a, b [32]uint32
+		var a, half [16]uint64
 		for i := range a {
-			a[i] = rng.Uint32()
+			a[i] = rng.Uint64()
+			half[i] = rng.Uint64() & 0x0000ffff_0000ffff
 		}
-		b = a
-		transpose32(&b)
-		transpose32(&b)
-		return a == b
+		b := a
+		transpose64(&b)
+		transpose64(&b)
+		var x [8]uint64
+		var c [16]uint64
+		halfPack(&x, &half)
+		transpose8(&x)
+		transpose8(&x)
+		halfUnpack(&c, &x)
+		return a == b && half == c
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestTransposeMovesBits pins the orientation of both networks, one bit at
+// a time in every row and column. The Hacker's Delight network is
+// MSB-first: bit j of row i lands at bit 31-i of plane 31-j. Any fixed
+// bit permutation works for zero-word elimination; this test keeps encode
+// and decode from silently diverging, and keeps a bit from crossing
+// between the two halves of a word.
 func TestTransposeMovesBits(t *testing.T) {
-	// The Hacker's Delight network uses MSB-first orientation: bit j of
-	// word i lands at bit (31-i) of word (31-j). Any fixed bit
-	// permutation works for zero-word elimination; this test pins the
-	// orientation so encode and decode cannot silently diverge.
-	var a [32]uint32
-	a[5] = 1 << 17
-	transpose32(&a)
-	for i, w := range a {
-		want := uint32(0)
-		if i == 31-17 {
-			want = 1 << (31 - 5)
+	check := func(network string, i, j int, planes [32]uint32) {
+		t.Helper()
+		for p, v := range planes {
+			want := uint32(0)
+			if p == 31-j {
+				want = 1 << (31 - i)
+			}
+			if v != want {
+				t.Fatalf("%s network, bit %d of row %d: plane %d is %#x, want %#x", network, j, i, p, v, want)
+			}
 		}
-		if w != want {
-			t.Fatalf("word %d: got %#x want %#x", i, w, want)
+	}
+	for i := 0; i < 32; i++ {
+		for j := 0; j < 32; j++ {
+			var w [16]uint64
+			w[i&15] = 1 << j << (i & 16 << 1)
+			if j < 16 {
+				var x [8]uint64
+				halfPack(&x, &w)
+				transpose8(&x)
+				var planes [32]uint32
+				for p := 16; p < 32; p++ {
+					planes[p] = uint32(x[p&7] >> (p & 8 << 2))
+				}
+				check("half", i, j, planes)
+			}
+			transpose64(&w)
+			check("full", i, j, unpairRows(&w))
 		}
 	}
 }
