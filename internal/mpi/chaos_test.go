@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -499,6 +500,26 @@ func TestChaosCrashSoakCollectives(t *testing.T) {
 				return r.RingAllreduceSum(send, recv)
 			}},
 		{name: "alltoall", run: func(r *Rank, send, recv *gpusim.Buffer) error { return r.Alltoall(send, recv) }},
+		// omb's ragged (i+j)%3 segments of 8, 16 and 24 KiB: the smallest
+		// stay eager, the others compress before the waves, arrive as raw
+		// receives parking their staging across barriers, and decode after —
+		// an abort anywhere in between must hand every slot back.
+		{name: "alltoallv",
+			engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, Threshold: 2 << 10},
+			run: func(r *Rank, send, _ *gpusim.Buffer) error {
+				seg := func(i, j int) int { return 8 << 10 * (1 + (i+j)%3) }
+				size := r.Size()
+				sc, sd, rc, rd := make([]int, size), make([]int, size), make([]int, size), make([]int, size)
+				stot, rtot := 0, 0
+				for j := 0; j < size; j++ {
+					sd[j], rd[j] = stot, rtot
+					sc[j], rc[j] = seg(r.ID(), j), seg(j, r.ID())
+					stot += sc[j]
+					rtot += rc[j]
+				}
+				sb := &gpusim.Buffer{Data: bytes.Repeat(send.Data, stot/send.Len()+1)[:stot], Loc: gpusim.Device, Dev: r.Dev}
+				return r.Alltoallv(sb, sc, sd, emptyDevBuf(r, rtot/4), rc, rd)
+			}},
 	}
 
 	var report strings.Builder
@@ -534,6 +555,7 @@ func TestChaosCrashSoakCollectives(t *testing.T) {
 				return nil
 			})
 			assertNoRankGoroutines(t)
+			assertPoolBalance(t, w, fmt.Sprintf("seed %d %s", seed, coll.name))
 			cellFailures := 0
 			for id, err := range errs {
 				if err == nil {

@@ -133,7 +133,20 @@ func (r *Rank) barrier() error {
 // runs the codec job and publishes its output on the companion the payload
 // traveled with; the others replace that job — and nothing else — with a
 // copy (core.DecompressRelayed).
+//
+// A raw compression chunk stream (a pipelined Alltoallv segment) has no
+// whole payload: its chunks are verified and decoded here, in the arrival
+// order the receive would have drained them in.
 func (r *Rank) consumeRaw(raw rawResult, dst *gpusim.Buffer) error {
+	if raw.chunks != nil {
+		for _, i := range chunkOrder(raw.chunks) {
+			if err := r.decodeChunk(&raw.chunks[i], dst, nil); err != nil {
+				return fmt.Errorf("chunk %d: %w", i, err)
+			}
+		}
+		r.noteChunkFallback(raw.chunks)
+		return nil
+	}
 	err := r.Engine.DecompressRelayed(r.Clock, raw.hdr, raw.payload, dst, raw.decoded)
 	// Hand the staging slot back even when the decode fails — an aborting
 	// collective must not leak pool credits.
@@ -663,7 +676,17 @@ func checkAlltoallv(side string, buf *gpusim.Buffer, counts, displs []int, size 
 // 1-byte messages whose transfer time truncates to zero, so they
 // reserve no calendar time themselves. This models one active port
 // per adapter — the cost of determinism is lost overlap between
-// co-located senders, which the shared HCA would serialize anyway.
+// co-located senders on the wire, which the shared HCA would serialize
+// anyway.
+//
+// The waves serialize fabric bookings only. Codec kernels run on each
+// rank's own GPU and touch no calendar, so they stay out of them: before
+// a step's first barrier the rank prepares its outgoing segment's wire
+// form (compress-once cache, breaker decision, checksum — isend's first
+// half), inside its wave it posts that form and takes the peer's segment
+// as a raw receive, and after the step's waves it decodes the arrival
+// into its slice of recvBuf. A co-located rank's kernels therefore never
+// wait behind its neighbour's wire time.
 func (r *Rank) Alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, recvBuf *gpusim.Buffer, recvCounts, recvDispls []int) error {
 	return r.healRun(func() error {
 		return r.alltoallv(sendBuf, sendCounts, sendDispls, recvBuf, recvCounts, recvDispls)
@@ -674,8 +697,6 @@ func (r *Rank) alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 	if err := r.checkHealth(); err != nil {
 		return err
 	}
-	w := r.world
-	shr := w.healShrunk()
 	size := r.Size()
 	if err := checkAlltoallv("send", sendBuf, sendCounts, sendDispls, size); err != nil {
 		return err
@@ -695,8 +716,8 @@ func (r *Rank) alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 	if size == 1 {
 		return nil
 	}
-	pow2 := size&(size-1) == 0
-	ppn := r.world.ppn
+	w := r.world
+	shr := w.healShrunk()
 	tag := r.collTag(baseAlltoallv)
 	for step := 1; step < size; step++ {
 		dst, src := exchangePeers(r.id, step, size)
@@ -704,83 +725,92 @@ func (r *Rank) alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 		// their segments left untouched — but every live rank still runs
 		// each step's full barrier-wave schedule, so the wave discipline
 		// stays globally aligned.
-		sendOK := !(shr && w.isDoomed(dst))
-		recvOK := !(shr && w.isDoomed(src))
-		sb := sendBuf.Slice(sendDispls[dst], sendCounts[dst])
-		var rreq *Request
-		if recvOK {
-			rb := recvBuf.Slice(recvDispls[src], recvCounts[src])
-			// Post the receive before any wave: a sender whose wave comes
-			// earlier than ours must find it matched.
-			req, err := r.irecv(src, tag, rb)
-			if err != nil {
-				return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
-			}
-			rreq = req
+		var seg, into *gpusim.Buffer
+		if !(shr && w.isDoomed(dst)) {
+			seg = sendBuf.Slice(sendDispls[dst], sendCounts[dst])
 		}
-		// Our active wave: XOR pairs act in the pair's wave (both sides
-		// agree on the lower rank's local index); ring senders act in
-		// their own local index's wave.
-		wave := r.id % ppn
-		if pow2 && dst < r.id {
-			wave = dst % ppn
+		if !(shr && w.isDoomed(src)) {
+			into = recvBuf.Slice(recvDispls[src], recvCounts[src])
 		}
-		recvDone := false
-		for wv := 0; wv < ppn; wv++ {
-			if err := r.Barrier(); err != nil {
-				return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
-			}
-			if wv != wave || !sendOK {
-				continue
-			}
-			if pow2 && r.world.nodeOf(dst) == r.Node() {
-				// Intra-node pair: both directions would share the
-				// node's GPU-link calendar, so they go one at a time (a
-				// blocking send returns only once every fabric booking of
-				// the transfer has been placed).
-				if r.id < dst {
-					if err := r.send(dst, tag, sb); err != nil {
-						return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
-					}
-					if err := r.Wait(rreq); err != nil {
-						return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
-					}
-				} else {
-					if err := r.Wait(rreq); err != nil {
-						return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
-					}
-					if err := r.send(dst, tag, sb); err != nil {
-						return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
-					}
-				}
-				recvDone = true
-				continue
-			}
-			sreq, err := r.isend(dst, tag, sb, nil)
-			if err != nil {
-				return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
-			}
-			if pow2 {
-				// The peer acts in this same wave; wait the whole
-				// exchange here so every booking lands inside it.
-				if err := r.Waitall(sreq, rreq); err != nil {
-					return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
-				}
-				recvDone = true
-			} else if err := r.Wait(sreq); err != nil {
-				// Ring: our source may act in a later wave — waiting
-				// for the receive here would stall its barrier. Only
-				// the send must complete inside the wave.
-				return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
-			}
-		}
-		if !recvDone && rreq != nil {
-			if err := r.Wait(rreq); err != nil {
-				return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
-			}
+		if err := r.alltoallvStep(tag, dst, src, seg, into); err != nil {
+			return fmt.Errorf("mpi: alltoallv step %d: %w", step, err)
 		}
 	}
 	return nil
+}
+
+// alltoallvStep runs one exchange step — seg out to dst, src's segment
+// into `into`, either skipped when nil — as prepare, the step's waves with
+// only fabric bookings in this rank's own wave, then the decode of the
+// arrival.
+func (r *Rank) alltoallvStep(tag, dst, src int, seg, into *gpusim.Buffer) error {
+	w := r.world
+	pow2 := w.size&(w.size-1) == 0
+	var rreq *Request
+	if into != nil {
+		// Post the raw receive before any wave: a sender whose wave comes
+		// earlier than ours must find it matched, so the match — and every
+		// booking it makes — completes inside the sender's wave.
+		req, err := r.irecv(src, tag, nil)
+		if err != nil {
+			return err
+		}
+		rreq = req
+	}
+	var out *envelope
+	if seg != nil {
+		env, err := r.prepare(dst, seg, nil)
+		if err != nil {
+			return err
+		}
+		out = env
+	}
+	// Our active wave: XOR pairs act in the pair's wave (both sides agree
+	// on the lower rank's local index); ring senders act in their own
+	// local index's wave.
+	wave := r.id % w.ppn
+	if pow2 && dst < r.id {
+		wave = dst % w.ppn
+	}
+	for wv := 0; wv < w.ppn; wv++ {
+		if err := r.Barrier(); err != nil {
+			return err
+		}
+		if wv != wave || out == nil {
+			continue
+		}
+		// The health check isend would have made at this instant.
+		if err := r.checkHealth(); err != nil {
+			return err
+		}
+		if pow2 && r.id > dst && w.nodeOf(dst) == r.Node() {
+			// Intra-node pair: both directions would share the node's
+			// GPU-link calendar, so they go one at a time, the lower rank
+			// first (a send's Wait returns only once every fabric booking
+			// of the transfer has been placed).
+			if err := r.Wait(rreq); err != nil {
+				return err
+			}
+		}
+		reqs := []*Request{r.post(out, tag, r.Clock.Now())}
+		if pow2 {
+			// The peer acts in this same wave; wait the whole exchange
+			// here so every booking lands inside it. (Ring: our source may
+			// act in a later wave — waiting for the receive here would
+			// stall its barrier, so only the send completes inside it.)
+			reqs = append(reqs, rreq)
+		}
+		if err := r.Waitall(reqs...); err != nil {
+			return err
+		}
+	}
+	if rreq == nil {
+		return nil
+	}
+	if err := r.Wait(rreq); err != nil {
+		return err
+	}
+	return r.consumeRaw(rreq.raw, into)
 }
 
 // sumFloat32 adds src into dst element-wise (float32), charging the GPU a

@@ -411,20 +411,41 @@ func (r *Rank) Isend(dst, tag int, buf *gpusim.Buffer) (*Request, error) {
 // validation, shared with the collectives' internal tag namespace. It
 // sends the words t selects from buf, or all of buf when t is nil; the
 // protocol tiers are the same either way and see only the packed size.
+// It is prepare and post back to back; a collective that must keep codec
+// work out of a window where only fabric bookings may run (Alltoallv's
+// waves) calls the two halves apart and holds the wire form in between.
 func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, error) {
+	start := r.Clock.Now()
+	env, err := r.prepare(dst, buf, t)
+	if err != nil {
+		return nil, err
+	}
+	if !env.pipelined {
+		// A chunk stream's RTS left at start — the receiver can match,
+		// stage, and return the CTS while the sender is still compressing
+		// chunks; a whole message's carries the header, so it leaves now.
+		start = r.Clock.Now()
+	}
+	return r.post(env, tag, start), nil
+}
+
+// prepare produces the wire form of a send to dst on the caller's clock and
+// returns it as an envelope the fabric has not seen: the eager copy and its
+// checksum, a chunk stream compressed chunk by chunk, or a whole-message
+// payload. Everything that costs codec or checksum time happens here;
+// post does the rest.
+func (r *Rank) prepare(dst int, buf *gpusim.Buffer, t dtype.Type) (*envelope, error) {
 	if err := r.checkPeer(dst); err != nil {
 		return nil, err
 	}
 	if err := r.checkHealth(); err != nil {
 		return nil, err
 	}
-	w := r.world
-	dstRank := w.ranks[dst]
-	seq := r.nextSeq(dst)
 	total := buf.Len()
 	if t != nil {
 		total = t.Size()
 	}
+	env := &envelope{src: r.id, dst: dst}
 
 	if total < eagerLimit {
 		// Eager protocol: one message carrying payload and checksum. A
@@ -440,26 +461,17 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, 
 				return nil, fmt.Errorf("mpi: typed send to rank %d: %w", dst, err)
 			}
 		}
-		hdr := core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total,
+		env.eager, env.payload = true, payload
+		env.hdr = core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total,
 			Checksum: r.Engine.ChecksumWire(r.Clock, payload)}
-		out, err := w.transmit(w.messageEvent(faults.KindEager, r.id, dst, seq), r.Clock.Now(), payload, hdr)
-		env := &envelope{
-			src: r.id, dst: dst, tag: tag, eager: true, seq: seq,
-			payload: out.wire, hdr: hdr, arrival: out.arrival, deliveryErr: err,
-		}
-		// The sender's CPU returns as soon as the message is injected;
-		// a delivery failure surfaces from Wait, as MPI semantics demand.
-		r.Clock.Advance(simtime.FromMicroseconds(0.5))
-		dstRank.box.deliver(env)
-		return &Request{rank: r, isSend: true, done: true, err: err}, nil
+		return env, nil
 	}
 
 	if r.pipelineEligible(dst, total) {
-		// The RTS goes out first — the receiver can match, stage, and return
-		// the CTS while the sender is still compressing chunks.
-		env := r.rendezvous(dst, tag, seq, core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total}, true)
+		env.pipelined = true
+		env.hdr = core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total}
 		r.compressChunks(env, buf, t, total)
-		return r.startSend(env), nil
+		return env, nil
 	}
 
 	// Whole-message rendezvous: compress (steps 1-3; a layout's gather rides
@@ -470,34 +482,31 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, 
 	// payload goes uncompressed with the Fallback bit set on the RTS header
 	// (the degradation negotiation), skipping the codec whose failures
 	// tripped the breaker.
-	var payload []byte
-	var hdr core.Header
-	var fb wireFallback
-	link := w.fabric.LinkFor(r.Node(), w.nodeOf(dst))
+	link := r.world.fabric.LinkFor(r.Node(), r.world.nodeOf(dst))
 	eligible := r.Engine.ShouldCompressPacked(buf, total)
 	if eligible && !r.Engine.BreakerAllow(dst, r.Clock.Now()) {
-		payload, hdr = r.Engine.BypassChunk(r.Clock, buf, t, 0, total)
-		hdr.Fallback = true
+		env.payload, env.hdr = r.Engine.BypassChunk(r.Clock, buf, t, 0, total)
+		env.hdr.Fallback = true
 	} else {
 		// The compress-once cache makes repeated sends of an unchanged
 		// tracked buffer (fan-out roots, warm benchmark iterations, halo
 		// faces) reuse the first send's wire payload; untracked buffers
 		// take the original path.
-		payload, hdr = r.Engine.CompressChunkCached(r.Clock, buf, t, 0, total, link.BandwidthGBps)
+		env.payload, env.hdr = r.Engine.CompressChunkCached(r.Clock, buf, t, 0, total, link.BandwidthGBps)
 		switch {
-		case hdr.Compressed && r.Engine.BreakerEnabled():
+		case env.hdr.Compressed && r.Engine.BreakerEnabled():
 			// Mid-message degradation hook: if the breaker opens while
 			// this message retries, the transport regenerates it
 			// uncompressed. The closure reads buf, which MPI semantics
 			// keep frozen until Wait completes the send.
 			eng := r.Engine
-			fb = func(at simtime.Time) ([]byte, core.Header, simtime.Duration) {
+			env.fb = func(at simtime.Time) ([]byte, core.Header, simtime.Duration) {
 				clk := simtime.NewClock(at)
 				p, h := eng.BypassChunk(clk, buf, t, 0, total)
 				h.Fallback = true
 				return p, h, clk.Now().Sub(at)
 			}
-		case eligible && !hdr.Compressed:
+		case eligible && !env.hdr.Compressed:
 			// The breaker allowed this send — possibly consuming its
 			// half-open probe — but the engine bypassed anyway (dynamic
 			// gating, pool exhaustion), proving nothing about the codec;
@@ -505,42 +514,37 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, 
 			r.Engine.BreakerProbeAborted(dst)
 		}
 	}
-	env := r.rendezvous(dst, tag, seq, hdr, false)
-	env.payload, env.fb = payload, fb
-	return r.startSend(env), nil
+	return env, nil
 }
 
-// rendezvous issues the RTS of a rendezvous-class message and builds its
-// envelope with everything the tiers share; stream adds a chunk stream's
-// lane ticket and completion gate. What differs by tier is how the payload
-// or chunk list is produced and *when* this is called: before chunk
-// compression on the pipelined tier, after compression on the
-// whole-message tier (the header rides the RTS).
-func (r *Rank) rendezvous(dst, tag int, seq uint64, hdr core.Header, stream bool) *envelope {
+// post hands a prepared wire form to the transport under tag; it charges
+// no codec or checksum time. The message takes its sequence number here,
+// in program order of posting. An eager message crosses the fabric now. A
+// rendezvous-class message sends its RTS at rts — a chunk stream's lane
+// ticket and completion gate are issued with it — and is delivered to the
+// destination's mailbox, whose match completion books the transfer.
+func (r *Rank) post(env *envelope, tag int, rts simtime.Time) *Request {
 	w := r.world
-	rts, err := w.transmit(w.messageEvent(faults.KindRTS, r.id, dst, seq), r.Clock.Now(), nil, core.Header{})
-	env := &envelope{
-		src: r.id, dst: dst, tag: tag, seq: seq,
-		hdr:         hdr,
-		rtsArrival:  rts.arrival,
-		sendPost:    r.Clock.Now(),
-		senderDone:  make(chan sendOutcome, 1),
-		deliveryErr: err,
+	env.tag, env.seq = tag, r.nextSeq(env.dst)
+	if env.eager {
+		out, err := w.transmit(w.messageEvent(faults.KindEager, r.id, env.dst, env.seq), r.Clock.Now(), env.payload, env.hdr)
+		env.payload, env.arrival, env.deliveryErr = out.wire, out.arrival, err
+		// The sender's CPU returns as soon as the message is injected;
+		// a delivery failure surfaces from Wait, as MPI semantics demand.
+		r.Clock.Advance(simtime.FromMicroseconds(0.5))
+		w.ranks[env.dst].box.deliver(env)
+		return &Request{rank: r, isSend: true, done: true, err: err}
 	}
-	if stream {
-		env.pipelined = true
-		env.ticket = r.pipeTx[dst].issue()
+	out, err := w.transmit(w.messageEvent(faults.KindRTS, r.id, env.dst, env.seq), rts, nil, core.Header{})
+	env.rtsArrival, env.sendPost, env.deliveryErr = out.arrival, rts, err
+	env.senderDone = make(chan sendOutcome, 1)
+	if env.pipelined {
+		env.ticket = r.pipeTx[env.dst].issue()
 		env.done = make(chan struct{})
 	}
-	return env
-}
-
-// startSend tracks a rendezvous-class send and hands its envelope to the
-// destination's mailbox.
-func (r *Rank) startSend(env *envelope) *Request {
 	req := &Request{rank: r, isSend: true, env: env}
 	r.trackInflight(req)
-	r.world.ranks[env.dst].box.deliver(env)
+	w.ranks[env.dst].box.deliver(env)
 	return req
 }
 
@@ -676,30 +680,30 @@ func (r *Rank) waitRecv(req *Request) error {
 		// reassemble deterministically. A relay segment is placed at its
 		// offset in the wire payload, which is then handled whole below; a
 		// compression chunk is verified and decoded at its packed offset
-		// while later chunks are still on the wire.
+		// while later chunks are still on the wire — or, on a raw receive,
+		// kept in that order for consumeRaw to decode.
 		if env.relayChunks {
 			payload = make([]byte, env.hdr.CompBytes)
 		}
-		fallback := false
 		for _, i := range chunkOrder(env.chunks) {
 			c := &env.chunks[i]
 			r.Clock.AdvanceTo(c.arrival)
-			if env.relayChunks {
+			switch {
+			case env.relayChunks:
 				copy(payload[c.off:], c.payload)
-				continue
-			}
-			fallback = fallback || c.hdr.Fallback
-			if err := r.Engine.VerifyPayload(r.Clock, c.hdr, c.payload); err != nil {
-				return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
-			}
-			if err := r.Engine.DecompressChunk(r.Clock, c.hdr, c.payload, req.buf, req.typ, c.off); err != nil {
-				return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
+			case req.buf != nil:
+				if err := r.decodeChunk(c, req.buf, req.typ); err != nil {
+					return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
+				}
 			}
 		}
-		if !env.relayChunks {
-			if fallback {
-				r.Engine.NoteFallbackRecv()
-			}
+		switch {
+		case env.relayChunks:
+		case req.buf == nil:
+			req.raw = rawResult{chunks: env.chunks}
+			return nil
+		default:
+			r.noteChunkFallback(env.chunks)
 			return nil
 		}
 	}
@@ -737,6 +741,27 @@ func (r *Rank) waitRecv(req *Request) error {
 		}
 	}
 	return nil
+}
+
+// decodeChunk verifies one compression chunk against its own CRC and
+// decodes it at its packed offset of buf (of the words t selects in buf
+// when t is non-nil).
+func (r *Rank) decodeChunk(c *chunkPart, buf *gpusim.Buffer, t dtype.Type) error {
+	if err := r.Engine.VerifyPayload(r.Clock, c.hdr, c.payload); err != nil {
+		return err
+	}
+	return r.Engine.DecompressChunk(r.Clock, c.hdr, c.payload, buf, t, c.off)
+}
+
+// noteChunkFallback counts a decoded chunk stream as a fallback receive
+// when any of its chunks traveled in the breaker's uncompressed form.
+func (r *Rank) noteChunkFallback(chunks []chunkPart) {
+	for i := range chunks {
+		if chunks[i].hdr.Fallback {
+			r.Engine.NoteFallbackRecv()
+			return
+		}
+	}
 }
 
 // releaseStaging hands back whatever receive staging an envelope still
@@ -812,19 +837,17 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header, dec *
 	if err := r.checkHealth(); err != nil {
 		return nil, err
 	}
-	seq := r.nextSeq(dst)
 	r.Engine.NoteRelay(len(payload))
 	r.Clock.Advance(simtime.FromMicroseconds(0.3))
+	env := &envelope{src: r.id, dst: dst, hdr: hdr, decoded: dec}
 	if !r.pipelineEligible(dst, len(payload)) {
-		env := r.rendezvous(dst, tag, seq, hdr, false)
-		env.payload, env.decoded = payload, dec
-		return r.startSend(env), nil
+		env.payload = payload
+		return r.post(env, tag, r.Clock.Now()), nil
 	}
 	// One checksum pass over the payload pays for stamping the
 	// per-segment CRCs (the bytes are scanned once either way).
 	r.Engine.ChecksumWire(r.Clock, payload)
-	env := r.rendezvous(dst, tag, seq, hdr, true)
-	env.relayChunks, env.decoded = true, dec
+	env.pipelined, env.relayChunks = true, true
 	chunkBytes := r.Engine.Config().PipelineChunkBytes
 	for off := 0; off < len(payload); off += chunkBytes {
 		n := chunkBytes
@@ -835,17 +858,20 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header, dec *
 		env.addChunk(r.Clock.Now(), seg, core.Header{Compressed: hdr.Compressed}, off, core.Checksum(seg))
 	}
 	r.Engine.NotePipeRelayChunks(len(env.chunks))
-	return r.startSend(env), nil
+	return r.post(env, tag, r.Clock.Now()), nil
 }
 
 // rawResult is what a raw receive yields: the wire payload, its header,
 // the decoded-form companion it traveled with (nil: none), and the staging
-// buffer to release after decompression.
+// buffer to release after decompression — or, for a compression chunk
+// stream, its chunks alone, each still to be verified against its own CRC
+// and decoded (their staging went back to the pool with the stream).
 type rawResult struct {
 	payload []byte
 	hdr     core.Header
 	decoded *core.Decoded
 	staged  *gpusim.Buffer
+	chunks  []chunkPart
 }
 
 // noteRawStaged / dropRawStaged bracket the window where a completed raw

@@ -156,8 +156,10 @@ func TestNilBufferRejected(t *testing.T) {
 
 // TestTransportWrittenOnce keeps the one-path shape from eroding: the
 // fabric moves payload bytes for exactly one function (the bounded-retry
-// loop), envelopes are built by the eager send, the shared rendezvous
-// constructor and failEnvelope only, receive staging goes back to the
+// loop), envelopes are built by the two producers of a wire form — prepare
+// from a user buffer, isendPayload from a relayed payload — and by
+// failEnvelope only, post is the one function that hands a message to a
+// mailbox, receive staging goes back to the
 // engine from four functions, and a raw receive is paired with a payload
 // send in a loop only inside the relay-ring helper.
 func TestTransportWrittenOnce(t *testing.T) {
@@ -207,7 +209,7 @@ func TestTransportWrittenOnce(t *testing.T) {
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch callee(n) {
-				case "Transfer", "ShouldDrop":
+				case "Transfer", "ShouldDrop", "deliver":
 					note(callee(n), fn.Name.Name)
 				case "ReleaseRecv":
 					note("ReleaseRecv", fn.Name.Name)
@@ -238,7 +240,8 @@ func TestTransportWrittenOnce(t *testing.T) {
 	}{
 		{"Transfer", []string{"transmit"}},
 		{"ShouldDrop", []string{"transmit"}},
-		{"envelope{}", []string{"failEnvelope", "isend", "rendezvous"}},
+		{"deliver", []string{"post"}},
+		{"envelope{}", []string{"failEnvelope", "isendPayload", "prepare"}},
 		{"ReleaseRecv", []string{"consumeRaw", "releaseRawStaged", "releaseStaging", "runMatch"}},
 		{"relay loop", []string{"relayRing"}},
 	} {

@@ -1,6 +1,10 @@
 package simtime
 
-import "sync"
+import (
+	"slices"
+	"sort"
+	"sync"
+)
 
 // Calendar models a serially-shared resource (a network adapter) whose
 // reservations are placed by simulated *ready time*, not by call order:
@@ -30,17 +34,16 @@ func (c *Calendar) Reserve(ready Time, d Duration) (start, end Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start = ready
-	pos := len(c.busy)
-	for i, iv := range c.busy {
-		if iv.end <= start {
-			continue
-		}
-		// iv is the first interval ending after our candidate start.
-		if start.Add(d) <= iv.start {
-			pos = i
+	// The intervals are sorted and disjoint, so their ends increase: bisect
+	// to the first one ending after ready. From there each interval is the
+	// first ending after the candidate start, which either fits before it
+	// or moves past its end.
+	pos := sort.Search(len(c.busy), func(i int) bool { return c.busy[i].end > ready })
+	for ; pos < len(c.busy); pos++ {
+		if start.Add(d) <= c.busy[pos].start {
 			break
 		}
-		start = iv.end
+		start = c.busy[pos].end
 	}
 	end = start.Add(d)
 	if d == 0 {
@@ -48,9 +51,7 @@ func (c *Calendar) Reserve(ready Time, d Duration) (start, end Time) {
 		return start, end
 	}
 	// Insert at pos keeping order, then merge neighbors that touch.
-	c.busy = append(c.busy, interval{})
-	copy(c.busy[pos+1:], c.busy[pos:])
-	c.busy[pos] = interval{start, end}
+	c.busy = slices.Insert(c.busy, pos, interval{start, end})
 	c.merge(pos)
 	return start, end
 }
