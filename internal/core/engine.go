@@ -967,8 +967,10 @@ func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, d
 	if err != nil {
 		return fmt.Errorf("core: zfp decompress: %w", err)
 	}
-	if len(payload) < want {
-		return fmt.Errorf("core: zfp decompress: %w: have %d bytes, want %d", zfp.ErrShortBuffer, len(payload), want)
+	// The size is exact at a fixed rate, so a longer payload is as
+	// malformed as a shorter one.
+	if len(payload) != want {
+		return fmt.Errorf("core: zfp decompress: payload is %d bytes, the header's size and rate give %d", len(payload), want)
 	}
 
 	t := startTimer(clk)

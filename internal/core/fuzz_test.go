@@ -167,6 +167,23 @@ func TestDecompressCorruptedStreams(t *testing.T) {
 				}
 			}
 
+			// Padding the payload — with the header's CompBytes (and MPC's
+			// partition table) grown to match, so that only the codec can
+			// tell — must error too: the Decompress contract refuses a
+			// padded pair as it does a truncated one.
+			for _, pad := range []int{1, 4, 64} {
+				padded := append(append([]byte(nil), payload...), make([]byte, pad)...)
+				long := hdr
+				long.CompBytes += pad
+				if algo == AlgoMPC {
+					long.PartBytes = append([]int(nil), hdr.PartBytes...)
+					long.PartBytes[len(long.PartBytes)-1] += pad
+				}
+				if err := decode(long, padded); err == nil {
+					t.Errorf("%s: payload padded by %d bytes decoded silently", label, pad)
+				}
+			}
+
 			// A header that also lies about CompBytes (so lengths agree) must
 			// still yield an error, not a panic or short output.
 			for _, cut := range []int{0, 1, len(payload) / 2} {

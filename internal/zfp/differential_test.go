@@ -12,19 +12,21 @@ import (
 )
 
 // diffInputs are the value regimes the block coder treats differently:
-// each generator fills one slice of float32 bit patterns.
+// each generator gives the float32 bit pattern of value i of a slice. The
+// short regimes run at lengths 0..70 only.
 var diffInputs = []struct {
-	name string
-	gen  func(rng *rand.Rand) uint32
+	name  string
+	short bool
+	gen   func(rng *rand.Rand, i int) uint32
 }{
-	{"smooth", func(rng *rand.Rand) uint32 { return math.Float32bits(float32(1 + rng.NormFloat64()*0.01)) }},
-	{"mixed", func(rng *rand.Rand) uint32 {
+	{"smooth", false, func(rng *rand.Rand, _ int) uint32 { return math.Float32bits(float32(1 + rng.NormFloat64()*0.01)) }},
+	{"mixed", false, func(rng *rand.Rand, _ int) uint32 {
 		return math.Float32bits(float32((rng.Float64()*2 - 1) * math.Pow(10, float64(rng.Intn(13)-6))))
 	}},
-	{"anybits", func(rng *rand.Rand) uint32 { return rng.Uint32() }},
-	{"denormal", func(rng *rand.Rand) uint32 { return rng.Uint32() & 0x807fffff }},
-	{"denormal-edge", func(rng *rand.Rand) uint32 { return rng.Uint32()&0x80000000 | 0x007ffff0 + uint32(rng.Intn(64)) }},
-	{"nonfinite", func(rng *rand.Rand) uint32 {
+	{"anybits", false, func(rng *rand.Rand, _ int) uint32 { return rng.Uint32() }},
+	{"denormal", false, func(rng *rand.Rand, _ int) uint32 { return rng.Uint32() & 0x807fffff }},
+	{"denormal-edge", false, func(rng *rand.Rand, _ int) uint32 { return rng.Uint32()&0x80000000 | 0x007ffff0 + uint32(rng.Intn(64)) }},
+	{"nonfinite", false, func(rng *rand.Rand, _ int) uint32 {
 		switch rng.Intn(4) {
 		case 0:
 			return 0x7f800000 | rng.Uint32()&0x80000000 // ±Inf
@@ -34,15 +36,31 @@ var diffInputs = []struct {
 			return math.Float32bits(float32(rng.NormFloat64()))
 		}
 	}},
-	{"zero", func(rng *rand.Rand) uint32 { return rng.Uint32() & 0x80000000 }},
-	{"sparse", func(rng *rand.Rand) uint32 {
+	{"zero", false, func(rng *rand.Rand, _ int) uint32 { return rng.Uint32() & 0x80000000 }},
+	{"sparse", false, func(rng *rand.Rand, _ int) uint32 {
 		if rng.Intn(3) > 0 {
 			return 0
 		}
 		return math.Float32bits(float32(rng.NormFloat64()))
 	}},
-	{"huge", func(rng *rand.Rand) uint32 { return rng.Uint32()&0x80ffffff | 0x7e000000 + uint32(rng.Intn(3))<<23 }},
-	{"tiny", func(rng *rand.Rand) uint32 { return rng.Uint32()&0x80ffffff | uint32(rng.Intn(3))<<23 }},
+	{"huge", false, func(rng *rand.Rand, _ int) uint32 {
+		return rng.Uint32()&0x80ffffff | 0x7e000000 + uint32(rng.Intn(3))<<23
+	}},
+	{"tiny", false, func(rng *rand.Rand, _ int) uint32 { return rng.Uint32()&0x80ffffff | uint32(rng.Intn(3))<<23 }},
+	// Four independent values of one exponent: every coefficient is
+	// large, so three or four values are significant within the first
+	// planes and most of the block is the verbatim tail.
+	{"dense", true, func(rng *rand.Rand, _ int) uint32 { return rng.Uint32()&0x807fffff | ebias<<23 }},
+	// Smooth values and one outlier per block, a different one and of a
+	// different size each block: value 0 alone is significant for a run
+	// of planes, then n steps up where the outlier's planes start.
+	{"dc-spike", true, func(rng *rand.Rand, i int) uint32 {
+		v := 1 + rng.NormFloat64()*1e-4
+		if i%BlockValues == i/BlockValues%BlockValues {
+			v += (rng.Float64()*2 - 1) * math.Ldexp(1, -rng.Intn(24))
+		}
+		return math.Float32bits(float32(v))
+	}},
 }
 
 // checkAgainstReference runs one (input, rate) case through both coders —
@@ -160,12 +178,12 @@ func TestFastMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(in.name))))
 			for rate := MinRate; rate <= MaxRate; rate++ {
 				for _, n := range lengths {
-					if testing.Short() && n > 70 && rate%8 != 0 {
+					if n > 70 && (in.short || testing.Short() && rate%8 != 0) {
 						continue
 					}
 					src := make([]float32, n)
 					for i := range src {
-						src[i] = math.Float32frombits(in.gen(rng))
+						src[i] = math.Float32frombits(in.gen(rng, i))
 					}
 					want, _ := CompressedSize(n, rate)
 					junk := make([]byte, want+rng.Intn(3))
@@ -184,6 +202,21 @@ func FuzzZFPDifferential(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(nil, math.Float32bits(1.5)), uint8(3))
 	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x80, 0x7f}, 9), uint8(16))
 	f.Add(bytes.Repeat([]byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x00}, 5), uint8(32))
+	// The verbatim tail and the run that takes the budget's last bit, at
+	// every one-word rate: 64 values of the regimes that reach them.
+	for _, in := range diffInputs {
+		if in.name != "dense" && in.name != "dc-spike" {
+			continue
+		}
+		rng := rand.New(rand.NewSource(int64(len(in.name))))
+		for r := MinRate; r <= 16; r++ {
+			var data []byte
+			for i := 0; i < 64; i++ {
+				data = binary.LittleEndian.AppendUint32(data, in.gen(rng, i))
+			}
+			f.Add(data, uint8(r-MinRate))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, rate uint8) {
 		r := MinRate + int(rate)%(MaxRate-MinRate+1)
 		src := make([]float32, len(data)/4)
@@ -277,24 +310,45 @@ func TestTablesMatchReference(t *testing.T) {
 }
 
 // TestInterleaveTransposes checks the delta-swap network against the
-// definition: nibble j holds bit j of each of the four values.
+// definition (nibble j holds bit j of each of the four rows), and
+// rowsBelow and reverseNibbles against theirs, for every plane.
 func TestInterleaveTransposes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for iter := 0; iter < 1000; iter++ {
-		v := [4]uint32{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()}
+		x := rng.Uint64()
 		var want uint64
 		for j := uint(0); j < 16; j++ {
-			for i, d := range v {
-				want |= uint64(d>>j&1) << (4*j + uint(i))
+			for i := uint(0); i < 4; i++ {
+				want |= x >> (16*i + j) & 1 << (4*j + i)
 			}
 		}
-		got := interleave(v[0], v[1], v[2], v[3])
+		got := interleave(x)
 		if got != want {
-			t.Fatalf("interleave(%08x) = %016x, want %016x", v, got, want)
+			t.Fatalf("interleave(%016x) = %016x, want %016x", x, got, want)
 		}
-		a, b, c, d := deinterleave(got)
-		if back := [4]uint32{a, b, c, d}; back != [4]uint32{v[0] & 0xffff, v[1] & 0xffff, v[2] & 0xffff, v[3] & 0xffff} {
-			t.Fatalf("deinterleave(interleave(%08x)) = %08x", v, back)
+		if back := deinterleave(got); back != x {
+			t.Fatalf("deinterleave(interleave(%016x)) = %016x", x, back)
+		}
+		var rev uint64
+		for j := uint(0); j < 16; j++ {
+			rev |= x >> (4 * j) & 15 << (60 - 4*j)
+		}
+		if got := reverseNibbles(x); got != rev {
+			t.Fatalf("reverseNibbles(%016x) = %016x, want %016x", x, got, rev)
+		}
+		d := [4]uint32{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()}
+		for plane := uint(1); plane <= intprec; plane++ {
+			var want uint64
+			for j := uint(0); j < 16; j++ {
+				if p := int(plane) - 16 + int(j); p >= 0 {
+					for i, v := range d {
+						want |= uint64(v>>uint(p)&1) << (4*j + uint(i))
+					}
+				}
+			}
+			if got := interleave(rowsBelow(d[0], d[1], d[2], d[3], plane)); got != want {
+				t.Fatalf("interleave(rowsBelow(%08x, %d)) = %016x, want %016x", d, plane, got, want)
+			}
 		}
 	}
 }

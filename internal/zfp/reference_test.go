@@ -145,7 +145,7 @@ func refEncodeBlock(w *bitstream.Writer, maxbits uint, block *[4]float32) {
 		w.WriteBits(2*e+1, ebits)
 		var iblock [4]int32
 		refFwdCast(&iblock, block, emax)
-		fwdLift(&iblock)
+		iblock[0], iblock[1], iblock[2], iblock[3] = fwdLift(iblock[0], iblock[1], iblock[2], iblock[3])
 		var ublock [4]uint32
 		for i, v := range iblock {
 			ublock[i] = int2nb(v)
@@ -176,7 +176,7 @@ func refDecodeBlock(r *bitstream.Reader, maxbits uint, block *[4]float32) {
 		for i, v := range ublock {
 			iblock[i] = nb2int(v)
 		}
-		invLift(&iblock)
+		iblock[0], iblock[1], iblock[2], iblock[3] = invLift(iblock[0], iblock[1], iblock[2], iblock[3])
 		refInvCast(block, &iblock, emax)
 	}
 	r.SkipToBit(startBits + uint64(maxbits))

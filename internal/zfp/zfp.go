@@ -42,8 +42,6 @@
 //     magnitude (the Frexp route remains for denormal, Inf and NaN blocks,
 //     which must stay bit-identical) and the cast scale is built with
 //     math.Float64frombits;
-//   - the four negabinary words are interleaved 16 planes at a time
-//     (interleave), so a bit plane is one nibble of a register;
 //   - the embedded coder steps through two tables derived at init from the
 //     bit-serial plane step itself (encodePlane, decodePlane): a plane's
 //     code depends only on its 4 bits and on how many values are already
@@ -51,13 +49,22 @@
 //     planes before anything is significant, planes that only extend value
 //     0 once it is — are coded with a count-leading-zeros and a bit spread
 //     instead of plane by plane;
-//   - the one plane the bit budget cuts short is the code's prefix when
-//     encoding and falls back to decodePlane when decoding.
+//   - once three values are significant every plane left codes as its
+//     4 bits verbatim, so the rest of a one-word block is one transpose of
+//     its planes (interleave) with the nibble order reversed;
+//   - the plane the bit budget cuts short is the code's prefix when
+//     encoding. Decoding a one-word block, a budget that ends one bit into
+//     a run of value-0 planes leaves value 0's bit, which the run takes;
+//     any other cut falls back to decodePlane;
+//   - at rates up to 16, where a block is one 64-bit word, encodeBlock and
+//     decodeBlock code it without a second word and, decodePlane aside,
+//     without a call (the helpers take values and inline); wider blocks
+//     (rates 17 to 32) go through encodeWide and decodeWide, one table
+//     step or one run at a time.
 //
 // The output is byte-identical to the bit-serial coder, which lives on in
 // reference_test.go as the differential oracle (TestFastMatchesReference,
-// FuzzZFPDifferential, TestTablesMatchReference). The 2-D, 3-D and float64
-// variants in this package still go through internal/bitstream.
+// FuzzZFPDifferential, TestTablesMatchReference).
 package zfp
 
 import (
@@ -133,8 +140,9 @@ func Ratio(rate int) float64 { return 32.0 / float64(rate) }
 //	1/16 * ( 5  1 -1 -5) (y)
 //	       (-4  4  4 -4) (z)
 //	       (-2  6 -6  2) (w)
-func fwdLift(p *[4]int32) {
-	x, y, z, w := p[0], p[1], p[2], p[3]
+//
+// It takes and returns the block by value so that it inlines.
+func fwdLift(x, y, z, w int32) (int32, int32, int32, int32) {
 	x += w
 	x >>= 1
 	w -= x
@@ -149,7 +157,7 @@ func fwdLift(p *[4]int32) {
 	y -= w
 	w += y >> 1
 	y -= w >> 1
-	p[0], p[1], p[2], p[3] = x, y, z, w
+	return x, y, z, w
 }
 
 // invLift is the matching inverse transform:
@@ -158,8 +166,7 @@ func fwdLift(p *[4]int32) {
 //	1/4 * ( 4  2  4  5) (y)
 //	      ( 4 -2  4 -5) (z)
 //	      ( 4 -6 -4  1) (w)
-func invLift(p *[4]int32) {
-	x, y, z, w := p[0], p[1], p[2], p[3]
+func invLift(x, y, z, w int32) (int32, int32, int32, int32) {
 	y += w >> 1
 	w -= y >> 1
 	y += w
@@ -174,7 +181,7 @@ func invLift(p *[4]int32) {
 	w += x
 	x <<= 1
 	x -= w
-	p[0], p[1], p[2], p[3] = x, y, z, w
+	return x, y, z, w
 }
 
 // Compile-time note: fwdLift/invLift are exact structural inverses of the
@@ -289,8 +296,8 @@ func decodePlane(w uint64, n, bits uint) (x, used, next uint) {
 const maxPlaneBits = 7
 
 // minRun is the shortest run of planes worth coding through the run paths
-// of encodeBlock and decodeBlock (a few dozen operations whatever the
-// length) instead of one table step per plane.
+// (a few dozen operations whatever the length) instead of one table step
+// per plane.
 const minRun = 4
 
 // encTab[n<<4|x] is encodePlane(x, n) packed as code<<8 | next<<4 | length,
@@ -298,10 +305,12 @@ const minRun = 4
 // is decodePlane(w, n, ∞) for the next 7 stream bits w, packed as
 // next<<7 | length<<4 | x, so that entry&0x380 | nextBits does the same.
 // Both are sized to the power of two their index masks span (n <= 4 is all
-// that occurs), which lets the compiler drop the bounds checks.
+// that occurs), which lets the compiler drop the bounds checks. runTab[v]
+// is the stream of a run of 8 planes whose value-0 bits are v (runBits).
 var (
 	encTab [8 << 4]uint16
 	decTab [8 << maxPlaneBits]uint16
+	runTab [256]uint16
 )
 
 func init() {
@@ -315,14 +324,18 @@ func init() {
 			decTab[n<<maxPlaneBits|w] = uint16(next<<maxPlaneBits | length<<4 | x)
 		}
 	}
+	for v := range runTab {
+		for i := 0; i < 8; i++ {
+			runTab[v] |= uint16(v>>(7-i)&1) << (2 * i)
+		}
+	}
 }
 
-// interleave returns the 16 nibbles (bit j of a, b, c, d in bits 4j..4j+3)
-// of four 16-bit values, so that the coder takes a whole bit plane with one
-// shift. It is a 4x16 bit-matrix transpose: pack the rows, then rotate the
-// 6-bit position index by two with four delta swaps.
-func interleave(a, b, c, d uint32) uint64 {
-	x := uint64(a&0xffff) | uint64(b&0xffff)<<16 | uint64(c&0xffff)<<32 | uint64(d&0xffff)<<48
+// interleave transposes a 4x16 bit matrix: row i of x (bits 16i..16i+15)
+// becomes bit i of the 16 nibbles, bit j of the row going to bit 4j+i, so
+// that the coder takes a whole bit plane of the four values with one
+// shift. It rotates the 6-bit position index by two with four delta swaps.
+func interleave(x uint64) uint64 {
 	t := (x ^ x>>24) & 0x00000000ff00ff00
 	x ^= t ^ t<<24
 	t = (x ^ x>>6) & 0x00cc00cc00cc00cc
@@ -335,7 +348,7 @@ func interleave(a, b, c, d uint32) uint64 {
 }
 
 // deinterleave inverts interleave.
-func deinterleave(x uint64) (a, b, c, d uint32) {
+func deinterleave(x uint64) uint64 {
 	t := (x ^ x>>3) & 0x0a0a0a0a0a0a0a0a
 	x ^= t ^ t<<3
 	t = (x ^ x>>12) & 0x0000f0f00000f0f0
@@ -344,7 +357,43 @@ func deinterleave(x uint64) (a, b, c, d uint32) {
 	x ^= t ^ t<<6
 	t = (x ^ x>>24) & 0x00000000ff00ff00
 	x ^= t ^ t<<24
-	return uint32(x) & 0xffff, uint32(x>>16) & 0xffff, uint32(x>>32) & 0xffff, uint32(x >> 48)
+	return x
+}
+
+// rowsBelow packs the 16 bits of each of d0..d3 below plane (1..32) as the
+// rows interleave takes, so that interleave(rowsBelow(..., plane)) holds
+// plane plane-16+j in nibble j: plane-1 on top, planes under 0 zero.
+func rowsBelow(d0, d1, d2, d3 uint32, plane uint) uint64 {
+	s := (intprec - plane) & 31
+	return uint64(d0<<s>>16) | uint64(d1<<s>>16)<<16 | uint64(d2<<s>>16)<<32 | uint64(d3<<s>>16)<<48
+}
+
+// reverseNibbles reverses the order of the 16 nibbles of x, which turns
+// interleave(rowsBelow(..., plane)) into stream order, plane-1 first, and
+// back.
+func reverseNibbles(x uint64) uint64 {
+	x = bits.ReverseBytes64(x)
+	return x>>4&0x0f0f0f0f0f0f0f0f | x&0x0f0f0f0f0f0f0f0f<<4
+}
+
+// runBits returns the stream of a run of planes below plane that only
+// extend value 0. Once value 0 alone is significant, such a plane codes as
+// "bit, 0", so the run is value 0's bits, top plane first, each followed
+// by a 0: runTab, a byte of d0 at a time.
+func runBits(d0 uint32, plane uint) uint64 {
+	x := d0 << (intprec - plane&31)
+	return uint64(runTab[x>>24]) | uint64(runTab[x>>16&0xff])<<16 | uint64(runTab[x>>8&0xff])<<32 | uint64(runTab[x&0xff])<<48
+}
+
+// gather inverts the spreading of runBits for decoding: bit 2i of v goes
+// to bit i, and the odd bits are dropped.
+func gather(v uint64) uint32 {
+	v &= 0x5555555555555555
+	v = (v | v>>1) & 0x3333333333333333
+	v = (v | v>>2) & 0x0f0f0f0f0f0f0f0f
+	v = (v | v>>4) & 0x00ff00ff00ff00ff
+	v = (v | v>>8) & 0x0000ffff0000ffff
+	return uint32(v | v>>16)
 }
 
 // encodeBlock codes the four float32 bit patterns of one block into exactly
@@ -373,25 +422,66 @@ func encodeBlock(b0, b1, b2, b3 uint32, maxbits uint) (lo, hi uint64) {
 	// Block-floating-point cast to Q1.30 relative to emax, then the
 	// decorrelating transform and the negabinary mapping.
 	scale := math.Float64frombits(uint64(1023+intprec-2-emax) << 52)
-	q := [4]int32{int32(float64(f0) * scale), int32(float64(f1) * scale),
-		int32(float64(f2) * scale), int32(float64(f3) * scale)}
-	fwdLift(&q)
-	d0, d1, d2, d3 := int2nb(q[0]), int2nb(q[1]), int2nb(q[2]), int2nb(q[3])
+	q0, q1, q2, q3 := fwdLift(int32(float64(f0)*scale), int32(float64(f1)*scale),
+		int32(float64(f2)*scale), int32(float64(f3)*scale))
+	d0, d1, d2, d3 := int2nb(q0), int2nb(q1), int2nb(q2), int2nb(q3)
 
 	lo = uint64(2*(emax+ebias) + 1)
 	// While no value is significant a plane without bits costs one 0 bit.
 	zeros := uint(bits.LeadingZeros32(d0 | d1 | d2 | d3))
 	pos := ebits + zeros
 	plane := intprec - zeros
-	// half holds the 16 bit planes, one per nibble, of the half word that
-	// the next plane is in: the upper one first.
-	upper := plane > 16
-	var half uint64
-	if upper {
-		half = interleave(d0>>16, d1>>16, d2>>16, d3>>16)
-	} else {
-		half = interleave(d0, d1, d2, d3)
+	if maxbits <= 64 {
+		// The whole block is one word, so pos stays under 64 while the
+		// budget lasts and every shift count is masked to say so. A table
+		// step takes its plane's nibble from c0..c3, value i's word
+		// shifted up by i.
+		c0, c1, c2, c3 := uint64(d0), uint64(d1)<<1, uint64(d2)<<2, uint64(d3)<<3
+		var e uint
+		for pos < maxbits && plane > 0 {
+			if e&0x70 == 1<<4 {
+				// With one value significant a plane that adds no other
+				// codes as "bit, 0": a run of them is value 0's bits, top
+				// plane first, in every second bit of the stream.
+				if run := min(uint(bits.LeadingZeros32((d1|d2|d3)<<(intprec-plane&31))), plane); run >= minRun {
+					lo |= runBits(d0, plane) & (1<<(2*run&63) - 1) << (pos & 63)
+					pos += 2 * run
+					plane -= run
+					continue
+				}
+			} else if maxbits-pos > 8 && e&0x70 >= 3<<4 {
+				// With three values significant the group test is value
+				// 3's bit, so every plane left codes as its nibble: the
+				// rest of the block is the planes below, top first. The
+				// budget leaves at most 55 bits for them, 14 planes. With
+				// two planes or less left, table steps are cheaper, and
+				// testing the budget first keeps this branch predictable
+				// where n after a step is not.
+				lo |= reverseNibbles(interleave(rowsBelow(d0, d1, d2, d3, plane))) << (pos & 63)
+				break
+			}
+			plane--
+			p := plane & 31
+			e = uint(encTab[e&0x70|uint(c0>>p&1|c1>>p&2|c2>>p&4|c3>>p&8)])
+			lo |= uint64(e>>8) << (pos & 63)
+			pos += e & 7
+		}
+		// The budget cuts the last code, or the tail, short: the bit-serial
+		// coder stops mid-code there, which leaves exactly its prefix.
+		return lo & (1<<maxbits - 1), 0
 	}
+
+	return encodeWide(lo, d0, d1, d2, d3, pos, plane, maxbits)
+}
+
+// encodeWide is encodeBlock's plane coder for blocks of more than 64 bits
+// (rates 17 to 32): it carries on from the exponent field in lo at pos,
+// with plane the top plane left, and codes the planes one table step or
+// one run at a time.
+func encodeWide(lo uint64, d0, d1, d2, d3 uint32, pos, plane, maxbits uint) (_, hi uint64) {
+	// half holds the 16 bit planes, one per nibble, of the half word that
+	// the next plane is in: the upper one until the loop moves past it.
+	half, upper := interleave(rowsBelow(d0, d1, d2, d3, intprec)), true
 	// emit appends the low n bits of v at pos. A code reaching past bit
 	// 63 continues in hi; Go shifts by 64 or more to zero, which makes
 	// the two terms for hi exclusive.
@@ -405,32 +495,18 @@ func encodeBlock(b0, b1, b2, b3 uint32, maxbits uint) (lo, hi uint64) {
 	var e uint
 	for pos < maxbits && plane > 0 {
 		if e&0x70 == 1<<4 {
-			// With one value significant a plane that adds no other
-			// codes as "bit, 0": a run of them is value 0's bits,
-			// top plane first, in every second bit of the stream.
 			if run := min(uint(bits.LeadingZeros32((d1|d2|d3)<<(intprec-plane))), plane); run >= minRun {
-				s := uint64(bits.Reverse32(d0<<(intprec-plane))) & (1<<run - 1)
-				s = (s | s<<16) & 0x0000ffff0000ffff
-				s = (s | s<<8) & 0x00ff00ff00ff00ff
-				s = (s | s<<4) & 0x0f0f0f0f0f0f0f0f
-				s = (s | s<<2) & 0x3333333333333333
-				s = (s | s<<1) & 0x5555555555555555
-				emit(s, 2*run)
+				emit(runBits(d0, plane)&(1<<(2*run)-1), 2*run)
 				plane -= run
 				continue
 			}
 		}
 		if upper && plane <= 16 {
-			half, upper = interleave(d0, d1, d2, d3), false
+			half, upper = interleave(rowsBelow(d0, d1, d2, d3, 16)), false
 		}
 		plane--
 		e = uint(encTab[e&0x70|uint(half>>(plane&15<<2))&15])
 		emit(uint64(e>>8), e&7)
-	}
-	// The budget cuts the last code short: the bit-serial coder stops
-	// mid-code there, which leaves exactly the code's prefix.
-	if maxbits < 64 {
-		return lo & (1<<maxbits - 1), 0
 	}
 	return lo, hi & (1<<(maxbits-64) - 1)
 }
@@ -442,27 +518,92 @@ func decodeBlock(lo, hi uint64, maxbits uint) (f0, f1, f2, f3 float32) {
 	}
 	emax := int(lo>>1&0xff) - ebias
 
-	// While no value is significant a 0 bit is a plane without bits.
-	w := lo >> ebits
-	left := maxbits - ebits
-	zeros := min(uint(bits.TrailingZeros64(w)), left, intprec)
-	w >>= zeros
-	left -= zeros
-	plane := intprec - zeros
-
-	// planes collects the decoded nibbles as interleave lays them out, the
-	// lower 16 bit planes in planes[0]; run0 the bits of value 0 that the
-	// run path below decodes by itself.
-	var planes [2]uint64
-	var run0 uint32
-	var e uint
-	// w holds 64-ebits stream bits; refill is the value of left below
-	// which fewer than maxPlaneBits of them remain and a two-word block
-	// has to reload it.
-	refill := uint(0)
-	if maxbits > 64 {
-		refill = maxbits - (64 - maxPlaneBits)
+	// The decoded planes go straight into the four words, held in pairs:
+	// a is d0 | d1<<32, b is d2 | d3<<32.
+	var a, b uint64
+	if maxbits <= 64 {
+		// One word, cut to the budget: past it the stream reads as zeros,
+		// so a run or the verbatim tail can take the word to its end.
+		w, left, plane := zeroPlanes(lo&(1<<maxbits-1)>>ebits, maxbits-ebits)
+		var e uint
+		for left > 0 && plane > 0 {
+			n := e >> maxPlaneBits
+			switch n {
+			case 1:
+				// With one value significant a plane that adds no other
+				// reads "bit, 0": a run of them is every second bit of
+				// the stream up to the first 1 in between. When the
+				// budget ends one bit into the next plane, that bit is
+				// value 0's too, so the run takes it.
+				if run := min(uint(bits.TrailingZeros64(w&0xaaaaaaaaaaaaaaaa))/2, (left+1)/2, plane); run >= minRun || 2*run >= left {
+					a |= uint64(bits.Reverse32(gather(w&(1<<(2*run&63)-1))) >> (intprec - plane&31))
+					used := min(2*run, left)
+					w >>= used & 63
+					left -= used
+					plane -= run
+					continue
+				}
+			case 3, 4:
+				// Every plane left is its nibble verbatim (encodeBlock):
+				// cut the stream to the planes there are and reverse it,
+				// which lays it out as interleave(rowsBelow(..., plane)).
+				r := deinterleave(reverseNibbles(w & (1<<(min(left, 4*plane)&63) - 1)))
+				// Row i holds value i's planes plane-16 up: put each row
+				// on top of its word, then shift it down to its planes.
+				s := (intprec - plane) & 31
+				a |= (r&0xffff<<16 | r&0xffff0000<<32) >> s
+				b |= (r>>16&0xffff0000 | r>>48<<48) >> s
+				left = 0
+				continue
+			}
+			e = uint(decTab[e&0x380|uint(w)&(1<<maxPlaneBits-1)])
+			x, used := e&15, e>>4&7
+			if used > left {
+				// The budget cuts this plane's code short.
+				x, used, _ = decodePlane(w, n, left)
+			}
+			w >>= used
+			left -= used
+			plane--
+			a |= pair(x) << (plane & 31)
+			b |= pair(x>>2) << (plane & 31)
+		}
+	} else {
+		a, b = decodeWide(lo, hi, maxbits)
 	}
+	q0, q1, q2, q3 := invLift(nb2int(uint32(a)), nb2int(uint32(a>>32)), nb2int(uint32(b)), nb2int(uint32(b>>32)))
+	scale := math.Float64frombits(uint64(1023+emax-(intprec-2)) << 52)
+	return invCast(q0, scale), invCast(q1, scale), invCast(q2, scale), invCast(q3, scale)
+}
+
+// zeroPlanes skips the planes at the start of the block stream w (left
+// bits long) that come before any value is significant, one 0 bit each:
+// it returns the stream and the budget after them, and the next plane.
+func zeroPlanes(w uint64, left uint) (uint64, uint, uint) {
+	zeros := min(uint(bits.TrailingZeros64(w)), left, intprec)
+	return w >> (zeros & 63), left - zeros, intprec - zeros
+}
+
+// pair returns bits 0 and 1 of x in bits 0 and 32: a plane's bits of two
+// values, to be shifted into a word pair.
+func pair(x uint) uint64 {
+	return uint64(x&3) * (1<<31 + 1) & (1<<32 | 1)
+}
+
+// decodeWide is decodeBlock's plane decoder for blocks of more than 64 bits
+// (rates 17 to 32), one table step or one run at a time; it returns the
+// words in pairs, d0 | d1<<32 and d2 | d3<<32.
+func decodeWide(lo, hi uint64, maxbits uint) (a, b uint64) {
+	// planes collects the stepped nibbles as interleave lays them out, the
+	// lower 16 bit planes in planes[0]: with up to 32 steps that is
+	// cheaper than pair per step.
+	var planes [2]uint64
+	var e uint
+	w, left, plane := zeroPlanes(lo>>ebits, maxbits-ebits)
+	// w holds 64-ebits stream bits; refill is the value of left below
+	// which fewer than maxPlaneBits of them remain and w has to be
+	// reloaded.
+	refill := maxbits - (64 - maxPlaneBits)
 	for left > 0 && plane > 0 {
 		if left < refill {
 			// Go shifts by 64 or more to zero, which makes the
@@ -473,17 +614,8 @@ func decodeBlock(lo, hi uint64, maxbits uint) (f0, f1, f2, f3 float32) {
 		}
 		n := e >> maxPlaneBits
 		if n == 1 {
-			// With one value significant a plane that adds no other
-			// reads "bit, 0": a run of them is every second bit of
-			// the stream up to the first 1 in between.
 			if run := min(uint(bits.TrailingZeros64(w&0xaaaaaaaaaaaaaaaa))/2, (left-refill)/2, plane); run >= minRun {
-				v := w & 0x5555555555555555 & (1<<(2*run) - 1)
-				v = (v | v>>1) & 0x3333333333333333
-				v = (v | v>>2) & 0x0f0f0f0f0f0f0f0f
-				v = (v | v>>4) & 0x00ff00ff00ff00ff
-				v = (v | v>>8) & 0x0000ffff0000ffff
-				v |= v >> 16
-				run0 |= bits.Reverse32(uint32(v)) >> (32 - plane)
+				a |= uint64(bits.Reverse32(gather(w&(1<<(2*run)-1))) >> (intprec - plane))
 				w >>= 2 * run
 				left -= 2 * run
 				plane -= run
@@ -493,7 +625,6 @@ func decodeBlock(lo, hi uint64, maxbits uint) (f0, f1, f2, f3 float32) {
 		e = uint(decTab[e&0x380|uint(w)&(1<<maxPlaneBits-1)])
 		x, used := e&15, e>>4&7
 		if used > left {
-			// The budget cuts this plane's code short.
 			x, used, _ = decodePlane(w, n, left)
 		}
 		w >>= used
@@ -501,16 +632,15 @@ func decodeBlock(lo, hi uint64, maxbits uint) (f0, f1, f2, f3 float32) {
 		plane--
 		planes[plane>>4&1] |= uint64(x) << (plane & 15 << 2)
 	}
-	h0, h1, h2, h3 := deinterleave(planes[1])
-	d0, d1, d2, d3 := run0|h0<<16, h1<<16, h2<<16, h3<<16
+	h := deinterleave(planes[1])
+	a |= h&0xffff<<16 | h&0xffff0000<<32
+	b = h>>16&0xffff0000 | h&0xffff000000000000
 	if planes[0] != 0 {
-		l0, l1, l2, l3 := deinterleave(planes[0])
-		d0, d1, d2, d3 = d0|l0, d1|l1, d2|l2, d3|l3
+		l := deinterleave(planes[0])
+		a |= l&0xffff | l&0xffff0000<<16
+		b |= l>>32&0xffff | l>>16&0xffff00000000
 	}
-	q := [4]int32{nb2int(d0), nb2int(d1), nb2int(d2), nb2int(d3)}
-	invLift(&q)
-	scale := math.Float64frombits(uint64(1023+emax-(intprec-2)) << 52)
-	return invCast(q[0], scale), invCast(q[1], scale), invCast(q[2], scale), invCast(q[3], scale)
+	return a, b
 }
 
 // invCast converts Q1.30 fixed point back to float32. Quantization can
@@ -677,7 +807,9 @@ func load64(b []byte, off int) uint64 {
 }
 
 // loadBlock returns the maxbits bits of the block that starts at stream bit
-// `bit` of comp, first bit lowest in lo.
+// `bit` of comp, first bit lowest in lo. It is too big to inline, so the
+// decode loops load a one-word block that has 8 bytes of comp left by
+// themselves and call it for the rest.
 func loadBlock(comp []byte, bit, maxbits uint) (lo, hi uint64) {
 	// A block starts on a byte or a half byte, so up to 60 bits of it, or
 	// all 64 when it is byte aligned, are in the first load.
@@ -712,7 +844,12 @@ func DecompressInto(dst []float32, comp []byte, rate int) error {
 	}
 	maxbits := uint(BlockValues * rate)
 	for bit := uint(0); len(dst) > 0; bit += maxbits {
-		lo, hi := loadBlock(comp, bit, maxbits)
+		var lo, hi uint64
+		if off := int(bit >> 3); maxbits <= 64 && off+8 <= len(comp) {
+			lo = binary.LittleEndian.Uint64(comp[off:]) >> (bit & 7)
+		} else {
+			lo, hi = loadBlock(comp, bit, maxbits)
+		}
 		if len(dst) < BlockValues {
 			var f [BlockValues]float32
 			f[0], f[1], f[2], f[3] = decodeBlock(lo, hi, maxbits)
@@ -736,7 +873,12 @@ func DecompressBytesInto(dst, comp []byte, rate int) error {
 	}
 	maxbits := uint(BlockValues * rate)
 	for bit := uint(0); len(dst) > 0; bit += maxbits {
-		lo, hi := loadBlock(comp, bit, maxbits)
+		var lo, hi uint64
+		if off := int(bit >> 3); maxbits <= 64 && off+8 <= len(comp) {
+			lo = binary.LittleEndian.Uint64(comp[off:]) >> (bit & 7)
+		} else {
+			lo, hi = loadBlock(comp, bit, maxbits)
+		}
 		f0, f1, f2, f3 := decodeBlock(lo, hi, maxbits)
 		if len(dst) < 4*BlockValues {
 			for i, f := range []float32{f0, f1, f2, f3}[:len(dst)/4] {
