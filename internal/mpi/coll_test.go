@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -485,5 +487,105 @@ func TestRingAllreduceBeatsTreeAtLargeSizes(t *testing.T) {
 	ring := measure(func(r *Rank, in, out *gpusim.Buffer) error { return r.RingAllreduceSum(in, out) })
 	if ring >= tree {
 		t.Fatalf("ring allreduce (%v) should beat reduce+bcast (%v) at 16MB x 8 ranks", ring, tree)
+	}
+}
+
+// TestAllreduceChecksLengthsFirst: a recvBuf of the wrong length is an
+// argument error every rank reports, under every schedule — auto without a
+// tuner included — before anything moves, instead of a reduction that
+// runs to the end and fails at the root alone while the other ranks see
+// ErrPeerFailed.
+func TestAllreduceChecksLengthsFirst(t *testing.T) {
+	for _, algo := range AllreduceAlgos() {
+		w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 2, Allreduce: algo,
+			Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC}})
+		_, errs := w.RunAll(func(r *Rank) error {
+			return r.AllreduceSum(emptyDevBuf(r, 64<<10), emptyDevBuf(r, 32<<10))
+		})
+		for id, err := range errs {
+			if err == nil || errors.Is(err, ErrPeerFailed) || err.Error() != errs[0].Error() {
+				t.Errorf("%v: rank %d returned %v; want rank 0's argument error %v on every rank", algo, id, err, errs[0])
+			}
+		}
+		for node, ns := range w.Fabric().Stats() {
+			if ns.Egress.Messages+ns.Ingress.Messages+ns.Intra.Messages+ns.ControlSent != 0 {
+				t.Errorf("%v: node %d moved traffic before the length check: %+v", algo, node, ns)
+			}
+		}
+	}
+}
+
+// TestRootedCollectivesEveryRoot runs every rooted collective from every
+// root of a 3x2 world with MPC on, and checks the data each rank ends with.
+// The values are small integers, so the reduction's sums are exact in any
+// order.
+func TestRootedCollectivesEveryRoot(t *testing.T) {
+	const blk = 1 << 10 // words per rank block; a broadcast moves six blocks
+	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 3, PPN: 2,
+		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, Threshold: 2 << 10}})
+	vals := func(rank, n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(rank*1000 + i%97)
+		}
+		return v
+	}
+	check := func(r *Rank, what string, root int, got []byte, want []float32) {
+		if g := core.BytesToFloats(got); !slices.Equal(g, want) {
+			t.Errorf("%s from root %d: rank %d holds wrong data", what, root, r.ID())
+		}
+	}
+	bcasts := []struct {
+		name string
+		call func(r *Rank, root int, buf *gpusim.Buffer) error
+	}{{"bcast", (*Rank).Bcast}, {"bcast-hier", (*Rank).BcastHierarchical}, {"bcast-sag", (*Rank).BcastScatterAllgather}}
+	_, err := w.Run(func(r *Rank) error {
+		P := r.Size()
+		for root := 0; root < P; root++ {
+			for _, b := range bcasts {
+				buf := emptyDevBuf(r, P*blk)
+				if r.ID() == root {
+					buf = devBuf(r, vals(root, P*blk))
+				}
+				if err := b.call(r, root, buf); err != nil {
+					return err
+				}
+				check(r, b.name, root, buf.Data, vals(root, P*blk))
+			}
+
+			sum := emptyDevBuf(r, blk)
+			if err := r.ReduceSum(root, devBuf(r, vals(r.ID(), blk)), sum); err != nil {
+				return err
+			}
+			if r.ID() == root {
+				want := make([]float32, blk)
+				for p := 0; p < P; p++ {
+					for i, v := range vals(p, blk) {
+						want[i] += v
+					}
+				}
+				check(r, "reduce", root, sum.Data, want)
+			}
+
+			all := emptyDevBuf(r, P*blk)
+			if err := r.Gather(root, devBuf(r, vals(r.ID(), blk)), all); err != nil {
+				return err
+			}
+			if r.ID() == root {
+				for p := 0; p < P; p++ {
+					check(r, "gather", root, all.Data[4*p*blk:4*(p+1)*blk], vals(p, blk))
+				}
+			}
+
+			mine := emptyDevBuf(r, blk)
+			if err := r.Scatter(root, devBuf(r, vals(root, P*blk)), mine); err != nil {
+				return err
+			}
+			check(r, "scatter", root, mine.Data, vals(root, P*blk)[r.ID()*blk:(r.ID()+1)*blk])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

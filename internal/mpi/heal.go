@@ -79,9 +79,9 @@ func collTagInfo(tag int) (base, epoch int, op uint64, ok bool) {
 }
 
 // opEnter opens a collective-operation scope, reporting whether this is
-// the outermost one. Nested collectives (AllreduceSum's reduce+bcast, the
-// barriers inside Alltoallv) inherit the outer operation's context, so
-// every tag of one user-visible collective revokes together.
+// the outermost one. Nested collectives (the barriers inside Alltoallv)
+// inherit the outer operation's context, so every tag of one user-visible
+// collective revokes together.
 func (r *Rank) opEnter() bool {
 	r.opDepth++
 	if r.opDepth > 1 {

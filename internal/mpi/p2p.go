@@ -591,19 +591,6 @@ func (r *Rank) recv(src, tag int, buf *gpusim.Buffer) error {
 	return r.await(r.irecv(src, tag, buf))
 }
 
-// sendrecv is the internal-tag simultaneous exchange.
-func (r *Rank) sendrecv(dst, sendTag int, sendBuf *gpusim.Buffer, src, recvTag int, recvBuf *gpusim.Buffer) error {
-	rreq, err := r.irecv(src, recvTag, recvBuf)
-	if err != nil {
-		return err
-	}
-	sreq, err := r.isend(dst, sendTag, sendBuf, nil)
-	if err != nil {
-		return err
-	}
-	return r.Waitall(sreq, rreq)
-}
-
 // Wait blocks until the request completes, advancing the caller's clock to
 // the completion instant and (for receives) decompressing into the user
 // buffer. Exhausted retry budgets surface as wrapped ErrDeliveryFailed.

@@ -2,29 +2,39 @@ package mpi
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
 // The generators are pure, so a schedule can be checked without a World
-// or a clock: symRun executes every rank's steps symbolically. A rank's
-// vector is cut into cells at every span boundary any step names; a cell
-// holds a symVal — which contributions it sums, and a hash of the addition
-// tree that produced it — so "each contribution exactly once" and "the same
-// additions in the same order" are equalities on cells.
+// or a clock: symRun executes every rank's steps symbolically. Each rank
+// holds its three buffers — sendBuf, recvBuf and the scratch accumulator —
+// as runs of equal cells, cut wherever a step names a boundary. sendBuf
+// starts as the rank's contribution (one leaf per region), the others
+// empty. A cell holds a symVal — which contributions it sums, a hash of the
+// addition tree that produced it, and how many messages wrote it — so
+// "each contribution exactly once", "each block delivered exactly once"
+// and "the same additions in the same order" are equalities on cells.
 
 // symVal is one cell's value: the contributions (world ranks) it sums, dup
-// if any was added twice, and a non-commutative hash of the addition tree.
+// if any was added twice, a non-commutative hash of the addition tree, and
+// the number of messages that wrote the cell.
 type symVal struct {
 	mask uint64
 	h    uint64
 	dup  bool
+	got  int
 }
 
-func symLeaf(id int) symVal { return symVal{mask: 1 << id, h: symMix(uint64(id)+1, 0)} }
+// symLeaf is region `region` of rank id's contribution.
+func symLeaf(id, region int) symVal {
+	return symVal{mask: 1 << id, h: symMix(uint64(id)+1, uint64(region))}
+}
 
 func (a symVal) add(b symVal) symVal {
-	return symVal{mask: a.mask | b.mask, h: symMix(a.h, b.h), dup: a.dup || b.dup || a.mask&b.mask != 0}
+	return symVal{mask: a.mask | b.mask, h: symMix(a.h, b.h), dup: a.dup || b.dup || a.mask&b.mask != 0, got: a.got}
 }
 
 func symMix(a, b uint64) uint64 {
@@ -34,151 +44,241 @@ func symMix(a, b uint64) uint64 {
 	return x ^ x>>29
 }
 
-// symAct is one atomic transport action a step decomposes into.
+// symRunOf is n bytes of equal cells.
+type symRunOf struct {
+	n int
+	v symVal
+}
+
+// symBuf is one buffer: run i covers [at[i], at[i+1]), the last one
+// unbounded.
+type symBuf struct {
+	at  []int
+	val []symVal
+}
+
+func newSymBuf(v symVal) *symBuf { return &symBuf{at: []int{0}, val: []symVal{v}} }
+
+// cut makes a run start at off and returns its index.
+func (b *symBuf) cut(off int) int {
+	i := sort.SearchInts(b.at, off)
+	if i < len(b.at) && b.at[i] == off {
+		return i
+	}
+	b.at = slices.Insert(b.at, i, off)
+	b.val = slices.Insert(b.val, i, b.val[i-1])
+	return i
+}
+
+func (b *symBuf) read(off, n int) []symRunOf {
+	lo, hi := b.cut(off), b.cut(off+n)
+	runs := make([]symRunOf, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		runs = append(runs, symRunOf{b.at[i+1] - b.at[i], b.val[i]})
+	}
+	return runs
+}
+
+// write stores runs from off: as a copy, as a message's arrival (counted
+// in got), or added into the cells (also an arrival).
+func (b *symBuf) write(off int, runs []symRunOf, arrive, add bool) {
+	for _, r := range runs {
+		lo, hi := b.cut(off), b.cut(off+r.n)
+		for i := lo; i < hi; i++ {
+			old, v := b.val[i], r.v
+			if add {
+				v = old.add(v)
+			}
+			if arrive {
+				v.got = old.got + 1
+			}
+			b.val[i] = v
+		}
+		off += r.n
+	}
+}
+
+// symSame reports whether two run lists hold the same cells.
+func symSame(a, b []symRunOf) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].n == 0 {
+			a = a[1:]
+			continue
+		}
+		if b[0].n == 0 {
+			b = b[1:]
+			continue
+		}
+		if a[0].v != b[0].v {
+			return false
+		}
+		n := min(a[0].n, b[0].n)
+		a[0].n, b[0].n = a[0].n-n, b[0].n-n
+	}
+	empty := func(r symRunOf) bool { return r.n > 0 }
+	return !slices.ContainsFunc(a, empty) && !slices.ContainsFunc(b, empty)
+}
+
+// symAct is one atomic action a step decomposes into: a buffered send, a
+// blocking receive, or a local copy.
 type symAct struct {
-	send     bool
+	op       stepOp // opSend, opRecv or opCopy
 	peer     int
 	tag      int
-	sp       span
+	sp       span // send: the bytes sent; receive and copy: where they land
+	src      span // copy: the source
 	add      bool // receive: add into the cells instead of overwriting them
-	fromSend bool // send: sendBuf stands in for recvBuf, so they must agree
-	forward  bool // send: the previous relay arrival, verbatim
+	fromSend bool // send: sendBuf stands in (at sp.off-mirror), so they must agree
+	mirror   int
+	forward  bool // send: the previous arrival, verbatim
 }
 
 func symActs(st step) []symAct {
-	snd := symAct{send: true, peer: st.to, tag: st.tag, sp: st.send, fromSend: st.fromSend}
-	rcv := symAct{peer: st.from, tag: st.tag, sp: st.recv, add: st.adds()}
+	snd := symAct{op: opSend, peer: st.to, tag: st.tag, sp: st.send, fromSend: st.fromSend, mirror: st.mirror}
+	rcv := symAct{op: opRecv, peer: st.from, tag: st.tag, sp: st.recv, add: st.adds()}
+	var acts []symAct
 	switch st.op {
+	case opCopy:
+		return []symAct{{op: opCopy, sp: st.recv, src: st.send}}
 	case opSend:
 		return []symAct{snd}
-	case opRecv, opRecvSum:
+	case opRecv:
 		return []symAct{rcv}
 	case opRelay:
-		var acts []symAct
 		for h, in := range st.relay {
 			fwd := snd
 			if h > 0 {
-				fwd.sp, fwd.forward = st.relay[h-1], true
+				fwd.sp, fwd.forward, fwd.fromSend = st.relay[h-1], true, false
 			}
 			rcv.sp = in
 			acts = append(acts, fwd, rcv)
 		}
 		return acts
+	case opTree:
+		if st.from >= 0 {
+			acts = append(acts, rcv)
+		}
+		for _, c := range st.peers {
+			fwd := snd
+			fwd.peer, fwd.forward = c, st.from >= 0
+			acts = append(acts, fwd)
+		}
+		return acts
+	case opFan:
+		for _, f := range st.fan {
+			f.tag = st.tag
+			acts = append(acts, symActs(f)...)
+		}
+		return acts
 	}
-	return []symAct{snd, rcv}
-}
-
-// symMsg is a message in flight: the span it covers and its cells.
-type symMsg struct {
-	sp   span
-	vals []symVal
+	// opReduce, opExchange, opSendrecv, opAlltoallv; a -1 peer is skipped.
+	if st.to >= 0 {
+		acts = append(acts, snd)
+	}
+	if st.from >= 0 {
+		acts = append(acts, rcv)
+	}
+	return acts
 }
 
 // symResult is what one symbolic run leaves behind, by world rank.
 type symResult struct {
-	declined bool
-	final    map[int][]symVal
-	sent     map[int]int // bytes
-	hops     map[int]int // message rounds: one per step, one per relay hop
+	bufs map[int]*[3]*symBuf
+	sent map[int]int // bytes
+	hops map[int]int // message rounds: one per step, one per relay hop
 }
 
-// symRun runs gen's steps for every rank of l (l.vrank is ignored) on an
-// n-byte vector. Sends are buffered and receives block, per (src, dst, tag
-// base) FIFO; it fails t if a receive's span differs from the matching
-// send's, a fromSend send reads a vector that is no longer the untouched
-// contribution, ranks disagree on declining, the run deadlocks, or a
-// message is left unreceived.
-func symRun(t testing.TB, gen generator, l layout, n int, pipelined bool) symResult {
+// recv reads rank id's recvBuf.
+func (res symResult) recv(id, off, n int) []symRunOf { return res.bufs[id][inRecv].read(off, n) }
+
+// symRun runs gen's steps for every rank of l that is not gone (l.vrank is
+// ignored); segs lays out each rank's sendBuf, region j holding leaf j
+// (bytes outside every region are not the rank's to send). Sends
+// are buffered and receives block, per (src, dst, tag base) FIFO; it fails
+// t if a receive's length differs from the matching send's, a send reads
+// bytes its rank does not hold, a fromSend send's recvBuf bytes differ
+// from the sendBuf ones the executor would send instead, the run
+// deadlocks, or a message is left unreceived.
+func symRun(t testing.TB, l layout, gen func(l layout) []step, segs func(id int) []span) symResult {
 	t.Helper()
-	size := l.size
-	acts := make([][]symAct, size)
-	res := symResult{final: map[int][]symVal{}, sent: map[int]int{}, hops: map[int]int{}}
-	cut := map[int]bool{0: true, n: true}
-	for vr := 0; vr < size; vr++ {
-		lv := l
-		lv.vrank = vr
-		steps := gen(lv, n, pipelined)
-		if vr > 0 && (steps == nil) != res.declined {
-			t.Fatalf("ranks disagree on whether the schedule declines n=%d", n)
-		}
-		if res.declined = steps == nil; res.declined {
+	res := symResult{bufs: map[int]*[3]*symBuf{}, sent: map[int]int{}, hops: map[int]int{}}
+	acts := map[int][]symAct{}
+	var ids []int
+	for vr := 0; vr < l.size; vr++ {
+		me := l.real(vr)
+		if l.skips(me) {
 			continue
 		}
-		for _, st := range steps {
-			acts[vr] = append(acts[vr], symActs(st)...)
-			res.hops[l.real(vr)] += max(1, len(st.relay))
-			for _, sp := range append([]span{st.send, st.recv}, st.relay...) {
-				cut[sp.off], cut[sp.off+sp.n] = true, true
+		ids = append(ids, me)
+		lv := l
+		lv.vrank = vr
+		for _, st := range gen(lv) {
+			acts[me] = append(acts[me], symActs(st)...)
+			if st.op != opCopy {
+				res.hops[me] += max(1, len(st.relay))
 			}
 		}
-	}
-	if res.declined {
-		return res
-	}
-	var cuts []int
-	for c := range cut {
-		cuts = append(cuts, c)
-	}
-	sort.Ints(cuts)
-	cell := func(off int) int { return sort.SearchInts(cuts, off) }
-
-	state := make([][]symVal, size)
-	for vr := range state {
-		state[vr] = make([]symVal, len(cuts)-1)
-		for c := range state[vr] {
-			state[vr][c] = symLeaf(l.real(vr))
+		send := newSymBuf(symVal{})
+		for j, sg := range segs(me) {
+			send.write(sg.off, []symRunOf{{sg.n, symLeaf(me, j)}}, false, false)
 		}
+		res.bufs[me] = &[3]*symBuf{inRecv: newSymBuf(symVal{}), inSend: send, inAcc: newSymBuf(symVal{})}
 	}
 	type key struct{ src, dst, tag int }
-	queues := map[key][]symMsg{}
-	last := make([][]symVal, size)
-	pc := make([]int, size)
+	queues := map[key][][]symRunOf{}
+	last := map[int][]symRunOf{}
+	pc := map[int]int{}
 	for {
 		progress, done := false, 0
-		for vr := 0; vr < size; vr++ {
-			me := l.real(vr)
-			for ; pc[vr] < len(acts[vr]); pc[vr]++ {
-				a := acts[vr][pc[vr]]
-				lo, hi := cell(a.sp.off), cell(a.sp.off+a.sp.n)
-				if a.send {
-					vals := last[vr]
+		for _, me := range ids {
+			b := res.bufs[me]
+		run:
+			for ; pc[me] < len(acts[me]); pc[me]++ {
+				a := acts[me][pc[me]]
+				switch a.op {
+				case opCopy:
+					b[a.sp.buf].write(a.sp.off, b[a.src.buf].read(a.src.off, a.src.n), false, false)
+				case opSend:
+					runs := last[me]
 					if !a.forward {
-						vals = append([]symVal(nil), state[vr][lo:hi]...)
-					}
-					for _, v := range vals {
-						if a.fromSend && v != symLeaf(me) {
-							t.Fatalf("rank %d compresses %v from sendBuf, but recvBuf no longer holds its contribution there", me, a.sp)
+						runs = b[a.sp.buf].read(a.sp.off, a.sp.n)
+						for _, r := range runs {
+							if r.v.mask == 0 {
+								t.Fatalf("rank %d sends %v to %d, bytes it does not hold", me, a.sp, a.peer)
+							}
+						}
+						if a.fromSend && !symSame(runs, b[inSend].read(a.sp.off-a.mirror, a.sp.n)) {
+							t.Fatalf("rank %d compresses %v from sendBuf, but recvBuf no longer holds those bytes there", me, a.sp)
 						}
 					}
 					k := key{me, a.peer, a.tag}
-					queues[k] = append(queues[k], symMsg{a.sp, vals})
+					queues[k] = append(queues[k], runs)
 					res.sent[me] += a.sp.n
-				} else {
+				default:
 					k := key{a.peer, me, a.tag}
 					if len(queues[k]) == 0 {
-						break
+						break run
 					}
 					m := queues[k][0]
 					queues[k] = queues[k][1:]
-					if m.sp != a.sp {
-						t.Fatalf("rank %d receives %v from %d (tag base %d), which sent %v", me, a.sp, a.peer, a.tag, m.sp)
+					got := 0
+					for _, r := range m {
+						got += r.n
 					}
-					for c := lo; c < hi; c++ {
-						if a.add {
-							state[vr][c] = state[vr][c].add(m.vals[c-lo])
-						} else {
-							state[vr][c] = m.vals[c-lo]
-						}
+					if got != a.sp.n {
+						t.Fatalf("rank %d receives %v from %d (tag base %d), which sent %d bytes", me, a.sp, a.peer, a.tag, got)
 					}
-					last[vr] = m.vals
+					b[a.sp.buf].write(a.sp.off, m, true, a.add)
+					last[me] = m
 				}
 				progress = true
 			}
-			if pc[vr] == len(acts[vr]) {
+			if pc[me] == len(acts[me]) {
 				done++
 			}
 		}
-		if done == size {
+		if done == len(ids) {
 			break
 		}
 		if !progress {
@@ -190,47 +290,60 @@ func symRun(t testing.TB, gen generator, l layout, n int, pipelined bool) symRes
 			t.Fatalf("%d messages %d -> %d (tag base %d) never received", len(q), k.src, k.dst, k.tag)
 		}
 	}
-	for vr := range state {
-		res.final[l.real(vr)] = state[vr]
-	}
 	return res
 }
 
-// symSchedules are the generators under test.
+// symSchedules are the allreduce generators under test.
 var symSchedules = []struct {
 	name string
 	gen  generator
 }{
-	{"ring", ringSteps}, {"rd", rdSteps}, {"rab", rabSteps}, {"two-level", twoLevelSteps},
+	{"ring", ringSteps}, {"rd", rdSteps}, {"rab", rabSteps}, {"two-level", twoLevelSteps}, {"reduce-bcast", reduceBcastSteps},
 }
 
-// checkSchedule runs one generator's pipelined and blocking forms on a
-// layout and checks the invariants a schedule value makes cheap.
+// checkSchedule runs one allreduce generator's pipelined and blocking forms
+// on a layout and checks the invariants a schedule value makes cheap.
 func checkSchedule(t testing.TB, name string, gen generator, l layout, n int) {
 	t.Helper()
-	fast := symRun(t, gen, l, n, true)
-	slow := symRun(t, gen, l, n, false)
-	if fast.declined != slow.declined {
-		t.Fatalf("%s: the pipelined form declines n=%d and the blocking form does not, or the reverse", name, n)
+	declined := func(pipelined bool) bool {
+		d := false
+		for vr := 0; vr < l.size; vr++ {
+			lv := l
+			lv.vrank = vr
+			if steps := gen(lv, n, pipelined); vr > 0 && (steps == nil) != d {
+				t.Fatalf("%s: ranks disagree on whether the schedule declines n=%d", name, n)
+			} else {
+				d = steps == nil
+			}
+		}
+		return d
 	}
-	if fast.declined {
-		if name == "rd" || name == "two-level" || n/4 >= l.size {
+	if fast, slow := declined(true), declined(false); fast != slow {
+		t.Fatalf("%s: the pipelined form declines n=%d and the blocking form does not, or the reverse", name, n)
+	} else if fast {
+		if name == "rd" || name == "two-level" || name == "reduce-bcast" || n/4 >= l.size {
 			t.Fatalf("%s declines n=%d on %d ranks", name, n, l.size)
 		}
 		return
 	}
+	form := func(pipelined bool) func(l layout) []step {
+		return func(l layout) []step { return gen(l, n, pipelined) }
+	}
+	whole := func(int) []span { return []span{{n: n}} }
+	fast, slow := symRun(t, l, form(true), whole), symRun(t, l, form(false), whole)
 	var live uint64
 	for vr := 0; vr < l.size; vr++ {
 		live |= 1 << l.real(vr)
 	}
-	for id, cells := range fast.final {
-		for c, v := range cells {
-			if v.mask != live || v.dup {
-				t.Fatalf("%s: rank %d cell %d sums contributions %b (dup %v), want each of %b once", name, id, c, v.mask, v.dup, live)
+	for id := range fast.bufs {
+		cells := fast.recv(id, 0, n)
+		for _, v := range cells {
+			if v.v.mask != live || v.v.dup {
+				t.Fatalf("%s: rank %d sums contributions %b (dup %v), want each of %b once", name, id, v.v.mask, v.v.dup, live)
 			}
-			if v != slow.final[id][c] {
-				t.Fatalf("%s: rank %d cell %d: the pipelined form adds in a different order than the blocking form", name, id, c)
-			}
+		}
+		if !symSame(cells, slow.recv(id, 0, n)) {
+			t.Fatalf("%s: rank %d: the pipelined form adds in a different order than the blocking form", name, id)
 		}
 	}
 
@@ -243,7 +356,7 @@ func checkSchedule(t testing.TB, name string, gen generator, l layout, n int) {
 	pow2, rem := rdPow2(P)
 	want := 0
 	switch {
-	case name == "ring":
+	case name == "ring" || name == "reduce-bcast":
 		want = 2 * n * (P - 1)
 	case name == "rab":
 		want = 2*n*(pow2-1) + 2*n*rem
@@ -260,11 +373,7 @@ func checkSchedule(t testing.TB, name string, gen generator, l layout, n int) {
 		want = rdVolume(P)
 	}
 	for _, res := range []symResult{fast, slow} {
-		got := 0
-		for _, b := range res.sent {
-			got += b
-		}
-		if got != want {
+		if got := symTotal(res.sent); got != want {
 			t.Fatalf("%s on %d ranks (n=%d): %d bytes sent, want %d", name, P, n, got, want)
 		}
 	}
@@ -276,7 +385,7 @@ func checkSchedule(t testing.TB, name string, gen generator, l layout, n int) {
 	if name == "rab" {
 		core *= 2
 	}
-	for vr := 0; vr < P && name != "two-level"; vr++ {
+	for vr := 0; vr < P && name != "two-level" && name != "reduce-bcast"; vr++ {
 		want := core
 		switch {
 		case name == "ring":
@@ -291,6 +400,226 @@ func checkSchedule(t testing.TB, name string, gen generator, l layout, n int) {
 				t.Fatalf("%s on %d ranks: view rank %d runs %d rounds, want %d", name, P, vr, got, want)
 			}
 		}
+	}
+}
+
+func symTotal(sent map[int]int) int {
+	total := 0
+	for _, b := range sent {
+		total += b
+	}
+	return total
+}
+
+// symCounts is the ragged Alltoallv pattern: rank i sends 4((i+2j) mod 3)
+// bytes — some segments empty — to rank j, both sides packing their
+// segments in rank order: sendAt(i, j) and recvAt(i, j) are where rank i
+// keeps its segment for and from rank j.
+func symCounts() (counts, sendAt, recvAt func(i, j int) int) {
+	counts = func(i, j int) int { return 4 * ((i + 2*j) % 3) }
+	sum := func(j int, c func(k int) int) (d int) {
+		for k := 0; k < j; k++ {
+			d += c(k)
+		}
+		return d
+	}
+	sendAt = func(i, j int) int { return sum(j, func(k int) int { return counts(i, k) }) }
+	recvAt = func(i, j int) int { return sum(j, func(k int) int { return counts(k, i) }) }
+	return counts, sendAt, recvAt
+}
+
+// symColls are the other collectives' generators under test, as functions
+// of (layout, root, block bytes); the broadcasts and the reduction move
+// l.ranks blocks. indexed marks the world-indexed ones: they run on the
+// identity layout with the dropped ranks gone.
+var symColls = []struct {
+	name    string
+	indexed bool
+	gen     func(l layout, root, blk int) []step
+}{
+	{"barrier", false, func(l layout, _, _ int) []step { return barrierSteps(l) }},
+	{"bcast", false, func(l layout, root, blk int) []step { return bcastSteps(l, root, span{n: l.ranks * blk, buf: inSend}) }},
+	{"bcast-hier", false, func(l layout, root, blk int) []step { return bcastHierSteps(l, root, l.ranks*blk) }},
+	{"bcast-sag", false, func(l layout, root, blk int) []step { return sagSteps(l, root, l.ranks*blk) }},
+	{"bcast-sag-ragged", false, func(l layout, root, blk int) []step { return sagSteps(l, root, l.ranks*blk+4) }},
+	{"reduce", false, func(l layout, root, blk int) []step { return reduceSteps(l, root, l.ranks*blk) }},
+	{"gather", true, gatherSteps},
+	{"scatter", true, func(l layout, root, blk int) []step { return scatterSteps(l, root, blk, false) }},
+	{"allgather", false, func(l layout, _, blk int) []step { return allgatherSteps(l, blk, false) }},
+	{"allgather-hier", false, func(l layout, _, blk int) []step { return allgatherHierSteps(l, blk) }},
+	{"alltoall", true, func(l layout, _, blk int) []step { return alltoallSteps(l, blk) }},
+	{"alltoallv", true, func(l layout, _, _ int) []step {
+		counts, sendAt, recvAt := symCounts()
+		sc, sd, rc, rd := make([]int, l.ranks), make([]int, l.ranks), make([]int, l.ranks), make([]int, l.ranks)
+		for j := range sc {
+			sc[j], sd[j], rc[j], rd[j] = counts(l.me(), j), sendAt(l.me(), j), counts(j, l.me()), recvAt(l.me(), j)
+		}
+		return alltoallvSteps(l, sc, sd, rc, rd)
+	}},
+}
+
+func symRooted(name string) bool {
+	switch name {
+	case "barrier", "allgather", "allgather-hier", "alltoall", "alltoallv":
+		return false
+	}
+	return true
+}
+
+// checkCollective runs symColls[c] on the P-rank world of ppn ranks per
+// node where the ranks in live survive (nil: all, in rank order), and
+// checks that every block reaches every rank it should exactly once and
+// nothing else moves, that every send pairs with a receive (symRun), and
+// the textbook volume.
+func checkCollective(t testing.TB, c int, P, ppn int, live []int, root, blk int) {
+	t.Helper()
+	name, gen := symColls[c].name, symColls[c].gen
+	l := symLayout(P, ppn, live)
+	if symColls[c].indexed {
+		l = symLayout(P, ppn, nil)
+		for id := 0; id < P; id++ {
+			if live != nil && !slices.Contains(live, id) {
+				l.gone = append(l.gone, id)
+			}
+		}
+	}
+	ids := l.peers()
+	if live != nil {
+		ids = live
+	}
+	L, n := len(ids), P*blk
+	if name == "bcast-sag-ragged" {
+		n += 4
+	}
+	counts, sendAt, recvAt := symCounts()
+	segs := func(int) []span { return []span{{n: n}} }
+	switch name {
+	case "barrier":
+		segs = func(int) []span { return []span{{n: 1}} }
+	case "gather", "allgather", "allgather-hier":
+		segs = func(int) []span { return []span{{n: blk}} }
+	case "scatter", "alltoall":
+		segs = func(int) []span {
+			s := make([]span, P)
+			for p := range s {
+				s[p] = span{off: p * blk, n: blk}
+			}
+			return s
+		}
+	case "alltoallv":
+		segs = func(id int) []span {
+			s := make([]span, P)
+			for p := range s {
+				s[p] = span{off: sendAt(id, p), n: counts(id, p)}
+			}
+			return s
+		}
+	}
+	res := symRun(t, l, func(l layout) []step { return gen(l, root, blk) }, segs)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s on %d ranks (ppn %d, live %v, root %d, blk %d): "+format, append([]any{name, P, ppn, live, root, blk}, args...)...)
+	}
+	// expect checks n bytes of rank id's recvBuf at off: want's value,
+	// written by at most one message (a value other than the rank's own can
+	// only arrive, so exactly one), or — a zero want — untouched.
+	expect := func(id, off, n int, want symVal) {
+		for _, r := range res.recv(id, off, n) {
+			if r.v.mask != want.mask || r.v.h != want.h || r.v.got > 1 {
+				fail("rank %d holds %+v at [%d, %d), want %+v delivered once", id, r.v, off, off+n, want)
+			}
+		}
+	}
+	var liveMask uint64
+	for _, id := range ids {
+		liveMask |= 1 << id
+	}
+	want := 0
+	switch name {
+	case "barrier":
+		rounds := bits.Len(uint(L - 1))
+		for _, id := range ids {
+			if res.hops[id] != rounds {
+				fail("rank %d runs %d rounds, want %d", id, res.hops[id], rounds)
+			}
+		}
+		want = L * rounds
+	case "bcast", "bcast-hier", "bcast-sag", "bcast-sag-ragged":
+		for _, id := range ids {
+			if id != root {
+				expect(id, 0, n, symLeaf(root, 0))
+				continue
+			}
+			// The root's recvBuf is its sendBuf: what lands there is its own.
+			for _, r := range res.recv(id, 0, n) {
+				if r.v.mask != 0 && (r.v.mask != 1<<root || r.v.h != symLeaf(root, 0).h) || r.v.got > 1 {
+					fail("the root's buffer holds %+v", r.v)
+				}
+			}
+		}
+		want = (L - 1) * n
+		if name == "bcast-sag" && L == P {
+			want = (P-1)*blk + P*(P-1)*blk
+		}
+	case "reduce":
+		for _, id := range ids {
+			for _, r := range res.recv(id, 0, n) {
+				if id == root && (r.v.mask != liveMask || r.v.dup) || id != root && r.v.mask != 0 {
+					fail("rank %d holds %+v", id, r.v)
+				}
+			}
+		}
+		want = (L - 1) * n
+	case "gather":
+		for _, id := range ids {
+			for p := 0; p < P; p++ {
+				v := symVal{}
+				if id == root && slices.Contains(ids, p) {
+					v = symLeaf(p, 0)
+				}
+				expect(id, p*blk, blk, v)
+			}
+		}
+		want = (L - 1) * blk
+	case "scatter":
+		for _, id := range ids {
+			expect(id, 0, blk, symLeaf(root, id))
+		}
+		want = (L - 1) * blk
+	case "allgather", "allgather-hier", "alltoall":
+		for _, id := range ids {
+			for p := 0; p < P; p++ {
+				v := symVal{}
+				if slices.Contains(ids, p) {
+					v = symLeaf(p, 0)
+					if name == "alltoall" {
+						v = symLeaf(p, id)
+					}
+				}
+				expect(id, p*blk, blk, v)
+			}
+		}
+		want = L * (L - 1) * blk
+		if name == "allgather-hier" && ppn > 1 && l.nodes > 1 && live == nil && blk > 0 {
+			nodes := l.nodes
+			want = (P-nodes)*blk*(1+P) + nodes*(nodes-1)*ppn*blk
+		}
+	case "alltoallv":
+		for _, id := range ids {
+			for p := 0; p < P; p++ {
+				v := symVal{}
+				if slices.Contains(ids, p) {
+					v = symLeaf(p, id)
+					if p != id {
+						want += counts(p, id)
+					}
+				}
+				expect(id, recvAt(id, p), counts(p, id), v)
+			}
+		}
+	}
+	if got := symTotal(res.sent); got != want {
+		fail("%d bytes sent, want %d", got, want)
 	}
 }
 
@@ -317,22 +646,43 @@ func symLayout(P, ppn int, live []int) layout {
 	if live != nil {
 		v = collView{size: len(live), live: live}
 	}
-	return layout{v, ppn, (P + ppn - 1) / ppn}
+	return layout{collView: v, ppn: ppn, nodes: (P + ppn - 1) / ppn, ranks: P}
 }
 
-// TestScheduleProperties checks every generator over P = 1…17 world
-// ranks, the views of symViews, ppn 1/2/4 and vectors of 0, 4, 4(P-1),
-// ragged and 1 MiB bytes (ppn matters to the two-level schedule only).
+// symReadsPPN names the generators whose steps depend on the node grouping.
+func symReadsPPN(name string) bool {
+	return strings.HasPrefix(name, "two-level") || strings.HasSuffix(name, "-hier")
+}
+
+// TestScheduleProperties checks every generator over P = 2…17 world ranks,
+// the views of symViews and ppn 1/2/4 (for the generators ppn moves): the
+// allreduce schedules on vectors of 0, 4, 4(P-1), ragged and 1 MiB bytes,
+// the other collectives for every surviving root on 8-byte blocks. The
+// two-level allgather needs full nodes, as every world has.
 func TestScheduleProperties(t *testing.T) {
 	for P := 2; P <= 17; P++ {
 		for _, live := range symViews(P) {
-			for _, n := range []int{0, 4, 4 * (P - 1), 4 * (7*P + 3), 1 << 20} {
-				for _, s := range symSchedules {
-					for _, ppn := range []int{1, 2, 4} {
-						if ppn > 1 && s.name != "two-level" {
+			for _, ppn := range []int{1, 2, 4} {
+				for _, n := range []int{0, 4, 4 * (P - 1), 4 * (7*P + 3), 1 << 20} {
+					for _, s := range symSchedules {
+						if ppn == 1 || symReadsPPN(s.name) {
+							checkSchedule(t, s.name, s.gen, symLayout(P, ppn, live), n)
+						}
+					}
+				}
+				roots := live
+				if roots == nil {
+					roots = symLayout(P, ppn, nil).peers()
+				}
+				for c, sc := range symColls {
+					if ppn > 1 && !symReadsPPN(sc.name) || sc.name == "allgather-hier" && P%ppn != 0 {
+						continue
+					}
+					for _, root := range roots {
+						checkCollective(t, c, P, ppn, live, root, 8)
+						if !symRooted(sc.name) {
 							break
 						}
-						checkSchedule(t, s.name, s.gen, symLayout(P, ppn, live), n)
 					}
 				}
 			}
@@ -343,7 +693,8 @@ func TestScheduleProperties(t *testing.T) {
 // TestPriceWalksTheSchedule: PriceAllreduce reads the steps the executor
 // runs — with every message priced 1 it counts the slowest rank's rounds,
 // and on six ranks rd and rab cost what the power-of-two closed form says
-// plus the fold's two whole-vector messages.
+// plus the fold's two whole-vector messages. Auto has no steps and
+// reduce+broadcast's tree relay is not priced: both decline.
 func TestPriceWalksTheSchedule(t *testing.T) {
 	for P := 1; P <= 17; P++ {
 		for _, ppn := range []int{1, 2, 4} {
@@ -354,13 +705,14 @@ func TestPriceWalksTheSchedule(t *testing.T) {
 			for _, a := range AllreduceAlgos() {
 				row := allreduceAlgos[a]
 				got, ok := PriceAllreduce(a, p, func(bool, int) int64 { return 1 })
-				if row.gen == nil || P == 1 {
-					if ok != (row.gen != nil) || got != 0 {
+				if declines := a == AllreduceAuto || a == AllreduceReduceBcast && P > 1; declines || P == 1 {
+					if ok == declines || got != 0 {
 						t.Fatalf("%v on %d ranks: price (%d, %v)", a, P, got, ok)
 					}
 					continue
 				}
-				res := symRun(t, row.gen, symLayout(P, ppn, nil), p.Bytes, !row.blocking)
+				res := symRun(t, symLayout(P, ppn, nil), func(l layout) []step { return row.gen(l, p.Bytes, !row.blocking) },
+					func(int) []span { return []span{{n: p.Bytes}} })
 				want := 0
 				for _, h := range res.hops {
 					want = max(want, h)
@@ -393,17 +745,18 @@ func TestPriceWalksTheSchedule(t *testing.T) {
 	}
 }
 
-// FuzzAllreduceSchedule drives checkSchedule over (schedule, world size,
-// ppn, vector length, dropped ranks).
-func FuzzAllreduceSchedule(f *testing.F) {
-	f.Add(uint8(0), uint8(5), uint8(1), uint32(1000), uint32(0))
-	f.Add(uint8(1), uint8(6), uint8(0), uint32(3), uint32(0b100001))
-	f.Add(uint8(2), uint8(11), uint8(1), uint32(77), uint32(0b1010))
-	f.Add(uint8(3), uint8(7), uint8(1), uint32(4096), uint32(0b1))
-	f.Add(uint8(3), uint8(15), uint8(3), uint32(1<<18), uint32(0b10010))
-	f.Fuzz(func(t *testing.T, algo, ranks, ppn uint8, words, drop uint32) {
-		s := symSchedules[int(algo)%len(symSchedules)]
-		P := 2 + int(ranks)%31
+// FuzzSchedule drives checkSchedule and checkCollective over (generator,
+// world size, ppn, vector length, dropped ranks, root).
+func FuzzSchedule(f *testing.F) {
+	f.Add(uint8(0), uint8(5), uint8(1), uint32(1000), uint32(0), uint8(0))
+	f.Add(uint8(1), uint8(6), uint8(0), uint32(3), uint32(0b100001), uint8(2))
+	f.Add(uint8(2), uint8(11), uint8(1), uint32(77), uint32(0b1010), uint8(4))
+	f.Add(uint8(3), uint8(7), uint8(1), uint32(4096), uint32(0b1), uint8(3))
+	f.Add(uint8(3), uint8(15), uint8(3), uint32(1<<18), uint32(0b10010), uint8(9))
+	f.Add(uint8(7), uint8(6), uint8(1), uint32(12), uint32(0b10), uint8(5))
+	f.Add(uint8(14), uint8(8), uint8(1), uint32(5), uint32(0), uint8(0))
+	f.Fuzz(func(t *testing.T, gen, ranks, ppn uint8, words, drop uint32, root uint8) {
+		P, k := 2+int(ranks)%31, 1+int(ppn)%4
 		var live []int
 		for id := 0; id < P; id++ {
 			if drop&(1<<id) == 0 {
@@ -413,9 +766,18 @@ func FuzzAllreduceSchedule(f *testing.F) {
 		if len(live) < 2 {
 			return
 		}
+		r := live[int(root)%len(live)]
 		if len(live) == P {
 			live = nil
 		}
-		checkSchedule(t, s.name, s.gen, symLayout(P, 1+int(ppn)%4, live), 4*int(words%(1<<18)))
+		g := int(gen) % (len(symSchedules) + len(symColls))
+		if g < len(symSchedules) {
+			checkSchedule(t, symSchedules[g].name, symSchedules[g].gen, symLayout(P, k, live), 4*int(words%(1<<18)))
+			return
+		}
+		if g -= len(symSchedules); symColls[g].name == "allgather-hier" && P%k != 0 {
+			return
+		}
+		checkCollective(t, g, P, k, live, r, 4*int(words%64))
 	})
 }

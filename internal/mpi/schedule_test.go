@@ -171,7 +171,7 @@ func TestAllreduceAlgoPin(t *testing.T) {
 	const n = 1 << 15
 	direct := map[AllreduceAlgo]func(r *Rank, in, out *gpusim.Buffer) error{
 		AllreduceReduceBcast: func(r *Rank, in, out *gpusim.Buffer) error {
-			return r.healRun(func() error { return r.allreduceSum(in, out) })
+			return r.healRun(func() error { return r.runSchedule(allreduce(reduceBcastSteps, true, in, out)) })
 		},
 		AllreduceRing:              func(r *Rank, in, out *gpusim.Buffer) error { return r.RingAllreduceSum(in, out) },
 		AllreduceRingBlocking:      func(r *Rank, in, out *gpusim.Buffer) error { return r.RingAllreduceSumBlocking(in, out) },

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -251,6 +252,81 @@ func TestTransportWrittenOnce(t *testing.T) {
 			t.Errorf("%s appears in %v, want exactly %v", c.what, got, c.want)
 		}
 	}
+}
+
+// TestOneCollectiveExecutor keeps every collective on the one executor:
+// outside p2p.go, only runStep and the shared transport steps it calls
+// post point-to-point operations — besides the typed point-to-point API
+// (typed.go) and the self-heal verdict round, which are no collectives. A
+// hand-written collective shows up as a new caller, as the planted one
+// below does.
+func TestOneCollectiveExecutor(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := map[string]any{}
+	for _, name := range files {
+		if !strings.HasSuffix(name, "_test.go") {
+			srcs[name] = nil
+		}
+	}
+	if got := transportCallers(t, srcs); len(got) > 0 {
+		t.Errorf("point-to-point calls outside the executor: %v", got)
+	}
+	planted := `package mpi
+func (r *Rank) plantedBcast(root int, buf *gpusim.Buffer) error {
+	if r.id != root {
+		return r.recv(root, r.collTag(baseBcast), buf)
+	}
+	for p := 0; p < r.Size(); p++ {
+		if err := r.send(p, r.collTag(baseBcast), buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}`
+	if got := transportCallers(t, map[string]any{"planted.go": planted}); strings.Join(got, " ") != "planted.go:plantedBcast" {
+		t.Errorf("the planted hand-written broadcast is reported as %v", got)
+	}
+}
+
+// transportCallers lists, as file:function, the functions of the given
+// sources (nil: read the file) that post a point-to-point operation but
+// are not allowed to.
+func transportCallers(t *testing.T, srcs map[string]any) []string {
+	prims := map[string]bool{"isend": true, "irecv": true, "send": true, "recv": true, "sendrecv": true,
+		"isendPayload": true, "prepare": true, "post": true}
+	allowed := map[string]bool{"runStep": true, "ringReduceStep": true, "rdExchange": true, "relayRing": true,
+		"treeRelay": true, "alltoallvStep": true, "healVerdict": true}
+	fset := token.NewFileSet()
+	var out []string
+	for name, src := range srcs {
+		if name == "p2p.go" || name == "typed.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || allowed[fn.Name.Name] {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && prims[sel.Sel.Name] {
+						out = append(out, name+":"+fn.Name.Name)
+						return false
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(out)
+	return slices.Compact(out)
 }
 
 // TestAllreduceSchedulesDeclaredOnce keeps the schedule space in one place:
