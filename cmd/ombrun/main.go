@@ -48,7 +48,6 @@ func main() {
 	healthFlag := flag.String("health", "", "failure-handling spec, e.g. deadline=500us,shrink=true (empty = defaults)")
 	partitionFlag := flag.String("partition", "", "link/partition fault spec, e.g. linkdown=0.25,flap=0.1,groups=0:1|2:3,at=200us,heal=1ms (empty = off)")
 	healFlag := flag.String("heal", "", "self-heal spec, e.g. on=true,attempts=4 (empty = off)")
-	detectorFlag := flag.String("detector", "", "failure-detector spec, e.g. lease=200us,confirm=300us (empty = off)")
 	breakerFlag := flag.String("breaker", "", "codec circuit-breaker spec, e.g. threshold=3,cooldown=2ms,seed=11 (empty = off)")
 	retries := flag.Int("retries", 0, "retransmission budget per protocol stage (0 = default, negative = retries off)")
 	chunkRetry := flag.Int("chunk-retry", 0, "per-chunk retransmission budget on the pipelined path (0 = inherit -retries, negative = off)")
@@ -77,8 +76,6 @@ func main() {
 	health, err := cli.ParseHealth(*healthFlag)
 	cli.Fatal(err)
 	health, err = cli.ParseHeal(*healFlag, health)
-	cli.Fatal(err)
-	health.Detector, err = cli.ParseDetector(*detectorFlag)
 	cli.Fatal(err)
 	breaker, err := cli.ParseBreaker(*breakerFlag)
 	cli.Fatal(err)
@@ -264,11 +261,10 @@ func writeStats(out io.Writer, w *mpi.World, cfg core.Config, health mpi.HealthP
 			ps.Chunks, ps.RelayChunks, ps.Retransmits, ps.RetransmitBytes,
 			ps.CreditStalls, ps.WindowShrinks, ps.DegradeEvents, ps.BypassSmall, ps.BypassDegraded)
 	}
-	if health.SelfHeal || health.Detector.Enabled() {
+	if health.SelfHeal {
 		rs := w.RecoveryStats()
-		fmt.Fprintf(out, "# recovery: reroutes=%d shrink-completions=%d revoked-ops=%d suspects=%d false-suspects=%d confirms=%d resourced-chunks=%d link-drops=%d recovery-time=%.2fus\n",
+		fmt.Fprintf(out, "# recovery: reroutes=%d shrink-completions=%d revoked-ops=%d resourced-chunks=%d link-drops=%d recovery-time=%.2fus\n",
 			rs.Reroutes, rs.ShrinkCompletions, rs.RevokedOps,
-			rs.Suspects, rs.FalseSuspects, rs.Confirms,
 			rs.ResourcedChunks, rs.LinkDrops, rs.RecoveryTime.Microseconds())
 	}
 	if cfg.Breaker.Enabled() {

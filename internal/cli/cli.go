@@ -202,7 +202,7 @@ func parseCount(val string) (int, error) {
 func parseSeed(val string) (int64, error) { return strconv.ParseInt(val, 10, 64) }
 
 // parseSpec is the grammar of every spec flag (-faults, -crash, -partition,
-// -heal, -detector, -health, -breaker): comma-separated key=value parts,
+// -heal, -health, -breaker): comma-separated key=value parts,
 // blanks around parts, keys and values ignored, keys case-insensitive, a
 // repeated key overwriting the earlier one as a repeated flag would. what
 // names the flag in errors; an unknown key's error lists the keys of fields.
@@ -349,14 +349,6 @@ func ParsePartition(s string, cfg *faults.Config) (*faults.Config, error) {
 func ParseHeal(s string, pol mpi.HealthPolicy) (mpi.HealthPolicy, error) {
 	err := parseSpec("heal", s,
 		opt("on", &pol.SelfHeal, strconv.ParseBool), opt("attempts", &pol.MaxAttempts, parseCount))
-	return pol, err
-}
-
-// ParseDetector parses a failure-detector spec of the form
-// "lease=200us,confirm=300us"; empty is the zero policy (detector off).
-func ParseDetector(s string) (pol mpi.DetectorPolicy, err error) {
-	err = parseSpec("detector", s,
-		opt("lease", &pol.Lease, ParseSimDuration), opt("confirm", &pol.Confirm, ParseSimDuration))
 	return pol, err
 }
 

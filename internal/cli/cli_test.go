@@ -328,27 +328,6 @@ func TestParseHeal(t *testing.T) {
 	}
 }
 
-func TestParseDetector(t *testing.T) {
-	if pol, err := ParseDetector(""); err != nil || pol.Enabled() {
-		t.Errorf("empty spec gave %+v err=%v", pol, err)
-	}
-	pol, err := ParseDetector("lease=200us,confirm=300us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol.Lease != 200*simtime.Microsecond || pol.Confirm != 300*simtime.Microsecond {
-		t.Errorf("ParseDetector = %+v", pol)
-	}
-	if !pol.Enabled() {
-		t.Error("parsed detector should be enabled")
-	}
-	for _, in := range []string{"lease=5", "confirm", "window=1ms"} {
-		if _, err := ParseDetector(in); err == nil {
-			t.Errorf("ParseDetector(%q) accepted", in)
-		}
-	}
-}
-
 func TestParseHealth(t *testing.T) {
 	if pol, err := ParseHealth(""); err != nil || pol != (mpi.HealthPolicy{}) {
 		t.Errorf("empty spec gave %+v err=%v", pol, err)
@@ -386,7 +365,7 @@ func TestParseBreaker(t *testing.T) {
 	}
 }
 
-// TestSpecGrammar runs one matrix through all seven spec parsers: what the
+// TestSpecGrammar runs one matrix through all six spec parsers: what the
 // grammar accepts and rejects is decided once, in parseSpec, so it must be
 // the same for every flag.
 func TestSpecGrammar(t *testing.T) {
@@ -404,7 +383,6 @@ func TestSpecGrammar(t *testing.T) {
 		{"partition", "seed, linkdown, outage, flap, period, duty, window, groups, at, heal",
 			"groups=0:1|2:3", "groups=0|1|2", func(s string) (any, error) { return ParsePartition(s, nil) }},
 		{"heal", "on, attempts", "attempts=3", "attempts=5", func(s string) (any, error) { return ParseHeal(s, base) }},
-		{"detector", "lease, confirm", "lease=200us", "lease=1ms", func(s string) (any, error) { return ParseDetector(s) }},
 		{"health", "deadline, shrink", "shrink=true", "shrink=false", func(s string) (any, error) { return ParseHealth(s) }},
 		{"breaker", "threshold, cooldown, seed", "seed=11", "seed=-4", func(s string) (any, error) { return ParseBreaker(s) }},
 	}
@@ -449,16 +427,15 @@ func TestSpecGrammar(t *testing.T) {
 		{1, "crash=-0.1", `crash option crash="-0.1": must be a probability in [0,1]`},
 		{2, "duty=2", `partition option duty="2": must be a probability in [0,1]`},
 		{3, "attempts=-1", `heal option attempts="-1": must be a non-negative integer`},
-		{6, "threshold=1.5", `breaker option threshold="1.5": must be a non-negative integer`},
+		{5, "threshold=1.5", `breaker option threshold="1.5": must be a non-negative integer`},
 		{1, "window=5h", `crash option window="5h": bad duration`},
 		{2, "at=-1ms", `partition option at="-1ms": bad duration`},
-		{4, "lease=5", `detector option lease="5": bad duration`},
-		{5, "deadline=1m", `health option deadline="1m": bad duration`},
-		{6, "cooldown=ms", `breaker option cooldown="ms": bad duration`},
+		{4, "deadline=1m", `health option deadline="1m": bad duration`},
+		{5, "cooldown=ms", `breaker option cooldown="ms": bad duration`},
 		{3, "on=maybe", `heal option on="maybe": `},
-		{5, "shrink=2", `health option shrink="2": `},
+		{4, "shrink=2", `health option shrink="2": `},
 		{0, "seed=x", `fault option seed="x": `},
-		{6, "seed=1.5", `breaker option seed="1.5": `},
+		{5, "seed=1.5", `breaker option seed="1.5": `},
 		{2, "groups=0:1", `partition option groups="0:1": need at least two |-separated groups`},
 		{2, "groups=0:x|2", `partition option groups="0:x|2": bad node "x"`},
 	} {

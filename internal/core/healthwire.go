@@ -7,14 +7,13 @@ import (
 
 // Health-plane control packets. The self-healing collectives exchange two
 // packet types out of band of the data path: a Heartbeat carries one rank's
-// per-operation liveness verdict (its lease state and whether its attempt
-// failed) to the recovery coordinator, and a RouteUpdate carries the
-// coordinator's decision back — retry or not, and on retry the surviving
-// view in route order so every rank splices the same ring. Like the chunk
-// control packets, both have a fixed little-endian wire encoding with a
-// leading magic byte and a strict decoder: a truncated packet, unknown flag
-// bits, or an impossible rank list fails loudly instead of silently
-// steering recovery the wrong way.
+// per-operation verdict (whether its attempt failed) to the recovery
+// coordinator, and a RouteUpdate carries the coordinator's decision back —
+// retry or not. Every rank derives the retried view on its own, so neither
+// packet carries one. Like the chunk control packets, both have a fixed
+// little-endian wire encoding with a leading magic byte and a strict
+// decoder: a truncated packet, unknown flag bits, or an impossible field
+// fails loudly instead of silently steering recovery the wrong way.
 
 // Health control-packet magics (first wire byte).
 const (
@@ -27,9 +26,6 @@ const (
 	// hbFlagFailed: the sender's attempt of the operation failed (peer
 	// failure, revocation, or delivery exhaustion) — a retry vote.
 	hbFlagFailed = 1 << 0
-	// hbFlagSuspect: the sender's failure detector currently suspects at
-	// least one peer (telemetry; does not by itself force a retry).
-	hbFlagSuspect = 1 << 1
 )
 
 // RouteUpdate flag bits (second wire byte).
@@ -39,20 +35,20 @@ const (
 	ruFlagRetry = 1 << 0
 )
 
-// HeartbeatSize is the fixed serialized size of a Heartbeat.
-const HeartbeatSize = 34
+// HeartbeatSize and RouteUpdateSize are the fixed serialized sizes of the
+// two packets.
+const (
+	HeartbeatSize   = 18
+	RouteUpdateSize = 14
+)
 
-// MaxRouteRanks bounds the rank ids and view size a well-formed sender can
-// produce; decoders reject anything larger.
+// MaxRouteRanks bounds the rank ids a well-formed sender can produce;
+// decoders reject anything larger.
 const MaxRouteRanks = 4096
 
-// routeUpdateFixed is the serialized size of a RouteUpdate before its rank
-// list.
-const routeUpdateFixed = 16
-
-// Heartbeat is one rank's per-operation liveness report to the recovery
-// coordinator: identity, the (epoch, op) it reports on, its lease length,
-// the virtual instant it was sent, and whether its attempt failed.
+// Heartbeat is one rank's per-operation report to the recovery
+// coordinator: identity, the (epoch, op) it reports on, and whether its
+// attempt failed.
 type Heartbeat struct {
 	// Src is the reporting rank.
 	Src int
@@ -61,14 +57,8 @@ type Heartbeat struct {
 	// one attempt, so a stale heartbeat can never vote on a later one.
 	Epoch int
 	Op    uint64
-	// LeaseNS is the sender's heartbeat lease in virtual nanoseconds;
-	// SentAtNS the virtual send instant. Both ride every report so the
-	// coordinator's detector view needs no extra packets.
-	LeaseNS  uint64
-	SentAtNS uint64
-	// Failed votes retry; Suspect is detector telemetry.
-	Failed  bool
-	Suspect bool
+	// Failed votes retry.
+	Failed bool
 }
 
 // EncodeHeartbeat serializes the heartbeat (little-endian).
@@ -77,16 +67,11 @@ func (h Heartbeat) EncodeHeartbeat() []byte {
 	if h.Failed {
 		flags |= hbFlagFailed
 	}
-	if h.Suspect {
-		flags |= hbFlagSuspect
-	}
 	buf := make([]byte, 0, HeartbeatSize)
 	buf = append(buf, heartbeatMagic, flags)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Src))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Epoch))
 	buf = binary.LittleEndian.AppendUint64(buf, h.Op)
-	buf = binary.LittleEndian.AppendUint64(buf, h.LeaseNS)
-	buf = binary.LittleEndian.AppendUint64(buf, h.SentAtNS)
 	return buf
 }
 
@@ -101,17 +86,14 @@ func DecodeHeartbeat(buf []byte) (Heartbeat, error) {
 		return Heartbeat{}, fmt.Errorf("core: bad heartbeat magic %#x", buf[0])
 	}
 	flags := buf[1]
-	if flags&^(hbFlagFailed|hbFlagSuspect) != 0 {
+	if flags&^hbFlagFailed != 0 {
 		return Heartbeat{}, fmt.Errorf("core: unknown heartbeat flags %#x", flags)
 	}
 	h := Heartbeat{
-		Src:      int(binary.LittleEndian.Uint32(buf[2:])),
-		Epoch:    int(binary.LittleEndian.Uint32(buf[6:])),
-		Op:       binary.LittleEndian.Uint64(buf[10:]),
-		LeaseNS:  binary.LittleEndian.Uint64(buf[18:]),
-		SentAtNS: binary.LittleEndian.Uint64(buf[26:]),
-		Failed:   flags&hbFlagFailed != 0,
-		Suspect:  flags&hbFlagSuspect != 0,
+		Src:    int(binary.LittleEndian.Uint32(buf[2:])),
+		Epoch:  int(binary.LittleEndian.Uint32(buf[6:])),
+		Op:     binary.LittleEndian.Uint64(buf[10:]),
+		Failed: flags&hbFlagFailed != 0,
 	}
 	if h.Src < 0 || h.Src >= MaxRouteRanks {
 		return Heartbeat{}, fmt.Errorf("core: corrupt heartbeat (src=%d)", h.Src)
@@ -119,59 +101,36 @@ func DecodeHeartbeat(buf []byte) (Heartbeat, error) {
 	if h.Epoch < 0 || h.Epoch >= 1<<16 {
 		return Heartbeat{}, fmt.Errorf("core: corrupt heartbeat (epoch=%d)", h.Epoch)
 	}
-	if h.LeaseNS >= 1<<62 || h.SentAtNS >= 1<<62 {
-		return Heartbeat{}, fmt.Errorf("core: corrupt heartbeat (lease=%d sentAt=%d)", h.LeaseNS, h.SentAtNS)
-	}
 	return h, nil
 }
 
-// RouteUpdate is the recovery coordinator's per-operation decision: whether
-// the operation must be retried and, when it must, the surviving view in
-// route order. Every member splices its ring from the same list, which is
-// what makes the rebuilt route identical across ranks.
+// RouteUpdate is the recovery coordinator's per-operation decision:
+// whether the operation must be retried.
 type RouteUpdate struct {
 	// Epoch / Op bind the decision to one attempt, mirroring Heartbeat.
 	Epoch int
 	Op    uint64
 	// Retry reports the coordinator's OR over member failure votes.
 	Retry bool
-	// View is the surviving view in route order. Rank ids must be unique
-	// and below MaxRouteRanks; the list may be empty on a no-retry
-	// decision.
-	View []int
 }
 
-// EncodeRouteUpdate serializes the route update (little-endian). It panics
-// on a view a well-formed coordinator cannot hold (too long, rank out of
-// range) — that is a library bug, not wire input.
+// EncodeRouteUpdate serializes the route update (little-endian).
 func (u RouteUpdate) EncodeRouteUpdate() []byte {
-	if len(u.View) > MaxRouteRanks {
-		panic(fmt.Sprintf("core: route update view too long (%d ranks)", len(u.View)))
-	}
 	var flags byte
 	if u.Retry {
 		flags |= ruFlagRetry
 	}
-	buf := make([]byte, 0, routeUpdateFixed+4*len(u.View))
+	buf := make([]byte, 0, RouteUpdateSize)
 	buf = append(buf, routeUpdateMagic, flags)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(u.Epoch))
 	buf = binary.LittleEndian.AppendUint64(buf, u.Op)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(u.View)))
-	for _, rank := range u.View {
-		if rank < 0 || rank >= MaxRouteRanks {
-			panic(fmt.Sprintf("core: route update rank %d out of range", rank))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(rank))
-	}
 	return buf
 }
 
 // DecodeRouteUpdate parses a route update serialized by EncodeRouteUpdate
-// with the same strictness as DecodeHeartbeat, additionally rejecting a
-// rank list with out-of-range ids or duplicates — a spliced ring visiting a
-// rank twice would deadlock the retry.
+// with the same strictness as DecodeHeartbeat.
 func DecodeRouteUpdate(buf []byte) (RouteUpdate, error) {
-	if len(buf) < routeUpdateFixed {
+	if len(buf) < RouteUpdateSize {
 		return RouteUpdate{}, fmt.Errorf("core: route update too short (%d bytes)", len(buf))
 	}
 	if buf[0] != routeUpdateMagic {
@@ -188,28 +147,6 @@ func DecodeRouteUpdate(buf []byte) (RouteUpdate, error) {
 	}
 	if u.Epoch >= 1<<16 {
 		return RouteUpdate{}, fmt.Errorf("core: corrupt route update (epoch=%d)", u.Epoch)
-	}
-	count := int(binary.LittleEndian.Uint16(buf[14:]))
-	if count > MaxRouteRanks {
-		return RouteUpdate{}, fmt.Errorf("core: corrupt route update (%d ranks)", count)
-	}
-	if len(buf) < routeUpdateFixed+4*count {
-		return RouteUpdate{}, fmt.Errorf("core: route update truncated (%d bytes for %d ranks)", len(buf), count)
-	}
-	if count > 0 {
-		u.View = make([]int, count)
-		var seen [MaxRouteRanks]bool
-		for k := 0; k < count; k++ {
-			rank := int(binary.LittleEndian.Uint32(buf[routeUpdateFixed+4*k:]))
-			if rank >= MaxRouteRanks {
-				return RouteUpdate{}, fmt.Errorf("core: corrupt route update (rank=%d)", rank)
-			}
-			if seen[rank] {
-				return RouteUpdate{}, fmt.Errorf("core: corrupt route update (duplicate rank %d)", rank)
-			}
-			seen[rank] = true
-			u.View[k] = rank
-		}
 	}
 	return u, nil
 }

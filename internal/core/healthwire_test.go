@@ -6,7 +6,7 @@ import (
 )
 
 func TestHeartbeatRoundTrip(t *testing.T) {
-	h := Heartbeat{Src: 5, Epoch: 2, Op: 31, LeaseNS: 500_000, SentAtNS: 1_234_567, Failed: true, Suspect: true}
+	h := Heartbeat{Src: 5, Epoch: 2, Op: 31, Failed: true}
 	roundTripEveryField(t, h, Heartbeat.EncodeHeartbeat, DecodeHeartbeat, func(Heartbeat) int { return HeartbeatSize })
 }
 
@@ -29,24 +29,14 @@ func TestHeartbeatDecodeRejects(t *testing.T) {
 }
 
 func TestRouteUpdateRoundTrip(t *testing.T) {
-	u := RouteUpdate{Epoch: 3, Op: 12, Retry: true, View: []int{0, 2, 6, 1, 3}}
-	roundTripEveryField(t, u, RouteUpdate.EncodeRouteUpdate, DecodeRouteUpdate,
-		func(u RouteUpdate) int { return routeUpdateFixed + 4*len(u.View) })
-	// Empty view on a no-retry decision.
-	empty, err := DecodeRouteUpdate(RouteUpdate{Epoch: 1, Op: 9}.EncodeRouteUpdate())
-	if err != nil || empty.Retry || empty.View != nil {
-		t.Fatalf("empty round trip: %+v, %v", empty, err)
-	}
+	u := RouteUpdate{Epoch: 3, Op: 12, Retry: true}
+	roundTripEveryField(t, u, RouteUpdate.EncodeRouteUpdate, DecodeRouteUpdate, func(RouteUpdate) int { return RouteUpdateSize })
 }
 
 func TestRouteUpdateDecodeRejects(t *testing.T) {
-	good := RouteUpdate{Epoch: 1, Op: 4, Retry: true, View: []int{0, 1, 2}}.EncodeRouteUpdate()
+	good := RouteUpdate{Epoch: 1, Op: 4, Retry: true}.EncodeRouteUpdate()
 	if _, err := DecodeRouteUpdate(good[:len(good)-1]); err == nil {
-		t.Error("truncated rank list accepted")
-	}
-	dup := RouteUpdate{Epoch: 1, Op: 4, View: []int{0, 1, 0}}.EncodeRouteUpdate()
-	if _, err := DecodeRouteUpdate(dup); err == nil {
-		t.Error("duplicate rank accepted")
+		t.Error("truncated update accepted")
 	}
 	if _, err := DecodeRouteUpdate(append([]byte{0x00}, good[1:]...)); err == nil {
 		t.Error("bad magic accepted")
@@ -62,10 +52,10 @@ func TestRouteUpdateDecodeRejects(t *testing.T) {
 // run — the heartbeats and route updates the verdict round actually
 // exchanges when a fated rank dies mid-allreduce — plus edge shapes.
 func FuzzDecodeHealthControl(f *testing.F) {
-	f.Add(Heartbeat{Src: 2, Epoch: 0, Op: 3, LeaseNS: 500_000, SentAtNS: 812_340, Failed: true}.EncodeHeartbeat())
-	f.Add(Heartbeat{Src: 7, Epoch: 1, Op: 3, LeaseNS: 500_000, SentAtNS: 1_990_125, Suspect: true}.EncodeHeartbeat())
+	f.Add(Heartbeat{Src: 2, Epoch: 0, Op: 3, Failed: true}.EncodeHeartbeat())
+	f.Add(Heartbeat{Src: 7, Epoch: 1, Op: 3}.EncodeHeartbeat())
 	f.Add(Heartbeat{Src: 0, Epoch: 0, Op: 0}.EncodeHeartbeat())
-	f.Add(RouteUpdate{Epoch: 1, Op: 3, Retry: true, View: []int{0, 1, 2, 4, 5, 6, 7}}.EncodeRouteUpdate())
+	f.Add(RouteUpdate{Epoch: 1, Op: 3, Retry: true}.EncodeRouteUpdate())
 	f.Add(RouteUpdate{Epoch: 0, Op: 11}.EncodeRouteUpdate())
 	f.Add([]byte{})
 	f.Add(make([]byte, HeartbeatSize))

@@ -61,10 +61,6 @@ const (
 	// flaps with a seeded phase — periodically down for a duty fraction of
 	// each cycle. Link fates are drawn once per unordered node pair.
 	KindLink
-	// KindPartition is an operator-specified network partition: every link
-	// crossing the configured node groups is down for the [PartitionAt,
-	// PartitionHeal) window. No randomness — the plan IS the fate.
-	KindPartition
 )
 
 // String implements fmt.Stringer.
@@ -90,8 +86,6 @@ func (k Kind) String() string {
 		return "chunk-fate"
 	case KindLink:
 		return "link"
-	case KindPartition:
-		return "partition"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -638,13 +632,6 @@ func (i *Injector) LinkDown(a, b int, at simtime.Time) bool {
 		return true
 	}
 	return i.linkFate(a, b).IsDown(at)
-}
-
-// PeekLinkFate is LinkFate without the counter side effects: the pure
-// static fate of the (a, b) node link, for routing views and monitors that
-// probe pairs repeatedly.
-func (i *Injector) PeekLinkFate(a, b int) LinkFate {
-	return i.linkFate(a, b)
 }
 
 // LinkFaulted reports whether the (a, b) node link is fated to go down at

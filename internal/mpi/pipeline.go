@@ -237,13 +237,13 @@ func (env *envelope) addChunk(ready simtime.Time, payload []byte, hdr core.Heade
 	})
 }
 
-// linkLost asks the fabric whether the inter-node link refuses an attempt
-// at instant `ready`. A refused attempt is exactly a wire drop: the sender
+// linkLost asks the fault injector whether the inter-node link refuses an
+// attempt at instant `ready` (counting the refusal). A refused attempt is exactly a wire drop: the sender
 // discovers it by timeout and retries after backoff, so the exponential
 // schedule rides out a deterministic outage or flap window instead of
 // deadlocking on it. Gated so fault-free worlds never make the call.
 func (w *World) linkLost(fromNode, toNode int, ready simtime.Time) bool {
-	return w.linkFaults && w.fabric.LinkLost(fromNode, toNode, ready)
+	return w.linkFaults && w.inj.LinkLost(fromNode, toNode, ready)
 }
 
 // wireEvent is one packet or payload crossing the fabric under the fault

@@ -191,14 +191,13 @@ func observeCell(name string, w *World, times []simtime.Time, obs []rankObs, fau
 	}
 	hs, rs := w.HealthStats(), w.RecoveryStats()
 	add(&cell.Protocol, "health: doomed=%v crashes=%d silences=%d", hs.Doomed, hs.Crashes, hs.Silences)
-	add(&cell.Protocol, "recovery: reroutes=%d shrink-completions=%d revoked-ops=%d confirms=%d resourced-chunks=%d",
-		rs.Reroutes, rs.ShrinkCompletions, rs.RevokedOps, rs.Confirms, rs.ResourcedChunks)
+	add(&cell.Protocol, "recovery: reroutes=%d shrink-completions=%d revoked-ops=%d resourced-chunks=%d",
+		rs.Reroutes, rs.ShrinkCompletions, rs.RevokedOps, rs.ResourcedChunks)
 	add(&cell.Timing, "faults: %+v", w.FaultStats())
 	add(&cell.Timing, "pipeline: retransmits=%d retransmit-bytes=%d credit-stalls=%d window-shrinks=%d degrades=%d bypass-degraded=%d",
 		ps.Retransmits, ps.RetransmitBytes, ps.CreditStalls, ps.WindowShrinks, ps.DegradeEvents, ps.BypassDegraded)
 	add(&cell.Timing, "health: watchdog-wakeups=%d cascade-quiets=%d", hs.WatchdogWakeups, hs.CascadeQuiets)
-	add(&cell.Timing, "recovery: suspects=%d false-suspects=%d link-drops=%d recovery-time=%d",
-		rs.Suspects, rs.FalseSuspects, rs.LinkDrops, int64(rs.RecoveryTime))
+	add(&cell.Timing, "recovery: link-drops=%d recovery-time=%d", rs.LinkDrops, int64(rs.RecoveryTime))
 	add(&cell.Timing, "breaker: %+v", bs)
 	return cell
 }
@@ -649,8 +648,7 @@ func runHealCell(t *testing.T, workers int) transportCell {
 		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, Threshold: 2 << 10,
 			PoolBufBytes: 2 << 20, PipelineChunkBytes: 4 << 10, Workers: workers},
 		Faults: &fcfg,
-		Health: HealthPolicy{SelfHeal: true, Deadline: 150 * simtime.Microsecond,
-			Detector: DetectorPolicy{Lease: 150 * simtime.Microsecond, Confirm: 150 * simtime.Microsecond}},
+		Health: HealthPolicy{SelfHeal: true, Deadline: 300 * simtime.Microsecond},
 	})
 	obs := make([]rankObs, w.Size())
 	times, errs := w.RunAll(func(r *Rank) error {

@@ -142,10 +142,9 @@ var typedTierConfigs = []struct {
 var typedFace = dtype.Subarray3D{Dims: [3]int{34, 130, 130}, Sub: [3]int{4, 128, 128}, Start: [3]int{1, 1, 1}}
 
 // TestTypedSendFailureConfirmsRealPeer: a typed send that dies with its
-// destination must feed the failure detector the destination's rank. The
-// typed fork used to build its rendezvous envelope without dst, so the
-// outcome was filed under rank 0 — not fated, so the suspicion of rank 3
-// never confirmed. Both tiers run so they cannot diverge again.
+// destination must fail with the destination's rank. The typed fork used to
+// build its rendezvous envelope without dst, so the outcome was filed under
+// rank 0. Both tiers run so they cannot diverge again.
 func TestTypedSendFailureConfirmsRealPeer(t *testing.T) {
 	const ranks = 4
 	fcfg := faults.Config{CrashRate: 0.2, FailWindow: 100 * simtime.Microsecond}
@@ -168,7 +167,7 @@ func TestTypedSendFailureConfirmsRealPeer(t *testing.T) {
 		t.Run(tier.name, func(t *testing.T) {
 			w := mustWorld(t, Options{
 				Cluster: hw.Longhorn(), Nodes: ranks, PPN: 1, Engine: tier.cfg, Faults: &fcfg,
-				Health: HealthPolicy{Detector: DetectorPolicy{Lease: 150 * simtime.Microsecond, Confirm: 150 * simtime.Microsecond}},
+				Health: HealthPolicy{Deadline: 300 * simtime.Microsecond},
 			})
 			_, errs := w.RunAll(func(r *Rank) error {
 				grid := emptyDevBuf(r, 34*130*130)
@@ -185,11 +184,9 @@ func TestTypedSendFailureConfirmsRealPeer(t *testing.T) {
 			if !errors.Is(errs[3], ErrRankCrashed) {
 				t.Fatalf("rank 3: %v, want ErrRankCrashed", errs[3])
 			}
-			if !errors.Is(errs[2], ErrPeerFailed) {
-				t.Fatalf("rank 2: %v, want ErrPeerFailed", errs[2])
-			}
-			if rs := w.RecoveryStats(); rs.Confirms != 1 {
-				t.Fatalf("recovery stats %+v: the failed typed send must confirm rank 3 exactly once", rs)
+			var pe *PeerError
+			if !errors.As(errs[2], &pe) || len(pe.Ranks) != 1 || pe.Ranks[0] != 3 {
+				t.Fatalf("rank 2: %v, want a PeerError naming rank 3", errs[2])
 			}
 		})
 	}

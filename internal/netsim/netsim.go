@@ -42,11 +42,6 @@ type Fabric struct {
 	// retry storm (fault injection) shows up here long before it moves
 	// the byte counters, so the watchdog/chaos harness reads these.
 	ctrlSent, ctrlRecv []*atomic.Int64
-
-	// refusals counts per-link transmission attempts refused while the
-	// link was down, flattened by pairIndex. Nil without link faults so
-	// the fault-free path pays nothing (see partition.go).
-	refusals []atomic.Int64
 }
 
 // NewFabric builds the fabric for nodes nodes of the given cluster.
@@ -76,7 +71,6 @@ func (f *Fabric) Cluster() hw.Cluster { return f.cluster }
 // transport's concern.
 func (f *Fabric) SetFaults(inj *faults.Injector) {
 	f.inj = inj
-	f.initRefusals()
 }
 
 // Faults returns the installed injector (possibly nil).
@@ -194,9 +188,6 @@ func (f *Fabric) Reset() {
 		f.ctrlSent[i].Store(0)
 		f.ctrlRecv[i].Store(0)
 	}
-	for i := range f.refusals {
-		f.refusals[i].Store(0)
-	}
 }
 
 // LinkStats is the per-adapter traffic accounting an OSU-INAM-style
@@ -244,4 +235,45 @@ func (f *Fabric) TotalInterNodeBytes() int64 {
 		sum += f.egBytes[i].Load()
 	}
 	return sum
+}
+
+// RouteAround returns a node ordering that avoids placing fault-fated links
+// between ring neighbors where the topology allows it — the order a
+// self-healing collective applies to its ring on a retried attempt: a
+// greedy nearest-healthy walk from node 0, falling back to the lowest-index
+// remaining node when every remaining link from the current node is fated. It returns nil
+// when no link faults are configured — the identity routing view — so
+// fault-free runs pay nothing and stay bit-identical. The answer depends
+// only on static fates, making every rebuilt route seed-deterministic.
+func (f *Fabric) RouteAround() []int {
+	inj := f.inj
+	if inj == nil || !inj.Config().LinkFaults() {
+		return nil
+	}
+	order := make([]int, 0, f.nodes)
+	used := make([]bool, f.nodes)
+	cur := 0
+	order = append(order, 0)
+	used[0] = true
+	for len(order) < f.nodes {
+		next := -1
+		for n := 0; n < f.nodes; n++ {
+			if !used[n] && !inj.LinkFaulted(cur, n) {
+				next = n
+				break
+			}
+		}
+		if next < 0 {
+			for n := 0; n < f.nodes; n++ {
+				if !used[n] {
+					next = n
+					break
+				}
+			}
+		}
+		order = append(order, next)
+		used[next] = true
+		cur = next
+	}
+	return order
 }
