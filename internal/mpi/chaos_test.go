@@ -373,6 +373,61 @@ func TestUserTagValidation(t *testing.T) {
 	}
 }
 
+// TestAnyTagSkipsCollectiveTraffic: a user AnyTag receive must not match
+// a collective's internal (negative) tag — in MPI, collectives run in a
+// hidden context MPI_ANY_TAG never reaches. Rank 1 posts Irecv(0, AnyTag)
+// and then joins Bcast(0); the user receive used to take the broadcast's
+// payload, leaving the broadcast's own receive to wait forever. The
+// wall-clock guard turns that hang into a failure in seconds.
+func TestAnyTagSkipsCollectiveTraffic(t *testing.T) {
+	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1})
+	const n = 256
+	bcastVals, userVals := make([]float32, n), make([]float32, n)
+	for i := range bcastVals {
+		bcastVals[i], userVals[i] = float32(i), float32(-i-1)
+	}
+	got := make([][]byte, 2)
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.Run(func(r *Rank) error {
+			if r.ID() == 0 {
+				if err := r.Bcast(0, devBuf(r, bcastVals)); err != nil {
+					return err
+				}
+				return r.Send(1, 7, devBuf(r, userVals))
+			}
+			user, bcast := emptyDevBuf(r, n), emptyDevBuf(r, n)
+			req, err := r.Irecv(0, AnyTag, user)
+			if err != nil {
+				return err
+			}
+			if err := r.Bcast(0, bcast); err != nil {
+				return err
+			}
+			if err := r.Wait(req); err != nil {
+				return err
+			}
+			got[0], got[1] = bcast.Data, user.Data
+			return nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("hung: the AnyTag receive took the broadcast's message")
+	}
+	if !bytes.Equal(got[0], core.FloatsToBytes(nil, bcastVals)) {
+		t.Error("broadcast delivered the wrong payload")
+	}
+	if !bytes.Equal(got[1], core.FloatsToBytes(nil, userVals)) {
+		t.Error("AnyTag receive got the wrong payload")
+	}
+}
+
 // TestChaosTypedHaloCrash drives the fused typed halo pattern — ring
 // neighbors exchanging Subarray3D faces via SendrecvTyped — under
 // seeded crash-stop and silent-peer fates, on both the rendezvous and
