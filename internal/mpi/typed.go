@@ -15,7 +15,7 @@ import (
 // Pack-then-Isend would have produced (bit-identical payloads, headers,
 // and checksums) minus the pack kernel and the staging allocation, and
 // every protocol tier, the breaker, the cache, inflight tracking and the
-// failure detector treat the send like any other. A typed receive is an
+// watchdog treat the send like any other. A typed receive is an
 // ordinary posted receive that remembers its layout; decoded words
 // scatter into the layout's positions during the decoder's write-back
 // pass.
