@@ -150,6 +150,22 @@ func TestOmbrunFailureCarriesStatLines(t *testing.T) {
 	}
 }
 
+// TestOmbrunSelfHealsAFatedRank drives a fated rank through -heal end to
+// end: seed 7 dooms rank 6 of 16 inside the first allgather, and the
+// survivors retry once on the shrunk view and complete. This is the
+// README's self-heal example.
+func TestOmbrunSelfHealsAFatedRank(t *testing.T) {
+	out, err := exec.Command(filepath.Join(buildCommands(t), "ombrun"), "-bench", "allgather",
+		"-nodes", "8", "-ppn", "2", "-crash", "seed=7,crash=0.125", "-health", "deadline=500us",
+		"-heal", "on=true", "-sizes", "1M", "-iters", "1", "-warmup", "0").Output()
+	if err != nil {
+		t.Fatalf("ombrun -heal: %v\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("# recovery: reroutes=1 shrink-completions=1 ")) {
+		t.Errorf("ombrun -heal did not recover with one reroute:\n%s", out)
+	}
+}
+
 // TestTable3ReproducesCommittedRun: Table III has one definition, cmd/tables,
 // and one committed run, results_table3.txt; the first must print the second
 // byte for byte (its ratios are measured by the real codecs on the eight

@@ -80,11 +80,11 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		cfg   Config
 		vals  []float32
 	}{
-		{"mpc-opt-4part", Config{Mode: ModeOpt, Algorithm: AlgoMPC, MaxPartitions: 8}, smooth(2<<20, 21)},  // 8 MB, 4 partitions
-		{"mpc-opt-8part", Config{Mode: ModeOpt, Algorithm: AlgoMPC, MaxPartitions: 8}, smooth(4<<20, 22)},  // 16 MB, 8 partitions
-		{"mpc-naive", Config{Mode: ModeNaive, Algorithm: AlgoMPC}, smooth(1<<20, 23)},                      // single partition
-		{"zfp-opt", Config{Mode: ModeOpt, Algorithm: AlgoZFP, ZFPRate: 16}, smooth(2<<20, 24)},             // 32 chunk rows
-		{"zfp-rate4-unaligned", Config{Mode: ModeOpt, Algorithm: AlgoZFP, ZFPRate: 4}, smooth(1<<20, 25)},  // odd rate
+		{"mpc-opt-4part", Config{Mode: ModeOpt, Algorithm: AlgoMPC, MaxPartitions: 8}, smooth(2<<20, 21)}, // 8 MB, 4 partitions
+		{"mpc-opt-8part", Config{Mode: ModeOpt, Algorithm: AlgoMPC, MaxPartitions: 8}, smooth(4<<20, 22)}, // 16 MB, 8 partitions
+		{"mpc-naive", Config{Mode: ModeNaive, Algorithm: AlgoMPC}, smooth(1<<20, 23)},                     // single partition
+		{"zfp-opt", Config{Mode: ModeOpt, Algorithm: AlgoZFP, ZFPRate: 16}, smooth(2<<20, 24)},            // 32 chunk rows
+		{"zfp-rate4-unaligned", Config{Mode: ModeOpt, Algorithm: AlgoZFP, ZFPRate: 4}, smooth(1<<20, 25)}, // odd rate
 	}
 	for _, c := range cases {
 		refPayload, refHdr, refOut, refCompT, refDecompT := runOnce(t, c.cfg, 1, c.vals)
@@ -146,7 +146,7 @@ func TestCompressAppendMatchesCompress(t *testing.T) {
 // both codecs, including the multi-partition MPC path.
 func TestRoundTripZeroAlloc(t *testing.T) {
 	for _, algo := range []Algorithm{AlgoMPC, AlgoZFP} {
-		vals := smooth(2 << 20, 41) // 8 MB: 4 MPC partitions / 32 ZFP chunks
+		vals := smooth(2<<20, 41) // 8 MB: 4 MPC partitions / 32 ZFP chunks
 		e, dev, clk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: algo})
 		buf := deviceBufferWith(dev, vals)
 		dst := &gpusim.Buffer{Data: make([]byte, buf.Len()), Loc: gpusim.Device, Dev: dev}

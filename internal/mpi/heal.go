@@ -239,6 +239,12 @@ func (r *Rank) healRun(fn func() error) error {
 			}
 			return fmt.Errorf("mpi: collective not recovered after %d attempts: %w", attempt+1, ErrPeerFailed)
 		}
+		if err == nil {
+			// This rank's run succeeded, but a fated rank that has not
+			// reached its onset may still wait on its traffic: leaving the
+			// attempt must revoke it here too.
+			w.abortAttempt(r, r.healEpoch, r.curOp)
+		}
 		r.healRecover()
 		if r.id == coord {
 			w.reroutes.Add(1)

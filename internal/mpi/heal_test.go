@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mpicomp/internal/core"
 	"mpicomp/internal/faults"
@@ -426,6 +428,26 @@ func TestPartitionRideOut(t *testing.T) {
 	}
 }
 
+// TestPartitionPlanRejectsBadNodes: the fault model takes a node's last
+// group, so groups=0:1|1:2 would sever 0-1, a pair the plan put in one
+// group, and a node outside the world would be ignored. NewWorld, which
+// CLI and programmatic plans both pass through, refuses both.
+func TestPartitionPlanRejectsBadNodes(t *testing.T) {
+	for name, groups := range map[string][][]int{
+		"node listed twice":  {{0, 1}, {1, 2}},
+		"node outside world": {{0, 1}, {2, 9}},
+	} {
+		fcfg := faults.Config{PartitionGroups: groups, PartitionAt: 100 * simtime.Microsecond}
+		if _, err := NewWorld(Options{Cluster: hw.Longhorn(), Nodes: 4, PPN: 1, Faults: &fcfg}); err == nil {
+			t.Errorf("%s: plan %v accepted", name, groups)
+		}
+	}
+	fcfg := faults.Config{PartitionGroups: [][]int{{0, 1}, {2, 3}}}
+	if _, err := NewWorld(Options{Cluster: hw.Longhorn(), Nodes: 4, PPN: 1, Faults: &fcfg}); err != nil {
+		t.Errorf("well-formed plan refused: %v", err)
+	}
+}
+
 // TestRetryRunsOverRouteOrder: once a collective has been retried on a
 // world whose fated links make RouteAround something other than the
 // identity, every survivor runs the collectives that follow over the live
@@ -519,22 +541,23 @@ func TestChaosPartitionSoakCollectives(t *testing.T) {
 	)
 	colls := []struct {
 		name   string
+		rooted bool // at rank 0
 		engine core.Config
 		run    func(r *Rank, send, recv *gpusim.Buffer) error
 	}{
 		{name: "barrier", run: func(r *Rank, _, _ *gpusim.Buffer) error { return r.Barrier() }},
-		{name: "bcast", run: func(r *Rank, send, _ *gpusim.Buffer) error { return r.Bcast(0, send) }},
-		{name: "bcast-hier", run: func(r *Rank, send, _ *gpusim.Buffer) error { return r.BcastHierarchical(0, send) }},
+		{name: "bcast", rooted: true, run: func(r *Rank, send, _ *gpusim.Buffer) error { return r.Bcast(0, send) }},
+		{name: "bcast-hier", rooted: true, run: func(r *Rank, send, _ *gpusim.Buffer) error { return r.BcastHierarchical(0, send) }},
 		{name: "allgather", run: func(r *Rank, send, recv *gpusim.Buffer) error {
 			return r.Allgather(send.Slice(0, send.Len()/r.Size()), recv)
 		}},
-		{name: "gather", run: func(r *Rank, send, recv *gpusim.Buffer) error {
+		{name: "gather", rooted: true, run: func(r *Rank, send, recv *gpusim.Buffer) error {
 			return r.Gather(0, send.Slice(0, send.Len()/r.Size()), recv)
 		}},
-		{name: "scatter", run: func(r *Rank, send, recv *gpusim.Buffer) error {
+		{name: "scatter", rooted: true, run: func(r *Rank, send, recv *gpusim.Buffer) error {
 			return r.Scatter(0, send, recv.Slice(0, recv.Len()/r.Size()))
 		}},
-		{name: "reduce", run: func(r *Rank, send, recv *gpusim.Buffer) error { return r.ReduceSum(0, send, recv) }},
+		{name: "reduce", rooted: true, run: func(r *Rank, send, recv *gpusim.Buffer) error { return r.ReduceSum(0, send, recv) }},
 		{name: "allreduce", run: func(r *Rank, send, recv *gpusim.Buffer) error { return r.AllreduceSum(send, recv) }},
 		{name: "ringallreduce-pipelined",
 			engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
@@ -591,7 +614,10 @@ func TestChaosPartitionSoakCollectives(t *testing.T) {
 					if fated[id] {
 						continue // its own demise, any typed shape
 					}
-					if err != nil {
+					// A dead root's data is gone: the executor returns
+					// its PeerError (DESIGN.md §15), and nothing else.
+					var pe *PeerError
+					if err != nil && !(coll.rooted && fated[0] && errors.As(err, &pe) && slices.Contains(pe.Ranks, 0)) {
 						t.Errorf("seed %d %s: survivor %d failed under self-heal: %v", seed, coll.name, id, err)
 					}
 				}
@@ -631,6 +657,57 @@ func TestChaosPartitionSoakCollectives(t *testing.T) {
 		out := "## golden (replay-pinned)\n" + firstGolden + "## full (timing-plane counters vary with fabric contention arbitration)\n" + first
 		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
 			t.Errorf("writing CHAOS_STATS: %v", err)
+		}
+	}
+}
+
+// TestRetryRevokesSucceededAttempt: a fated rank runs collectives
+// directly, so when the verdict says "retry" nobody but the survivors
+// themselves can release it from the attempt they are leaving. Rank 0 is
+// fated here with an onset the allgathers outrun; once the survivors
+// retry at epoch 1 it waits on epoch-0 traffic. A survivor whose own run
+// succeeded must revoke the attempt too, so the fated rank wakes with a
+// typed error. It used to hang; the wall-clock guard turns that into a
+// failure.
+func TestRetryRevokesSucceededAttempt(t *testing.T) {
+	fcfg := &faults.Config{Seed: 31, CrashRate: 0.15,
+		FailWindow: 200 * simtime.Microsecond, LinkFlapRate: 0.15}
+	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 4, PPN: 2, Faults: fcfg,
+		Health: HealthPolicy{SelfHeal: true, Deadline: 300 * simtime.Microsecond}})
+	if !w.Fated(0) {
+		t.Fatalf("seed 31 no longer fates rank 0: doomed %v", w.HealthStats().Doomed)
+	}
+	const words = 4 << 10
+	vals := make([]float32, words)
+	done := make(chan []error, 1)
+	go func() {
+		_, errs := w.RunAll(func(r *Rank) error {
+			send, recv := devBuf(r, vals), emptyDevBuf(r, words)
+			for it := 0; it < 6; it++ {
+				if err := r.Allgather(send.Slice(0, send.Len()/r.Size()), recv); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		done <- errs
+	}()
+	var errs []error
+	select {
+	case errs = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("hung: a fated rank waits on an attempt the survivors left")
+	}
+	assertNoRankGoroutines(t)
+	if w.RecoveryStats().Reroutes == 0 {
+		t.Fatal("no collective was retried")
+	}
+	if !errors.Is(errs[0], ErrCollRevoked) {
+		t.Errorf("fated rank 0: %v, want ErrCollRevoked", errs[0])
+	}
+	for id, err := range errs {
+		if !w.Fated(id) && err != nil {
+			t.Errorf("survivor %d failed: %v", id, err)
 		}
 	}
 }

@@ -233,6 +233,18 @@ func NewWorld(opt Options) (*World, error) {
 		tuner:     opt.Tuner,
 	}
 	if opt.Faults != nil {
+		// The fault model takes a node's last group, so a plan that lists
+		// a node twice severs links it also keeps; a node outside the
+		// world would be ignored.
+		listed := make(map[int]bool)
+		for _, g := range opt.Faults.PartitionGroups {
+			for _, n := range g {
+				if n < 0 || n >= opt.Nodes || listed[n] {
+					return nil, fmt.Errorf("mpi: partition plan %v lists node %d twice or outside nodes 0..%d", opt.Faults.PartitionGroups, n, opt.Nodes-1)
+				}
+				listed[n] = true
+			}
+		}
 		w.inj = faults.New(*opt.Faults) // nil when the config is disabled
 		w.fabric.SetFaults(w.inj)
 	}
