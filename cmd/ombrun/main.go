@@ -48,7 +48,7 @@ func main() {
 	healthFlag := flag.String("health", "", "failure-handling spec, e.g. deadline=500us,shrink=true (empty = defaults)")
 	partitionFlag := flag.String("partition", "", "link/partition fault spec, e.g. linkdown=0.25,flap=0.1,groups=0:1|2:3,at=200us,heal=1ms (empty = off)")
 	healFlag := flag.String("heal", "", "self-heal spec, e.g. on=true,attempts=4 (empty = off)")
-	breakerFlag := flag.String("breaker", "", "codec circuit-breaker spec, e.g. threshold=3,cooldown=2ms,seed=11 (empty = off)")
+	breakerFlag := flag.String("breaker", "", "codec circuit-breaker spec, e.g. threshold=3,cooldown=2ms (empty = off)")
 	retries := flag.Int("retries", 0, "retransmission budget per protocol stage (0 = default, negative = retries off)")
 	chunkRetry := flag.Int("chunk-retry", 0, "per-chunk retransmission budget on the pipelined path (0 = inherit -retries, negative = off)")
 	algoFlag := flag.String("algo", mpi.AllreduceAuto.String(), fmt.Sprintf("allreduce algorithm, one of %v (auto routes through the tuner)", mpi.AllreduceAlgos()))

@@ -361,10 +361,10 @@ func ParseHealth(s string) (pol mpi.HealthPolicy, err error) {
 }
 
 // ParseBreaker parses a codec-circuit-breaker spec of the form
-// "threshold=3,cooldown=2ms,seed=11"; empty is the zero policy (breaker off).
+// "threshold=3,cooldown=2ms"; empty is the zero policy (breaker off).
 func ParseBreaker(s string) (pol core.BreakerPolicy, err error) {
 	err = parseSpec("breaker", s, opt("threshold", &pol.Threshold, parseCount),
-		opt("cooldown", &pol.Cooldown, ParseSimDuration), opt("seed", &pol.Seed, parseSeed))
+		opt("cooldown", &pol.Cooldown, ParseSimDuration))
 	return pol, err
 }
 

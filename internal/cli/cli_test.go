@@ -350,15 +350,15 @@ func TestParseBreaker(t *testing.T) {
 	if pol, err := ParseBreaker(""); err != nil || pol.Enabled() {
 		t.Errorf("empty spec gave %+v err=%v", pol, err)
 	}
-	pol, err := ParseBreaker("threshold=3,cooldown=2ms,seed=11")
+	pol, err := ParseBreaker("threshold=3,cooldown=2ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.BreakerPolicy{Threshold: 3, Cooldown: 2 * simtime.Millisecond, Seed: 11}
+	want := core.BreakerPolicy{Threshold: 3, Cooldown: 2 * simtime.Millisecond}
 	if pol != want {
 		t.Errorf("ParseBreaker = %+v, want %+v", pol, want)
 	}
-	for _, in := range []string{"threshold=-1", "threshold=x", "cooldown=5", "seed=z", "trip=3"} {
+	for _, in := range []string{"threshold=-1", "threshold=x", "cooldown=5", "seed=11", "trip=3"} {
 		if _, err := ParseBreaker(in); err == nil {
 			t.Errorf("ParseBreaker(%q) accepted", in)
 		}
@@ -384,7 +384,7 @@ func TestSpecGrammar(t *testing.T) {
 			"groups=0:1|2:3", "groups=0|1|2", func(s string) (any, error) { return ParsePartition(s, nil) }},
 		{"heal", "on, attempts", "attempts=3", "attempts=5", func(s string) (any, error) { return ParseHeal(s, base) }},
 		{"health", "deadline, shrink", "shrink=true", "shrink=false", func(s string) (any, error) { return ParseHealth(s) }},
-		{"breaker", "threshold, cooldown, seed", "seed=11", "seed=-4", func(s string) (any, error) { return ParseBreaker(s) }},
+		{"breaker", "threshold, cooldown", "cooldown=2ms", "cooldown=3ms", func(s string) (any, error) { return ParseBreaker(s) }},
 	}
 	for _, p := range parsers {
 		empty, err := p.parse("")
@@ -435,7 +435,6 @@ func TestSpecGrammar(t *testing.T) {
 		{3, "on=maybe", `heal option on="maybe": `},
 		{4, "shrink=2", `health option shrink="2": `},
 		{0, "seed=x", `fault option seed="x": `},
-		{5, "seed=1.5", `breaker option seed="1.5": `},
 		{2, "groups=0:1", `partition option groups="0:1": need at least two |-separated groups`},
 		{2, "groups=0:x|2", `partition option groups="0:x|2": bad node "x"`},
 	} {

@@ -28,12 +28,8 @@ type BreakerPolicy struct {
 	Threshold int
 	// Cooldown is how long (virtual time) an open breaker rejects the
 	// compressed path before allowing a half-open probe; zero means
-	// DefaultBreakerCooldown. A small seeded jitter is added per opening
-	// so fleets of breakers do not probe in lockstep.
+	// DefaultBreakerCooldown.
 	Cooldown simtime.Duration
-	// Seed drives the per-opening cooldown jitter; the same seed yields
-	// the same open/half-open/close schedule.
-	Seed int64
 }
 
 // Enabled reports whether the policy activates the breaker.
@@ -65,9 +61,6 @@ type peerBreaker struct {
 	state breakerState
 	// fails counts consecutive failures while closed.
 	fails int
-	// opens counts how many times this peer's breaker has opened; it
-	// salts the cooldown jitter so successive openings differ.
-	opens int
 	// until is the virtual instant the open state holds to.
 	until simtime.Time
 }
@@ -178,10 +171,10 @@ func (b *Breaker) RecordFailure(dst int, now simtime.Time) {
 	case breakerClosed:
 		p.fails++
 		if p.fails >= b.pol.Threshold {
-			b.openLocked(p, dst, now)
+			b.openLocked(p, now)
 		}
 	case breakerHalfOpen:
-		b.openLocked(p, dst, now)
+		b.openLocked(p, now)
 	}
 	// Already open: the failure belongs to a message sent before the trip;
 	// the cooldown already covers it.
@@ -228,16 +221,12 @@ func (b *Breaker) RecordSuccess(dst int) {
 	}
 }
 
-// openLocked trips dst's breaker at now: the uncompressed path holds for
-// Cooldown plus a seeded jitter (up to 25% of Cooldown, deterministic per
-// (seed, dst, opening)). Called with b.mu held.
-func (b *Breaker) openLocked(p *peerBreaker, dst int, now simtime.Time) {
+// openLocked trips a peer's breaker at now: the uncompressed path holds
+// for Cooldown. Called with b.mu held.
+func (b *Breaker) openLocked(p *peerBreaker, now simtime.Time) {
 	p.state = breakerOpen
 	p.fails = 0
-	p.opens++
-	h := breakerMix(uint64(b.pol.Seed) ^ breakerMix(uint64(uint32(dst))<<32|uint64(uint32(p.opens))))
-	jitter := simtime.Duration(uint64(b.pol.Cooldown/4) * (h >> 40) / (1 << 24))
-	p.until = now.Add(b.pol.Cooldown + jitter)
+	p.until = now.Add(b.pol.Cooldown)
 	b.stats.Opens++
 }
 
@@ -249,14 +238,4 @@ func (b *Breaker) Stats() BreakerStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.stats
-}
-
-// breakerMix is the SplitMix64 finalizer (local copy; the faults package
-// is a client of core's consumers and cannot be imported from here).
-func breakerMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -30,7 +30,7 @@ func TestBreakerDisabledAndNil(t *testing.T) {
 }
 
 func TestBreakerTripsAtThreshold(t *testing.T) {
-	b := NewBreaker(BreakerPolicy{Threshold: 3, Cooldown: simtime.Millisecond, Seed: 1})
+	b := NewBreaker(BreakerPolicy{Threshold: 3, Cooldown: simtime.Millisecond})
 	now := simtime.Time(0)
 	for i := 0; i < 2; i++ {
 		b.RecordFailure(7, now)
@@ -78,60 +78,37 @@ func openBreaker(t *testing.T, pol BreakerPolicy, dst int, now simtime.Time) *Br
 	return b
 }
 
-func TestBreakerCooldownAndJitterDeterministic(t *testing.T) {
-	pol := BreakerPolicy{Threshold: 2, Cooldown: simtime.Millisecond, Seed: 42}
-	findExpiry := func() simtime.Time {
-		b := openBreaker(t, pol, 3, 0)
-		// Binary-search the first instant the open state releases (the
-		// probe). IsOpen is pure, so probing it never mutates state.
-		lo, hi := simtime.Time(0), simtime.Time(0).Add(2*pol.Cooldown)
-		if b.IsOpen(3, hi) {
-			t.Fatal("breaker still open past Cooldown + max jitter")
+// TestBreakerCooldownReleaseInstant pins the open state to exactly
+// Cooldown: one nanosecond before trip + Cooldown the breaker still
+// rejects, at that instant IsOpen turns false and the next Allow is the
+// probe. A failed probe re-opens for exactly Cooldown from its failure.
+func TestBreakerCooldownReleaseInstant(t *testing.T) {
+	pol := BreakerPolicy{Threshold: 2, Cooldown: simtime.Millisecond}
+	trip := simtime.Time(0).Add(5 * simtime.Microsecond)
+	b := openBreaker(t, pol, 3, trip)
+	for _, release := range []simtime.Time{trip.Add(pol.Cooldown), trip.Add(3 * pol.Cooldown)} {
+		before := release - 1
+		if !b.IsOpen(3, before) || b.Allow(3, before) {
+			t.Fatalf("breaker released at %v, before its cooldown ends at %v", before, release)
 		}
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if b.IsOpen(3, mid) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		if b.IsOpen(3, release) {
+			t.Fatalf("breaker still open at %v, where its cooldown ends", release)
 		}
-		return lo
-	}
-	first := findExpiry()
-	if min := simtime.Time(0).Add(pol.Cooldown); first < min {
-		t.Errorf("breaker released at %v, before the base cooldown %v", first, min)
-	}
-	if max := simtime.Time(0).Add(pol.Cooldown + pol.Cooldown/4); first > max {
-		t.Errorf("breaker released at %v, past cooldown plus 25%% jitter %v", first, max)
-	}
-	if again := findExpiry(); again != first {
-		t.Errorf("same seed gave different cooldowns: %v vs %v", first, again)
-	}
-	other := pol
-	other.Seed = 43
-	b := openBreaker(t, other, 3, 0)
-	if b.IsOpen(3, first) == openBreaker(t, pol, 3, 0).IsOpen(3, first) {
-		// Different seeds may collide at one probe instant; only flag the
-		// degenerate case of a byte-identical schedule at several points.
-		same := true
-		bb := openBreaker(t, pol, 3, 0)
-		for d := simtime.Duration(0); d <= pol.Cooldown/2; d += pol.Cooldown / 64 {
-			at := simtime.Time(0).Add(pol.Cooldown + d)
-			if b.IsOpen(3, at) != bb.IsOpen(3, at) {
-				same = false
-				break
-			}
+		if !b.Allow(3, release) {
+			t.Fatalf("Allow at %v did not release the probe", release)
 		}
-		if same {
-			t.Log("seeds 42 and 43 share a cooldown schedule (allowed, but worth noticing)")
-		}
+		// The probe fails one cooldown later, so the next release is
+		// two cooldowns after this one.
+		b.RecordFailure(3, release.Add(pol.Cooldown))
+	}
+	if st := b.Stats(); st.Opens != 3 || st.Probes != 2 {
+		t.Errorf("opens=%d probes=%d, want 3 and 2", st.Opens, st.Probes)
 	}
 }
 
 func TestBreakerHalfOpenProbeOutcomes(t *testing.T) {
-	pol := BreakerPolicy{Threshold: 1, Cooldown: simtime.Millisecond, Seed: 5}
-	past := simtime.Time(0).Add(2 * pol.Cooldown) // beyond cooldown + jitter
+	pol := BreakerPolicy{Threshold: 1, Cooldown: simtime.Millisecond}
+	past := simtime.Time(0).Add(2 * pol.Cooldown) // beyond the cooldown
 
 	// Probe success closes the breaker.
 	b := openBreaker(t, pol, 2, 0)
@@ -185,7 +162,7 @@ func TestBreakerHalfOpenProbeOutcomes(t *testing.T) {
 }
 
 func TestBreakerIsOpenIsPure(t *testing.T) {
-	pol := BreakerPolicy{Threshold: 1, Cooldown: simtime.Millisecond, Seed: 9}
+	pol := BreakerPolicy{Threshold: 1, Cooldown: simtime.Millisecond}
 	b := openBreaker(t, pol, 4, 0)
 	past := simtime.Time(0).Add(2 * pol.Cooldown)
 	for i := 0; i < 10; i++ {

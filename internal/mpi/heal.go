@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mpicomp/internal/core"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/simtime"
 )
@@ -254,69 +253,62 @@ func (r *Rank) healRun(fn func() error) error {
 }
 
 // healVerdict is the per-operation agreement round among live members:
-// every member reports its attempt outcome to the coordinator as a
-// Heartbeat control packet, the coordinator ORs the failure votes (a
-// member it cannot hear from votes "failed" by that very failure) and
-// replies with a RouteUpdate carrying the decision. Every rank derives
-// the retried view itself (collView: the live set in route order), so the
-// reply carries nothing else.
+// every member sends the coordinator a one-byte vote (1: its attempt
+// failed), the coordinator ORs the votes (a member it cannot hear from
+// votes "failed" by that very failure) and replies with a one-byte
+// decision. The match names everything else: the tag encodes (epoch, op),
+// the receive names its source, and the eager path's checksum rejects a
+// flipped byte. Every rank derives the retried view itself (collView: the
+// live set in route order).
 //
-// Control packets ride the ordinary eager path, so they are subject to the
-// same fault model as data — a flag that cannot be delivered becomes a
-// retry vote. The one non-recoverable spot is the coordinator's reply: a
-// member that cannot read it no longer knows whether the group retried,
-// so it aborts (the documented limitation; partition-soak configurations
-// keep wire-drop fates off the verdict plane).
+// Votes ride the ordinary eager path, so they are subject to the same
+// fault model as data — a vote that cannot be delivered becomes a retry
+// vote. The one non-recoverable spot is the coordinator's reply: a member
+// that cannot read it no longer knows whether the group retried, so it
+// aborts (the documented limitation; partition-soak configurations keep
+// wire-drop fates off the verdict plane).
 func (r *Rank) healVerdict(failed bool) (bool, error) {
 	w := r.world
 	members := w.healMembers()
 	coord := members[0]
 	flagTag := r.collTag(baseVerdictFlag)
 	replyTag := r.collTag(baseVerdictReply)
+	vote := gpusim.NewHostBuffer(1)
 
 	if r.id != coord {
-		hb := core.Heartbeat{Src: r.id, Epoch: r.healEpoch, Op: r.curOp, Failed: failed}
-		flag := gpusim.NewHostBuffer(core.HeartbeatSize)
-		copy(flag.Data, hb.EncodeHeartbeat())
-		// A flag that cannot be delivered is not fatal here: the
+		if failed {
+			vote.Data[0] = 1
+		}
+		// A vote that cannot be delivered is not fatal here: the
 		// coordinator observes the same delivery failure and counts it as
 		// a retry vote.
-		_ = r.send(coord, flagTag, flag)
-		reply := gpusim.NewHostBuffer(core.RouteUpdateSize)
-		if err := r.recv(coord, replyTag, reply); err != nil {
+		_ = r.send(coord, flagTag, vote)
+		if err := r.recv(coord, replyTag, vote); err != nil {
 			return false, fmt.Errorf("mpi: rank %d lost the recovery verdict: %w", r.id, err)
 		}
-		u, err := core.DecodeRouteUpdate(reply.Data)
-		if err != nil || u.Epoch != r.healEpoch || u.Op != r.curOp {
-			return false, fmt.Errorf("mpi: rank %d got an unusable recovery verdict (%v)", r.id, err)
-		}
-		return u.Retry, nil
+		return vote.Data[0] != 0, nil
 	}
 
 	retry := failed
-	flag := gpusim.NewHostBuffer(core.HeartbeatSize)
 	for _, m := range members {
 		if m == r.id {
 			continue
 		}
-		if err := r.recv(m, flagTag, flag); err != nil {
-			retry = true
-			continue
-		}
-		hb, err := core.DecodeHeartbeat(flag.Data)
-		if err != nil || hb.Src != m || hb.Epoch != r.healEpoch || hb.Op != r.curOp || hb.Failed {
+		if err := r.recv(m, flagTag, vote); err != nil || vote.Data[0] != 0 {
 			retry = true
 		}
 	}
-	reply := gpusim.NewHostBuffer(core.RouteUpdateSize)
-	copy(reply.Data, core.RouteUpdate{Epoch: r.healEpoch, Op: r.curOp, Retry: retry}.EncodeRouteUpdate())
+	vote.Data[0] = 0
+	if retry {
+		vote.Data[0] = 1
+	}
 	for _, m := range members {
 		if m == r.id {
 			continue
 		}
 		// A failed reply delivery is the member's problem to surface (it
 		// aborts); the coordinator's decision stands for everyone else.
-		_ = r.send(m, replyTag, reply)
+		_ = r.send(m, replyTag, vote)
 	}
 	return retry, nil
 }

@@ -306,7 +306,7 @@ func TestBreakerDegradesCodecFaults(t *testing.T) {
 			Engine: core.Config{
 				Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
 				Threshold: 32 << 10, PoolBufBytes: 2 << 20,
-				Breaker: core.BreakerPolicy{Threshold: 3, Cooldown: simtime.Millisecond, Seed: 11},
+				Breaker: core.BreakerPolicy{Threshold: 3, Cooldown: simtime.Millisecond},
 			},
 			Faults: &faults.Config{Seed: 5, CodecRate: 1},
 		})
@@ -377,7 +377,7 @@ func TestBreakerHalfOpenCloses(t *testing.T) {
 		Engine: core.Config{
 			Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
 			Threshold: 32 << 10, PoolBufBytes: 2 << 20,
-			Breaker: core.BreakerPolicy{Threshold: 2, Cooldown: 300 * simtime.Microsecond, Seed: 3},
+			Breaker: core.BreakerPolicy{Threshold: 2, Cooldown: 300 * simtime.Microsecond},
 		},
 		Faults: &faults.Config{
 			Seed: 9, CodecRate: 1,
@@ -473,7 +473,7 @@ func TestCrashDeterminismAcrossWorkers(t *testing.T) {
 			Engine: core.Config{
 				Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
 				Threshold: 32 << 10, PoolBufBytes: 2 << 20, Workers: workers,
-				Breaker: core.BreakerPolicy{Threshold: 2, Seed: 7},
+				Breaker: core.BreakerPolicy{Threshold: 2},
 			},
 			Faults: &f,
 			Health: HealthPolicy{Deadline: 200 * simtime.Microsecond},

@@ -278,7 +278,7 @@ func goldenFaultPlans() []goldenFaults {
 		{name: "chunk-fates", cfg: &faults.Config{Seed: 102, ChunkDropRate: 0.1, ChunkCorruptRate: 0.1,
 			ChunkDuplicateRate: 0.15, ChunkReorderRate: 0.15}, chunkOnly: true},
 		{name: "codec+breaker", cfg: &faults.Config{Seed: 103, CodecRate: 0.7},
-			breaker: core.BreakerPolicy{Threshold: 2, Cooldown: 300 * simtime.Microsecond, Seed: 3}, codecOnly: true, flatOnly: true},
+			breaker: core.BreakerPolicy{Threshold: 2, Cooldown: 300 * simtime.Microsecond}, codecOnly: true, flatOnly: true},
 		{name: "link-flap", cfg: &faults.Config{Seed: 104, LinkFlapRate: 1, FlapPeriod: 150 * simtime.Microsecond, FlapDuty: 0.3},
 			flatOnly: true},
 		// Not a wire condition but the transport's other exit: budgets of one

@@ -1,7 +1,7 @@
 // Package seedrand forbids nondeterministically seeded randomness in
 // non-test code.
 //
-// Fault fates, codec-fault timelines, and breaker jitter must be pure
+// Fault fates and codec-fault timelines must be pure
 // functions of event identity and the run seed (see internal/faults):
 // that is what lets a crash schedule replay bit-identically under any
 // host scheduling. The math/rand package-level functions draw from a
