@@ -45,8 +45,8 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace of the last measurement to this file")
 	faultsFlag := flag.String("faults", "", "fault injection spec, e.g. seed=7,drop=0.01,corrupt=0.005,degrade=0.1 (empty = off)")
 	crashFlag := flag.String("crash", "", "process-failure spec, e.g. seed=7,crash=0.125,silent=0.06,window=2ms,codec=0.5,until=1ms (empty = off)")
-	healthFlag := flag.String("health", "", "failure-handling spec, e.g. deadline=500us,shrink=true (empty = defaults)")
-	partitionFlag := flag.String("partition", "", "link/partition fault spec, e.g. linkdown=0.25,flap=0.1,groups=0:1|2:3,at=200us,heal=1ms (empty = off)")
+	healthFlag := flag.String("health", "", "failure-handling spec, e.g. deadline=500us (empty = defaults)")
+	partitionFlag := flag.String("partition", "", "link/partition fault spec, e.g. flap=0.1,groups=0:1|2:3,at=200us,heal=1ms (empty = off)")
 	healFlag := flag.String("heal", "", "self-heal spec, e.g. on=true,attempts=4 (empty = off)")
 	breakerFlag := flag.String("breaker", "", "codec circuit-breaker spec, e.g. threshold=3,cooldown=2ms (empty = off)")
 	retries := flag.Int("retries", 0, "retransmission budget per protocol stage (0 = default, negative = retries off)")

@@ -327,17 +327,16 @@ func ParseCrash(s string, cfg *faults.Config) (*faults.Config, error) {
 }
 
 // ParsePartition parses a link/partition fault spec of the form
-// "seed=3,linkdown=0.25,outage=600us,flap=0.1,period=400us,duty=0.25,
-// window=2ms,groups=0:1|2:3,at=200us,heal=1ms" and merges it into cfg
-// (which may be nil). linkdown/flap are per-node-pair probabilities; groups
-// names an explicit partition plan; at/heal bound the partition window.
+// "seed=3,flap=0.1,period=400us,duty=0.25,groups=0:1|2:3,at=200us,heal=1ms"
+// and merges it into cfg (which may be nil). flap is a per-node-pair
+// probability; groups names an explicit partition plan; at/heal bound the
+// partition window.
 func ParsePartition(s string, cfg *faults.Config) (*faults.Config, error) {
 	return faultSpec("partition", s, cfg, func(c *faults.Config) []field {
 		return []field{
 			opt("seed", &c.Seed, parseSeed),
-			opt("linkdown", &c.LinkDownRate, parseProb), opt("outage", &c.LinkOutage, ParseSimDuration),
 			opt("flap", &c.LinkFlapRate, parseProb), opt("period", &c.FlapPeriod, ParseSimDuration),
-			opt("duty", &c.FlapDuty, parseProb), opt("window", &c.LinkWindow, ParseSimDuration),
+			opt("duty", &c.FlapDuty, parseProb),
 			opt("groups", &c.PartitionGroups, parseGroups),
 			opt("at", &c.PartitionAt, ParseSimDuration), opt("heal", &c.PartitionHeal, ParseSimDuration),
 		}
@@ -352,11 +351,10 @@ func ParseHeal(s string, pol mpi.HealthPolicy) (mpi.HealthPolicy, error) {
 	return pol, err
 }
 
-// ParseHealth parses a failure-handling spec of the form
-// "deadline=500us,shrink=true"; empty is the zero policy (library defaults).
+// ParseHealth parses a failure-handling spec of the form "deadline=500us";
+// empty is the zero policy (library defaults).
 func ParseHealth(s string) (pol mpi.HealthPolicy, err error) {
-	err = parseSpec("health", s,
-		opt("deadline", &pol.Deadline, ParseSimDuration), opt("shrink", &pol.ShrinkCollectives, strconv.ParseBool))
+	err = parseSpec("health", s, opt("deadline", &pol.Deadline, ParseSimDuration))
 	return pol, err
 }
 

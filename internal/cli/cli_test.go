@@ -267,17 +267,15 @@ func TestParsePartition(t *testing.T) {
 	}
 
 	cfg, err := ParsePartition(
-		"seed=3,linkdown=0.25,outage=600us,flap=0.1,period=400us,duty=0.25,window=2ms,groups=0:1|2:3,at=200us,heal=1ms", nil)
+		"seed=3,flap=0.1,period=400us,duty=0.25,groups=0:1|2:3,at=200us,heal=1ms", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := faults.Config{
-		Seed: 3, LinkDownRate: 0.25,
-		LinkOutage:      600 * simtime.Microsecond,
+		Seed:            3,
 		LinkFlapRate:    0.1,
 		FlapPeriod:      400 * simtime.Microsecond,
 		FlapDuty:        0.25,
-		LinkWindow:      2 * simtime.Millisecond,
 		PartitionGroups: [][]int{{0, 1}, {2, 3}},
 		PartitionAt:     200 * simtime.Microsecond,
 		PartitionHeal:   simtime.Millisecond,
@@ -291,17 +289,18 @@ func TestParsePartition(t *testing.T) {
 
 	// Merging into an existing config (from -faults/-crash) keeps its fields.
 	base := &faults.Config{Seed: 1, CrashRate: 0.5}
-	cfg, err = ParsePartition("linkdown=0.125", base)
+	cfg, err = ParsePartition("flap=0.125", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg != base || cfg.CrashRate != 0.5 || cfg.LinkDownRate != 0.125 || cfg.Seed != 1 {
+	if cfg != base || cfg.CrashRate != 0.5 || cfg.LinkFlapRate != 0.125 || cfg.Seed != 1 {
 		t.Errorf("merge mangled the base config: %+v", *cfg)
 	}
 
 	for _, in := range []string{
-		"linkdown", "linkdown=2", "flap=-0.1", "duty=x", "outage=5",
+		"flap", "flap=2", "flap=-0.1", "duty=x", "period=5",
 		"at=-1ms", "groups=0:1", "groups=0:x|2", "seed=abc", "bogus=1",
+		"linkdown=0.25", "outage=600us", "window=2ms",
 	} {
 		if _, err := ParsePartition(in, nil); err == nil {
 			t.Errorf("ParsePartition(%q) accepted", in)
@@ -332,14 +331,14 @@ func TestParseHealth(t *testing.T) {
 	if pol, err := ParseHealth(""); err != nil || pol != (mpi.HealthPolicy{}) {
 		t.Errorf("empty spec gave %+v err=%v", pol, err)
 	}
-	pol, err := ParseHealth("deadline=500us,shrink=true")
+	pol, err := ParseHealth("deadline=500us")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.Deadline != 500*simtime.Microsecond || !pol.ShrinkCollectives {
+	if pol != (mpi.HealthPolicy{Deadline: 500 * simtime.Microsecond}) {
 		t.Errorf("ParseHealth = %+v", pol)
 	}
-	for _, in := range []string{"deadline=5", "shrink=maybe", "deadline", "timeout=1ms"} {
+	for _, in := range []string{"deadline=5", "shrink=true", "deadline", "timeout=1ms"} {
 		if _, err := ParseHealth(in); err == nil {
 			t.Errorf("ParseHealth(%q) accepted", in)
 		}
@@ -380,10 +379,10 @@ func TestSpecGrammar(t *testing.T) {
 			"drop=0.5", "drop=0.25", func(s string) (any, error) { return ParseFaults(s) }},
 		{"crash", "seed, crash, silent, window, codec, until",
 			"window=2ms", "window=3ms", func(s string) (any, error) { return ParseCrash(s, nil) }},
-		{"partition", "seed, linkdown, outage, flap, period, duty, window, groups, at, heal",
+		{"partition", "seed, flap, period, duty, groups, at, heal",
 			"groups=0:1|2:3", "groups=0|1|2", func(s string) (any, error) { return ParsePartition(s, nil) }},
 		{"heal", "on, attempts", "attempts=3", "attempts=5", func(s string) (any, error) { return ParseHeal(s, base) }},
-		{"health", "deadline, shrink", "shrink=true", "shrink=false", func(s string) (any, error) { return ParseHealth(s) }},
+		{"health", "deadline", "deadline=500us", "deadline=1ms", func(s string) (any, error) { return ParseHealth(s) }},
 		{"breaker", "threshold, cooldown", "cooldown=2ms", "cooldown=3ms", func(s string) (any, error) { return ParseBreaker(s) }},
 	}
 	for _, p := range parsers {
@@ -433,7 +432,6 @@ func TestSpecGrammar(t *testing.T) {
 		{4, "deadline=1m", `health option deadline="1m": bad duration`},
 		{5, "cooldown=ms", `breaker option cooldown="ms": bad duration`},
 		{3, "on=maybe", `heal option on="maybe": `},
-		{4, "shrink=2", `health option shrink="2": `},
 		{0, "seed=x", `fault option seed="x": `},
 		{2, "groups=0:1", `partition option groups="0:1": need at least two |-separated groups`},
 		{2, "groups=0:x|2", `partition option groups="0:x|2": bad node "x"`},

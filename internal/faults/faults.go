@@ -56,10 +56,9 @@ const (
 	// KindChunkFate covers the chunk-specific delivery fates — duplicate
 	// and reorder — drawn once per chunk (not per attempt).
 	KindChunkFate
-	// KindLink is a link-level fabric fate: a node pair's link goes hard
-	// down for a seeded outage window (and deterministically heals), or
-	// flaps with a seeded phase — periodically down for a duty fraction of
-	// each cycle. Link fates are drawn once per unordered node pair.
+	// KindLink is a link-level fabric fate: a node pair's link flaps with
+	// a seeded phase — periodically down for a duty fraction of each
+	// cycle. Link fates are drawn once per unordered node pair.
 	KindLink
 )
 
@@ -157,30 +156,21 @@ type Config struct {
 	// back in the fabric by ReorderDelay, landing after its successors —
 	// the receiver must reassemble out of order.
 	ChunkReorderRate float64
-	// LinkDownRate is the per-node-pair probability that the pair's link
-	// suffers a hard outage: down from a seeded onset within LinkWindow,
-	// healed deterministically LinkOutage later. Intra-node "links" (a
-	// rank pair on one node) never draw link fates.
-	LinkDownRate float64
-	// LinkOutage is the duration of a hard link outage (0 means
-	// DefaultLinkOutage).
-	LinkOutage simtime.Duration
 	// LinkFlapRate is the per-node-pair probability the link flaps:
 	// periodically down for FlapDuty of each FlapPeriod cycle, with a
-	// seeded phase. Evaluated only for pairs that did not draw an outage.
+	// seeded phase. Intra-node "links" (a rank pair on one node) never
+	// flap.
 	LinkFlapRate float64
 	// FlapPeriod is the flap cycle length (0 means DefaultFlapPeriod).
 	FlapPeriod simtime.Duration
 	// FlapDuty is the down fraction of each flap cycle, clamped to
 	// (0, 1); 0 means DefaultFlapDuty.
 	FlapDuty float64
-	// LinkWindow is the virtual-time horizon within which outage onsets
-	// are drawn (0 means DefaultFailWindow, matching rank fates).
-	LinkWindow simtime.Duration
 	// PartitionGroups, when non-empty, is an explicit partition plan over
 	// node ids: during [PartitionAt, PartitionHeal) every link between
 	// nodes in *different* groups is down. Nodes absent from every group
-	// keep all their links (only listed cross-group pairs sever).
+	// keep all their links (only listed cross-group pairs sever). A hard
+	// outage of one link is a plan over two single-node groups.
 	PartitionGroups [][]int
 	// PartitionAt / PartitionHeal bound the partition window. A heal at
 	// or before the onset gets DefaultPartitionSpan added at the onset.
@@ -191,12 +181,6 @@ type Config struct {
 // ReorderDelay is the fabric holdback of a reordered chunk: long enough to
 // land a chunk after several successors at realistic chunk transfer times.
 const ReorderDelay = 200 * simtime.Microsecond
-
-// DefaultLinkOutage is a hard link outage's duration when Config.LinkOutage
-// is zero: long enough that several delivery attempts hit the dead link,
-// short enough that the transport's exponential backoff (20us doubling to a
-// 10ms cap, 8 attempts) can ride it out without exhausting the budget.
-const DefaultLinkOutage = 600 * simtime.Microsecond
 
 // DefaultFlapPeriod is the flap cycle length when Config.FlapPeriod is zero.
 const DefaultFlapPeriod = 400 * simtime.Microsecond
@@ -215,15 +199,15 @@ func (c Config) Enabled() bool {
 		c.CrashRate > 0 || c.SilentRate > 0 || c.CodecRate > 0 ||
 		c.ChunkDropRate > 0 || c.ChunkCorruptRate > 0 ||
 		c.ChunkDuplicateRate > 0 || c.ChunkReorderRate > 0 ||
-		c.LinkDownRate > 0 || c.LinkFlapRate > 0 || len(c.PartitionGroups) > 0
+		c.LinkFlapRate > 0 || len(c.PartitionGroups) > 0
 }
 
 // LinkFaults reports whether the configuration can take links down at all
-// (outages, flaps, or an explicit partition plan). The transport only
+// (flaps or an explicit partition plan). The transport only
 // consults the link model — and collectives only build a non-identity
 // routing view — when this is set, so fault-free runs stay bit-identical.
 func (c Config) LinkFaults() bool {
-	return c.LinkDownRate > 0 || c.LinkFlapRate > 0 || len(c.PartitionGroups) > 0
+	return c.LinkFlapRate > 0 || len(c.PartitionGroups) > 0
 }
 
 func (c Config) withDefaults() Config {
@@ -233,17 +217,11 @@ func (c Config) withDefaults() Config {
 	if c.FailWindow <= 0 {
 		c.FailWindow = DefaultFailWindow
 	}
-	if c.LinkOutage <= 0 {
-		c.LinkOutage = DefaultLinkOutage
-	}
 	if c.FlapPeriod <= 0 {
 		c.FlapPeriod = DefaultFlapPeriod
 	}
 	if c.FlapDuty <= 0 || c.FlapDuty >= 1 {
 		c.FlapDuty = DefaultFlapDuty
-	}
-	if c.LinkWindow <= 0 {
-		c.LinkWindow = c.FailWindow
 	}
 	if len(c.PartitionGroups) > 0 && c.PartitionHeal <= c.PartitionAt {
 		c.PartitionHeal = c.PartitionAt + DefaultPartitionSpan
@@ -274,14 +252,9 @@ type Stats struct {
 	// after their successors.
 	Duplicates int64
 	Reorders   int64
-	// LinkOutages / LinkFlaps count node pairs fated to a hard outage or
-	// to flap this run (counted when LinkFate assigns the fate, once per
-	// pair, like Crashes/Silences — they survive ResetStats).
-	LinkOutages int64
-	LinkFlaps   int64
 	// LinkDrops counts transmission attempts refused because the link was
-	// down at the attempt's ready instant (outage, flap window, or
-	// partition alike). Per-event, so ResetStats zeroes it.
+	// down at the attempt's ready instant (flap window or partition
+	// alike). Per-event, so ResetStats zeroes it.
 	LinkDrops int64
 }
 
@@ -300,8 +273,6 @@ type Injector struct {
 	codecCorr   atomic.Int64
 	duplicates  atomic.Int64
 	reorders    atomic.Int64
-	linkOutages atomic.Int64
-	linkFlaps   atomic.Int64
 	linkDrops   atomic.Int64
 }
 
@@ -337,8 +308,6 @@ func (i *Injector) Stats() Stats {
 		CodecCorruptions: i.codecCorr.Load(),
 		Duplicates:       i.duplicates.Load(),
 		Reorders:         i.reorders.Load(),
-		LinkOutages:      i.linkOutages.Load(),
-		LinkFlaps:        i.linkFlaps.Load(),
 		LinkDrops:        i.linkDrops.Load(),
 	}
 }
@@ -357,9 +326,9 @@ func (i *Injector) ResetStats() {
 	i.duplicates.Store(0)
 	i.reorders.Store(0)
 	i.linkDrops.Store(0)
-	// Crashes/Silences and LinkOutages/LinkFlaps are per-run fate counts,
-	// not per-event counters, so they survive a reset: a benchmark
-	// repetition does not re-roll fates.
+	// Crashes/Silences are per-run fate counts, not per-event counters,
+	// so they survive a reset: a benchmark repetition does not re-roll
+	// fates.
 }
 
 // NoChunk is the chunk index of a whole-message event. An event's identity
@@ -516,45 +485,23 @@ func (i *Injector) ChunkFate(src, dst int, seq uint64, chunk int) (duplicate, re
 // --- link-level fates ---
 //
 // Link fates are per unordered node pair and, like rank fates, static: the
-// draw is a pure hash of (seed, pair), the outage/flap windows are pure
-// arithmetic on the virtual clock, and healing is deterministic. Whether a
-// transfer attempt sees a dead link therefore depends only on the plan —
-// never on host scheduling — which is what lets the self-healing
-// collectives promise bit-identical recovery across worker counts.
+// draw is a pure hash of (seed, pair), and the flap and partition windows
+// are pure arithmetic on the virtual clock. Whether a transfer attempt
+// sees a dead link therefore depends only on the plan — never on host
+// scheduling — which is what lets the self-healing collectives promise
+// bit-identical recovery across worker counts.
 
-// LinkFate describes a node pair's static link fate.
+// LinkFate describes a node pair's static link fate: a flapping link is
+// down whenever ((at - Phase) mod Period) < Duty*Period.
 type LinkFate struct {
-	// Down reports a hard outage: the link is dead during
-	// [DownAt, HealAt) and healthy outside it.
-	Down   bool
-	DownAt simtime.Time
-	HealAt simtime.Time
-	// Flap reports a flapping link: down whenever
-	// ((at - Phase) mod Period) < Duty*Period.
 	Flap   bool
 	Period simtime.Duration
 	Duty   float64
 	Phase  simtime.Duration
 }
 
-// LinkFate draws the static fate of the (a, b) node link, counting outage/
-// flap fates as it does (fate assignment IS the injection, like RankFate) —
-// call it exactly once per unordered pair per run (mpi.NewWorld does).
-// Intra-node pairs (a == b) and nil injectors are always healthy. Use
-// LinkDown / LinkLost for per-attempt queries; they redraw the fate without
-// touching the counters.
-func (i *Injector) LinkFate(a, b int) LinkFate {
-	f := i.linkFate(a, b)
-	if f.Down {
-		i.linkOutages.Add(1)
-	}
-	if f.Flap {
-		i.linkFlaps.Add(1)
-	}
-	return f
-}
-
-// linkFate is the pure (uncounted) fate draw behind LinkFate and LinkDown.
+// linkFate draws the static fate of the (a, b) node link. Intra-node pairs
+// (a == b) and nil injectors are always healthy.
 func (i *Injector) linkFate(a, b int) LinkFate {
 	if i == nil || a == b {
 		return LinkFate{}
@@ -563,14 +510,6 @@ func (i *Injector) linkFate(a, b int) LinkFate {
 		a, b = b, a
 	}
 	var f LinkFate
-	if i.cfg.LinkDownRate > 0 &&
-		i.uniform(eventKey(uint64(KindLink), 0xdead, a, b, 0, NoChunk, 0)) < i.cfg.LinkDownRate {
-		u := i.uniform(eventKey(uint64(KindLink), 0x0a5e, a, b, 1, NoChunk, 0))
-		f.Down = true
-		f.DownAt = simtime.Time(float64(i.cfg.LinkWindow) * u)
-		f.HealAt = f.DownAt.Add(i.cfg.LinkOutage)
-		return f
-	}
 	if i.cfg.LinkFlapRate > 0 &&
 		i.uniform(eventKey(uint64(KindLink), 0xf1a9, a, b, 0, NoChunk, 0)) < i.cfg.LinkFlapRate {
 		u := i.uniform(eventKey(uint64(KindLink), 0x9a5e, a, b, 1, NoChunk, 0))
@@ -584,19 +523,14 @@ func (i *Injector) linkFate(a, b int) LinkFate {
 
 // IsDown reports whether the fate makes the link dead at instant `at`.
 func (f LinkFate) IsDown(at simtime.Time) bool {
-	if f.Down && at >= f.DownAt && at < f.HealAt {
-		return true
+	if !f.Flap {
+		return false
 	}
-	if f.Flap {
-		pos := (simtime.Duration(at) - f.Phase) % f.Period
-		if pos < 0 {
-			pos += f.Period
-		}
-		if float64(pos) < f.Duty*float64(f.Period) {
-			return true
-		}
+	pos := (simtime.Duration(at) - f.Phase) % f.Period
+	if pos < 0 {
+		pos += f.Period
 	}
-	return false
+	return float64(pos) < f.Duty*float64(f.Period)
 }
 
 // partitioned reports whether the explicit partition plan severs the (a, b)
@@ -622,8 +556,8 @@ func (c Config) partitioned(a, b int, at simtime.Time) bool {
 }
 
 // LinkDown reports whether the (a, b) node link is down at instant `at` —
-// hard outage window, flap down-phase, or explicit partition. Pure query:
-// no counters move, so routing views and tests can probe freely.
+// flap down-phase or explicit partition. Pure query: no counters move, so
+// routing views and tests can probe freely.
 func (i *Injector) LinkDown(a, b int, at simtime.Time) bool {
 	if i == nil || a == b {
 		return false
@@ -635,22 +569,21 @@ func (i *Injector) LinkDown(a, b int, at simtime.Time) bool {
 }
 
 // LinkFaulted reports whether the (a, b) node link is fated to go down at
-// any point this run — hard outage, flap, or severed by the partition plan.
+// any point this run — it flaps, or the partition plan severs it.
 // Static (no time argument): this is what routing views are rebuilt from,
 // so a rebuilt route is itself a pure function of the seed.
 func (i *Injector) LinkFaulted(a, b int) bool {
 	if i == nil || a == b {
 		return false
 	}
-	f := i.linkFate(a, b)
-	return f.Down || f.Flap || i.cfg.partitioned(a, b, simtime.Time(i.cfg.PartitionAt))
+	return i.linkFate(a, b).Flap || i.cfg.partitioned(a, b, simtime.Time(i.cfg.PartitionAt))
 }
 
 // LinkLost is LinkDown for an actual transmission attempt: when the link is
 // down it counts the refused attempt in Stats.LinkDrops and returns true.
 // The transport calls this, treats true as a wire drop, and retries after
 // backoff — deterministic heal times mean the retry schedule can ride out
-// an outage.
+// a flap or a partition.
 func (i *Injector) LinkLost(a, b int, at simtime.Time) bool {
 	if i != nil && i.LinkDown(a, b, at) {
 		i.linkDrops.Add(1)

@@ -6,24 +6,8 @@ import (
 	"mpicomp/internal/simtime"
 )
 
-// findLinkSeed returns a seed for which the (0,1) node pair draws a hard
-// outage under cfg, so tests can pin behavior without hardcoding a seed
-// that a hash tweak would silently invalidate.
-func findLinkSeed(t *testing.T, cfg Config) int64 {
-	t.Helper()
-	for seed := int64(1); seed < 20000; seed++ {
-		c := cfg
-		c.Seed = seed
-		if New(c).linkFate(0, 1).Down {
-			return seed
-		}
-	}
-	t.Fatal("no seed under 20000 fates link (0,1) down")
-	return 0
-}
-
 func TestLinkFateDeterministicAndSymmetric(t *testing.T) {
-	cfg := Config{Seed: 7, LinkDownRate: 0.3, LinkFlapRate: 0.3}
+	cfg := Config{Seed: 7, LinkFlapRate: 0.3}
 	a := New(cfg)
 	b := New(cfg)
 	for x := 0; x < 6; x++ {
@@ -37,27 +21,33 @@ func TestLinkFateDeterministicAndSymmetric(t *testing.T) {
 			}
 		}
 	}
-	if f := a.linkFate(3, 3); f.Down || f.Flap {
+	if f := a.linkFate(3, 3); f.Flap {
 		t.Fatalf("intra-node pair drew a link fate: %+v", f)
 	}
 }
 
+// TestLinkOutageWindowAndHeal: a hard outage of one link is a partition
+// plan over two single-node groups. Link 0-1 is down exactly inside
+// [at, heal), and no other link is touched.
 func TestLinkOutageWindowAndHeal(t *testing.T) {
-	cfg := Config{LinkDownRate: 0.5, LinkOutage: 300 * simtime.Microsecond}
-	cfg.Seed = findLinkSeed(t, cfg)
-	inj := New(cfg)
-	f := inj.linkFate(0, 1)
-	if !f.Down || f.HealAt != f.DownAt.Add(300*simtime.Microsecond) {
-		t.Fatalf("outage fate wrong: %+v", f)
+	cfg := Config{
+		PartitionGroups: [][]int{{0}, {1}},
+		PartitionAt:     100 * simtime.Microsecond,
+		PartitionHeal:   700 * simtime.Microsecond,
 	}
-	if inj.LinkDown(0, 1, f.DownAt.Add(-1)) {
+	inj := New(cfg)
+	down, heal := simtime.Time(cfg.PartitionAt), simtime.Time(cfg.PartitionHeal)
+	if inj.LinkDown(0, 1, down-1) {
 		t.Fatal("down before onset")
 	}
-	if !inj.LinkDown(0, 1, f.DownAt) || !inj.LinkDown(0, 1, f.HealAt.Add(-1)) {
+	if !inj.LinkDown(0, 1, down) || !inj.LinkDown(1, 0, heal-1) {
 		t.Fatal("not down inside the outage window")
 	}
-	if inj.LinkDown(0, 1, f.HealAt) {
-		t.Fatal("heal is not deterministic: still down at HealAt")
+	if inj.LinkDown(0, 1, heal) {
+		t.Fatal("heal is not deterministic: still down at the heal instant")
+	}
+	if inj.LinkDown(0, 2, down) || inj.LinkDown(1, 2, down) {
+		t.Fatal("the outage reached a link outside the plan")
 	}
 }
 
@@ -72,7 +62,7 @@ func TestLinkFlapDuty(t *testing.T) {
 	// match the duty, and the pattern must repeat each period.
 	down := 0
 	for us := 0; us < 100; us++ {
-		at := f.DownAt.Add(simtime.Duration(us) * simtime.Microsecond)
+		at := simtime.Time(0).Add(simtime.Duration(us) * simtime.Microsecond)
 		if f.IsDown(at) {
 			down++
 		}
@@ -121,18 +111,21 @@ func TestPartitionHealDefault(t *testing.T) {
 	}
 }
 
+// TestLinkLostCountsAndFateCounters: every refused attempt counts one
+// LinkDrop, and ResetStats zeroes the per-event count while the per-run
+// fate counters survive.
 func TestLinkLostCountsAndFateCounters(t *testing.T) {
-	cfg := Config{LinkDownRate: 0.5}
-	cfg.Seed = findLinkSeed(t, cfg)
+	cfg := Config{CrashRate: 1, PartitionGroups: [][]int{{0}, {1}},
+		PartitionAt: 100 * simtime.Microsecond, PartitionHeal: 700 * simtime.Microsecond}
 	inj := New(cfg)
-	f := inj.LinkFate(0, 1) // the one counted draw
-	if got := inj.Stats().LinkOutages; got != 1 {
-		t.Fatalf("LinkOutages after fate draw: %d", got)
+	if _, _, failed := inj.RankFate(0); !failed || inj.Stats().Crashes != 1 {
+		t.Fatalf("crash rate 1 did not fate rank 0: %+v", inj.Stats())
 	}
-	if !inj.LinkLost(0, 1, f.DownAt) || !inj.LinkLost(1, 0, f.DownAt) {
+	down, heal := simtime.Time(cfg.PartitionAt), simtime.Time(cfg.PartitionHeal)
+	if !inj.LinkLost(0, 1, down) || !inj.LinkLost(1, 0, down) {
 		t.Fatal("LinkLost false inside outage")
 	}
-	if inj.LinkLost(0, 1, f.HealAt) {
+	if inj.LinkLost(0, 1, heal) {
 		t.Fatal("LinkLost true after heal")
 	}
 	s := inj.Stats()
@@ -141,8 +134,8 @@ func TestLinkLostCountsAndFateCounters(t *testing.T) {
 	}
 	inj.ResetStats()
 	s = inj.Stats()
-	if s.LinkDrops != 0 || s.LinkOutages != 1 {
-		t.Fatalf("after reset: drops=%d outages=%d (fates must survive, events must not)", s.LinkDrops, s.LinkOutages)
+	if s.LinkDrops != 0 || s.Crashes != 1 {
+		t.Fatalf("after reset: drops=%d crashes=%d (fates must survive, events must not)", s.LinkDrops, s.Crashes)
 	}
 }
 
@@ -160,7 +153,7 @@ func TestLinkFaultsEnabled(t *testing.T) {
 	if nilInj.LinkDown(0, 1, 0) || nilInj.LinkLost(0, 1, 0) {
 		t.Fatal("nil injector takes links down")
 	}
-	if f := nilInj.LinkFate(0, 1); f.Down || f.Flap {
+	if nilInj.linkFate(0, 1).Flap {
 		t.Fatal("nil injector draws link fates")
 	}
 }

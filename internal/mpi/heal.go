@@ -99,8 +99,8 @@ func (w *World) revokeErr() error {
 }
 
 // abortAttempt is this rank abandoning the attempt (epoch, ops >= fromOp)
-// — the runtime's MPIX_Comm_revoke, called by every member whose attempt
-// failed, at its own clock instant. It publishes an attempt-scoped gone
+// — the runtime's MPIX_Comm_revoke, called by every member leaving the
+// attempt on a failure or a retry verdict, at its own clock instant. It publishes an attempt-scoped gone
 // record (health.go), so the cascade follows the watchdog's discipline:
 // real messages this rank sent before aborting stay consumable in peers'
 // queues, and only its own mailbox drops queued inbound traffic of the
@@ -133,10 +133,9 @@ func (w *World) healActive() bool {
 // healShrunk reports whether collectives are running on the post-recovery
 // shrunken view, which is when the world-indexed collectives (Gather,
 // Scatter, Alltoall, Alltoallv) skip fated peers and leave their blocks
-// untouched. Gated on healOn so ShrinkCollectives-mode worlds keep their
-// documented abort semantics for these collectives.
+// untouched. healRecover is the only place the world shrinks.
 func (w *World) healShrunk() bool {
-	return w.healOn && w.shrunk.Load() && len(w.doomed) > 0
+	return w.shrunk.Load() && len(w.doomed) > 0
 }
 
 // healMembers is the verdict round's membership: the fixed live set (fated
@@ -239,9 +238,7 @@ func (r *Rank) healRun(fn func() error) error {
 			return fmt.Errorf("mpi: collective not recovered after %d attempts: %w", attempt+1, ErrPeerFailed)
 		}
 		if err == nil {
-			// This rank's run succeeded, but a fated rank that has not
-			// reached its onset may still wait on its traffic: leaving the
-			// attempt must revoke it here too.
+			// A fated rank short of its onset may still wait on us.
 			w.abortAttempt(r, r.healEpoch, r.curOp)
 		}
 		r.healRecover()
@@ -323,7 +320,7 @@ func (r *Rank) healRecover() {
 	r.drainAborted()
 	_, _ = r.Agree() // r is live: Agree only errors for fated callers
 	if len(w.doomed) > 0 {
-		w.Shrink()
+		w.shrunk.Store(true)
 	}
 	r.healEpoch++
 }

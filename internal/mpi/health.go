@@ -71,17 +71,12 @@ type HealthPolicy struct {
 	// DefaultHealthDeadline). It models the timeout a real progress
 	// engine would need to declare a peer dead.
 	Deadline simtime.Duration
-	// ShrinkCollectives re-routes collectives around fated ranks (ring
-	// and tree algorithms run on the surviving subset, as after a ULFM
-	// MPIX_Comm_shrink) instead of the default abort-cleanly semantics
-	// where every survivor returns PeerError with the same failed set.
-	ShrinkCollectives bool
 	// SelfHeal arms mid-collective recovery: a collective that loses a
 	// rank or a link mid-operation revokes the attempt, runs a verdict
 	// round among survivors, rebuilds its route on the shrunken view, and
 	// completes — the degrade ladder's final reroute -> shrink-and-
-	// complete rung (DESIGN.md §14). Implies shrink semantics for the
-	// retried attempt.
+	// complete rung (DESIGN.md §14). Off, every survivor of a collective
+	// that touches a dead rank returns the same PeerError.
 	SelfHeal bool
 	// MaxAttempts bounds how many times one collective may be retried
 	// under SelfHeal (0 means DefaultHealAttempts). The bound is a
@@ -136,16 +131,6 @@ func (w *World) HealthStats() HealthStats {
 		}
 	}
 	return st
-}
-
-// Shrink switches the world's collectives to re-route around fated ranks
-// from now on — the application-driven MPIX_Comm_shrink. (Setting
-// HealthPolicy.ShrinkCollectives does the same from the start.)
-func (w *World) Shrink() { w.shrunk.Store(true) }
-
-// shrinkEnabled reports whether collectives run on the surviving subset.
-func (w *World) shrinkEnabled() bool {
-	return w.health.ShrinkCollectives || w.shrunk.Load()
 }
 
 // peerError builds the error survivors observe: the run's doomed set, or

@@ -130,62 +130,6 @@ func TestCrashStopAllReduceAbort(t *testing.T) {
 	}
 }
 
-// TestCrashShrinkAllReduceCompletes is the shrink half of the acceptance
-// scenario: with ShrinkCollectives the survivors complete the allreduce
-// over the surviving subset and compute the exact sum of the live
-// contributions; the fated ranks error out instead of participating.
-func TestCrashShrinkAllReduceCompletes(t *testing.T) {
-	const nodes, ppn = 8, 2
-	fcfg := faults.Config{CrashRate: 0.12}
-	fcfg.Seed = findFateSeed(t, nodes*ppn, fcfg, 2, 0)
-	w := mustWorld(t, Options{
-		Cluster: hw.Longhorn(), Nodes: nodes, PPN: ppn,
-		Faults: &fcfg,
-		Health: HealthPolicy{ShrinkCollectives: true},
-	})
-	doomed := w.HealthStats().Doomed
-	if len(doomed) != 2 {
-		t.Fatalf("doomed = %v, want two fated ranks", doomed)
-	}
-	fated := map[int]bool{doomed[0]: true, doomed[1]: true}
-	var wantSum float32
-	for id := 0; id < nodes*ppn; id++ {
-		if !fated[id] {
-			wantSum += float32(id + 1)
-		}
-	}
-
-	const words = 16 << 10
-	_, errs := w.RunAll(func(r *Rank) error {
-		vals := make([]float32, words)
-		for i := range vals {
-			vals[i] = float32(r.ID() + 1)
-		}
-		send := devBuf(r, vals)
-		recv := emptyDevBuf(r, words)
-		if err := r.AllreduceSum(send, recv); err != nil {
-			return err
-		}
-		got := core.BytesToFloats(recv.Data)
-		for i := 0; i < len(got); i += 997 {
-			if got[i] != wantSum {
-				return fmt.Errorf("rank %d word %d = %v, want %v", r.ID(), i, got[i], wantSum)
-			}
-		}
-		return nil
-	})
-	assertNoRankGoroutines(t)
-	for id, err := range errs {
-		if fated[id] {
-			if err == nil || !(errors.Is(err, ErrPeerFailed) || errors.Is(err, ErrRankCrashed)) {
-				t.Errorf("fated rank %d: %v, want exclusion or crash error", id, err)
-			}
-		} else if err != nil {
-			t.Errorf("survivor %d failed under shrink: %v", id, err)
-		}
-	}
-}
-
 // TestSilentPeerWatchdog pins the watchdog timeline for a silent
 // (partitioned) peer: the receiver unblocks with ErrPeerFailed close to
 // onset + Deadline instead of hanging, and the silent rank observes its

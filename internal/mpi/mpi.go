@@ -287,17 +287,11 @@ func NewWorld(opt Options) (*World, error) {
 		if len(w.doomed) > 0 {
 			w.buildLive()
 		}
-		// Draw link fates once per node pair (the counted draw) and take
-		// the fabric's static fault-avoiding node order. Both are pure
-		// functions of the seed, so the routing view every recovery epoch
+		// Take the fabric's static fault-avoiding node order: a pure
+		// function of the seed, so the routing view every recovery epoch
 		// activates is identical across ranks and host schedules.
 		if w.inj.Config().LinkFaults() {
 			w.linkFaults = true
-			for a := 0; a < w.nodes; a++ {
-				for b := a + 1; b < w.nodes; b++ {
-					w.inj.LinkFate(a, b)
-				}
-			}
 			w.routeView = w.fabric.RouteAround()
 		}
 	}
