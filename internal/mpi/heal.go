@@ -100,12 +100,13 @@ func (w *World) revokeErr() error {
 
 // abortAttempt is this rank abandoning the attempt (epoch, ops >= fromOp)
 // — the runtime's MPIX_Comm_revoke, called by every member leaving the
-// attempt on a failure or a retry verdict, at its own clock instant. It publishes an attempt-scoped gone
-// record (health.go), so the cascade follows the watchdog's discipline:
-// real messages this rank sent before aborting stay consumable in peers'
-// queues, and only its own mailbox drops queued inbound traffic of the
-// attempt (it will never post those receives), unblocking rendezvous
-// senders exactly as a later deliver-side refusal would.
+// attempt on a failure or a retry verdict, at its own clock instant. It
+// publishes an attempt-scoped gone record (health.go), so the cascade
+// follows the watchdog's discipline: real messages this rank sent before
+// aborting stay consumable in peers' queues, and only its own mailbox
+// drops queued inbound traffic of the attempt (it will never post those
+// receives), unblocking rendezvous senders exactly as a later
+// deliver-side refusal would.
 func (w *World) abortAttempt(r *Rank, epoch int, fromOp uint64) {
 	at := r.Clock.Now()
 	w.revMu.Lock()
@@ -128,14 +129,6 @@ func (w *World) abortAttempt(r *Rank, epoch int, fromOp uint64) {
 // change their timelines for no recovery benefit.
 func (w *World) healActive() bool {
 	return len(w.doomed) > 0 || w.linkFaults
-}
-
-// healShrunk reports whether collectives are running on the post-recovery
-// shrunken view, which is when the world-indexed collectives (Gather,
-// Scatter, Alltoall, Alltoallv) skip fated peers and leave their blocks
-// untouched. healRecover is the only place the world shrinks.
-func (w *World) healShrunk() bool {
-	return w.shrunk.Load() && len(w.doomed) > 0
 }
 
 // healMembers is the verdict round's membership: the fixed live set (fated

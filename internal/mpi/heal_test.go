@@ -702,8 +702,10 @@ func TestRetryRevokesSucceededAttempt(t *testing.T) {
 	if w.RecoveryStats().Reroutes == 0 {
 		t.Fatal("no collective was retried")
 	}
-	if !errors.Is(errs[0], ErrCollRevoked) {
-		t.Errorf("fated rank 0: %v, want ErrCollRevoked", errs[0])
+	// Woken inside the revoked attempt, or refused at the next one's view
+	// if the survivors shrank the world first: host order picks which.
+	if !errors.Is(errs[0], ErrCollRevoked) && !errors.Is(errs[0], ErrPeerFailed) {
+		t.Errorf("fated rank 0: %v, want ErrCollRevoked or ErrPeerFailed", errs[0])
 	}
 	for id, err := range errs {
 		if !w.Fated(id) && err != nil {

@@ -176,7 +176,9 @@ type World struct {
 
 	// Failure handling (see health.go). doomed/live are fixed at
 	// initialization — fate assignment is deterministic per seed — so
-	// every survivor observes the identical failed set.
+	// every survivor observes the identical failed set. shrunk is set by
+	// the first retry verdict of a world with fated ranks (healRecover):
+	// collectives then run on the live set.
 	health   HealthPolicy
 	doomed   []int
 	live     []int

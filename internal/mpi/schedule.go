@@ -376,7 +376,7 @@ func (r *Rank) runSchedule(c collective) error {
 			return err
 		}
 		l = w.layout(collView{size: w.size, vrank: r.id})
-		if w.healShrunk() {
+		if w.shrunk.Load() {
 			l.gone = w.doomed
 		}
 	} else {
