@@ -63,7 +63,7 @@ func (r *Rank) collView() (collView, error) {
 		return collView{}, err
 	}
 	w := r.world
-	if !w.shrunk.Load() {
+	if len(w.doomed) == 0 || !w.shrunk.Load() {
 		if w.healOn && r.healEpoch > 0 && w.routeView != nil {
 			// Link-only recovery: every rank survives, but the ring order
 			// reroutes around the failed links.
