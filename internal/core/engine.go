@@ -243,11 +243,13 @@ func (e *Engine) Device() *gpusim.GPUDevice { return e.dev }
 // an optional argument of the one path, not a second path. Layouts are
 // validated at the API boundary (mpi.IsendTyped / IrecvTyped / Alltoallv):
 // the send side assumes t.Validate(buf.Len()) passed and
-// 0 <= off <= off+n <= t.Size().
+// 0 <= off <= off+n <= t.Size(). add, on a contiguous receive, lands the
+// restored words by adding them into buf's (DecompressAdd).
 type message struct {
 	buf    *gpusim.Buffer
 	t      dtype.Type
 	off, n int
+	add    bool
 }
 
 // whole is the message covering all of buf (nil layout) or all of t.
@@ -380,7 +382,7 @@ func (e *Engine) compressLocked(clk *simtime.Clock, m message) ([]byte, Header) 
 // they gather through (or scatter through), starting at packed offset off.
 func span(m message) ([]byte, typedView) {
 	if m.t == nil {
-		return m.buf.Data[m.off : m.off+m.n], typedView{}
+		return m.buf.Data[m.off : m.off+m.n], typedView{add: m.add}
 	}
 	return m.buf.Data, typedView{plan: m.t.Plan(), base: m.off}
 }
@@ -814,6 +816,22 @@ func (e *Engine) DecompressChunk(clk *simtime.Clock, hdr Header, payload []byte,
 	return e.decompress(clk, hdr, payload, message{buf: dst, t: t, off: off, n: hdr.OrigBytes}, nil)
 }
 
+// DecompressAdd is the receive of a reduction step: DecompressChunk into
+// the contiguous bytes of dst at offset off, except that each restored
+// float32 word is added into the word there (AddFloat32s) instead of
+// stored. Each codec part decodes into worker scratch and adds its range
+// once it decoded; an uncompressed payload adds straight from the wire. The
+// simulated side is DecompressChunk's to the last charge — the add's own
+// kernel is the caller's to charge — and the message must be whole words.
+// After an error, the parts that decoded have added and the others have
+// not, so the caller fails the step rather than adding the message again.
+func (e *Engine) DecompressAdd(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer, off int) error {
+	if hdr.OrigBytes%4 != 0 {
+		return fmt.Errorf("core: an added message must be whole float32 words, got %d bytes", hdr.OrigBytes)
+	}
+	return e.decompress(clk, hdr, payload, message{buf: dst, off: off, n: hdr.OrigBytes, add: true}, nil)
+}
+
 // decompress runs the receive-side framework into m (whose n is the
 // header's OrigBytes). Everything is validated before the first byte of
 // m.buf is written. decoded, when non-nil, is the output another rank's
@@ -842,9 +860,12 @@ func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m me
 		if len(payload) != m.n {
 			return fmt.Errorf("core: uncompressed payload %d bytes, header says %d original", len(payload), m.n)
 		}
-		if m.t == nil {
+		switch {
+		case m.add:
+			AddFloat32s(m.buf.Data[m.off:m.off+m.n], payload)
+		case m.t == nil:
 			copy(m.buf.Data[m.off:], payload)
-		} else {
+		default:
 			// The uncompressed form arrives packed; scattering it back out is
 			// a real unpack pass, charged like the sender's pack.
 			m.t.Plan().Scatter(m.buf.Data, m.off, payload)
@@ -873,8 +894,9 @@ func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m me
 
 // decompressMPC restores hdr.OrigBytes packed bytes into dst: decoded in
 // place when view is zero, otherwise decoded into worker scratch and
-// scattered into strided runs (starting at packed offset view.base),
-// partition by partition and only for partitions that decoded.
+// scattered into strided runs (starting at packed offset view.base) or
+// added into dst, partition by partition and only for partitions that
+// decoded.
 func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView, decoded []byte) error {
 	nWords := hdr.OrigBytes / 4
 	parts := len(hdr.PartBytes)

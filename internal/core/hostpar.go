@@ -154,7 +154,8 @@ func (j *mpcCompressJob) RunPart(i int, s *codecpool.Scratch) {
 // range of dst. MPC's predictor is partition-relative (each compress call
 // started a fresh stream), so partitions decode independently. A corrupt
 // partition leaves its range partly written; a strided view decodes into
-// worker scratch and scatters into the layout only on success.
+// worker scratch and scatters into the layout only on success, and an add
+// view adds its scratch into its range only on success.
 type mpcDecompressJob struct {
 	payload []byte
 	offs    []int // len(parts)+1 cumulative payload offsets
@@ -168,12 +169,16 @@ type mpcDecompressJob struct {
 func (j *mpcDecompressJob) RunPart(i int, s *codecpool.Scratch) {
 	lo, hi := 4*j.ranges[i][0], 4*j.ranges[i][1]
 	comp := j.payload[j.offs[i]:j.offs[i+1]]
-	if !j.view.strided() {
+	if j.view.inPlace() {
 		j.errs[i] = mpc.DecompressBytesInto(j.dst[lo:hi], comp, j.dim)
 		return
 	}
 	part := s.Bytes(hi - lo)
-	if j.errs[i] = mpc.DecompressBytesInto(part, comp, j.dim); j.errs[i] == nil {
+	switch j.errs[i] = mpc.DecompressBytesInto(part, comp, j.dim); {
+	case j.errs[i] != nil:
+	case j.view.add:
+		AddFloat32s(j.dst[lo:hi], part)
+	default:
 		j.view.plan.Scatter(j.dst, j.view.base+lo, part)
 	}
 }
@@ -222,7 +227,8 @@ func (j *zfpCompressJob) RunPart(i int, s *codecpool.Scratch) {
 
 // zfpDecompressJob decodes independent chunk rows concurrently, the
 // mirror of zfpCompressJob: straight into the chunk's bytes of dst, or
-// into worker scratch and out through the layout once the chunk decoded.
+// into worker scratch and, once the chunk decoded, out through the layout
+// or added into the chunk's bytes of dst.
 type zfpDecompressJob struct {
 	comp  []byte
 	dst   []byte
@@ -245,12 +251,16 @@ func (j *zfpDecompressJob) RunPart(i int, s *codecpool.Scratch) {
 		return
 	}
 	comp := j.comp[off : off+want]
-	if !j.view.strided() {
+	if j.view.inPlace() {
 		j.errs[i] = zfp.DecompressBytesInto(j.dst[4*v0:4*v1], comp, j.rate)
 		return
 	}
 	part := s.Bytes(4 * (v1 - v0))
-	if j.errs[i] = zfp.DecompressBytesInto(part, comp, j.rate); j.errs[i] == nil {
+	switch j.errs[i] = zfp.DecompressBytesInto(part, comp, j.rate); {
+	case j.errs[i] != nil:
+	case j.view.add:
+		AddFloat32s(j.dst[4*v0:4*v1], part)
+	default:
 		j.view.plan.Scatter(j.dst, j.view.base+4*v0, part)
 	}
 }

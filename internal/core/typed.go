@@ -14,7 +14,9 @@ import (
 // layout's canonical form and base the packed byte offset of this message's
 // first byte within the layout's packed stream (nonzero for pipelined
 // chunks). The zero typedView means contiguous — the codecs then work on
-// the buffer's bytes in place.
+// the buffer's bytes in place. add is the third landing, for a contiguous
+// decompress only (Engine.DecompressAdd): each part decodes into worker
+// scratch, as a strided one does, and adds its words into its range of dst.
 //
 // This is the pack+compress fusion point: each codec part gathers its own
 // packed range into worker scratch (and scatters it back out after
@@ -25,9 +27,13 @@ import (
 type typedView struct {
 	plan dtype.Plan
 	base int
+	add  bool
 }
 
 func (v typedView) strided() bool { return v.plan.Run != 0 }
+
+// inPlace reports a decompress that decodes straight into dst.
+func (v typedView) inPlace() bool { return !v.strided() && !v.add }
 
 // packChargeLocked charges the cost of explicitly packing (or unpacking)
 // n strided bytes outside the codec: one read plus one write pass at

@@ -1,10 +1,8 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -97,8 +95,9 @@ func (r *Rank) collView() (collView, error) {
 // decoded here, in the order the receive would have drained them.
 func (r *Rank) consumeRaw(raw rawResult, dst *gpusim.Buffer) error {
 	if raw.chunks != nil {
+		into := &Request{buf: dst}
 		for _, i := range chunkOrder(raw.chunks) {
-			if err := r.decodeChunk(&raw.chunks[i], dst, nil); err != nil {
+			if err := r.decodeChunk(&raw.chunks[i], into); err != nil {
 				return fmt.Errorf("chunk %d: %w", i, err)
 			}
 		}
@@ -408,12 +407,13 @@ func scatterSteps(l layout, root, blk int, inPlace bool) []step {
 }
 
 // ReduceSum computes the element-wise float32 sum of every rank's sendBuf
-// into root's recvBuf (binomial tree). Buffers must hold float32 data.
+// into root's recvBuf (binomial tree). Buffers hold float32 data: a length
+// that is not whole words fails on every rank before any byte moves.
 func (r *Rank) ReduceSum(root int, sendBuf, recvBuf *gpusim.Buffer) error {
 	n := sendBuf.Len()
 	return r.healRun(func() error {
 		return r.runSchedule(collective{name: "reduce", root: root, send: sendBuf, recv: recvBuf,
-			bad:   lenErr(r.id == root, "reduce recv", recvBuf, n),
+			bad:   errors.Join(wordErr("reduce send", n), lenErr(r.id == root, "reduce recv", recvBuf, n)),
 			steps: func(l layout) []step { return reduceSteps(l, root, n) }})
 	})
 }
@@ -448,7 +448,9 @@ func reduceSteps(l layout, root, n int) []step {
 // this gives it the compressed p2p edges). Tuner-dispatched calls report
 // their virtual-clock latency back and feed the compressibility probe. A
 // value outside the schedule table runs reduce+broadcast, and every
-// schedule runs under its own engine cache tag.
+// schedule runs under its own engine cache tag. A vector that is not whole
+// float32 words fails on every rank before any byte moves or a tuner hears
+// of it.
 func (r *Rank) AllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 	algo := r.world.allreduce
 	var (
@@ -457,7 +459,7 @@ func (r *Rank) AllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 		start simtime.Time
 	)
 	if algo == AllreduceAuto {
-		if t = r.world.tuner; t == nil {
+		if t = r.world.tuner; t == nil || sendBuf.Len()%4 != 0 {
 			algo = AllreduceReduceBcast
 		} else {
 			w := r.world
@@ -669,44 +671,19 @@ func (r *Rank) alltoallvStep(tag, dst, src int, seg, into *gpusim.Buffer) error 
 	return r.consumeRaw(rreq.raw, into)
 }
 
-// sumFloat32 adds src into dst element-wise (float32), charging the GPU a
-// memory-bound vector-add kernel (reads two floats, writes one per
-// element). dst's content epoch is bumped, invalidating cached
-// compressed forms.
-func sumFloat32(r *Rank, dst *gpusim.Buffer, src []byte) {
-	n := dst.Len() / 4
+// chargeSum charges the GPU the memory-bound vector-add kernel of a
+// reduction receive (reads two floats, writes one per element) once its
+// Wait has added the arriving words into dst (irecvAdd), and bumps dst's
+// content epoch, invalidating cached compressed forms.
+func chargeSum(r *Rank, dst *gpusim.Buffer) {
 	r.Dev.LaunchKernel(r.Clock, r.Dev.Stream(0), gpusim.KernelSpec{
 		Blocks:         r.Dev.Spec.SMs,
-		Bytes:          12 * n,
+		Bytes:          12 * (dst.Len() / 4),
 		ThroughputGbps: r.Dev.Spec.MemBWGBps * 8, // GB/s -> Gb/s
 	})
 	r.Dev.StreamSync(r.Clock, r.Dev.Stream(0))
-	addFloat32s(dst.Data[:4*n], src[:4*n])
 	dst.MarkDirty()
 }
-
-// addFloat32s is the host side of sumFloat32: dst[i] += src[i] over the
-// little-endian float32 words of two equal-length slices, one IEEE addition
-// per word as in the one-word loop sum_test.go keeps as the oracle (same
-// bits: NaN payloads, signed zeros, denormals). Four words per re-sliced
-// 16-byte window lets the compiler drop the bounds checks: 2.4x that loop.
-func addFloat32s(dst, src []byte) {
-	for len(dst) >= 16 && len(src) >= 16 {
-		d, s := dst[:16], src[:16]
-		storeF32(d[0:], loadF32(d[0:])+loadF32(s[0:]))
-		storeF32(d[4:], loadF32(d[4:])+loadF32(s[4:]))
-		storeF32(d[8:], loadF32(d[8:])+loadF32(s[8:]))
-		storeF32(d[12:], loadF32(d[12:])+loadF32(s[12:]))
-		dst, src = dst[16:], src[16:]
-	}
-	for len(dst) >= 4 && len(src) >= 4 {
-		storeF32(dst, loadF32(dst)+loadF32(src))
-		dst, src = dst[4:], src[4:]
-	}
-}
-
-func loadF32(b []byte) float32     { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
-func storeF32(b []byte, f float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(f)) }
 
 // ringBlocks partitions n bytes of float32 data into size contiguous
 // word-aligned blocks, as even as possible: block i covers bytes
@@ -739,20 +716,21 @@ func ringChunkSpans(n, chunk int) [][2]int {
 
 // ringReduceStep runs one reduce-scatter step: the send block streams to
 // the right neighbor chunk by chunk while the block arriving from the left
-// is reduced into place chunk by chunk, so chunk k's sumFloat32 overlaps
-// chunk k+1's transfer (both sides derive the chunk boundaries from the
-// world-uniform config, so chunks pair up by FIFO matching). src is the
-// buffer the send block is compressed from (see bufs.source). sendFirst
-// drains the sends before anything is reduced, the blocking ring's order.
-// With right < 0 the step only receives and adds.
-func (r *Rank) ringReduceStep(right, left, tag int, src, recvBuf *gpusim.Buffer, send, recv span, scratch *gpusim.Buffer, chunk int, sendFirst bool) error {
+// is added into place chunk by chunk — each chunk's receive decodes into
+// the sum (irecvAdd), so chunk k's add overlaps chunk k+1's transfer (both
+// sides derive the chunk boundaries from the world-uniform config, so
+// chunks pair up by FIFO matching). src is the buffer the send block is
+// compressed from (see bufs.source). sendFirst drains the sends before
+// anything is reduced, the blocking ring's order. With right < 0 the step
+// only receives and adds.
+func (r *Rank) ringReduceStep(right, left, tag int, src, recvBuf *gpusim.Buffer, send, recv span, chunk int, sendFirst bool) error {
 	rspans, sspans := ringChunkSpans(recv.n, chunk), ringChunkSpans(send.n, chunk)
 	if right < 0 {
 		sspans = nil
 	}
 	rreqs := make([]*Request, len(rspans))
 	for c, sp := range rspans {
-		req, err := r.irecv(left, tag, scratch.Slice(sp[0], sp[1]))
+		req, err := r.irecvAdd(left, tag, recvBuf.Slice(recv.off+sp[0], sp[1]))
 		if err != nil {
 			return err
 		}
@@ -771,11 +749,11 @@ func (r *Rank) ringReduceStep(right, left, tag int, src, recvBuf *gpusim.Buffer,
 			return err
 		}
 	}
-	for c, sp := range rspans {
-		if err := r.Wait(rreqs[c]); err != nil {
+	for _, req := range rreqs {
+		if err := r.Wait(req); err != nil {
 			return err
 		}
-		sumFloat32(r, recvBuf.Slice(recv.off+sp[0], sp[1]), scratch.Data[sp[0]:sp[0]+sp[1]])
+		chargeSum(r, req.buf)
 	}
 	if len(rspans) > 1 {
 		r.Engine.NotePipelinedChunks(len(rspans))

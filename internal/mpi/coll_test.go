@@ -515,6 +515,75 @@ func TestAllreduceChecksLengthsFirst(t *testing.T) {
 	}
 }
 
+// refusingTuner fails the test whenever a collective consults it.
+type refusingTuner struct{ t *testing.T }
+
+func (rt refusingTuner) PickAllreduce(TunePoint) AllreduceAlgo {
+	rt.t.Error("the tuner was asked to pick")
+	return AllreduceReduceBcast
+}
+func (rt refusingTuner) ObserveAllreduce(TunePoint, AllreduceAlgo, simtime.Duration) {
+	rt.t.Error("the tuner was told of a latency")
+}
+func (rt refusingTuner) NeedProbe(TunePoint) bool {
+	rt.t.Error("the tuner was asked about a probe")
+	return false
+}
+func (rt refusingTuner) ObserveProbeSample(TunePoint, []byte) {
+	rt.t.Error("the tuner was fed a probe sample")
+}
+
+// TestReductionsRefusePartialWords: an allreduce (every schedule, and auto
+// with a tuner, which must not hear of it) or a reduce of a vector that is
+// not whole float32 words fails on every rank with the same argument error,
+// moves nothing and leaves recvBuf alone, with and without compression. The
+// sum used to cover the whole word only and hand back the root's trailing
+// bytes: [1.0f, 10, 20] and [1.0f, 11, 21] gave [2.0f, 10, 20] on both ranks.
+func TestReductionsRefusePartialWords(t *testing.T) {
+	type call struct {
+		name string
+		opt  Options
+		run  func(r *Rank, send, recv *gpusim.Buffer) error
+	}
+	var calls []call
+	for _, mode := range []core.Mode{core.ModeOff, core.ModeOpt} {
+		opt := Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: core.Config{Mode: mode, Algorithm: core.AlgoMPC}}
+		for _, algo := range AllreduceAlgos() {
+			o := opt
+			if o.Allreduce = algo; algo == AllreduceAuto {
+				o.Tuner = refusingTuner{t}
+			}
+			calls = append(calls, call{fmt.Sprintf("%v allreduce %v", mode, algo), o, (*Rank).AllreduceSum})
+		}
+		calls = append(calls, call{fmt.Sprintf("%v reduce", mode), opt,
+			func(r *Rank, send, recv *gpusim.Buffer) error { return r.ReduceSum(0, send, recv) }})
+	}
+	for _, c := range calls {
+		w := mustWorld(t, c.opt)
+		recvs := make([][]byte, w.Size())
+		_, errs := w.RunAll(func(r *Rank) error {
+			send := devBuf(r, []float32{1})
+			send.Data = append(send.Data, byte(10+r.ID()), byte(20+r.ID()))
+			recv := &gpusim.Buffer{Data: make([]byte, 6), Loc: gpusim.Device, Dev: r.Dev}
+			recvs[r.ID()] = recv.Data
+			return c.run(r, send, recv)
+		})
+		for id, err := range errs {
+			if err == nil || errors.Is(err, ErrPeerFailed) || err.Error() != errs[0].Error() {
+				t.Errorf("%s: rank %d returned %v; want rank 0's argument error %v on every rank", c.name, id, err, errs[0])
+			}
+			if !slices.Equal(recvs[id], make([]byte, 6)) {
+				t.Errorf("%s: rank %d's recvBuf was written: %v", c.name, id, recvs[id])
+			}
+		}
+		for node, ns := range w.Fabric().Stats() {
+			if ns.Egress.Messages+ns.Ingress.Messages+ns.Intra.Messages+ns.ControlSent != 0 {
+				t.Errorf("%s: node %d moved traffic: %+v", c.name, node, ns)
+			}
+		}
+	}
+}
+
 // TestRootedCollectivesEveryRoot runs every rooted collective from every
 // root of a 3x2 world with MPC on, and checks the data each rank ends with.
 // The values are small integers, so the reduction's sums are exact in any

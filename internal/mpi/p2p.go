@@ -315,8 +315,10 @@ type Request struct {
 	early *envelope // match found at post time
 	// typ, when non-nil, marks a typed receive (IrecvTyped): incoming
 	// packed words scatter into the layout's positions in buf instead of
-	// filling it contiguously.
+	// filling it contiguously. add marks a reduction's receive (irecvAdd):
+	// incoming float32 words are added into buf's.
 	typ dtype.Type
+	add bool
 	// raw receive (collective relay path): a receive with no buf captures
 	// the verified wire payload here instead of decoding it.
 	raw rawResult
@@ -532,6 +534,16 @@ func (r *Rank) irecv(src, tag int, buf *gpusim.Buffer) (*Request, error) {
 	return req, nil
 }
 
+// irecvAdd is irecv for a reduction step: Wait adds the arriving float32
+// words into buf's (core.Engine.DecompressAdd) instead of storing them.
+func (r *Rank) irecvAdd(src, tag int, buf *gpusim.Buffer) (*Request, error) {
+	req, err := r.irecv(src, tag, buf)
+	if err == nil {
+		req.add = true
+	}
+	return req, err
+}
+
 // send is the internal-tag blocking send.
 func (r *Rank) send(dst, tag int, buf *gpusim.Buffer) error {
 	return r.await(r.isend(dst, tag, buf, nil))
@@ -628,7 +640,7 @@ func (r *Rank) waitRecv(req *Request) error {
 			case env.relayChunks:
 				copy(payload[c.off:], c.payload)
 			case req.buf != nil:
-				if err := r.decodeChunk(c, req.buf, req.typ); err != nil {
+				if err := r.decodeChunk(c, req); err != nil {
 					return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
 				}
 			}
@@ -660,7 +672,7 @@ func (r *Rank) waitRecv(req *Request) error {
 		req.raw = rawResult{payload: payload, hdr: env.hdr, decoded: env.decoded, staged: env.staged}
 		r.noteRawStaged(env.staged)
 		env.staged = nil
-	case env.eager:
+	case env.eager && !req.add:
 		if req.typ != nil {
 			// The payload may be shorter than the layout's packed size,
 			// like a short contiguous receive: it fills a packed prefix.
@@ -671,22 +683,31 @@ func (r *Rank) waitRecv(req *Request) error {
 		req.buf.MarkDirty()
 	default:
 		// The decompression kernel restores the payload into the user
-		// buffer (steps 6-7).
-		if err := r.Engine.DecompressChunk(r.Clock, env.hdr, payload, req.buf, req.typ, 0); err != nil {
+		// buffer (steps 6-7); an add receive adds it, an eager payload
+		// straight from the wire.
+		if err := r.land(req, env.hdr, payload, 0); err != nil {
 			return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
 		}
 	}
 	return nil
 }
 
+// land restores a verified payload at packed offset off of the receive's
+// buffer: stored, scattered through its layout, or added into it.
+func (r *Rank) land(req *Request, hdr core.Header, payload []byte, off int) error {
+	if req.add {
+		return r.Engine.DecompressAdd(r.Clock, hdr, payload, req.buf, off)
+	}
+	return r.Engine.DecompressChunk(r.Clock, hdr, payload, req.buf, req.typ, off)
+}
+
 // decodeChunk verifies one compression chunk against its own CRC and
-// decodes it at its packed offset of buf (of the words t selects in buf
-// when t is non-nil).
-func (r *Rank) decodeChunk(c *chunkPart, buf *gpusim.Buffer, t dtype.Type) error {
+// lands it at its packed offset of the receive's buffer.
+func (r *Rank) decodeChunk(c *chunkPart, req *Request) error {
 	if err := r.Engine.VerifyPayload(r.Clock, c.hdr, c.payload); err != nil {
 		return err
 	}
-	return r.Engine.DecompressChunk(r.Clock, c.hdr, c.payload, buf, t, c.off)
+	return r.land(req, c.hdr, c.payload, c.off)
 }
 
 // noteChunkFallback counts a decoded chunk stream as a fallback receive

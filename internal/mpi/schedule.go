@@ -7,8 +7,11 @@ package mpi
 // (runSchedule) runs them all; the tuner's price walk (PriceAllreduce)
 // reads the same allreduce steps. A step is one call of a shared transport
 // step with its peers, its byte spans (each naming sendBuf, recvBuf or the
-// scratch accumulator) and its tag base. The blocking allreduce oracles
-// are the same generators with pipelined off.
+// scratch accumulator) and its tag base. A reduce step (opReduce,
+// opExchange) receives straight into the span it adds to — each arriving
+// part decodes into the sum (irecvAdd) — so a call holds no receive
+// scratch. The blocking allreduce oracles are the same generators with
+// pipelined off.
 //
 // Determinism: a schedule is a pure function of (view, node grouping,
 // buffer lengths), and a pipelined schedule performs the exact per-element
@@ -16,6 +19,7 @@ package mpi
 // are bit-identical between the pair and across codec worker counts.
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -73,9 +77,6 @@ type step struct {
 	// health check (the allgathers' own block); other local copies are free.
 	charge bool
 }
-
-// adds reports a step that receives into scratch and adds into recv.
-func (st step) adds() bool { return st.op == opReduce || st.op == opExchange }
 
 // layout is what a generator reads about the world: the collective view,
 // the node grouping (world rank / ppn is a rank's node), the world size,
@@ -340,19 +341,27 @@ func lenErr(check bool, what string, b *gpusim.Buffer, want int) error {
 	return fmt.Errorf("mpi: %s buffer %d bytes, want %d", what, b.Len(), want)
 }
 
+// wordErr reports a reduction vector that is not whole float32 words.
+func wordErr(what string, n int) error {
+	if n%4 == 0 {
+		return nil
+	}
+	return fmt.Errorf("mpi: %s buffer %d bytes is not whole float32 words", what, n)
+}
+
 // allreduce is an allreduce call: the schedule gen builds on views of two
 // or more ranks, or reduce+broadcast where gen declines the vector (too
-// few words to partition, or not word-aligned). Every rank checks the
-// buffer lengths before any step.
+// few words to partition). Every rank checks the buffer lengths before any
+// step.
 func allreduce(gen generator, pipelined bool, sendBuf, recvBuf *gpusim.Buffer) collective {
 	n := sendBuf.Len()
 	return collective{name: "allreduce", root: noRoot, send: sendBuf, recv: recvBuf,
-		bad: lenErr(true, "allreduce recv", recvBuf, n),
+		bad: errors.Join(wordErr("allreduce send", n), lenErr(true, "allreduce recv", recvBuf, n)),
 		steps: func(l layout) []step {
 			if l.size < 2 {
 				return inPlace(n, []step{})
 			}
-			if steps := gen(l, n, pipelined); steps != nil && n%4 == 0 {
+			if steps := gen(l, n, pipelined); steps != nil {
 				return steps
 			}
 			return reduceBcastSteps(l, n, pipelined)
@@ -361,8 +370,8 @@ func allreduce(gen generator, pipelined bool, sendBuf, recvBuf *gpusim.Buffer) c
 
 // runSchedule is the one collective executor: the root check, the health
 // check and the layout (the view, or every world rank and the skip set),
-// a dead root's PeerError, the argument check, one accumulator and one
-// receive scratch for the whole call, and the steps in order.
+// a dead root's PeerError, the argument check, one accumulator for the
+// whole call, and the steps in order.
 func (r *Rank) runSchedule(c collective) error {
 	w := r.world
 	if c.root != noRoot {
@@ -394,29 +403,21 @@ func (r *Rank) runSchedule(c collective) error {
 	}
 	steps := c.steps(l)
 	// The accumulator holds a copy of the contribution, so it lives where
-	// sendBuf does; the receive scratch lives with what it is added into.
+	// sendBuf does.
 	b := bufs{inSend: c.send, inRecv: c.recv}
-	acc, need, like := -1, -1, c.recv
+	acc := -1
 	for _, st := range steps {
-		if st.adds() {
-			need = max(need, st.recv.n)
-		}
 		if st.recv.buf == inAcc {
 			acc = max(acc, st.recv.off+st.recv.n)
 		}
 	}
 	if acc >= 0 {
-		b[inAcc], like = r.takeScratch(c.send, acc), c.send
-		defer r.putScratch()
-	}
-	var scratch *gpusim.Buffer
-	if need >= 0 {
-		scratch = r.takeScratch(like, need)
+		b[inAcc] = r.takeScratch(c.send, acc)
 		defer r.putScratch()
 	}
 	chunk := r.Engine.Config().PipelineChunkBytes &^ 3 // word-aligned; under a word, one chunk
 	for i, st := range steps {
-		if err := r.runStep(st, &b, scratch, chunk); err != nil {
+		if err := r.runStep(st, &b, chunk); err != nil {
 			return fmt.Errorf("mpi: %s step %d: %w", c.name, i, err)
 		}
 	}
@@ -468,7 +469,7 @@ func (b *bufs) source(st step) (*gpusim.Buffer, span) {
 }
 
 // runStep runs one step through its shared transport step.
-func (r *Rank) runStep(st step, b *bufs, scratch *gpusim.Buffer, chunk int) error {
+func (r *Rank) runStep(st step, b *bufs, chunk int) error {
 	src, out := b.source(st)
 	if !st.chunked {
 		chunk = 0
@@ -491,9 +492,9 @@ func (r *Rank) runStep(st step, b *bufs, scratch *gpusim.Buffer, chunk int) erro
 		into.MarkDirty()
 		return nil
 	case opReduce:
-		return r.ringReduceStep(st.to, st.from, tag, src, b[st.recv.buf], out, st.recv, scratch, chunk, st.sendFirst)
+		return r.ringReduceStep(st.to, st.from, tag, src, b[st.recv.buf], out, st.recv, chunk, st.sendFirst)
 	case opExchange:
-		return r.rdExchange(st.to, tag, src, b[st.recv.buf], scratch, chunk)
+		return r.rdExchange(st.to, tag, src, b[st.recv.buf], chunk)
 	case opRelay:
 		payload, hdr := r.Engine.CompressForLinkCached(r.Clock, b.at(out), r.world.cluster.InterNode.BandwidthGBps)
 		return r.relayRing(st.from, st.to, tag, len(st.relay), payload, hdr, func(hop int) *gpusim.Buffer {
@@ -520,7 +521,7 @@ func (r *Rank) runStep(st step, b *bufs, scratch *gpusim.Buffer, chunk int) erro
 		var err error
 		switch {
 		case f.op == opCopy:
-			err = r.runStep(f, b, nil, 0)
+			err = r.runStep(f, b, 0)
 		case f.op == opSend && f.to >= 0:
 			_, out := b.source(f)
 			req, err = r.isend(f.to, tag, b.at(out), nil)
@@ -545,8 +546,9 @@ func (r *Rank) runStep(st step, b *bufs, scratch *gpusim.Buffer, chunk int) erro
 // costs the dearer of the message it sends and the one it waits for, each
 // priced by price(intra, bytes), intra when the peer shares the rank's
 // node; copies and chunking are free. ok is false for auto, for
-// reduce+broadcast (its tree relay is not priced) and for a vector the
-// schedule would hand to reduce+broadcast.
+// reduce+broadcast (its tree relay is not priced), for a vector the
+// schedule would hand to reduce+broadcast and for one no allreduce accepts
+// (not whole float32 words).
 func PriceAllreduce(algo AllreduceAlgo, p TunePoint, price func(intra bool, bytes int) int64) (nanos int64, ok bool) {
 	if algo <= AllreduceAuto || int(algo) >= len(allreduceAlgos) {
 		return 0, false
@@ -631,15 +633,15 @@ func unfoldRank(nr, rem int) int {
 const rdWindow = 2
 
 // rdExchange runs one recursive-doubling round with peer: the local
-// accumulator streams out chunk by chunk while the peer's arrives into
-// scratch, and each received chunk is reduced into acc as its span closes.
-// The send and reduce ranges are the same spans, so a span's reduction
-// waits for its outbound send first (MPI freezes a buffer with posted
-// sends). src is the buffer the send is compressed from (bufs.source).
+// accumulator streams out chunk by chunk while the peer's streams in, each
+// received chunk decoding into the sum (irecvAdd) as its span closes. The
+// send and reduce ranges are the same spans, so a span's reduction waits
+// for its outbound send first (MPI freezes a buffer with posted sends).
+// src is the buffer the send is compressed from (bufs.source).
 // Liveness: a rank opens span c only after closing span c-rdWindow and
 // posts its receive for c before its send, so the slower side lags by at
 // most the window.
-func (r *Rank) rdExchange(peer, tag int, src, acc, scratch *gpusim.Buffer, chunk int) error {
+func (r *Rank) rdExchange(peer, tag int, src, acc *gpusim.Buffer, chunk int) error {
 	spans := ringChunkSpans(acc.Len(), chunk)
 	rreqs := make([]*Request, len(spans))
 	sreqs := make([]*Request, len(spans))
@@ -650,8 +652,7 @@ func (r *Rank) rdExchange(peer, tag int, src, acc, scratch *gpusim.Buffer, chunk
 		if err := r.Wait(rreqs[c]); err != nil {
 			return err
 		}
-		sp := spans[c]
-		sumFloat32(r, acc.Slice(sp[0], sp[1]), scratch.Data[sp[0]:sp[0]+sp[1]])
+		chargeSum(r, rreqs[c].buf)
 		return nil
 	}
 	for c, sp := range spans {
@@ -660,7 +661,7 @@ func (r *Rank) rdExchange(peer, tag int, src, acc, scratch *gpusim.Buffer, chunk
 				return err
 			}
 		}
-		rreq, err := r.irecv(peer, tag, scratch.Slice(sp[0], sp[1]))
+		rreq, err := r.irecvAdd(peer, tag, acc.Slice(sp[0], sp[1]))
 		if err != nil {
 			return err
 		}
@@ -686,8 +687,7 @@ func (r *Rank) rdExchange(peer, tag int, src, acc, scratch *gpusim.Buffer, chunk
 // reduce-scatter streamed in Config.PipelineChunkBytes chunks over a ragged
 // word-aligned partition (ringBlocks), then a ring allgather relaying each
 // reduced block's compressed payload verbatim. Buffers hold float32 data;
-// vectors with fewer words than ranks, or not word-aligned, fall back to
-// reduce+broadcast.
+// vectors with fewer words than ranks fall back to reduce+broadcast.
 func (r *Rank) RingAllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 	return r.healRun(func() error { return r.runSchedule(allreduce(ringSteps, true, sendBuf, recvBuf)) })
 }
@@ -700,8 +700,7 @@ func (r *Rank) RingAllreduceSumBlocking(sendBuf, recvBuf *gpusim.Buffer) error {
 
 // RecursiveDoublingAllreduceSum is the latency-optimal allreduce (rdSteps):
 // n·log2 P bytes per rank against the ring's 2n(P-1)/P, but log2 P message
-// latencies against 2(P-1). Non-word-aligned sizes fall back to
-// reduce+broadcast.
+// latencies against 2(P-1).
 func (r *Rank) RecursiveDoublingAllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 	return r.healRun(func() error { return r.runSchedule(allreduce(rdSteps, true, sendBuf, recvBuf)) })
 }

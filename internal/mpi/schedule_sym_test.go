@@ -136,7 +136,7 @@ type symAct struct {
 
 func symActs(st step) []symAct {
 	snd := symAct{op: opSend, peer: st.to, tag: st.tag, sp: st.send, fromSend: st.fromSend, mirror: st.mirror}
-	rcv := symAct{op: opRecv, peer: st.from, tag: st.tag, sp: st.recv, add: st.adds()}
+	rcv := symAct{op: opRecv, peer: st.from, tag: st.tag, sp: st.recv, add: st.op == opReduce || st.op == opExchange}
 	var acts []symAct
 	switch st.op {
 	case opCopy:

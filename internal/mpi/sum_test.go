@@ -14,7 +14,7 @@ import (
 
 // addFloat32sRef is the reduce step as it was written before it went
 // word-wise — one bounds-checked float32 at a time — kept as the oracle
-// addFloat32s must match bit for bit.
+// core.AddFloat32s must match bit for bit.
 func addFloat32sRef(dst, src []byte) {
 	for i := 0; i < len(dst)/4; i++ {
 		a := math.Float32frombits(binary.LittleEndian.Uint32(dst[4*i:]))
@@ -53,7 +53,7 @@ func sumCase(words int, seed uint32) (dst, src []byte) {
 
 func isNaN32(x uint32) bool { return x&0x7fffffff > 0x7f800000 }
 
-// checkSum holds addFloat32s to the reference bit for bit — one NaN
+// checkSum holds core.AddFloat32s to the reference bit for bit — one NaN
 // operand's payload and sign survive into the sum, Inf - Inf makes the
 // hardware's default NaN, -0 + -0 stays -0 — with one exception. When both
 // operands are NaNs the add instruction returns its first source operand,
@@ -66,7 +66,7 @@ func checkSum(t testing.TB, dst, src []byte) {
 	want := append([]byte(nil), dst...)
 	addFloat32sRef(want, src)
 	srcBefore := append([]byte(nil), src...)
-	addFloat32s(dst, src)
+	core.AddFloat32s(dst, src)
 	if !bytes.Equal(src, srcBefore) {
 		t.Fatalf("%d words: the right operand was written", len(dst)/4)
 	}
@@ -107,22 +107,28 @@ func TestSumFloat32MatchesReference(t *testing.T) {
 		checkSum(t, dst[4:], src[:4*words])
 	}
 
-	// Through sumFloat32 itself, on a view of a tracked device buffer: the
-	// sum lands in the parent's bytes and bumps its epoch.
+	// Through an add receive's landing and its kernel charge, on a view of
+	// a tracked device buffer: the sum lands in the parent's bytes, and
+	// chargeSum charges its kernel and bumps the epoch again.
 	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 1, PPN: 1})
 	r := w.Rank(0)
 	d, s := sumCase(70, 5)
 	want := append([]byte(nil), d...)
-	addFloat32s(want[4:4+4*67], s[:4*67])
+	core.AddFloat32s(want[4:4+4*67], s[:4*67])
 	buf := (&gpusim.Buffer{Data: d, Loc: gpusim.Device, Dev: r.Dev}).Track()
+	view := buf.Slice(4, 4*67)
+	hdr := core.Header{Algo: core.AlgoNone, OrigBytes: 4 * 67, CompBytes: 4 * 67}
+	if err := r.Engine.DecompressAdd(r.Clock, hdr, s[:4*67], view, 0); err != nil {
+		t.Fatal(err)
+	}
 	_, _, before, _ := buf.Version()
 	clk := r.Clock.Now()
-	sumFloat32(r, buf.Slice(4, 4*67), s[:4*67])
+	chargeSum(r, view)
 	if _, _, after, _ := buf.Version(); after == before || r.Clock.Now() == clk {
-		t.Fatal("sumFloat32 must charge its kernel and mark the buffer dirty")
+		t.Fatal("chargeSum must charge its kernel and mark the buffer dirty")
 	}
 	if !bytes.Equal(d, want) {
-		t.Fatal("sumFloat32 on a view wrote something other than the view's sum")
+		t.Fatal("an add landing on a view wrote something other than the view's sum")
 	}
 }
 
@@ -146,12 +152,12 @@ func FuzzSumFloat32(f *testing.F) {
 }
 
 // BenchmarkSumFloat32 is the reduce step on one 4 MiB vector: the
-// word-at-a-time reference against the loop the collectives run.
+// word-at-a-time reference against the loop every add landing runs.
 func BenchmarkSumFloat32(b *testing.B) {
 	for _, arm := range []struct {
 		name string
 		add  func(dst, src []byte)
-	}{{"reference", addFloat32sRef}, {"words", addFloat32s}} {
+	}{{"reference", addFloat32sRef}, {"words", core.AddFloat32s}} {
 		b.Run(arm.name, func(b *testing.B) {
 			dst := core.FloatsToBytes(nil, datasets.Smooth(1<<20, 1, 1e-3))
 			src := core.FloatsToBytes(nil, datasets.Smooth(1<<20, 2, 1e-3))
@@ -164,11 +170,11 @@ func BenchmarkSumFloat32(b *testing.B) {
 	}
 }
 
-// benchRelayHost runs one relay collective per iteration on 4x2 with
-// 4 MiB of msg_sppm per rank under MPC-OPT — coll_mix's shape — and
-// reports, next to host ns/op, the codec decode jobs each operation ran
-// and the decompressions it simulated.
-func benchRelayHost(b *testing.B, op func(r *Rank, mine, all *gpusim.Buffer) error) {
+// benchCollHost runs one collective per iteration on 4x2 with 4 MiB of
+// msg_sppm per rank under MPC-OPT — coll_mix's shape — and reports, next
+// to host ns/op, the codec decode jobs each operation ran and the
+// decompressions it simulated. all holds a vector per rank.
+func benchCollHost(b *testing.B, op func(r *Rank, mine, all *gpusim.Buffer) error) {
 	ds, ok := datasets.ByName("msg_sppm")
 	if !ok {
 		b.Fatal("msg_sppm dataset missing")
@@ -210,9 +216,17 @@ func benchRelayHost(b *testing.B, op func(r *Rank, mine, all *gpusim.Buffer) err
 }
 
 func BenchmarkAllgatherHost(b *testing.B) {
-	benchRelayHost(b, func(r *Rank, mine, all *gpusim.Buffer) error { return r.Allgather(mine, all) })
+	benchCollHost(b, func(r *Rank, mine, all *gpusim.Buffer) error { return r.Allgather(mine, all) })
 }
 
 func BenchmarkBcastHost(b *testing.B) {
-	benchRelayHost(b, func(r *Rank, mine, _ *gpusim.Buffer) error { return r.Bcast(0, mine) })
+	benchCollHost(b, func(r *Rank, mine, _ *gpusim.Buffer) error { return r.Bcast(0, mine) })
+}
+
+// BenchmarkAllreduceHost is the reduction path: pipelined recursive
+// doubling, each reduce step's receive decoding into the sum.
+func BenchmarkAllreduceHost(b *testing.B) {
+	benchCollHost(b, func(r *Rank, mine, all *gpusim.Buffer) error {
+		return r.RecursiveDoublingAllreduceSum(mine, all.Slice(0, mine.Len()))
+	})
 }

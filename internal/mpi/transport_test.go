@@ -295,7 +295,7 @@ func (r *Rank) plantedBcast(root int, buf *gpusim.Buffer) error {
 // sources (nil: read the file) that post a point-to-point operation but
 // are not allowed to.
 func transportCallers(t *testing.T, srcs map[string]any) []string {
-	prims := map[string]bool{"isend": true, "irecv": true, "send": true, "recv": true, "sendrecv": true,
+	prims := map[string]bool{"isend": true, "irecv": true, "irecvAdd": true, "send": true, "recv": true, "sendrecv": true,
 		"isendPayload": true, "prepare": true, "post": true}
 	allowed := map[string]bool{"runStep": true, "ringReduceStep": true, "rdExchange": true, "relayRing": true,
 		"treeRelay": true, "alltoallvStep": true, "healVerdict": true}
