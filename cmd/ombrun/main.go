@@ -206,8 +206,12 @@ func main() {
 		host.Add(w.Rank(r).Engine.HostSnapshot())
 		decompressions += w.Rank(r).Engine.Decompressions
 	}
-	// decode jobs < decompressions is the relay collectives' decode-once:
-	// every rank is charged its decompression, one rank per payload runs it.
+	// codec= is the time codec batches ran, summed over the ranks: each is
+	// timed from when it had the pool, and the ranks share one pool that
+	// runs a batch at a time, so it never exceeds run= (a rank's wait for
+	// the pool is not in it). decode jobs < decompressions is the relay
+	// collectives' decode-once: every rank is charged its decompression,
+	// one rank per payload runs it.
 	fmt.Fprintf(os.Stderr, "# wall-clock: run=%v codec=%v (%d batches across %d workers; %d decode jobs run for %d decompressions simulated)\n",
 		wall.Round(time.Microsecond), host.CodecWall.Round(time.Microsecond),
 		host.CodecRuns, w.Rank(0).Engine.CodecWorkers(), host.DecodeJobs, decompressions)

@@ -32,6 +32,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Scratch is one worker's reusable arena. Buffers grow to the high-water
@@ -160,30 +161,37 @@ func (p *Pool) worker(s *Scratch) {
 }
 
 // Run executes job's n parts across the workers and returns when all have
-// finished. Batches of one part, and every batch on a one-worker pool,
-// run inline on the caller's goroutine (no handoff latency). Run must not
-// be called from within a RunPart.
-func (p *Pool) Run(n int, job Job) {
+// finished, with the wall time the batch ran for: from when it had the
+// pool to itself, so a wait behind another caller's batch is not in it.
+// Batches of one part, and every batch on a one-worker pool, run inline
+// on the caller's goroutine (no handoff latency). Run must not be called
+// from within a RunPart.
+//
+//simlint:wallclock the batch's host run time feeds HostStats, never simulated time
+func (p *Pool) Run(n int, job Job) time.Duration {
 	if n <= 0 {
-		return
+		return 0
 	}
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
+	start := time.Now()
 	if n == 1 || len(p.scratches) == 1 {
 		for i := 0; i < n; i++ {
 			job.RunPart(i, &p.inline)
 		}
-		return
+	} else {
+		p.fanOut(n, job)
 	}
+	return time.Since(start)
+}
+
+// fanOut runs a batch of n parts on the workers; runMu is held.
+func (p *Pool) fanOut(n int, job Job) {
 	p.cur = job
 	p.n = int32(n)
 	p.next.Store(0)
-	k := len(p.scratches)
-	if n < k {
-		k = n
-	}
-	p.wg.Add(k)
-	for i := 0; i < k; i++ {
+	p.wg.Add(min(n, len(p.scratches)))
+	for range min(n, len(p.scratches)) {
 		p.wake <- struct{}{}
 	}
 	p.wg.Wait()

@@ -156,8 +156,11 @@ func (b *Breakdown) String() string {
 // never mix: Breakdown drives the figures, HostStats drives performance
 // tracking of the reproduction itself (ombrun's wall-clock line).
 type HostStats struct {
-	// CodecWall is the total wall-clock spent inside codec worker-pool
-	// batches (compress + decompress, both algorithms).
+	// CodecWall is the total wall-clock the engine's codec worker-pool
+	// batches ran for (compress + decompress, both algorithms), each
+	// timed from when it had the pool: a wait behind another rank's batch
+	// is not in it. Batches on one pool run one at a time, so summed over
+	// the ranks sharing a pool it is at most the run's wall time.
 	CodecWall time.Duration
 	// CodecRuns counts the batches submitted.
 	CodecRuns int

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mpicomp/internal/codecpool"
 	"mpicomp/internal/dtype"
@@ -187,9 +186,7 @@ func (e *Engine) CodecWorkers() int { return e.codec.Workers() }
 //
 //simlint:wallclock HostStats measures real host codec throughput; it never feeds simulated time
 func (e *Engine) runCodec(n int, job codecpool.Job) {
-	start := time.Now()
-	e.codec.Run(n, job)
-	e.Host.CodecWall += time.Since(start)
+	e.Host.CodecWall += e.codec.Run(n, job)
 	e.Host.CodecRuns++
 }
 

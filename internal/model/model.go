@@ -4,7 +4,11 @@
 // predictions to choose a codec per message.
 package model
 
-import "mpicomp/internal/simtime"
+import (
+	"math"
+
+	"mpicomp/internal/simtime"
+)
 
 // Params carries the notation of Table II.
 type Params struct {
@@ -77,10 +81,13 @@ func BreakEvenCR(p Params) float64 {
 // beats the baseline: S/B * (1 - 1/CR) > K.
 func MinMessageSize(k simtime.Duration, bandwidthGBps, cr float64) int {
 	if cr <= 1 {
-		return 1 << 62
+		return math.MaxInt
 	}
 	frac := 1 - 1/cr
 	// S > K * B / frac.
 	s := float64(k) / 1e9 * bandwidthGBps * 1e9 / frac
+	if s >= math.MaxInt {
+		return math.MaxInt
+	}
 	return int(s) + 1
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // The benchmarks name their regime. msg_sppm at its Table III dim 1 is
-// the sparse end (most chunks repeat their predictors, the rest carry one
-// jump) and the message of the p2p_mpc workload; msg_sp at dim 5 is the
-// dense end (every chunk keeps most planes). Each runs the word coder,
+// the sparse end (80 % of chunks repeat their predictors; 95 % of the
+// rest carry one jump in one residual, the lone-residual case that codes
+// without the transpose) and the message of the p2p_mpc workload; msg_sp
+// at dim 5 is the dense end (every chunk keeps most planes). Each runs the word coder,
 // the byte coder and the loop coder of reference_test.go ("loop") on the
 // same 16 MiB with a reused destination, so one `go test -bench 16MB`
 // prints before and after.

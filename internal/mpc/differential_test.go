@@ -264,6 +264,15 @@ func FuzzMPCDifferential(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x11, 0xee, 0xff, 0xc0}, 70), uint8(0))
 	f.Add(append(make([]byte, 8), bytes.Repeat([]byte{0x00, 0x00, 0x80, 0x3f, 0x01, 0x00, 0x80, 0x3f}, 40)...), uint8(1))
 	f.Add([]byte{0x01, 0x00, 0x00, 0x80, 0xaa, 0xaa, 0xaa, 0xaa, 0x55, 0x55, 0x55, 0x55, 0, 0, 0, 0}, uint8(31))
+	// Lone-residual chunks as words, then chunks that are nearly lone on
+	// the wire: zero planes, equal two-bit planes, differing one-bit ones.
+	lone := rand.New(rand.NewSource(36))
+	f.Add(wordsToLE(loneWords(2, 1, 9, 0x12345, 1, lone)), uint8(0))
+	f.Add(wordsToLE(loneWords(1, 0, 31, 0xffffffff, 5, lone)), uint8(4))
+	f.Add(nearLone(0x8000_0003, 1<<6, 1<<6, 1<<6), uint8(0))
+	f.Add(nearLone(0x00f0_0001, repeat(0, 5)...), uint8(0))
+	f.Add(nearLone(0x8000_1101, repeat(1<<31|1<<4, 4)...), uint8(1))
+	f.Add(nearLone(0x0001_0f00, 1<<9, 1<<9, 1<<9, 1<<9, 1<<10), uint8(31))
 	f.Fuzz(func(t *testing.T, data []byte, dim uint8) {
 		d := 1 + int(dim)%MaxDim
 		rng := rand.New(rand.NewSource(int64(len(data))))

@@ -12,6 +12,12 @@ func FuzzDecompressWords(f *testing.F) {
 	f.Add(good, 100, 3)
 	f.Add([]byte{}, 0, 1)
 	f.Add([]byte{1, 2, 3}, 32, 1)
+	lone, _ := CompressWords(nil, loneWords(2, 1, 17, 0x80000000, 2, rand.New(rand.NewSource(36))), 2)
+	f.Add(lone, 2*ChunkWords+3, 2)
+	f.Add(nearLone(0x0000_0300, 1<<4, 1<<4), 32, 1)
+	f.Add(nearLone(0x0000_0300, 0, 0), 32, 1)
+	f.Add(nearLone(0x0000_0300, 1<<4|1<<3, 1<<4|1<<3), 32, 1)
+	f.Add(nearLone(0x0000_0300, 1<<4, 1<<3), 32, 1)
 	f.Fuzz(func(t *testing.T, comp []byte, n, dim int) {
 		if n < 0 || n > 1<<16 {
 			return

@@ -19,7 +19,9 @@
 //     rows as 16 uint64, two rows to a word, so every stage of the
 //     block-swap network moves two rows per operation, and runs the last
 //     three stages on registers. A chunk of zero residuals skips the
-//     transpose: it decodes as its predictors, repeated.
+//     transpose: it decodes as its predictors, repeated. So does a chunk
+//     with one nonzero residual, in row i: each of its planes is the one
+//     bit 1<<(31-i), and the residual is the bitmap reversed.
 //  4. Zero-word elimination: each chunk emits a 32-bit occupancy bitmap
 //     followed by only the nonzero plane words.
 //
@@ -32,6 +34,7 @@
 package mpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -229,6 +232,26 @@ func residualsBytes(w *[16]uint64, src []byte, base, dim int) uint32 {
 	return uint32(or) | uint32(or>>32)
 }
 
+// loneRow returns the one nonzero row of w, or -1 when two or more rows
+// are nonzero. It stops at the first word that holds two nonzero rows, so
+// a dense chunk costs one load.
+func loneRow(w *[16]uint64) int {
+	row := -1
+	for k, v := range w {
+		if v == 0 {
+			continue
+		}
+		if row >= 0 || uint32(v) != 0 && v>>32 != 0 {
+			return -1
+		}
+		row = k
+		if uint32(v) == 0 {
+			row += 16
+		}
+	}
+	return row
+}
+
 // putChunk writes the chunk with rows w, whose OR is or, at out[pos:] and
 // returns the position after it. out must have room for an incompressible
 // chunk; a region sized by Bound does.
@@ -241,6 +264,13 @@ func putChunk(out []byte, pos int, w *[16]uint64, or uint32) int {
 	}
 	end := pos + 4*bits.OnesCount32(bitmap)
 	planes := out[pos:end]
+	if i := loneRow(w); i >= 0 {
+		// Every plane the bitmap selects is the one bit of row i.
+		for p := uint32(1) << (31 - i); len(planes) > 0; planes = planes[4:] {
+			binary.LittleEndian.PutUint32(planes, p)
+		}
+		return end
+	}
 	if or < 1<<16 {
 		var x [8]uint64
 		halfPack(&x, w)
@@ -275,6 +305,16 @@ func getChunk(w *[16]uint64, comp []byte, pos, c int) (int, error) {
 		return pos, fmt.Errorf("%w: truncated plane at chunk %d", ErrCorrupt, c)
 	}
 	planes := comp[pos:end]
+	p, last := binary.LittleEndian.Uint32(planes), binary.LittleEndian.Uint32(planes[len(planes)-4:])
+	if p != 0 && p&(p-1)|(p^last) == 0 && bytes.Equal(planes[4:], planes[:len(planes)-4]) {
+		// Every plane is the one bit 1<<(31-i): the lone row i is the
+		// bitmap reversed. A zero plane word cannot get here. The last
+		// plane, the densest, turns a dense chunk away in one branch.
+		i := 31 - uint(bits.TrailingZeros32(p))
+		*w = [16]uint64{}
+		w[i&15] = uint64(bits.Reverse32(bitmap)) << (i & 16 << 1)
+		return end, nil
+	}
 	if bitmap&0xffff == 0 {
 		// Planes 0..15 are absent, so every residual fits in 16 bits:
 		// the mirror of putChunk's half path.

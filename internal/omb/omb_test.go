@@ -3,6 +3,7 @@ package omb
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"mpicomp/internal/core"
 	"mpicomp/internal/hw"
@@ -385,4 +386,37 @@ func TestBcastHierServedFromCache(t *testing.T) {
 	if _, cs := fastPathArm(t, "bcast-hier", 1<<20, 0, 0); cs.Hits == 0 {
 		t.Errorf("hierarchical bcast recorded no compress-once hits: %+v", cs)
 	}
+}
+
+// TestCodecWallIsBatchTime holds HostStats.CodecWall to what ombrun's
+// wall-clock line says it is: the time codec batches ran, not the time
+// ranks queued for the shared pool. Sixteen ranks contend for one pool
+// in a 4 MiB allgather (256 KiB blocks of msg_sp, dense enough that the
+// codec dominates), and batches run one at a time, so the sum over ranks
+// cannot exceed the run's wall time. Timed from before the pool's lock,
+// the sum reads two to three times the wall time.
+//
+//simlint:wallclock compares host codec time against host wall time
+func TestCodecWallIsBatchTime(t *testing.T) {
+	gen, err := DatasetData("msg_sp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newW(t, hw.FronteraLiquid(), 8, 2, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC})
+	start := time.Now()
+	if _, err := CollectiveLatency(w, "allgather", 256<<10, 0, 2, gen); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	var host core.HostStats
+	for r := 0; r < w.Size(); r++ {
+		host.Add(w.Rank(r).Engine.HostSnapshot())
+	}
+	if host.CodecRuns == 0 {
+		t.Fatal("no codec batch ran")
+	}
+	if host.CodecWall > wall {
+		t.Fatalf("codec batches summed to %v over %d runs in a %v run", host.CodecWall, host.CodecRuns, wall)
+	}
+	t.Logf("codec %v over %d batches in a %v run", host.CodecWall, host.CodecRuns, wall)
 }
