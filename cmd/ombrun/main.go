@@ -23,6 +23,7 @@ import (
 	"mpicomp/internal/core"
 	"mpicomp/internal/mpi"
 	"mpicomp/internal/omb"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/trace"
 	"mpicomp/internal/tune"
 )
@@ -51,7 +52,7 @@ func main() {
 	breakerFlag := flag.String("breaker", "", "codec circuit-breaker spec, e.g. threshold=3,cooldown=2ms (empty = off)")
 	retries := flag.Int("retries", 0, "retransmission budget per protocol stage (0 = default, negative = retries off)")
 	chunkRetry := flag.Int("chunk-retry", 0, "per-chunk retransmission budget on the pipelined path (0 = inherit -retries, negative = off)")
-	algoFlag := flag.String("algo", mpi.AllreduceAuto.String(), fmt.Sprintf("allreduce algorithm, one of %v (auto routes through the tuner)", mpi.AllreduceAlgos()))
+	algoFlag := flag.String("algo", sched.AllreduceAuto.String(), fmt.Sprintf("allreduce algorithm, one of %v (auto routes through the tuner)", sched.AllreduceAlgos()))
 	tuneTable := flag.String("tune-table", "", "tuning-table JSON path: warm-start from it if present, rewrite it with the updated table on exit")
 	tuneSeed := flag.Int64("tune-seed", 0, "tuner exploration seed")
 	eng := cli.AddEngineFlags(flag.CommandLine)
@@ -97,7 +98,7 @@ func main() {
 	// The tuner drives auto dispatch; a pinned -algo bypasses it. The
 	// table file is optional warm-start state: absent means cold.
 	var tuner *tune.Tuner
-	if algo == mpi.AllreduceAuto {
+	if algo == sched.AllreduceAuto {
 		var tab *tune.Table
 		if *tuneTable != "" {
 			data, err := os.ReadFile(*tuneTable)
@@ -180,7 +181,7 @@ func main() {
 				// so the totals here are this size's epoch. Folding
 				// between sizes is world-synchronous: no collective is
 				// in flight while Advance commits.
-				tuner.NoteCounters(tune.WorldCounters(w))
+				tuner.NoteCounters(omb.WorldCounters(w))
 				tuner.Advance()
 			}
 		}

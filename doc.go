@@ -12,7 +12,9 @@
 //     instantiated by a two-row codec table (MPC-OPT, ZFP-OPT, naive
 //     integration, dynamic selection)
 //   - internal/mpi:    the message-passing runtime (eager, rendezvous and
-//     pipelined protocols, collectives)
+//     pipelined protocols, the executor of internal/sched's collectives)
+//   - internal/sched:  every collective as a pure schedule, and the tuner's
+//     allreduce table
 //   - internal/mpc:    the lossless MPC codec (float32)
 //   - internal/zfp:    the fixed-rate ZFP codec (float32, 1-D on the wire)
 //   - internal/dtype:  derived-datatype layouts

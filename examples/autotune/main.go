@@ -22,6 +22,7 @@ import (
 	"mpicomp/internal/hw"
 	"mpicomp/internal/mpi"
 	"mpicomp/internal/omb"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/tune"
 )
 
@@ -38,7 +39,7 @@ func epoch(w *mpi.World, tn *tune.Tuner, bytes int) error {
 	if _, err := omb.CollectiveLatency(w, "allreduce", bytes, 1, 2, nil); err != nil {
 		return err
 	}
-	tn.NoteCounters(tune.WorldCounters(w))
+	tn.NoteCounters(omb.WorldCounters(w))
 	tn.Advance()
 	return nil
 }
@@ -67,7 +68,7 @@ func run(out io.Writer, tablePath string) error {
 	sizes := []int{32 << 10, 4 << 20}
 	t := cli.NewTable("Size", "Epoch", "Pick", "Predicted")
 	for _, bytes := range sizes {
-		p := mpi.TunePoint{Bytes: bytes, Ranks: nodes * ppn, Nodes: nodes, PPN: ppn}
+		p := sched.TunePoint{Bytes: bytes, Ranks: nodes * ppn, Nodes: nodes, PPN: ppn}
 		for e := 0; e < 5; e++ {
 			if err := epoch(w, tn, bytes); err != nil {
 				return err
@@ -98,7 +99,7 @@ func run(out io.Writer, tablePath string) error {
 	}
 	warm := tune.NewTuner(tune.Options{Seed: seed, Cluster: hw.Longhorn(), Table: tab})
 	for _, bytes := range sizes {
-		p := mpi.TunePoint{Bytes: bytes, Ranks: nodes * ppn, Nodes: nodes, PPN: ppn}
+		p := sched.TunePoint{Bytes: bytes, Ranks: nodes * ppn, Nodes: nodes, PPN: ppn}
 		fmt.Fprintf(out, "warm start at %4d KB: pick=%s reprobe=%v\n",
 			bytes>>10, warm.PickAllreduce(p), warm.NeedProbe(p))
 	}

@@ -19,6 +19,7 @@ import (
 	"mpicomp/internal/faults"
 	"mpicomp/internal/hw"
 	"mpicomp/internal/mpi"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -93,15 +94,15 @@ func (e *EngineFlags) Config() (core.Config, error) {
 var ErrBadAlgo = errors.New("unknown collective algorithm")
 
 // ParseAlgo parses an -algo value, ignoring case and surrounding blanks,
-// into its mpi enum value; empty means auto.
-func ParseAlgo(s string) (mpi.AllreduceAlgo, error) {
+// into its schedule table value; empty means auto.
+func ParseAlgo(s string) (sched.AllreduceAlgo, error) {
 	name := strings.ToLower(strings.TrimSpace(s))
 	if name == "" {
-		return mpi.AllreduceAuto, nil
+		return sched.AllreduceAuto, nil
 	}
-	a, ok := mpi.ParseAllreduceAlgo(name)
+	a, ok := sched.ParseAllreduceAlgo(name)
 	if !ok {
-		return 0, fmt.Errorf("%w %q (want one of %v)", ErrBadAlgo, s, mpi.AllreduceAlgos())
+		return 0, fmt.Errorf("%w %q (want one of %v)", ErrBadAlgo, s, sched.AllreduceAlgos())
 	}
 	return a, nil
 }

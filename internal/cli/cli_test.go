@@ -14,6 +14,7 @@ import (
 	"mpicomp/internal/core"
 	"mpicomp/internal/faults"
 	"mpicomp/internal/mpi"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -64,15 +65,15 @@ func TestEngineFlagsRejectsUnknown(t *testing.T) {
 }
 
 func TestParseAlgo(t *testing.T) {
-	good := map[string]mpi.AllreduceAlgo{
-		"auto":          mpi.AllreduceAuto,
-		"":              mpi.AllreduceAuto,
-		"reduce-bcast":  mpi.AllreduceReduceBcast,
-		"ring":          mpi.AllreduceRing,
-		"ring-blocking": mpi.AllreduceRingBlocking,
-		"rd":            mpi.AllreduceRecursiveDoubling,
-		"RAB":           mpi.AllreduceRabenseifner,
-		" two-level ":   mpi.AllreduceTwoLevel,
+	good := map[string]sched.AllreduceAlgo{
+		"auto":          sched.AllreduceAuto,
+		"":              sched.AllreduceAuto,
+		"reduce-bcast":  sched.AllreduceReduceBcast,
+		"ring":          sched.AllreduceRing,
+		"ring-blocking": sched.AllreduceRingBlocking,
+		"rd":            sched.AllreduceRecursiveDoubling,
+		"RAB":           sched.AllreduceRabenseifner,
+		" two-level ":   sched.AllreduceTwoLevel,
 	}
 	for in, want := range good {
 		got, err := ParseAlgo(in)
@@ -88,10 +89,10 @@ func TestParseAlgo(t *testing.T) {
 		}
 	}
 	// Round trip: every accepted name is the enum's own String form.
-	for _, a := range []mpi.AllreduceAlgo{
-		mpi.AllreduceAuto, mpi.AllreduceReduceBcast, mpi.AllreduceRing,
-		mpi.AllreduceRingBlocking, mpi.AllreduceRecursiveDoubling,
-		mpi.AllreduceRabenseifner, mpi.AllreduceTwoLevel,
+	for _, a := range []sched.AllreduceAlgo{
+		sched.AllreduceAuto, sched.AllreduceReduceBcast, sched.AllreduceRing,
+		sched.AllreduceRingBlocking, sched.AllreduceRecursiveDoubling,
+		sched.AllreduceRabenseifner, sched.AllreduceTwoLevel,
 	} {
 		got, err := ParseAlgo(a.String())
 		if err != nil || got != a {

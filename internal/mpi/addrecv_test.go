@@ -10,6 +10,7 @@ import (
 	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 )
 
 // The add landing (irecvAdd): a reduction's receive decodes each arriving
@@ -78,8 +79,8 @@ func TestAddReceiveAddsEachChunkOnce(t *testing.T) {
 				name       string
 				fast, slow func(r *Rank, in, out *gpusim.Buffer) error
 			}{
-				{"ring", (*Rank).RingAllreduceSum, (*Rank).RingAllreduceSumBlocking},
-				{"rd", (*Rank).RecursiveDoublingAllreduceSum, (*Rank).RecursiveDoublingAllreduceSumBlocking},
+				{"ring", allreduceBy(sched.Ring, true), allreduceBy(sched.Ring, false)},
+				{"rd", allreduceBy(sched.RecursiveDoubling, true), allreduceBy(sched.RecursiveDoubling, false)},
 			} {
 				const n = 1 << 18 // 1 MiB per rank, 64 KiB chunks
 				small := eng
@@ -125,7 +126,7 @@ func TestAddReceiveDecodeErrorFailsOnce(t *testing.T) {
 	core.AddFloat32s(want[:2*words], core.FloatsToBytes(nil, vals[:words/2]))
 	var stepErr error
 	if _, err := w.Run(func(r *Rank) error {
-		tag := r.collTag(baseReduce)
+		tag := r.collTag(sched.BaseReduce)
 		if r.ID() == 0 {
 			payload, hdr := r.Engine.Compress(r.Clock, devBuf(r, vals))
 			if len(hdr.PartBytes) != 2 {
@@ -138,7 +139,7 @@ func TestAddReceiveDecodeErrorFailsOnce(t *testing.T) {
 			return r.await(r.isendPayload(1, tag, payload, hdr, nil))
 		}
 		acc := devBuf(r, acc0)
-		stepErr = r.ringReduceStep(-1, 0, tag, acc, acc, span{}, span{n: acc.Len()}, 0, false)
+		stepErr = r.ringReduceStep(-1, 0, tag, acc, acc, sched.Span{}, sched.Span{N: acc.Len()}, 0, false)
 		if !bytes.Equal(acc.Data, want) {
 			t.Error("the accumulator is not the first partition added once and the second left alone")
 		}

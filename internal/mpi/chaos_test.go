@@ -18,6 +18,7 @@ import (
 	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -161,7 +162,7 @@ func TestChaosCollectivesZFP(t *testing.T) {
 		// Every rank now holds ≈want; the ring allreduce must produce
 		// ≈size*want on all ranks despite faulty hops.
 		out := emptyDevBuf(r, n)
-		if err := r.RingAllreduceSum(buf, out); err != nil {
+		if err := allreduceBy(sched.Ring, true)(r, buf, out); err != nil {
 			return err
 		}
 		sum := core.BytesToFloats(out.Data)
@@ -543,7 +544,7 @@ func TestChaosCrashSoakCollectives(t *testing.T) {
 		{name: "reduce", run: func(r *Rank, send, recv *gpusim.Buffer) error { return r.ReduceSum(0, send, recv) }},
 		{name: "allreduce", run: func(r *Rank, send, recv *gpusim.Buffer) error { return r.AllreduceSum(send, recv) }},
 		{name: "ringallreduce", run: func(r *Rank, send, recv *gpusim.Buffer) error {
-			return r.RingAllreduceSum(send, recv)
+			return allreduceBy(sched.Ring, true)(r, send, recv)
 		}},
 		// The pipelined-ring cell crashes ranks mid-stream while the
 		// reduce-scatter has several chunk messages in flight per step —
@@ -552,7 +553,7 @@ func TestChaosCrashSoakCollectives(t *testing.T) {
 			engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
 				Threshold: 2 << 10, PipelineChunkBytes: 1 << 10},
 			run: func(r *Rank, send, recv *gpusim.Buffer) error {
-				return r.RingAllreduceSum(send, recv)
+				return allreduceBy(sched.Ring, true)(r, send, recv)
 			}},
 		{name: "alltoall", run: func(r *Rank, send, recv *gpusim.Buffer) error { return r.Alltoall(send, recv) }},
 		// omb's ragged (i+j)%3 segments of 8, 16 and 24 KiB: the smallest

@@ -10,6 +10,7 @@ import (
 	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -155,7 +156,7 @@ func TestChunkFaultMatrixRelayRing(t *testing.T) {
 				}
 				// The ring allreduce's relay phase rides the same path.
 				out := emptyDevBuf(r, words)
-				if err := r.RingAllreduceSum(buf, out); err != nil {
+				if err := allreduceBy(sched.Ring, true)(r, buf, out); err != nil {
 					return err
 				}
 				sum := core.BytesToFloats(out.Data)
@@ -551,7 +552,7 @@ func chunkWorkerSoak(t *testing.T, workers int) (simtime.Time, faults.Stats, cor
 			return err
 		}
 		sumBuf := emptyDevBuf(r, words)
-		if err := r.RingAllreduceSum(bcastBuf, sumBuf); err != nil {
+		if err := allreduceBy(sched.Ring, true)(r, bcastBuf, sumBuf); err != nil {
 			return err
 		}
 		h := crc32.NewIEEE()

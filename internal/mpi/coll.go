@@ -3,82 +3,40 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"slices"
 
 	"mpicomp/internal/core"
 	"mpicomp/internal/gpusim"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
-
-// collView is the dense rank space a collective runs over: the full world
-// normally, or the surviving subset once the world has shrunk (ULFM's
-// MPIX_Comm_shrink). Generators work in view coordinates [0, size) and
-// translate to world ranks through real(); the identity view (live == nil)
-// is the world itself.
-type collView struct {
-	size  int
-	vrank int
-	live  []int // nil: identity (the full world)
-}
-
-// real maps a view coordinate to its world rank.
-func (v collView) real(vr int) int {
-	if v.live == nil {
-		return vr
-	}
-	return v.live[vr]
-}
-
-// peers lists the view's world ranks in view order.
-func (v collView) peers() []int {
-	ids := make([]int, v.size)
-	for i := range ids {
-		ids[i] = v.real(i)
-	}
-	return ids
-}
-
-// vof maps a world rank to its view coordinate, -1 if excluded.
-func (v collView) vof(world int) int {
-	if v.live == nil {
-		return world
-	}
-	for i, id := range v.live {
-		if id == world {
-			return i
-		}
-	}
-	return -1
-}
 
 // collView computes this rank's collective view: the identity unless the
 // world has shrunk, when fated ranks are excluded and get an immediate
 // error. Once a self-heal recovery has advanced this rank's epoch, the view
 // follows the fabric's fault-avoiding route order (heal.go).
-func (r *Rank) collView() (collView, error) {
+func (r *Rank) collView() (sched.View, error) {
 	if err := r.checkHealth(); err != nil {
-		return collView{}, err
+		return sched.View{}, err
 	}
 	w := r.world
 	if len(w.doomed) == 0 || !w.shrunk.Load() {
 		if w.healOn && r.healEpoch > 0 && w.routeView != nil {
 			// Link-only recovery: every rank survives, but the ring order
 			// reroutes around the failed links.
-			v := collView{size: w.size, live: w.routeOrdered(w.everyone)}
-			v.vrank = v.vof(r.id)
+			v := sched.View{Size: w.size, Live: w.routeOrdered(w.everyone)}
+			v.VRank = v.Vof(r.id)
 			return v, nil
 		}
-		return collView{size: w.size, vrank: r.id}, nil
+		return sched.View{Size: w.size, VRank: r.id}, nil
 	}
 	live := w.live
 	if w.healOn && r.healEpoch > 0 {
 		live = w.routeOrdered(live)
 	}
-	v := collView{size: len(live), live: live}
-	v.vrank = v.vof(r.id)
-	if v.vrank < 0 {
-		return collView{}, fmt.Errorf("mpi: rank %d is fated and excluded from the shrunk communicator: %w", r.id, ErrPeerFailed)
+	v := sched.View{Size: len(live), Live: live}
+	v.VRank = v.Vof(r.id)
+	if v.VRank < 0 {
+		return sched.View{}, fmt.Errorf("mpi: rank %d is fated and excluded from the shrunk communicator: %w", r.id, ErrPeerFailed)
 	}
 	return v, nil
 }
@@ -122,42 +80,11 @@ func (r *Rank) relayDecoded(hdr core.Header, consumers int) *core.Decoded {
 	return core.NewDecoded(hdr)
 }
 
-// binomial is the one tree every rooted collective walks: vrank's parent
-// (-1 at the root, vrank 0) and its children, nearest first, in the
-// binomial tree over [0, size). A reduction drains the children in that
-// order and then sends to the parent; a broadcast receives from the parent
-// and serves the children farthest first.
-func binomial(vrank, size int) (parent int, children []int) {
-	for mask := 1; mask < size; mask <<= 1 {
-		if vrank&mask != 0 {
-			return vrank - mask, children
-		}
-		if vrank+mask < size {
-			children = append(children, vrank+mask)
-		}
-	}
-	return -1, children
-}
-
 // Barrier synchronizes all ranks (dissemination algorithm, O(log P)
 // rounds of small host messages).
 func (r *Rank) Barrier() error {
-	return r.healRun(func() error {
-		return r.runSchedule(collective{name: "barrier", root: noRoot, send: gpusim.NewHostBuffer(1), recv: gpusim.NewHostBuffer(1),
-			steps: barrierSteps})
-	})
-}
-
-// barrierSteps: round k sends a one-byte token to the rank 2^k ahead and
-// takes one from the rank 2^k behind.
-func barrierSteps(l layout) []step {
-	steps := make([]step, 0, bits.Len(uint(l.size-1)))
-	for k := 1; k < l.size; k <<= 1 {
-		steps = append(steps, step{op: opSendrecv, tag: baseBarrier,
-			to: l.real((l.vrank + k) % l.size), from: l.real((l.vrank - k + l.size) % l.size),
-			send: span{n: 1, buf: inSend}, recv: span{n: 1}})
-	}
-	return steps
+	return r.run(collective{name: "barrier", root: noRoot, send: gpusim.NewHostBuffer(1), recv: gpusim.NewHostBuffer(1),
+		steps: sched.Barrier})
 }
 
 // Bcast broadcasts root's buf to every rank over a binomial tree — the
@@ -167,29 +94,10 @@ func barrierSteps(l layout) []step {
 // exactly once (treeRelay). Relayed payloads at least twice the pipeline
 // chunk size ride the chunk-granular reliability path hop by hop.
 func (r *Rank) Bcast(root int, buf *gpusim.Buffer) error {
-	return r.healRun(func() error {
-		return r.runSchedule(collective{name: "bcast", root: root, send: buf, recv: buf,
-			steps: func(l layout) []step { return bcastSteps(l, root, span{n: buf.Len(), buf: inSend}) }})
-	})
-}
-
-// bcastSteps is the binomial broadcast of the root's span src into every
-// other rank's recvBuf: one tree-relay step per rank.
-func bcastSteps(l layout, root int, src span) []step {
-	if l.size == 1 {
-		return nil
-	}
-	vroot := l.vof(root)
-	at := func(x int) int { return l.real((x + vroot) % l.size) }
-	parent, children := binomial((l.vrank-vroot+l.size)%l.size, l.size)
-	st := step{op: opTree, from: -1, send: src, recv: span{n: src.n}, tag: baseBcast}
-	if parent >= 0 {
-		st.from = at(parent)
-	}
-	for i := len(children) - 1; i >= 0; i-- {
-		st.peers = append(st.peers, at(children[i]))
-	}
-	return []step{st}
+	return r.run(collective{name: "bcast", root: root, send: buf, recv: buf,
+		steps: func(l sched.Layout) []sched.Step {
+			return sched.Bcast(l, root, sched.Span{N: buf.Len(), Buf: sched.InSend})
+		}})
 }
 
 // treeRelay is one rank's part of a compression-aware broadcast tree: the
@@ -272,63 +180,38 @@ func (r *Rank) relayRing(left, right, tag, steps int, payload []byte, hdr core.H
 }
 
 // Allgather gathers each rank's sendBuf into every rank's recvBuf
-// (recvBuf holds world-size * len(sendBuf) bytes, rank i's block at
-// offset i*len(sendBuf)) using the ring algorithm MVAPICH2 uses for
-// large messages. Under an active shrink the ring runs over the
-// surviving subset; block offsets stay world-rank indexed, so fated
-// ranks' blocks are simply left untouched.
+// (world-size * len(sendBuf) bytes, rank i's block at offset
+// i*len(sendBuf)) around the ring MVAPICH2 uses for large messages
+// (sched.Allgather). Under an active shrink the ring runs over the
+// surviving subset and the fated ranks' blocks are left untouched.
 func (r *Rank) Allgather(sendBuf, recvBuf *gpusim.Buffer) error {
 	blk := sendBuf.Len()
-	return r.healRun(func() error {
-		return r.runSchedule(collective{name: "allgather", root: noRoot, send: sendBuf, recv: recvBuf,
-			bad:   lenErr(true, "allgather recv", recvBuf, r.Size()*blk),
-			steps: func(l layout) []step { return allgatherSteps(l, blk, false) }})
-	})
+	return r.run(collective{name: "allgather", root: noRoot, send: sendBuf, recv: recvBuf,
+		bad:   lenErr(true, "allgather recv", recvBuf, r.Size()*blk),
+		steps: func(l sched.Layout) []sched.Step { return sched.Allgather(l, blk, false) }})
 }
 
-// allgatherSteps copies the rank's own block into place — from sendBuf, or
-// inPlace from where it sits in recvBuf — then relays it around the view
-// compressed once. The compression reads a device-resident sendBuf (same
-// bytes, but a stable epoch that hits the compress-once cache when warm).
-func allgatherSteps(l layout, blk int, inPlace bool) []step {
-	own := span{off: l.me() * blk, n: blk}
-	mine := span{n: blk, buf: inSend}
-	if inPlace {
-		mine = own
-	}
-	steps := []step{{op: opCopy, send: mine, recv: own, charge: true}}
-	if l.size == 1 {
-		return steps
-	}
-	hops := make([]span, l.size-1)
-	for s := range hops {
-		hops[s] = span{off: l.real((l.vrank-s-1+l.size)%l.size) * blk, n: blk}
-	}
-	return append(steps, step{op: opRelay, to: l.real((l.vrank + 1) % l.size), from: l.real((l.vrank - 1 + l.size) % l.size),
-		send: own, fromSend: !inPlace, mirror: own.off, relay: hops, tag: baseAllgather})
+// BcastHierarchical is MVAPICH2's two-level broadcast (sched.BcastHier);
+// Config.Dynamic can keep its intra-node fan-out uncompressed.
+func (r *Rank) BcastHierarchical(root int, buf *gpusim.Buffer) error {
+	return r.run(collective{name: "bcast-hier", root: root, send: buf, recv: buf,
+		steps: func(l sched.Layout) []sched.Step { return sched.BcastHier(l, root, buf.Len()) }})
+}
+
+// AllgatherHierarchical is the two-level allgather (sched.AllgatherHier),
+// recvBuf laid out as Allgather's.
+func (r *Rank) AllgatherHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
+	blk := sendBuf.Len()
+	return r.run(collective{name: "allgather-hier", root: noRoot, send: sendBuf, recv: recvBuf,
+		bad:   lenErr(true, "allgather recv", recvBuf, r.Size()*blk),
+		steps: func(l sched.Layout) []sched.Step { return sched.AllgatherHier(l, blk) }})
 }
 
 // BcastScatterAllgather is the bandwidth-optimal large-message broadcast
-// MVAPICH2 switches to above its binomial-tree threshold: the root scatters
-// per-rank blocks, then the ring allgathers them in place (sagSteps). The
-// blocks are world-indexed, so messages that do not split into word-aligned
-// blocks, and views that lost ranks, take the binomial tree.
+// MVAPICH2 switches to above its binomial-tree threshold (sched.BcastSAG).
 func (r *Rank) BcastScatterAllgather(root int, buf *gpusim.Buffer) error {
-	return r.healRun(func() error {
-		return r.runSchedule(collective{name: "bcast-sag", root: root, send: buf, recv: buf,
-			steps: func(l layout) []step { return sagSteps(l, root, buf.Len()) }})
-	})
-}
-
-func sagSteps(l layout, root, n int) []step {
-	if l.size == 1 {
-		return nil
-	}
-	if l.size < l.ranks || n%(4*l.ranks) != 0 {
-		return bcastSteps(l, root, span{n: n, buf: inSend})
-	}
-	blk := n / l.ranks
-	return append(scatterSteps(l, root, blk, true), allgatherSteps(l, blk, true)...)
+	return r.run(collective{name: "bcast-sag", root: root, send: buf, recv: buf,
+		steps: func(l sched.Layout) []sched.Step { return sched.BcastSAG(l, root, buf.Len()) }})
 }
 
 // Gather collects every rank's sendBuf into root's recvBuf (rank i's block
@@ -339,32 +222,9 @@ func sagSteps(l layout, root, n int) []step {
 // leaving fated ranks' blocks untouched.
 func (r *Rank) Gather(root int, sendBuf, recvBuf *gpusim.Buffer) error {
 	blk := sendBuf.Len()
-	return r.healRun(func() error {
-		return r.runSchedule(collective{name: "gather", root: root, indexed: true, send: sendBuf, recv: recvBuf,
-			bad:   lenErr(r.id == root, "gather recv", recvBuf, r.Size()*blk),
-			steps: func(l layout) []step { return gatherSteps(l, root, blk) }})
-	})
-}
-
-// gatherSteps: the root posts a receive from every other rank, copying its
-// own block on the spot, in rank order, then waits them all.
-func gatherSteps(l layout, root, blk int) []step {
-	mine := span{n: blk, buf: inSend}
-	if l.me() != root {
-		return []step{{op: opSend, to: root, send: mine, tag: baseGather}}
-	}
-	fan := make([]step, 0, l.ranks)
-	for p := 0; p < l.ranks; p++ {
-		into := span{off: p * blk, n: blk}
-		switch {
-		case l.skips(p):
-		case p == root:
-			fan = append(fan, step{op: opCopy, send: mine, recv: into})
-		default:
-			fan = append(fan, step{op: opRecv, from: p, recv: into})
-		}
-	}
-	return []step{{op: opFan, fan: fan, tag: baseGather}}
+	return r.run(collective{name: "gather", root: root, indexed: true, send: sendBuf, recv: recvBuf,
+		bad:   lenErr(r.id == root, "gather recv", recvBuf, r.Size()*blk),
+		steps: func(l sched.Layout) []sched.Step { return sched.Gather(l, root, blk) }})
 }
 
 // Scatter distributes root's sendBuf (rank i's block at offset
@@ -372,38 +232,9 @@ func gatherSteps(l layout, root, blk int) []step {
 // ranks. Failures and self-heal retries are handled as in Gather.
 func (r *Rank) Scatter(root int, sendBuf, recvBuf *gpusim.Buffer) error {
 	blk := recvBuf.Len()
-	return r.healRun(func() error {
-		return r.runSchedule(collective{name: "scatter", root: root, indexed: true, send: sendBuf, recv: recvBuf,
-			bad:   lenErr(r.id == root, "scatter send", sendBuf, r.Size()*blk),
-			steps: func(l layout) []step { return scatterSteps(l, root, blk, false) }})
-	})
-}
-
-// scatterSteps: the root posts a send to every other rank, copying its own
-// block on the spot, in rank order, then waits them all. Rank p's block
-// lands in its blk-byte recvBuf, or — inPlace — at p*blk of it.
-func scatterSteps(l layout, root, blk int, inPlace bool) []step {
-	into := func(p int) span {
-		if inPlace {
-			return span{off: p * blk, n: blk}
-		}
-		return span{n: blk}
-	}
-	if me := l.me(); me != root {
-		return []step{{op: opRecv, from: root, recv: into(me), tag: baseScatter}}
-	}
-	fan := make([]step, 0, l.ranks)
-	for p := 0; p < l.ranks; p++ {
-		from := span{off: p * blk, n: blk, buf: inSend}
-		switch {
-		case l.skips(p):
-		case p == root:
-			fan = append(fan, step{op: opCopy, send: from, recv: into(p)})
-		default:
-			fan = append(fan, step{op: opSend, to: p, send: from})
-		}
-	}
-	return []step{{op: opFan, fan: fan, tag: baseScatter}}
+	return r.run(collective{name: "scatter", root: root, indexed: true, send: sendBuf, recv: recvBuf,
+		bad:   lenErr(r.id == root, "scatter send", sendBuf, r.Size()*blk),
+		steps: func(l sched.Layout) []sched.Step { return sched.Scatter(l, root, blk, false) }})
 }
 
 // ReduceSum computes the element-wise float32 sum of every rank's sendBuf
@@ -411,34 +242,9 @@ func scatterSteps(l layout, root, blk int, inPlace bool) []step {
 // that is not whole words fails on every rank before any byte moves.
 func (r *Rank) ReduceSum(root int, sendBuf, recvBuf *gpusim.Buffer) error {
 	n := sendBuf.Len()
-	return r.healRun(func() error {
-		return r.runSchedule(collective{name: "reduce", root: root, send: sendBuf, recv: recvBuf,
-			bad:   errors.Join(wordErr("reduce send", n), lenErr(r.id == root, "reduce recv", recvBuf, n)),
-			steps: func(l layout) []step { return reduceSteps(l, root, n) }})
-	})
-}
-
-// reduceSteps: interior ranks accumulate in scratch, adding their
-// children's vectors nearest first, and send the sum to their parent; the
-// root copies it out. Leaves (odd relative rank) send sendBuf itself, so a
-// tracked, unchanged buffer reuses its cached compressed form across calls.
-func reduceSteps(l layout, root, n int) []step {
-	vroot := l.vof(root)
-	at := func(x int) int { return l.real((x + vroot) % l.size) }
-	rel := (l.vrank - vroot + l.size) % l.size
-	parent, children := binomial(rel, l.size)
-	mine, acc := span{n: n, buf: inSend}, span{n: n, buf: inAcc}
-	if rel&1 == 1 {
-		return []step{{op: opSend, to: at(parent), send: mine, tag: baseReduce}}
-	}
-	steps := []step{{op: opCopy, send: mine, recv: acc}}
-	for _, c := range children {
-		steps = append(steps, step{op: opReduce, to: -1, from: at(c), recv: acc, tag: baseReduce})
-	}
-	if parent >= 0 {
-		return append(steps, step{op: opSend, to: at(parent), send: acc, tag: baseReduce})
-	}
-	return append(steps, step{op: opCopy, send: acc, recv: span{n: n}})
+	return r.run(collective{name: "reduce", root: root, send: sendBuf, recv: recvBuf,
+		bad:   errors.Join(wordErr("reduce send", n), lenErr(r.id == root, "reduce recv", recvBuf, n)),
+		steps: func(l sched.Layout) []sched.Step { return sched.Reduce(l, root, n) }})
 }
 
 // AllreduceSum computes the element-wise float32 sum into every rank's
@@ -455,15 +261,15 @@ func (r *Rank) AllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 	algo := r.world.allreduce
 	var (
 		t     CollTuner
-		p     TunePoint
+		p     sched.TunePoint
 		start simtime.Time
 	)
-	if algo == AllreduceAuto {
+	if algo == sched.AllreduceAuto {
 		if t = r.world.tuner; t == nil || sendBuf.Len()%4 != 0 {
-			algo = AllreduceReduceBcast
+			algo = sched.AllreduceReduceBcast
 		} else {
 			w := r.world
-			p = TunePoint{Bytes: sendBuf.Len(), Ranks: w.size, Nodes: w.nodes, PPN: w.ppn, Op: r.nextOp}
+			p = sched.TunePoint{Bytes: sendBuf.Len(), Ranks: w.size, Nodes: w.nodes, PPN: w.ppn, Op: r.nextOp}
 			if t.NeedProbe(p) {
 				t.ObserveProbeSample(p, probeSample(sendBuf))
 			}
@@ -471,26 +277,16 @@ func (r *Rank) AllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 			start = r.Clock.Now()
 		}
 	}
-	row := allreduceAlgos[AllreduceReduceBcast] // a tuner's answer is not validated
-	if algo > AllreduceAuto && int(algo) < len(allreduceAlgos) {
-		row = allreduceAlgos[algo]
-	}
+	gen, pipelined := algo.Schedule()
 	err := r.healRun(func() error {
-		r.Engine.SetScheduleTag(algo.scheduleTag())
+		r.Engine.SetScheduleTag(scheduleTag(algo))
 		defer r.Engine.SetScheduleTag(0)
-		return r.runSchedule(allreduce(row.gen, !row.blocking, sendBuf, recvBuf))
+		return r.runSchedule(allreduce(gen, pipelined, sendBuf, recvBuf))
 	})
 	if err == nil && t != nil {
 		t.ObserveAllreduce(p, algo, r.Clock.Now().Sub(start))
 	}
 	return err
-}
-
-// reduceBcastSteps is reduce+broadcast: the reduction to the view's lowest
-// world rank, then the broadcast of its recvBuf.
-func reduceBcastSteps(l layout, n int, _ bool) []step {
-	root := slices.Min(l.peers())
-	return append(reduceSteps(l, root, n), bcastSteps(l, root, span{n: n})...)
 }
 
 // Alltoall exchanges blocks between all pairs: rank i's j-th send block
@@ -500,42 +296,10 @@ func reduceBcastSteps(l layout, n int, _ bool) []step {
 // with fated peers and leaving their blocks untouched.
 func (r *Rank) Alltoall(sendBuf, recvBuf *gpusim.Buffer) error {
 	blk := sendBuf.Len() / r.Size()
-	return r.healRun(func() error {
-		return r.runSchedule(collective{name: "alltoall", root: noRoot, indexed: true, send: sendBuf, recv: recvBuf,
-			bad: errors.Join(lenErr(true, "alltoall send", sendBuf, r.Size()*blk),
-				lenErr(true, "alltoall recv", recvBuf, sendBuf.Len())),
-			steps: func(l layout) []step { return alltoallSteps(l, blk) }})
-	})
-}
-
-func alltoallSteps(l layout, blk int) []step {
-	block := func(b bufID) func(p int) span { return func(p int) span { return span{off: p * blk, n: blk, buf: b} } }
-	out, in := block(inSend), block(inRecv)
-	return l.exchanges([]step{{op: opCopy, send: out(l.me()), recv: in(l.me())}}, opSendrecv, baseAlltoall, out, in)
-}
-
-// exchanges appends the P-1 pairwise-exchange steps of Alltoall and
-// Alltoallv: at step s a power-of-two world pairs ranks by XOR, any other
-// size runs the ring (send to rank+s, receive from rank-s). Each step sends
-// out(dst) and receives in(src); a skipped peer becomes -1, so every live
-// rank still runs each step and Alltoallv's barrier waves stay aligned.
-func (l layout) exchanges(steps []step, op stepOp, tag int, out, in func(p int) span) []step {
-	me, P := l.me(), l.ranks
-	for s := 1; s < P; s++ {
-		dst, src := (me+s)%P, (me-s+P)%P
-		if P&(P-1) == 0 {
-			dst, src = me^s, me^s
-		}
-		st := step{op: op, to: dst, from: src, send: out(dst), recv: in(src), tag: tag}
-		if l.skips(dst) {
-			st.to = -1
-		}
-		if l.skips(src) {
-			st.from = -1
-		}
-		steps = append(steps, st)
-	}
-	return steps
+	return r.run(collective{name: "alltoall", root: noRoot, indexed: true, send: sendBuf, recv: recvBuf,
+		bad: errors.Join(lenErr(true, "alltoall send", sendBuf, r.Size()*blk),
+			lenErr(true, "alltoall recv", recvBuf, sendBuf.Len())),
+		steps: func(l sched.Layout) []sched.Step { return sched.Alltoall(l, blk) }})
 }
 
 // checkAlltoallv validates one side's count/displacement vectors against
@@ -579,22 +343,10 @@ func (r *Rank) Alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 	if bad == nil && sendCounts[r.id] != recvCounts[r.id] {
 		bad = fmt.Errorf("mpi: alltoallv self segment mismatch: sending %d bytes, receiving %d", sendCounts[r.id], recvCounts[r.id])
 	}
-	return r.healRun(func() error {
-		return r.runSchedule(collective{name: "alltoallv", root: noRoot, indexed: true, send: sendBuf, recv: recvBuf, bad: bad,
-			steps: func(l layout) []step { return alltoallvSteps(l, sendCounts, sendDispls, recvCounts, recvDispls) }})
-	})
-}
-
-// alltoallvSteps copies a non-empty own segment, then runs each exchange
-// step in barrier waves.
-func alltoallvSteps(l layout, sc, sd, rc, rd []int) []step {
-	out := func(p int) span { return span{off: sd[p], n: sc[p], buf: inSend} }
-	in := func(p int) span { return span{off: rd[p], n: rc[p]} }
-	var steps []step
-	if me := l.me(); sc[me] > 0 {
-		steps = append(steps, step{op: opCopy, send: out(me), recv: in(me)})
-	}
-	return l.exchanges(steps, opAlltoallv, baseAlltoallv, out, in)
+	return r.run(collective{name: "alltoallv", root: noRoot, indexed: true, send: sendBuf, recv: recvBuf, bad: bad,
+		steps: func(l sched.Layout) []sched.Step {
+			return sched.Alltoallv(l, sendCounts, sendDispls, recvCounts, recvDispls)
+		}})
 }
 
 // alltoallvStep runs one exchange step — seg out to dst, src's segment
@@ -685,35 +437,6 @@ func chargeSum(r *Rank, dst *gpusim.Buffer) {
 	dst.MarkDirty()
 }
 
-// ringBlocks partitions n bytes of float32 data into size contiguous
-// word-aligned blocks, as even as possible: block i covers bytes
-// [offs[i], offs[i+1]), the first n/4 mod size blocks one word larger.
-func ringBlocks(n, size int) []int {
-	words := n / 4
-	base, rem := words/size, words%size
-	offs := make([]int, size+1)
-	for i := range size {
-		offs[i+1] = offs[i] + 4*base
-		if i < rem {
-			offs[i+1] += 4
-		}
-	}
-	return offs
-}
-
-// ringChunkSpans splits a block of n bytes into pipeline chunk spans
-// ([offset, length] pairs); one span when chunking is off.
-func ringChunkSpans(n, chunk int) [][2]int {
-	if chunk <= 0 || n <= chunk {
-		return [][2]int{{0, n}}
-	}
-	spans := make([][2]int, 0, (n+chunk-1)/chunk)
-	for off := 0; off < n; off += chunk {
-		spans = append(spans, [2]int{off, min(chunk, n-off)})
-	}
-	return spans
-}
-
 // ringReduceStep runs one reduce-scatter step: the send block streams to
 // the right neighbor chunk by chunk while the block arriving from the left
 // is added into place chunk by chunk — each chunk's receive decodes into
@@ -723,14 +446,14 @@ func ringChunkSpans(n, chunk int) [][2]int {
 // compressed from (see bufs.source). sendFirst drains the sends before
 // anything is reduced, the blocking ring's order. With right < 0 the step
 // only receives and adds.
-func (r *Rank) ringReduceStep(right, left, tag int, src, recvBuf *gpusim.Buffer, send, recv span, chunk int, sendFirst bool) error {
-	rspans, sspans := ringChunkSpans(recv.n, chunk), ringChunkSpans(send.n, chunk)
+func (r *Rank) ringReduceStep(right, left, tag int, src, recvBuf *gpusim.Buffer, send, recv sched.Span, chunk int, sendFirst bool) error {
+	rspans, sspans := sched.ChunkSpans(recv.N, chunk), sched.ChunkSpans(send.N, chunk)
 	if right < 0 {
 		sspans = nil
 	}
 	rreqs := make([]*Request, len(rspans))
 	for c, sp := range rspans {
-		req, err := r.irecvAdd(left, tag, recvBuf.Slice(recv.off+sp[0], sp[1]))
+		req, err := r.irecvAdd(left, tag, recvBuf.Slice(recv.Off+sp[0], sp[1]))
 		if err != nil {
 			return err
 		}
@@ -738,7 +461,7 @@ func (r *Rank) ringReduceStep(right, left, tag int, src, recvBuf *gpusim.Buffer,
 	}
 	sreqs := make([]*Request, len(sspans))
 	for c, sp := range sspans {
-		req, err := r.isend(right, tag, src.Slice(send.off+sp[0], sp[1]), nil)
+		req, err := r.isend(right, tag, src.Slice(send.Off+sp[0], sp[1]), nil)
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ import (
 	"mpicomp/internal/datasets"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -441,7 +442,7 @@ func TestRingAllreduceSum(t *testing.T) {
 				}
 				want := float32(r.Size() * (r.Size() + 1) / 2)
 				out := emptyDevBuf(r, n)
-				if err := r.RingAllreduceSum(devBuf(r, mine), out); err != nil {
+				if err := allreduceBy(sched.Ring, true)(r, devBuf(r, mine), out); err != nil {
 					return err
 				}
 				got := core.BytesToFloats(out.Data)
@@ -459,7 +460,7 @@ func TestRingAllreduceSum(t *testing.T) {
 	runColl(t, Options{Cluster: hw.Longhorn(), Nodes: 3, PPN: 1}, func(r *Rank) error {
 		odd := devBuf(r, []float32{1, 2, 3, 4, 5})
 		out := emptyDevBuf(r, 5)
-		if err := r.RingAllreduceSum(odd, out); err != nil {
+		if err := allreduceBy(sched.Ring, true)(r, odd, out); err != nil {
 			return err
 		}
 		if core.BytesToFloats(out.Data)[4] != 15 {
@@ -484,7 +485,7 @@ func TestRingAllreduceBeatsTreeAtLargeSizes(t *testing.T) {
 		return simtime.Duration(MaxTime(times))
 	}
 	tree := measure(func(r *Rank, in, out *gpusim.Buffer) error { return r.AllreduceSum(in, out) })
-	ring := measure(func(r *Rank, in, out *gpusim.Buffer) error { return r.RingAllreduceSum(in, out) })
+	ring := measure(func(r *Rank, in, out *gpusim.Buffer) error { return allreduceBy(sched.Ring, true)(r, in, out) })
 	if ring >= tree {
 		t.Fatalf("ring allreduce (%v) should beat reduce+bcast (%v) at 16MB x 8 ranks", ring, tree)
 	}
@@ -496,7 +497,7 @@ func TestRingAllreduceBeatsTreeAtLargeSizes(t *testing.T) {
 // runs to the end and fails at the root alone while the other ranks see
 // ErrPeerFailed.
 func TestAllreduceChecksLengthsFirst(t *testing.T) {
-	for _, algo := range AllreduceAlgos() {
+	for _, algo := range sched.AllreduceAlgos() {
 		w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 2, Allreduce: algo,
 			Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC}})
 		_, errs := w.RunAll(func(r *Rank) error {
@@ -518,18 +519,18 @@ func TestAllreduceChecksLengthsFirst(t *testing.T) {
 // refusingTuner fails the test whenever a collective consults it.
 type refusingTuner struct{ t *testing.T }
 
-func (rt refusingTuner) PickAllreduce(TunePoint) AllreduceAlgo {
+func (rt refusingTuner) PickAllreduce(sched.TunePoint) sched.AllreduceAlgo {
 	rt.t.Error("the tuner was asked to pick")
-	return AllreduceReduceBcast
+	return sched.AllreduceReduceBcast
 }
-func (rt refusingTuner) ObserveAllreduce(TunePoint, AllreduceAlgo, simtime.Duration) {
+func (rt refusingTuner) ObserveAllreduce(sched.TunePoint, sched.AllreduceAlgo, simtime.Duration) {
 	rt.t.Error("the tuner was told of a latency")
 }
-func (rt refusingTuner) NeedProbe(TunePoint) bool {
+func (rt refusingTuner) NeedProbe(sched.TunePoint) bool {
 	rt.t.Error("the tuner was asked about a probe")
 	return false
 }
-func (rt refusingTuner) ObserveProbeSample(TunePoint, []byte) {
+func (rt refusingTuner) ObserveProbeSample(sched.TunePoint, []byte) {
 	rt.t.Error("the tuner was fed a probe sample")
 }
 
@@ -548,9 +549,9 @@ func TestReductionsRefusePartialWords(t *testing.T) {
 	var calls []call
 	for _, mode := range []core.Mode{core.ModeOff, core.ModeOpt} {
 		opt := Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: core.Config{Mode: mode, Algorithm: core.AlgoMPC}}
-		for _, algo := range AllreduceAlgos() {
+		for _, algo := range sched.AllreduceAlgos() {
 			o := opt
-			if o.Allreduce = algo; algo == AllreduceAuto {
+			if o.Allreduce = algo; algo == sched.AllreduceAuto {
 				o.Tuner = refusingTuner{t}
 			}
 			calls = append(calls, call{fmt.Sprintf("%v allreduce %v", mode, algo), o, (*Rank).AllreduceSum})

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"mpicomp/internal/gpusim"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -32,24 +33,12 @@ import (
 //   - The verdict round's coordinator and member order come from the fixed
 //     live set, and its decision is a pure OR over member failure votes.
 
-// Per-algorithm tag base offsets. The first nine match the historical
-// fixed-tag iota order, so operation 0 at epoch 0 produces exactly the
-// pre-heal tag values. The two verdict bases are the recovery control
-// plane; they are exempt from revocation (the verdict must outlive the
-// attempt it judges).
+// The recovery control plane's tag bases, after the collectives'
+// (sched.Base*). They are exempt from revocation (the verdict must outlive
+// the attempt it judges).
 const (
-	baseBarrier = iota
-	baseBcast
-	baseAllgather
-	baseGather
-	baseScatter
-	baseReduce
-	baseAlltoall
-	baseAllreduce
-	baseAlltoallv
-	baseVerdictFlag
+	baseVerdictFlag = sched.NumBases + iota
 	baseVerdictReply
-	numCollBases
 )
 
 // collTagStride spaces the (epoch, op) contexts in the tag namespace;

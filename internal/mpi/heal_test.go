@@ -16,6 +16,7 @@ import (
 	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -109,7 +110,7 @@ func TestSelfHealRingAllreduceCompletes(t *testing.T) {
 		recv := emptyDevBuf(r, words)
 		final[r.ID()] = recv
 		for it := 0; it < iters; it++ {
-			if err := r.RingAllreduceSum(send, recv); err != nil {
+			if err := allreduceBy(sched.Ring, true)(r, send, recv); err != nil {
 				return err
 			}
 		}
@@ -189,7 +190,7 @@ func TestSelfHealPipelinedRingDeterminism(t *testing.T) {
 			recv := emptyDevBuf(r, words)
 			final[r.ID()] = recv
 			for it := 0; it < iters; it++ {
-				if err := r.RingAllreduceSum(send, recv); err != nil {
+				if err := allreduceBy(sched.Ring, true)(r, send, recv); err != nil {
 					return err
 				}
 			}
@@ -487,7 +488,7 @@ func TestRetryRunsOverRouteOrder(t *testing.T) {
 			}
 		}
 		v, err := r.collView()
-		views[r.ID()] = v.live
+		views[r.ID()] = v.Live
 		return err
 	})
 	assertNoRankGoroutines(t)
@@ -563,7 +564,7 @@ func TestChaosPartitionSoakCollectives(t *testing.T) {
 			engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
 				Threshold: 2 << 10, PoolBufBytes: 2 << 20, PipelineChunkBytes: 1 << 10},
 			run: func(r *Rank, send, recv *gpusim.Buffer) error {
-				return r.RingAllreduceSum(send, recv)
+				return allreduceBy(sched.Ring, true)(r, send, recv)
 			}},
 		{name: "alltoall", run: func(r *Rank, send, recv *gpusim.Buffer) error { return r.Alltoall(send, recv) }},
 	}
@@ -791,9 +792,9 @@ func TestFailureSweepsReleaseWokenReceives(t *testing.T) {
 			w.abortAttempt(r, r.healEpoch, r.curOp)
 			return nil
 		case 1:
-			req, err = r.irecv(0, r.collTag(baseBcast), buf)
+			req, err = r.irecv(0, r.collTag(sched.BaseBcast), buf)
 		case 2:
-			req, err = r.isend(0, r.collTag(baseBcast), buf, nil)
+			req, err = r.isend(0, r.collTag(sched.BaseBcast), buf, nil)
 		case 3:
 			queued.Wait()
 			return errors.New("rank 3 gives up")

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -69,7 +70,7 @@ func TestMailboxOwnsItsLock(t *testing.T) {
 func TestGonePickIsOrderFree(t *testing.T) {
 	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 1, PPN: 4})
 	deadline := w.health.Deadline
-	attemptTag := w.Rank(0).collTag(baseBcast) // epoch 0, op 0
+	attemptTag := w.Rank(0).collTag(sched.BaseBcast) // epoch 0, op 0
 	failed2 := gone{src: 2, at: 10, err: errors.New("2 failed")}
 	failed1 := gone{src: 1, at: 20, err: errors.New("1 failed")}
 	quit2 := gone{src: 2, at: 30, err: errors.New("2 quit"), attempt: true}

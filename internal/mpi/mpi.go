@@ -21,6 +21,7 @@ import (
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
 	"mpicomp/internal/netsim"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 	"mpicomp/internal/trace"
 )
@@ -147,11 +148,11 @@ type Options struct {
 	// it only matters when Faults draws crash/silence fates.
 	Health HealthPolicy
 	// Allreduce pins the AllreduceSum schedule for the whole world.
-	// AllreduceAuto (the zero value) routes through Tuner when wired and
-	// the historical reduce+broadcast otherwise.
-	Allreduce AllreduceAlgo
+	// sched.AllreduceAuto (the zero value) routes through Tuner when wired
+	// and the historical reduce+broadcast otherwise.
+	Allreduce sched.AllreduceAlgo
 	// Tuner, when non-nil, picks the AllreduceSum schedule per call
-	// while Allreduce is AllreduceAuto (see CollTuner; internal/tune
+	// while Allreduce is sched.AllreduceAuto (see CollTuner; internal/tune
 	// implements it).
 	Tuner CollTuner
 }
@@ -166,7 +167,7 @@ type World struct {
 	tracer     *trace.Collector
 	inj        *faults.Injector
 	retry      RetryPolicy
-	allreduce  AllreduceAlgo
+	allreduce  sched.AllreduceAlgo
 	tuner      CollTuner
 
 	// decodePerRank makes every rank run its own codec job on a relayed

@@ -10,6 +10,7 @@ import (
 	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 )
 
 // Same simulation, fewer decodes: a relayed payload's decoded form rides
@@ -240,9 +241,8 @@ func TestScratchSlotsDoNotAlias(t *testing.T) {
 		} else if err := r.ReduceSum(0, send, recv); err != nil {
 			return err
 		}
-		for _, f := range []func(a, b *gpusim.Buffer) error{r.RingAllreduceSum, r.RecursiveDoublingAllreduceSum,
-			r.RabenseifnerAllreduceSum, r.AllreduceSumHierarchical} {
-			if err := f(send, recv); err != nil {
+		for _, gen := range []sched.Generator{sched.Ring, sched.RecursiveDoubling, sched.Rabenseifner, sched.TwoLevel} {
+			if err := allreduceBy(gen, true)(r, send, recv); err != nil {
 				return err
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"mpicomp/internal/core"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -53,10 +54,10 @@ func ringSoak(t *testing.T, workers, cacheEntries int, mode core.Mode, algo core
 			if err := r.BcastHierarchical(0, fan); err != nil {
 				return err
 			}
-			if err := r.RingAllreduceSum(send, fast); err != nil {
+			if err := allreduceBy(sched.Ring, true)(r, send, fast); err != nil {
 				return err
 			}
-			if err := r.RingAllreduceSumBlocking(send, slow); err != nil {
+			if err := allreduceBy(sched.Ring, false)(r, send, slow); err != nil {
 				return err
 			}
 			if !bytes.Equal(fast.Data, slow.Data) {

@@ -11,8 +11,19 @@ import (
 	"mpicomp/internal/datasets"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
+
+// allreduceBy runs gen's allreduce on the executor, as a call of the one
+// named schedule with no tuner and no schedule cache tag: pipelined, or —
+// pipelined false — its blocking oracle. Tests name a schedule directly
+// through it; programs name one through sched.AllreduceAlgo.
+func allreduceBy(gen sched.Generator, pipelined bool) func(r *Rank, send, recv *gpusim.Buffer) error {
+	return func(r *Rank, send, recv *gpusim.Buffer) error {
+		return r.run(allreduce(gen, pipelined, send, recv))
+	}
+}
 
 // algoLayouts covers power-of-two and folded (non-power-of-two) world
 // sizes, flat and hierarchical shapes.
@@ -53,26 +64,18 @@ func checkConstantSum(t *testing.T, name string, coll func(r *Rank, in, out *gpu
 }
 
 func TestRecursiveDoublingAllreduceSum(t *testing.T) {
-	checkConstantSum(t, "rd", func(r *Rank, in, out *gpusim.Buffer) error {
-		return r.RecursiveDoublingAllreduceSum(in, out)
-	})
-	checkConstantSum(t, "rd-blocking", func(r *Rank, in, out *gpusim.Buffer) error {
-		return r.RecursiveDoublingAllreduceSumBlocking(in, out)
-	})
+	checkConstantSum(t, "rd", allreduceBy(sched.RecursiveDoubling, true))
+	checkConstantSum(t, "rd-blocking", allreduceBy(sched.RecursiveDoubling, false))
 }
 
 func TestRabenseifnerAllreduceSum(t *testing.T) {
-	checkConstantSum(t, "rab", func(r *Rank, in, out *gpusim.Buffer) error {
-		return r.RabenseifnerAllreduceSum(in, out)
-	})
-	checkConstantSum(t, "rab-blocking", func(r *Rank, in, out *gpusim.Buffer) error {
-		return r.RabenseifnerAllreduceSumBlocking(in, out)
-	})
+	checkConstantSum(t, "rab", allreduceBy(sched.Rabenseifner, true))
+	checkConstantSum(t, "rab-blocking", allreduceBy(sched.Rabenseifner, false))
 	// Fewer words than ranks: falls back to reduce+broadcast.
 	runColl(t, Options{Cluster: hw.Longhorn(), Nodes: 3, PPN: 2}, func(r *Rank) error {
 		tiny := devBuf(r, []float32{1, 2, 3})
 		out := emptyDevBuf(r, 3)
-		if err := r.RabenseifnerAllreduceSum(tiny, out); err != nil {
+		if err := allreduceBy(sched.Rabenseifner, true)(r, tiny, out); err != nil {
 			return err
 		}
 		if got := core.BytesToFloats(out.Data)[2]; got != 18 {
@@ -83,9 +86,7 @@ func TestRabenseifnerAllreduceSum(t *testing.T) {
 }
 
 func TestTwoLevelAllreduceSum(t *testing.T) {
-	checkConstantSum(t, "two-level", func(r *Rank, in, out *gpusim.Buffer) error {
-		return r.AllreduceSumHierarchical(in, out)
-	})
+	checkConstantSum(t, "two-level", allreduceBy(sched.TwoLevel, true))
 }
 
 func TestTwoLevelAllgather(t *testing.T) {
@@ -128,17 +129,8 @@ func TestAllreduceOraclesBitIdentical(t *testing.T) {
 	const n = 1 << 17 // 512 KB: compressed, chunk-pipelined
 	pairs := []struct {
 		name string
-		fast func(r *Rank, in, out *gpusim.Buffer) error
-		slow func(r *Rank, in, out *gpusim.Buffer) error
-	}{
-		{"ring", (*Rank).RingAllreduceSum, (*Rank).RingAllreduceSumBlocking},
-		{"rd",
-			func(r *Rank, in, out *gpusim.Buffer) error { return r.RecursiveDoublingAllreduceSum(in, out) },
-			func(r *Rank, in, out *gpusim.Buffer) error { return r.RecursiveDoublingAllreduceSumBlocking(in, out) }},
-		{"rab",
-			func(r *Rank, in, out *gpusim.Buffer) error { return r.RabenseifnerAllreduceSum(in, out) },
-			func(r *Rank, in, out *gpusim.Buffer) error { return r.RabenseifnerAllreduceSumBlocking(in, out) }},
-	}
+		gen  sched.Generator
+	}{{"ring", sched.Ring}, {"rd", sched.RecursiveDoubling}, {"rab", sched.Rabenseifner}}
 	for _, layout := range []struct{ nodes, ppn int }{{4, 2}, {3, 2}} {
 		for _, pair := range pairs {
 			runColl(t, Options{Cluster: hw.Longhorn(), Nodes: layout.nodes, PPN: layout.ppn,
@@ -149,10 +141,10 @@ func TestAllreduceOraclesBitIdentical(t *testing.T) {
 				in := devBuf(r, vals)
 				fastOut := emptyDevBuf(r, n)
 				slowOut := emptyDevBuf(r, n)
-				if err := pair.fast(r, in, fastOut); err != nil {
+				if err := allreduceBy(pair.gen, true)(r, in, fastOut); err != nil {
 					return err
 				}
-				if err := pair.slow(r, in, slowOut); err != nil {
+				if err := allreduceBy(pair.gen, false)(r, in, slowOut); err != nil {
 					return err
 				}
 				if !bytes.Equal(fastOut.Data, slowOut.Data) {
@@ -169,15 +161,13 @@ func TestAllreduceOraclesBitIdentical(t *testing.T) {
 // checks AllreduceSum dispatches to it (same bytes as the direct call).
 func TestAllreduceAlgoPin(t *testing.T) {
 	const n = 1 << 15
-	direct := map[AllreduceAlgo]func(r *Rank, in, out *gpusim.Buffer) error{
-		AllreduceReduceBcast: func(r *Rank, in, out *gpusim.Buffer) error {
-			return r.healRun(func() error { return r.runSchedule(allreduce(reduceBcastSteps, true, in, out)) })
-		},
-		AllreduceRing:              func(r *Rank, in, out *gpusim.Buffer) error { return r.RingAllreduceSum(in, out) },
-		AllreduceRingBlocking:      func(r *Rank, in, out *gpusim.Buffer) error { return r.RingAllreduceSumBlocking(in, out) },
-		AllreduceRecursiveDoubling: func(r *Rank, in, out *gpusim.Buffer) error { return r.RecursiveDoublingAllreduceSum(in, out) },
-		AllreduceRabenseifner:      func(r *Rank, in, out *gpusim.Buffer) error { return r.RabenseifnerAllreduceSum(in, out) },
-		AllreduceTwoLevel:          func(r *Rank, in, out *gpusim.Buffer) error { return r.AllreduceSumHierarchical(in, out) },
+	direct := map[sched.AllreduceAlgo]func(r *Rank, in, out *gpusim.Buffer) error{
+		sched.AllreduceReduceBcast:       allreduceBy(sched.ReduceBcast, true),
+		sched.AllreduceRing:              allreduceBy(sched.Ring, true),
+		sched.AllreduceRingBlocking:      allreduceBy(sched.Ring, false),
+		sched.AllreduceRecursiveDoubling: allreduceBy(sched.RecursiveDoubling, true),
+		sched.AllreduceRabenseifner:      allreduceBy(sched.Rabenseifner, true),
+		sched.AllreduceTwoLevel:          allreduceBy(sched.TwoLevel, true),
 	}
 	for algo, call := range direct {
 		runColl(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 2, Allreduce: algo}, func(r *Rank) error {
@@ -202,35 +192,35 @@ func TestAllreduceAlgoPin(t *testing.T) {
 // recordingTuner pins one algorithm and counts the dispatch callbacks —
 // enough to verify AllreduceSum's tuner wiring without internal/tune.
 type recordingTuner struct {
-	algo     AllreduceAlgo
+	algo     sched.AllreduceAlgo
 	picks    atomic.Int64
 	observes atomic.Int64
 	probes   atomic.Int64
 	mu       sync.Mutex
-	points   map[TunePoint]bool
+	points   map[sched.TunePoint]bool
 }
 
-func (rt *recordingTuner) PickAllreduce(p TunePoint) AllreduceAlgo {
+func (rt *recordingTuner) PickAllreduce(p sched.TunePoint) sched.AllreduceAlgo {
 	rt.picks.Add(1)
 	rt.mu.Lock()
 	if rt.points == nil {
-		rt.points = make(map[TunePoint]bool)
+		rt.points = make(map[sched.TunePoint]bool)
 	}
 	rt.points[p] = true
 	rt.mu.Unlock()
 	return rt.algo
 }
 
-func (rt *recordingTuner) ObserveAllreduce(p TunePoint, algo AllreduceAlgo, elapsed simtime.Duration) {
+func (rt *recordingTuner) ObserveAllreduce(p sched.TunePoint, algo sched.AllreduceAlgo, elapsed simtime.Duration) {
 	if algo != rt.algo || elapsed <= 0 {
 		return
 	}
 	rt.observes.Add(1)
 }
 
-func (rt *recordingTuner) NeedProbe(p TunePoint) bool { return true }
+func (rt *recordingTuner) NeedProbe(p sched.TunePoint) bool { return true }
 
-func (rt *recordingTuner) ObserveProbeSample(p TunePoint, sample []byte) {
+func (rt *recordingTuner) ObserveProbeSample(p sched.TunePoint, sample []byte) {
 	if len(sample) > 0 {
 		rt.probes.Add(1)
 	}
@@ -238,7 +228,7 @@ func (rt *recordingTuner) ObserveProbeSample(p TunePoint, sample []byte) {
 
 func TestAllreduceTunerDispatch(t *testing.T) {
 	const n = 1 << 15
-	tuner := &recordingTuner{algo: AllreduceRecursiveDoubling}
+	tuner := &recordingTuner{algo: sched.AllreduceRecursiveDoubling}
 	runColl(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 2, Tuner: tuner}, func(r *Rank) error {
 		vals := datasets.Smooth(n, uint64(r.ID()+3), 1e-2)
 		in := devBuf(r, vals)
@@ -247,7 +237,7 @@ func TestAllreduceTunerDispatch(t *testing.T) {
 		if err := r.AllreduceSum(in, tuned); err != nil {
 			return err
 		}
-		if err := r.RecursiveDoublingAllreduceSum(in, pinned); err != nil {
+		if err := allreduceBy(sched.RecursiveDoubling, true)(r, in, pinned); err != nil {
 			return err
 		}
 		if !bytes.Equal(tuned.Data, pinned.Data) {
@@ -266,7 +256,7 @@ func TestAllreduceTunerDispatch(t *testing.T) {
 	}
 	// All ranks must describe the same collective with the same point.
 	if len(tuner.points) != 1 {
-		t.Errorf("ranks disagreed on the TunePoint: %v", tuner.points)
+		t.Errorf("ranks disagreed on the sched.TunePoint: %v", tuner.points)
 	}
 }
 
@@ -290,31 +280,31 @@ func TestRingBlocksEdgeCases(t *testing.T) {
 		{1 << 20, 8, nil},                // large divisible: checked structurally
 	}
 	for _, tc := range cases {
-		offs := ringBlocks(tc.n, tc.size)
+		offs := sched.RingBlocks(tc.n, tc.size)
 		if len(offs) != tc.size+1 {
-			t.Fatalf("ringBlocks(%d,%d): %d offsets, want %d", tc.n, tc.size, len(offs), tc.size+1)
+			t.Fatalf("sched.RingBlocks(%d,%d): %d offsets, want %d", tc.n, tc.size, len(offs), tc.size+1)
 		}
 		if offs[0] != 0 || offs[tc.size] != tc.n/4*4 {
-			t.Errorf("ringBlocks(%d,%d): range [%d,%d), want [0,%d)", tc.n, tc.size, offs[0], offs[tc.size], tc.n/4*4)
+			t.Errorf("sched.RingBlocks(%d,%d): range [%d,%d), want [0,%d)", tc.n, tc.size, offs[0], offs[tc.size], tc.n/4*4)
 		}
 		words, rem := tc.n/4/tc.size, tc.n/4%tc.size
 		for i := 0; i < tc.size; i++ {
 			blk := offs[i+1] - offs[i]
 			if blk < 0 || blk%4 != 0 {
-				t.Errorf("ringBlocks(%d,%d): block %d spans %d bytes", tc.n, tc.size, i, blk)
+				t.Errorf("sched.RingBlocks(%d,%d): block %d spans %d bytes", tc.n, tc.size, i, blk)
 			}
 			want := 4 * words
 			if i < rem {
 				want += 4
 			}
 			if blk != want {
-				t.Errorf("ringBlocks(%d,%d): block %d = %d bytes, want %d", tc.n, tc.size, i, blk, want)
+				t.Errorf("sched.RingBlocks(%d,%d): block %d = %d bytes, want %d", tc.n, tc.size, i, blk, want)
 			}
 		}
 		if tc.want != nil {
 			for i := range tc.want {
 				if offs[i] != tc.want[i] {
-					t.Errorf("ringBlocks(%d,%d) = %v, want %v", tc.n, tc.size, offs, tc.want)
+					t.Errorf("sched.RingBlocks(%d,%d) = %v, want %v", tc.n, tc.size, offs, tc.want)
 					break
 				}
 			}
@@ -328,7 +318,7 @@ func TestRingBlocksEdgeCases(t *testing.T) {
 // are chosen so the staging pool never exhausts (see rdWindow), because
 // which rank a racing fallback lands on is wall-clock dependent and
 // would move the makespan between runs.
-func algoSoakWorld(t *testing.T, workers, nodes, ppn int, colls ...func(*Rank) func(*gpusim.Buffer, *gpusim.Buffer) error) (simtime.Time, []uint32) {
+func algoSoakWorld(t *testing.T, workers, nodes, ppn int, colls ...func(r *Rank, in, out *gpusim.Buffer) error) (simtime.Time, []uint32) {
 	t.Helper()
 	w := mustWorld(t, Options{
 		Cluster: hw.Longhorn(), Nodes: nodes, PPN: ppn,
@@ -344,7 +334,7 @@ func algoSoakWorld(t *testing.T, workers, nodes, ppn int, colls ...func(*Rank) f
 		h := crc32.NewIEEE()
 		for _, coll := range colls {
 			out := emptyDevBuf(r, n)
-			if err := coll(r)(in, out); err != nil {
+			if err := coll(r, in, out); err != nil {
 				return err
 			}
 			h.Write(out.Data)
@@ -378,12 +368,8 @@ func algoSoakWorld(t *testing.T, workers, nodes, ppn int, colls ...func(*Rank) f
 func algoSoak(t *testing.T, workers int) (simtime.Time, []uint32) {
 	t.Helper()
 	flatTime, flatCRCs := algoSoakWorld(t, workers, 6, 1,
-		func(r *Rank) func(*gpusim.Buffer, *gpusim.Buffer) error { return r.RecursiveDoublingAllreduceSum },
-		func(r *Rank) func(*gpusim.Buffer, *gpusim.Buffer) error { return r.RabenseifnerAllreduceSum },
-	)
-	hierTime, hierCRCs := algoSoakWorld(t, workers, 3, 2,
-		func(r *Rank) func(*gpusim.Buffer, *gpusim.Buffer) error { return r.AllreduceSumHierarchical },
-	)
+		allreduceBy(sched.RecursiveDoubling, true), allreduceBy(sched.Rabenseifner, true))
+	hierTime, hierCRCs := algoSoakWorld(t, workers, 3, 2, allreduceBy(sched.TwoLevel, true))
 	return flatTime.Add(simtime.Duration(hierTime)), append(flatCRCs, hierCRCs...)
 }
 

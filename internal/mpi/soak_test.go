@@ -6,6 +6,7 @@ import (
 
 	"mpicomp/internal/core"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 )
 
 // TestSoakRandomTraffic fuzzes the runtime: a seeded random communication
@@ -137,7 +138,7 @@ func TestSoakCollectiveStorm(t *testing.T) {
 				return err
 			}
 			out := emptyDevBuf(r, n)
-			if err := r.RingAllreduceSum(buf, out); err != nil {
+			if err := allreduceBy(sched.Ring, true)(r, buf, out); err != nil {
 				return err
 			}
 			a2aIn := emptyDevBuf(r, n)

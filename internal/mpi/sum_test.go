@@ -10,6 +10,7 @@ import (
 	"mpicomp/internal/datasets"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 )
 
 // addFloat32sRef is the reduce step as it was written before it went
@@ -227,6 +228,6 @@ func BenchmarkBcastHost(b *testing.B) {
 // doubling, each reduce step's receive decoding into the sum.
 func BenchmarkAllreduceHost(b *testing.B) {
 	benchCollHost(b, func(r *Rank, mine, all *gpusim.Buffer) error {
-		return r.RecursiveDoublingAllreduceSum(mine, all.Slice(0, mine.Len()))
+		return allreduceBy(sched.RecursiveDoubling, true)(r, mine, all.Slice(0, mine.Len()))
 	})
 }

@@ -20,6 +20,7 @@ import (
 	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -543,13 +544,13 @@ func goldenCollectives() []collOp {
 		allgather("allgather", (*Rank).Allgather),
 		allgather("allgather-hier", (*Rank).AllgatherHierarchical),
 		allreduce("allreduce", (*Rank).AllreduceSum),
-		allreduce("ring-allreduce", (*Rank).RingAllreduceSum),
-		allreduce("ring-allreduce-blocking", (*Rank).RingAllreduceSumBlocking),
-		allreduce("rd-allreduce", (*Rank).RecursiveDoublingAllreduceSum),
-		allreduce("rd-allreduce-blocking", (*Rank).RecursiveDoublingAllreduceSumBlocking),
-		allreduce("rab-allreduce", (*Rank).RabenseifnerAllreduceSum),
-		allreduce("rab-allreduce-blocking", (*Rank).RabenseifnerAllreduceSumBlocking),
-		allreduce("two-level-allreduce", (*Rank).AllreduceSumHierarchical),
+		allreduce("ring-allreduce", allreduceBy(sched.Ring, true)),
+		allreduce("ring-allreduce-blocking", allreduceBy(sched.Ring, false)),
+		allreduce("rd-allreduce", allreduceBy(sched.RecursiveDoubling, true)),
+		allreduce("rd-allreduce-blocking", allreduceBy(sched.RecursiveDoubling, false)),
+		allreduce("rab-allreduce", allreduceBy(sched.Rabenseifner, true)),
+		allreduce("rab-allreduce-blocking", allreduceBy(sched.Rabenseifner, false)),
+		allreduce("two-level-allreduce", allreduceBy(sched.TwoLevel, true)),
 		{"reduce", func(r *Rank, words int) (func() error, *gpusim.Buffer) {
 			send, recv := tracked(r, 4, words), empty(r, words)
 			return func() error { return r.ReduceSum(0, send, recv) }, recv
@@ -654,7 +655,7 @@ func runHealCell(t *testing.T, workers int) transportCell {
 	times, errs := w.RunAll(func(r *Rank) error {
 		send, recv := goldenPayload(r, 9, words), emptyDevBuf(r, words)
 		for it := 0; it < iters; it++ {
-			if err := r.RingAllreduceSum(send, recv); err != nil {
+			if err := allreduceBy(sched.Ring, true)(r, send, recv); err != nil {
 				return err
 			}
 		}

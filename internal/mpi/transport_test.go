@@ -19,6 +19,7 @@ import (
 	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -277,10 +278,10 @@ func TestOneCollectiveExecutor(t *testing.T) {
 	planted := `package mpi
 func (r *Rank) plantedBcast(root int, buf *gpusim.Buffer) error {
 	if r.id != root {
-		return r.recv(root, r.collTag(baseBcast), buf)
+		return r.recv(root, r.collTag(sched.BaseBcast), buf)
 	}
 	for p := 0; p < r.Size(); p++ {
-		if err := r.send(p, r.collTag(baseBcast), buf); err != nil {
+		if err := r.send(p, r.collTag(sched.BaseBcast), buf); err != nil {
 			return err
 		}
 	}
@@ -329,21 +330,25 @@ func transportCallers(t *testing.T, srcs map[string]any) []string {
 	return slices.Compact(out)
 }
 
-// TestAllreduceSchedulesDeclaredOnce keeps the schedule space in one place:
-// outside algo.go's table no non-test Go file of the repository spells a
-// schedule's name as a string literal (names come from String, parsing from
-// ParseAllreduceAlgo) or lists the schedules in a composite literal (lists
-// come from AllreduceAlgos and AllreduceCandidates), and internal/tune names
-// no schedule at all — it prices the steps a schedule runs
-// (PriceAllreduce), so it has nothing to branch on (AllreduceAuto, the
-// dispatch mode, is not a schedule).
+// TestAllreduceSchedulesDeclaredOnce keeps the schedule space in one place,
+// internal/sched's table (algo.go). Outside it no non-test Go file of the
+// repository spells a schedule's name as a string literal (names come
+// from String, parsing from ParseAllreduceAlgo) or lists the schedules in a
+// composite literal (lists come from AllreduceAlgos and
+// AllreduceCandidates), and internal/tune names no schedule at all — it
+// prices the steps a schedule runs (PriceAllreduce), so it has nothing to
+// branch on (AllreduceAuto, the dispatch mode, is not a schedule). The
+// table's old names in this package (AllreduceAlgo, AllreduceAuto,
+// TunePoint) serve bench/ alone: no other Go file, test or not, uses them.
 func TestAllreduceSchedulesDeclaredOnce(t *testing.T) {
 	names, consts := map[string]bool{}, map[string]bool{}
-	for _, a := range AllreduceAlgos() {
+	for _, a := range sched.AllreduceAlgos() {
 		names[strconv.Quote(a.String())] = true
 	}
+	root := filepath.Join("..", "..")
+	tablePath := filepath.Join(root, "internal", "sched", "algo.go")
 	fset := token.NewFileSet()
-	table, err := parser.ParseFile(fset, "algo.go", nil, 0)
+	table, err := parser.ParseFile(fset, tablePath, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +365,7 @@ func TestAllreduceSchedulesDeclaredOnce(t *testing.T) {
 	if len(consts) != len(names) {
 		t.Fatalf("algo.go declares %d Allreduce* constants for %d table rows", len(consts), len(names))
 	}
-	root := filepath.Join("..", "..")
+	aliases := map[string]bool{"AllreduceAlgo": true, "AllreduceAuto": true, "TunePoint": true}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -372,23 +377,38 @@ func TestAllreduceSchedulesDeclaredOnce(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || path == filepath.Join(root, "internal", "mpi", "algo.go") {
+		if !strings.HasSuffix(path, ".go") || path == tablePath || path == filepath.Join(root, "internal", "mpi", "algo.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
 		}
+		test := strings.HasSuffix(path, "_test.go")
 		inTune := filepath.Dir(path) == filepath.Join(root, "internal", "tune")
+		inMPI := filepath.Dir(path) == filepath.Join(root, "internal", "mpi")
+		qualified := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok && inTune && id.Name == "mpi" && consts[n.Sel.Name] && n.Sel.Name != "AllreduceAuto" {
+				qualified[n.Sel] = true
+				id, ok := n.X.(*ast.Ident)
+				if !ok {
+					break
+				}
+				if id.Name == "mpi" && aliases[n.Sel.Name] {
+					t.Errorf("%s: mpi.%s is kept for bench/; use sched.%[2]s", fset.Position(n.Pos()), n.Sel.Name)
+				}
+				if inTune && !test && id.Name == "sched" && consts[n.Sel.Name] && n.Sel.Name != "AllreduceAuto" {
 					t.Errorf("%s: internal/tune names schedule %s; price the steps it runs instead", fset.Position(n.Pos()), n.Sel.Name)
 				}
+			case *ast.Ident:
+				if inMPI && aliases[n.Name] && !qualified[n] {
+					t.Errorf("%s: %s is kept for bench/; use sched.%[2]s", fset.Position(n.Pos()), n.Name)
+				}
 			case *ast.BasicLit:
-				if n.Kind == token.STRING && names[n.Value] {
-					t.Errorf("%s: schedule name %s spelled outside mpi/algo.go", fset.Position(n.Pos()), n.Value)
+				if !test && n.Kind == token.STRING && names[n.Value] {
+					t.Errorf("%s: schedule name %s spelled outside sched/algo.go", fset.Position(n.Pos()), n.Value)
 				}
 			case *ast.CompositeLit:
 				listed := 0
@@ -400,8 +420,8 @@ func TestAllreduceSchedulesDeclaredOnce(t *testing.T) {
 						listed++
 					}
 				}
-				if listed > 1 {
-					t.Errorf("%s: composite literal lists %d schedules; range over mpi.AllreduceAlgos or AllreduceCandidates", fset.Position(n.Pos()), listed)
+				if !test && listed > 1 {
+					t.Errorf("%s: composite literal lists %d schedules; range over sched.AllreduceAlgos or AllreduceCandidates", fset.Position(n.Pos()), listed)
 				}
 			}
 			return true

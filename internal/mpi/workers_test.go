@@ -7,6 +7,7 @@ import (
 	"mpicomp/internal/core"
 	"mpicomp/internal/faults"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -54,7 +55,7 @@ func workerSoak(t *testing.T, workers int) (simtime.Time, faults.Stats, []uint32
 		}
 
 		sumBuf := emptyDevBuf(r, words)
-		if err := r.RingAllreduceSum(bcastBuf, sumBuf); err != nil {
+		if err := allreduceBy(sched.Ring, true)(r, bcastBuf, sumBuf); err != nil {
 			return err
 		}
 

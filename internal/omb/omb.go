@@ -19,6 +19,7 @@ import (
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/mpi"
 	"mpicomp/internal/simtime"
+	"mpicomp/internal/tune"
 )
 
 // DataGen produces the float32 message contents for a given element count.
@@ -322,20 +323,15 @@ func allreduceShape(call func(*mpi.Rank, *gpusim.Buffer, *gpusim.Buffer) error) 
 
 // collectives is the table behind CollectiveLatency and ombrun's -bench
 // names. The paper lists compressed Alltoall and Allreduce as future work;
-// the rows past allgather-hier exercise them end to end.
+// the rows past allgather-hier exercise them end to end. One row runs
+// every allreduce schedule: the world's (Options.Allreduce, ombrun's
+// -algo) picks it.
 var collectives = []collective{
 	{"bcast", bcastShape((*mpi.Rank).Bcast)},
 	{"bcast-hier", bcastShape((*mpi.Rank).BcastHierarchical)},
 	{"allgather", allgatherShape((*mpi.Rank).Allgather)},
 	{"allgather-hier", allgatherShape((*mpi.Rank).AllgatherHierarchical)},
 	{"allreduce", allreduceShape((*mpi.Rank).AllreduceSum)},
-	{"ring-allreduce", allreduceShape((*mpi.Rank).RingAllreduceSum)},
-	{"ring-allreduce-blocking", allreduceShape((*mpi.Rank).RingAllreduceSumBlocking)},
-	{"rd-allreduce", allreduceShape((*mpi.Rank).RecursiveDoublingAllreduceSum)},
-	{"rd-allreduce-blocking", allreduceShape((*mpi.Rank).RecursiveDoublingAllreduceSumBlocking)},
-	{"rab-allreduce", allreduceShape((*mpi.Rank).RabenseifnerAllreduceSum)},
-	{"rab-allreduce-blocking", allreduceShape((*mpi.Rank).RabenseifnerAllreduceSumBlocking)},
-	{"two-level-allreduce", allreduceShape((*mpi.Rank).AllreduceSumHierarchical)},
 	{"reduce", allreduceShape(func(r *mpi.Rank, send, recv *gpusim.Buffer) error { return r.ReduceSum(0, send, recv) })},
 	{"gather", func(r *mpi.Rank, bytes int, data DataGen) (func() error, error) {
 		send := deviceBuffer(r, data(bytes/4))
@@ -396,6 +392,19 @@ func Collectives() []string {
 		names[i] = c.name
 	}
 	return names
+}
+
+// WorldCounters sums the engine activity the tuner adapts from across every
+// rank of w — what a driver hands tune.Tuner.NoteCounters before each
+// Advance. All counters derive from program order and seeded fates, so the
+// sum is deterministic.
+func WorldCounters(w *mpi.World) (c tune.Counters) {
+	for r := 0; r < w.Size(); r++ {
+		e := w.Rank(r).Engine
+		c.Compressions += int64(e.Compressions)
+		c.PoolFallbacks += int64(e.PoolFallbacks)
+	}
+	return c
 }
 
 // CollectiveLatency runs the named osu_*-style collective measurement with

@@ -8,6 +8,7 @@ import (
 	"mpicomp/internal/core"
 	"mpicomp/internal/hw"
 	"mpicomp/internal/mpi"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -326,21 +327,25 @@ func TestCollectiveTable(t *testing.T) {
 			t.Errorf("%s: %+v, %v", name, res, err)
 		}
 	}
-	if _, err := CollectiveLatency(w, "allscatter", 64<<10, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "rab-allreduce") {
+	if _, err := CollectiveLatency(w, "allscatter", 64<<10, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "alltoallv") {
 		t.Errorf("unknown collective: %v, want an error listing the table", err)
 	}
 }
 
 // The collective fast-path gates: the 4x2 Longhorn world with MPC-OPT and
-// dummy data, one warm-up and three measured iterations. cache < 0 turns
-// the compress-once cache off; chunk > 0 pipelines rendezvous in chunks.
-func fastPathArm(t *testing.T, name string, size, cache, chunk int) (simtime.Duration, core.CacheStats) {
+// dummy data, one warm-up and three measured iterations of the named row,
+// the world's allreduce pinned to algo. cache < 0 turns the compress-once
+// cache off; chunk > 0 pipelines rendezvous in chunks.
+func fastPathArm(t *testing.T, name string, algo sched.AllreduceAlgo, size, cache, chunk int) (simtime.Duration, core.CacheStats) {
 	t.Helper()
-	w := newW(t, hw.Longhorn(), 4, 2, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
-		CacheEntries: cache, PipelineChunkBytes: chunk})
+	w, err := mpi.NewWorld(mpi.Options{Cluster: hw.Longhorn(), Nodes: 4, PPN: 2, Allreduce: algo,
+		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, CacheEntries: cache, PipelineChunkBytes: chunk}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := CollectiveLatency(w, name, size, 1, 3, nil)
 	if err != nil {
-		t.Fatalf("%s at %d B: %v", name, size, err)
+		t.Fatalf("%s (%v) at %d B: %v", name, algo, size, err)
 	}
 	var cs core.CacheStats
 	for i := 0; i < w.Size(); i++ {
@@ -355,8 +360,8 @@ func fastPathArm(t *testing.T, name string, size, cache, chunk int) (simtime.Dur
 // once blocks are large enough to chunk (-8..-10 % at 1 MiB and below).
 func TestRingAllreduceBeatsBlockingRing(t *testing.T) {
 	const size = 2 << 20
-	before, _ := fastPathArm(t, "ring-allreduce-blocking", size, -1, 0)
-	after, _ := fastPathArm(t, "ring-allreduce", size, 0, 0)
+	before, _ := fastPathArm(t, "allreduce", sched.AllreduceRingBlocking, size, -1, 0)
+	after, _ := fastPathArm(t, "allreduce", sched.AllreduceRing, size, 0, 0)
 	if gain := 1 - float64(after)/float64(before); gain < 0.25 {
 		t.Errorf("ring allreduce at %d B: %.1f %% under the blocking ring with the cache off, want >= 25 %% (%v vs %v)",
 			size, 100*gain, after, before)
@@ -372,8 +377,8 @@ func TestRecursiveDoublingCrossover(t *testing.T) {
 		size   int
 		rdWins bool
 	}{{32 << 10, true}, {4 << 20, false}} {
-		rd, _ := fastPathArm(t, "rd-allreduce", c.size, 0, chunk)
-		ring, _ := fastPathArm(t, "ring-allreduce", c.size, 0, chunk)
+		rd, _ := fastPathArm(t, "allreduce", sched.AllreduceRecursiveDoubling, c.size, 0, chunk)
+		ring, _ := fastPathArm(t, "allreduce", sched.AllreduceRing, c.size, 0, chunk)
 		if (rd < ring) != c.rdWins || rd == ring {
 			t.Errorf("at %d B rd takes %v and the ring %v; want rd faster: %v", c.size, rd, ring, c.rdWins)
 		}
@@ -383,7 +388,7 @@ func TestRecursiveDoublingCrossover(t *testing.T) {
 // TestBcastHierServedFromCache: the leaders' fan-out of an unchanged root
 // buffer compresses once and is served from the cache after that.
 func TestBcastHierServedFromCache(t *testing.T) {
-	if _, cs := fastPathArm(t, "bcast-hier", 1<<20, 0, 0); cs.Hits == 0 {
+	if _, cs := fastPathArm(t, "bcast-hier", sched.AllreduceAuto, 1<<20, 0, 0); cs.Hits == 0 {
 		t.Errorf("hierarchical bcast recorded no compress-once hits: %+v", cs)
 	}
 }

@@ -1,4 +1,4 @@
-package mpi
+package sched
 
 import (
 	"math/bits"
@@ -123,60 +123,60 @@ func symSame(a, b []symRunOf) bool {
 // symAct is one atomic action a step decomposes into: a buffered send, a
 // blocking receive, or a local copy.
 type symAct struct {
-	op       stepOp // opSend, opRecv or opCopy
+	op       Op // OpSend, OpRecv or OpCopy
 	peer     int
 	tag      int
-	sp       span // send: the bytes sent; receive and copy: where they land
-	src      span // copy: the source
+	sp       Span // send: the bytes sent; receive and copy: where they land
+	src      Span // copy: the source
 	add      bool // receive: add into the cells instead of overwriting them
 	fromSend bool // send: sendBuf stands in (at sp.off-mirror), so they must agree
 	mirror   int
 	forward  bool // send: the previous arrival, verbatim
 }
 
-func symActs(st step) []symAct {
-	snd := symAct{op: opSend, peer: st.to, tag: st.tag, sp: st.send, fromSend: st.fromSend, mirror: st.mirror}
-	rcv := symAct{op: opRecv, peer: st.from, tag: st.tag, sp: st.recv, add: st.op == opReduce || st.op == opExchange}
+func symActs(st Step) []symAct {
+	snd := symAct{op: OpSend, peer: st.To, tag: st.Tag, sp: st.Send, fromSend: st.FromSend, mirror: st.Mirror}
+	rcv := symAct{op: OpRecv, peer: st.From, tag: st.Tag, sp: st.Recv, add: st.Op == OpReduce || st.Op == OpExchange}
 	var acts []symAct
-	switch st.op {
-	case opCopy:
-		return []symAct{{op: opCopy, sp: st.recv, src: st.send}}
-	case opSend:
+	switch st.Op {
+	case OpCopy:
+		return []symAct{{op: OpCopy, sp: st.Recv, src: st.Send}}
+	case OpSend:
 		return []symAct{snd}
-	case opRecv:
+	case OpRecv:
 		return []symAct{rcv}
-	case opRelay:
-		for h, in := range st.relay {
+	case OpRelay:
+		for h, in := range st.Relay {
 			fwd := snd
 			if h > 0 {
-				fwd.sp, fwd.forward, fwd.fromSend = st.relay[h-1], true, false
+				fwd.sp, fwd.forward, fwd.fromSend = st.Relay[h-1], true, false
 			}
 			rcv.sp = in
 			acts = append(acts, fwd, rcv)
 		}
 		return acts
-	case opTree:
-		if st.from >= 0 {
+	case OpTree:
+		if st.From >= 0 {
 			acts = append(acts, rcv)
 		}
-		for _, c := range st.peers {
+		for _, c := range st.Peers {
 			fwd := snd
-			fwd.peer, fwd.forward = c, st.from >= 0
+			fwd.peer, fwd.forward = c, st.From >= 0
 			acts = append(acts, fwd)
 		}
 		return acts
-	case opFan:
-		for _, f := range st.fan {
-			f.tag = st.tag
+	case OpFan:
+		for _, f := range st.Fan {
+			f.Tag = st.Tag
 			acts = append(acts, symActs(f)...)
 		}
 		return acts
 	}
-	// opReduce, opExchange, opSendrecv, opAlltoallv; a -1 peer is skipped.
-	if st.to >= 0 {
+	// OpReduce, OpExchange, OpSendrecv, OpAlltoallv; a -1 peer is skipped.
+	if st.To >= 0 {
 		acts = append(acts, snd)
 	}
-	if st.from >= 0 {
+	if st.From >= 0 {
 		acts = append(acts, rcv)
 	}
 	return acts
@@ -190,9 +190,9 @@ type symResult struct {
 }
 
 // recv reads rank id's recvBuf.
-func (res symResult) recv(id, off, n int) []symRunOf { return res.bufs[id][inRecv].read(off, n) }
+func (res symResult) recv(id, off, n int) []symRunOf { return res.bufs[id][InRecv].read(off, n) }
 
-// symRun runs gen's steps for every rank of l that is not gone (l.vrank is
+// symRun runs gen's steps for every rank of l that is not gone (l.VRank is
 // ignored); segs lays out each rank's sendBuf, region j holding leaf j
 // (bytes outside every region are not the rank's to send). Sends
 // are buffered and receives block, per (src, dst, tag base) FIFO; it fails
@@ -200,30 +200,30 @@ func (res symResult) recv(id, off, n int) []symRunOf { return res.bufs[id][inRec
 // bytes its rank does not hold, a fromSend send's recvBuf bytes differ
 // from the sendBuf ones the executor would send instead, the run
 // deadlocks, or a message is left unreceived.
-func symRun(t testing.TB, l layout, gen func(l layout) []step, segs func(id int) []span) symResult {
+func symRun(t testing.TB, l Layout, gen func(l Layout) []Step, segs func(id int) []Span) symResult {
 	t.Helper()
 	res := symResult{bufs: map[int]*[3]*symBuf{}, sent: map[int]int{}, hops: map[int]int{}}
 	acts := map[int][]symAct{}
 	var ids []int
-	for vr := 0; vr < l.size; vr++ {
-		me := l.real(vr)
-		if l.skips(me) {
+	for vr := 0; vr < l.Size; vr++ {
+		me := l.Real(vr)
+		if l.Skips(me) {
 			continue
 		}
 		ids = append(ids, me)
 		lv := l
-		lv.vrank = vr
+		lv.VRank = vr
 		for _, st := range gen(lv) {
 			acts[me] = append(acts[me], symActs(st)...)
-			if st.op != opCopy {
-				res.hops[me] += max(1, len(st.relay))
+			if st.Op != OpCopy {
+				res.hops[me] += max(1, len(st.Relay))
 			}
 		}
 		send := newSymBuf(symVal{})
 		for j, sg := range segs(me) {
-			send.write(sg.off, []symRunOf{{sg.n, symLeaf(me, j)}}, false, false)
+			send.write(sg.Off, []symRunOf{{sg.N, symLeaf(me, j)}}, false, false)
 		}
-		res.bufs[me] = &[3]*symBuf{inRecv: newSymBuf(symVal{}), inSend: send, inAcc: newSymBuf(symVal{})}
+		res.bufs[me] = &[3]*symBuf{InRecv: newSymBuf(symVal{}), InSend: send, InAcc: newSymBuf(symVal{})}
 	}
 	type key struct{ src, dst, tag int }
 	queues := map[key][][]symRunOf{}
@@ -237,24 +237,24 @@ func symRun(t testing.TB, l layout, gen func(l layout) []step, segs func(id int)
 			for ; pc[me] < len(acts[me]); pc[me]++ {
 				a := acts[me][pc[me]]
 				switch a.op {
-				case opCopy:
-					b[a.sp.buf].write(a.sp.off, b[a.src.buf].read(a.src.off, a.src.n), false, false)
-				case opSend:
+				case OpCopy:
+					b[a.sp.Buf].write(a.sp.Off, b[a.src.Buf].read(a.src.Off, a.src.N), false, false)
+				case OpSend:
 					runs := last[me]
 					if !a.forward {
-						runs = b[a.sp.buf].read(a.sp.off, a.sp.n)
+						runs = b[a.sp.Buf].read(a.sp.Off, a.sp.N)
 						for _, r := range runs {
 							if r.v.mask == 0 {
 								t.Fatalf("rank %d sends %v to %d, bytes it does not hold", me, a.sp, a.peer)
 							}
 						}
-						if a.fromSend && !symSame(runs, b[inSend].read(a.sp.off-a.mirror, a.sp.n)) {
+						if a.fromSend && !symSame(runs, b[InSend].read(a.sp.Off-a.mirror, a.sp.N)) {
 							t.Fatalf("rank %d compresses %v from sendBuf, but recvBuf no longer holds those bytes there", me, a.sp)
 						}
 					}
 					k := key{me, a.peer, a.tag}
 					queues[k] = append(queues[k], runs)
-					res.sent[me] += a.sp.n
+					res.sent[me] += a.sp.N
 				default:
 					k := key{a.peer, me, a.tag}
 					if len(queues[k]) == 0 {
@@ -266,10 +266,10 @@ func symRun(t testing.TB, l layout, gen func(l layout) []step, segs func(id int)
 					for _, r := range m {
 						got += r.n
 					}
-					if got != a.sp.n {
+					if got != a.sp.N {
 						t.Fatalf("rank %d receives %v from %d (tag base %d), which sent %d bytes", me, a.sp, a.peer, a.tag, got)
 					}
-					b[a.sp.buf].write(a.sp.off, m, true, a.add)
+					b[a.sp.Buf].write(a.sp.Off, m, true, a.add)
 					last[me] = m
 				}
 				progress = true
@@ -296,20 +296,20 @@ func symRun(t testing.TB, l layout, gen func(l layout) []step, segs func(id int)
 // symSchedules are the allreduce generators under test.
 var symSchedules = []struct {
 	name string
-	gen  generator
+	gen  Generator
 }{
-	{"ring", ringSteps}, {"rd", rdSteps}, {"rab", rabSteps}, {"two-level", twoLevelSteps}, {"reduce-bcast", reduceBcastSteps},
+	{"ring", Ring}, {"rd", RecursiveDoubling}, {"rab", Rabenseifner}, {"two-level", TwoLevel}, {"reduce-bcast", ReduceBcast},
 }
 
 // checkSchedule runs one allreduce generator's pipelined and blocking forms
 // on a layout and checks the invariants a schedule value makes cheap.
-func checkSchedule(t testing.TB, name string, gen generator, l layout, n int) {
+func checkSchedule(t testing.TB, name string, gen Generator, l Layout, n int) {
 	t.Helper()
 	declined := func(pipelined bool) bool {
 		d := false
-		for vr := 0; vr < l.size; vr++ {
+		for vr := 0; vr < l.Size; vr++ {
 			lv := l
-			lv.vrank = vr
+			lv.VRank = vr
 			if steps := gen(lv, n, pipelined); vr > 0 && (steps == nil) != d {
 				t.Fatalf("%s: ranks disagree on whether the schedule declines n=%d", name, n)
 			} else {
@@ -321,19 +321,19 @@ func checkSchedule(t testing.TB, name string, gen generator, l layout, n int) {
 	if fast, slow := declined(true), declined(false); fast != slow {
 		t.Fatalf("%s: the pipelined form declines n=%d and the blocking form does not, or the reverse", name, n)
 	} else if fast {
-		if name == "rd" || name == "two-level" || name == "reduce-bcast" || n/4 >= l.size {
-			t.Fatalf("%s declines n=%d on %d ranks", name, n, l.size)
+		if name == "rd" || name == "two-level" || name == "reduce-bcast" || n/4 >= l.Size {
+			t.Fatalf("%s declines n=%d on %d ranks", name, n, l.Size)
 		}
 		return
 	}
-	form := func(pipelined bool) func(l layout) []step {
-		return func(l layout) []step { return gen(l, n, pipelined) }
+	form := func(pipelined bool) func(l Layout) []Step {
+		return func(l Layout) []Step { return gen(l, n, pipelined) }
 	}
-	whole := func(int) []span { return []span{{n: n}} }
+	whole := func(int) []Span { return []Span{{N: n}} }
 	fast, slow := symRun(t, l, form(true), whole), symRun(t, l, form(false), whole)
 	var live uint64
-	for vr := 0; vr < l.size; vr++ {
-		live |= 1 << l.real(vr)
+	for vr := 0; vr < l.Size; vr++ {
+		live |= 1 << l.Real(vr)
 	}
 	for id := range fast.bufs {
 		cells := fast.recv(id, 0, n)
@@ -352,7 +352,7 @@ func checkSchedule(t testing.TB, name string, gen generator, l layout, n int) {
 		pow2, rem := rdPow2(p)
 		return n*pow2*bits.TrailingZeros(uint(pow2)) + 2*n*rem
 	}
-	P := l.size
+	P := l.Size
 	pow2, rem := rdPow2(P)
 	want := 0
 	switch {
@@ -360,10 +360,10 @@ func checkSchedule(t testing.TB, name string, gen generator, l layout, n int) {
 		want = 2 * n * (P - 1)
 	case name == "rab":
 		want = 2*n*(pow2-1) + 2*n*rem
-	case name == "two-level" && l.ppn > 1 && l.nodes > 1:
+	case name == "two-level" && l.PPN > 1 && l.Nodes > 1:
 		perNode := map[int]int{}
 		for vr := 0; vr < P; vr++ {
-			perNode[l.real(vr)/l.ppn]++
+			perNode[l.Real(vr)/l.PPN]++
 		}
 		want = rdVolume(len(perNode))
 		for _, k := range perNode {
@@ -396,7 +396,7 @@ func checkSchedule(t testing.TB, name string, gen generator, l layout, n int) {
 			want = core + 2
 		}
 		for _, res := range []symResult{fast, slow} {
-			if got := res.hops[l.real(vr)]; got != want {
+			if got := res.hops[l.Real(vr)]; got != want {
 				t.Fatalf("%s on %d ranks: view rank %d runs %d rounds, want %d", name, P, vr, got, want)
 			}
 		}
@@ -430,31 +430,31 @@ func symCounts() (counts, sendAt, recvAt func(i, j int) int) {
 
 // symColls are the other collectives' generators under test, as functions
 // of (layout, root, block bytes); the broadcasts and the reduction move
-// l.ranks blocks. indexed marks the world-indexed ones: they run on the
+// l.Ranks blocks. indexed marks the world-indexed ones: they run on the
 // identity layout with the dropped ranks gone.
 var symColls = []struct {
 	name    string
 	indexed bool
-	gen     func(l layout, root, blk int) []step
+	gen     func(l Layout, root, blk int) []Step
 }{
-	{"barrier", false, func(l layout, _, _ int) []step { return barrierSteps(l) }},
-	{"bcast", false, func(l layout, root, blk int) []step { return bcastSteps(l, root, span{n: l.ranks * blk, buf: inSend}) }},
-	{"bcast-hier", false, func(l layout, root, blk int) []step { return bcastHierSteps(l, root, l.ranks*blk) }},
-	{"bcast-sag", false, func(l layout, root, blk int) []step { return sagSteps(l, root, l.ranks*blk) }},
-	{"bcast-sag-ragged", false, func(l layout, root, blk int) []step { return sagSteps(l, root, l.ranks*blk+4) }},
-	{"reduce", false, func(l layout, root, blk int) []step { return reduceSteps(l, root, l.ranks*blk) }},
-	{"gather", true, gatherSteps},
-	{"scatter", true, func(l layout, root, blk int) []step { return scatterSteps(l, root, blk, false) }},
-	{"allgather", false, func(l layout, _, blk int) []step { return allgatherSteps(l, blk, false) }},
-	{"allgather-hier", false, func(l layout, _, blk int) []step { return allgatherHierSteps(l, blk) }},
-	{"alltoall", true, func(l layout, _, blk int) []step { return alltoallSteps(l, blk) }},
-	{"alltoallv", true, func(l layout, _, _ int) []step {
+	{"barrier", false, func(l Layout, _, _ int) []Step { return Barrier(l) }},
+	{"bcast", false, func(l Layout, root, blk int) []Step { return Bcast(l, root, Span{N: l.Ranks * blk, Buf: InSend}) }},
+	{"bcast-hier", false, func(l Layout, root, blk int) []Step { return BcastHier(l, root, l.Ranks*blk) }},
+	{"bcast-sag", false, func(l Layout, root, blk int) []Step { return BcastSAG(l, root, l.Ranks*blk) }},
+	{"bcast-sag-ragged", false, func(l Layout, root, blk int) []Step { return BcastSAG(l, root, l.Ranks*blk+4) }},
+	{"reduce", false, func(l Layout, root, blk int) []Step { return Reduce(l, root, l.Ranks*blk) }},
+	{"gather", true, Gather},
+	{"scatter", true, func(l Layout, root, blk int) []Step { return Scatter(l, root, blk, false) }},
+	{"allgather", false, func(l Layout, _, blk int) []Step { return Allgather(l, blk, false) }},
+	{"allgather-hier", false, func(l Layout, _, blk int) []Step { return AllgatherHier(l, blk) }},
+	{"alltoall", true, func(l Layout, _, blk int) []Step { return Alltoall(l, blk) }},
+	{"alltoallv", true, func(l Layout, _, _ int) []Step {
 		counts, sendAt, recvAt := symCounts()
-		sc, sd, rc, rd := make([]int, l.ranks), make([]int, l.ranks), make([]int, l.ranks), make([]int, l.ranks)
+		sc, sd, rc, rd := make([]int, l.Ranks), make([]int, l.Ranks), make([]int, l.Ranks), make([]int, l.Ranks)
 		for j := range sc {
-			sc[j], sd[j], rc[j], rd[j] = counts(l.me(), j), sendAt(l.me(), j), counts(j, l.me()), recvAt(l.me(), j)
+			sc[j], sd[j], rc[j], rd[j] = counts(l.Me(), j), sendAt(l.Me(), j), counts(j, l.Me()), recvAt(l.Me(), j)
 		}
-		return alltoallvSteps(l, sc, sd, rc, rd)
+		return Alltoallv(l, sc, sd, rc, rd)
 	}},
 }
 
@@ -479,11 +479,11 @@ func checkCollective(t testing.TB, c int, P, ppn int, live []int, root, blk int)
 		l = symLayout(P, ppn, nil)
 		for id := 0; id < P; id++ {
 			if live != nil && !slices.Contains(live, id) {
-				l.gone = append(l.gone, id)
+				l.Gone = append(l.Gone, id)
 			}
 		}
 	}
-	ids := l.peers()
+	ids := l.Peers()
 	if live != nil {
 		ids = live
 	}
@@ -492,30 +492,30 @@ func checkCollective(t testing.TB, c int, P, ppn int, live []int, root, blk int)
 		n += 4
 	}
 	counts, sendAt, recvAt := symCounts()
-	segs := func(int) []span { return []span{{n: n}} }
+	segs := func(int) []Span { return []Span{{N: n}} }
 	switch name {
 	case "barrier":
-		segs = func(int) []span { return []span{{n: 1}} }
+		segs = func(int) []Span { return []Span{{N: 1}} }
 	case "gather", "allgather", "allgather-hier":
-		segs = func(int) []span { return []span{{n: blk}} }
+		segs = func(int) []Span { return []Span{{N: blk}} }
 	case "scatter", "alltoall":
-		segs = func(int) []span {
-			s := make([]span, P)
+		segs = func(int) []Span {
+			s := make([]Span, P)
 			for p := range s {
-				s[p] = span{off: p * blk, n: blk}
+				s[p] = Span{Off: p * blk, N: blk}
 			}
 			return s
 		}
 	case "alltoallv":
-		segs = func(id int) []span {
-			s := make([]span, P)
+		segs = func(id int) []Span {
+			s := make([]Span, P)
 			for p := range s {
-				s[p] = span{off: sendAt(id, p), n: counts(id, p)}
+				s[p] = Span{Off: sendAt(id, p), N: counts(id, p)}
 			}
 			return s
 		}
 	}
-	res := symRun(t, l, func(l layout) []step { return gen(l, root, blk) }, segs)
+	res := symRun(t, l, func(l Layout) []Step { return gen(l, root, blk) }, segs)
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%s on %d ranks (ppn %d, live %v, root %d, blk %d): "+format, append([]any{name, P, ppn, live, root, blk}, args...)...)
@@ -600,8 +600,8 @@ func checkCollective(t testing.TB, c int, P, ppn int, live []int, root, blk int)
 			}
 		}
 		want = L * (L - 1) * blk
-		if name == "allgather-hier" && ppn > 1 && l.nodes > 1 && live == nil && blk > 0 {
-			nodes := l.nodes
+		if name == "allgather-hier" && ppn > 1 && l.Nodes > 1 && live == nil && blk > 0 {
+			nodes := l.Nodes
 			want = (P-nodes)*blk*(1+P) + nodes*(nodes-1)*ppn*blk
 		}
 	case "alltoallv":
@@ -641,12 +641,12 @@ func symViews(P int) [][]int {
 	return views
 }
 
-func symLayout(P, ppn int, live []int) layout {
-	v := collView{size: P}
+func symLayout(P, ppn int, live []int) Layout {
+	v := View{Size: P}
 	if live != nil {
-		v = collView{size: len(live), live: live}
+		v = View{Size: len(live), Live: live}
 	}
-	return layout{collView: v, ppn: ppn, nodes: (P + ppn - 1) / ppn, ranks: P}
+	return Layout{View: v, PPN: ppn, Nodes: (P + ppn - 1) / ppn, Ranks: P}
 }
 
 // symReadsPPN names the generators whose steps depend on the node grouping.
@@ -672,7 +672,7 @@ func TestScheduleProperties(t *testing.T) {
 				}
 				roots := live
 				if roots == nil {
-					roots = symLayout(P, ppn, nil).peers()
+					roots = symLayout(P, ppn, nil).Peers()
 				}
 				for c, sc := range symColls {
 					if ppn > 1 && !symReadsPPN(sc.name) || sc.name == "allgather-hier" && P%ppn != 0 {
@@ -694,7 +694,8 @@ func TestScheduleProperties(t *testing.T) {
 // runs — with every message priced 1 it counts the slowest rank's rounds,
 // and on six ranks rd and rab cost what the power-of-two closed form says
 // plus the fold's two whole-vector messages. Auto has no steps and
-// reduce+broadcast's tree relay is not priced: both decline.
+// reduce+broadcast's tree relay is not priced: both decline, as every
+// schedule does for a partial-word vector or a world of no ranks.
 func TestPriceWalksTheSchedule(t *testing.T) {
 	for P := 1; P <= 17; P++ {
 		for _, ppn := range []int{1, 2, 4} {
@@ -711,8 +712,8 @@ func TestPriceWalksTheSchedule(t *testing.T) {
 					}
 					continue
 				}
-				res := symRun(t, symLayout(P, ppn, nil), func(l layout) []step { return row.gen(l, p.Bytes, !row.blocking) },
-					func(int) []span { return []span{{n: p.Bytes}} })
+				res := symRun(t, symLayout(P, ppn, nil), func(l Layout) []Step { return row.gen(l, p.Bytes, !row.blocking) },
+					func(int) []Span { return []Span{{N: p.Bytes}} })
 				want := 0
 				for _, h := range res.hops {
 					want = max(want, h)
@@ -742,6 +743,15 @@ func TestPriceWalksTheSchedule(t *testing.T) {
 	}
 	if _, ok := PriceAllreduce(AllreduceRing, TunePoint{Bytes: 12, Ranks: 6, Nodes: 6, PPN: 1}, linear); ok {
 		t.Error("a ring over fewer words than ranks runs reduce+broadcast; its walk must say so")
+	}
+	// No allreduce takes a vector that is not whole words, on any world
+	// size, and a world of no ranks runs nothing.
+	for _, q := range []TunePoint{{Bytes: 6, Ranks: 1}, {Bytes: 6, Ranks: 4, Nodes: 4, PPN: 1}, {Bytes: 8, Ranks: 0}} {
+		for _, a := range AllreduceAlgos() {
+			if got, ok := PriceAllreduce(a, q, linear); ok {
+				t.Errorf("%v priced %+v at %d; its walk must decline", a, q, got)
+			}
+		}
 	}
 }
 

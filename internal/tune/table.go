@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"sort"
 
-	"mpicomp/internal/mpi"
 	"mpicomp/internal/netsim"
+	"mpicomp/internal/sched"
 )
 
 // TableVersion is the current tuning-table schema version. ParseTable
@@ -53,9 +53,9 @@ type Score struct {
 
 // parseAlgoName resolves a table algorithm name. Auto is a dispatch mode,
 // not a schedule a score can belong to.
-func parseAlgoName(s string) (mpi.AllreduceAlgo, error) {
-	a, ok := mpi.ParseAllreduceAlgo(s)
-	if !ok || a == mpi.AllreduceAuto {
+func parseAlgoName(s string) (sched.AllreduceAlgo, error) {
+	a, ok := sched.ParseAllreduceAlgo(s)
+	if !ok || a == sched.AllreduceAuto {
 		return 0, fmt.Errorf("%w: unknown algorithm %q", ErrBadTable, s)
 	}
 	return a, nil

@@ -1,18 +1,18 @@
 // Package tune implements a deterministic online autotuner for the
-// collective algorithm space mpi.AllreduceSum dispatches over. One
-// Tuner instance is shared by every rank in a world (it is the
-// concrete mpi.CollTuner); picks are pure functions of a committed
-// epoch snapshot, and everything learned during an epoch — latency
-// observations, compressibility probe samples, engine counters — sits
-// in a pending set that folds into the snapshot only at Advance, in
-// sorted order, so the tuner's state after N epochs is independent of
-// goroutine scheduling, codec worker count, and the order ranks happen
-// to report in.
+// collective algorithm space mpi.AllreduceSum dispatches over, the
+// schedule table of internal/sched. One Tuner instance is shared by every
+// rank in a world (it is the concrete mpi.CollTuner); picks are pure
+// functions of a committed epoch snapshot, and everything learned during
+// an epoch — latency observations, compressibility probe samples, engine
+// counters — sits in a pending set that folds into the snapshot only at
+// Advance, in sorted order, so the tuner's state after N epochs is
+// independent of goroutine scheduling, codec worker count, and the order
+// ranks happen to report in.
 //
 // The selector keys on (size class, rank count, topology class) and
 // scores each candidate schedule with an EMA of measured virtual-time
 // latency, seeded by an alpha-beta price of the steps the schedule runs
-// (mpi.PriceAllreduce) whose wire bytes are discounted by the measured
+// (sched.PriceAllreduce) whose wire bytes are discounted by the measured
 // compressibility (a cheap first-touch probe: XOR-delta leading-zero-byte
 // coding over a bounded sample, the same value locality MPC exploits)
 // and by the fraction of traffic that actually compressed (pool
@@ -35,8 +35,8 @@ import (
 	"sync"
 
 	"mpicomp/internal/hw"
-	"mpicomp/internal/mpi"
 	"mpicomp/internal/netsim"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -69,7 +69,7 @@ func sizeClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-func keyOf(p mpi.TunePoint) Key {
+func keyOf(p sched.TunePoint) Key {
 	return Key{SizeClass: sizeClass(p.Bytes), Ranks: p.Ranks, Topo: netsim.ClassifyTopo(p.Nodes, p.PPN)}
 }
 
@@ -82,13 +82,13 @@ type score struct {
 // entry is the committed state for one key.
 type entry struct {
 	ratioMilli int64 // measured compressibility x1000; 0 = not yet probed
-	scores     map[mpi.AllreduceAlgo]*score
+	scores     map[sched.AllreduceAlgo]*score
 }
 
 // latObs is one rank's pending latency report.
 type latObs struct {
 	key   Key
-	algo  mpi.AllreduceAlgo
+	algo  sched.AllreduceAlgo
 	op    uint64
 	nanos int64
 }
@@ -104,7 +104,8 @@ type probeObs struct {
 
 // Counters carries the engine activity the tuner adapts from: the
 // compressed/fallback split discounts the effective ratio the cost model
-// uses.
+// uses. A driver sums it over a world's engines (omb.WorldCounters) and
+// hands it to NoteCounters before each Advance.
 type Counters struct {
 	Compressions  int64
 	PoolFallbacks int64
@@ -113,19 +114,6 @@ type Counters struct {
 func (c *Counters) add(d Counters) {
 	c.Compressions += d.Compressions
 	c.PoolFallbacks += d.PoolFallbacks
-}
-
-// WorldCounters sums the engine activity the tuner adapts from across every
-// rank of w — what a driver hands NoteCounters before each Advance. All
-// counters derive from program order and seeded fates, so the sum is
-// deterministic.
-func WorldCounters(w *mpi.World) Counters {
-	var c Counters
-	for r := 0; r < w.Size(); r++ {
-		e := w.Rank(r).Engine
-		c.add(Counters{Compressions: int64(e.Compressions), PoolFallbacks: int64(e.PoolFallbacks)})
-	}
-	return c
 }
 
 // Options configures NewTuner.
@@ -156,7 +144,7 @@ type Tuner struct {
 	fallbackMilli int64 // fraction (x1000) of messages that fell back uncompressed
 	epochs        int64
 	probeCount    int64
-	pickCount     map[mpi.AllreduceAlgo]int64
+	pickCount     map[sched.AllreduceAlgo]int64
 
 	// Pending: appended during an epoch, folded at Advance.
 	pendLat   []latObs
@@ -171,11 +159,11 @@ func NewTuner(opt Options) *Tuner {
 		seed:      opt.Seed,
 		cluster:   opt.Cluster,
 		entries:   make(map[Key]*entry),
-		pickCount: make(map[mpi.AllreduceAlgo]int64),
+		pickCount: make(map[sched.AllreduceAlgo]int64),
 	}
 	if opt.Table != nil {
 		for _, te := range opt.Table.Entries {
-			e := &entry{ratioMilli: te.RatioMilli, scores: make(map[mpi.AllreduceAlgo]*score)}
+			e := &entry{ratioMilli: te.RatioMilli, scores: make(map[sched.AllreduceAlgo]*score)}
 			for _, s := range te.Scores {
 				a, err := parseAlgoName(s.Algo)
 				if err != nil {
@@ -190,17 +178,17 @@ func NewTuner(opt Options) *Tuner {
 }
 
 // candidatesFor returns the schedule space for a point, in tie-break
-// order: mpi's tuner candidates, two-level among them on hierarchical
+// order: the table's tuner candidates, two-level among them on hierarchical
 // topologies only. The historical reduce+broadcast and the blocking ring
 // oracle are not contenders.
-func candidatesFor(p mpi.TunePoint) []mpi.AllreduceAlgo {
-	return mpi.AllreduceCandidates(netsim.ClassifyTopo(p.Nodes, p.PPN) == netsim.TopoHierarchical)
+func candidatesFor(p sched.TunePoint) []sched.AllreduceAlgo {
+	return sched.AllreduceCandidates(netsim.ClassifyTopo(p.Nodes, p.PPN) == netsim.TopoHierarchical)
 }
 
 // PickAllreduce selects the schedule for one collective call. It reads
 // only the committed snapshot, so every rank of the same op computes
 // the same answer regardless of interleaving.
-func (t *Tuner) PickAllreduce(p mpi.TunePoint) mpi.AllreduceAlgo {
+func (t *Tuner) PickAllreduce(p sched.TunePoint) sched.AllreduceAlgo {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cands := candidatesFor(p)
@@ -214,7 +202,7 @@ func (t *Tuner) PickAllreduce(p mpi.TunePoint) mpi.AllreduceAlgo {
 	// walk the unsampled set in ascending predicted cost, starting at
 	// a seed-rotated offset.
 	type priced struct {
-		algo  mpi.AllreduceAlgo
+		algo  sched.AllreduceAlgo
 		nanos int64
 	}
 	var unsampled []priced
@@ -244,7 +232,7 @@ func (t *Tuner) PickAllreduce(p mpi.TunePoint) mpi.AllreduceAlgo {
 
 // ObserveAllreduce queues one rank's measured latency; it is folded at
 // the next Advance.
-func (t *Tuner) ObserveAllreduce(p mpi.TunePoint, algo mpi.AllreduceAlgo, elapsed simtime.Duration) {
+func (t *Tuner) ObserveAllreduce(p sched.TunePoint, algo sched.AllreduceAlgo, elapsed simtime.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.pendLat = append(t.pendLat, latObs{key: keyOf(p), algo: algo, op: p.Op, nanos: int64(elapsed)})
@@ -253,7 +241,7 @@ func (t *Tuner) ObserveAllreduce(p mpi.TunePoint, algo mpi.AllreduceAlgo, elapse
 // NeedProbe reports whether the point's key still lacks a
 // compressibility estimate. Warm-started keys arrive with one, so they
 // never re-probe.
-func (t *Tuner) NeedProbe(p mpi.TunePoint) bool {
+func (t *Tuner) NeedProbe(p sched.TunePoint) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.entries[keyOf(p)]
@@ -262,7 +250,7 @@ func (t *Tuner) NeedProbe(p mpi.TunePoint) bool {
 
 // ObserveProbeSample reduces a first-touch sample to (original,
 // estimated) byte sums and queues them; the ratio commits at Advance.
-func (t *Tuner) ObserveProbeSample(p mpi.TunePoint, sample []byte) {
+func (t *Tuner) ObserveProbeSample(p sched.TunePoint, sample []byte) {
 	orig, est := estimateSample(sample)
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -383,7 +371,7 @@ func keyLess(a, b Key) bool {
 func (t *Tuner) entryLocked(k Key) *entry {
 	e := t.entries[k]
 	if e == nil {
-		e = &entry{scores: make(map[mpi.AllreduceAlgo]*score)}
+		e = &entry{scores: make(map[sched.AllreduceAlgo]*score)}
 		t.entries[k] = e
 	}
 	return e
@@ -416,15 +404,15 @@ func estimateSample(sample []byte) (orig, est int64) {
 	return int64(words * 4), est
 }
 
-// predictNanos prices the steps the schedule runs (mpi.PriceAllreduce)
+// predictNanos prices the steps the schedule runs (sched.PriceAllreduce)
 // under the alpha-beta model: a message costs its link's latency and
 // per-message overhead plus its wire time, and ratioMilli, the effective
 // compression ratio (x1000), shrinks the wire bytes on the compressed link
 // — the inter-node one, or the only one. A schedule that would hand the
 // point to reduce+broadcast is explored last.
-func (t *Tuner) predictNanos(algo mpi.AllreduceAlgo, p mpi.TunePoint, ratioMilli int64) int64 {
+func (t *Tuner) predictNanos(algo sched.AllreduceAlgo, p sched.TunePoint, ratioMilli int64) int64 {
 	singleNode := netsim.ClassifyTopo(p.Nodes, p.PPN) == netsim.TopoSingleNode
-	nanos, ok := mpi.PriceAllreduce(algo, p, func(intra bool, bytes int) int64 {
+	nanos, ok := sched.PriceAllreduce(algo, p, func(intra bool, bytes int) int64 {
 		link := t.cluster.InterNode
 		if intra {
 			link = t.cluster.IntraNode
@@ -446,7 +434,7 @@ func (t *Tuner) predictNanos(algo mpi.AllreduceAlgo, p mpi.TunePoint, ratioMilli
 
 // PredictNanos exposes the cost model: the schedule's predicted latency at
 // the tuner's current effective ratio for the point's key.
-func (t *Tuner) PredictNanos(algo mpi.AllreduceAlgo, p mpi.TunePoint) int64 {
+func (t *Tuner) PredictNanos(algo sched.AllreduceAlgo, p sched.TunePoint) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ratio := int64(1000)
@@ -475,7 +463,7 @@ func (t *Tuner) Snapshot() *Table {
 			Topo:       string(k.Topo),
 			RatioMilli: e.ratioMilli,
 		}
-		algos := make([]mpi.AllreduceAlgo, 0, len(e.scores))
+		algos := make([]sched.AllreduceAlgo, 0, len(e.scores))
 		for a := range e.scores {
 			algos = append(algos, a)
 		}
@@ -498,7 +486,7 @@ func (t *Tuner) StatsLine() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	picks := ""
-	for _, a := range mpi.AllreduceAlgos() {
+	for _, a := range sched.AllreduceAlgos() {
 		if n := t.pickCount[a]; n > 0 {
 			if picks != "" {
 				picks += " "

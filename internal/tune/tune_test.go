@@ -7,16 +7,14 @@ import (
 	"strings"
 	"testing"
 
-	"mpicomp/internal/core"
 	"mpicomp/internal/hw"
-	"mpicomp/internal/mpi"
-	"mpicomp/internal/omb"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
 // flatPoint is an 8-rank flat world point (ppn=1) at the given size.
-func flatPoint(bytes int, op uint64) mpi.TunePoint {
-	return mpi.TunePoint{Bytes: bytes, Ranks: 8, Nodes: 8, PPN: 1, Op: op}
+func flatPoint(bytes int, op uint64) sched.TunePoint {
+	return sched.TunePoint{Bytes: bytes, Ranks: 8, Nodes: 8, PPN: 1, Op: op}
 }
 
 func TestSizeClass(t *testing.T) {
@@ -69,7 +67,7 @@ func TestEstimateSample(t *testing.T) {
 // every rank probes if asked, picks, observes the latency table's
 // value for the picked algorithm (with a per-rank sub-quantum wobble
 // to mimic calendar swaps), then the world advances.
-func runEpoch(tn *Tuner, p mpi.TunePoint, lat map[mpi.AllreduceAlgo]int64) mpi.AllreduceAlgo {
+func runEpoch(tn *Tuner, p sched.TunePoint, lat map[sched.AllreduceAlgo]int64) sched.AllreduceAlgo {
 	if tn.NeedProbe(p) {
 		sample := make([]byte, 1024)
 		for i := 0; i < len(sample); i += 4 {
@@ -90,12 +88,12 @@ func runEpoch(tn *Tuner, p mpi.TunePoint, lat map[mpi.AllreduceAlgo]int64) mpi.A
 func TestExploreThenExploit(t *testing.T) {
 	tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
 	p := flatPoint(1<<20, 1)
-	lat := map[mpi.AllreduceAlgo]int64{
-		mpi.AllreduceRing:              3_000_000,
-		mpi.AllreduceRecursiveDoubling: 1_000_000,
-		mpi.AllreduceRabenseifner:      2_000_000,
+	lat := map[sched.AllreduceAlgo]int64{
+		sched.AllreduceRing:              3_000_000,
+		sched.AllreduceRecursiveDoubling: 1_000_000,
+		sched.AllreduceRabenseifner:      2_000_000,
 	}
-	seen := make(map[mpi.AllreduceAlgo]bool)
+	seen := make(map[sched.AllreduceAlgo]bool)
 	for epoch := 0; epoch < 3; epoch++ {
 		p.Op = uint64(epoch)
 		seen[runEpoch(tn, p, lat)] = true
@@ -105,7 +103,7 @@ func TestExploreThenExploit(t *testing.T) {
 	}
 	for epoch := 3; epoch < 8; epoch++ {
 		p.Op = uint64(epoch)
-		if got := runEpoch(tn, p, lat); got != mpi.AllreduceRecursiveDoubling {
+		if got := runEpoch(tn, p, lat); got != sched.AllreduceRecursiveDoubling {
 			t.Fatalf("epoch %d picked %s, want rd (the measured winner)", epoch, got)
 		}
 	}
@@ -121,10 +119,10 @@ func TestAdvanceFoldOrderInvariance(t *testing.T) {
 			obs = append(obs,
 				func() { tn.ObserveProbeSample(p, make([]byte, 512)) },
 				func() {
-					tn.ObserveAllreduce(p, mpi.AllreduceRing, simtime.Duration(900_000+int64(r)*31))
+					tn.ObserveAllreduce(p, sched.AllreduceRing, simtime.Duration(900_000+int64(r)*31))
 				},
 				func() {
-					tn.ObserveAllreduce(p, mpi.AllreduceRabenseifner, simtime.Duration(700_000+int64(r)*13))
+					tn.ObserveAllreduce(p, sched.AllreduceRabenseifner, simtime.Duration(700_000+int64(r)*13))
 				},
 			)
 		}
@@ -155,7 +153,7 @@ func TestQuantizeAbsorbsSubQuantumJitter(t *testing.T) {
 	build := func(extra int64) []byte {
 		tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
 		for rank := 0; rank < p.Ranks; rank++ {
-			tn.ObserveAllreduce(p, mpi.AllreduceRing, simtime.Duration(500_000+extra))
+			tn.ObserveAllreduce(p, sched.AllreduceRing, simtime.Duration(500_000+extra))
 		}
 		tn.Advance()
 		out, err := tn.Snapshot().Marshal()
@@ -173,10 +171,10 @@ func TestQuantizeAbsorbsSubQuantumJitter(t *testing.T) {
 func TestWarmStartSkipsProbeAndExploration(t *testing.T) {
 	tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
 	p := flatPoint(1<<20, 0)
-	lat := map[mpi.AllreduceAlgo]int64{
-		mpi.AllreduceRing:              3_000_000,
-		mpi.AllreduceRecursiveDoubling: 1_000_000,
-		mpi.AllreduceRabenseifner:      2_000_000,
+	lat := map[sched.AllreduceAlgo]int64{
+		sched.AllreduceRing:              3_000_000,
+		sched.AllreduceRecursiveDoubling: 1_000_000,
+		sched.AllreduceRabenseifner:      2_000_000,
 	}
 	for epoch := 0; epoch < 5; epoch++ {
 		p.Op = uint64(epoch)
@@ -196,11 +194,11 @@ func TestWarmStartSkipsProbeAndExploration(t *testing.T) {
 		t.Fatal("warm-started tuner re-probes a loaded key")
 	}
 	// All candidates carry samples, so the very first pick exploits.
-	if got := warm.PickAllreduce(p); got != mpi.AllreduceRecursiveDoubling {
+	if got := warm.PickAllreduce(p); got != sched.AllreduceRecursiveDoubling {
 		t.Fatalf("warm pick = %s, want rd", got)
 	}
 	// An unseen key still probes and explores.
-	q := mpi.TunePoint{Bytes: 4 << 20, Ranks: 16, Nodes: 16, PPN: 1, Op: 9}
+	q := sched.TunePoint{Bytes: 4 << 20, Ranks: 16, Nodes: 16, PPN: 1, Op: 9}
 	if !warm.NeedProbe(q) {
 		t.Fatal("warm-started tuner skipped probing an unseen key")
 	}
@@ -208,7 +206,7 @@ func TestWarmStartSkipsProbeAndExploration(t *testing.T) {
 
 func TestSeedRotatesExploration(t *testing.T) {
 	p := flatPoint(512<<10, 0)
-	picks := make(map[mpi.AllreduceAlgo]bool)
+	picks := make(map[sched.AllreduceAlgo]bool)
 	for seed := int64(0); seed < 3; seed++ {
 		tn := NewTuner(Options{Seed: seed, Cluster: hw.Longhorn()})
 		picks[tn.PickAllreduce(p)] = true
@@ -226,15 +224,15 @@ func TestSeedRotatesExploration(t *testing.T) {
 
 func TestTwoLevelOnlyOnHierarchical(t *testing.T) {
 	flat := flatPoint(1<<20, 0)
-	hier := mpi.TunePoint{Bytes: 1 << 20, Ranks: 8, Nodes: 4, PPN: 2, Op: 0}
+	hier := sched.TunePoint{Bytes: 1 << 20, Ranks: 8, Nodes: 4, PPN: 2, Op: 0}
 	for _, a := range candidatesFor(flat) {
-		if a == mpi.AllreduceTwoLevel {
+		if a == sched.AllreduceTwoLevel {
 			t.Fatal("two-level offered on a flat topology")
 		}
 	}
 	found := false
 	for _, a := range candidatesFor(hier) {
-		if a == mpi.AllreduceTwoLevel {
+		if a == sched.AllreduceTwoLevel {
 			found = true
 		}
 	}
@@ -245,10 +243,10 @@ func TestTwoLevelOnlyOnHierarchical(t *testing.T) {
 
 func TestCountersDiscountEffectiveRatio(t *testing.T) {
 	p := flatPoint(4<<20, 0)
-	lat := map[mpi.AllreduceAlgo]int64{
-		mpi.AllreduceRing:              1_000_000,
-		mpi.AllreduceRecursiveDoubling: 1_000_000,
-		mpi.AllreduceRabenseifner:      1_000_000,
+	lat := map[sched.AllreduceAlgo]int64{
+		sched.AllreduceRing:              1_000_000,
+		sched.AllreduceRecursiveDoubling: 1_000_000,
+		sched.AllreduceRabenseifner:      1_000_000,
 	}
 	mk := func(c Counters) *Tuner {
 		tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
@@ -259,8 +257,8 @@ func TestCountersDiscountEffectiveRatio(t *testing.T) {
 	}
 	healthy := mk(Counters{Compressions: 100})
 	degraded := mk(Counters{Compressions: 10, PoolFallbacks: 90})
-	h := healthy.PredictNanos(mpi.AllreduceRing, p)
-	d := degraded.PredictNanos(mpi.AllreduceRing, p)
+	h := healthy.PredictNanos(sched.AllreduceRing, p)
+	d := degraded.PredictNanos(sched.AllreduceRing, p)
 	if d <= h {
 		t.Fatalf("fallback-heavy counters should raise predicted wire cost: healthy=%d degraded=%d", h, d)
 	}
@@ -269,10 +267,10 @@ func TestCountersDiscountEffectiveRatio(t *testing.T) {
 func TestStatsLineDeterministic(t *testing.T) {
 	tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
 	p := flatPoint(1<<20, 0)
-	lat := map[mpi.AllreduceAlgo]int64{
-		mpi.AllreduceRing:              3_000_000,
-		mpi.AllreduceRecursiveDoubling: 1_000_000,
-		mpi.AllreduceRabenseifner:      2_000_000,
+	lat := map[sched.AllreduceAlgo]int64{
+		sched.AllreduceRing:              3_000_000,
+		sched.AllreduceRecursiveDoubling: 1_000_000,
+		sched.AllreduceRabenseifner:      2_000_000,
 	}
 	for epoch := 0; epoch < 4; epoch++ {
 		p.Op = uint64(epoch)
@@ -289,8 +287,8 @@ func TestParseTableRejectsMalformed(t *testing.T) {
 	valid := func() []byte {
 		tn := NewTuner(Options{Seed: 1, Cluster: hw.Longhorn()})
 		p := flatPoint(1<<20, 0)
-		runEpoch(tn, p, map[mpi.AllreduceAlgo]int64{
-			mpi.AllreduceRing: 1, mpi.AllreduceRecursiveDoubling: 1, mpi.AllreduceRabenseifner: 1,
+		runEpoch(tn, p, map[sched.AllreduceAlgo]int64{
+			sched.AllreduceRing: 1, sched.AllreduceRecursiveDoubling: 1, sched.AllreduceRabenseifner: 1,
 		})
 		out, err := tn.Snapshot().Marshal()
 		if err != nil {
@@ -325,11 +323,11 @@ func TestParseTableRejectsMalformed(t *testing.T) {
 
 func TestMarshalFixpoint(t *testing.T) {
 	tn := NewTuner(Options{Seed: 9, Cluster: hw.Longhorn()})
-	lat := map[mpi.AllreduceAlgo]int64{
-		mpi.AllreduceRing: 2_000_000, mpi.AllreduceRecursiveDoubling: 1_000_000,
-		mpi.AllreduceRabenseifner: 3_000_000, mpi.AllreduceTwoLevel: 1_500_000,
+	lat := map[sched.AllreduceAlgo]int64{
+		sched.AllreduceRing: 2_000_000, sched.AllreduceRecursiveDoubling: 1_000_000,
+		sched.AllreduceRabenseifner: 3_000_000, sched.AllreduceTwoLevel: 1_500_000,
 	}
-	points := []mpi.TunePoint{
+	points := []sched.TunePoint{
 		flatPoint(64<<10, 0),
 		flatPoint(4<<20, 1),
 		{Bytes: 1 << 20, Ranks: 6, Nodes: 3, PPN: 2, Op: 2},
@@ -354,95 +352,5 @@ func TestMarshalFixpoint(t *testing.T) {
 	}
 	if !bytes.Equal(out1, out2) {
 		t.Fatalf("marshal is not a fixpoint:\n%s\nvs\n%s", out1, out2)
-	}
-}
-
-// TestTunerMatchesOracleOnFlatWorlds drives a tuner over live worlds the
-// way ombrun does — one epoch per measurement, counters folded at each
-// world-synchronous Advance — on the 8x1 Longhorn cells of the latency, mid
-// and bandwidth regimes (MPC-OPT, 128K chunks, dummy data). The converged
-// pick must land within 10 % of the fastest pinned schedule, the committed
-// snapshot must be byte-identical across codec worker counts 1/2/8, and a
-// tuner warm-started from the persisted table must answer every cell with
-// the same pick and no probe. Flat layouts only: on hierarchical ones the
-// EMAs are not yet a function of virtual time alone (ROADMAP item 1).
-func TestTunerMatchesOracleOnFlatWorlds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("a simulated-latency gate: 4 s here, 200 s under the -race -short pass, which has nothing to add to it")
-	}
-	const nodes, seed = 8, 7
-	cells := []int{32 << 10, 1 << 20, 4 << 20}
-	world := func(workers int, algo mpi.AllreduceAlgo, tn *Tuner) *mpi.World {
-		opt := mpi.Options{Cluster: hw.Longhorn(), Nodes: nodes, PPN: 1, Allreduce: algo,
-			Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
-				PipelineChunkBytes: 128 << 10, Workers: workers}}
-		if tn != nil {
-			opt.Tuner = tn
-		}
-		w, err := mpi.NewWorld(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	measure := func(w *mpi.World, bytes int) simtime.Duration {
-		res, err := omb.CollectiveLatency(w, "allreduce", bytes, 1, 2, nil)
-		if err != nil {
-			t.Fatalf("allreduce at %d B: %v", bytes, err)
-		}
-		return res.Latency
-	}
-
-	snapshots := map[int][]byte{}
-	var tuned *Tuner
-	for _, workers := range []int{1, 2, 8} {
-		tn := NewTuner(Options{Seed: seed, Cluster: hw.Longhorn()})
-		for _, bytes := range cells {
-			w := world(workers, mpi.AllreduceAuto, tn)
-			// Every candidate explored once, then two epochs to settle.
-			for e := 0; e < len(candidatesFor(flatPoint(bytes, 0)))+2; e++ {
-				measure(w, bytes)
-				tn.NoteCounters(WorldCounters(w))
-				tn.Advance()
-			}
-		}
-		snap, err := tn.Snapshot().Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		snapshots[workers] = snap
-		if workers == 1 {
-			tuned = tn
-		} else if !bytes.Equal(snap, snapshots[1]) {
-			t.Errorf("tuner snapshot differs between workers=1 and workers=%d:\n%s\nvs\n%s", workers, snapshots[1], snap)
-		}
-	}
-
-	tab, err := ParseTable(snapshots[1])
-	if err != nil {
-		t.Fatalf("snapshot does not round-trip: %v", err)
-	}
-	warm := NewTuner(Options{Seed: seed, Cluster: hw.Longhorn(), Table: tab})
-	for _, bytes := range cells {
-		p := flatPoint(bytes, 0)
-		lat := map[mpi.AllreduceAlgo]simtime.Duration{}
-		oracle := mpi.AllreduceAuto
-		for _, algo := range candidatesFor(p) {
-			lat[algo] = measure(world(1, algo, nil), bytes)
-			if oracle == mpi.AllreduceAuto || lat[algo] < lat[oracle] {
-				oracle = algo
-			}
-		}
-		pick := tuned.PickAllreduce(p)
-		if gap := float64(lat[pick])/float64(lat[oracle]) - 1; gap > 0.10 {
-			t.Errorf("%d B: pick %s (%v) is %.1f %% over oracle %s (%v), want <= 10 %%",
-				bytes, pick, lat[pick], 100*gap, oracle, lat[oracle])
-		}
-		if warm.NeedProbe(p) {
-			t.Errorf("%d B: warm-started tuner wants to re-probe", bytes)
-		}
-		if wp := warm.PickAllreduce(p); wp != pick {
-			t.Errorf("%d B: warm pick %s != converged pick %s", bytes, wp, pick)
-		}
 	}
 }
