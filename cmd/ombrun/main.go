@@ -53,8 +53,7 @@ func main() {
 	retries := flag.Int("retries", 0, "retransmission budget per protocol stage (0 = default, negative = retries off)")
 	chunkRetry := flag.Int("chunk-retry", 0, "per-chunk retransmission budget on the pipelined path (0 = inherit -retries, negative = off)")
 	algoFlag := flag.String("algo", sched.AllreduceAuto.String(), fmt.Sprintf("allreduce algorithm, one of %v (auto routes through the tuner)", sched.AllreduceAlgos()))
-	tuneTable := flag.String("tune-table", "", "tuning-table JSON path: warm-start from it if present, rewrite it with the updated table on exit")
-	tuneSeed := flag.Int64("tune-seed", 0, "tuner exploration seed")
+	tuneTable := flag.String("tune-table", "", "tuning-table JSON path under -algo auto: warm-start from it if present, rewrite it with the updated table on exit")
 	eng := cli.AddEngineFlags(flag.CommandLine)
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
@@ -83,6 +82,9 @@ func main() {
 	cfg.Breaker = breaker
 	algo, err := cli.ParseAlgo(*algoFlag)
 	cli.Fatal(err)
+	if *tuneTable != "" && algo != sched.AllreduceAuto {
+		cli.Fatal(fmt.Errorf("-tune-table needs -algo %s: -algo %s bypasses the tuner", sched.AllreduceAuto, algo))
+	}
 
 	var gen omb.DataGen
 	if *dataset != "" {
@@ -110,7 +112,7 @@ func main() {
 				cli.Fatal(err)
 			}
 		}
-		tuner = tune.NewTuner(tune.Options{Seed: *tuneSeed, Cluster: c, Table: tab})
+		tuner = tune.NewTuner(tune.Options{Table: tab})
 	}
 	opt := mpi.Options{
 		Cluster: c, Nodes: *nodes, PPN: *ppn, Engine: cfg, Tracer: tracer,
@@ -177,11 +179,8 @@ func main() {
 			benchFatal(w, cfg, health, err)
 			t.Row(cli.FormatBytes(size), fmt.Sprintf("%.2f", res.Latency.Microseconds()), fmt.Sprintf("%.2f", res.Ratio))
 			if tuner != nil {
-				// Each measurement run starts from reset engine stats,
-				// so the totals here are this size's epoch. Folding
-				// between sizes is world-synchronous: no collective is
-				// in flight while Advance commits.
-				tuner.NoteCounters(omb.WorldCounters(w))
+				// Folding between sizes is world-synchronous: no
+				// collective is in flight while Advance commits.
 				tuner.Advance()
 			}
 		}

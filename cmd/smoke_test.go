@@ -166,6 +166,27 @@ func TestOmbrunSelfHealsAFatedRank(t *testing.T) {
 	}
 }
 
+// TestOmbrunTuneTableNeedsAuto: a tuning table is the tuner's state, and a
+// pinned -algo runs no tuner, so -tune-table with one is a usage error (exit
+// 1, naming -algo auto) that writes nothing; it used to be ignored without a
+// word. Under -algo auto the same flags write the table.
+func TestOmbrunTuneTableNeedsAuto(t *testing.T) {
+	bin := buildCommands(t)
+	table := filepath.Join(t.TempDir(), "tune.json")
+	args := []string{"-bench", "allreduce", "-nodes", "4", "-sizes", "32K", "-iters", "1", "-warmup", "0", "-tune-table", table}
+	out, err := exec.Command(filepath.Join(bin, "ombrun"), append(args, "-algo", "ring")...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !bytes.Contains(out, []byte("-algo auto")) {
+		t.Fatalf("ombrun -algo ring -tune-table: %v, want exit status 1 naming -algo auto\n%s", err, out)
+	}
+	if _, err := os.Stat(table); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a rejected run left a table behind (stat: %v)", err)
+	}
+	if out, err := exec.Command(filepath.Join(bin, "ombrun"), append(args, "-algo", "auto")...).CombinedOutput(); err != nil || !bytes.Contains(out, []byte("# tune table written to "+table)) {
+		t.Fatalf("ombrun -algo auto -tune-table: %v\n%s", err, out)
+	}
+}
+
 // TestTable3ReproducesCommittedRun: Table III has one definition, cmd/tables,
 // and one committed run, results_table3.txt; the first must print the second
 // byte for byte (its ratios are measured by the real codecs on the eight

@@ -1,11 +1,10 @@
 // Autotune: the dynamic-selection extension (the paper's future work
-// made real), now driven by the first-class internal/tune package. A
-// seeded deterministic tuner watches live allreduce timings on a world,
-// explores the candidate schedules (ring / recursive doubling /
-// Rabenseifner), converges on the fastest per message size, and
-// persists a versioned tuning table. A second tuner warm-started from
-// that table answers immediately: no compressibility probe, no
-// re-exploration.
+// made real), driven by the internal/tune package. A seeded deterministic
+// tuner watches live allreduce timings on a world, runs each candidate
+// schedule (ring / recursive doubling / Rabenseifner) once, converges on
+// the fastest measured one per message size, and persists a versioned
+// tuning table. A second tuner warm-started from that table answers
+// immediately, with no re-exploration.
 //
 //	go run ./examples/autotune [-table autotune_table.json]
 package main
@@ -23,6 +22,7 @@ import (
 	"mpicomp/internal/mpi"
 	"mpicomp/internal/omb"
 	"mpicomp/internal/sched"
+	"mpicomp/internal/simtime"
 	"mpicomp/internal/tune"
 )
 
@@ -32,16 +32,16 @@ const (
 	seed  = 7
 )
 
-// epoch runs one measured allreduce, then folds the engine counters and
-// the epoch's observations into the tuner at the world-synchronous
-// point — the same loop ombrun drives.
-func epoch(w *mpi.World, tn *tune.Tuner, bytes int) error {
-	if _, err := omb.CollectiveLatency(w, "allreduce", bytes, 1, 2, nil); err != nil {
-		return err
+// epoch runs one measured allreduce, then folds the epoch's observations
+// into the tuner at the world-synchronous point — the same loop ombrun
+// drives. It returns the measured latency.
+func epoch(w *mpi.World, tn *tune.Tuner, bytes int) (simtime.Duration, error) {
+	res, err := omb.CollectiveLatency(w, "allreduce", bytes, 1, 2, nil)
+	if err != nil {
+		return 0, err
 	}
-	tn.NoteCounters(omb.WorldCounters(w))
 	tn.Advance()
-	return nil
+	return res.Latency, nil
 }
 
 func main() {
@@ -59,23 +59,26 @@ func run(out io.Writer, tablePath string) error {
 	fmt.Fprintf(out, "(%dx%d Longhorn, MPC-OPT, 128K chunks, seed %d)\n\n", nodes, ppn, seed)
 
 	cfg := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: 128 << 10}
-	tn := tune.NewTuner(tune.Options{Seed: seed, Cluster: hw.Longhorn()})
+	tn := tune.NewTuner(tune.Options{Seed: seed})
 	w, err := mpi.NewWorld(mpi.Options{Cluster: hw.Longhorn(), Nodes: nodes, PPN: ppn, Engine: cfg, Tuner: tn})
 	if err != nil {
 		return err
 	}
 
 	sizes := []int{32 << 10, 4 << 20}
-	t := cli.NewTable("Size", "Epoch", "Pick", "Predicted")
+	// Ran is the schedule the epoch ran and Measured its latency; Pick is
+	// the tuner's answer once the epoch has folded.
+	t := cli.NewTable("Size", "Epoch", "Ran", "Measured", "Pick")
 	for _, bytes := range sizes {
 		p := sched.TunePoint{Bytes: bytes, Ranks: nodes * ppn, Nodes: nodes, PPN: ppn}
 		for e := 0; e < 5; e++ {
-			if err := epoch(w, tn, bytes); err != nil {
+			ran := tn.PickAllreduce(p)
+			lat, err := epoch(w, tn, bytes)
+			if err != nil {
 				return err
 			}
-			pick := tn.PickAllreduce(p)
 			t.Row(fmt.Sprintf("%d KB", bytes>>10), fmt.Sprintf("%d", e+1),
-				pick.String(), fmt.Sprintf("%d us", tn.PredictNanos(pick, p)/1000))
+				ran.String(), fmt.Sprintf("%.2f us", lat.Microseconds()), tn.PickAllreduce(p).String())
 		}
 	}
 	t.Write(out)
@@ -92,16 +95,15 @@ func run(out io.Writer, tablePath string) error {
 	fmt.Fprintf(out, "tuning table written to %s\n\n", tablePath)
 
 	// Warm start: a fresh tuner loaded from the persisted table knows
-	// every key already — no probe, no exploration, same picks.
+	// every key already — no exploration, same picks.
 	tab, err := tune.ParseTable(blob)
 	if err != nil {
 		return err
 	}
-	warm := tune.NewTuner(tune.Options{Seed: seed, Cluster: hw.Longhorn(), Table: tab})
+	warm := tune.NewTuner(tune.Options{Seed: seed, Table: tab})
 	for _, bytes := range sizes {
 		p := sched.TunePoint{Bytes: bytes, Ranks: nodes * ppn, Nodes: nodes, PPN: ppn}
-		fmt.Fprintf(out, "warm start at %4d KB: pick=%s reprobe=%v\n",
-			bytes>>10, warm.PickAllreduce(p), warm.NeedProbe(p))
+		fmt.Fprintf(out, "warm start at %4d KB: pick=%s\n", bytes>>10, warm.PickAllreduce(p))
 	}
 	fmt.Fprintln(out)
 	fmt.Fprintln(out, "Small messages converge on recursive doubling (log2 P rounds),")

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -138,12 +139,13 @@ func commaParts(s string) []string {
 	return parts
 }
 
-// ParseSizes parses a comma-separated size list with K/M suffixes
-// ("256K,1M,32M").
+// ParseSizes parses a comma-separated size list with K/M/G suffixes
+// ("256K,1M,32M"). A size is a byte count: zero is one (OSU's latency
+// sweep starts there), a negative one or one past the int range is not.
 func ParseSizes(s string) ([]int, error) {
 	var out []int
-	for _, part := range commaParts(s) {
-		mult := 1
+	for _, raw := range commaParts(s) {
+		mult, part := 1, raw
 		switch {
 		case strings.HasSuffix(part, "K"), strings.HasSuffix(part, "k"):
 			mult, part = 1<<10, part[:len(part)-1]
@@ -154,7 +156,10 @@ func ParseSizes(s string) ([]int, error) {
 		}
 		n, err := strconv.Atoi(part)
 		if err != nil {
-			return nil, fmt.Errorf("bad size %q: %w", part, err)
+			return nil, fmt.Errorf("bad size %q: %w", raw, err)
+		}
+		if n < 0 || n > math.MaxInt/mult {
+			return nil, fmt.Errorf("bad size %q: want a byte count from 0 to %d", raw, math.MaxInt)
 		}
 		out = append(out, n*mult)
 	}

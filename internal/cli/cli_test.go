@@ -7,7 +7,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -52,6 +54,7 @@ func TestEngineFlagsRejectsUnknown(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mode", "bogus"},
 		{"-codec", "lz4"},
+		{"-chunk=-1K"},
 	} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		ef := AddEngineFlags(fs)
@@ -131,6 +134,20 @@ func TestParseSizes(t *testing.T) {
 	g, err := ParseSizes("1G")
 	if err != nil || g[0] != 1<<30 {
 		t.Fatalf("G suffix: %v %v", g, err)
+	}
+	// Zero is a size (OSU's latency sweep starts there); a negative one,
+	// or one whose suffix multiply leaves the int range, is not.
+	if z, err := ParseSizes("0,0K"); err != nil || z[0] != 0 || z[1] != 0 {
+		t.Fatalf("zero sizes: %v %v", z, err)
+	}
+	maxG := strconv.Itoa(math.MaxInt >> 30)
+	if m, err := ParseSizes(maxG + "G"); err != nil || m[0] != math.MaxInt>>30<<30 {
+		t.Fatalf("largest G size: %v %v", m, err)
+	}
+	for _, bad := range []string{"-4K", "-1", "1K,-1M", maxG + "1G", "9223372036854775807K", "99999999999999999999"} {
+		if got, err := ParseSizes(bad); err == nil || !strings.Contains(err.Error(), "bad size") {
+			t.Errorf("ParseSizes(%q) = %v, %v; want a bad-size error", bad, got, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ package mpi
 // the engine cache tag each schedule runs under, and the tuner hook.
 
 import (
-	"mpicomp/internal/gpusim"
 	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
@@ -46,18 +45,4 @@ type CollTuner interface {
 	// the same (point, algo, op) commutatively — call order across ranks
 	// is scheduling-dependent.
 	ObserveAllreduce(p sched.TunePoint, algo sched.AllreduceAlgo, elapsed simtime.Duration)
-	// NeedProbe reports whether the tuner still wants a compressibility
-	// probe for this point's size class (false once warm-started).
-	NeedProbe(p sched.TunePoint) bool
-	// ObserveProbeSample feeds the first-touch ratio probe a bounded
-	// prefix of the rank's send buffer. Merged commutatively, like
-	// ObserveAllreduce.
-	ObserveProbeSample(p sched.TunePoint, sample []byte)
 }
-
-// probeSampleBytes bounds the compressibility probe's input: enough
-// bytes for a stable ratio estimate, cheap enough to ride along any
-// collective's first touch of a size class.
-const probeSampleBytes = 64 << 10
-
-func probeSample(buf *gpusim.Buffer) []byte { return buf.Data[:min(buf.Len(), probeSampleBytes)] }

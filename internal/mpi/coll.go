@@ -252,11 +252,10 @@ func (r *Rank) ReduceSum(root int, sendBuf, recvBuf *gpusim.Buffer) error {
 // AllreduceAuto through the wired tuner (Options.Tuner) and, absent one,
 // reduce+broadcast (the paper leaves compressed Allreduce as future work;
 // this gives it the compressed p2p edges). Tuner-dispatched calls report
-// their virtual-clock latency back and feed the compressibility probe. A
-// value outside the schedule table runs reduce+broadcast, and every
-// schedule runs under its own engine cache tag. A vector that is not whole
-// float32 words fails on every rank before any byte moves or a tuner hears
-// of it.
+// their virtual-clock latency back. A value outside the schedule table runs
+// reduce+broadcast, and every schedule runs under its own engine cache tag.
+// A vector that is not whole float32 words fails on every rank before any
+// byte moves or a tuner hears of it.
 func (r *Rank) AllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 	algo := r.world.allreduce
 	var (
@@ -270,9 +269,6 @@ func (r *Rank) AllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 		} else {
 			w := r.world
 			p = sched.TunePoint{Bytes: sendBuf.Len(), Ranks: w.size, Nodes: w.nodes, PPN: w.ppn, Op: r.nextOp}
-			if t.NeedProbe(p) {
-				t.ObserveProbeSample(p, probeSample(sendBuf))
-			}
 			algo = t.PickAllreduce(p)
 			start = r.Clock.Now()
 		}

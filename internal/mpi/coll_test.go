@@ -526,13 +526,6 @@ func (rt refusingTuner) PickAllreduce(sched.TunePoint) sched.AllreduceAlgo {
 func (rt refusingTuner) ObserveAllreduce(sched.TunePoint, sched.AllreduceAlgo, simtime.Duration) {
 	rt.t.Error("the tuner was told of a latency")
 }
-func (rt refusingTuner) NeedProbe(sched.TunePoint) bool {
-	rt.t.Error("the tuner was asked about a probe")
-	return false
-}
-func (rt refusingTuner) ObserveProbeSample(sched.TunePoint, []byte) {
-	rt.t.Error("the tuner was fed a probe sample")
-}
 
 // TestReductionsRefusePartialWords: an allreduce (every schedule, and auto
 // with a tuner, which must not hear of it) or a reduce of a vector that is

@@ -195,7 +195,6 @@ type recordingTuner struct {
 	algo     sched.AllreduceAlgo
 	picks    atomic.Int64
 	observes atomic.Int64
-	probes   atomic.Int64
 	mu       sync.Mutex
 	points   map[sched.TunePoint]bool
 }
@@ -216,14 +215,6 @@ func (rt *recordingTuner) ObserveAllreduce(p sched.TunePoint, algo sched.Allredu
 		return
 	}
 	rt.observes.Add(1)
-}
-
-func (rt *recordingTuner) NeedProbe(p sched.TunePoint) bool { return true }
-
-func (rt *recordingTuner) ObserveProbeSample(p sched.TunePoint, sample []byte) {
-	if len(sample) > 0 {
-		rt.probes.Add(1)
-	}
 }
 
 func TestAllreduceTunerDispatch(t *testing.T) {
@@ -250,9 +241,6 @@ func TestAllreduceTunerDispatch(t *testing.T) {
 	}
 	if got := tuner.observes.Load(); got != 4 {
 		t.Errorf("observes = %d, want one per rank (4)", got)
-	}
-	if got := tuner.probes.Load(); got != 4 {
-		t.Errorf("probes = %d, want one per rank (4)", got)
 	}
 	// All ranks must describe the same collective with the same point.
 	if len(tuner.points) != 1 {

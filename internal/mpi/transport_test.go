@@ -330,16 +330,31 @@ func transportCallers(t *testing.T, srcs map[string]any) []string {
 	return slices.Compact(out)
 }
 
+// isTuneOptions reports whether a composite literal's type is
+// tune.Options: qualified outside internal/tune, bare inside it.
+func isTuneOptions(typ ast.Expr, inTune bool) bool {
+	switch typ := typ.(type) {
+	case *ast.SelectorExpr:
+		pkg, ok := typ.X.(*ast.Ident)
+		return ok && pkg.Name == "tune" && typ.Sel.Name == "Options"
+	case *ast.Ident:
+		return inTune && typ.Name == "Options"
+	}
+	return false
+}
+
 // TestAllreduceSchedulesDeclaredOnce keeps the schedule space in one place,
 // internal/sched's table (algo.go). Outside it no non-test Go file of the
 // repository spells a schedule's name as a string literal (names come
 // from String, parsing from ParseAllreduceAlgo) or lists the schedules in a
 // composite literal (lists come from AllreduceAlgos and
 // AllreduceCandidates), and internal/tune names no schedule at all — it
-// prices the steps a schedule runs (PriceAllreduce), so it has nothing to
-// branch on (AllreduceAuto, the dispatch mode, is not a schedule). The
-// table's old names in this package (AllreduceAlgo, AllreduceAuto,
-// TunePoint) serve bench/ alone: no other Go file, test or not, uses them.
+// ranks candidates by measured latency alone, so it has nothing to branch
+// on (AllreduceAuto, the dispatch mode, is not a schedule). The table's old
+// names in this package (AllreduceAlgo, AllreduceAuto, TunePoint) serve
+// bench/ alone: no other Go file, test or not, uses them. So does
+// tune.Options.Cluster: no other Go file sets it, and internal/tune does
+// not read it.
 func TestAllreduceSchedulesDeclaredOnce(t *testing.T) {
 	names, consts := map[string]bool{}, map[string]bool{}
 	for _, a := range sched.AllreduceAlgos() {
@@ -400,7 +415,10 @@ func TestAllreduceSchedulesDeclaredOnce(t *testing.T) {
 					t.Errorf("%s: mpi.%s is kept for bench/; use sched.%[2]s", fset.Position(n.Pos()), n.Sel.Name)
 				}
 				if inTune && !test && id.Name == "sched" && consts[n.Sel.Name] && n.Sel.Name != "AllreduceAuto" {
-					t.Errorf("%s: internal/tune names schedule %s; price the steps it runs instead", fset.Position(n.Pos()), n.Sel.Name)
+					t.Errorf("%s: internal/tune names schedule %s; rank candidates by measurement instead", fset.Position(n.Pos()), n.Sel.Name)
+				}
+				if inTune && !test && n.Sel.Name == "Cluster" && id.Name != "hw" {
+					t.Errorf("%s: internal/tune reads Options.Cluster, which is kept for bench/ alone", fset.Position(n.Pos()))
 				}
 			case *ast.Ident:
 				if inMPI && aliases[n.Name] && !qualified[n] {
@@ -411,6 +429,15 @@ func TestAllreduceSchedulesDeclaredOnce(t *testing.T) {
 					t.Errorf("%s: schedule name %s spelled outside sched/algo.go", fset.Position(n.Pos()), n.Value)
 				}
 			case *ast.CompositeLit:
+				if isTuneOptions(n.Type, inTune) {
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if k, ok := kv.Key.(*ast.Ident); ok && k.Name == "Cluster" {
+								t.Errorf("%s: tune.Options.Cluster is kept for bench/ alone; the tuner prices nothing", fset.Position(kv.Pos()))
+							}
+						}
+					}
+				}
 				listed := 0
 				for _, elt := range n.Elts {
 					if sel, ok := elt.(*ast.SelectorExpr); ok {

@@ -19,7 +19,6 @@ import (
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/mpi"
 	"mpicomp/internal/simtime"
-	"mpicomp/internal/tune"
 )
 
 // DataGen produces the float32 message contents for a given element count.
@@ -392,19 +391,6 @@ func Collectives() []string {
 		names[i] = c.name
 	}
 	return names
-}
-
-// WorldCounters sums the engine activity the tuner adapts from across every
-// rank of w — what a driver hands tune.Tuner.NoteCounters before each
-// Advance. All counters derive from program order and seeded fates, so the
-// sum is deterministic.
-func WorldCounters(w *mpi.World) (c tune.Counters) {
-	for r := 0; r < w.Size(); r++ {
-		e := w.Rank(r).Engine
-		c.Compressions += int64(e.Compressions)
-		c.PoolFallbacks += int64(e.PoolFallbacks)
-	}
-	return c
 }
 
 // CollectiveLatency runs the named osu_*-style collective measurement with

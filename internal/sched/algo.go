@@ -2,7 +2,7 @@ package sched
 
 // Allreduce algorithm space: the schedule table internal/mpi's AllreduceSum
 // dispatches over, through a pluggable tuner (internal/tune implements one)
-// unless the world pins a schedule, and the price walk the tuner reads.
+// unless the world pins a schedule.
 
 import "fmt"
 
@@ -33,7 +33,7 @@ const (
 // allreduceAlgos is the schedule table, indexed by AllreduceAlgo: the one
 // place a schedule's name, its generator and its standing with the tuner are
 // declared. String, ParseAllreduceAlgo, AllreduceAlgos, Schedule (the
-// dispatch), PriceAllreduce and internal/tune's search space all read it.
+// dispatch) and internal/tune's search space all read it.
 var allreduceAlgos = [...]struct {
 	name string
 	// gen generates the schedule; nil for auto, which resolves before
@@ -96,7 +96,7 @@ func ParseAllreduceAlgo(name string) (a AllreduceAlgo, ok bool) {
 }
 
 // AllreduceCandidates lists the schedules a tuner searches on a layout, in
-// enum order (the tuner's tie-break order).
+// enum order (the tuner's exploration and tie-break order).
 func AllreduceCandidates(hierarchical bool) []AllreduceAlgo {
 	out := make([]AllreduceAlgo, 0, len(allreduceAlgos))
 	for i, row := range allreduceAlgos {
@@ -117,58 +117,4 @@ type TunePoint struct {
 	Nodes int
 	PPN   int
 	Op    uint64
-}
-
-// PriceAllreduce walks the steps algo runs on every rank of p's identity
-// layout and returns the most any rank spends: a step (a relay: each hop)
-// costs the dearer of the message it sends and the one it waits for, each
-// priced by price(intra, bytes), intra when the peer shares the rank's
-// node; copies and chunking are free. ok is false for auto, for
-// reduce+broadcast (its tree relay is not priced), for a vector the
-// schedule would hand to reduce+broadcast, for one no allreduce accepts
-// (not whole float32 words) and for a world of no ranks.
-func PriceAllreduce(algo AllreduceAlgo, p TunePoint, price func(intra bool, bytes int) int64) (nanos int64, ok bool) {
-	if algo <= AllreduceAuto || int(algo) >= len(allreduceAlgos) || p.Bytes%4 != 0 || p.Ranks < 1 {
-		return 0, false
-	}
-	row := allreduceAlgos[algo]
-	ppn := max(p.PPN, 1)
-	l := Layout{View: View{Size: p.Ranks}, PPN: ppn, Nodes: max(p.Nodes, (p.Ranks+ppn-1)/ppn), Ranks: p.Ranks}
-	if l.Size < 2 {
-		return 0, true
-	}
-	for ; l.VRank < l.Size; l.VRank++ {
-		steps := row.gen(l, p.Bytes, !row.blocking)
-		if steps == nil {
-			return 0, false
-		}
-		me := l.VRank / l.PPN
-		var total int64
-		for _, st := range steps {
-			switch st.Op {
-			case OpTree:
-				return 0, false
-			case OpCopy:
-				continue
-			}
-			// Per hop, the dearer of the message sent and the one waited for;
-			// a relay's hop h forwards what hop h-1 brought.
-			out, ins := st.Send, []Span{st.Recv}
-			if st.Op == OpRelay {
-				ins = st.Relay
-			}
-			for _, in := range ins {
-				var c int64
-				if st.Op != OpRecv && st.To >= 0 {
-					c = price(st.To/l.PPN == me, out.N)
-				}
-				if st.Op != OpSend && st.From >= 0 {
-					c = max(c, price(st.From/l.PPN == me, in.N))
-				}
-				total, out = total+c, in
-			}
-		}
-		nanos = max(nanos, total)
-	}
-	return nanos, true
 }

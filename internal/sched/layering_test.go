@@ -12,8 +12,9 @@ import (
 
 // TestLayering keeps the schedules below the transport: the non-test files
 // of internal/sched import no package of the module, and internal/tune's do
-// not import internal/mpi — the tuner prices a schedule without running
-// it. A planted module import in sched is caught, as a real one would be.
+// not import internal/mpi — the tuner hears latencies through the
+// mpi.CollTuner hook and never reaches into the transport. A planted module
+// import in sched is caught, as a real one would be.
 func TestLayering(t *testing.T) {
 	pure := func(path string) bool { return path == "mpicomp" || strings.HasPrefix(path, "mpicomp/") }
 	noMPI := func(path string) bool { return path == "mpicomp/internal/mpi" }

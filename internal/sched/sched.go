@@ -2,8 +2,8 @@
 // Bcast, Reduce, Gather, Scatter, Allgather, Alltoall(v), the two-level and
 // scatter-allgather broadcasts, every allreduce schedule) is a pure
 // generator from a Layout to the Steps one rank runs. internal/mpi's one
-// executor runs them; the tuner's price walk (PriceAllreduce) and the
-// symbolic checks read the same steps with no world and no clock. A step
+// executor runs them; the symbolic checks read the same steps with no
+// world and no clock. A step
 // is one call of a shared transport step with its peers, its byte spans
 // and its tag base. The blocking allreduce oracles are the same generators
 // with pipelined off.

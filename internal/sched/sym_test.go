@@ -690,71 +690,6 @@ func TestScheduleProperties(t *testing.T) {
 	}
 }
 
-// TestPriceWalksTheSchedule: PriceAllreduce reads the steps the executor
-// runs — with every message priced 1 it counts the slowest rank's rounds,
-// and on six ranks rd and rab cost what the power-of-two closed form says
-// plus the fold's two whole-vector messages. Auto has no steps and
-// reduce+broadcast's tree relay is not priced: both decline, as every
-// schedule does for a partial-word vector or a world of no ranks.
-func TestPriceWalksTheSchedule(t *testing.T) {
-	for P := 1; P <= 17; P++ {
-		for _, ppn := range []int{1, 2, 4} {
-			if P%ppn != 0 {
-				continue
-			}
-			p := TunePoint{Bytes: 4 * (7*P + 3), Ranks: P, Nodes: P / ppn, PPN: ppn}
-			for _, a := range AllreduceAlgos() {
-				row := allreduceAlgos[a]
-				got, ok := PriceAllreduce(a, p, func(bool, int) int64 { return 1 })
-				if declines := a == AllreduceAuto || a == AllreduceReduceBcast && P > 1; declines || P == 1 {
-					if ok == declines || got != 0 {
-						t.Fatalf("%v on %d ranks: price (%d, %v)", a, P, got, ok)
-					}
-					continue
-				}
-				res := symRun(t, symLayout(P, ppn, nil), func(l Layout) []Step { return row.gen(l, p.Bytes, !row.blocking) },
-					func(int) []Span { return []Span{{N: p.Bytes}} })
-				want := 0
-				for _, h := range res.hops {
-					want = max(want, h)
-				}
-				if !ok || got != int64(want) {
-					t.Fatalf("%v on %dx%d: walked %d rounds (ok %v), the slowest rank runs %d", a, P/ppn, ppn, got, ok, want)
-				}
-			}
-		}
-	}
-
-	const alpha, n = 5000, 1 << 20
-	linear := func(_ bool, bytes int) int64 { return alpha + int64(bytes) }
-	p := TunePoint{Bytes: n, Ranks: 6, Nodes: 6, PPN: 1}
-	fold := 2 * (alpha + n)
-	for _, c := range []struct {
-		algo   AllreduceAlgo
-		closed int // the power-of-two core (4 ranks)
-	}{
-		{AllreduceRecursiveDoubling, 2 * (alpha + n)},
-		{AllreduceRabenseifner, 4*alpha + 2*n*3/4},
-	} {
-		got, ok := PriceAllreduce(c.algo, p, linear)
-		if !ok || got < int64(c.closed+fold) {
-			t.Errorf("%v on 6 ranks priced %d, below the 4-rank closed form %d plus the fold's %d", c.algo, got, c.closed, fold)
-		}
-	}
-	if _, ok := PriceAllreduce(AllreduceRing, TunePoint{Bytes: 12, Ranks: 6, Nodes: 6, PPN: 1}, linear); ok {
-		t.Error("a ring over fewer words than ranks runs reduce+broadcast; its walk must say so")
-	}
-	// No allreduce takes a vector that is not whole words, on any world
-	// size, and a world of no ranks runs nothing.
-	for _, q := range []TunePoint{{Bytes: 6, Ranks: 1}, {Bytes: 6, Ranks: 4, Nodes: 4, PPN: 1}, {Bytes: 8, Ranks: 0}} {
-		for _, a := range AllreduceAlgos() {
-			if got, ok := PriceAllreduce(a, q, linear); ok {
-				t.Errorf("%v priced %+v at %d; its walk must decline", a, q, got)
-			}
-		}
-	}
-}
-
 // FuzzSchedule drives checkSchedule and checkCollective over (generator,
 // world size, ppn, vector length, dropped ranks, root).
 func FuzzSchedule(f *testing.F) {

@@ -23,7 +23,7 @@ import (
 // rejects any other value: a table is a warm-start cache, not data, so a
 // schema change bumps this and an old table is re-tuned, never silently
 // reinterpreted.
-const TableVersion = 2
+const TableVersion = 3
 
 // ErrBadTable is the sentinel all table parse/validate failures wrap.
 var ErrBadTable = errors.New("tune: bad table")
@@ -31,17 +31,15 @@ var ErrBadTable = errors.New("tune: bad table")
 // Table is the persisted tuning state.
 type Table struct {
 	Version int     `json:"version"`
-	Seed    int64   `json:"seed"`
 	Entries []Entry `json:"entries"`
 }
 
 // Entry is one key's committed state.
 type Entry struct {
-	SizeClass  int     `json:"size_class"`
-	Ranks      int     `json:"ranks"`
-	Topo       string  `json:"topo"`
-	RatioMilli int64   `json:"ratio_milli"`
-	Scores     []Score `json:"scores"`
+	SizeClass int     `json:"size_class"`
+	Ranks     int     `json:"ranks"`
+	Topo      string  `json:"topo"`
+	Scores    []Score `json:"scores"`
 }
 
 // Score is one candidate's standing within an entry.
@@ -133,9 +131,6 @@ func (t *Table) Validate() error {
 		}
 		if !validTopo(e.Topo) {
 			return fmt.Errorf("%w: entry %d: unknown topo %q", ErrBadTable, i, e.Topo)
-		}
-		if e.RatioMilli < 0 || e.RatioMilli > 1<<20 {
-			return fmt.Errorf("%w: entry %d: ratio_milli %d out of range", ErrBadTable, i, e.RatioMilli)
 		}
 		k := Key{SizeClass: e.SizeClass, Ranks: e.Ranks, Topo: netsim.TopoClass(e.Topo)}
 		if seenKey[k] {

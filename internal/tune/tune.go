@@ -2,34 +2,25 @@
 // collective algorithm space mpi.AllreduceSum dispatches over, the
 // schedule table of internal/sched. One Tuner instance is shared by every
 // rank in a world (it is the concrete mpi.CollTuner); picks are pure
-// functions of a committed epoch snapshot, and everything learned during
-// an epoch — latency observations, compressibility probe samples, engine
-// counters — sits in a pending set that folds into the snapshot only at
-// Advance, in sorted order, so the tuner's state after N epochs is
+// functions of a committed epoch snapshot, and the latencies observed
+// during an epoch sit in a pending set that folds into the snapshot only
+// at Advance, in sorted order, so the tuner's state after N epochs is
 // independent of goroutine scheduling, codec worker count, and the order
 // ranks happen to report in.
 //
 // The selector keys on (size class, rank count, topology class) and
 // scores each candidate schedule with an EMA of measured virtual-time
-// latency, seeded by an alpha-beta price of the steps the schedule runs
-// (sched.PriceAllreduce) whose wire bytes are discounted by the measured
-// compressibility (a cheap first-touch probe: XOR-delta leading-zero-byte
-// coding over a bounded sample, the same value locality MPC exploits)
-// and by the fraction of traffic that actually compressed (pool
-// fallbacks shrink the effective ratio toward 1). Until every
-// candidate for a key has at least one folded sample the tuner
-// explores: unsampled candidates are tried in ascending predicted
-// cost, with the configured seed rotating the starting point, so
-// different seeds walk the space in different orders while any fixed
-// seed is exactly reproducible. Warm-started keys (loaded from a
-// persisted Table) arrive with samples and a ratio, so they neither
-// re-probe nor re-explore.
+// latency; it prices nothing. Until every candidate for a key has at
+// least one folded sample the tuner explores: unsampled candidates are
+// tried in schedule-table order, with the configured seed rotating the
+// starting point. From then on the pick is the argmin of the measured
+// EMAs, so on flat layouts the committed state is the same for every seed
+// (TestTunerMatchesOracleOnFlatWorlds). Warm-started keys (loaded from a
+// persisted Table) arrive with samples, so they do not re-explore.
 package tune
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -79,11 +70,8 @@ type score struct {
 	samples  int64
 }
 
-// entry is the committed state for one key.
-type entry struct {
-	ratioMilli int64 // measured compressibility x1000; 0 = not yet probed
-	scores     map[sched.AllreduceAlgo]*score
-}
+// entry is the committed state for one key: each sampled candidate's score.
+type entry map[sched.AllreduceAlgo]*score
 
 // latObs is one rank's pending latency report.
 type latObs struct {
@@ -93,40 +81,16 @@ type latObs struct {
 	nanos int64
 }
 
-// probeObs is one pending compressibility sample, reduced to the two
-// integers whose sums the fold needs (sums commute, so arrival order
-// cannot matter).
-type probeObs struct {
-	key       Key
-	origBytes int64
-	estBytes  int64
-}
-
-// Counters carries the engine activity the tuner adapts from: the
-// compressed/fallback split discounts the effective ratio the cost model
-// uses. A driver sums it over a world's engines (omb.WorldCounters) and
-// hands it to NoteCounters before each Advance.
-type Counters struct {
-	Compressions  int64
-	PoolFallbacks int64
-}
-
-func (c *Counters) add(d Counters) {
-	c.Compressions += d.Compressions
-	c.PoolFallbacks += d.PoolFallbacks
-}
-
 // Options configures NewTuner.
 type Options struct {
-	// Seed rotates the exploration order among candidates whose
-	// predicted costs tie. Any fixed seed is exactly reproducible.
+	// Seed rotates the starting point of the exploration walk. Any
+	// fixed seed is exactly reproducible.
 	Seed int64
-	// Cluster supplies the link parameters the cost model prices
-	// schedules with.
+	// Cluster is not read: the tuner prices nothing. It is kept for the
+	// frozen bench/ alone and goes in ROADMAP item 1's [benchmark] PR.
 	Cluster hw.Cluster
 	// Table, when non-nil, warm-starts the tuner: its entries become
-	// the committed snapshot, so loaded keys skip both the ratio probe
-	// and the exploration phase.
+	// the committed snapshot, so loaded keys skip the exploration phase.
 	Table *Table
 }
 
@@ -134,22 +98,16 @@ type Options struct {
 // One instance is shared across all ranks of a world; it satisfies
 // mpi.CollTuner.
 type Tuner struct {
-	mu      sync.Mutex
-	seed    int64
-	cluster hw.Cluster
+	mu   sync.Mutex
+	seed int64
 
-	// Committed snapshot: the only state Pick and NeedProbe read.
-	entries       map[Key]*entry
-	ctr           Counters
-	fallbackMilli int64 // fraction (x1000) of messages that fell back uncompressed
-	epochs        int64
-	probeCount    int64
-	pickCount     map[sched.AllreduceAlgo]int64
+	// Committed snapshot: the only state Pick reads.
+	entries   map[Key]entry
+	epochs    int64
+	pickCount map[sched.AllreduceAlgo]int64
 
 	// Pending: appended during an epoch, folded at Advance.
-	pendLat   []latObs
-	pendProbe []probeObs
-	pendCtr   Counters
+	pendLat []latObs
 }
 
 // NewTuner builds a tuner, optionally warm-started from a table. The
@@ -157,19 +115,18 @@ type Tuner struct {
 func NewTuner(opt Options) *Tuner {
 	t := &Tuner{
 		seed:      opt.Seed,
-		cluster:   opt.Cluster,
-		entries:   make(map[Key]*entry),
+		entries:   make(map[Key]entry),
 		pickCount: make(map[sched.AllreduceAlgo]int64),
 	}
 	if opt.Table != nil {
 		for _, te := range opt.Table.Entries {
-			e := &entry{ratioMilli: te.RatioMilli, scores: make(map[sched.AllreduceAlgo]*score)}
+			e := make(entry)
 			for _, s := range te.Scores {
 				a, err := parseAlgoName(s.Algo)
 				if err != nil {
 					continue // Validate rejects unknown names; belt and braces
 				}
-				e.scores[a] = &score{emaNanos: s.EmaNanos, samples: s.Samples}
+				e[a] = &score{emaNanos: s.EmaNanos, samples: s.Samples}
 			}
 			t.entries[Key{SizeClass: te.SizeClass, Ranks: te.Ranks, Topo: netsim.TopoClass(te.Topo)}] = e
 		}
@@ -193,37 +150,24 @@ func (t *Tuner) PickAllreduce(p sched.TunePoint) sched.AllreduceAlgo {
 	defer t.mu.Unlock()
 	cands := candidatesFor(p)
 	e := t.entries[keyOf(p)]
-	ratio := int64(1000)
-	if e != nil && e.ratioMilli > 0 {
-		ratio = t.effRatioMilliLocked(e.ratioMilli)
-	}
 
-	// Exploration phase: while any candidate lacks a folded sample,
-	// walk the unsampled set in ascending predicted cost, starting at
-	// a seed-rotated offset.
-	type priced struct {
-		algo  sched.AllreduceAlgo
-		nanos int64
-	}
-	var unsampled []priced
+	// Exploration phase: while any candidate lacks a folded sample, walk
+	// the unsampled set in table order from a seed-rotated offset.
+	var unsampled []sched.AllreduceAlgo
 	for _, a := range cands {
-		if e == nil || e.scores[a] == nil || e.scores[a].samples == 0 {
-			unsampled = append(unsampled, priced{a, t.predictNanos(a, p, ratio)})
+		if e[a] == nil || e[a].samples == 0 {
+			unsampled = append(unsampled, a)
 		}
 	}
 	if len(unsampled) > 0 {
-		sort.Slice(unsampled, func(i, j int) bool {
-			x, y := unsampled[i], unsampled[j]
-			return x.nanos < y.nanos || x.nanos == y.nanos && x.algo < y.algo
-		})
-		return unsampled[int(uint64(t.seed)%uint64(len(unsampled)))].algo
+		return unsampled[int(uint64(t.seed)%uint64(len(unsampled)))]
 	}
 
 	// Exploitation: argmin committed EMA, enum order breaking ties.
 	best := cands[0]
-	bestScore := e.scores[best].emaNanos
+	bestScore := e[best].emaNanos
 	for _, a := range cands[1:] {
-		if s := e.scores[a].emaNanos; s < bestScore {
+		if s := e[a].emaNanos; s < bestScore {
 			best, bestScore = a, s
 		}
 	}
@@ -238,61 +182,13 @@ func (t *Tuner) ObserveAllreduce(p sched.TunePoint, algo sched.AllreduceAlgo, el
 	t.pendLat = append(t.pendLat, latObs{key: keyOf(p), algo: algo, op: p.Op, nanos: int64(elapsed)})
 }
 
-// NeedProbe reports whether the point's key still lacks a
-// compressibility estimate. Warm-started keys arrive with one, so they
-// never re-probe.
-func (t *Tuner) NeedProbe(p sched.TunePoint) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.entries[keyOf(p)]
-	return e == nil || e.ratioMilli == 0
-}
-
-// ObserveProbeSample reduces a first-touch sample to (original,
-// estimated) byte sums and queues them; the ratio commits at Advance.
-func (t *Tuner) ObserveProbeSample(p sched.TunePoint, sample []byte) {
-	orig, est := estimateSample(sample)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.pendProbe = append(t.pendProbe, probeObs{key: keyOf(p), origBytes: orig, estBytes: est})
-}
-
-// NoteCounters queues engine activity totals (summed over all ranks'
-// engines by the caller) for folding at Advance.
-func (t *Tuner) NoteCounters(c Counters) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.pendCtr.add(c)
-}
-
 // Advance folds everything pending into the committed snapshot. Call
 // it only at world-synchronous points (between World.Run invocations);
-// the fold sorts each pending set first, so the committed state is
+// the fold sorts the pending set first, so the committed state is
 // independent of the order observations arrived in.
 func (t *Tuner) Advance() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-
-	// Probes: per-key integer sums (commutative), then one ratio.
-	sort.Slice(t.pendProbe, func(i, j int) bool { return probeLess(t.pendProbe[i], t.pendProbe[j]) })
-	for i := 0; i < len(t.pendProbe); {
-		j := i
-		var orig, est int64
-		for ; j < len(t.pendProbe) && t.pendProbe[j].key == t.pendProbe[i].key; j++ {
-			orig += t.pendProbe[j].origBytes
-			est += t.pendProbe[j].estBytes
-		}
-		e := t.entryLocked(t.pendProbe[i].key)
-		if e.ratioMilli == 0 && est > 0 {
-			e.ratioMilli = orig * 1000 / est
-			if e.ratioMilli < 1000 {
-				e.ratioMilli = 1000 // estimator overhead never expands on the wire: bypass floor
-			}
-		}
-		t.probeCount += int64(j - i)
-		i = j
-	}
-	t.pendProbe = t.pendProbe[:0]
 
 	// Latencies: group by (key, algo, op), take the max across ranks
 	// (a collective is as slow as its slowest rank), quantize, and
@@ -308,11 +204,15 @@ func (t *Tuner) Advance() {
 			}
 		}
 		x := maxNanos - maxNanos%latQuantum
-		e := t.entryLocked(o.key)
-		s := e.scores[o.algo]
+		e := t.entries[o.key]
+		if e == nil {
+			e = make(entry)
+			t.entries[o.key] = e
+		}
+		s := e[o.algo]
 		if s == nil {
 			s = &score{}
-			e.scores[o.algo] = s
+			e[o.algo] = s
 		}
 		if s.samples == 0 {
 			s.emaNanos = x
@@ -324,25 +224,7 @@ func (t *Tuner) Advance() {
 		i = j
 	}
 	t.pendLat = t.pendLat[:0]
-
-	// Counters: running totals plus the fallback fraction the cost
-	// model discounts compressibility by.
-	t.ctr.add(t.pendCtr)
-	t.pendCtr = Counters{}
-	if total := t.ctr.Compressions + t.ctr.PoolFallbacks; total > 0 {
-		t.fallbackMilli = t.ctr.PoolFallbacks * 1000 / total
-	}
 	t.epochs++
-}
-
-func probeLess(a, b probeObs) bool {
-	if a.key != b.key {
-		return keyLess(a.key, b.key)
-	}
-	if a.origBytes != b.origBytes {
-		return a.origBytes < b.origBytes
-	}
-	return a.estBytes < b.estBytes
 }
 
 func latLess(a, b latObs) bool {
@@ -368,82 +250,6 @@ func keyLess(a, b Key) bool {
 	return a.Topo < b.Topo
 }
 
-func (t *Tuner) entryLocked(k Key) *entry {
-	e := t.entries[k]
-	if e == nil {
-		e = &entry{scores: make(map[sched.AllreduceAlgo]*score)}
-		t.entries[k] = e
-	}
-	return e
-}
-
-// effRatioMilliLocked discounts a measured ratio by the fraction of
-// traffic that fell back uncompressed (pool exhaustion): wire bytes
-// saved only apply to the messages that actually compressed.
-func (t *Tuner) effRatioMilliLocked(ratioMilli int64) int64 {
-	return 1000 + (ratioMilli-1000)*(1000-t.fallbackMilli)/1000
-}
-
-// estimateSample prices a buffer prefix under an XOR-delta
-// leading-zero-byte code — the same word-neighbor value locality MPC
-// exploits — using only integer ops. Returns (original, estimated)
-// byte counts for commutative sum-folding.
-func estimateSample(sample []byte) (orig, est int64) {
-	words := len(sample) / 4
-	if words < 2 {
-		return int64(len(sample)), int64(len(sample))
-	}
-	prev := binary.LittleEndian.Uint32(sample[0:4])
-	est = 5 // first word: tag byte + raw word
-	for i := 1; i < words; i++ {
-		w := binary.LittleEndian.Uint32(sample[4*i:])
-		lzBytes := bits.LeadingZeros32(w^prev) / 8
-		est += int64(1 + 4 - lzBytes)
-		prev = w
-	}
-	return int64(words * 4), est
-}
-
-// predictNanos prices the steps the schedule runs (sched.PriceAllreduce)
-// under the alpha-beta model: a message costs its link's latency and
-// per-message overhead plus its wire time, and ratioMilli, the effective
-// compression ratio (x1000), shrinks the wire bytes on the compressed link
-// — the inter-node one, or the only one. A schedule that would hand the
-// point to reduce+broadcast is explored last.
-func (t *Tuner) predictNanos(algo sched.AllreduceAlgo, p sched.TunePoint, ratioMilli int64) int64 {
-	singleNode := netsim.ClassifyTopo(p.Nodes, p.PPN) == netsim.TopoSingleNode
-	nanos, ok := sched.PriceAllreduce(algo, p, func(intra bool, bytes int) int64 {
-		link := t.cluster.InterNode
-		if intra {
-			link = t.cluster.IntraNode
-		}
-		if !intra || singleNode {
-			bytes = int(int64(bytes) * 1000 / ratioMilli)
-		}
-		cost := int64(link.Latency + link.PerMsgOverhead)
-		if bytes > 0 {
-			cost += int64(simtime.TransferTime(bytes, link.BandwidthGBps))
-		}
-		return cost
-	})
-	if !ok {
-		return math.MaxInt64
-	}
-	return nanos
-}
-
-// PredictNanos exposes the cost model: the schedule's predicted latency at
-// the tuner's current effective ratio for the point's key.
-func (t *Tuner) PredictNanos(algo sched.AllreduceAlgo, p sched.TunePoint) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ratio := int64(1000)
-	if e := t.entries[keyOf(p)]; e != nil && e.ratioMilli > 0 {
-		ratio = t.effRatioMilliLocked(e.ratioMilli)
-	}
-	return t.predictNanos(algo, p, ratio)
-}
-
 // Snapshot exports the committed state as a canonical Table (entries
 // and scores sorted), suitable for Marshal and a later warm start.
 func (t *Tuner) Snapshot() *Table {
@@ -454,24 +260,19 @@ func (t *Tuner) Snapshot() *Table {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	tab := &Table{Version: TableVersion, Seed: t.seed}
+	tab := &Table{Version: TableVersion}
 	for _, k := range keys {
 		e := t.entries[k]
-		te := Entry{
-			SizeClass:  k.SizeClass,
-			Ranks:      k.Ranks,
-			Topo:       string(k.Topo),
-			RatioMilli: e.ratioMilli,
-		}
-		algos := make([]sched.AllreduceAlgo, 0, len(e.scores))
-		for a := range e.scores {
+		te := Entry{SizeClass: k.SizeClass, Ranks: k.Ranks, Topo: string(k.Topo)}
+		algos := make([]sched.AllreduceAlgo, 0, len(e))
+		for a := range e {
 			algos = append(algos, a)
 		}
 		// Canonical order is by name, matching ParseTable, so Marshal
 		// of a snapshot is already the fixpoint form.
 		sort.Slice(algos, func(i, j int) bool { return algos[i].String() < algos[j].String() })
 		for _, a := range algos {
-			s := e.scores[a]
+			s := e[a]
 			te.Scores = append(te.Scores, Score{Algo: a.String(), EmaNanos: s.emaNanos, Samples: s.samples})
 		}
 		tab.Entries = append(tab.Entries, te)
@@ -480,8 +281,8 @@ func (t *Tuner) Snapshot() *Table {
 }
 
 // StatsLine renders the deterministic one-line summary ombrun prints
-// as "# tune: ...": epochs folded, probes taken, table size, per-algo
-// folded pick counts (enum order), and the fallback discount.
+// as "# tune: ...": epochs folded, table size and per-algo folded pick
+// counts (enum order).
 func (t *Tuner) StatsLine() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -497,6 +298,5 @@ func (t *Tuner) StatsLine() string {
 	if picks == "" {
 		picks = "-"
 	}
-	return fmt.Sprintf("# tune: epochs=%d probes=%d entries=%d picks={%s} fallback_milli=%d",
-		t.epochs, t.probeCount, len(t.entries), picks, t.fallbackMilli)
+	return fmt.Sprintf("# tune: epochs=%d entries=%d picks={%s}", t.epochs, len(t.entries), picks)
 }

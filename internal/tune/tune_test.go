@@ -2,12 +2,10 @@ package tune
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
 
-	"mpicomp/internal/hw"
 	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
@@ -28,55 +26,11 @@ func TestSizeClass(t *testing.T) {
 	}
 }
 
-func TestEstimateSample(t *testing.T) {
-	// Constant words: every XOR delta is zero, so each word after the
-	// first costs one tag byte — ratio approaches 4x.
-	smooth := make([]byte, 4096)
-	for i := 0; i < len(smooth); i += 4 {
-		binary.LittleEndian.PutUint32(smooth[i:], 0x3f800000)
-	}
-	orig, est := estimateSample(smooth)
-	if orig != 4096 {
-		t.Fatalf("orig = %d, want 4096", orig)
-	}
-	if ratio := orig * 1000 / est; ratio < 3000 {
-		t.Errorf("smooth ratio = %d milli, want >= 3000", ratio)
-	}
-
-	// Words that flip their high byte every step leave no leading
-	// zeros to elide: ratio stays at (or below) 1:1 before the floor.
-	noisy := make([]byte, 4096)
-	for i := 0; i < len(noisy); i += 4 {
-		binary.LittleEndian.PutUint32(noisy[i:], uint32(i)*0x9e3779b9)
-	}
-	orig, est = estimateSample(noisy)
-	if ratio := orig * 1000 / est; ratio > 1100 {
-		t.Errorf("noisy ratio = %d milli, want <= 1100", ratio)
-	}
-
-	// Degenerate inputs never divide by zero.
-	for _, n := range []int{0, 1, 3, 4, 7} {
-		o, e := estimateSample(make([]byte, n))
-		if o < 0 || e < 0 || (o > 0 && e == 0) {
-			t.Errorf("estimateSample(len %d) = (%d, %d)", n, o, e)
-		}
-	}
-}
-
 // runEpoch plays one epoch against the tuner the way ombrun does:
-// every rank probes if asked, picks, observes the latency table's
-// value for the picked algorithm (with a per-rank sub-quantum wobble
-// to mimic calendar swaps), then the world advances.
+// every rank picks, observes the latency table's value for the picked
+// algorithm (with a per-rank sub-quantum wobble to mimic calendar
+// swaps), then the world advances.
 func runEpoch(tn *Tuner, p sched.TunePoint, lat map[sched.AllreduceAlgo]int64) sched.AllreduceAlgo {
-	if tn.NeedProbe(p) {
-		sample := make([]byte, 1024)
-		for i := 0; i < len(sample); i += 4 {
-			binary.LittleEndian.PutUint32(sample[i:], 0x3f800000+uint32(i/64))
-		}
-		for rank := 0; rank < p.Ranks; rank++ {
-			tn.ObserveProbeSample(p, sample)
-		}
-	}
 	algo := tn.PickAllreduce(p)
 	for rank := 0; rank < p.Ranks; rank++ {
 		tn.ObserveAllreduce(p, algo, simtime.Duration(lat[algo]+int64(rank%3)*17))
@@ -86,7 +40,7 @@ func runEpoch(tn *Tuner, p sched.TunePoint, lat map[sched.AllreduceAlgo]int64) s
 }
 
 func TestExploreThenExploit(t *testing.T) {
-	tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
+	tn := NewTuner(Options{Seed: 0})
 	p := flatPoint(1<<20, 1)
 	lat := map[sched.AllreduceAlgo]int64{
 		sched.AllreduceRing:              3_000_000,
@@ -112,12 +66,11 @@ func TestExploreThenExploit(t *testing.T) {
 func TestAdvanceFoldOrderInvariance(t *testing.T) {
 	p := flatPoint(256<<10, 7)
 	build := func(reverse bool) []byte {
-		tn := NewTuner(Options{Seed: 3, Cluster: hw.Longhorn()})
+		tn := NewTuner(Options{Seed: 3})
 		var obs []func()
 		for rank := 0; rank < p.Ranks; rank++ {
 			r := rank
 			obs = append(obs,
-				func() { tn.ObserveProbeSample(p, make([]byte, 512)) },
 				func() {
 					tn.ObserveAllreduce(p, sched.AllreduceRing, simtime.Duration(900_000+int64(r)*31))
 				},
@@ -134,7 +87,6 @@ func TestAdvanceFoldOrderInvariance(t *testing.T) {
 		for _, f := range obs {
 			f()
 		}
-		tn.NoteCounters(Counters{Compressions: 40, PoolFallbacks: 2})
 		tn.Advance()
 		out, err := tn.Snapshot().Marshal()
 		if err != nil {
@@ -151,7 +103,7 @@ func TestAdvanceFoldOrderInvariance(t *testing.T) {
 func TestQuantizeAbsorbsSubQuantumJitter(t *testing.T) {
 	p := flatPoint(128<<10, 2)
 	build := func(extra int64) []byte {
-		tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
+		tn := NewTuner(Options{Seed: 0})
 		for rank := 0; rank < p.Ranks; rank++ {
 			tn.ObserveAllreduce(p, sched.AllreduceRing, simtime.Duration(500_000+extra))
 		}
@@ -169,7 +121,7 @@ func TestQuantizeAbsorbsSubQuantumJitter(t *testing.T) {
 }
 
 func TestWarmStartSkipsProbeAndExploration(t *testing.T) {
-	tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
+	tn := NewTuner(Options{Seed: 0})
 	p := flatPoint(1<<20, 0)
 	lat := map[sched.AllreduceAlgo]int64{
 		sched.AllreduceRing:              3_000_000,
@@ -189,18 +141,15 @@ func TestWarmStartSkipsProbeAndExploration(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 
-	warm := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn(), Table: tab})
-	if warm.NeedProbe(p) {
-		t.Fatal("warm-started tuner re-probes a loaded key")
-	}
+	warm := NewTuner(Options{Seed: 0, Table: tab})
 	// All candidates carry samples, so the very first pick exploits.
 	if got := warm.PickAllreduce(p); got != sched.AllreduceRecursiveDoubling {
 		t.Fatalf("warm pick = %s, want rd", got)
 	}
-	// An unseen key still probes and explores.
+	// An unseen key still explores, from where a cold tuner starts.
 	q := sched.TunePoint{Bytes: 4 << 20, Ranks: 16, Nodes: 16, PPN: 1, Op: 9}
-	if !warm.NeedProbe(q) {
-		t.Fatal("warm-started tuner skipped probing an unseen key")
+	if got, cold := warm.PickAllreduce(q), NewTuner(Options{Seed: 0}).PickAllreduce(q); got != cold {
+		t.Fatalf("warm-started tuner picks %s on an unseen key, a cold one explores %s first", got, cold)
 	}
 }
 
@@ -208,15 +157,15 @@ func TestSeedRotatesExploration(t *testing.T) {
 	p := flatPoint(512<<10, 0)
 	picks := make(map[sched.AllreduceAlgo]bool)
 	for seed := int64(0); seed < 3; seed++ {
-		tn := NewTuner(Options{Seed: seed, Cluster: hw.Longhorn()})
+		tn := NewTuner(Options{Seed: seed})
 		picks[tn.PickAllreduce(p)] = true
 	}
 	if len(picks) < 2 {
 		t.Fatalf("seeds 0..2 all explored the same first candidate; want rotation")
 	}
 	// And a fixed seed is exactly reproducible.
-	a := NewTuner(Options{Seed: 42, Cluster: hw.Longhorn()})
-	b := NewTuner(Options{Seed: 42, Cluster: hw.Longhorn()})
+	a := NewTuner(Options{Seed: 42})
+	b := NewTuner(Options{Seed: 42})
 	if x, y := a.PickAllreduce(p), b.PickAllreduce(p); x != y {
 		t.Fatalf("same seed diverged: %s vs %s", x, y)
 	}
@@ -241,31 +190,8 @@ func TestTwoLevelOnlyOnHierarchical(t *testing.T) {
 	}
 }
 
-func TestCountersDiscountEffectiveRatio(t *testing.T) {
-	p := flatPoint(4<<20, 0)
-	lat := map[sched.AllreduceAlgo]int64{
-		sched.AllreduceRing:              1_000_000,
-		sched.AllreduceRecursiveDoubling: 1_000_000,
-		sched.AllreduceRabenseifner:      1_000_000,
-	}
-	mk := func(c Counters) *Tuner {
-		tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
-		runEpoch(tn, p, lat) // installs a measured ratio > 1
-		tn.NoteCounters(c)
-		tn.Advance()
-		return tn
-	}
-	healthy := mk(Counters{Compressions: 100})
-	degraded := mk(Counters{Compressions: 10, PoolFallbacks: 90})
-	h := healthy.PredictNanos(sched.AllreduceRing, p)
-	d := degraded.PredictNanos(sched.AllreduceRing, p)
-	if d <= h {
-		t.Fatalf("fallback-heavy counters should raise predicted wire cost: healthy=%d degraded=%d", h, d)
-	}
-}
-
 func TestStatsLineDeterministic(t *testing.T) {
-	tn := NewTuner(Options{Seed: 0, Cluster: hw.Longhorn()})
+	tn := NewTuner(Options{Seed: 0})
 	p := flatPoint(1<<20, 0)
 	lat := map[sched.AllreduceAlgo]int64{
 		sched.AllreduceRing:              3_000_000,
@@ -277,7 +203,7 @@ func TestStatsLineDeterministic(t *testing.T) {
 		runEpoch(tn, p, lat)
 	}
 	line := tn.StatsLine()
-	want := "# tune: epochs=4 probes=8 entries=1 picks={ring:1 rd:2 rab:1} fallback_milli=0"
+	want := "# tune: epochs=4 entries=1 picks={ring:1 rd:2 rab:1}"
 	if line != want {
 		t.Fatalf("stats line:\n got %q\nwant %q", line, want)
 	}
@@ -285,7 +211,7 @@ func TestStatsLineDeterministic(t *testing.T) {
 
 func TestParseTableRejectsMalformed(t *testing.T) {
 	valid := func() []byte {
-		tn := NewTuner(Options{Seed: 1, Cluster: hw.Longhorn()})
+		tn := NewTuner(Options{Seed: 1})
 		p := flatPoint(1<<20, 0)
 		runEpoch(tn, p, map[sched.AllreduceAlgo]int64{
 			sched.AllreduceRing: 1, sched.AllreduceRecursiveDoubling: 1, sched.AllreduceRabenseifner: 1,
@@ -302,27 +228,31 @@ func TestParseTableRejectsMalformed(t *testing.T) {
 
 	cases := map[string][]byte{
 		"not json":       []byte("not json"),
-		"wrong version":  []byte(`{"version": 3, "seed": 0, "entries": []}`),
+		"wrong version":  []byte(`{"version": 4, "entries": []}`),
 		"v1 table":       []byte(`{"version":1,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"chunk_bytes":65536,"codec_hint":"none","scores":[]}]}`),
-		"unknown field":  []byte(`{"version": 2, "seed": 0, "entries": [], "bogus": 1}`),
+		"v2 table":       []byte(`{"version":2,"seed":0,"entries":[{"size_class":20,"ranks":8,"topo":"flat","ratio_milli":1430,"scores":[{"algo":"rd","ema_nanos":1048576,"samples":3}]}]}`),
+		"unknown field":  []byte(`{"version": 3, "entries": [], "bogus": 1}`),
+		"v2 column":      []byte(`{"version":3,"entries":[{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"scores":[]}]}`),
 		"trailing data":  append(append([]byte{}, valid...), []byte("{}")...),
-		"bad topo":       []byte(`{"version":2,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"mesh","ratio_milli":1000,"scores":[]}]}`),
-		"bad algo":       []byte(`{"version":2,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"scores":[{"algo":"warp","ema_nanos":1,"samples":1}]}]}`),
-		"negative ranks": []byte(`{"version":2,"seed":0,"entries":[{"size_class":10,"ranks":-1,"topo":"flat","ratio_milli":1000,"scores":[]}]}`),
-		"duplicate key":  []byte(`{"version":2,"seed":0,"entries":[{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"scores":[]},{"size_class":10,"ranks":4,"topo":"flat","ratio_milli":1000,"scores":[]}]}`),
+		"bad topo":       []byte(`{"version":3,"entries":[{"size_class":10,"ranks":4,"topo":"mesh","scores":[]}]}`),
+		"bad algo":       []byte(`{"version":3,"entries":[{"size_class":10,"ranks":4,"topo":"flat","scores":[{"algo":"warp","ema_nanos":1,"samples":1}]}]}`),
+		"negative ranks": []byte(`{"version":3,"entries":[{"size_class":10,"ranks":-1,"topo":"flat","scores":[]}]}`),
+		"duplicate key":  []byte(`{"version":3,"entries":[{"size_class":10,"ranks":4,"topo":"flat","scores":[]},{"size_class":10,"ranks":4,"topo":"flat","scores":[]}]}`),
 	}
 	for name, data := range cases {
 		if _, err := ParseTable(data); !errors.Is(err, ErrBadTable) {
 			t.Errorf("%s: err = %v, want ErrBadTable", name, err)
 		}
 	}
-	if _, err := ParseTable(cases["v1 table"]); err == nil || !strings.Contains(err.Error(), "re-tune") {
-		t.Errorf("a v1 table must be rejected with a re-tune hint, got %v", err)
+	for _, name := range []string{"v1 table", "v2 table"} {
+		if _, err := ParseTable(cases[name]); err == nil || !strings.Contains(err.Error(), "re-tune") {
+			t.Errorf("a %s must be rejected with a re-tune hint, got %v", name, err)
+		}
 	}
 }
 
 func TestMarshalFixpoint(t *testing.T) {
-	tn := NewTuner(Options{Seed: 9, Cluster: hw.Longhorn()})
+	tn := NewTuner(Options{Seed: 9})
 	lat := map[sched.AllreduceAlgo]int64{
 		sched.AllreduceRing: 2_000_000, sched.AllreduceRecursiveDoubling: 1_000_000,
 		sched.AllreduceRabenseifner: 3_000_000, sched.AllreduceTwoLevel: 1_500_000,
