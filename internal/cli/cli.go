@@ -366,7 +366,7 @@ func ParseHealth(s string) (pol mpi.HealthPolicy, err error) {
 
 // ParseBreaker parses a codec-circuit-breaker spec of the form
 // "threshold=3,cooldown=2ms"; empty is the zero policy (breaker off).
-func ParseBreaker(s string) (pol core.BreakerPolicy, err error) {
+func ParseBreaker(s string) (pol mpi.BreakerPolicy, err error) {
 	err = parseSpec("breaker", s, opt("threshold", &pol.Threshold, parseCount),
 		opt("cooldown", &pol.Cooldown, ParseSimDuration))
 	return pol, err

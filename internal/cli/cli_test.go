@@ -371,7 +371,7 @@ func TestParseBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.BreakerPolicy{Threshold: 3, Cooldown: 2 * simtime.Millisecond}
+	want := mpi.BreakerPolicy{Threshold: 3, Cooldown: 2 * simtime.Millisecond}
 	if pol != want {
 		t.Errorf("ParseBreaker = %+v, want %+v", pol, want)
 	}

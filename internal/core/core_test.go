@@ -159,19 +159,19 @@ func smooth(n int, seed int64) []float32 {
 func TestShouldCompress(t *testing.T) {
 	e, dev, _ := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC})
 	big := deviceBufferWith(dev, smooth(1<<20, 1)) // 4 MB
-	if !e.ShouldCompress(big) {
+	if !e.ShouldCompressPacked(big, big.Len()) {
 		t.Fatal("4MB device buffer should compress")
 	}
 	small := deviceBufferWith(dev, smooth(100, 1))
-	if e.ShouldCompress(small) {
+	if e.ShouldCompressPacked(small, small.Len()) {
 		t.Fatal("small buffer must not compress")
 	}
 	host := gpusim.NewHostBuffer(4 << 20)
-	if e.ShouldCompress(host) {
+	if e.ShouldCompressPacked(host, host.Len()) {
 		t.Fatal("host buffer must not compress")
 	}
 	off, _, _ := newTestEngine(t, Config{Mode: ModeOff, Algorithm: AlgoMPC})
-	if off.ShouldCompress(big) {
+	if off.ShouldCompressPacked(big, big.Len()) {
 		t.Fatal("ModeOff must not compress")
 	}
 }

@@ -168,7 +168,7 @@ func TestDecodedFailurePublishesNothing(t *testing.T) {
 	if err := fifth.e.DecompressRelayed(fifth.clk, hdr, payload, fifth.dst, nil); err != nil || fifth.e.HostSnapshot().DecodeJobs != 1 {
 		t.Fatalf("nil companion: %v", err)
 	}
-	raw, rawHdr := fifth.e.Bypass(fifth.clk, fifth.dst)
+	raw, rawHdr := fifth.e.BypassChunk(fifth.clk, fifth.dst, nil, 0, fifth.dst.Len())
 	plainDec := NewDecoded(rawHdr)
 	sixth := newConsumer(t, cfg, hdr.OrigBytes)
 	if err := sixth.e.DecompressRelayed(sixth.clk, rawHdr, raw, sixth.dst, plainDec); err != nil || plainDec.data != nil {

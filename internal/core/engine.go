@@ -85,10 +85,6 @@ type Engine struct {
 	// growing) the pool mid-message, the engine degrades to the
 	// uncompressed path and the runtime stays live.
 	PoolFallbacks int
-	// FallbackRecvs counts received messages whose header carried the
-	// breaker's Fallback bit — the peer told us it degraded to the
-	// uncompressed path for this pair.
-	FallbackRecvs int
 	// ChecksumFailures counts end-to-end integrity verification failures
 	// observed by VerifyPayload.
 	ChecksumFailures int
@@ -132,12 +128,6 @@ type Engine struct {
 	// periodic compressibility probe.
 	crEstimate float64
 	probes     int
-
-	// brk is the per-peer codec circuit breaker (nil when disabled). It
-	// carries its own mutex, independent of e.mu: transports record
-	// failures from other ranks' goroutines and must not contend with an
-	// in-flight compression.
-	brk *Breaker
 }
 
 // RatioAchieved reports the cumulative compression ratio since the last
@@ -157,7 +147,7 @@ func (e *Engine) ResetCounters() {
 	defer e.mu.Unlock()
 	e.Stats.Reset()
 	e.Compressions, e.Decompressions, e.Bypasses = 0, 0, 0
-	e.PoolFallbacks, e.ChecksumFailures, e.FallbackRecvs = 0, 0, 0
+	e.PoolFallbacks, e.ChecksumFailures = 0, 0
 	e.BytesIn, e.BytesOut = 0, 0
 	e.CacheHits, e.CacheMisses, e.CacheInvalidations, e.CacheEvictions = 0, 0, 0, 0
 	e.RelayedBytes, e.PipelinedChunks = 0, 0
@@ -166,8 +156,6 @@ func (e *Engine) ResetCounters() {
 	// Cache entries deliberately survive: a warmed cache is the steady
 	// state a measurement window should observe, exactly like the warmed
 	// buffer pools.
-	// Breaker state deliberately survives: an open breaker reflects the
-	// peer's codec health, not this measurement window's accounting.
 }
 
 // HostSnapshot returns the accumulated host codec wall-clock stats.
@@ -208,7 +196,6 @@ func (e *Engine) runDecode(n int, job codecpool.Job, dst, decoded []byte) {
 func NewEngine(clk *simtime.Clock, dev *gpusim.GPUDevice, cfg Config) *Engine {
 	e := &Engine{cfg: cfg.withDefaults(), dev: dev}
 	e.codec = codecpool.Sized(e.cfg.Workers)
-	e.brk = NewBreaker(e.cfg.Breaker)
 	if e.cfg.Mode == ModeOpt && e.cfg.Algorithm != AlgoNone {
 		e.pool = gpusim.NewBufferPool(clk, dev, e.cfg.PoolBuffers, e.cfg.PoolBufBytes)
 		e.offPool = gpusim.NewBufferPool(clk, dev, e.cfg.PoolBuffers, 4*dev.Spec.SMs)
@@ -257,17 +244,10 @@ func whole(buf *gpusim.Buffer, t dtype.Type) message {
 	return message{buf: buf, t: t, n: t.Size()}
 }
 
-// ShouldCompress implements the framework's eligibility test (step 1 of
-// Figure 4) for a contiguous message: device-resident data, size at or
-// above the threshold, a 4-byte-aligned element count, and compression
-// enabled.
-func (e *Engine) ShouldCompress(buf *gpusim.Buffer) bool {
-	return e.ShouldCompressPacked(buf, buf.Len())
-}
-
-// ShouldCompressPacked is the eligibility test over a packed wire size n
-// — a layout's t.Size(), or one pipeline chunk — rather than the source
-// buffer's extent.
+// ShouldCompressPacked implements the framework's eligibility test (step 1
+// of Figure 4) over a packed wire size n — a message's length, a layout's
+// t.Size(), or one pipeline chunk: device-resident data, size at or above
+// the threshold, a 4-byte-aligned length, and compression enabled.
 func (e *Engine) ShouldCompressPacked(buf *gpusim.Buffer, n int) bool {
 	if e == nil || e.cfg.Mode == ModeOff || e.cfg.Algorithm == AlgoNone {
 		return false
@@ -401,80 +381,19 @@ func (e *Engine) bypassViewLocked(clk *simtime.Clock, m message) ([]byte, Header
 	return view, hdr
 }
 
-// Bypass produces the uncompressed wire form of buf — a checksummed
-// AlgoNone header over a snapshot of the bytes — regardless of the
-// message's compression eligibility. The runtime uses it when the codec
-// circuit breaker has opened for the destination: the message must still
-// travel, just not through the codec. Counted as a Bypass.
-func (e *Engine) Bypass(clk *simtime.Clock, buf *gpusim.Buffer) ([]byte, Header) {
-	return e.BypassChunk(clk, buf, nil, 0, buf.Len())
-}
-
-// BypassChunk is Bypass for packed bytes [off, off+n) of the words t
-// selects from buf (of buf itself when t is nil).
+// BypassChunk produces the uncompressed wire form of packed bytes
+// [off, off+n) of the words t selects from buf (of buf itself when t is
+// nil) — a checksummed AlgoNone header over a snapshot of the bytes —
+// regardless of the message's compression eligibility. The runtime uses it
+// when the codec circuit breaker has opened for the destination: the
+// message must still travel, just not through the codec. Counted as a
+// Bypass.
 func (e *Engine) BypassChunk(clk *simtime.Clock, buf *gpusim.Buffer, t dtype.Type, off, n int) ([]byte, Header) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.Bypasses++
 	return snapshot(e.bypassViewLocked(clk, message{buf: buf, t: t, off: off, n: n}))
 }
-
-// NoteFallbackRecv counts an arrived message whose header carried the
-// breaker's Fallback bit.
-func (e *Engine) NoteFallbackRecv() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.FallbackRecvs++
-}
-
-// --- codec circuit breaker wrappers (all no-ops when the breaker is
-// disabled; see breaker.go for the state machine) ---
-
-// BreakerAllow reports whether a message to dst may take the compressed
-// path now, possibly starting a half-open probe.
-func (e *Engine) BreakerAllow(dst int, now simtime.Time) bool {
-	if e == nil {
-		return true
-	}
-	return e.brk.Allow(dst, now)
-}
-
-// BreakerOpen reports whether dst's compressed path is currently rejected,
-// without driving any state transition.
-func (e *Engine) BreakerOpen(dst int, now simtime.Time) bool {
-	if e == nil {
-		return false
-	}
-	return e.brk.IsOpen(dst, now)
-}
-
-// BreakerEnabled reports whether this engine runs a codec breaker.
-func (e *Engine) BreakerEnabled() bool { return e != nil && e.brk != nil }
-
-// BreakerProbeAborted rearms a consumed half-open probe that could not
-// exercise the codec (the message was bypassed for unrelated reasons).
-func (e *Engine) BreakerProbeAborted(dst int) {
-	if e != nil {
-		e.brk.ProbeAborted(dst)
-	}
-}
-
-// BreakerFailure records a codec-path delivery failure toward dst.
-func (e *Engine) BreakerFailure(dst int, now simtime.Time) {
-	if e != nil {
-		e.brk.RecordFailure(dst, now)
-	}
-}
-
-// BreakerSuccess records a codec-path delivery success toward dst.
-func (e *Engine) BreakerSuccess(dst int) {
-	if e != nil {
-		e.brk.RecordSuccess(dst)
-	}
-}
-
-// BreakerSnapshot returns the breaker's counters (zero when disabled).
-func (e *Engine) BreakerSnapshot() BreakerStats { return e.brk.Stats() }
 
 // PoolBalance reports the staging pool's free and total buffer counts
 // (both zero without a pool). A quiesced runtime must show free == total:

@@ -89,3 +89,41 @@ func TestEveryDecoderIsFuzzed(t *testing.T) {
 		}
 	}
 }
+
+// TestHeaderFallbackRoundTrip pins the degradation-negotiation bit on the
+// wire: Fallback survives Encode/DecodeHeader in every combination with
+// Compressed, and the flag byte stays within the two defined bits.
+func TestHeaderFallbackRoundTrip(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		for _, fallback := range []bool{false, true} {
+			h := Header{
+				Algo: AlgoMPC, Compressed: compressed, Fallback: fallback,
+				OrigBytes: 1 << 20, CompBytes: 1 << 18, Dim: 3,
+				PartBytes: []int{1 << 17, 1 << 17}, Checksum: 0xdeadbeef,
+			}
+			enc := h.Encode()
+			if enc[1]&^(hdrFlagCompressed|hdrFlagFallback) != 0 {
+				t.Errorf("flag byte %#x sets undefined bits", enc[1])
+			}
+			got, err := DecodeHeader(enc)
+			if err != nil {
+				t.Fatalf("compressed=%v fallback=%v: %v", compressed, fallback, err)
+			}
+			if got.Compressed != compressed || got.Fallback != fallback {
+				t.Errorf("round trip gave compressed=%v fallback=%v, want %v/%v",
+					got.Compressed, got.Fallback, compressed, fallback)
+			}
+			if got.OrigBytes != h.OrigBytes || got.CompBytes != h.CompBytes ||
+				got.Checksum != h.Checksum || len(got.PartBytes) != len(h.PartBytes) {
+				t.Errorf("round trip mangled non-flag fields: %+v", got)
+			}
+		}
+	}
+	// Pre-breaker encodings (flag byte 0 or 1) must still parse with
+	// Fallback false — the feature is wire-compatible.
+	legacy := Header{Algo: AlgoNone, OrigBytes: 64, CompBytes: 64}
+	got, err := DecodeHeader(legacy.Encode())
+	if err != nil || got.Fallback {
+		t.Errorf("legacy header decoded to fallback=%v err=%v", got.Fallback, err)
+	}
+}
