@@ -59,7 +59,6 @@ func (r *Rank) consumeRaw(raw rawResult, dst *gpusim.Buffer) error {
 				return fmt.Errorf("chunk %d: %w", i, err)
 			}
 		}
-		r.noteChunkFallback(raw.chunks)
 		return nil
 	}
 	err := r.Engine.DecompressRelayed(r.Clock, raw.hdr, raw.payload, dst, raw.decoded)
