@@ -187,6 +187,30 @@ func TestOmbrunTuneTableNeedsAuto(t *testing.T) {
 	}
 }
 
+// TestOmbrunRejectsBadParameters: a measurement with no iteration, and a
+// codec parameter outside the codec's range, are usage errors (exit 1,
+// naming the problem) before anything runs; they used to divide by zero
+// in a driver or panic a rank at its first compressed message.
+func TestOmbrunRejectsBadParameters(t *testing.T) {
+	bin := buildCommands(t)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-bench", "bcast", "-nodes", "2", "-sizes", "1M", "-iters", "0"}, "iters >= 1"},
+		{[]string{"-bench", "latency", "-sizes", "1M", "-warmup", "-1"}, "warmup >= 0"},
+		{[]string{"-bench", "bw", "-sizes", "1M", "-iters", "0"}, "iters >= 1"},
+		{[]string{"-codec", "zfp", "-rate", "40", "-sizes", "1M"}, "rate out of range"},
+		{[]string{"-codec", "mpc", "-mpcdim", "-2", "-sizes", "1M"}, "dimensionality out of range"},
+	} {
+		out, err := exec.Command(filepath.Join(bin, "ombrun"), c.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !bytes.Contains(out, []byte(c.want)) {
+			t.Errorf("ombrun %s: %v, want exit status 1 naming %q\n%s", strings.Join(c.args, " "), err, c.want, out)
+		}
+	}
+}
+
 // TestTable3ReproducesCommittedRun: Table III has one definition, cmd/tables,
 // and one committed run, results_table3.txt; the first must print the second
 // byte for byte (its ratios are measured by the real codecs on the eight

@@ -32,6 +32,9 @@ type codec struct {
 	// needsOffPool marks a codec whose kernels also draw a d_off
 	// synchronization array from offPool.
 	needsOffPool bool
+	// check reports the codec's error for cfg's control parameter (the
+	// one its first message would fail with), nil when it is in range.
+	check func(cfg Config) error
 }
 
 // codecs is the fixed codec table, indexed by Algorithm. AlgoNone's row
@@ -45,6 +48,10 @@ var codecs = [...]codec{
 		kernelCosts:  (*Engine).mpcKernelCosts,
 		probe:        (*Engine).mpcProbe,
 		needsOffPool: true,
+		check: func(cfg Config) error {
+			_, err := mpc.CompressedSize(nil, cfg.MPCDim)
+			return err
+		},
 	},
 	AlgoZFP: {
 		name:        "ZFP",
@@ -52,6 +59,10 @@ var codecs = [...]codec{
 		decompress:  (*Engine).decompressZFP,
 		ratio:       (*Engine).zfpRatio,
 		kernelCosts: (*Engine).zfpKernelCosts,
+		check: func(cfg Config) error {
+			_, err := zfp.CompressedSize(0, cfg.ZFPRate)
+			return err
+		},
 	},
 }
 

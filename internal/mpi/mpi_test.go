@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -8,7 +9,9 @@ import (
 	"mpicomp/internal/datasets"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/hw"
+	"mpicomp/internal/mpc"
 	"mpicomp/internal/simtime"
+	"mpicomp/internal/zfp"
 )
 
 func mustWorld(t testing.TB, opt Options) *World {
@@ -18,6 +21,31 @@ func mustWorld(t testing.TB, opt Options) *World {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestNewWorldRejectsCodecParams: a control parameter the selected codec
+// rejects fails NewWorld, not a rank at its first eligible message. Zero
+// keeps the codec's default, and the codec not selected is not asked.
+func TestNewWorldRejectsCodecParams(t *testing.T) {
+	for _, c := range []struct {
+		cfg  core.Config
+		want error
+	}{
+		{core.Config{Algorithm: core.AlgoZFP, ZFPRate: 40}, zfp.ErrBadRate},
+		{core.Config{Algorithm: core.AlgoZFP, ZFPRate: 2}, zfp.ErrBadRate},
+		{core.Config{Algorithm: core.AlgoMPC, MPCDim: -2}, mpc.ErrBadDim},
+		{core.Config{Algorithm: core.AlgoMPC, MPCDim: 33}, mpc.ErrBadDim},
+		{core.Config{Algorithm: core.AlgoZFP}, nil},
+		{core.Config{Algorithm: core.AlgoMPC, MPCDim: 32}, nil},
+		{core.Config{Algorithm: core.AlgoMPC, ZFPRate: 40}, nil},
+		{core.Config{Algorithm: core.AlgoNone, MPCDim: 33}, nil},
+	} {
+		c.cfg.Mode = core.ModeOpt
+		_, err := NewWorld(Options{Cluster: hw.Longhorn(), Nodes: 1, PPN: 1, Engine: c.cfg})
+		if !errors.Is(err, c.want) || (c.want == nil) != (err == nil) {
+			t.Errorf("%v rate=%d dim=%d: NewWorld error %v, want %v", c.cfg.Algorithm, c.cfg.ZFPRate, c.cfg.MPCDim, err, c.want)
+		}
+	}
 }
 
 func devBuf(r *Rank, vals []float32) *gpusim.Buffer {

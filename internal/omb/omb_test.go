@@ -195,6 +195,29 @@ func TestLatencyNeedsTwoRanks(t *testing.T) {
 	}
 }
 
+// TestDriversRejectBadIters: no measured iteration or a negative warmup is
+// an error from every driver, not a division by zero (a panic on a rank)
+// or a NaN bandwidth.
+func TestDriversRejectBadIters(t *testing.T) {
+	w := newW(t, hw.Longhorn(), 2, 1, core.Config{})
+	for _, c := range []struct{ warmup, iters int }{{0, 0}, {-1, 1}, {2, -3}} {
+		runs := map[string]func() error{
+			"latency": func() error { _, err := Latency(w, []int{1024}, c.warmup, c.iters, nil); return err },
+			"bw":      func() error { _, err := Bandwidth(w, []int{1024}, c.warmup, c.iters, 4, 0); return err },
+			"bibw":    func() error { _, err := BiBandwidth(w, []int{1024}, c.warmup, c.iters, 4); return err },
+			"bcast": func() error {
+				_, err := CollectiveLatency(w, "bcast", 1024, c.warmup, c.iters, nil)
+				return err
+			},
+		}
+		for name, run := range runs {
+			if err := run(); err == nil || !strings.Contains(err.Error(), "iters >= 1") {
+				t.Errorf("%s with warmup=%d iters=%d: %v, want an iters error", name, c.warmup, c.iters, err)
+			}
+		}
+	}
+}
+
 func TestDefaultSizes(t *testing.T) {
 	s := DefaultSizes()
 	if s[0] != 256<<10 || s[len(s)-1] != 32<<20 || len(s) != 8 {
