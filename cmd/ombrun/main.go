@@ -256,14 +256,33 @@ func writeStats(out io.Writer, w *mpi.World, opt mpi.Options) {
 		fmt.Fprintf(out, "# health: doomed=%v watchdog-wakeups=%d cascade-quiets=%d\n",
 			hs.Doomed, hs.WatchdogWakeups, hs.CascadeQuiets)
 	}
-	if opt.Engine.PipelineChunkBytes > 0 {
-		var ps core.PipelineStats
-		for r := 0; r < w.Size(); r++ {
-			ps.Add(w.Rank(r).Engine.PipeSnapshot())
+	var ps core.PipelineStats
+	var picks []int
+	for r := 0; r < w.Size(); r++ {
+		ps.Add(w.Rank(r).Engine.PipeSnapshot())
+		for k, n := range w.Rank(r).Engine.ChunkPicks() {
+			for len(picks) <= k {
+				picks = append(picks, 0)
+			}
+			picks[k] += n
 		}
-		fmt.Fprintf(out, "# pipeline: chunks=%d relay-chunks=%d retransmits=%d retransmit-bytes=%d credit-stalls=%d window-shrinks=%d degrades=%d bypass-small=%d bypass-degraded=%d\n",
+	}
+	if opt.Engine.PipelineChunkBytes > 0 || ps.Chunks > 0 {
+		// k= is the chunk chooser's histogram, count by chunk count
+		// (1: kept whole); "-" when nothing was priced.
+		var hist []string
+		for k, n := range picks {
+			if n > 0 {
+				hist = append(hist, fmt.Sprintf("%d:%d", k, n))
+			}
+		}
+		if hist == nil {
+			hist = []string{"-"}
+		}
+		fmt.Fprintf(out, "# pipeline: chunks=%d relay-chunks=%d retransmits=%d retransmit-bytes=%d credit-stalls=%d window-shrinks=%d degrades=%d bypass-small=%d bypass-degraded=%d k=%s\n",
 			ps.Chunks, ps.RelayChunks, ps.Retransmits, ps.RetransmitBytes,
-			ps.CreditStalls, ps.WindowShrinks, ps.DegradeEvents, ps.BypassSmall, ps.BypassDegraded)
+			ps.CreditStalls, ps.WindowShrinks, ps.DegradeEvents, ps.BypassSmall, ps.BypassDegraded,
+			strings.Join(hist, ","))
 	}
 	if opt.Health.SelfHeal {
 		rs := w.RecoveryStats()

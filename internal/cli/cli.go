@@ -48,7 +48,7 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 		Dim:     fs.Int("mpcdim", 1, "MPC dimensionality"),
 		Dynamic: fs.Bool("dynamic", false, "enable cost-model-driven per-message selection"),
 		Workers: fs.Int("workers", 0, "host codec worker pool size (0 = GOMAXPROCS, 1 = serial; cannot affect results)"),
-		Chunk:   fs.String("chunk", "", "pipelined-rendezvous chunk size, e.g. 256K (empty = off)"),
+		Chunk:   fs.String("chunk", "", "pipelined-rendezvous chunk size, e.g. 256K (empty = the cost model sizes point-to-point sends, off = whole messages)"),
 		Cache:   fs.Int("cache", 0, "compress-once cache entries per engine (0 = default, negative = off)"),
 		Credits: fs.Int("credits", 0, "pipeline credit window: max chunks in flight (0 = default, negative = unlimited)"),
 	}
@@ -61,7 +61,11 @@ func (e *EngineFlags) Config() (core.Config, error) {
 		Workers: *e.Workers, CacheEntries: *e.Cache,
 		PipelineCredits: *e.Credits,
 	}
-	if *e.Chunk != "" {
+	switch *e.Chunk {
+	case "":
+	case "off":
+		cfg.PipelineChunkBytes = -1
+	default:
 		sizes, err := ParseSizes(*e.Chunk)
 		if err != nil || len(sizes) != 1 {
 			return cfg, fmt.Errorf("bad -chunk %q", *e.Chunk)

@@ -22,9 +22,12 @@ type codec struct {
 	// ratio predicts the compression ratio of the next message.
 	ratio func(e *Engine) float64
 	// kernelCosts predicts the compression-side and decompression-side
-	// kernel-and-overhead costs of an n-byte message, mirroring the
-	// kernels' own accounting.
+	// kernel costs of an n-byte message (MPC's size readback included),
+	// mirroring the kernels' own accounting; overheads predicts the fixed
+	// charges around them in ModeOpt (launches, syncs, pool takes, the
+	// d_off memset, the combine).
 	kernelCosts func(e *Engine, n int) (compr, decompr simtime.Duration)
+	overheads   func(e *Engine, n int) (compr, decompr simtime.Duration)
 	// probe sample-compresses the packed prefix of a gated message (pn
 	// bytes, word-truncated into sample) to refresh the ratio estimate;
 	// nil for fixed-rate codecs, whose ratio is known without looking.
@@ -46,6 +49,7 @@ var codecs = [...]codec{
 		decompress:   (*Engine).decompressMPC,
 		ratio:        (*Engine).mpcRatio,
 		kernelCosts:  (*Engine).mpcKernelCosts,
+		overheads:    (*Engine).mpcOverheads,
 		probe:        (*Engine).mpcProbe,
 		needsOffPool: true,
 		check: func(cfg Config) error {
@@ -59,6 +63,7 @@ var codecs = [...]codec{
 		decompress:  (*Engine).decompressZFP,
 		ratio:       (*Engine).zfpRatio,
 		kernelCosts: (*Engine).zfpKernelCosts,
+		overheads:   (*Engine).zfpOverheads,
 		check: func(cfg Config) error {
 			_, err := zfp.CompressedSize(0, cfg.ZFPRate)
 			return err
@@ -135,6 +140,35 @@ func (e *Engine) zfpKernelCosts(n int) (compr, decompr simtime.Duration) {
 		ThroughputGbps: zfpKernelGbps(spec.ZFPDecompressGbps, e.cfg.ZFPRate),
 	})
 	return kc, kd
+}
+
+// mpcOverheads mirrors the fixed charges of compressMPC and
+// decompressMPC in ModeOpt. The partitions' kernels run concurrently, one
+// stream each, launched one after another behind the d_off memset, and the
+// last launched finishes last: each side pays its pool takes, one launch
+// for the memset and one per partition, and the closing sync. The sender
+// adds, for several partitions, the combine: a launch per moved partition,
+// the last copy (sized by the ratio estimate) and a sync.
+func (e *Engine) mpcOverheads(n int) (compr, decompr simtime.Duration) {
+	spec := e.dev.Spec
+	parts := DefaultPartitions(n, e.cfg.MaxPartitions)
+	launches := simtime.Duration(1+parts) * spec.KernelLaunch
+	compr = 2*gpusim.PoolHit + launches + spec.StreamSync
+	if parts > 1 {
+		part := int(float64(n) / e.mpcRatio() / float64(parts))
+		compr += simtime.Duration(parts-1)*spec.KernelLaunch +
+			simtime.TransferTime(part, spec.MemBWGBps/2) + spec.StreamSync
+	}
+	return compr, gpusim.PoolHit + launches + spec.StreamSync
+}
+
+// zfpOverheads mirrors the fixed charges of compressZFP and decompressZFP
+// in ModeOpt: the stream and field set-up, the sender's pool take, one
+// launch and one sync a side (the cached grid query is free).
+func (e *Engine) zfpOverheads(int) (compr, decompr simtime.Duration) {
+	spec := e.dev.Spec
+	fixed := zfpStreamSetup + spec.KernelLaunch + spec.StreamSync
+	return fixed + gpusim.PoolHit, fixed
 }
 
 // mpcProbe measures the sample's real compressed size, charging one small

@@ -122,13 +122,15 @@ type Config struct {
 	// message is compressed only when the model predicts a latency win
 	// on the link it will traverse.
 	Dynamic bool
-	// PipelineChunkBytes enables pipelined rendezvous (extension,
-	// modeled on MVAPICH2-GDR's chunked large-message path): messages
-	// larger than twice this size are compressed and transferred chunk
-	// by chunk, overlapping chunk k's transfer with chunk k+1's
-	// compression and the receiver's decompression of earlier chunks.
-	// Zero disables pipelining (whole-message compression, as in the
-	// paper's Figure 4).
+	// PipelineChunkBytes sizes pipelined rendezvous (extension, modeled
+	// on MVAPICH2-GDR's chunked large-message path): a message is
+	// compressed and transferred chunk by chunk, overlapping chunk k's
+	// transfer with chunk k+1's compression and the receiver's
+	// decompression of earlier chunks. Above zero, every rendezvous
+	// message of at least twice this size is cut into chunks of it.
+	// Zero lets the cost model size point-to-point sends in ModeOpt
+	// (Engine.PipelineChunks) and keeps collectives whole. Negative sends
+	// every message whole, as in the paper's Figure 4.
 	PipelineChunkBytes int
 	// PipelineCredits is the chunk-granular flow-control window of the
 	// pipelined rendezvous path: at most this many chunks may be in

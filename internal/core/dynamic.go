@@ -45,18 +45,32 @@ func (e *Engine) observeRatio(r float64) {
 	e.crEstimate = (1-ratioEWMAWeight)*e.crEstimate + ratioEWMAWeight*r
 }
 
-// estimateKernelCosts predicts the compression-side and decompression-side
-// kernel-and-overhead costs for a message of n bytes under the current
-// configuration: the codec's own kernels plus the launch and sync every
-// kernel pays.
-func (e *Engine) estimateKernelCosts(n int) (compr, decompr simtime.Duration) {
+// chunkParamsLocked prices an n-byte message, or one n-byte chunk of a
+// send, over a link of bwGBps for the model: the codec's kernels and the
+// ratio estimate, and in ModeOpt every fixed charge around the kernels
+// plus the checksum pass over the predicted payload, on the sender and
+// again on the receiver. ModeNaive keeps the gate's first, coarse overhead
+// of two launches and two syncs a side: nothing chooses chunks there, and
+// its per-message cudaMalloc, cudaFree and device-property queries
+// (Section III) were never priced.
+func (e *Engine) chunkParamsLocked(n int, bwGBps float64) model.Params {
+	p := model.Params{MsgBytes: n, BandwidthGBps: bwGBps, CR: e.predictedRatioLocked()}
 	c := codecFor(e.cfg.Algorithm)
 	if c == nil {
-		return 0, 0
+		return p
 	}
-	fixed := 2*e.dev.Spec.KernelLaunch + 2*e.dev.Spec.StreamSync
-	compr, decompr = c.kernelCosts(e, n)
-	return compr + fixed, decompr + fixed
+	p.Tcompr, p.Tdecompr = c.kernelCosts(e, n)
+	if e.cfg.Mode != ModeOpt {
+		spec := e.dev.Spec
+		p.TohCompr = 2*spec.KernelLaunch + 2*spec.StreamSync
+		p.TohDecompr = p.TohCompr
+		return p
+	}
+	p.TohCompr, p.TohDecompr = c.overheads(e, n)
+	sum := simtime.ThroughputTime(int(float64(n)/p.CR), e.dev.Spec.MemBWGBps*8)
+	p.TohCompr += sum
+	p.TohDecompr += sum
+	return p
 }
 
 // PredictBenefit evaluates equation (2) against equation (1) for an
@@ -65,19 +79,15 @@ func (e *Engine) estimateKernelCosts(n int) (compr, decompr simtime.Duration) {
 func (e *Engine) PredictBenefit(n int, bwGBps float64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.predictBenefitLocked(n, bwGBps)
+	return e.predictBenefitLocked(n, 1, bwGBps)
 }
 
-func (e *Engine) predictBenefitLocked(n int, bwGBps float64) bool {
-	compr, decompr := e.estimateKernelCosts(n)
-	p := model.Params{
-		Tcompr:        compr,
-		Tdecompr:      decompr,
-		MsgBytes:      n,
-		BandwidthGBps: bwGBps,
-		CR:            e.predictedRatioLocked(),
-	}
-	return model.Benefit(p) > 0
+// predictBenefitLocked is the dynamic gate's price: a send of k parts of n
+// bytes, pipelined (model.Pipelined; k = 1 is equation 2), against the
+// uncompressed transfer of all k·n bytes (equation 1).
+func (e *Engine) predictBenefitLocked(n, k int, bwGBps float64) bool {
+	base := model.Baseline(model.Params{MsgBytes: k * n, BandwidthGBps: bwGBps})
+	return base > model.Pipelined(e.chunkParamsLocked(n, bwGBps), k)
 }
 
 // probeBytes is the prefix sampled to estimate a message's MPC
@@ -110,20 +120,21 @@ func (e *Engine) probeRatioLocked(clk *simtime.Clock, m message) {
 }
 
 // compressForLinkLocked is compressLocked behind the dynamic-selection
-// gate: when Config.Dynamic is set, messages whose predicted benefit over
-// the given link is non-positive bypass compression. To avoid a cold-start
-// lock-in (a pessimistic initial ratio estimate would bypass forever and
-// never be corrected), gated messages are periodically probed: a small
-// prefix is sample-compressed to refresh the ratio estimate before the
-// final decision.
-func (e *Engine) compressForLinkLocked(clk *simtime.Clock, m message, bwGBps float64) ([]byte, Header) {
-	if e.cfg.Dynamic && e.eligible(m) && !e.predictBenefitLocked(m.n, bwGBps) {
+// gate: when Config.Dynamic is set, a part m of a send cut into k parts
+// (k = 1: m is the whole message) bypasses compression when the model
+// predicts no benefit for the send over the given link. To avoid a
+// cold-start lock-in (a pessimistic initial ratio estimate would bypass
+// forever and never be corrected), gated messages are periodically probed:
+// a small prefix is sample-compressed to refresh the ratio estimate before
+// the final decision.
+func (e *Engine) compressForLinkLocked(clk *simtime.Clock, m message, k int, bwGBps float64) ([]byte, Header) {
+	if e.cfg.Dynamic && e.eligible(m) && !e.predictBenefitLocked(m.n, k, bwGBps) {
 		probe := e.probes%probeInterval == 0
 		e.probes++
 		if probe {
 			e.probeRatioLocked(clk, m)
 		}
-		if !probe || !e.predictBenefitLocked(m.n, bwGBps) {
+		if !probe || !e.predictBenefitLocked(m.n, k, bwGBps) {
 			e.Bypasses++
 			return e.bypassViewLocked(clk, m)
 		}

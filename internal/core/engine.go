@@ -119,6 +119,8 @@ type Engine struct {
 	// (retransmits, credit stalls, window shrinks, degrades, bypasses);
 	// PipeSnapshot exposes them (pipestats.go).
 	pipe PipelineStats
+	// picks is the chunk chooser's histogram (ChunkPicks).
+	picks []int
 	// Tracer, when non-nil, receives every phase interval for timeline
 	// inspection; Track labels this engine's timeline row.
 	Tracer *trace.Collector
@@ -152,6 +154,7 @@ func (e *Engine) ResetCounters() {
 	e.CacheHits, e.CacheMisses, e.CacheInvalidations, e.CacheEvictions = 0, 0, 0, 0
 	e.RelayedBytes, e.PipelinedChunks = 0, 0
 	e.pipe = PipelineStats{}
+	e.picks = nil
 	e.Host = HostStats{}
 	// Cache entries deliberately survive: a warmed cache is the steady
 	// state a measurement window should observe, exactly like the warmed
@@ -600,7 +603,7 @@ func (e *Engine) compressZFP(clk *simtime.Clock, src []byte, n int, view typedVi
 
 	// --- zfp_stream / zfp_field construction (CPU-side) ---
 	t := startTimer(clk)
-	clk.Advance(simtime.FromMicroseconds(4.5))
+	clk.Advance(zfpStreamSetup)
 	e.charge(t, PhaseStreamField)
 
 	// --- get_max_grid_dims: the dominant naive overhead (Fig. 8a) ---
@@ -912,7 +915,7 @@ func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, d
 	}
 
 	t := startTimer(clk)
-	clk.Advance(simtime.FromMicroseconds(4.5))
+	clk.Advance(zfpStreamSetup)
 	e.charge(t, PhaseStreamField)
 
 	t = startTimer(clk)
@@ -964,6 +967,10 @@ func splitWordsInto(dst [][2]int, n, parts int) [][2]int {
 	}
 	return dst
 }
+
+// zfpStreamSetup is the CPU-side zfp_stream / zfp_field construction each
+// ZFP kernel call pays.
+const zfpStreamSetup = 4500 * simtime.Nanosecond
 
 // zfpKernelGbps adjusts the Table III throughput calibration (measured at
 // rate 16) for other rates. ZFP's kernel cost is dominated by the

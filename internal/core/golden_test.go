@@ -112,7 +112,7 @@ func runGoldenCell(t *testing.T, name string, cfg Config, lay goldenLayout, chun
 		}
 	}
 	cached := func(off, n int) ([]byte, Header) {
-		return e.CompressChunkCached(clk, src, lay.t, off, n, bw)
+		return e.CompressChunkCached(clk, src, lay.t, off, n, 1, bw)
 	}
 	pass("cold", cached)
 	pass("warm", cached)

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // PipelineStats snapshots the chunk-granular transport reliability
 // counters of one engine (or, via Add, of a whole job). Everything here is
 // derived from seeded fault decisions and program-order virtual-clock
@@ -96,4 +98,20 @@ func (e *Engine) NotePipeBypass(small bool) {
 		e.pipe.BypassDegraded++
 	}
 	e.mu.Unlock()
+}
+
+// ChunkPicks is the chooser's histogram: ChunkPicks()[k] counts the sends
+// PipelineChunks cut into k chunks ([1]: kept whole).
+func (e *Engine) ChunkPicks() []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return slices.Clone(e.picks)
+}
+
+// notePickLocked counts one of the chooser's picks.
+func (e *Engine) notePickLocked(k int) {
+	for len(e.picks) <= k {
+		e.picks = append(e.picks, 0)
+	}
+	e.picks[k]++
 }

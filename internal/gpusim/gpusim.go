@@ -406,15 +406,18 @@ func (p *BufferPool) BufBytes() int { return p.bufBytes }
 // FreeCount reports how many buffers are currently available.
 func (p *BufferPool) FreeCount() int { return len(p.free) }
 
+// PoolHit is the fixed bookkeeping charge of a pool hit.
+const PoolHit = 200 * simtime.Nanosecond
+
 // Get returns a pooled buffer of at least n bytes. If the pool is empty or
 // n exceeds the pooled buffer size, it falls back to cudaMalloc (a miss).
-// Pool hits cost a fixed sub-microsecond bookkeeping charge.
+// Pool hits cost PoolHit.
 func (p *BufferPool) Get(clk *simtime.Clock, n int) *Buffer {
 	p.Gets++
 	if n <= p.bufBytes && len(p.free) > 0 {
 		b := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
-		clk.Advance(simtime.FromMicroseconds(0.2))
+		clk.Advance(PoolHit)
 		return b
 	}
 	p.Misses++

@@ -38,14 +38,34 @@ func Baseline(p Params) simtime.Duration {
 // WithCompression is equation (2): the full cost including compression,
 // decompression and their overheads, with the payload reduced by CR.
 func WithCompression(p Params) simtime.Duration {
+	return p.Ts + p.Tcompr + p.TohCompr + p.wire() + p.Tdecompr + p.TohDecompr
+}
+
+// wire is the transfer time of the compressed payload.
+func (p Params) wire() simtime.Duration {
 	cr := p.CR
 	if cr < 1 {
 		cr = 1
 	}
-	payload := int(float64(p.MsgBytes) / cr)
-	return p.Ts + p.Tcompr + p.TohCompr +
-		simtime.TransferTime(payload, p.BandwidthGBps) +
-		p.Tdecompr + p.TohDecompr
+	return simtime.TransferTime(int(float64(p.MsgBytes)/cr), p.BandwidthGBps)
+}
+
+// Pipelined is equation (2) for a message sent as k chunks whose
+// compression, transfer and decompression overlap: p describes one chunk
+// (MsgBytes, kernel times and overheads are a chunk's), the first chunk
+// pays all three stages and each further one the slowest stage,
+//
+//	T(k) = Ts + c + w + d + (k-1)·max(c, w, d)
+//
+// with c = Tcompr + TohCompr, w the chunk's wire time and d = Tdecompr +
+// TohDecompr. k = 1 is WithCompression.
+func Pipelined(p Params, k int) simtime.Duration {
+	t := WithCompression(p)
+	if k <= 1 {
+		return t
+	}
+	stage := max(p.Tcompr+p.TohCompr, p.wire(), p.Tdecompr+p.TohDecompr)
+	return t + simtime.Duration(k-1)*stage
 }
 
 // Ideal is equation (3): overheads assumed negligible.

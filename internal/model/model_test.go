@@ -99,3 +99,32 @@ func TestMinMessageSize(t *testing.T) {
 		t.Fatal("higher CR should lower the break-even size")
 	}
 }
+
+func TestPipelinedAtOneChunkIsWithCompression(t *testing.T) {
+	for _, cr := range []float64{0.5, 1, 1.11, 2, 8.87} {
+		for _, n := range []int{0, 1, 256 << 10, 16<<20 + 3, 32 << 20} {
+			p := baseParams()
+			p.CR, p.MsgBytes = cr, n
+			if got, want := Pipelined(p, 1), WithCompression(p); got != want {
+				t.Fatalf("CR %v, %d bytes: Pipelined(p, 1) = %d, WithCompression = %d", cr, n, int64(got), int64(want))
+			}
+		}
+	}
+}
+
+func TestPipelinedAddsTheSlowestStage(t *testing.T) {
+	p := baseParams() // per chunk: c 350us, d 400us, w 168us
+	p.MsgBytes = 4 << 20
+	w := simtime.TransferTime(2<<20, p.BandwidthGBps)
+	d := p.Tdecompr + p.TohDecompr
+	if d < w {
+		t.Fatalf("want a decompress-bound chunk: d %v, w %v", d, w)
+	}
+	if got, want := Pipelined(p, 4), WithCompression(p)+3*d; got != want {
+		t.Fatalf("Pipelined(p, 4) = %v, want %v", got, want)
+	}
+	p.CR, p.MsgBytes = 0.5, 8<<20 // CR clamped to 1: w 671us is the slowest stage
+	if got, want := Pipelined(p, 3), WithCompression(p)+2*simtime.TransferTime(8<<20, p.BandwidthGBps); got != want {
+		t.Fatalf("wire-bound Pipelined(p, 3) = %v, want %v", got, want)
+	}
+}

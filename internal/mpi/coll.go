@@ -364,7 +364,7 @@ func (r *Rank) alltoallvStep(tag, dst, src int, seg, into *gpusim.Buffer) error 
 	}
 	var out *envelope
 	if dst >= 0 {
-		env, err := r.prepare(dst, seg, nil)
+		env, err := r.prepare(dst, tag, seg, nil)
 		if err != nil {
 			return err
 		}

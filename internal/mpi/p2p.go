@@ -369,7 +369,7 @@ func (r *Rank) Isend(dst, tag int, buf *gpusim.Buffer) (*Request, error) {
 // waves) calls the two halves apart and holds the wire form in between.
 func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, error) {
 	start := r.Clock.Now()
-	env, err := r.prepare(dst, buf, t)
+	env, err := r.prepare(dst, tag, buf, t)
 	if err != nil {
 		return nil, err
 	}
@@ -386,8 +386,9 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, 
 // returns it as an envelope the fabric has not seen: the eager copy and its
 // checksum, a chunk stream compressed chunk by chunk, or a whole-message
 // payload. Everything that costs codec or checksum time happens here;
-// post does the rest.
-func (r *Rank) prepare(dst int, buf *gpusim.Buffer, t dtype.Type) (*envelope, error) {
+// post does the rest. tag decides only whether this is a user send (tag
+// >= 0), the only kind the model cuts (pipelineCut).
+func (r *Rank) prepare(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*envelope, error) {
 	if err := r.checkPeer(dst); err != nil {
 		return nil, err
 	}
@@ -420,16 +421,16 @@ func (r *Rank) prepare(dst int, buf *gpusim.Buffer, t dtype.Type) (*envelope, er
 		return env, nil
 	}
 
-	if r.pipelineEligible(dst, total) {
+	if chunk := r.pipelineCut(dst, buf, t, total, tag >= 0); chunk > 0 {
 		env.pipelined = true
 		env.hdr = core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total}
-		r.compressChunks(env, buf, t, total)
+		r.compressChunks(env, buf, t, total, chunk)
 		return env, nil
 	}
 
 	// Whole-message rendezvous: compress (steps 1-3; a layout's gather rides
 	// the codec's read pass), then RTS with the piggybacked header (step 4).
-	f := r.newSendForm(dst, buf, t)
+	f := r.newSendForm(dst, buf, t, 1)
 	env.payload, env.hdr, env.fb = f.part(0, total)
 	f.done()
 	return env, nil
@@ -448,17 +449,22 @@ type sendForm struct {
 	dst int
 	buf *gpusim.Buffer
 	t   dtype.Type
-	// bw is the destination link's bandwidth: the engine's dynamic gate
-	// decides per message on the link it will traverse.
+	// k is the send's part count and bw the destination link's bandwidth:
+	// the engine's dynamic gate prices the send as it will travel.
+	k  int
 	bw float64
 	// asked records that the breaker gave its verdict, refused what it
 	// was; compressed that some part took the codec path.
 	asked, refused, compressed bool
 }
 
-func (r *Rank) newSendForm(dst int, buf *gpusim.Buffer, t dtype.Type) sendForm {
-	link := r.world.fabric.LinkFor(r.Node(), r.world.nodeOf(dst))
-	return sendForm{r: r, dst: dst, buf: buf, t: t, bw: link.BandwidthGBps}
+func (r *Rank) newSendForm(dst int, buf *gpusim.Buffer, t dtype.Type, k int) sendForm {
+	return sendForm{r: r, dst: dst, buf: buf, t: t, k: k, bw: r.linkGBps(dst)}
+}
+
+// linkGBps is the bandwidth of the link from this rank to dst.
+func (r *Rank) linkGBps(dst int) float64 {
+	return r.world.fabric.LinkFor(r.Node(), r.world.nodeOf(dst)).BandwidthGBps
 }
 
 // part builds the wire form of packed bytes [off, off+n) of the words t
@@ -482,7 +488,7 @@ func (f *sendForm) part(off, n int) ([]byte, core.Header, wireFallback) {
 			return payload, hdr, nil
 		}
 	}
-	payload, hdr := r.Engine.CompressChunkCached(r.Clock, f.buf, f.t, off, n, f.bw)
+	payload, hdr := r.Engine.CompressChunkCached(r.Clock, f.buf, f.t, off, n, f.k, f.bw)
 	if !hdr.Compressed || r.brk == nil {
 		return payload, hdr, nil
 	}
@@ -833,7 +839,8 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header, dec *
 	r.Engine.NoteRelay(len(payload))
 	r.Clock.Advance(simtime.FromMicroseconds(0.3))
 	env := &envelope{src: r.id, dst: dst, hdr: hdr, decoded: dec}
-	if !r.pipelineEligible(dst, len(payload)) {
+	chunkBytes := r.pipelineCut(dst, nil, nil, len(payload), false)
+	if chunkBytes == 0 {
 		env.payload = payload
 		return r.post(env, tag, r.Clock.Now()), nil
 	}
@@ -841,7 +848,6 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header, dec *
 	// per-segment CRCs (the bytes are scanned once either way).
 	r.Engine.ChecksumWire(r.Clock, payload)
 	env.pipelined, env.relayChunks = true, true
-	chunkBytes := r.Engine.Config().PipelineChunkBytes
 	for off := 0; off < len(payload); off += chunkBytes {
 		seg := payload[off:min(off+chunkBytes, len(payload))]
 		env.addChunk(r.Clock.Now(), seg, core.Header{Compressed: hdr.Compressed}, off, core.Checksum(seg), nil)

@@ -166,38 +166,46 @@ func (r *Rank) notePipeOutcome(dst, retransmits int, failed bool) {
 	}
 }
 
-// pipelineEligible reports whether an n-byte rendezvous message to dst
-// should take the chunked path, counting every bypass by reason so tuning
-// can see what the pipeline skipped. Ragged tails are fine — the final
-// chunk is simply short (and engine-bypassed when unaligned) — so size is
-// the only data-shape gate.
-func (r *Rank) pipelineEligible(dst, n int) bool {
+// pipelineCut returns the chunk size an n-byte rendezvous send to dst of
+// the words t selects from buf is cut into, 0 for a whole message,
+// counting every bypass by reason so tuning can see what the pipeline
+// skipped. A PipelineChunkBytes above zero cuts every send of at least two
+// chunks, a negative one none. At zero, a user send (Send, Isend, Sendrecv
+// and their typed forms) is cut at the engine chooser's k
+// (core.Engine.PipelineChunks), and collective steps and relays stay
+// whole. Ragged tails are fine — the final chunk is simply short (and
+// engine-bypassed when unaligned) — so size is the only data-shape gate.
+func (r *Rank) pipelineCut(dst int, buf *gpusim.Buffer, t dtype.Type, n int, user bool) int {
 	chunk := r.Engine.Config().PipelineChunkBytes
-	if chunk <= 0 {
-		return false
-	}
-	if n < 2*chunk {
+	switch {
+	case chunk < 0 || chunk == 0 && !user:
+		return 0
+	case chunk > 0 && n < 2*chunk:
 		r.Engine.NotePipeBypass(true)
-		return false
-	}
-	if r.pipeDegraded(dst) {
+		return 0
+	case r.pipeDegraded(dst):
 		r.Engine.NotePipeBypass(false)
-		return false
+		return 0
+	case chunk > 0:
+		return chunk
 	}
-	return true
+	k, _ := r.Engine.PipelineChunks(buf, t, n, r.linkGBps(dst))
+	if k < 2 {
+		return 0
+	}
+	return core.ChunkBytes(n, k)
 }
 
 // compressChunks builds a pipelined send's chunk list: the packed stream
 // of the total bytes t selects from buf (of buf itself when t is nil) is
-// cut into PipelineChunkBytes-sized spans, compressed in order on the
-// caller's clock — a layout's span gathered and compressed in one fused
-// pass at its packed offset — each becoming ready for transfer as its
-// kernel completes. Each chunk records its packed offset, so the receiver
-// places it without seeing the others. The stream is one message to the
-// codec circuit breaker, exactly as on the whole-message path.
-func (r *Rank) compressChunks(env *envelope, buf *gpusim.Buffer, t dtype.Type, total int) {
-	chunkBytes := r.Engine.Config().PipelineChunkBytes
-	f := r.newSendForm(env.dst, buf, t)
+// cut into chunkBytes-sized spans, compressed in order on the caller's
+// clock — a layout's span gathered and compressed in one fused pass at its
+// packed offset — each becoming ready for transfer as its kernel
+// completes. Each chunk records its packed offset, so the receiver places
+// it without seeing the others. The stream is one message to the codec
+// circuit breaker, exactly as on the whole-message path.
+func (r *Rank) compressChunks(env *envelope, buf *gpusim.Buffer, t dtype.Type, total, chunkBytes int) {
+	f := r.newSendForm(env.dst, buf, t, (total+chunkBytes-1)/chunkBytes)
 	for off := 0; off < total; off += chunkBytes {
 		payload, hdr, fb := f.part(off, min(chunkBytes, total-off))
 		env.addChunk(r.Clock.Now(), payload, hdr, off, hdr.Checksum, fb)
