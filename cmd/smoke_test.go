@@ -150,6 +150,28 @@ func TestOmbrunFailureCarriesStatLines(t *testing.T) {
 	}
 }
 
+// TestOmbrunPipelineLine: the model cuts an uncached 4 MiB msg_sppm send in
+// two once its rank has seen a ratio, and "# pipeline:" reports the chunks
+// with the chooser's k= histogram: each rank's warm-up send is whole, its
+// measured one two chunks. -chunk off sends whole and prints no line.
+func TestOmbrunPipelineLine(t *testing.T) {
+	run := func(extra ...string) string {
+		args := append([]string{"-bench", "latency", "-codec", "mpc", "-dataset", "msg_sppm",
+			"-sizes", "4M", "-cache", "-1", "-iters", "1", "-warmup", "1"}, extra...)
+		out, err := exec.Command(filepath.Join(buildCommands(t), "ombrun"), args...).Output()
+		if err != nil {
+			t.Fatalf("ombrun %v: %v\n%s", extra, err, out)
+		}
+		return string(out)
+	}
+	if out := run(); !strings.Contains(out, "# pipeline: chunks=4 ") || !strings.Contains(out, " k=1:2,2:2\n") {
+		t.Errorf("the model's run does not report two 2-chunk sends per rank:\n%s", out)
+	}
+	if out := run("-chunk", "off"); strings.Contains(out, "# pipeline:") {
+		t.Errorf("-chunk off sent chunks:\n%s", out)
+	}
+}
+
 // TestOmbrunSelfHealsAFatedRank drives a fated rank through -heal end to
 // end: seed 7 dooms rank 6 of 16 inside the first allgather, and the
 // survivors retry once on the shrunk view and complete. This is the

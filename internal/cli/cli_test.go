@@ -514,3 +514,21 @@ func TestOneSpecLoop(t *testing.T) {
 		t.Errorf("a hand-written spec loop is back: %v", sites)
 	}
 }
+
+func TestEngineFlagsChunk(t *testing.T) {
+	for args, want := range map[string]int{"": 0, "-chunk=off": -1, "-chunk=1M": 1 << 20, "-chunk=0": 0} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		ef := AddEngineFlags(fs)
+		var argv []string
+		if args != "" {
+			argv = []string{args}
+		}
+		if err := fs.Parse(argv); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ef.Config()
+		if err != nil || cfg.PipelineChunkBytes != want {
+			t.Errorf("%q: PipelineChunkBytes %d (err %v), want %d", args, cfg.PipelineChunkBytes, err, want)
+		}
+	}
+}
