@@ -31,11 +31,13 @@ import (
 //
 // Determinism: the cache is per-engine state mutated only under e.mu in
 // the owning rank's program order; lookups scan a slice (no map
-// iteration), and epochs are compared for equality only, so scheduling
-// cannot change which sends hit. A hit returns the identical payload
-// and header bytes the miss produced — results are bit-identical to
-// the uncached path; only the simulated clock and the host wall-clock
-// get cheaper.
+// iteration), and epochs are compared for equality only. That is not
+// enough to make hits independent of scheduling: a 4x2 8 MiB MPC Bcast
+// reads several simulated latencies run to run with the cache on and
+// one with it off (DESIGN.md §11, ROADMAP item 2). A hit returns the
+// identical payload and header bytes the miss produced — results are
+// bit-identical to the uncached path; only the simulated clock and the
+// host wall-clock get cheaper.
 
 // cacheKey identifies one cacheable compression input: an exact byte
 // range of a tracked allocation, compressed for a given link class.
@@ -240,8 +242,10 @@ func (e *Engine) CompressForLinkCached(clk *simtime.Clock, buf *gpusim.Buffer, b
 // nil): one chunk of a send cut into k (the dynamic gate prices the send
 // at that k), or a whole message when k is 1. Every chunk caches
 // independently (cacheKeyFor), so repeated sends of an unchanged strided
-// face reuse the first send's wire payload.
+// face reuse the first send's wire payload. It records the send on buf's
+// allocation (gpusim.Buffer.NoteSend), which the chooser reads.
 func (e *Engine) CompressChunkCached(clk *simtime.Clock, buf *gpusim.Buffer, t dtype.Type, off, n, k int, bwGBps float64) ([]byte, Header) {
+	buf.NoteSend()
 	m := message{buf: buf, t: t, off: off, n: n}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -34,12 +34,18 @@ func ChunkBytes(n, k int) int {
 	return (c + chunkAlign - 1) / chunkAlign * chunkAlign
 }
 
-// chooseChunks is the chooser: the chunk count k in [1, maxK] that
-// minimises model.Pipelined(part(k), k), the least such k on a tie, and
-// that predicted time. part(k) prices one chunk of a k-way cut.
-func chooseChunks(maxK int, part func(k int) model.Params) (int, simtime.Duration) {
+// chooseChunks is the chooser: among the cuts of an n-byte send whose
+// last chunk reaches threshold — so every chunk compresses, and the cut
+// makes exactly k chunks — the chunk count k that minimises
+// model.Pipelined(part(k), k), the least such k on a tie, and that
+// predicted time. k = 1, the whole message, is always a candidate. part(k)
+// prices one chunk of a k-way cut.
+func chooseChunks(n, threshold int, part func(k int) model.Params) (int, simtime.Duration) {
 	best, bestT := 1, model.Pipelined(part(1), 1)
-	for k := 2; k <= maxK; k++ {
+	for k := 2; k <= n/threshold; k++ {
+		if n-(k-1)*ChunkBytes(n, k) < threshold {
+			continue
+		}
 		if t := model.Pipelined(part(k), k); t < bestT {
 			best, bestT = k, t
 		}
@@ -56,8 +62,12 @@ func chooseChunks(maxK int, part func(k int) model.Params) (int, simtime.Duratio
 // other send is a pick, counted in ChunkPicks: 1 while an estimated ratio
 // is still the prior guess, 1 for a message the compress-once cache holds
 // whole, and the chooser's k otherwise. For a tracked buffer the chooser
-// prices the compress stage at zero: such a buffer is tracked for the
-// repeats the cache serves, so its cut is sized for them.
+// prices the compress stage at zero — such a buffer is tracked for the
+// repeats the cache serves, so its cut is sized for them — until the
+// buffer is written between two sends (gpusim.Buffer.RewrittenSinceSend):
+// from then on its kernel runs, and the stage is priced as it runs. The
+// call is a pure query: the send itself records what it sent
+// (CompressChunkCached), so asking twice returns the same k.
 func (e *Engine) PipelineChunks(buf *gpusim.Buffer, t dtype.Type, n int, bwGBps float64) (int, simtime.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -79,15 +89,9 @@ func (e *Engine) pickChunksLocked(c *codec, buf *gpusim.Buffer, t dtype.Type, n 
 		if i := e.cacheFindLocked(key); i >= 0 && e.cache[i].epoch == epoch {
 			return 1, 0
 		}
-		warm = true
+		warm = !buf.RewrittenSinceSend()
 	}
-	// The last chunk is the shortest: every k whose last chunk still
-	// reaches Threshold compresses every chunk.
-	maxK := n / e.cfg.Threshold
-	for maxK > 1 && n-(maxK-1)*ChunkBytes(n, maxK) < e.cfg.Threshold {
-		maxK--
-	}
-	return chooseChunks(maxK, func(k int) model.Params {
+	return chooseChunks(n, e.cfg.Threshold, func(k int) model.Params {
 		p := e.chunkParamsLocked(ChunkBytes(n, k), bwGBps)
 		if warm {
 			p.Tcompr, p.TohCompr = 0, 0

@@ -67,11 +67,13 @@ type Buffer struct {
 // increasing content epoch for one tracked allocation. The epoch is
 // atomic only for memory-safety under -race when collectives on
 // different rank goroutines read versions concurrently; cache behavior
-// depends on equality of (id, epoch), never on the numeric values, so
-// scheduling cannot leak into results.
+// depends on equality of (id, epoch), never on the numeric values. sent
+// is one more than the epoch of the allocation's last send (NoteSend),
+// zero before the first.
 type tracker struct {
 	id    uint64
 	epoch atomic.Uint64
+	sent  atomic.Uint64
 }
 
 // trackerIDs hands out process-unique tracker identities.
@@ -105,6 +107,25 @@ func (b *Buffer) MarkDirty() {
 	if b.trk != nil {
 		b.trk.epoch.Add(1)
 	}
+}
+
+// NoteSend records that the allocation's current content was sent, for
+// RewrittenSinceSend. No-op for untracked buffers.
+func (b *Buffer) NoteSend() {
+	if b.trk != nil {
+		b.trk.sent.Store(b.trk.epoch.Load() + 1)
+	}
+}
+
+// RewrittenSinceSend reports whether the allocation was written
+// (MarkDirty, through any view) since its last NoteSend. It is false
+// before the first send and for untracked buffers.
+func (b *Buffer) RewrittenSinceSend() bool {
+	if b.trk == nil {
+		return false
+	}
+	sent := b.trk.sent.Load()
+	return sent != 0 && sent != b.trk.epoch.Load()+1
 }
 
 // Version reports the buffer's cache identity: the root allocation's id,

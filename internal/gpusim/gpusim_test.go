@@ -342,3 +342,39 @@ func TestFreeHostBufferNoop(t *testing.T) {
 		t.Fatal("freeing host/nil buffers must be free")
 	}
 }
+
+// TestChunkPriceSeesRewrites is the write-history signal the chunk
+// chooser prices a send's compress stage by: a tracked allocation's first
+// send is not a rewrite, a write marked through any view since the last
+// send is, a resend with no write in between is not, and an untracked
+// buffer never is.
+func TestChunkPriceSeesRewrites(t *testing.T) {
+	buf := (&Buffer{Data: make([]byte, 1024), Loc: Device}).Track()
+	view := buf.Slice(256, 256)
+	if buf.RewrittenSinceSend() {
+		t.Fatal("a buffer never sent reads as rewritten")
+	}
+	buf.MarkDirty()
+	if buf.RewrittenSinceSend() {
+		t.Fatal("a write before the first send reads as a rewrite")
+	}
+	view.NoteSend()
+	if buf.RewrittenSinceSend() || view.RewrittenSinceSend() {
+		t.Fatal("the first send reads as a rewrite")
+	}
+	view.MarkDirty()
+	if !buf.RewrittenSinceSend() || !view.RewrittenSinceSend() {
+		t.Fatal("a write through a view since the last send is not seen on the allocation")
+	}
+	buf.NoteSend()
+	buf.NoteSend()
+	if buf.RewrittenSinceSend() {
+		t.Fatal("a resend with no write in between reads as a rewrite")
+	}
+	plain := &Buffer{Data: make([]byte, 1024), Loc: Device}
+	plain.NoteSend()
+	plain.MarkDirty()
+	if plain.RewrittenSinceSend() {
+		t.Fatal("an untracked buffer reads as rewritten")
+	}
+}

@@ -330,3 +330,52 @@ func TestModelLeavesCollectivesWhole(t *testing.T) {
 		}
 	}
 }
+
+// TestModelPricesRewrittenBuffersCold: a tracked buffer written before
+// every send misses the compress-once cache every time, so from its second
+// send on the chooser prices its compress kernel as it runs. With the cache
+// on, those sends pick the k and take the simulated time they take with the
+// cache off, for codec workers 1, 2 and 8 alike. Longhorn 2x1, MPC on
+// msg_sppm and ZFP rate 8, one 4-32 MiB buffer per size, three sends each.
+func TestModelPricesRewrittenBuffersCold(t *testing.T) {
+	sizes := []int{4 << 20, 8 << 20, 16 << 20, 32 << 20}
+	for _, cc := range []chunkCase{chunkCases[0], chunkCases[2]} {
+		data := datasetBytes(t, cc.dataset, sizes[len(sizes)-1])
+		sends := func(cacheEntries, workers int) []string {
+			cfg := cc.cfg
+			cfg.CacheEntries, cfg.Workers = cacheEntries, workers
+			w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: cfg})
+			var out []string
+			for _, n := range sizes {
+				buf := (&gpusim.Buffer{Data: data[:n], Loc: gpusim.Device, Dev: w.Rank(0).Dev}).Track()
+				dst := make([]byte, n)
+				for i := 0; i < 3; i++ {
+					buf.MarkDirty()
+					var k int
+					w.ResetClocks()
+					times, err := w.Run(func(r *Rank) error {
+						if r.ID() == 0 {
+							k, _ = r.Engine.PipelineChunks(buf, nil, n, r.linkGBps(1))
+							return r.Send(1, 0, buf)
+						}
+						return r.Recv(0, 0, &gpusim.Buffer{Data: dst, Loc: gpusim.Device, Dev: r.Dev})
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i > 0 {
+						out = append(out, fmt.Sprintf("%dM send %d: k=%d %d ns", n>>20, i+1, k, times[1]))
+					}
+				}
+			}
+			return out
+		}
+		uncached := sends(-1, 1)
+		for _, workers := range []int{1, 2, 8} {
+			if got := sends(0, workers); !slices.Equal(got, uncached) {
+				t.Errorf("%s workers=%d: cached %q, uncached %q", cc.name, workers, got, uncached)
+			}
+		}
+		t.Logf("%s: %q", cc.name, uncached)
+	}
+}
