@@ -31,8 +31,6 @@ import (
 // main measures the real (host) throughput of each codec over the
 // Table III datasets; wall-clock timing is the point of the tool, not
 // an accident.
-//
-//simlint:wallclock codec assessment harness measures real host throughput
 func main() {
 	mb := flag.Int("mb", 4, "megabytes of each dataset to assess")
 	rate := flag.Int("rate", 16, "ZFP fixed rate")
@@ -104,8 +102,6 @@ func main() {
 
 // best returns the fastest of three calls of f, after one warm-up call
 // that faults in the destination and the caches.
-//
-//simlint:wallclock codec assessment harness measures real host throughput
 func best(f func() error) time.Duration {
 	cli.Fatal(f())
 	d := time.Duration(math.MaxInt64)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -17,12 +18,15 @@ import (
 // DESIGN.md — `pkg.Name`, `pkg.Prefix*` (a glob), `pkg.Type.Member` and
 // `Type.Member` — resolves against the module's non-test declarations. A
 // reference whose first word is neither a package of the module nor a
-// type declared in it (a variable such as `w.inj`, a file name, a
-// standard-library package) is not checked, nor is a metric the benchmark
-// declares (`core.roundtrip_mb_s`). bench/ is a module of its own and is
-// not read.
+// type declared in it (a variable such as `w.inj`, a standard-library
+// package) is not checked, nor is a metric the benchmark declares
+// (`core.roundtrip_mb_s`). bench/ is a module of its own and is not read.
+// Every backticked Go file — `file.go`, `dir/file.go`, `file.go:N` — names
+// a file of the tree: a path from the repository root or from internal/,
+// or a bare name some file carries, with at least N lines.
 func TestDocsNameLiveCode(t *testing.T) {
 	decls := moduleDecls(t, "..")
+	files := treeFiles(t, "..")
 	raw, err := os.ReadFile(filepath.Join("..", "BENCHMARK.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +61,80 @@ func TestDocsNameLiveCode(t *testing.T) {
 		if checked == 0 {
 			t.Errorf("%s: found no code reference to check", doc)
 		}
+		for _, ref := range fileRefs(string(raw)) {
+			if name := ref.name; !files.resolve(name, ref.at) {
+				if ref.at > 0 {
+					name += ":" + strconv.Itoa(ref.at)
+				}
+				t.Errorf("%s:%d: `%s` names no file of the tree", doc, ref.line, name)
+			}
+		}
 	}
+}
+
+// files indexes the tree's Go files by path from the root and by base
+// name, each with its line count.
+type files struct {
+	byPath map[string]int
+	byBase map[string][]int
+}
+
+// treeFiles walks root for Go files, skipping hidden directories.
+func treeFiles(t *testing.T, root string) files {
+	t.Helper()
+	tree := files{byPath: map[string]int{}, byBase: map[string][]int{}}
+	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if path != root && strings.HasPrefix(e.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		lines := strings.Count(string(raw), "\n")
+		tree.byPath[filepath.ToSlash(rel)] = lines
+		tree.byBase[e.Name()] = append(tree.byBase[e.Name()], lines)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// resolve reports whether name — a path from the root or from internal/,
+// or a bare file name — is a file with at least line lines (line 0 asks
+// only that it exist).
+func (tree files) resolve(name string, line int) bool {
+	var counts []int
+	if strings.Contains(name, "/") {
+		for _, p := range []string{name, "internal/" + name} {
+			if n, ok := tree.byPath[p]; ok {
+				counts = append(counts, n)
+			}
+		}
+	} else {
+		counts = tree.byBase[name]
+	}
+	for _, n := range counts {
+		if line <= n {
+			return true
+		}
+	}
+	return false
 }
 
 // decls indexes the module's non-test declarations: the top-level names
@@ -210,10 +287,12 @@ func anyMatch(names map[string]bool, pattern string) bool {
 	return false
 }
 
-// codeRef is one dotted reference found in a backticked span.
+// codeRef is one reference found in a backticked span: a dotted name, or
+// a Go file with the line it points at (0 when it names none).
 type codeRef struct {
 	name string
 	line int
+	at   int
 }
 
 var (
@@ -222,6 +301,8 @@ var (
 	// dotted is a dotted word chain not continuing a path, a flag, a
 	// selector or a method expression; * is a glob inside a name.
 	dotted = regexp.MustCompile(`(?:^|[^\w./*()-])([A-Za-z_]\w*(?:\.[A-Za-z_*][\w*]*)+)`)
+	// goFile is a Go file name or path, with an optional :line suffix.
+	goFile = regexp.MustCompile(`(?:^|[^\w./-])((?:[\w-]+/)*[\w-]+\.go)\b(?::(\d+))?`)
 	// fileExt names the last words that make a chain a file name.
 	fileExt = map[string]bool{"c": true, "go": true, "md": true, "json": true, "yml": true, "yaml": true, "txt": true, "sh": true, "mod": true, "sum": true, "prof": true, "out": true}
 )
@@ -229,6 +310,35 @@ var (
 // codeRefs extracts the dotted references of every inline code span of a
 // markdown document, outside fenced code blocks.
 func codeRefs(doc string) []codeRef {
+	var refs []codeRef
+	for _, sp := range codeSpans(doc) {
+		for _, m := range dotted.FindAllStringSubmatch(sp.name, -1) {
+			parts := strings.Split(m[1], ".")
+			if fileExt[parts[len(parts)-1]] {
+				continue
+			}
+			refs = append(refs, codeRef{name: m[1], line: sp.line})
+		}
+	}
+	return refs
+}
+
+// fileRefs extracts the Go file references of every inline code span of a
+// markdown document, outside fenced code blocks.
+func fileRefs(doc string) []codeRef {
+	var refs []codeRef
+	for _, sp := range codeSpans(doc) {
+		for _, m := range goFile.FindAllStringSubmatch(sp.name, -1) {
+			at, _ := strconv.Atoi(m[2])
+			refs = append(refs, codeRef{name: m[1], line: sp.line, at: at})
+		}
+	}
+	return refs
+}
+
+// codeSpans returns the text of every inline code span of a markdown
+// document outside fenced code blocks, with the line it starts on.
+func codeSpans(doc string) []codeRef {
 	lines := strings.Split(doc, "\n")
 	fenced := false
 	for i, l := range lines {
@@ -240,17 +350,9 @@ func codeRefs(doc string) []codeRef {
 		}
 	}
 	text := strings.Join(lines, "\n")
-	var refs []codeRef
+	var spans []codeRef
 	for _, span := range inlineCode.FindAllStringSubmatchIndex(text, -1) {
-		code := text[span[2]:span[3]]
-		line := strings.Count(text[:span[0]], "\n") + 1
-		for _, m := range dotted.FindAllStringSubmatch(code, -1) {
-			parts := strings.Split(m[1], ".")
-			if fileExt[parts[len(parts)-1]] {
-				continue
-			}
-			refs = append(refs, codeRef{name: m[1], line: line})
-		}
+		spans = append(spans, codeRef{name: text[span[2]:span[3]], line: strings.Count(text[:span[0]], "\n") + 1})
 	}
-	return refs
+	return spans
 }

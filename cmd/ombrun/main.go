@@ -31,8 +31,6 @@ import (
 // main drives one OMB-style benchmark. Simulated results come from the
 // virtual clock; the harness additionally reports the real wall time of
 // the whole run so regressions in host codec throughput stay visible.
-//
-//simlint:wallclock bench harness reports real elapsed time alongside simulated results
 func main() {
 	bench := flag.String("bench", "latency", "benchmark: latency | bw | bibw | "+strings.Join(omb.Collectives(), " | "))
 	cluster := flag.String("cluster", "longhorn", "cluster model: "+strings.Join(cli.ClusterNames(), " | "))

@@ -1,6 +1,6 @@
-// Command simlint runs the repository's custom static analyzers — the
-// determinism, virtual-clock, arena-aliasing and phase-charging
-// invariants described in DESIGN.md §10 — over Go packages:
+// Command simlint runs the repository's custom static analyzers — map
+// iteration order, sentinel wrapping and phase charging, the invariants
+// described in DESIGN.md §10 — over Go packages:
 //
 //	simlint [-checks a,b,...] [packages]
 //

@@ -165,9 +165,8 @@ func (p *Pool) worker(s *Scratch) {
 // pool to itself, so a wait behind another caller's batch is not in it.
 // Batches of one part, and every batch on a one-worker pool, run inline
 // on the caller's goroutine (no handoff latency). Run must not be called
-// from within a RunPart.
-//
-//simlint:wallclock the batch's host run time feeds HostStats, never simulated time
+// from within a RunPart. The batch's host run time feeds HostStats, never
+// simulated time.
 func (p *Pool) Run(n int, job Job) time.Duration {
 	if n <= 0 {
 		return 0

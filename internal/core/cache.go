@@ -31,13 +31,17 @@ import (
 //
 // Determinism: the cache is per-engine state mutated only under e.mu in
 // the owning rank's program order; lookups scan a slice (no map
-// iteration), and epochs are compared for equality only. That is not
-// enough to make hits independent of scheduling: a 4x2 8 MiB MPC Bcast
-// reads several simulated latencies run to run with the cache on and
-// one with it off (DESIGN.md §11, ROADMAP item 2). A hit returns the
-// identical payload and header bytes the miss produced — results are
-// bit-identical to the uncached path; only the simulated clock and the
-// host wall-clock get cheaper.
+// iteration), and epochs are compared for equality only. Which sends hit
+// does not depend on scheduling: a 4x2 MPC Bcast's root misses once and
+// hits on every later iteration in every run, under any GOMAXPROCS
+// (TestBcastCacheHitsIgnoreScheduling). The simulated latency of that
+// Bcast at 8 MiB still reads several values run to run with the cache on
+// and one with it off: a hit skips the compress kernel, and what is left
+// is decided by the order sends book the shared link calendars (DESIGN.md
+// §11, ROADMAP item 4). The cache exposes that spread; it does not cause
+// it. A hit returns the identical payload and header bytes the miss
+// produced — results are bit-identical to the uncached path; only the
+// simulated clock and the host wall-clock get cheaper.
 
 // cacheKey identifies one cacheable compression input: an exact byte
 // range of a tracked allocation, compressed for a given link class.

@@ -173,9 +173,8 @@ func (e *Engine) HostSnapshot() HostStats {
 func (e *Engine) CodecWorkers() int { return e.codec.Workers() }
 
 // runCodec executes a job's parts on the worker pool, accounting the
-// real elapsed wall-clock to Host. Called with e.mu held.
-//
-//simlint:wallclock HostStats measures real host codec throughput; it never feeds simulated time
+// real elapsed wall-clock to Host, which never feeds simulated time.
+// Called with e.mu held.
 func (e *Engine) runCodec(n int, job codecpool.Job) {
 	e.Host.CodecWall += e.codec.Run(n, job)
 	e.Host.CodecRuns++

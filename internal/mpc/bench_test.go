@@ -94,8 +94,9 @@ func BenchmarkCompressSweep16MB(b *testing.B)   { benchCompress(b, "msg_sweep3d"
 func BenchmarkDecompressSweep16MB(b *testing.B) { benchDecompress(b, "msg_sweep3d", 1) }
 
 // TestByteCoderOutrunsLoopCoder is the chunk coder's speed gate. The byte
-// coder and the loop coder run in one process, interleaved, best of three
-// runs each, so their ratio does not depend on how fast the machine is.
+// coder and the loop coder run in one process, interleaved pass by pass,
+// best single pass each, so their ratio does not depend on how fast the
+// machine is.
 // Each floor sits at about 70 % of the ratio the 64-bit network measures
 // (EXPERIMENTS.md, "Host codec throughput — MPC").
 func TestByteCoderOutrunsLoopCoder(t *testing.T) {
@@ -138,16 +139,19 @@ func TestByteCoderOutrunsLoopCoder(t *testing.T) {
 }
 
 // speedRatio returns how many times faster fast runs than loop: the best
-// of three runs of four passes each, the two coders taking turns.
+// of many single-pass samples per coder, the two taking turns pass by
+// pass. Load from a neighbouring test package then spoils only the
+// samples it lands on, and each side's best sample is one it spared;
+// with a few long multi-pass blocks, one burst could spoil every block
+// of one side.
 func speedRatio(fast, loop func() error) (float64, error) {
+	const samples = 12
 	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
-	for run := 0; run < 3; run++ {
+	for s := 0; s < samples; s++ {
 		for i, f := range [2]func() error{fast, loop} {
 			start := time.Now()
-			for pass := 0; pass < 4; pass++ {
-				if err := f(); err != nil {
-					return 0, err
-				}
+			if err := f(); err != nil {
+				return 0, err
 			}
 			best[i] = min(best[i], time.Since(start))
 		}

@@ -11,13 +11,13 @@ import (
 // A directive can appear in three scopes:
 //
 //   - on a function declaration's doc comment — applies to the whole
-//     function body (the canonical way to bless a wall-clock site);
+//     function body;
 //   - on the same line as a statement — applies to that line;
 //   - alone on the line immediately above a statement — applies to the
 //     next line (like a //nolint comment).
 //
 // The directive name may be followed by a free-text justification,
-// e.g. `//simlint:wallclock host codec accounting`, which simlint
+// e.g. `//simlint:nocharge caller charges the batch`, which simlint
 // ignores but reviewers should not.
 type Directives struct {
 	fset *token.FileSet
@@ -83,9 +83,9 @@ func indexDirectives(fset *token.FileSet, file *ast.File) *Directives {
 }
 
 // DirectiveNames extracts every directive name from one comment's text:
-// "wallclock" from "//simlint:wallclock reason…", both names from
-// "//simlint:orderok …; simlint:arenaok …", and block-comment forms
-// like "/*simlint:wallclock reason*/". Non-directive comments yield nil.
+// "nocharge" from "//simlint:nocharge reason…", both names of a comment
+// carrying two directives separated by "; ", and block-comment forms like
+// "/*simlint:nocharge reason*/". Non-directive comments yield nil.
 // A directive token must start the comment or follow whitespace, and its
 // name must be an identifier, so prose mentioning "simlint:" mid-word or
 // quoting a placeholder such as `simlint:<name>` is not a directive.

@@ -7,8 +7,8 @@ import (
 )
 
 // A Fact is an observation one analyzer pass records about a
-// package-level object (or a whole package) for later passes of the same
-// analyzer over importing packages — the mechanism that makes the suite
+// package-level object for later passes of the same analyzer over
+// importing packages — the mechanism that makes the suite
 // interprocedural across package boundaries. Implementations must be
 // pointers to structs and must be declared in the analyzer's FactTypes.
 type Fact interface {
@@ -39,8 +39,7 @@ func ObjectKey(obj types.Object) string {
 }
 
 // factKey identifies one fact slot: the owning analyzer's name, the
-// package, the object within it ("" for package facts), and the fact's
-// pointer type.
+// package, the object within it, and the fact's pointer type.
 type factKey struct {
 	analyzer string
 	pkg      string
@@ -58,16 +57,10 @@ type FactStore struct {
 }
 
 // NewFactStore returns an empty store with the fact types of the given
-// analyzers (Requires closure included) registered.
+// analyzers registered.
 func NewFactStore(analyzers []*Analyzer) *FactStore {
 	s := &FactStore{types: make(map[reflect.Type]bool), facts: make(map[factKey]Fact)}
-	seen := make(map[*Analyzer]bool)
-	var walk func(a *Analyzer)
-	walk = func(a *Analyzer) {
-		if seen[a] {
-			return
-		}
-		seen[a] = true
+	for _, a := range analyzers {
 		for _, f := range a.FactTypes {
 			t := reflect.TypeOf(f)
 			if t == nil || t.Kind() != reflect.Pointer {
@@ -75,20 +68,11 @@ func NewFactStore(analyzers []*Analyzer) *FactStore {
 			}
 			s.types[t] = true
 		}
-		for _, dep := range a.Requires {
-			walk(dep)
-		}
-	}
-	for _, a := range analyzers {
-		walk(a)
 	}
 	return s
 }
 
 func (s *FactStore) export(a *Analyzer, pkg, object string, fact Fact) {
-	if object == "" && pkg == "" {
-		return
-	}
 	t := reflect.TypeOf(fact)
 	if !s.types[t] {
 		panic(fmt.Sprintf("analysis: analyzer %s exports unregistered fact type %T (add it to FactTypes)", a.Name, fact))

@@ -22,12 +22,12 @@ func factAnalyzer(name string, facts ...Fact) *Analyzer {
 		Name:      name,
 		Doc:       name,
 		FactTypes: facts,
-		Run:       func(*Pass) (any, error) { return nil, nil },
+		Run:       func(*Pass) {},
 	}
 }
 
-// TestFactStoreRoundTrip pins the in-memory store: object, package and
-// method facts come back with their payloads, lookups copy (a caller
+// TestFactStoreRoundTrip pins the in-memory store: object and method
+// facts come back with their payloads, lookups copy (a caller
 // editing its copy leaves the store alone), and facts never cross
 // analyzer, package or object boundaries.
 func TestFactStoreRoundTrip(t *testing.T) {
@@ -35,7 +35,6 @@ func TestFactStoreRoundTrip(t *testing.T) {
 	b := factAnalyzer("beta", (*countFact)(nil))
 	store := NewFactStore([]*Analyzer{a, b})
 	store.export(a, "pkg/x", "Fn", &noteFact{Note: "object fact"})
-	store.export(a, "pkg/x", "", &noteFact{Note: "package fact"})
 	store.export(b, "pkg/y", "T.M", &countFact{N: 7})
 
 	nf := new(noteFact)
@@ -45,9 +44,6 @@ func TestFactStoreRoundTrip(t *testing.T) {
 	nf.Note = "edited copy"
 	if !store.lookup(a, "pkg/x", "Fn", nf) || nf.Note != "object fact" {
 		t.Errorf("lookup handed out the stored fact, not a copy: %+v", nf)
-	}
-	if !store.lookup(a, "pkg/x", "", nf) || nf.Note != "package fact" {
-		t.Errorf("package fact: got %+v", nf)
 	}
 	cf := new(countFact)
 	if !store.lookup(b, "pkg/y", "T.M", cf) || cf.N != 7 {

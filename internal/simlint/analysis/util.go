@@ -61,14 +61,6 @@ func ReceiverNamed(f *types.Func) *types.Named {
 	return n
 }
 
-// IsTestFile reports whether the file's basename ends in _test.go. The
-// module drivers never feed test files to analyzers, but the golden
-// tests do, so analyzers with "non-test code" semantics check this.
-func IsTestFile(pass *Pass, file *ast.File) bool {
-	name := pass.Position(file.Pos()).Filename
-	return strings.HasSuffix(name, "_test.go")
-}
-
 // UsedIdent returns the object an identifier or selector expression
 // refers to, or nil.
 func UsedIdent(info *types.Info, e ast.Expr) types.Object {

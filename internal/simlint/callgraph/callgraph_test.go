@@ -7,7 +7,6 @@ import (
 	"go/types"
 	"testing"
 
-	"mpicomp/internal/simlint/analysis"
 	"mpicomp/internal/simlint/callgraph"
 	"mpicomp/internal/simlint/loader"
 )
@@ -30,8 +29,7 @@ func (T) M() { top() }
 func alone() {}
 `
 
-// buildGraph type-checks src and captures the callgraph result through a
-// probe analyzer, the same way the real dependents consume it.
+// buildGraph type-checks src and builds its call graph.
 func buildGraph(t *testing.T) (*callgraph.Graph, *types.Package) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -45,27 +43,7 @@ func buildGraph(t *testing.T) (*callgraph.Graph, *types.Package) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var graph *callgraph.Graph
-	probe := &analysis.Analyzer{
-		Name:     "probe",
-		Doc:      "capture the callgraph result",
-		Requires: []*analysis.Analyzer{callgraph.Analyzer},
-		Run: func(p *analysis.Pass) (any, error) {
-			graph = p.ResultOf[callgraph.Analyzer].(*callgraph.Graph)
-			return nil, nil
-		},
-	}
-	unit := analysis.Unit{Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info}
-	store := analysis.NewFactStore([]*analysis.Analyzer{probe})
-	err = analysis.RunUnit(unit, []*analysis.Analyzer{probe}, store, func(*analysis.Analyzer, analysis.Diagnostic) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if graph == nil {
-		t.Fatal("probe analyzer never ran")
-	}
-	return graph, pkg
+	return callgraph.Build(info, []*ast.File{f}), pkg
 }
 
 func fnOf(t *testing.T, pkg *types.Package, name string) *types.Func {
@@ -79,39 +57,35 @@ func fnOf(t *testing.T, pkg *types.Package, name string) *types.Func {
 
 func TestGraphNodesAndEdges(t *testing.T) {
 	g, pkg := buildGraph(t)
-	if len(g.Nodes) != 5 {
-		t.Errorf("graph has %d nodes, want 5 (leaf, mid, top, T.M, alone)", len(g.Nodes))
+	if len(g.Calls) != 5 {
+		t.Errorf("graph has %d functions, want 5 (leaf, mid, top, T.M, alone)", len(g.Calls))
 	}
 
 	mid := fnOf(t, pkg, "mid")
-	node := g.NodeOf(mid)
-	if node == nil {
-		t.Fatal("mid has no node")
+	calls, ok := g.Calls[mid]
+	if !ok {
+		t.Fatal("mid is not in the graph")
 	}
-	if len(node.Calls) != 1 || node.Calls[0].Callee.Name() != "leaf" {
-		t.Errorf("mid's calls = %v, want one call to leaf", node.Calls)
-	}
-	if node.Calls[0].Site == nil {
-		t.Error("call edge lost its site")
+	if len(calls) != 1 || calls[0].Name() != "leaf" {
+		t.Errorf("mid's calls = %v, want one call to leaf", calls)
 	}
 
 	// Calls inside closures belong to the enclosing declaration.
-	top := g.NodeOf(fnOf(t, pkg, "top"))
 	found := false
-	for _, c := range top.Calls {
-		if c.Callee.Name() == "mid" {
+	for _, c := range g.Calls[fnOf(t, pkg, "top")] {
+		if c.Name() == "mid" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("top's calls = %v, want the closure's call to mid included", top.Calls)
+		t.Errorf("top's calls = %v, want the closure's call to mid included", g.Calls[fnOf(t, pkg, "top")])
 	}
 
-	// Methods get nodes keyed by their *types.Func.
+	// Methods are keyed by their *types.Func.
 	tn := pkg.Scope().Lookup("T").(*types.TypeName)
 	m, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, "M")
-	if g.NodeOf(m.(*types.Func)) == nil {
-		t.Error("method T.M has no node")
+	if _, ok := g.Calls[m.(*types.Func)]; !ok {
+		t.Error("method T.M is not in the graph")
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 
 // TestTreeIsSimlintClean is the acceptance gate for the analyzer suite:
 // the repository's own production code must carry zero diagnostics.
-// Every legitimate wall-clock or order-insensitive site is expected to
-// carry a //simlint:wallclock or //simlint:orderok annotation with a
-// reason, so a failure here is a real invariant violation, a new site
-// that needs an explicit, reviewed exemption, or a directive no analyzer
-// owns.
+// Every legitimate order-insensitive map range or deliberately uncharged
+// payload pass is expected to carry a //simlint:orderok or
+// //simlint:nocharge annotation with a reason, so a failure here is a
+// real invariant violation, a new site that needs an explicit, reviewed
+// exemption, or a directive no analyzer owns.
 func TestTreeIsSimlintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -45,8 +45,9 @@ func TestUnknownDirectivesAreFlagged(t *testing.T) {
 	dir := t.TempDir()
 	src := "package plant\n\n" +
 		"//simlint:bogus no analyzer owns this\nfunc a() {}\n\n" +
-		"//simlint:lockheld retired with the lockorder analyzer\nfunc b() {}\n\n" +
-		"//simlint:orderok owned by detrange\nfunc c() {}\n"
+		"//simlint:wallclock retired with the vclockpurity analyzer\nfunc b() {}\n\n" +
+		"//simlint:arenaok retired with the arenaescape analyzer\nfunc c() {}\n\n" +
+		"//simlint:nocharge owned by phasecharge\nfunc d() {}\n"
 	for name, body := range map[string]string{"go.mod": "module plant\n\ngo 1.22\n", "plant.go": src} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -62,7 +63,8 @@ func TestUnknownDirectivesAreFlagged(t *testing.T) {
 	}
 	want := []string{
 		"3 unknown directive simlint:bogus: no analyzer declares it",
-		"6 unknown directive simlint:lockheld: no analyzer declares it",
+		"6 unknown directive simlint:wallclock: no analyzer declares it",
+		"9 unknown directive simlint:arenaok: no analyzer declares it",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

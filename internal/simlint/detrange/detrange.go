@@ -50,11 +50,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:        run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass, file) {
-			continue
-		}
 		dirs := pass.DirectivesFor(file)
 		// blocks maps every statement to its enclosing block's statement
 		// list, so the sorted-guard check can look past the loop.
@@ -75,7 +72,6 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		})
 	}
-	return nil, nil
 }
 
 func isMapType(t types.Type) bool {

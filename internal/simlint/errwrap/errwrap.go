@@ -37,11 +37,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass, file) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
@@ -54,7 +51,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // sentinelOf returns the mpi.Err* sentinel object e refers to, or nil.

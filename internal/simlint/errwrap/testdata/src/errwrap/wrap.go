@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 
-	"mpi"
+	"golden/mpi"
 )
 
 func compare(err error) bool {

@@ -1,91 +1,75 @@
 // Package linttest is an analysistest-style golden runner for the
-// simlint analyzers. Test packages live under a GOPATH-shaped tree
-// (testdata/src/<importpath>/*.go) and mark expected diagnostics with
+// simlint analyzers. An analyzer's testdata/src is a module of its own
+// (module golden), so golden packages can model core/gpusim/mpi shims
+// without importing the real module; they mark expected diagnostics with
 // trailing comments of the form
 //
 //	x := bad() // want "regexp matching the message"
 //
-// Multiple expectations on one line are multiple quoted regexps. Local
-// imports resolve against sibling testdata/src directories (so golden
-// packages can model codecpool/mpi shims without importing the real
-// module); standard-library imports resolve through compiler export
-// data exactly like the module driver.
+// Multiple expectations on one line are multiple quoted regexps.
 package linttest
 
 import (
 	"fmt"
-	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"mpicomp/internal/simlint"
 	"mpicomp/internal/simlint/analysis"
-	"mpicomp/internal/simlint/loader"
 )
 
-// Run loads each named package from testdata/src and checks the
-// analyzer's diagnostics against the // want expectations. The
-// analyzer's Requires dependencies run first on each package, and the
-// analyzer itself also runs over every testdata-local dependency of the
-// target (in dependency order, diagnostics discarded) with a shared
-// fact store, so golden packages exercise the cross-package facts path
-// exactly as the module drivers do.
+// Run checks the analyzer's diagnostics on each named package of
+// testdata/src against its // want expectations. The whole module goes
+// through simlint.Run, the driver the tree's own test uses, so shims the
+// package imports are analyzed first and the cross-package facts path
+// runs exactly as on the tree.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	src := filepath.Join(testdata, "src")
+	src, err := filepath.Abs(filepath.Join(testdata, "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := simlint.Run(src, []*analysis.Analyzer{a}, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pkgpath := range pkgpaths {
 		t.Run(pkgpath, func(t *testing.T) {
-			t.Helper()
-			ld, err := newPkgLoader(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			target, err := ld.load(pkgpath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(target.typeErrors) > 0 {
-				t.Fatalf("type errors in %s: %v", pkgpath, target.typeErrors)
-			}
-			store := analysis.NewFactStore([]*analysis.Analyzer{a})
-			var got []analysis.Diagnostic
-			// ld.order lists every loaded package with dependencies
-			// before importers; the target is last.
-			for _, loaded := range ld.order {
-				loaded := loaded
-				unit := analysis.Unit{Fset: ld.fset, Files: loaded.files, Pkg: loaded.pkg, Info: loaded.info}
-				err := analysis.RunUnit(unit, []*analysis.Analyzer{a}, store, func(_ *analysis.Analyzer, d analysis.Diagnostic) {
-					if loaded == target {
-						got = append(got, d)
-					}
-				})
-				if err != nil {
-					t.Fatalf("analyzer %s: %v", a.Name, err)
+			dir := filepath.Join(src, pkgpath)
+			var got []simlint.Diagnostic
+			for _, d := range diags {
+				if filepath.Dir(d.Position.Filename) == dir {
+					got = append(got, d)
 				}
 			}
-			checkExpectations(t, ld.fset, target.files, got)
+			checkExpectations(t, dir, got)
 		})
 	}
 }
 
-// expectation is one `// want "rx"` clause.
-type expectation struct {
-	file string
-	line int
-	rx   *regexp.Regexp
-}
-
-func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, got []analysis.Diagnostic) {
+func checkExpectations(t *testing.T, dir string, got []simlint.Diagnostic) {
 	t.Helper()
+	type expectation struct {
+		file string
+		line int
+		rx   *regexp.Regexp
+	}
 	var wants []expectation
-	for _, f := range files {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no Go files in %s: %v", dir, err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				pos := fset.Position(c.Pos())
@@ -103,13 +87,8 @@ func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, got
 	for _, w := range wants {
 		found := false
 		for i, d := range got {
-			if matched[i] {
-				continue
-			}
-			p := fset.Position(d.Pos)
-			if p.Filename == w.file && p.Line == w.line && w.rx.MatchString(d.Message) {
-				matched[i] = true
-				found = true
+			if !matched[i] && d.Position.Filename == w.file && d.Position.Line == w.line && w.rx.MatchString(d.Message) {
+				matched[i], found = true, true
 				break
 			}
 		}
@@ -119,8 +98,7 @@ func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, got
 	}
 	for i, d := range got {
 		if !matched[i] {
-			p := fset.Position(d.Pos)
-			t.Errorf("%s:%d: unexpected diagnostic: %s", p.Filename, p.Line, d.Message)
+			t.Errorf("%s:%d: unexpected diagnostic: %s", d.Position.Filename, d.Position.Line, d.Message)
 		}
 	}
 }
@@ -160,145 +138,4 @@ func parseWant(text string) ([]*regexp.Regexp, error) {
 		rest = strings.TrimSpace(rest[end+1:])
 	}
 	return rxs, nil
-}
-
-// pkgLoader type-checks testdata packages, resolving local fakes from
-// source and everything else from compiler export data.
-type pkgLoader struct {
-	srcRoot string
-	fset    *token.FileSet
-	gc      types.Importer
-	cache   map[string]*loadedPkg
-	// order records packages in load-completion order: every testdata
-	// dependency precedes its importers.
-	order []*loadedPkg
-}
-
-type loadedPkg struct {
-	pkg        *types.Package
-	files      []*ast.File
-	info       *types.Info
-	typeErrors []error
-}
-
-func newPkgLoader(srcRoot string) (*pkgLoader, error) {
-	l := &pkgLoader{
-		srcRoot: srcRoot,
-		fset:    token.NewFileSet(),
-		cache:   make(map[string]*loadedPkg),
-	}
-	std, err := stdlibImports(srcRoot)
-	if err != nil {
-		return nil, err
-	}
-	exports, err := stdlibExports(std)
-	if err != nil {
-		return nil, err
-	}
-	l.gc = loader.ExportImporter(l.fset, exports)
-	return l, nil
-}
-
-// stdlibImports walks every testdata package and collects the imports
-// that do not resolve to local testdata directories.
-func stdlibImports(srcRoot string) ([]string, error) {
-	seen := map[string]bool{}
-	err := filepath.Walk(srcRoot, func(path string, fi os.FileInfo, err error) error {
-		if err != nil || fi.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			if p == "" {
-				continue
-			}
-			if fi, err := os.Stat(filepath.Join(srcRoot, p)); err == nil && fi.IsDir() {
-				continue // local fake
-			}
-			seen[p] = true
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// stdlibExports maps the transitive closure of the given stdlib
-// packages to their compiled export data files.
-func stdlibExports(pkgs []string) (map[string]string, error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	listed, err := loader.ListExports(pkgs)
-	if err != nil {
-		return nil, err
-	}
-	return listed, nil
-}
-
-// Import implements types.Importer: testdata-local packages are
-// type-checked from source (memoized), all others come from export data.
-func (l *pkgLoader) Import(path string) (*types.Package, error) {
-	if p, ok := l.cache[path]; ok {
-		return p.pkg, nil
-	}
-	dir := filepath.Join(l.srcRoot, path)
-	if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
-		p, err := l.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return p.pkg, nil
-	}
-	return l.gc.Import(path)
-}
-
-// load parses and type-checks the testdata package at srcRoot/path.
-func (l *pkgLoader) load(path string) (*loadedPkg, error) {
-	if p, ok := l.cache[path]; ok {
-		return p, nil
-	}
-	dir := filepath.Join(l.srcRoot, path)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	lp := &loadedPkg{info: loader.NewInfo(), files: files}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { lp.typeErrors = append(lp.typeErrors, err) },
-	}
-	pkg, err := conf.Check(path, l.fset, files, lp.info)
-	if err != nil && pkg == nil {
-		return nil, err
-	}
-	lp.pkg = pkg
-	l.cache[path] = lp
-	l.order = append(l.order, lp)
-	return lp, nil
 }

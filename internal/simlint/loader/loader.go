@@ -99,7 +99,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports)
+	imp := exportImporter(fset, exports)
 	var pkgs []*Package
 	for _, lp := range targets {
 		pkg, err := check(fset, imp, lp)
@@ -111,38 +111,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// ListExports maps the transitive closure of the given packages
-// (typically standard-library imports of golden-test files) to their
-// compiled export data files, building them if needed. It runs in the
-// current directory, which must lie inside a Go module.
-func ListExports(pkgs []string) (map[string]string, error) {
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, pkgs...)
-	cmd := exec.Command("go", args...)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list -export %v: %v\n%s", pkgs, err, stderr.Bytes())
-	}
-	exports := make(map[string]string)
-	dec := json.NewDecoder(&stdout)
-	for {
-		var lp struct{ ImportPath, Export string }
-		if err := dec.Decode(&lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		if lp.Export != "" {
-			exports[lp.ImportPath] = lp.Export
-		}
-	}
-	return exports, nil
-}
-
-// ExportImporter returns a types.Importer that resolves import paths
+// exportImporter returns a types.Importer that resolves import paths
 // through compiler export data files (as produced by `go list -export`).
-func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {

@@ -35,7 +35,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "check that host work on payload bytes (copy into gpusim.Buffer.Data, core.Checksum) reaches a Phase charge; " +
 		"suppress with //simlint:nocharge",
 	Directives: []string{directive},
-	Requires:   []*analysis.Analyzer{callgraph.Analyzer},
 	FactTypes:  []analysis.Fact{(*chargesFact)(nil)},
 	Run:        run,
 }
@@ -47,17 +46,17 @@ type chargesFact struct{}
 func (*chargesFact) AFact()         {}
 func (*chargesFact) String() string { return "charges" }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	// The device model is what the charges pay for, not a client of them.
 	if analysis.PkgPathIs(pass.Pkg, "gpusim") {
-		return nil, nil
+		return
 	}
-	g := pass.ResultOf[callgraph.Analyzer].(*callgraph.Graph)
+	g := callgraph.Build(pass.TypesInfo, pass.Files)
 	c := &checker{pass: pass, graph: g}
 
 	// Export before checking so the facts exist regardless of findings.
-	fns := make([]*types.Func, 0, len(g.Nodes))
-	for fn := range g.Nodes {
+	fns := make([]*types.Func, 0, len(g.Calls))
+	for fn := range g.Calls {
 		fns = append(fns, fn)
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
@@ -68,9 +67,6 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 
 	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass, file) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -79,7 +75,6 @@ func run(pass *analysis.Pass) (any, error) {
 			c.checkFunc(file, fd)
 		}
 	}
-	return nil, nil
 }
 
 type checker struct {

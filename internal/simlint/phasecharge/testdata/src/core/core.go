@@ -4,7 +4,7 @@
 // cross-package charges fact).
 package core
 
-import "simtime"
+import "golden/simtime"
 
 type Phase int
 

@@ -4,9 +4,9 @@
 package phasechg
 
 import (
-	"core"
-	"gpusim"
-	"simtime"
+	"golden/core"
+	"golden/gpusim"
+	"golden/simtime"
 )
 
 // --- charged payload work -------------------------------------------
