@@ -407,15 +407,15 @@ func fig11(w io.Writer, s scale) error {
 
 // awpScaling renders one AWP-ODC weak-scaling panel. The per-rank mesh is
 // sized so the largest point fits in host memory (the full 320x320x128
-// subdomain of cmd/awpodc needs ~105 MB per rank). dynamicMPC switches the
-// MPC column to the cost-model-gated engine, used when the scaled-down
-// mesh puts halo messages below MPC's break-even size (the paper's runs
-// used 2-16 MB halos).
+// subdomain of cmd/awpodc needs ~105 MB per rank). dynamicMPC lets the
+// cost model pick the MPC column's send forms (PipelineChunkBytes 0), used
+// when the scaled-down mesh puts halo messages below MPC's break-even size
+// (the paper's runs used 2-16 MB halos).
 func awpScaling(w io.Writer, s scale, title string, c hw.Cluster, ppn int, gpuCounts []int, cfg awpodc.Config, dynamicMPC bool) error {
 	fmt.Fprintf(w, "%s\n\n", title)
 	mpcLabel, mpcCfg := "MPC-OPT TF", mpcOpt
 	if dynamicMPC {
-		mpcLabel, mpcCfg.Dynamic = "MPC-OPT(dyn) TF", true
+		mpcLabel, mpcCfg.PipelineChunkBytes = "MPC-OPT(dyn) TF", 0
 	}
 	t := cli.NewTable("GPUs", "Baseline TF", mpcLabel, "ZFP r16 TF", "ZFP r8 TF",
 		"Base ms/step", "MPC ms/step", "ZFPr8 ms/step", "MPC ratio")
@@ -511,7 +511,7 @@ func oneWay(c hw.Cluster, nodes, ppn int, cfg core.Config, vals []float32, warmu
 // ablations quantifies the four design choices DESIGN.md calls out, on
 // Longhorn: MPC-OPT's multi-stream partitioning (Section IV-B), the GDRCopy
 // size readback (Section IV-B, optimization 3), and the two extensions —
-// pipelined rendezvous and cost-model-gated dynamic selection.
+// pipelined rendezvous and the cost model's pick of each send's form.
 func ablations(w io.Writer, s scale) error {
 	size := s.fixed(8 << 20)
 	fmt.Fprintf(w, "Ablation: MPC-OPT partition count (Longhorn inter-node, %s)\n\n", cli.FormatBytes(size))
@@ -563,15 +563,15 @@ func ablations(w io.Writer, s scale) error {
 	size = s.fixed(8 << 20)
 	fmt.Fprintf(w, "\nAblation: dynamic selection (Longhorn, one %s send of dummy data)\n\n", cli.FormatBytes(size))
 	dummy := datasets.Dummy(size / 4)
-	dynamic := mpcOpt
-	dynamic.Dynamic = true
-	t = cli.NewTable("Link", "Baseline (us)", "Static MPC-OPT (us)", "Dynamic (us)")
+	model := mpcOpt
+	model.PipelineChunkBytes = 0
+	t = cli.NewTable("Link", "Baseline (us)", "Static MPC-OPT (us)", "Model (us)")
 	for _, link := range []struct {
 		name       string
 		nodes, ppn int
 	}{{"IB EDR", 2, 1}, {"NVLink", 1, 2}} {
 		row := []interface{}{link.name}
-		for _, cfg := range []core.Config{{}, mpcOpt, dynamic} {
+		for _, cfg := range []core.Config{{}, mpcOpt, model} {
 			lat, err := oneWay(hw.Longhorn(), link.nodes, link.ppn, cfg, dummy, 0)
 			if err != nil {
 				return err

@@ -256,18 +256,30 @@ func writeStats(out io.Writer, w *mpi.World, opt mpi.Options) {
 	}
 	var ps core.PipelineStats
 	var picks []int
+	bypasses := 0
 	for r := 0; r < w.Size(); r++ {
-		ps.Add(w.Rank(r).Engine.PipeSnapshot())
-		for k, n := range w.Rank(r).Engine.ChunkPicks() {
+		e := w.Rank(r).Engine
+		ps.Add(e.PipeSnapshot())
+		for k, n := range e.ChunkPicks() {
 			for len(picks) <= k {
 				picks = append(picks, 0)
 			}
 			picks[k] += n
 		}
+		bypasses += e.Bypasses
+	}
+	if cfg := opt.Engine; cfg.Mode == core.ModeOpt && cfg.Algorithm != core.AlgoNone && cfg.PipelineChunkBytes == 0 {
+		// The model's forms, summed over ranks; bypasses= also counts sends
+		// under the threshold or refused by the breaker.
+		var count [3]int
+		for k, n := range picks {
+			count[min(k, 2)] += n
+		}
+		fmt.Fprintf(out, "# model: uncompressed=%d whole=%d cut=%d bypasses=%d\n", count[0], count[1], count[2], bypasses)
 	}
 	if opt.Engine.PipelineChunkBytes > 0 || ps.Chunks > 0 {
-		// k= is the chunk chooser's histogram, count by chunk count
-		// (1: kept whole); "-" when nothing was priced.
+		// k= is the form chooser's histogram, count by chunk count
+		// (0: uncompressed, 1: whole); "-" when nothing was priced.
 		var hist []string
 		for k, n := range picks {
 			if n > 0 {

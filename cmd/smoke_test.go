@@ -151,9 +151,11 @@ func TestOmbrunFailureCarriesStatLines(t *testing.T) {
 }
 
 // TestOmbrunPipelineLine: the model cuts an uncached 4 MiB msg_sppm send in
-// two once its rank has seen a ratio, and "# pipeline:" reports the chunks
-// with the chooser's k= histogram: each rank's warm-up send is whole, its
-// measured one two chunks. -chunk off sends whole and prints no line.
+// two once its rank has a ratio estimate — for its warm-up send, from the
+// probe the prior estimate's "uncompressed" pick triggers — and
+// "# pipeline:" reports the chunks with the chooser's k= histogram, and
+// "# model:" the forms it picked: every send two chunks. -chunk off sends
+// whole and prints neither line.
 func TestOmbrunPipelineLine(t *testing.T) {
 	run := func(extra ...string) string {
 		args := append([]string{"-bench", "latency", "-codec", "mpc", "-dataset", "msg_sppm",
@@ -164,11 +166,36 @@ func TestOmbrunPipelineLine(t *testing.T) {
 		}
 		return string(out)
 	}
-	if out := run(); !strings.Contains(out, "# pipeline: chunks=4 ") || !strings.Contains(out, " k=1:2,2:2\n") {
+	if out := run(); !strings.Contains(out, "# pipeline: chunks=8 ") || !strings.Contains(out, " k=2:4\n") ||
+		!strings.Contains(out, "# model: uncompressed=0 whole=0 cut=4 bypasses=0\n") {
 		t.Errorf("the model's run does not report two 2-chunk sends per rank:\n%s", out)
 	}
-	if out := run("-chunk", "off"); strings.Contains(out, "# pipeline:") {
-		t.Errorf("-chunk off sent chunks:\n%s", out)
+	if out := run("-chunk", "off"); strings.Contains(out, "# pipeline:") || strings.Contains(out, "# model:") {
+		t.Errorf("-chunk off sent chunks or reported the model:\n%s", out)
+	}
+}
+
+// TestOmbrunModelLine: "# model:" sums the forms the cost model picked over
+// the ranks. In a 2x2 8 MiB msg_sppm MPC alltoall (one warm-up, one
+// measured iteration) each rank sends its node peer a segment over NVLink
+// uncompressed and its two other peers one over IB EDR whole and
+// compressed; bypasses= counts the same uncompressed sends. -chunk off
+// leaves the model out and prints no line.
+func TestOmbrunModelLine(t *testing.T) {
+	run := func(extra ...string) string {
+		args := append([]string{"-bench", "alltoall", "-nodes", "2", "-ppn", "2", "-codec", "mpc",
+			"-dataset", "msg_sppm", "-sizes", "8M", "-cache", "-1", "-iters", "1", "-warmup", "1"}, extra...)
+		out, err := exec.Command(filepath.Join(buildCommands(t), "ombrun"), args...).Output()
+		if err != nil {
+			t.Fatalf("ombrun %v: %v\n%s", extra, err, out)
+		}
+		return string(out)
+	}
+	if out := run(); !strings.Contains(out, "# model: uncompressed=8 whole=16 cut=0 bypasses=8\n") {
+		t.Errorf("the model's line does not report one uncompressed and two whole sends per rank and iteration:\n%s", out)
+	}
+	if out := run("-chunk", "off"); strings.Contains(out, "# model:") {
+		t.Errorf("-chunk off reported the model:\n%s", out)
 	}
 }
 

@@ -30,15 +30,14 @@ type EngineFlags struct {
 	Codec   *string
 	Rate    *int
 	Dim     *int
-	Dynamic *bool
 	Workers *int
 	Chunk   *string
 	Cache   *int
 	Credits *int
 }
 
-// AddEngineFlags registers -mode/-codec/-rate/-mpcdim/-dynamic/-workers
-// on fs. (The compression codec flag used to be called -algo; it was
+// AddEngineFlags registers -mode/-codec/-rate/-mpcdim/-workers/-chunk/
+// -cache/-credits on fs. (The compression codec flag used to be called -algo; it was
 // renamed so -algo could name the collective algorithm pin.)
 func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	return &EngineFlags{
@@ -46,9 +45,8 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 		Codec:   fs.String("codec", "none", "compression codec: none | mpc | zfp"),
 		Rate:    fs.Int("rate", 16, "ZFP fixed rate in bits/value (4, 8, 16, ...)"),
 		Dim:     fs.Int("mpcdim", 1, "MPC dimensionality"),
-		Dynamic: fs.Bool("dynamic", false, "enable cost-model-driven per-message selection"),
 		Workers: fs.Int("workers", 0, "host codec worker pool size (0 = GOMAXPROCS, 1 = serial; cannot affect results)"),
-		Chunk:   fs.String("chunk", "", "pipelined-rendezvous chunk size, e.g. 256K (empty = the cost model sizes point-to-point sends, off = whole messages)"),
+		Chunk:   fs.String("chunk", "", "pipelined-rendezvous chunk size, e.g. 256K (empty = the cost model picks each send's form: uncompressed, whole or cut; off = whole messages, compressed when eligible)"),
 		Cache:   fs.Int("cache", 0, "compress-once cache entries per engine (0 = default, negative = off)"),
 		Credits: fs.Int("credits", 0, "pipeline credit window: max chunks in flight (0 = default, negative = unlimited)"),
 	}
@@ -57,7 +55,7 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 // Config materializes the engine configuration from the parsed flags.
 func (e *EngineFlags) Config() (core.Config, error) {
 	cfg := core.Config{
-		ZFPRate: *e.Rate, MPCDim: *e.Dim, Dynamic: *e.Dynamic,
+		ZFPRate: *e.Rate, MPCDim: *e.Dim,
 		Workers: *e.Workers, CacheEntries: *e.Cache,
 		PipelineCredits: *e.Credits,
 	}

@@ -38,14 +38,14 @@ func TestEngineFlagsDefaults(t *testing.T) {
 func TestEngineFlagsParsing(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	ef := AddEngineFlags(fs)
-	if err := fs.Parse([]string{"-mode", "naive", "-codec", "zfp", "-rate", "8", "-dynamic"}); err != nil {
+	if err := fs.Parse([]string{"-mode", "naive", "-codec", "zfp", "-rate", "8"}); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := ef.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Mode != core.ModeNaive || cfg.Algorithm != core.AlgoZFP || cfg.ZFPRate != 8 || !cfg.Dynamic {
+	if cfg.Mode != core.ModeNaive || cfg.Algorithm != core.AlgoZFP || cfg.ZFPRate != 8 {
 		t.Fatalf("parsed wrong: %+v", cfg)
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"mpicomp/internal/dtype"
 	"mpicomp/internal/gpusim"
 	"mpicomp/internal/simtime"
@@ -44,10 +42,9 @@ import (
 // simulated clock and the host wall-clock get cheaper.
 
 // cacheKey identifies one cacheable compression input: an exact byte
-// range of a tracked allocation, compressed for a given link class.
-// bw is the link bandwidth's bit pattern and k the chunk count of the
-// send when dynamic selection is on (the gate's decision depends on
-// both); zero otherwise, so all links and cuts share one entry. For typed
+// range of a tracked allocation. The link is not part of it: the model
+// picks a send's form before the cache is asked (SendForm), and a
+// compressed payload is the same bytes whatever link it crosses. For typed
 // (derived-datatype) compressions, sig is the layout's signature and poff
 // the packed byte offset of the chunk within the layout's packed stream —
 // so repeated halo sends of an unchanged strided face hit the same entry,
@@ -59,8 +56,6 @@ type cacheKey struct {
 	id    uint64
 	off   int
 	n     int
-	bw    uint64
-	k     int
 	sig   uint64
 	poff  int
 	sched uint32
@@ -145,20 +140,16 @@ func (e *Engine) cacheEnabled() bool {
 }
 
 // cacheKeyFor keys packed bytes [off, off+n) of the words t selects from
-// buf (of buf itself when t is nil), a part of a k-part send over a link of
-// bwGBps, and returns the buffer's current epoch; ok is false when the
-// cache is off or buf is untracked. A contiguous part is keyed by its own
-// byte range of the allocation, a layout's part by (layout signature,
-// packed offset).
-func (e *Engine) cacheKeyFor(buf *gpusim.Buffer, t dtype.Type, off, n, k int, bwGBps float64) (key cacheKey, epoch uint64, ok bool) {
+// buf (of buf itself when t is nil) and returns the buffer's current
+// epoch; ok is false when the cache is off or buf is untracked. A
+// contiguous part is keyed by its own byte range of the allocation, a
+// layout's part by (layout signature, packed offset).
+func (e *Engine) cacheKeyFor(buf *gpusim.Buffer, t dtype.Type, off, n int) (key cacheKey, epoch uint64, ok bool) {
 	id, allocOff, epoch, tracked := buf.Version()
 	if !tracked || !e.cacheEnabled() {
 		return cacheKey{}, 0, false
 	}
 	key = cacheKey{id: id, off: allocOff, n: n, sched: e.schedTag.Load()}
-	if e.cfg.Dynamic {
-		key.bw, key.k = math.Float64bits(bwGBps), k
-	}
 	if t == nil {
 		key.off += off
 	} else {
@@ -226,43 +217,49 @@ func (e *Engine) cacheInsertLocked(key cacheKey, epoch uint64, payload []byte, h
 	e.cacheBytes += len(payload)
 }
 
-// CompressForLinkCached is Compress behind the dynamic-selection gate
-// (dynamic.go) and the compress-once cache. For a tracked buffer whose
-// (range, epoch, link) was compressed before, the cached wire payload and
-// header are returned with no simulated-clock charge and no host codec
-// work — the kernel was charged once, at the miss. Untracked buffers fall
-// through unchanged.
+// CompressForLinkCached sends all of buf in the form the model picks for
+// a wire of bwGBps between uncompressed and whole (SendForm, never a cut):
+// a relay's payload, or a broadcast root's. Uncompressed, it is a
+// snapshot of buf counted as a Bypass; compressed, it comes through the
+// compress-once cache (CompressChunkCached).
+func (e *Engine) CompressForLinkCached(clk *simtime.Clock, buf *gpusim.Buffer, bwGBps float64) ([]byte, Header) {
+	if k, _ := e.SendForm(clk, buf, nil, buf.Len(), bwGBps, false); k == 0 {
+		return e.BypassChunk(clk, buf, nil, 0, buf.Len())
+	}
+	return e.CompressChunkCached(clk, buf, nil, 0, buf.Len())
+}
+
+// CompressChunkCached is Compress behind the compress-once cache for
+// packed bytes [off, off+n) of the words t selects from buf (of buf
+// itself when t is nil): one chunk of a cut send, or a whole message. For
+// a tracked buffer whose range and epoch were compressed before, the
+// cached wire payload and header are returned with no simulated-clock
+// charge and no host codec work — the kernel was charged once, at the
+// miss. Untracked buffers fall through to a fresh compression. Every
+// chunk caches independently (cacheKeyFor), so repeated sends of an
+// unchanged strided face reuse the first send's wire payload. It records
+// the send on buf's allocation (gpusim.Buffer.NoteSend), which the
+// chooser reads.
 //
 // The returned payload and header are shared with the cache and with
 // other in-flight sends of the same block; they are read-only by
 // contract everywhere downstream (the transport snapshots on fault
 // injection, receivers never write into wire payloads).
-func (e *Engine) CompressForLinkCached(clk *simtime.Clock, buf *gpusim.Buffer, bwGBps float64) ([]byte, Header) {
-	return e.CompressChunkCached(clk, buf, nil, 0, buf.Len(), 1, bwGBps)
-}
-
-// CompressChunkCached is CompressForLinkCached for packed bytes
-// [off, off+n) of the words t selects from buf (of buf itself when t is
-// nil): one chunk of a send cut into k (the dynamic gate prices the send
-// at that k), or a whole message when k is 1. Every chunk caches
-// independently (cacheKeyFor), so repeated sends of an unchanged strided
-// face reuse the first send's wire payload. It records the send on buf's
-// allocation (gpusim.Buffer.NoteSend), which the chooser reads.
-func (e *Engine) CompressChunkCached(clk *simtime.Clock, buf *gpusim.Buffer, t dtype.Type, off, n, k int, bwGBps float64) ([]byte, Header) {
+func (e *Engine) CompressChunkCached(clk *simtime.Clock, buf *gpusim.Buffer, t dtype.Type, off, n int) ([]byte, Header) {
 	buf.NoteSend()
 	m := message{buf: buf, t: t, off: off, n: n}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key, epoch, ok := e.cacheKeyFor(buf, t, off, n, k, bwGBps)
+	key, epoch, ok := e.cacheKeyFor(buf, t, off, n)
 	if !ok {
-		return snapshot(e.compressForLinkLocked(clk, m, k, bwGBps))
+		return snapshot(e.compressLocked(clk, m))
 	}
 	if payload, hdr, ok := e.cacheLookupLocked(key, epoch); ok {
 		return payload, hdr
 	}
 	e.CacheMisses++
 	fallbacksBefore := e.PoolFallbacks
-	payload, hdr := snapshot(e.compressForLinkLocked(clk, m, k, bwGBps))
+	payload, hdr := snapshot(e.compressLocked(clk, m))
 	if e.PoolFallbacks != fallbacksBefore {
 		// Pool exhaustion is a transient condition of this moment, not a
 		// property of the bytes; caching the degraded form would freeze

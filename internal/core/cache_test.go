@@ -9,8 +9,11 @@ import (
 )
 
 // cacheConfig is an opt-mode MPC engine with the cache on.
+// cacheConfig compresses every eligible message whole
+// (PipelineChunkBytes -1): the cache serves compressed payloads, and the
+// model would send these smooth test messages uncompressed.
 func cacheConfig() Config {
-	return Config{Mode: ModeOpt, Algorithm: AlgoMPC, Workers: 1}
+	return Config{Mode: ModeOpt, Algorithm: AlgoMPC, Workers: 1, PipelineChunkBytes: -1}
 }
 
 // TestCacheHitReturnsIdenticalPayloadForFree is the compress-once
@@ -234,26 +237,32 @@ func TestCacheDropsReleasePayloads(t *testing.T) {
 	}
 }
 
-// TestCacheDynamicKeyPerLink: with dynamic selection the gate's decision
-// depends on the link, so each bandwidth gets its own entry; without it
-// all links share one.
+// TestCacheDynamicKeyPerLink: the model picks a send's form before the
+// cache is asked, and a compressed payload is the same bytes whatever link
+// it crosses, so one entry serves every link the send compresses on — IB
+// EDR and the half of it two ranks of a node share — while a link where
+// the model sends uncompressed (3-lane NVLink) leaves the cache alone.
 func TestCacheDynamicKeyPerLink(t *testing.T) {
 	cfg := cacheConfig()
-	cfg.Dynamic = true
+	cfg.PipelineChunkBytes = 0
 	e, dev, clk := newTestEngine(t, cfg)
-	buf := deviceBufferWith(dev, smooth(1<<18, 5)).Track()
-	e.CompressForLinkCached(clk, buf, 12.5)
-	e.CompressForLinkCached(clk, buf, 50.0)
-	if st := e.CacheSnapshot(); st.Misses != 2 {
-		t.Fatalf("dynamic links shared an entry: %+v", st)
+	vals := make([]float32, 1<<20)
+	for i := range vals {
+		vals[i] = 1.0
 	}
-
-	e2, dev2, clk2 := newTestEngine(t, cacheConfig())
-	buf2 := deviceBufferWith(dev2, smooth(1<<18, 5)).Track()
-	e2.CompressForLinkCached(clk2, buf2, 12.5)
-	e2.CompressForLinkCached(clk2, buf2, 50.0)
-	if st := e2.CacheSnapshot(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("static links did not share an entry: %+v", st)
+	buf := deviceBufferWith(dev, vals).Track()
+	e.CompressForLinkCached(clk, buf, 12.5)
+	e.CompressForLinkCached(clk, buf, 6.25)
+	if st := e.CacheSnapshot(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("the links did not share an entry: %+v", st)
+	}
+	bypasses := e.Bypasses
+	_, hdr := e.CompressForLinkCached(clk, buf, 75)
+	if hdr.Compressed || e.Bypasses != bypasses+1 {
+		t.Fatalf("NVLink send compressed %v, bypasses %d -> %d", hdr.Compressed, bypasses, e.Bypasses)
+	}
+	if st := e.CacheSnapshot(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("an uncompressed send touched the cache: %+v", st)
 	}
 }
 

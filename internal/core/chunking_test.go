@@ -19,10 +19,13 @@ func TestChunkCandidatesReachThreshold(t *testing.T) {
 	}
 	for _, n := range sizes {
 		var priced []int
-		chooseChunks(n, threshold, func(k int) model.Params {
+		chooseForm(n, n/threshold, threshold, 12.5, func(k int) model.Params {
 			priced = append(priced, k)
 			return model.Params{MsgBytes: n, BandwidthGBps: 12.5, CR: 1}
 		})
+		if priced[0] != 1 {
+			t.Fatalf("n=%d: the whole message is not the first candidate priced: %v", n, priced[:1])
+		}
 		for _, k := range priced {
 			c := ChunkBytes(n, k)
 			if chunks, last := (n+c-1)/c, n-(k-1)*c; chunks != k || last < threshold {

@@ -117,20 +117,16 @@ type Config struct {
 	// simulated time, payload bytes, and checksums are identical for any
 	// value (see DESIGN.md §8).
 	Workers int
-	// Dynamic enables per-message compression selection driven by the
-	// Section II-A cost model (the paper's future-work extension): a
-	// message is compressed only when the model predicts a latency win
-	// on the link it will traverse.
-	Dynamic bool
 	// PipelineChunkBytes sizes pipelined rendezvous (extension, modeled
 	// on MVAPICH2-GDR's chunked large-message path): a message is
 	// compressed and transferred chunk by chunk, overlapping chunk k's
 	// transfer with chunk k+1's compression and the receiver's
 	// decompression of earlier chunks. Above zero, every rendezvous
 	// message of at least twice this size is cut into chunks of it.
-	// Zero lets the cost model size point-to-point sends in ModeOpt
-	// (Engine.PipelineChunks) and keeps collectives whole. Negative sends
-	// every message whole, as in the paper's Figure 4.
+	// Zero lets the cost model pick every send's form in ModeOpt
+	// (Engine.SendForm): uncompressed, whole and compressed or, for a
+	// point-to-point send, cut. Negative sends every message whole and
+	// compresses every eligible one, as in the paper's Figure 4.
 	PipelineChunkBytes int
 	// PipelineCredits is the chunk-granular flow-control window of the
 	// pipelined rendezvous path: at most this many chunks may be in

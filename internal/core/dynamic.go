@@ -1,18 +1,18 @@
 package core
 
 import (
+	"mpicomp/internal/dtype"
+	"mpicomp/internal/gpusim"
 	"mpicomp/internal/model"
 	"mpicomp/internal/simtime"
 )
 
-// Dynamic selection is the paper's stated future work ("explore the
+// The dynamic design is the paper's stated future work ("explore the
 // dynamic design to automatically determine the use of compression ...
-// based on the compression costs and communication time"): before
-// compressing, the engine evaluates the Section II-A cost model with the
-// destination link's bandwidth and its running estimate of the achievable
-// compression ratio, and bypasses compression when the model predicts a
-// loss. This automatically reproduces Figure 9(c)'s finding that MPC-OPT
-// does not pay off over 3-lane NVLink while still engaging on IB and PCIe.
+// based on the compression costs and communication time"): the Section
+// II-A cost model picks each send's form (SendForm, chooseForm) from the
+// bandwidth the caller passes and a running estimate of the ratio. It
+// reproduces Figure 9(c): MPC-OPT does not pay off over 3-lane NVLink.
 
 // ratioEWMAWeight is the update weight for the running compression-ratio
 // estimate (new observations count 30%).
@@ -45,27 +45,27 @@ func (e *Engine) observeRatio(r float64) {
 	e.crEstimate = (1-ratioEWMAWeight)*e.crEstimate + ratioEWMAWeight*r
 }
 
+// formCodec returns the codec whose model picks the form of an n-byte
+// send from buf, nil when there is no pick to make: outside ModeOpt, at a
+// PipelineChunkBytes other than 0 (a positive one cuts at its fixed size
+// and a negative one sends whole, both compressing every eligible message
+// or chunk, as the paper's Figure 4 does), and for a message the engine
+// would not compress.
+func (e *Engine) formCodec(buf *gpusim.Buffer, n int) *codec {
+	if e.cfg.Mode != ModeOpt || e.cfg.PipelineChunkBytes != 0 || !e.ShouldCompressPacked(buf, n) {
+		return nil
+	}
+	return codecFor(e.cfg.Algorithm)
+}
+
 // chunkParamsLocked prices an n-byte message, or one n-byte chunk of a
-// send, over a link of bwGBps for the model: the codec's kernels and the
-// ratio estimate, and in ModeOpt every fixed charge around the kernels
-// plus the checksum pass over the predicted payload, on the sender and
-// again on the receiver. ModeNaive keeps the gate's first, coarse overhead
-// of two launches and two syncs a side: nothing chooses chunks there, and
-// its per-message cudaMalloc, cudaFree and device-property queries
-// (Section III) were never priced.
-func (e *Engine) chunkParamsLocked(n int, bwGBps float64) model.Params {
+// send, over a link of bwGBps for the model: the codec's kernels, the
+// ratio estimate, every fixed charge around the kernels and the checksum
+// pass over the predicted payload, on the sender and again on the
+// receiver. c is the engine's codec.
+func (e *Engine) chunkParamsLocked(c *codec, n int, bwGBps float64) model.Params {
 	p := model.Params{MsgBytes: n, BandwidthGBps: bwGBps, CR: e.predictedRatioLocked()}
-	c := codecFor(e.cfg.Algorithm)
-	if c == nil {
-		return p
-	}
 	p.Tcompr, p.Tdecompr = c.kernelCosts(e, n)
-	if e.cfg.Mode != ModeOpt {
-		spec := e.dev.Spec
-		p.TohCompr = 2*spec.KernelLaunch + 2*spec.StreamSync
-		p.TohDecompr = p.TohCompr
-		return p
-	}
 	p.TohCompr, p.TohDecompr = c.overheads(e, n)
 	sum := simtime.ThroughputTime(int(float64(n)/p.CR), e.dev.Spec.MemBWGBps*8)
 	p.TohCompr += sum
@@ -73,40 +73,89 @@ func (e *Engine) chunkParamsLocked(n int, bwGBps float64) model.Params {
 	return p
 }
 
-// PredictBenefit evaluates equation (2) against equation (1) for an
-// n-byte message over a link of bwGBps and reports whether compression is
-// predicted to reduce latency.
-func (e *Engine) PredictBenefit(n int, bwGBps float64) bool {
+// SendForm picks the form of an n-byte send of the words t selects from
+// buf (of buf itself when t is nil) over a wire of bwGBps, and the time
+// the model predicts (zero when it priced none): 0 uncompressed, 1 whole
+// and compressed, k >= 2 cut into k chunks of ChunkBytes(n, k), which only
+// a send with cut set may be. Without a pick to make (formCodec) it is 1,
+// the paper's Figure 4. A send the model would leave uncompressed is
+// probed every probeInterval-th time and picked again, so a pessimistic
+// estimate cannot bypass forever. Every pick is counted in ChunkPicks.
+func (e *Engine) SendForm(clk *simtime.Clock, buf *gpusim.Buffer, t dtype.Type, n int, bwGBps float64, cut bool) (int, simtime.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.predictBenefitLocked(n, 1, bwGBps)
+	c := e.formCodec(buf, n)
+	if c == nil {
+		return 1, 0
+	}
+	k, predicted := e.pickFormLocked(c, buf, t, n, bwGBps, cut)
+	if k == 0 && c.probe != nil {
+		probe := e.probes%probeInterval == 0
+		e.probes++
+		if probe {
+			e.probeRatioLocked(c, clk, message{buf: buf, t: t, n: n})
+			k, predicted = e.pickFormLocked(c, buf, t, n, bwGBps, cut)
+		}
+	}
+	e.notePickLocked(k)
+	return k, predicted
 }
 
-// predictBenefitLocked is the dynamic gate's price: a send of k parts of n
-// bytes, pipelined (model.Pipelined; k = 1 is equation 2), against the
-// uncompressed transfer of all k·n bytes (equation 1).
-func (e *Engine) predictBenefitLocked(n, k int, bwGBps float64) bool {
-	base := model.Baseline(model.Params{MsgBytes: k * n, BandwidthGBps: bwGBps})
-	return base > model.Pipelined(e.chunkParamsLocked(n, bwGBps), k)
+// PredictForm is SendForm as a pure query: it neither probes nor counts,
+// so asking before a send returns what that send picks unless it probes.
+func (e *Engine) PredictForm(buf *gpusim.Buffer, t dtype.Type, n int, bwGBps float64, cut bool) (int, simtime.Duration) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	c := e.formCodec(buf, n)
+	if c == nil {
+		return 1, 0
+	}
+	return e.pickFormLocked(c, buf, t, n, bwGBps, cut)
+}
+
+// pickFormLocked runs the chooser on an eligible send. A cut needs a
+// measured ratio (the prior guess of a learning codec never cuts) and
+// room for two Threshold-sized chunks. A message the compress-once cache
+// holds whole at its current epoch stays whole, its compress stage free:
+// the hit charges no kernel. So does the compress stage of any tracked
+// buffer not written between two sends — it is tracked for the repeats
+// the cache serves — until gpusim.Buffer.RewrittenSinceSend reports a
+// write; from then on its kernel runs, and the stage is priced as it runs.
+func (e *Engine) pickFormLocked(c *codec, buf *gpusim.Buffer, t dtype.Type, n int, bwGBps float64, cut bool) (int, simtime.Duration) {
+	maxK := 1
+	if cut && (c.probe == nil || e.crEstimate > 0) {
+		maxK = n / e.cfg.Threshold
+	}
+	warm := false
+	if key, epoch, ok := e.cacheKeyFor(buf, t, 0, n); ok {
+		warm = !buf.RewrittenSinceSend()
+		if i := e.cacheFindLocked(key); i >= 0 && e.cache[i].epoch == epoch {
+			maxK, warm = 1, true
+		}
+	}
+	return chooseForm(n, maxK, e.cfg.Threshold, bwGBps, func(k int) model.Params {
+		p := e.chunkParamsLocked(c, ChunkBytes(n, k), bwGBps)
+		if warm {
+			p.Tcompr, p.TohCompr = 0, 0
+		}
+		return p
+	})
 }
 
 // probeBytes is the prefix sampled to estimate a message's MPC
-// compressibility when the dynamic gate would otherwise bypass it — the
-// "real-time monitor" role the paper assigns to OSU INAM.
+// compressibility when the model would otherwise send it uncompressed —
+// the "real-time monitor" role the paper assigns to OSU INAM.
 const probeBytes = 64 << 10
 
-// probeInterval spaces out probes: the first gated message and every 16th
-// thereafter pay the small sampling cost.
+// probeInterval spaces out probes: the first message the model would
+// leave uncompressed and every 16th thereafter pay the small sampling
+// cost.
 const probeInterval = 16
 
-// probeRatioLocked refreshes the ratio estimate from a small prefix of m's
-// packed stream — read in place for a contiguous message, gathered through
+// probeRatioLocked refreshes codec c's ratio estimate from a small prefix
+// of m's packed stream — read in place for a contiguous message, gathered through
 // the layout's plan otherwise — with a real (sampled) compression.
-func (e *Engine) probeRatioLocked(clk *simtime.Clock, m message) {
-	c := codecFor(e.cfg.Algorithm)
-	if c == nil || c.probe == nil {
-		return
-	}
+func (e *Engine) probeRatioLocked(c *codec, clk *simtime.Clock, m message) {
 	pn := probeBytes
 	if pn > m.n {
 		pn = m.n
@@ -117,27 +166,4 @@ func (e *Engine) probeRatioLocked(clk *simtime.Clock, m message) {
 		m.t.Plan().Gather(sample, m.buf.Data, m.off)
 	}
 	c.probe(e, clk, sample, pn)
-}
-
-// compressForLinkLocked is compressLocked behind the dynamic-selection
-// gate: when Config.Dynamic is set, a part m of a send cut into k parts
-// (k = 1: m is the whole message) bypasses compression when the model
-// predicts no benefit for the send over the given link. To avoid a
-// cold-start lock-in (a pessimistic initial ratio estimate would bypass
-// forever and never be corrected), gated messages are periodically probed:
-// a small prefix is sample-compressed to refresh the ratio estimate before
-// the final decision.
-func (e *Engine) compressForLinkLocked(clk *simtime.Clock, m message, k int, bwGBps float64) ([]byte, Header) {
-	if e.cfg.Dynamic && e.eligible(m) && !e.predictBenefitLocked(m.n, k, bwGBps) {
-		probe := e.probes%probeInterval == 0
-		e.probes++
-		if probe {
-			e.probeRatioLocked(clk, m)
-		}
-		if !probe || !e.predictBenefitLocked(m.n, k, bwGBps) {
-			e.Bypasses++
-			return e.bypassViewLocked(clk, m)
-		}
-	}
-	return e.compressLocked(clk, m)
 }

@@ -52,7 +52,7 @@ func TestPredictedRatioMPCLearns(t *testing.T) {
 }
 
 func TestPredictBenefitByLinkSpeed(t *testing.T) {
-	// 16 MB message, MPC with a learned high ratio: the model must say
+	// 16 MB message, MPC with a learned high ratio: the model must pick
 	// "compress" for IB EDR (12.5 GB/s) and "don't" for NVLink (75 GB/s)
 	// — the Figure 9(a) vs 9(c) dichotomy.
 	e, dev, clk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC})
@@ -60,13 +60,14 @@ func TestPredictBenefitByLinkSpeed(t *testing.T) {
 	for i := range vals {
 		vals[i] = 1.0
 	}
-	e.Compress(clk, deviceBufferWith(dev, vals)) // teach it the high CR
+	buf := deviceBufferWith(dev, vals)
+	e.Compress(clk, buf) // teach it the high CR
 	n := len(vals) * 4
-	if !e.PredictBenefit(n, 12.5) {
-		t.Fatal("MPC at high CR should win on EDR")
+	if k, _ := e.PredictForm(buf, nil, n, 12.5, false); k != 1 {
+		t.Fatalf("MPC at high CR should win on EDR, picked form %d", k)
 	}
-	if e.PredictBenefit(n, 75) {
-		t.Fatal("MPC should not win on 3-lane NVLink")
+	if k, _ := e.PredictForm(buf, nil, n, 75, false); k != 0 {
+		t.Fatalf("MPC should not win on 3-lane NVLink, picked form %d", k)
 	}
 }
 
@@ -76,28 +77,32 @@ func TestCompressForLinkGates(t *testing.T) {
 		vals[i] = 1.0
 	}
 
-	dyn, dev, clk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC, Dynamic: true})
-	// Over NVLink the dynamic engine must bypass even after its first
-	// gated message probes the data and learns the high ratio: MPC's
-	// kernels cannot beat a 75 GB/s link.
-	payload, hdr := dyn.CompressForLinkCached(clk, deviceBufferWith(dev, vals), 75)
+	// In ModeOpt with the default PipelineChunkBytes the model picks the
+	// form. Over NVLink it must bypass even after its first message probes
+	// the data and learns the high ratio: MPC's kernels cannot beat a
+	// 75 GB/s link.
+	e, dev, clk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC})
+	payload, hdr := e.CompressForLinkCached(clk, deviceBufferWith(dev, vals), 75)
 	if hdr.Compressed {
-		t.Fatal("dynamic engine should bypass compression on NVLink")
+		t.Fatal("the model should bypass compression on NVLink")
 	}
 	if len(payload) != len(vals)*4 {
 		t.Fatal("bypass payload should be the raw message")
 	}
-	if dyn.PredictedRatio() < 10 {
-		t.Fatalf("the probe should have learned the high ratio, estimate %v", dyn.PredictedRatio())
+	if e.PredictedRatio() < 10 {
+		t.Fatalf("the probe should have learned the high ratio, estimate %v", e.PredictedRatio())
 	}
 	// Over EDR the learned ratio predicts a clear win.
-	_, hdr = dyn.CompressForLinkCached(clk, deviceBufferWith(dev, vals), 12.5)
+	_, hdr = e.CompressForLinkCached(clk, deviceBufferWith(dev, vals), 12.5)
 	if !hdr.Compressed {
-		t.Fatal("dynamic engine should compress on EDR at the learned ratio")
+		t.Fatal("the model should compress on EDR at the learned ratio")
+	}
+	if got := e.ChunkPicks(); len(got) != 2 || got[0] != 1 || got[1] != 1 {
+		t.Fatalf("picks %v, want one uncompressed and one whole", got)
 	}
 
-	// A dynamic engine seeing incompressible data keeps bypassing even
-	// on EDR: the probe reports a ratio near 1.
+	// Incompressible data stays uncompressed even on EDR: the probe
+	// reports a ratio near 1.
 	noisy := make([]float32, 4<<20)
 	h := uint32(0x9e3779b9)
 	for i := range noisy {
@@ -106,25 +111,34 @@ func TestCompressForLinkGates(t *testing.T) {
 		h ^= h << 5
 		noisy[i] = float32(h) / float32(1<<32)
 	}
-	dyn2, dev2, clk2 := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC, Dynamic: true})
-	_, hdr = dyn2.CompressForLinkCached(clk2, deviceBufferWith(dev2, noisy), 12.5)
+	e2, dev2, clk2 := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC})
+	_, hdr = e2.CompressForLinkCached(clk2, deviceBufferWith(dev2, noisy), 12.5)
 	if hdr.Compressed {
 		t.Fatal("incompressible data should stay uncompressed on EDR")
 	}
 
-	// A non-dynamic engine compresses regardless of link.
-	static, sdev, sclk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC})
-	_, hdr = static.CompressForLinkCached(sclk, deviceBufferWith(sdev, vals), 75)
-	if !hdr.Compressed {
-		t.Fatal("static engine should compress on any link")
+	// The paper's Figure 4 form (PipelineChunkBytes -1), a fixed chunk
+	// size and ModeNaive compress regardless of link.
+	for _, cfg := range []Config{
+		{Mode: ModeOpt, Algorithm: AlgoMPC, PipelineChunkBytes: -1},
+		{Mode: ModeOpt, Algorithm: AlgoMPC, PipelineChunkBytes: 1 << 20},
+		{Mode: ModeNaive, Algorithm: AlgoMPC},
+	} {
+		static, sdev, sclk := newTestEngine(t, cfg)
+		if _, hdr = static.CompressForLinkCached(sclk, deviceBufferWith(sdev, vals), 75); !hdr.Compressed {
+			t.Fatalf("%+v: should compress on any link", cfg)
+		}
 	}
 }
 
 func TestDynamicBypassStillSnapshotsPayload(t *testing.T) {
-	e, dev, clk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC, Dynamic: true})
+	e, dev, clk := newTestEngine(t, Config{Mode: ModeOpt, Algorithm: AlgoMPC})
 	vals := make([]float32, 1<<20)
 	buf := deviceBufferWith(dev, vals)
-	payload, _ := e.CompressForLinkCached(clk, buf, 75)
+	payload, hdr := e.CompressForLinkCached(clk, buf, 75)
+	if hdr.Compressed {
+		t.Fatal("the model should bypass compression on NVLink")
+	}
 	buf.Data[0] = 0xFF
 	if payload[0] == 0xFF {
 		t.Fatal("bypass payload must be a snapshot, not an alias")

@@ -119,15 +119,15 @@ type Engine struct {
 	// (retransmits, credit stalls, window shrinks, degrades, bypasses);
 	// PipeSnapshot exposes them (pipestats.go).
 	pipe PipelineStats
-	// picks is the chunk chooser's histogram (ChunkPicks).
+	// picks is the form chooser's histogram (ChunkPicks).
 	picks []int
 	// Tracer, when non-nil, receives every phase interval for timeline
 	// inspection; Track labels this engine's timeline row.
 	Tracer *trace.Collector
 	Track  string
-	// crEstimate is the EWMA compression-ratio estimate used by the
-	// dynamic-selection extension; probes counts gated messages for the
-	// periodic compressibility probe.
+	// crEstimate is the EWMA compression-ratio estimate the model prices
+	// sends with; probes counts the sends it would leave uncompressed, for
+	// the periodic compressibility probe.
 	crEstimate float64
 	probes     int
 }

@@ -16,9 +16,10 @@ import (
 // The engine-path golden pins everything a message can observe of the
 // send-side and receive-side framework: wire bytes (payload CRC and the
 // encoded header), every simulated instant, every Stats phase and every
-// activity counter, for both codecs, both integration modes, the dynamic
-// gate on both sides of its decision, flat and strided messages, whole
-// and chunked, across cache states and pool starvation. The file was
+// activity counter, for both codecs, both integration modes, the paper's
+// static form and the model's pick on both sides of its decision, flat and
+// strided messages, whole and chunked, across cache states and pool
+// starvation. The file was
 // generated at the commit before the typed fork was folded into the flat
 // path; any refactor of the engine must reproduce it byte for byte, for
 // every worker count. Regenerate (only for an intended behaviour change)
@@ -111,8 +112,15 @@ func runGoldenCell(t *testing.T, name string, cfg Config, lay goldenLayout, chun
 			cell.Steps = append(cell.Steps, step)
 		}
 	}
+	// A whole message takes the form the model picks, as a send does; the
+	// chunks of a cut are never gated one by one.
 	cached := func(off, n int) ([]byte, Header) {
-		return e.CompressChunkCached(clk, src, lay.t, off, n, 1, bw)
+		if !chunked {
+			if k, _ := e.SendForm(clk, src, lay.t, n, bw, false); k == 0 {
+				return e.BypassChunk(clk, src, lay.t, off, n)
+			}
+		}
+		return e.CompressChunkCached(clk, src, lay.t, off, n)
 	}
 	pass("cold", cached)
 	pass("warm", cached)
@@ -151,27 +159,27 @@ func goldenCells(t *testing.T, workers int) []goldenCell {
 	var cells []goldenCell
 	for _, algo := range []Algorithm{AlgoMPC, AlgoZFP} {
 		for _, mode := range []Mode{ModeNaive, ModeOpt} {
-			// Dynamic off ignores the link. On, a 2 GB/s link is where a
-			// 1 MiB MPC message passes the gate outright (ModeOpt) or only
-			// after the probe corrects the initial ratio estimate
-			// (ModeNaive) while small chunks stay gated; 75 GB/s (3-lane
-			// NVLink) gates, probes and bypasses everything.
-			for _, dyn := range []struct {
-				on bool
-				bw float64
-			}{{false, 12.5}, {true, 2}, {true, 75}} {
+			// The static form (PipelineChunkBytes -1) ignores the link, and
+			// so does ModeNaive. In ModeOpt the model picks a whole
+			// message's form: a 2 GB/s link is where it compresses a 1 MiB
+			// message; 75 GB/s (3-lane NVLink) probes and bypasses it.
+			for _, form := range []struct {
+				name  string
+				chunk int
+				bw    float64
+			}{{"static", -1, 12.5}, {"model", 0, 2}, {"model", 0, 75}} {
 				for _, lay := range goldenLayouts() {
 					for _, chunked := range []bool{false, true} {
 						cfg := Config{
-							Mode: mode, Algorithm: algo, ZFPRate: 8, Dynamic: dyn.on,
+							Mode: mode, Algorithm: algo, ZFPRate: 8, PipelineChunkBytes: form.chunk,
 							Threshold: 4 << 10, PoolBuffers: 2, Workers: workers,
 						}
 						shape := "whole"
 						if chunked {
 							shape = "chunks"
 						}
-						name := fmt.Sprintf("%v/%v/dynamic=%v@%g/%s/%s", algo, mode, dyn.on, dyn.bw, lay.name, shape)
-						cells = append(cells, runGoldenCell(t, name, cfg, lay, chunked, dyn.bw))
+						name := fmt.Sprintf("%v/%v/%s@%g/%s/%s", algo, mode, form.name, form.bw, lay.name, shape)
+						cells = append(cells, runGoldenCell(t, name, cfg, lay, chunked, form.bw))
 					}
 				}
 			}

@@ -100,8 +100,9 @@ func (e *Engine) NotePipeBypass(small bool) {
 	e.mu.Unlock()
 }
 
-// ChunkPicks is the chooser's histogram: ChunkPicks()[k] counts the sends
-// PipelineChunks cut into k chunks ([1]: kept whole).
+// ChunkPicks is the form chooser's histogram: ChunkPicks()[k] counts the
+// sends SendForm gave form k ([0]: uncompressed, [1]: whole and
+// compressed, k >= 2: cut into k chunks).
 func (e *Engine) ChunkPicks() []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()

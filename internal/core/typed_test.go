@@ -157,7 +157,7 @@ func TestTypedChunksReassemble(t *testing.T) {
 		if off+n > ty.Size() {
 			n = ty.Size() - off
 		}
-		payload, hdr := e.CompressChunkCached(clk, src, ty, off, n, 1, 12.5)
+		payload, hdr := e.CompressChunkCached(clk, src, ty, off, n)
 		if hdr.OrigBytes != n {
 			t.Fatalf("chunk at %d: OrigBytes %d, want %d", off, hdr.OrigBytes, n)
 		}
@@ -242,10 +242,10 @@ func TestTypedCacheKeyedByLayout(t *testing.T) {
 	sub := dtype.Subarray3D{Dims: [3]int{96, 96, 1}, Sub: [3]int{64, 96, 1}, Start: [3]int{0, 0, 0}}
 	src := typedSrcBuffer(dev, vec).Track()
 
-	p1, h1 := e.CompressChunkCached(clk, src, vec, 0, vec.Size(), 1, 12.5)
-	e.CompressChunkCached(clk, src, sub, 0, sub.Size(), 1, 12.5)
+	p1, h1 := e.CompressChunkCached(clk, src, vec, 0, vec.Size())
+	e.CompressChunkCached(clk, src, sub, 0, sub.Size())
 	afterMisses := clk.Now()
-	p2, h2 := e.CompressChunkCached(clk, src, vec, 0, vec.Size(), 1, 12.5)
+	p2, h2 := e.CompressChunkCached(clk, src, vec, 0, vec.Size())
 	if clk.Now() != afterMisses {
 		t.Fatal("typed cache hit advanced the clock")
 	}
@@ -259,7 +259,7 @@ func TestTypedCacheKeyedByLayout(t *testing.T) {
 
 	src.Data[0] ^= 0xFF
 	src.MarkDirty()
-	e.CompressChunkCached(clk, src, vec, 0, vec.Size(), 1, 12.5)
+	e.CompressChunkCached(clk, src, vec, 0, vec.Size())
 	if st := e.CacheSnapshot(); st.Invalidations != 1 || st.Misses != 3 {
 		t.Fatalf("post-write stats: %+v", st)
 	}

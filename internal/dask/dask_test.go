@@ -39,7 +39,9 @@ func TestTransposeSumExactWithoutCompression(t *testing.T) {
 }
 
 func TestTransposeSumExactWithMPC(t *testing.T) {
-	w := newWorkers(t, 4, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC})
+	// Every eligible chunk compressed (PipelineChunkBytes -1): the cost
+	// model would send these smooth chunks uncompressed.
+	w := newWorkers(t, 4, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: -1})
 	res, err := TransposeSum(w, testMatrix())
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +55,7 @@ func TestTransposeSumExactWithMPC(t *testing.T) {
 }
 
 func TestTransposeSumZFPBoundedError(t *testing.T) {
-	w := newWorkers(t, 4, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 16})
+	w := newWorkers(t, 4, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 16, PipelineChunkBytes: -1})
 	res, err := TransposeSum(w, testMatrix())
 	if err != nil {
 		t.Fatal(err)

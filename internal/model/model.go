@@ -1,7 +1,8 @@
 // Package model implements the analytical cost models of Section II-A
 // (equations 1-3), which predict when on-the-fly compression pays off.
-// The dynamic-selection extension (the paper's future work) uses these
-// predictions to choose a codec per message.
+// The dynamic design (the paper's future work; core.Engine.SendForm) uses
+// these predictions to pick each send's form: uncompressed, whole and
+// compressed, or cut into pipelined chunks.
 package model
 
 import (

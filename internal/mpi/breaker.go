@@ -179,8 +179,8 @@ func (b *Breaker) RecordFailure(dst int, now simtime.Time) {
 }
 
 // ProbeAborted rearms a half-open breaker whose probe message could not
-// actually exercise the codec (it was bypassed for unrelated reasons such
-// as dynamic gating or pool exhaustion): the state returns to open with
+// actually exercise the codec (it was bypassed for an unrelated reason,
+// pool exhaustion): the state returns to open with
 // the cooldown already expired, so the next Allow probes again. A no-op
 // in every other state.
 func (b *Breaker) ProbeAborted(dst int) {

@@ -111,7 +111,7 @@ func (r *Rank) treeRelay(from int, children []int, tag int, out, into *gpusim.Bu
 		if err := r.checkHealth(); err != nil {
 			return err
 		}
-		raw.payload, raw.hdr = r.Engine.CompressForLinkCached(r.Clock, out, r.world.cluster.InterNode.BandwidthGBps)
+		raw.payload, raw.hdr = r.Engine.CompressForLinkCached(r.Clock, out, r.shareGBps(0, r.world.nodes-1))
 		raw.decoded = r.relayDecoded(raw.hdr, len(children))
 	} else {
 		req, err := r.irecv(from, tag, nil)
@@ -191,7 +191,7 @@ func (r *Rank) Allgather(sendBuf, recvBuf *gpusim.Buffer) error {
 }
 
 // BcastHierarchical is MVAPICH2's two-level broadcast (sched.BcastHier);
-// Config.Dynamic can keep its intra-node fan-out uncompressed.
+// the model can keep its intra-node fan-out uncompressed.
 func (r *Rank) BcastHierarchical(root int, buf *gpusim.Buffer) error {
 	return r.run(collective{name: "bcast-hier", root: root, send: buf, recv: buf,
 		steps: func(l sched.Layout) []sched.Step { return sched.BcastHier(l, root, buf.Len()) }})

@@ -376,7 +376,7 @@ func TestBcastHierarchical(t *testing.T) {
 	for _, root := range []int{0, 5} {
 		for _, cfg := range []core.Config{
 			{},
-			{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, Dynamic: true},
+			{Mode: core.ModeOpt, Algorithm: core.AlgoMPC},
 		} {
 			runColl(t, Options{Cluster: hw.Lassen(), Nodes: 3, PPN: 4, Engine: cfg}, func(r *Rank) error {
 				buf := emptyDevBuf(r, len(vals))

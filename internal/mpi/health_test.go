@@ -295,7 +295,7 @@ func TestBreakerDegradesCodecFaults(t *testing.T) {
 	for _, tier := range []struct {
 		name  string
 		chunk int
-	}{{"whole", 0}, {"chunks", 32 << 10}} {
+	}{{"whole", -1}, {"chunks", 32 << 10}} {
 		t.Run(tier.name, func(t *testing.T) {
 			bs, recvs, times := run(t, tier.chunk)
 			if bs.Opens == 0 {
@@ -332,7 +332,7 @@ func TestBreakerHalfOpenCloses(t *testing.T) {
 		Cluster: hw.Longhorn(), Nodes: 2, PPN: 1,
 		Engine: core.Config{
 			Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
-			Threshold: 32 << 10, PoolBufBytes: 2 << 20,
+			Threshold: 32 << 10, PoolBufBytes: 2 << 20, PipelineChunkBytes: -1,
 		},
 		Breaker: BreakerPolicy{Threshold: 2, Cooldown: 300 * simtime.Microsecond},
 		Faults: &faults.Config{
@@ -427,7 +427,7 @@ func TestCrashDeterminismAcrossWorkers(t *testing.T) {
 		w := mustWorld(t, Options{
 			Cluster: hw.Longhorn(), Nodes: nodes, PPN: ppn,
 			Engine: core.Config{
-				Mode: core.ModeOpt, Algorithm: core.AlgoMPC,
+				Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: -1,
 				Threshold: 32 << 10, PoolBufBytes: 2 << 20, Workers: workers,
 			},
 			Breaker: BreakerPolicy{Threshold: 2},

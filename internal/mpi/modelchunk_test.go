@@ -48,7 +48,7 @@ func oneWay(t *testing.T, w *World, data []byte, predict bool) (lat simtime.Dura
 		if r.ID() == 0 {
 			buf := &gpusim.Buffer{Data: data, Loc: gpusim.Device, Dev: r.Dev}
 			if predict {
-				k, pred = r.Engine.PipelineChunks(buf, nil, len(data), r.linkGBps(1))
+				k, pred = r.Engine.PredictForm(buf, nil, len(data), r.shareGBps(r.Node(), w.nodeOf(1)), true)
 			}
 			return r.Send(1, 0, buf)
 		}
@@ -60,11 +60,11 @@ func oneWay(t *testing.T, w *World, data []byte, predict bool) (lat simtime.Dura
 	return simtime.Duration(times[1]), k, pred
 }
 
-// TestModelChunkingNearBest holds the chooser to the fixed chunk sizes it
-// replaces: with the compress-once cache off (every send pays its
-// kernels), the model's cut of a 2x1 send lands within 5 % of the best of
-// {whole, 8M, 4M, 2M, 1M}, and the time it predicts for that cut within
-// 10 % of the simulated one. Each size sends a prefix of one 32 MiB
+// TestModelChunkingNearBest holds the chooser to the forms it picks from:
+// with the compress-once cache off (every send pays its kernels), the
+// model's form of a 2x1 send lands within 5 % of the best of
+// {uncompressed, whole, 8M, 4M, 2M, 1M}, and the time it predicts for that
+// form within 10 % of the simulated one. Each size sends a prefix of one 32 MiB
 // sample per dataset. One codec worker: no result depends on the count,
 // and the test leaves a core to the packages that run beside it.
 func TestModelChunkingNearBest(t *testing.T) {
@@ -88,13 +88,17 @@ func TestModelChunkingNearBest(t *testing.T) {
 				return mustWorld(t, Options{Cluster: cl, Nodes: 2, PPN: 1, Engine: cfg})
 			}
 			best := map[int]simtime.Duration{}
+			raw := mustWorld(t, Options{Cluster: cl, Nodes: 2, PPN: 1, Engine: core.Config{Workers: 1}})
+			for _, n := range sizes {
+				best[n], _, _ = oneWay(t, raw, data[n], false)
+			}
 			for _, chunk := range fixed {
 				w := world(chunk)
 				for _, n := range sizes {
 					if chunk > 0 && n < 2*chunk {
 						continue // sent whole, as the -1 world measured
 					}
-					if lat, _, _ := oneWay(t, w, data[n], false); best[n] == 0 || lat < best[n] {
+					if lat, _, _ := oneWay(t, w, data[n], false); lat < best[n] {
 						best[n] = lat
 					}
 				}
@@ -104,10 +108,10 @@ func TestModelChunkingNearBest(t *testing.T) {
 				oneWay(t, w, data[n], false) // the ratio estimate sees this size's data
 				lat, k, pred := oneWay(t, w, data[n], true)
 				name := fmt.Sprintf("%s %s %dM", cl.Name, cc.name, n>>20)
-				t.Logf("%s: k=%d model %.2f us (predicted %.2f), best fixed %.2f us",
+				t.Logf("%s: k=%d model %.2f us (predicted %.2f), best fixed form %.2f us",
 					name, k, lat.Microseconds(), pred.Microseconds(), best[n].Microseconds())
 				if float64(lat) > 1.05*float64(best[n]) {
-					t.Errorf("%s: model's k=%d takes %v, more than 5%% over the best fixed cut's %v", name, k, lat, best[n])
+					t.Errorf("%s: model's k=%d takes %v, more than 5%% over the best fixed form's %v", name, k, lat, best[n])
 				}
 				if d := float64(pred - lat); d > 0.1*float64(lat) || -d > 0.1*float64(lat) {
 					t.Errorf("%s: model predicts %v for k=%d, simulated %v", name, pred, k, lat)
@@ -196,25 +200,158 @@ func TestModelKeepsHalosWhole(t *testing.T) {
 }
 
 // TestModelCutPassesTheDynamicGate: over IB EDR a 32 MiB msg_sp send
-// (CR 1.11) loses when compressed whole but wins when the model cuts it.
-// The Dynamic gate prices each chunk at the send's k, so it lets the cut
-// compress; priced as whole messages of their own, the chunks would go
-// uncompressed. Cache off.
+// (CR 1.11) loses to the uncompressed transfer when compressed whole but
+// wins when the model cuts it. The model prices the uncompressed send
+// beside every cut and picks the form once: the chunks of the cut are not
+// gated again one by one — priced as whole messages of their own they
+// would go uncompressed — so every chunk compresses. Cache off.
 func TestModelCutPassesTheDynamicGate(t *testing.T) {
-	cfg := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, MPCDim: 1, Dynamic: true, CacheEntries: -1}
-	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: cfg})
 	data := datasetBytes(t, "msg_sp", 32<<20)
-	base, _, _ := oneWay(t, w, data, false) // gated whole: the uncompressed transfer
-	if got := w.Rank(0).Engine.Compressions; got != 0 {
-		t.Fatalf("the whole message passed the gate (%d compressions)", got)
+	world := func(chunk int) *World {
+		return mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: core.Config{
+			Mode: core.ModeOpt, Algorithm: core.AlgoMPC, MPCDim: 1, CacheEntries: -1, PipelineChunkBytes: chunk}})
 	}
-	lat, k, pred := oneWay(t, w, data, true)
+	base, _, _ := oneWay(t, mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1}), data, false)
+	if whole, _, _ := oneWay(t, world(-1), data, false); whole <= base {
+		t.Fatalf("compressed whole %v, uncompressed %v: the test needs a message that loses whole", whole, base)
+	}
+	w := world(0)
+	oneWay(t, w, data, false) // the ratio estimate sees the data
 	e := w.Rank(0).Engine
-	if k < 2 || e.Compressions != k || e.PipeSnapshot().Chunks != k {
-		t.Fatalf("cut into k=%d: %d compressions, %d chunks; want every chunk compressed", k, e.Compressions, e.PipeSnapshot().Chunks)
+	comps, chunks := e.Compressions, e.PipeSnapshot().Chunks
+	lat, k, pred := oneWay(t, w, data, true)
+	if k < 2 || e.Compressions-comps != k || e.PipeSnapshot().Chunks-chunks != k {
+		t.Fatalf("cut into k=%d: %d compressions, %d chunks; want every chunk compressed",
+			k, e.Compressions-comps, e.PipeSnapshot().Chunks-chunks)
 	}
 	if lat >= base || pred >= base {
 		t.Fatalf("k=%d: %v (predicted %v), the uncompressed send took %v", k, lat, pred, base)
+	}
+}
+
+// TestModelPricesTheSharedLink: the model prices the wire at the node's
+// share of the link. On Frontera Liquid 2x4 AWP-ODC's 360 KiB ZFP rate-8
+// typed X-face halo compresses over both PCIe and IB FDR; priced on a
+// PCIe link of its own it would go uncompressed. On Longhorn 2x2 an 8 MiB
+// MPC msg_sppm segment, priced whole as a collective step is, goes
+// uncompressed over NVLink and compressed over IB EDR.
+func TestModelPricesTheSharedLink(t *testing.T) {
+	const ny, nz, fields = 320, 32, 9
+	face := dtype.Subarray3D{Dims: [3]int{2, ny, fields * nz}, Sub: [3]int{1, ny, fields * nz}}
+	halo := datasetBytes(t, "msg_sppm", 4*2*ny*fields*nz)
+	w := mustWorld(t, Options{Cluster: hw.FronteraLiquid(), Nodes: 2, PPN: 4,
+		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8}})
+	e := w.Rank(0).Engine
+	src := &gpusim.Buffer{Data: halo, Loc: gpusim.Device, Dev: w.Rank(0).Dev}
+	if k, _ := e.PredictForm(src, face, face.Size(), hw.FronteraLiquid().IntraNode.BandwidthGBps, true); k != 0 {
+		t.Errorf("priced on a PCIe link of its own the halo takes form %d; the test needs one that loses there", k)
+	}
+	peers := []int{1, 4} // PCIe, IB FDR
+	if _, err := w.Run(func(r *Rank) error {
+		if r.ID() == 0 {
+			for _, p := range peers {
+				if k, pred := e.PredictForm(src, face, face.Size(), r.shareGBps(r.Node(), w.nodeOf(p)), true); k != 1 {
+					t.Errorf("halo to rank %d: form %d (predicted %v), want whole and compressed", p, k, pred)
+				}
+				if err := r.SendTyped(p, 0, src, face); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if !slices.Contains(peers, r.ID()) {
+			return nil
+		}
+		dst := &gpusim.Buffer{Data: make([]byte, len(halo)), Loc: gpusim.Device, Dev: r.Dev}
+		return r.RecvTyped(0, 0, dst, face)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Compressions != len(peers) || e.Bypasses != 0 {
+		t.Errorf("halos: %d compressions, %d bypasses; want both compressed", e.Compressions, e.Bypasses)
+	}
+
+	w = mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 2,
+		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, MPCDim: 1}})
+	r := w.Rank(0)
+	seg := &gpusim.Buffer{Data: datasetBytes(t, "msg_sppm", 8<<20), Loc: gpusim.Device, Dev: r.Dev}
+	r.Engine.Compress(r.Clock, seg) // the ratio estimate sees the data
+	for _, c := range []struct {
+		peer int
+		link string
+		want int
+	}{{1, "NVLink", 0}, {2, "IB EDR", 1}} {
+		if k, pred := r.Engine.PredictForm(seg, nil, seg.Len(), r.shareGBps(r.Node(), w.nodeOf(c.peer)), false); k != c.want {
+			t.Errorf("8 MiB segment over %s: form %d (predicted %v), want %d", c.link, k, pred, c.want)
+		}
+	}
+}
+
+// TestModelCutCompressesEveryChunk: the model picks a send's form once, and
+// every chunk of a cut compresses. Its cut points fall on 128-byte
+// boundaries and its last chunk reaches Threshold (TestChunkCandidatesReachThreshold),
+// so no chunk is left below threshold or unaligned: over IB EDR, for MPC
+// on msg_sppm and ZFP rate 8, flat sends of 16 MiB and 16 MiB + 4 B and a
+// Subarray3D send, k chunks compress k times and bypass nothing. Cache
+// off.
+func TestModelCutCompressesEveryChunk(t *testing.T) {
+	face := dtype.Subarray3D{Dims: [3]int{130, 130, 130}, Sub: [3]int{128, 128, 128}, Start: [3]int{1, 1, 1}}
+	layouts := []struct {
+		name  string
+		t     dtype.Type
+		bytes int
+	}{
+		{"flat 16M", nil, 16 << 20},
+		{"flat 16M+4", nil, 16<<20 + 4},
+		{"subarray", face, 4 * 130 * 130 * 130},
+	}
+	for _, cc := range []chunkCase{chunkCases[0], chunkCases[2]} {
+		cfg := cc.cfg
+		cfg.CacheEntries = -1
+		w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: cfg})
+		for _, lay := range layouts {
+			data := datasetBytes(t, cc.dataset, lay.bytes)
+			n := lay.bytes
+			if lay.t != nil {
+				n = lay.t.Size()
+			}
+			send := func(predict bool) (k int) {
+				if _, err := w.Run(func(r *Rank) error {
+					buf := &gpusim.Buffer{Data: data, Loc: gpusim.Device, Dev: r.Dev}
+					if r.ID() == 1 {
+						dst := &gpusim.Buffer{Data: make([]byte, len(data)), Loc: gpusim.Device, Dev: r.Dev}
+						if lay.t == nil {
+							return r.Recv(0, 0, dst)
+						}
+						return r.RecvTyped(0, 0, dst, lay.t)
+					}
+					if predict {
+						k, _ = r.Engine.PredictForm(buf, lay.t, n, r.shareGBps(r.Node(), w.nodeOf(1)), true)
+					}
+					if lay.t == nil {
+						return r.Send(1, 0, buf)
+					}
+					return r.SendTyped(1, 0, buf, lay.t)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return k
+			}
+			send(false) // the ratio estimate sees the data
+			e := w.Rank(0).Engine
+			comps, bypasses, chunks := e.Compressions, e.Bypasses, e.PipeSnapshot().Chunks
+			k := send(true)
+			name := fmt.Sprintf("%s %s", cc.name, lay.name)
+			if k < 2 {
+				t.Fatalf("%s: the model keeps the send whole (form %d); the test needs a cut", name, k)
+			}
+			if got := e.PipeSnapshot().Chunks - chunks; got != k {
+				t.Errorf("%s: form %d sent %d chunks", name, k, got)
+			}
+			if dc, db := e.Compressions-comps, e.Bypasses-bypasses; dc != k || db != 0 {
+				t.Errorf("%s: %d chunks compressed %d times and bypassed %d times", name, k, dc, db)
+			}
+		}
 	}
 }
 
@@ -287,7 +424,7 @@ func TestModelCutNoSlowerCached(t *testing.T) {
 // TestModelLeavesCollectivesWhole: by default only user point-to-point
 // sends are cut. A 2x1 Bcast, Allgather, AllreduceSum and Alltoallv of
 // 16 MiB per rank — sizes the model cuts between the same two ranks —
-// send no chunk and ask the chooser nothing.
+// send no chunk, and the model picks none of their forms above whole.
 func TestModelLeavesCollectivesWhole(t *testing.T) {
 	const n = 16 << 20
 	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: core.Config{
@@ -325,8 +462,9 @@ func TestModelLeavesCollectivesWhole(t *testing.T) {
 		if ps := e.PipeSnapshot(); ps.Chunks != before[i].Chunks || ps.RelayChunks != before[i].RelayChunks {
 			t.Errorf("rank %d: collectives sent chunks: %+v, before %+v", i, ps, before[i])
 		}
-		if got := e.ChunkPicks(); !slices.Equal(got, picks[i]) {
-			t.Errorf("rank %d: collectives asked the chooser: picks %v, before %v", i, got, picks[i])
+		cuts := func(p []int) []int { return p[min(2, len(p)):] }
+		if got := e.ChunkPicks(); !slices.Equal(cuts(got), cuts(picks[i])) {
+			t.Errorf("rank %d: the model cut a collective's send: picks %v, before %v", i, got, picks[i])
 		}
 	}
 }
@@ -355,7 +493,7 @@ func TestModelPricesRewrittenBuffersCold(t *testing.T) {
 					w.ResetClocks()
 					times, err := w.Run(func(r *Rank) error {
 						if r.ID() == 0 {
-							k, _ = r.Engine.PipelineChunks(buf, nil, n, r.linkGBps(1))
+							k, _ = r.Engine.PredictForm(buf, nil, n, r.shareGBps(r.Node(), w.nodeOf(1)), true)
 							return r.Send(1, 0, buf)
 						}
 						return r.Recv(0, 0, &gpusim.Buffer{Data: dst, Loc: gpusim.Device, Dev: r.Dev})

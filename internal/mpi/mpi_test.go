@@ -130,7 +130,7 @@ func TestRendezvousBaselineIntegrity(t *testing.T) {
 func TestRendezvousMPCLossless(t *testing.T) {
 	w := mustWorld(t, Options{
 		Cluster: hw.Longhorn(), Nodes: 2, PPN: 1,
-		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC},
+		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: -1},
 	})
 	vals := datasets.Smooth(2<<20, 3, 1e-3) // 8 MB
 	_, err := w.Run(func(r *Rank) error {
@@ -194,7 +194,9 @@ func TestCompressionReducesLatencyOnEDR(t *testing.T) {
 	// 16 MB over IB EDR, reproducing Figure 9(a)'s conditions: OMB sends
 	// dummy (constant) buffers, on which MPC achieves a very high
 	// compression ratio; ZFP's ratio is fixed by the rate regardless of
-	// content. Both OPT schemes must beat the no-compression baseline.
+	// content. Both OPT schemes, in the paper's form (whole messages,
+	// every eligible one compressed), must beat the no-compression
+	// baseline.
 	latency := func(cfg core.Config, vals []float32) simtime.Duration {
 		w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: cfg})
 		times, err := w.Run(func(r *Rank) error {
@@ -211,8 +213,8 @@ func TestCompressionReducesLatencyOnEDR(t *testing.T) {
 	dummy := datasets.Dummy(4 << 20)
 	smooth := datasets.Smooth(4<<20, 5, 1e-4)
 	base := latency(core.Config{Mode: core.ModeOff}, dummy)
-	mpcOpt := latency(core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC}, dummy)
-	zfpOpt := latency(core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8}, smooth)
+	mpcOpt := latency(core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: -1}, dummy)
+	zfpOpt := latency(core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8, PipelineChunkBytes: -1}, smooth)
 	if mpcOpt >= base {
 		t.Fatalf("MPC-OPT (%v) should beat baseline (%v) on EDR", mpcOpt, base)
 	}
@@ -222,7 +224,7 @@ func TestCompressionReducesLatencyOnEDR(t *testing.T) {
 	// MPC-OPT on low-compressibility data must NOT beat the baseline at
 	// this size — the tradeoff the paper's analytical model captures.
 	noisy := datasets.Random(4<<20, 3)
-	mpcNoisy := latency(core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC}, noisy)
+	mpcNoisy := latency(core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: -1}, noisy)
 	if mpcNoisy < base {
 		t.Fatalf("MPC-OPT on incompressible data (%v) should not beat baseline (%v)", mpcNoisy, base)
 	}
@@ -500,9 +502,9 @@ func TestMessageOrderingFIFO(t *testing.T) {
 }
 
 func TestDynamicEngineEndToEnd(t *testing.T) {
-	// An 8 MB dummy-data message with the dynamic engine: compressed on
-	// the inter-node path, bypassed on NVLink — and both latencies must
-	// match or beat the corresponding static extremes.
+	// An 8 MB dummy-data message with the model picking its form (ModeOpt,
+	// default PipelineChunkBytes): compressed on the inter-node path,
+	// bypassed on NVLink, and there close to the uncompressed baseline.
 	vals := datasets.Dummy(2 << 20)
 	run := func(nodes, ppn int, cfg core.Config) (simtime.Duration, int, int) {
 		w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: nodes, PPN: ppn, Engine: cfg})
@@ -518,10 +520,10 @@ func TestDynamicEngineEndToEnd(t *testing.T) {
 		e := w.Rank(0).Engine
 		return simtime.Duration(MaxTime(times)), e.Compressions, e.Bypasses
 	}
-	dyn := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, Dynamic: true}
+	dyn := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC}
 
 	_, comps, _ := run(2, 1, dyn) // EDR
-	if comps != 1 {
+	if comps < 1 {
 		t.Fatalf("dynamic engine should compress on EDR, compressions=%d", comps)
 	}
 	latIntra, comps, bypasses := run(1, 2, dyn) // NVLink

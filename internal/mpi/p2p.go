@@ -385,9 +385,9 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*Request, 
 // prepare produces the wire form of a send to dst on the caller's clock and
 // returns it as an envelope the fabric has not seen: the eager copy and its
 // checksum, a chunk stream compressed chunk by chunk, or a whole-message
-// payload. Everything that costs codec or checksum time happens here;
-// post does the rest. tag decides only whether this is a user send (tag
-// >= 0), the only kind the model cuts (pipelineCut).
+// payload, compressed or not. Everything that costs codec or checksum time
+// happens here; post does the rest. tag decides only whether this is a
+// user send (tag >= 0), the only kind the model cuts (sendShape).
 func (r *Rank) prepare(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*envelope, error) {
 	if err := r.checkPeer(dst); err != nil {
 		return nil, err
@@ -421,7 +421,8 @@ func (r *Rank) prepare(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*envelop
 		return env, nil
 	}
 
-	if chunk := r.pipelineCut(dst, buf, t, total, tag >= 0); chunk > 0 {
+	chunk, raw := r.sendShape(dst, buf, t, total, tag >= 0)
+	if chunk > 0 {
 		env.pipelined = true
 		env.hdr = core.Header{Algo: core.AlgoNone, OrigBytes: total, CompBytes: total}
 		r.compressChunks(env, buf, t, total, chunk)
@@ -430,7 +431,7 @@ func (r *Rank) prepare(dst, tag int, buf *gpusim.Buffer, t dtype.Type) (*envelop
 
 	// Whole-message rendezvous: compress (steps 1-3; a layout's gather rides
 	// the codec's read pass), then RTS with the piggybacked header (step 4).
-	f := r.newSendForm(dst, buf, t, 1)
+	f := sendForm{r: r, dst: dst, buf: buf, t: t, raw: raw}
 	env.payload, env.hdr, env.fb = f.part(0, total)
 	f.done()
 	return env, nil
@@ -449,22 +450,22 @@ type sendForm struct {
 	dst int
 	buf *gpusim.Buffer
 	t   dtype.Type
-	// k is the send's part count and bw the destination link's bandwidth:
-	// the engine's dynamic gate prices the send as it will travel.
-	k  int
-	bw float64
+	// raw records that the model picked the uncompressed form: every part
+	// travels as it is, and the breaker is never asked.
+	raw bool
 	// asked records that the breaker gave its verdict, refused what it
 	// was; compressed that some part took the codec path.
 	asked, refused, compressed bool
 }
 
-func (r *Rank) newSendForm(dst int, buf *gpusim.Buffer, t dtype.Type, k int) sendForm {
-	return sendForm{r: r, dst: dst, buf: buf, t: t, k: k, bw: r.linkGBps(dst)}
-}
-
-// linkGBps is the bandwidth of the link from this rank to dst.
-func (r *Rank) linkGBps(dst int) float64 {
-	return r.world.fabric.LinkFor(r.Node(), r.world.nodeOf(dst)).BandwidthGBps
+// shareGBps is the bandwidth the model prices a wire between nodes a and b
+// at: the node's share of their link. The ppn ranks of a node share both
+// its intra-node link and its HCA (netsim.Fabric books each on one
+// calendar per node). A relayed payload crosses every link of its
+// collective and is priced on the slowest, between nodes 0 and nodes-1:
+// the network when the world spans nodes.
+func (r *Rank) shareGBps(a, b int) float64 {
+	return r.world.fabric.LinkFor(a, b).BandwidthGBps / float64(r.world.ppn)
 }
 
 // part builds the wire form of packed bytes [off, off+n) of the words t
@@ -475,6 +476,10 @@ func (r *Rank) linkGBps(dst int) float64 {
 // send's wire payload.
 func (f *sendForm) part(off, n int) ([]byte, core.Header, wireFallback) {
 	r := f.r
+	if f.raw {
+		payload, hdr := r.Engine.BypassChunk(r.Clock, f.buf, f.t, off, n)
+		return payload, hdr, nil
+	}
 	// A layout packs to whole words, so its chunk at an unaligned offset
 	// also has an unaligned length: the size test alone agrees with the
 	// engine's eligibility rule for both shapes.
@@ -488,7 +493,7 @@ func (f *sendForm) part(off, n int) ([]byte, core.Header, wireFallback) {
 			return payload, hdr, nil
 		}
 	}
-	payload, hdr := r.Engine.CompressChunkCached(r.Clock, f.buf, f.t, off, n, f.k, f.bw)
+	payload, hdr := r.Engine.CompressChunkCached(r.Clock, f.buf, f.t, off, n)
 	if !hdr.Compressed || r.brk == nil {
 		return payload, hdr, nil
 	}
@@ -505,9 +510,9 @@ func (f *sendForm) part(off, n int) ([]byte, core.Header, wireFallback) {
 }
 
 // done closes the message. A breaker that let it compress — possibly
-// spending its half-open probe — while no part did (dynamic gating, pool
-// exhaustion) learned nothing about the codec, so the probe is rearmed
-// for the next send.
+// spending its half-open probe — while no part did (pool exhaustion)
+// learned nothing about the codec, so the probe is rearmed for the next
+// send.
 func (f *sendForm) done() {
 	if f.asked && !f.refused && !f.compressed {
 		f.r.brk.ProbeAborted(f.dst)
@@ -839,7 +844,7 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header, dec *
 	r.Engine.NoteRelay(len(payload))
 	r.Clock.Advance(simtime.FromMicroseconds(0.3))
 	env := &envelope{src: r.id, dst: dst, hdr: hdr, decoded: dec}
-	chunkBytes := r.pipelineCut(dst, nil, nil, len(payload), false)
+	chunkBytes := r.pipelineCut(dst, len(payload))
 	if chunkBytes == 0 {
 		env.payload = payload
 		return r.post(env, tag, r.Clock.Now()), nil

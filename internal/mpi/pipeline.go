@@ -166,34 +166,45 @@ func (r *Rank) notePipeOutcome(dst, retransmits int, failed bool) {
 	}
 }
 
-// pipelineCut returns the chunk size an n-byte rendezvous send to dst of
-// the words t selects from buf is cut into, 0 for a whole message,
-// counting every bypass by reason so tuning can see what the pipeline
-// skipped. A PipelineChunkBytes above zero cuts every send of at least two
-// chunks, a negative one none. At zero, a user send (Send, Isend, Sendrecv
-// and their typed forms) is cut at the engine chooser's k
-// (core.Engine.PipelineChunks), and collective steps and relays stay
-// whole. Ragged tails are fine — the final chunk is simply short (and
+// pipelineCut returns the chunk size a PipelineChunkBytes above zero cuts
+// an n-byte rendezvous send to dst into, 0 for a whole message, counting
+// every bypass by reason so tuning can see what the pipeline skipped.
+// Ragged tails are fine — the final chunk is simply short (and
 // engine-bypassed when unaligned) — so size is the only data-shape gate.
-func (r *Rank) pipelineCut(dst int, buf *gpusim.Buffer, t dtype.Type, n int, user bool) int {
+func (r *Rank) pipelineCut(dst, n int) int {
 	chunk := r.Engine.Config().PipelineChunkBytes
 	switch {
-	case chunk < 0 || chunk == 0 && !user:
+	case chunk <= 0:
 		return 0
-	case chunk > 0 && n < 2*chunk:
+	case n < 2*chunk:
 		r.Engine.NotePipeBypass(true)
 		return 0
 	case r.pipeDegraded(dst):
 		r.Engine.NotePipeBypass(false)
 		return 0
-	case chunk > 0:
-		return chunk
 	}
-	k, _ := r.Engine.PipelineChunks(buf, t, n, r.linkGBps(dst))
+	return chunk
+}
+
+// sendShape returns the form of an n-byte rendezvous send to dst of the
+// words t selects from buf: the chunk size it is cut into (0: whole), and
+// raw when it travels uncompressed. At a PipelineChunkBytes of zero the
+// engine's model picks it on this rank's share of the link
+// (core.Engine.SendForm), and only a user send (Send, Isend, Sendrecv and
+// their typed forms) to a peer that is not degraded may be cut.
+func (r *Rank) sendShape(dst int, buf *gpusim.Buffer, t dtype.Type, n int, user bool) (chunk int, raw bool) {
+	if r.Engine.Config().PipelineChunkBytes != 0 {
+		return r.pipelineCut(dst, n), false
+	}
+	if user && r.pipeDegraded(dst) {
+		r.Engine.NotePipeBypass(false)
+		user = false
+	}
+	k, _ := r.Engine.SendForm(r.Clock, buf, t, n, r.shareGBps(r.Node(), r.world.nodeOf(dst)), user)
 	if k < 2 {
-		return 0
+		return 0, k == 0
 	}
-	return core.ChunkBytes(n, k)
+	return core.ChunkBytes(n, k), false
 }
 
 // compressChunks builds a pipelined send's chunk list: the packed stream
@@ -205,7 +216,7 @@ func (r *Rank) pipelineCut(dst int, buf *gpusim.Buffer, t dtype.Type, n int, use
 // it without seeing the others. The stream is one message to the codec
 // circuit breaker, exactly as on the whole-message path.
 func (r *Rank) compressChunks(env *envelope, buf *gpusim.Buffer, t dtype.Type, total, chunkBytes int) {
-	f := r.newSendForm(env.dst, buf, t, (total+chunkBytes-1)/chunkBytes)
+	f := sendForm{r: r, dst: env.dst, buf: buf, t: t}
 	for off := 0; off < total; off += chunkBytes {
 		payload, hdr, fb := f.part(off, min(chunkBytes, total-off))
 		env.addChunk(r.Clock.Now(), payload, hdr, off, hdr.Checksum, fb)

@@ -99,7 +99,7 @@ func TestPipelineOverlapsStages(t *testing.T) {
 		}
 		return simtime.Duration(MaxTime(times))
 	}
-	whole := latency(core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC})
+	whole := latency(core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: -1})
 	piped := latency(pipelineCfg(2 << 20))
 	if piped >= whole {
 		t.Fatalf("pipelined (%v) should beat whole-message (%v)", piped, whole)
@@ -166,7 +166,7 @@ func TestTracerRecordsTimeline(t *testing.T) {
 	tr := trace.New()
 	w, err := NewWorld(Options{
 		Cluster: hw.Longhorn(), Nodes: 2, PPN: 1,
-		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC},
+		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: -1},
 		Tracer: tr,
 	})
 	if err != nil {

@@ -111,7 +111,9 @@ func TestRelayDecodeOnce(t *testing.T) {
 		nodes, ppn := topo[0], topo[1]
 		p := nodes * ppn
 		for _, codec := range codecs {
-			for _, chunk := range []int{0, goldenCollChunk} {
+			// -1: whole messages, compressed, so there are payloads to
+			// decode (the model would send these blocks uncompressed).
+			for _, chunk := range []int{-1, goldenCollChunk} {
 				for _, workers := range []int{1, 2, 8} {
 					for _, op := range relayOps() {
 						name := fmt.Sprintf("%dx%d/%s/chunk=%d/workers=%d/%s", nodes, ppn, codec.name, chunk, workers, op.name)
@@ -176,7 +178,7 @@ func TestRelayDecodeOnce(t *testing.T) {
 // not move.
 func TestRelayDecodeOnceUnderCorruption(t *testing.T) {
 	cfg := core.Config{Algorithm: core.AlgoMPC}
-	for _, chunk := range []int{0, goldenCollChunk} {
+	for _, chunk := range []int{-1, goldenCollChunk} {
 		for _, op := range relayOps() {
 			if op.name != "bcast" && op.name != "allgather" {
 				continue

@@ -191,7 +191,7 @@ func (r *Rank) runStep(st sched.Step, b *bufs, chunk int) error {
 	case sched.OpExchange:
 		return r.rdExchange(st.To, tag, src, b[st.Recv.Buf], chunk)
 	case sched.OpRelay:
-		payload, hdr := r.Engine.CompressForLinkCached(r.Clock, b.at(out), r.world.cluster.InterNode.BandwidthGBps)
+		payload, hdr := r.Engine.CompressForLinkCached(r.Clock, b.at(out), r.shareGBps(0, r.world.nodes-1))
 		return r.relayRing(st.From, st.To, tag, len(st.Relay), payload, hdr, func(hop int) *gpusim.Buffer {
 			return b.at(st.Relay[hop])
 		})

@@ -671,7 +671,9 @@ func runHealCell(t *testing.T, workers int) transportCell {
 func collCells(t *testing.T, workers int) []transportCell {
 	var cells []transportCell
 	for _, topo := range [][2]int{{4, 1}, {3, 1}, {8, 1}, {1, 4}, {4, 2}} {
-		for _, chunk := range []int{0, goldenCollChunk} {
+		// -1 sends every step whole and compressed, 0 lets the model pick
+		// each step's form, goldenCollChunk cuts.
+		for _, chunk := range []int{-1, 0, goldenCollChunk} {
 			for _, op := range goldenCollectives() {
 				name := fmt.Sprintf("coll/%dx%d/%s/chunk=%d", topo[0], topo[1], op.name, chunk)
 				cells = append(cells, runCollCell(t, name, topo[0], topo[1], chunk, op, workers))

@@ -95,7 +95,7 @@ func TestTypedSendRecvMatchesPacked(t *testing.T) {
 func TestTypedSendWireBytesIdentical(t *testing.T) {
 	ty, extentWords := typedP2PLayout(1 << 18)
 	vals := datasets.Smooth(extentWords, 3, 1e-3)
-	cfg := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC}
+	cfg := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: -1}
 
 	wireBytes := func(typed bool) int64 {
 		w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: cfg})

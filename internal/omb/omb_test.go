@@ -384,8 +384,10 @@ func fastPathArm(t *testing.T, name string, algo sched.AllreduceAlgo, size, cach
 // once blocks are large enough to chunk (-8..-10 % at 1 MiB and below).
 func TestRingAllreduceBeatsBlockingRing(t *testing.T) {
 	const size = 2 << 20
-	before, _ := fastPathArm(t, "allreduce", sched.AllreduceRingBlocking, size, -1, 0)
-	after, _ := fastPathArm(t, "allreduce", sched.AllreduceRing, size, 0, 0)
+	// Whole blocks, every one compressed (chunk -1): both rings then pay
+	// the codec, which the cost model would skip on these blocks.
+	before, _ := fastPathArm(t, "allreduce", sched.AllreduceRingBlocking, size, -1, -1)
+	after, _ := fastPathArm(t, "allreduce", sched.AllreduceRing, size, 0, -1)
 	if gain := 1 - float64(after)/float64(before); gain < 0.25 {
 		t.Errorf("ring allreduce at %d B: %.1f %% under the blocking ring with the cache off, want >= 25 %% (%v vs %v)",
 			size, 100*gain, after, before)
@@ -467,7 +469,9 @@ func TestCodecWallIsBatchTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newW(t, hw.FronteraLiquid(), 8, 2, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC})
+	// Every block compressed (PipelineChunkBytes -1): the cost model would
+	// send these dense blocks uncompressed, and no codec batch would run.
+	w := newW(t, hw.FronteraLiquid(), 8, 2, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, PipelineChunkBytes: -1})
 	start := time.Now()
 	if _, err := CollectiveLatency(w, "allgather", 256<<10, 0, 2, gen); err != nil {
 		t.Fatal(err)
