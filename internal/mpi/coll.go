@@ -324,12 +324,14 @@ func checkAlltoallv(side string, buf *gpusim.Buffer, counts, displs []int, size 
 //
 // Ragged segments make adapter contention order-sensitive — co-located
 // ranks booking different-sized transfers on a shared egress calendar
-// would serialize in host-scheduling order — so each exchange step runs in
-// barrier-separated waves, one per node-local rank index (alltoallvStep;
-// DESIGN.md §13): no two in-flight transfers of a wave share a calendar,
-// an intra-node pair sends its two directions lower rank first, and only
-// the wire sits inside the waves — the segment's wire form is prepared
-// before the first barrier and the arrival decoded after the last.
+// would serialize in host-scheduling order — so each exchange step books
+// its fabric in barrier-separated waves, one per node-local rank index
+// (alltoallvStep; DESIGN.md §13): no two in-flight transfers of a wave
+// share a calendar and an intra-node pair sends its two directions lower
+// rank first. The waves order bookings only; they do not delay the wire:
+// every segment is prepared before the first barrier and travels from the
+// instant its wire form was ready, and each arrival is decoded after its
+// step's waves.
 func (r *Rank) Alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, recvBuf *gpusim.Buffer, recvCounts, recvDispls []int) error {
 	bad := checkAlltoallv("send", sendBuf, sendCounts, sendDispls, r.Size())
 	if bad == nil {
@@ -344,78 +346,97 @@ func (r *Rank) Alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 		}})
 }
 
-// alltoallvStep runs one exchange step — seg out to dst, src's segment
-// into `into`, either skipped when its peer is -1 — as prepare, the step's
-// waves with only fabric bookings in this rank's own wave, then the decode
-// of the arrival.
-func (r *Rank) alltoallvStep(tag, dst, src int, seg, into *gpusim.Buffer) error {
+// alltoallvStep runs Alltoallv's whole exchange — ex holds one exchange
+// step per partner, each sending its Send span to To and receiving From's
+// segment into its Recv span, a -1 peer skipped — so that every segment
+// crosses the wire as soon as its own wire form is ready. It posts every raw
+// receive, then prepares every outgoing segment in step order and records
+// the instant each one was ready; only then come each step's barrier waves,
+// which fix the host order of the fabric bookings, and in its wave a
+// segment's RTS (an eager segment's injection) leaves at its ready instant,
+// not at the wave's. Each step's arrival is decoded after its waves.
+func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 	w := r.world
 	pow2 := w.size&(w.size-1) == 0
-	var rreq *Request
-	if src >= 0 {
-		// Post the raw receive before any wave: a sender whose wave comes
-		// earlier than ours must find it matched, so the match — and every
-		// booking it makes — completes inside the sender's wave.
-		req, err := r.irecv(src, tag, nil)
-		if err != nil {
-			return err
-		}
-		rreq = req
-	}
-	var out *envelope
-	if dst >= 0 {
-		env, err := r.prepare(dst, tag, seg, nil)
-		if err != nil {
-			return err
-		}
-		out = env
-	}
-	// Our active wave: XOR pairs act in the pair's wave (both sides agree
-	// on the lower rank's local index); ring senders act in their own
-	// local index's wave.
-	wave := r.id % w.ppn
-	if pow2 && dst < r.id {
-		wave = dst % w.ppn
-	}
-	for wv := 0; wv < w.ppn; wv++ {
-		if err := r.Barrier(); err != nil {
-			return err
-		}
-		if wv != wave || out == nil {
+	rreqs := make([]*Request, len(ex))
+	for i, st := range ex {
+		if st.From < 0 {
 			continue
 		}
-		// The health check isend would have made at this instant.
-		if err := r.checkHealth(); err != nil {
+		// Every raw receive is posted before any wave: a sender whose wave
+		// comes earlier than ours must find it matched, so the match — and
+		// every booking it makes — completes inside the sender's wave.
+		req, err := r.irecv(st.From, tag, nil)
+		if err != nil {
 			return err
 		}
-		if pow2 && r.id > dst && w.nodeOf(dst) == r.Node() {
-			// Intra-node pair: both directions would share the node's
-			// GPU-link calendar, so they go one at a time, the lower rank
-			// first (a send's Wait returns only once every fabric booking
-			// of the transfer has been placed).
-			if err := r.Wait(rreq); err != nil {
+		rreqs[i] = req
+	}
+	outs := make([]*envelope, len(ex))
+	ready := make([]simtime.Time, len(ex))
+	for i, st := range ex {
+		if st.To < 0 {
+			continue
+		}
+		env, err := r.prepare(st.To, tag, b.at(st.Send), nil)
+		if err != nil {
+			return err
+		}
+		outs[i], ready[i] = env, r.Clock.Now()
+	}
+	for i, st := range ex {
+		dst, rreq := st.To, rreqs[i]
+		// Our active wave: XOR pairs act in the pair's wave (both sides
+		// agree on the lower rank's local index); ring senders act in their
+		// own local index's wave.
+		wave := r.id % w.ppn
+		if pow2 && dst < r.id {
+			wave = dst % w.ppn
+		}
+		for wv := 0; wv < w.ppn; wv++ {
+			if err := r.Barrier(); err != nil {
+				return err
+			}
+			if wv != wave || outs[i] == nil {
+				continue
+			}
+			// The health check isend would have made at this instant.
+			if err := r.checkHealth(); err != nil {
+				return err
+			}
+			if pow2 && r.id > dst && w.nodeOf(dst) == r.Node() {
+				// Intra-node pair: both directions would share the node's
+				// GPU-link calendar, so they go one at a time, the lower
+				// rank first (a send's Wait returns only once every fabric
+				// booking of the transfer has been placed).
+				if err := r.Wait(rreq); err != nil {
+					return err
+				}
+			}
+			reqs := []*Request{r.post(outs[i], tag, ready[i])}
+			if pow2 {
+				// The peer acts in this same wave; wait the whole exchange
+				// here so every booking lands inside it. (Ring: our source
+				// may act in a later wave — waiting for the receive here
+				// would stall its barrier, so only the send completes
+				// inside it.)
+				reqs = append(reqs, rreq)
+			}
+			if err := r.Waitall(reqs...); err != nil {
 				return err
 			}
 		}
-		reqs := []*Request{r.post(out, tag, r.Clock.Now())}
-		if pow2 {
-			// The peer acts in this same wave; wait the whole exchange
-			// here so every booking lands inside it. (Ring: our source may
-			// act in a later wave — waiting for the receive here would
-			// stall its barrier, so only the send completes inside it.)
-			reqs = append(reqs, rreq)
+		if rreq == nil {
+			continue
 		}
-		if err := r.Waitall(reqs...); err != nil {
+		if err := r.Wait(rreq); err != nil {
+			return err
+		}
+		if err := r.consumeRaw(rreq.raw, b.at(st.Recv)); err != nil {
 			return err
 		}
 	}
-	if rreq == nil {
-		return nil
-	}
-	if err := r.Wait(rreq); err != nil {
-		return err
-	}
-	return r.consumeRaw(rreq.raw, into)
+	return nil
 }
 
 // chargeSum charges the GPU the memory-bound vector-add kernel of a

@@ -10,6 +10,7 @@ import (
 	"mpicomp/internal/dtype"
 	"mpicomp/internal/faults"
 	"mpicomp/internal/gpusim"
+	"mpicomp/internal/sched"
 	"mpicomp/internal/simtime"
 )
 
@@ -521,15 +522,18 @@ func (f *sendForm) done() {
 
 // post hands a prepared wire form to the transport under tag; it charges
 // no codec or checksum time. The message takes its sequence number here,
-// in program order of posting. An eager message crosses the fabric now. A
-// rendezvous-class message sends its RTS at rts — a chunk stream's lane
-// ticket and completion gate are issued with it — and is delivered to the
-// destination's mailbox, whose match completion books the transfer.
+// in program order of posting. An eager message crosses the fabric at rts
+// (a barrier token as a control packet). A rendezvous-class message sends
+// its RTS at rts — a chunk stream's lane ticket and completion gate are
+// issued with it — and is delivered to the destination's mailbox, whose
+// match completion books the transfer.
 func (r *Rank) post(env *envelope, tag int, rts simtime.Time) *Request {
 	w := r.world
 	env.tag, env.seq = tag, r.nextSeq(env.dst)
 	if env.eager {
-		out, err := w.transmit(w.messageEvent(faults.KindEager, r.id, env.dst, env.seq), r.Clock.Now(), env.payload, env.hdr)
+		ev := w.messageEvent(faults.KindEager, r.id, env.dst, env.seq)
+		ev.token = tag == r.collTag(sched.BaseBarrier)
+		out, err := w.transmit(ev, rts, env.payload, env.hdr)
 		env.payload, env.arrival, env.deliveryErr = out.wire, out.arrival, err
 		// The sender's CPU returns as soon as the message is injected;
 		// a delivery failure surfaces from Wait, as MPI semantics demand.

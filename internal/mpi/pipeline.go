@@ -249,7 +249,8 @@ func (w *World) linkLost(fromNode, toNode int, ready simtime.Time) bool {
 // the nodes in travel direction, and limit is the retransmission budget
 // (retry.limit() per whole-message stage, retry.chunkLimit() per chunk).
 // fb is set on a compressed payload's data stage: a whole message's or a
-// chunk's.
+// chunk's. token marks a barrier token: an eager payload under the fault
+// model that crosses the fabric as a control packet.
 type wireEvent struct {
 	kind     faults.Kind
 	src, dst int
@@ -258,6 +259,7 @@ type wireEvent struct {
 	from, to int
 	limit    int
 	fb       wireFallback
+	token    bool
 }
 
 // messageEvent is a whole-message event traveling sender to receiver under
@@ -294,7 +296,10 @@ type wireResult struct {
 // checksum pass against hdr.Checksum and NACKed); each retransmission backs
 // off exponentially on the virtual clock, and a spent budget returns a
 // wrapped ErrDeliveryFailed at a bounded instant. With no injector this is
-// exactly one ControlMessage (RTS, CTS) or one fabric Transfer.
+// exactly one ControlMessage (RTS, CTS, a barrier token) or one fabric
+// Transfer. A barrier token reserves no adapter calendar: Alltoallv books
+// its transfers at their ready instants, earlier than the barriers that
+// order them, and a token's reservation would race them in host order.
 //
 // What differs by tier is data, not code. Only compressed payloads see
 // codec-stage corruption (a flaky compression engine cannot corrupt bytes
@@ -335,7 +340,12 @@ func (w *World) transmit(ev wireEvent, ready simtime.Time, payload []byte, hdr c
 		if !corrupted && out.hdr.Compressed {
 			wire, corrupted = w.inj.CorruptCodec(wire, ev.src, ev.dst, ev.seq, ev.chunk, attempt, ready)
 		}
-		arrival := w.fabric.Transfer(ev.from, ev.to, ready, len(wire))
+		var arrival simtime.Time
+		if ev.token {
+			arrival = w.fabric.ControlMessage(ev.from, ev.to, ready)
+		} else {
+			arrival = w.fabric.Transfer(ev.from, ev.to, ready, len(wire))
+		}
 		if dup && attempt == 0 {
 			w.fabric.Transfer(ev.from, ev.to, arrival, len(wire))
 		}

@@ -198,7 +198,7 @@ func (r *Rank) runStep(st sched.Step, b *bufs, chunk int) error {
 	case sched.OpTree:
 		return r.treeRelay(st.From, st.Peers, tag, b.at(out), b.at(st.Recv))
 	case sched.OpAlltoallv:
-		return r.alltoallvStep(tag, st.To, st.From, b.at(out), b.at(st.Recv))
+		return r.alltoallvStep(tag, st.Fan, b)
 	}
 	// A send, a receive, a pair (receive posted first, send waited first)
 	// or a fan: every part posted in order, then all waited.

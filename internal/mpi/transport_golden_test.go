@@ -632,7 +632,9 @@ func runCollCell(t *testing.T, name string, nodes, ppn, chunk int, op collOp, wo
 		t.Fatalf("%s: %v", name, err)
 	}
 	cell := observeCell(name, w, times, obs, false)
-	cell.protocolOnly = ppn > 1
+	// Alltoallv's barrier waves order every fabric booking of ranks that
+	// share a node, so its timing replays at any ppn.
+	cell.protocolOnly = ppn > 1 && op.name != "alltoallv"
 	return cell
 }
 

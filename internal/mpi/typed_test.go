@@ -371,17 +371,17 @@ func TestAlltoallvCorrectness(t *testing.T) {
 	}
 }
 
-// alltoallvOnSharedNodes runs omb's ragged (i+j)%3 Alltoallv — segments
-// of 2, 4 and 6 MiB cut from msg_sppm — on 2x2 Longhorn, where two ranks
-// share each node's adapters and the exchange runs in barrier waves. The
-// buffers are untracked, so every segment is compressed. It returns the
-// makespan and the CRC of each rank's receive buffer.
-func alltoallvOnSharedNodes(t *testing.T, cfg core.Config) (simtime.Time, []uint32) {
+// raggedAlltoallv runs omb's ragged (i+j)%3 Alltoallv — segments of 1, 2
+// and 3 times seg bytes cut from msg_sppm, each rank's at its own offset —
+// on nodes x ppn Longhorn and returns the makespan and the CRC of each
+// rank's receive buffer. The buffers are untracked, so every segment the
+// model sends compressed is compressed at each send.
+func raggedAlltoallv(t *testing.T, nodes, ppn, seg int, cfg core.Config) (simtime.Time, []uint32) {
 	t.Helper()
 	sppm, _ := datasets.ByName("msg_sppm")
 	stream := core.FloatsToBytes(nil, sppm.Values(4<<20))
-	seg := func(i, j int) int { return 2 << 20 * (1 + (i+j)%3) }
-	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 2, Engine: cfg})
+	size := func(i, j int) int { return seg * (1 + (i+j)%3) }
+	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: nodes, PPN: ppn, Engine: cfg})
 	crcs := make([]uint32, w.Size())
 	times, err := w.Run(func(r *Rank) error {
 		P, me := r.Size(), r.ID()
@@ -389,7 +389,7 @@ func alltoallvOnSharedNodes(t *testing.T, cfg core.Config) (simtime.Time, []uint
 		stot, rtot := 0, 0
 		for j := 0; j < P; j++ {
 			sd[j], rd[j] = stot, rtot
-			sc[j], rc[j] = seg(me, j), seg(j, me)
+			sc[j], rc[j] = size(me, j), size(j, me)
 			stot += sc[j]
 			rtot += rc[j]
 		}
@@ -407,20 +407,63 @@ func alltoallvOnSharedNodes(t *testing.T, cfg core.Config) (simtime.Time, []uint
 	return MaxTime(times), crcs
 }
 
+// TestAlltoallvReplaysOnEveryLayout: every segment's transfer is booked at
+// the instant its wire form was ready, earlier than the barrier waves that
+// order the bookings, so nothing else may reserve an adapter calendar in
+// host order meanwhile (a barrier token that did made 3x2 spread over
+// runs). Alltoallv's latency and bytes must be the same every run, Mode
+// off and MPC, on 2x2, 3x2 (the ring), 4x2 and 2x4, under GOMAXPROCS
+// 1/2/4.
+func TestAlltoallvReplaysOnEveryLayout(t *testing.T) {
+	const seg = 128 << 10
+	modes := []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"off", core.Config{}},
+		{"mpc", core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, MPCDim: 1, Threshold: 64 << 10}},
+	}
+	type ref struct {
+		at   simtime.Time
+		crcs []uint32
+	}
+	layouts := [][2]int{{2, 2}, {3, 2}, {4, 2}, {2, 4}}
+	refs := map[string]ref{}
+	for _, l := range layouts {
+		for _, m := range modes {
+			at, crcs := raggedAlltoallv(t, l[0], l[1], seg, m.cfg)
+			refs[fmt.Sprintf("%dx%d/%s", l[0], l[1], m.name)] = ref{at, crcs}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, l := range layouts {
+			for _, m := range modes {
+				name := fmt.Sprintf("%dx%d/%s", l[0], l[1], m.name)
+				at, crcs := raggedAlltoallv(t, l[0], l[1], seg, m.cfg)
+				if want := refs[name]; at != want.at || !slices.Equal(crcs, want.crcs) {
+					t.Errorf("%s GOMAXPROCS=%d: latency %v, CRCs %08x; first run %v, %08x", name, procs, at, crcs, want.at, want.crcs)
+				}
+			}
+		}
+	}
+}
+
 // TestAlltoallvWinsWhereWavesBind pins the payoff of keeping codec kernels
 // out of Alltoallv's barrier waves where the waves bind: with two ranks per
 // node, a rank that compressed or decoded inside its wave held its
 // neighbour's wire time hostage, and the compressed exchange lost to the
 // uncompressed one (0.73x here). Compressed must beat Mode-off on the same
-// bytes by at least minGain — it reads 1.28x; with the compression alone
-// moved back inside the wave it reads 1.06x — and its latency must be the
-// same instant for every codec worker count and GOMAXPROCS: the waves
-// still make the bookings deterministic.
+// bytes by at least minGain — it reads 1.79x; 1.28x while each segment's
+// wire waited for its wave, 1.06x with the compression inside the wave
+// too — and its latency must be the same instant for every codec worker
+// count and GOMAXPROCS: the waves still make the bookings deterministic.
 func TestAlltoallvWinsWhereWavesBind(t *testing.T) {
 	const minGain = 1.15
-	off, offCRC := alltoallvOnSharedNodes(t, core.Config{})
+	off, offCRC := raggedAlltoallv(t, 2, 2, 2<<20, core.Config{})
 	mpc := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, MPCDim: 1}
-	ref, refCRC := alltoallvOnSharedNodes(t, mpc)
+	ref, refCRC := raggedAlltoallv(t, 2, 2, 2<<20, mpc)
 	if !slices.Equal(refCRC, offCRC) {
 		t.Fatalf("compressed exchange delivered different bytes (CRCs %08x, Mode-off %08x)", refCRC, offCRC)
 	}
@@ -435,7 +478,7 @@ func TestAlltoallvWinsWhereWavesBind(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			cfg := mpc
 			cfg.Workers = workers
-			if got, _ := alltoallvOnSharedNodes(t, cfg); got != ref {
+			if got, _ := raggedAlltoallv(t, 2, 2, 2<<20, cfg); got != ref {
 				t.Errorf("GOMAXPROCS=%d workers=%d: latency %v, want %v", procs, workers, got, ref)
 			}
 		}

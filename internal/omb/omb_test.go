@@ -260,9 +260,10 @@ func TestAlltoallAndAllreduce(t *testing.T) {
 
 func TestAlltoallvDeterministicAndCompressible(t *testing.T) {
 	// The ragged vector collective: same seeds must give the same
-	// simulated latency, and compression must win on smooth data.
+	// simulated latency, both arms, and compression must win on smooth data.
+	zfp := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8}
 	base := newW(t, hw.FronteraLiquid(), 4, 1, core.Config{})
-	comp := newW(t, hw.FronteraLiquid(), 4, 1, core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8})
+	comp := newW(t, hw.FronteraLiquid(), 4, 1, zfp)
 
 	v0, err := CollectiveLatency(base, "alltoallv", 2<<20, 1, 2, nil)
 	if err != nil {
@@ -284,6 +285,14 @@ func TestAlltoallvDeterministicAndCompressible(t *testing.T) {
 	}
 	if again.Latency != v0.Latency {
 		t.Fatalf("alltoallv latency not deterministic: %v vs %v", again.Latency, v0.Latency)
+	}
+	againComp, err := CollectiveLatency(newW(t, hw.FronteraLiquid(), 4, 1, zfp), "alltoallv", 2<<20, 1, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if againComp.Latency != v1.Latency || againComp.Ratio != v1.Ratio {
+		t.Fatalf("compressed alltoallv not deterministic: %v (ratio %v) vs %v (ratio %v)",
+			againComp.Latency, againComp.Ratio, v1.Latency, v1.Ratio)
 	}
 	if _, err := CollectiveLatency(base, "alltoallv", 4, 0, 1, nil); err == nil {
 		t.Fatal("bytes < 8 should fail")

@@ -245,22 +245,22 @@ func Reduce(l Layout, root, n int) []Step {
 func Alltoall(l Layout, blk int) []Step {
 	block := func(b BufID) func(p int) Span { return func(p int) Span { return Span{Off: p * blk, N: blk, Buf: b} } }
 	out, in := block(InSend), block(InRecv)
-	return l.exchanges([]Step{{Op: OpCopy, Send: out(l.Me()), Recv: in(l.Me())}}, OpSendrecv, BaseAlltoall, out, in)
+	return l.exchanges([]Step{{Op: OpCopy, Send: out(l.Me()), Recv: in(l.Me())}}, BaseAlltoall, out, in)
 }
 
-// exchanges appends the P-1 pairwise-exchange steps of Alltoall and
-// Alltoallv: at step s a power-of-two world pairs ranks by XOR, any other
-// size runs the ring (send to rank+s, receive from rank-s). Each step sends
-// out(dst) and receives in(src); a skipped peer becomes -1, so every live
-// rank still runs each step and Alltoallv's barrier waves stay aligned.
-func (l Layout) exchanges(steps []Step, op Op, tag int, out, in func(p int) Span) []Step {
+// exchanges appends the P-1 pairwise-exchange OpSendrecv steps of Alltoall
+// and Alltoallv: at step s a power-of-two world pairs ranks by XOR, any
+// other size runs the ring (send to rank+s, receive from rank-s). Each step
+// sends out(dst) and receives in(src); a skipped peer becomes -1, so every
+// live rank still runs each step and Alltoallv's barrier waves stay aligned.
+func (l Layout) exchanges(steps []Step, tag int, out, in func(p int) Span) []Step {
 	me, P := l.Me(), l.Ranks
 	for s := 1; s < P; s++ {
 		dst, src := (me+s)%P, (me-s+P)%P
 		if P&(P-1) == 0 {
 			dst, src = me^s, me^s
 		}
-		st := Step{Op: op, To: dst, From: src, Send: out(dst), Recv: in(src), Tag: tag}
+		st := Step{Op: OpSendrecv, To: dst, From: src, Send: out(dst), Recv: in(src), Tag: tag}
 		if l.Skips(dst) {
 			st.To = -1
 		}
@@ -272,15 +272,16 @@ func (l Layout) exchanges(steps []Step, op Op, tag int, out, in func(p int) Span
 	return steps
 }
 
-// Alltoallv copies a non-empty own segment, then runs each exchange step
-// in barrier waves: rank i sends sc[j] bytes at sd[j] of sendBuf to rank j
-// and receives rc[j] bytes at rd[j] of recvBuf from it.
+// Alltoallv copies a non-empty own segment, then runs the whole exchange
+// as one OpAlltoallv step whose Fan holds the exchange steps in barrier-wave
+// order: rank i sends sc[j] bytes at sd[j] of sendBuf to rank j and
+// receives rc[j] bytes at rd[j] of recvBuf from it.
 func Alltoallv(l Layout, sc, sd, rc, rd []int) []Step {
 	out := func(p int) Span { return Span{Off: sd[p], N: sc[p], Buf: InSend} }
 	in := func(p int) Span { return Span{Off: rd[p], N: rc[p]} }
-	var steps []Step
+	all := Step{Op: OpAlltoallv, Fan: l.exchanges(nil, BaseAlltoallv, out, in), Tag: BaseAlltoallv}
 	if me := l.Me(); sc[me] > 0 {
-		steps = append(steps, Step{Op: OpCopy, Send: out(me), Recv: in(me)})
+		return []Step{{Op: OpCopy, Send: out(me), Recv: in(me)}, all}
 	}
-	return l.exchanges(steps, OpAlltoallv, BaseAlltoallv, out, in)
+	return []Step{all}
 }

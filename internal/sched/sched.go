@@ -31,7 +31,7 @@ const (
 	OpTree                // treeRelay: the payload from From (the root compresses Send) goes on to Peers verbatim, then lands in Recv
 	OpFan                 // every Fan step posted in order (a copy done on the spot), then all waited
 	OpCopy                // Send copied into Recv
-	OpAlltoallv           // alltoallvStep: send to To, receive from From, in barrier waves; a -1 peer is skipped
+	OpAlltoallv           // alltoallvStep: every Fan exchange (an OpSendrecv) started up front, its bookings in barrier waves
 )
 
 // BufID names the buffer a span addresses.
@@ -56,7 +56,7 @@ type Step struct {
 	Send, Recv Span
 	Relay      []Span // OpRelay: where each hop's arrival lands
 	Peers      []int  // OpTree: the children, served in this order
-	Fan        []Step // OpFan: the sends, receives and copies posted together
+	Fan        []Step // OpFan: the sends, receives and copies posted together; OpAlltoallv: the exchanges
 	Tag        int    // tag base (Base*)
 	// FromSend compresses the send from sendBuf, which holds its bytes at
 	// Send.Off-Mirror, when sendBuf is device-resident.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/bits"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -165,14 +166,14 @@ func symActs(st Step) []symAct {
 			acts = append(acts, fwd)
 		}
 		return acts
-	case OpFan:
+	case OpFan, OpAlltoallv:
 		for _, f := range st.Fan {
 			f.Tag = st.Tag
 			acts = append(acts, symActs(f)...)
 		}
 		return acts
 	}
-	// OpReduce, OpExchange, OpSendrecv, OpAlltoallv; a -1 peer is skipped.
+	// OpReduce, OpExchange, OpSendrecv; a -1 peer is skipped.
 	if st.To >= 0 {
 		acts = append(acts, snd)
 	}
@@ -180,6 +181,24 @@ func symActs(st Step) []symAct {
 		acts = append(acts, rcv)
 	}
 	return acts
+}
+
+// symPure fails t unless gen, called twice on the same layout, gives every
+// rank that is not gone the same steps: a generator is a pure function of
+// its layout, so its ranks agree on the schedule and a replay runs the same
+// one. A child list drawn from a map is the bug this catches.
+func symPure(t testing.TB, name string, l Layout, gen func(l Layout) []Step) {
+	t.Helper()
+	for vr := 0; vr < l.Size; vr++ {
+		if l.Skips(l.Real(vr)) {
+			continue
+		}
+		lv := l
+		lv.VRank = vr
+		if a, b := gen(lv), gen(lv); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s on %d ranks: view rank %d gets different steps from two calls on one layout:\n%+v\n%+v", name, l.Size, vr, a, b)
+		}
+	}
 }
 
 // symResult is what one symbolic run leaves behind, by world rank.
@@ -329,6 +348,8 @@ func checkSchedule(t testing.TB, name string, gen Generator, l Layout, n int) {
 	form := func(pipelined bool) func(l Layout) []Step {
 		return func(l Layout) []Step { return gen(l, n, pipelined) }
 	}
+	symPure(t, name, l, form(true))
+	symPure(t, name, l, form(false))
 	whole := func(int) []Span { return []Span{{N: n}} }
 	fast, slow := symRun(t, l, form(true), whole), symRun(t, l, form(false), whole)
 	var live uint64
@@ -515,6 +536,7 @@ func checkCollective(t testing.TB, c int, P, ppn int, live []int, root, blk int)
 			return s
 		}
 	}
+	symPure(t, name, l, func(l Layout) []Step { return gen(l, root, blk) })
 	res := symRun(t, l, func(l Layout) []Step { return gen(l, root, blk) }, segs)
 	fail := func(format string, args ...any) {
 		t.Helper()
