@@ -14,13 +14,14 @@ import (
 	"testing"
 )
 
-// TestDocsNameLiveCode: every backticked code reference in README.md and
-// DESIGN.md — `pkg.Name`, `pkg.Prefix*` (a glob), `pkg.Type.Member` and
-// `Type.Member` — resolves against the module's non-test declarations. A
-// reference whose first word is neither a package of the module nor a
-// type declared in it (a variable such as `w.inj`, a standard-library
-// package) is not checked, nor is a metric the benchmark declares
-// (`core.roundtrip_mb_s`). bench/ is a module of its own and is not read.
+// TestDocsNameLiveCode: every backticked code reference in README.md,
+// DESIGN.md and the verify skill — `pkg.Name`, `pkg.Prefix*` (a glob),
+// `pkg.Type.Member` and `Type.Member` — resolves against the module's
+// non-test declarations. A reference whose first word is neither a
+// package of the module nor a type declared in it (a variable such as
+// `w.inj`, a standard-library package) is not checked, nor is a metric the
+// benchmark declares (`core.roundtrip_mb_s`). bench/ is a module of its
+// own and is not read.
 // Every backticked Go file — `file.go`, `dir/file.go`, `file.go:N` — names
 // a file of the tree: a path from the repository root or from internal/,
 // or a bare name some file carries, with at least N lines.
@@ -42,7 +43,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
 		metrics[m.Name] = true
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(filepath.Join("..", doc))
 		if err != nil {
 			t.Fatal(err)

@@ -392,6 +392,22 @@ func TestRunOnRecycledFields(t *testing.T) {
 	}
 }
 
+// TestChecksumSumsRanksInOrder pins the bits of Run's Checksum, which adds
+// the ranks' field energies in rank order. On this 2x4 mesh the eight
+// energies span 1e-13 to 3, and 35,736 of their 40,320 orders (6 of the 8
+// rotations) round to other bits, so a sum in map or completion order
+// fails here; the run repeats because one reordered run may round alike.
+// The constant is the amd64 result.
+func TestChecksumSumsRanksInOrder(t *testing.T) {
+	const want = 0x40156f10738dfc0b
+	cfg := Config{NX: 8, NY: 8, NZ: 8, Fields: 8, Steps: 12}
+	for run := 0; run < 32; run++ {
+		if got := math.Float64bits(runWorld(t, 2, 4, core.Config{}, cfg).Checksum); got != want {
+			t.Fatalf("run %d: checksum bits %#x, want %#x", run, got, uint64(want))
+		}
+	}
+}
+
 // BenchmarkRun is one awp_halo operation: the 320x320x32 bench mesh, nine
 // fields, four steps, on Frontera Liquid 2x4 with ZFP-OPT rate 8. Its
 // B/op is mostly what the fields pool saves.

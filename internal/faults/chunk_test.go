@@ -183,7 +183,7 @@ func TestChunkKindsDecideIndependently(t *testing.T) {
 			sameFate++
 		}
 	}
-	//simlint:orderok error reporting over a 2-entry map; order does not affect outcomes
+	// Error reporting over a 2-entry map: the order does not affect outcomes.
 	for name, same := range map[string]int{"chunk-vs-message": sameMsg, "drop-vs-fate": sameFate} {
 		if same < n*2/5 || same > n*3/5 {
 			t.Errorf("%s correlated: %d/%d agreements at rate 0.5", name, same, n)

@@ -120,8 +120,8 @@ func TestSelfHealRingAllreduceCompletes(t *testing.T) {
 	assertPoolBalance(t, w, "self-heal ring allreduce")
 	for id, err := range errs {
 		if id == doomed[0] {
-			if err == nil {
-				t.Errorf("fated rank %d completed all iterations", id)
+			if !errors.Is(err, ErrRankCrashed) {
+				t.Errorf("fated rank %d: %v, want its own ErrRankCrashed", id, err)
 			}
 			continue
 		}
@@ -142,6 +142,12 @@ func TestSelfHealRingAllreduceCompletes(t *testing.T) {
 	}
 	if rs.RecoveryTime <= 0 {
 		t.Errorf("recovery charged no simulated time: %+v", rs)
+	}
+	// Rewound to before its onset, the fated rank is refused by the shrunk
+	// communicator with the sentinel every peer failure wraps.
+	w.ResetClocks()
+	if err := w.Rank(doomed[0]).Barrier(); !errors.Is(err, ErrPeerFailed) {
+		t.Errorf("fated rank %d on the shrunk world: %v, want ErrPeerFailed", doomed[0], err)
 	}
 }
 
@@ -281,6 +287,9 @@ func TestSelfHealBcastHierarchicalCompletes(t *testing.T) {
 	assertNoRankGoroutines(t)
 	for id, err := range errs {
 		if id == doomed[0] {
+			if !errors.Is(err, ErrRankCrashed) {
+				t.Errorf("fated rank %d: %v, want its own ErrRankCrashed", id, err)
+			}
 			continue
 		}
 		if err != nil {
@@ -346,6 +355,9 @@ func TestSelfHealAlltoallvCompletes(t *testing.T) {
 	assertNoRankGoroutines(t)
 	for id, err := range errs {
 		if id == doomed[0] {
+			if !errors.Is(err, ErrRankCrashed) {
+				t.Errorf("fated rank %d: %v, want its own ErrRankCrashed", id, err)
+			}
 			continue
 		}
 		if err != nil {

@@ -199,13 +199,13 @@ func TestModelKeepsHalosWhole(t *testing.T) {
 	}
 }
 
-// TestModelCutPassesTheDynamicGate: over IB EDR a 32 MiB msg_sp send
+// TestModelCutWinsWhereWholeLoses: over IB EDR a 32 MiB msg_sp send
 // (CR 1.11) loses to the uncompressed transfer when compressed whole but
-// wins when the model cuts it. The model prices the uncompressed send
-// beside every cut and picks the form once: the chunks of the cut are not
-// gated again one by one — priced as whole messages of their own they
-// would go uncompressed — so every chunk compresses. Cache off.
-func TestModelCutPassesTheDynamicGate(t *testing.T) {
+// wins when the model cuts it, and every chunk of the cut compresses. The
+// model prices the uncompressed send beside every cut and picks the form
+// once: the chunks are not priced again one by one, which as whole
+// messages of their own would go uncompressed. Cache off.
+func TestModelCutWinsWhereWholeLoses(t *testing.T) {
 	data := datasetBytes(t, "msg_sp", 32<<20)
 	world := func(chunk int) *World {
 		return mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 2, PPN: 1, Engine: core.Config{

@@ -313,7 +313,8 @@ type wireResult struct {
 // reordered chunk is held back to land after its successors — and their
 // NACK names exactly this (seq, chunk) while later chunks keep flowing.
 //
-//simlint:nocharge the verification pass is costed on the arrival timestamp (ThroughputTime below), not the rank clock
+// The checksum verification charges no rank clock: its pass is costed on
+// the arrival timestamp (ThroughputTime below).
 func (w *World) transmit(ev wireEvent, ready simtime.Time, payload []byte, hdr core.Header) (wireResult, error) {
 	brk := w.ranks[ev.src].brk
 	out := wireResult{hdr: hdr}

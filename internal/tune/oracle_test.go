@@ -4,7 +4,9 @@ package tune_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
 	"mpicomp/internal/core"
 	"mpicomp/internal/hw"
@@ -48,12 +50,28 @@ func TestTunerMatchesOracleOnFlatWorlds(t *testing.T) {
 		}
 		return w
 	}
-	measure := func(w *mpi.World, bytes int) simtime.Duration {
-		res, err := omb.CollectiveLatency(w, "allreduce", bytes, 1, 2, nil)
-		if err != nil {
-			t.Fatalf("allreduce at %d B: %v", bytes, err)
+	// Ranks that disagree on the schedule wait on each other forever: a
+	// wall-clock guard turns that hang into a failure naming the cell.
+	measure := func(cell string, w *mpi.World, bytes int) simtime.Duration {
+		type out struct {
+			res omb.CollResult
+			err error
 		}
-		return res.Latency
+		done := make(chan out, 1)
+		go func() {
+			res, err := omb.CollectiveLatency(w, "allreduce", bytes, 1, 2, nil)
+			done <- out{res, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatalf("%s, allreduce at %d B: %v", cell, bytes, o.err)
+			}
+			return o.res.Latency
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s, allreduce at %d B: hung for 20 s (do the ranks pick different schedules?)", cell, bytes)
+			return 0
+		}
 	}
 
 	var (
@@ -66,7 +84,7 @@ func TestTunerMatchesOracleOnFlatWorlds(t *testing.T) {
 			w := world(workers, sched.AllreduceAuto, tn)
 			// Every candidate explored once, then two epochs to settle.
 			for e := 0; e < len(candidates)+2; e++ {
-				measure(w, bytes)
+				measure(fmt.Sprintf("seed %d, workers %d, epoch %d", seed, workers, e), w, bytes)
 				tn.Advance()
 			}
 		}
@@ -91,7 +109,7 @@ func TestTunerMatchesOracleOnFlatWorlds(t *testing.T) {
 		lat := map[sched.AllreduceAlgo]simtime.Duration{}
 		oracle := sched.AllreduceAuto
 		for _, algo := range candidates {
-			lat[algo] = measure(world(1, algo, nil), bytes)
+			lat[algo] = measure("oracle "+algo.String(), world(1, algo, nil), bytes)
 			if oracle == sched.AllreduceAuto || lat[algo] < lat[oracle] {
 				oracle = algo
 			}
