@@ -136,7 +136,7 @@ func (e *Engine) NotePipelinedChunks(n int) {
 
 // cacheEnabled reports whether the compress-once cache is on.
 func (e *Engine) cacheEnabled() bool {
-	return e.cfg.CacheEntries > 0 && e.cfg.CacheBudgetBytes > 0
+	return e.cfg.CacheEntries > 0
 }
 
 // cacheKeyFor keys packed bytes [off, off+n) of the words t selects from
@@ -189,7 +189,7 @@ func (e *Engine) cacheLookupLocked(key cacheKey, epoch uint64) ([]byte, Header, 
 // entries above it move down and the vacated last slot is cleared, so the
 // backing array keeps no dropped payload reachable (the table is at most
 // CacheEntries long; re-slicing it instead pinned up to a second
-// CacheBudgetBytes of evicted payloads per engine).
+// DefaultCacheBudgetBytes of evicted payloads per engine).
 func (e *Engine) cacheDropLocked(i int) {
 	e.cacheBytes -= len(e.cache[i].payload)
 	last := len(e.cache) - 1
@@ -202,14 +202,14 @@ func (e *Engine) cacheDropLocked(i int) {
 // oldest entries (FIFO) to respect the entry and byte budgets.
 // Payloads larger than the whole budget are not cached.
 func (e *Engine) cacheInsertLocked(key cacheKey, epoch uint64, payload []byte, hdr Header) {
-	if len(payload) > e.cfg.CacheBudgetBytes {
+	if len(payload) > DefaultCacheBudgetBytes {
 		return
 	}
 	if i := e.cacheFindLocked(key); i >= 0 {
 		e.cacheDropLocked(i)
 	}
 	for len(e.cache) > 0 &&
-		(len(e.cache) >= e.cfg.CacheEntries || e.cacheBytes+len(payload) > e.cfg.CacheBudgetBytes) {
+		(len(e.cache) >= e.cfg.CacheEntries || e.cacheBytes+len(payload) > DefaultCacheBudgetBytes) {
 		e.cacheDropLocked(0)
 		e.CacheEvictions++
 	}

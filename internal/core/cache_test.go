@@ -120,7 +120,8 @@ func TestCacheSliceKeysAreDistinct(t *testing.T) {
 }
 
 // TestCacheEvictionRespectsBudgets: the entry cap evicts FIFO, and a
-// payload larger than the byte budget is never cached.
+// payload larger than the byte budget is never cached (the oversized
+// payload is a length only: its pages are never touched).
 func TestCacheEvictionRespectsBudgets(t *testing.T) {
 	cfg := cacheConfig()
 	cfg.CacheEntries = 2
@@ -141,11 +142,10 @@ func TestCacheEvictionRespectsBudgets(t *testing.T) {
 		t.Fatalf("evicted entry hit: %+v", st)
 	}
 
-	tiny := cacheConfig()
-	tiny.CacheBudgetBytes = 64 // smaller than any compressed payload here
-	e2, dev2, clk2 := newTestEngine(t, tiny)
-	big := deviceBufferWith(dev2, smooth(1<<16, 20)).Track()
-	e2.CompressForLinkCached(clk2, big, 12.5)
+	e2, _, _ := newTestEngine(t, cacheConfig())
+	e2.mu.Lock()
+	e2.cacheInsertLocked(cacheKey{id: 1}, 0, make([]byte, DefaultCacheBudgetBytes+1), Header{})
+	e2.mu.Unlock()
 	if st := e2.CacheSnapshot(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("over-budget payload cached: %+v", st)
 	}

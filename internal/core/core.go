@@ -77,7 +77,8 @@ const (
 
 // DefaultCacheEntries and DefaultCacheBudgetBytes size the compress-once
 // cache (cache.go): enough entries for every send block of a modest
-// alltoall plus the fan-out roots, within a bounded payload budget.
+// alltoall plus the fan-out roots, within a bounded payload budget (a
+// payload larger than the whole budget is never cached).
 const (
 	DefaultCacheEntries     = 16
 	DefaultCacheBudgetBytes = 64 << 20
@@ -141,10 +142,6 @@ type Config struct {
 	// by fan-out collectives and warm benchmark iterations. Zero selects
 	// DefaultCacheEntries; negative disables the cache.
 	CacheEntries int
-	// CacheBudgetBytes caps the total payload bytes the compress-once
-	// cache may retain. Zero selects DefaultCacheBudgetBytes; payloads
-	// larger than the budget are never cached.
-	CacheBudgetBytes int
 }
 
 // Validate reports a control parameter the selected codec would reject at
@@ -186,9 +183,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cc.CacheEntries == 0 {
 		cc.CacheEntries = DefaultCacheEntries
-	}
-	if cc.CacheBudgetBytes == 0 {
-		cc.CacheBudgetBytes = DefaultCacheBudgetBytes
 	}
 	return cc
 }

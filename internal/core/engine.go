@@ -97,7 +97,7 @@ type Engine struct {
 	// wire payloads keyed by (allocation, range, epoch, link) so fan-out
 	// collectives and warm benchmark iterations reuse one kernel's
 	// output. cacheBytes is the retained payload total against
-	// Config.CacheBudgetBytes.
+	// DefaultCacheBudgetBytes.
 	cache      []cacheEntry
 	cacheBytes int
 	// CacheHits / CacheMisses / CacheInvalidations / CacheEvictions
@@ -112,8 +112,7 @@ type Engine struct {
 	// recompression; BytesOut counts freshly compressed wire bytes, so
 	// the pair shows how much codec work relaying avoided.
 	RelayedBytes int64
-	// PipelinedChunks counts chunk-granularity pipeline steps: chunked
-	// rendezvous sends plus pipelined ring-allreduce chunks.
+	// PipelinedChunks counts the chunks of chunked rendezvous sends.
 	PipelinedChunks int
 	// pipe accumulates the chunk-granular transport reliability counters
 	// (retransmits, credit stalls, window shrinks, degrades, bypasses);

@@ -8,8 +8,8 @@ import "slices"
 // arithmetic, so the numbers are identical across runs, host schedules,
 // and codec worker-pool sizes — ombrun prints them on stdout.
 type PipelineStats struct {
-	// Chunks counts chunk-granularity pipeline steps (chunked rendezvous
-	// sends plus pipelined ring-allreduce chunks); RelayChunks counts
+	// Chunks counts the chunks of chunked rendezvous sends, a
+	// collective's reduce steps included; RelayChunks counts
 	// segments of relayed wire payloads moved by the chunked relay path.
 	Chunks      int
 	RelayChunks int

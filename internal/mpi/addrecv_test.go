@@ -139,7 +139,8 @@ func TestAddReceiveDecodeErrorFailsOnce(t *testing.T) {
 			return r.await(r.isendPayload(1, tag, payload, hdr, nil))
 		}
 		acc := devBuf(r, acc0)
-		stepErr = r.ringReduceStep(-1, 0, tag, acc, acc, sched.Span{}, sched.Span{N: acc.Len()}, 0, false)
+		b := bufs{sched.InRecv: acc}
+		stepErr = r.runStep(sched.Step{Op: sched.OpRecv, From: 0, Recv: sched.Span{N: acc.Len()}, Tag: sched.BaseReduce, Add: true}, &b)
 		if !bytes.Equal(acc.Data, want) {
 			t.Error("the accumulator is not the first partition added once and the second left alone")
 		}

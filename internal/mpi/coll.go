@@ -452,50 +452,3 @@ func chargeSum(r *Rank, dst *gpusim.Buffer) {
 	r.Dev.StreamSync(r.Clock, r.Dev.Stream(0))
 	dst.MarkDirty()
 }
-
-// ringReduceStep runs one reduce-scatter step: the send block streams to
-// the right neighbor chunk by chunk while the block arriving from the left
-// is added into place chunk by chunk — each chunk's receive decodes into
-// the sum (irecvAdd), so chunk k's add overlaps chunk k+1's transfer (both
-// sides derive the chunk boundaries from the world-uniform config, so
-// chunks pair up by FIFO matching). src is the buffer the send block is
-// compressed from (see bufs.source). sendFirst drains the sends before
-// anything is reduced, the blocking ring's order. With right < 0 the step
-// only receives and adds.
-func (r *Rank) ringReduceStep(right, left, tag int, src, recvBuf *gpusim.Buffer, send, recv sched.Span, chunk int, sendFirst bool) error {
-	rspans, sspans := sched.ChunkSpans(recv.N, chunk), sched.ChunkSpans(send.N, chunk)
-	if right < 0 {
-		sspans = nil
-	}
-	rreqs := make([]*Request, len(rspans))
-	for c, sp := range rspans {
-		req, err := r.irecvAdd(left, tag, recvBuf.Slice(recv.Off+sp[0], sp[1]))
-		if err != nil {
-			return err
-		}
-		rreqs[c] = req
-	}
-	sreqs := make([]*Request, len(sspans))
-	for c, sp := range sspans {
-		req, err := r.isend(right, tag, src.Slice(send.Off+sp[0], sp[1]), nil)
-		if err != nil {
-			return err
-		}
-		sreqs[c] = req
-	}
-	if sendFirst {
-		if err := r.Waitall(sreqs...); err != nil {
-			return err
-		}
-	}
-	for _, req := range rreqs {
-		if err := r.Wait(req); err != nil {
-			return err
-		}
-		chargeSum(r, req.buf)
-	}
-	if len(rspans) > 1 {
-		r.Engine.NotePipelinedChunks(len(rspans))
-	}
-	return r.Waitall(sreqs...)
-}

@@ -110,9 +110,8 @@ func (r *Rank) runSchedule(c collective) error {
 		b[sched.InAcc] = r.takeScratch(c.send, acc)
 		defer r.putScratch()
 	}
-	chunk := r.Engine.Config().PipelineChunkBytes &^ 3 // word-aligned; under a word, one chunk
 	for i, st := range steps {
-		if err := r.runStep(st, &b, chunk); err != nil {
+		if err := r.runStep(st, &b); err != nil {
 			return fmt.Errorf("mpi: %s step %d: %w", c.name, i, err)
 		}
 	}
@@ -153,22 +152,19 @@ func (b *bufs) at(sp sched.Span) *gpusim.Buffer {
 	return buf.Slice(sp.Off, sp.N)
 }
 
-// source is the buffer a step's send reads and the send span in it: the
-// step's own, or — for a FromSend step while sendBuf is device-resident —
-// the same bytes in sendBuf.
-func (b *bufs) source(st sched.Step) (*gpusim.Buffer, sched.Span) {
+// source is the span a step's send reads: the step's own, or — for a
+// FromSend step while sendBuf is device-resident — the same bytes in
+// sendBuf.
+func (b *bufs) source(st sched.Step) sched.Span {
 	if st.FromSend && b[sched.InSend].Loc == gpusim.Device {
-		return b[sched.InSend], sched.Span{Off: st.Send.Off - st.Mirror, N: st.Send.N, Buf: sched.InSend}
+		return sched.Span{Off: st.Send.Off - st.Mirror, N: st.Send.N, Buf: sched.InSend}
 	}
-	return b[st.Send.Buf], st.Send
+	return st.Send
 }
 
 // runStep runs one step through its shared transport step.
-func (r *Rank) runStep(st sched.Step, b *bufs, chunk int) error {
-	src, out := b.source(st)
-	if !st.Chunked {
-		chunk = 0
-	}
+func (r *Rank) runStep(st sched.Step, b *bufs) error {
+	out := b.source(st)
 	tag := r.collTag(st.Tag)
 	switch st.Op {
 	case sched.OpCopy:
@@ -186,10 +182,6 @@ func (r *Rank) runStep(st sched.Step, b *bufs, chunk int) error {
 		}
 		into.MarkDirty()
 		return nil
-	case sched.OpReduce:
-		return r.ringReduceStep(st.To, st.From, tag, src, b[st.Recv.Buf], out, st.Recv, chunk, st.SendFirst)
-	case sched.OpExchange:
-		return r.rdExchange(st.To, tag, src, b[st.Recv.Buf], chunk)
 	case sched.OpRelay:
 		payload, hdr := r.Engine.CompressForLinkCached(r.Clock, b.at(out), r.shareGBps(0, r.world.nodes-1))
 		return r.relayRing(st.From, st.To, tag, len(st.Relay), payload, hdr, func(hop int) *gpusim.Buffer {
@@ -200,14 +192,17 @@ func (r *Rank) runStep(st sched.Step, b *bufs, chunk int) error {
 	case sched.OpAlltoallv:
 		return r.alltoallvStep(tag, st.Fan, b)
 	}
-	// A send, a receive, a pair (receive posted first, send waited first)
-	// or a fan: every part posted in order, then all waited.
+	// A send, a receive, a pair (receive posted first, send waited first
+	// unless RecvFirst) or a fan: every part posted in order, then all
+	// waited. An Add receive decodes into the sum (irecvAdd), and the add's
+	// kernel is charged right after its Wait; a positive PipelineChunkBytes
+	// cuts its message like any other.
 	fan := st.Fan
 	switch st.Op {
 	case sched.OpSend, sched.OpRecv:
 		fan = []sched.Step{st}
 	case sched.OpSendrecv:
-		fan = []sched.Step{{Op: sched.OpRecv, From: st.From, Recv: st.Recv}, {Op: sched.OpSend, To: st.To, Send: out}}
+		fan = []sched.Step{{Op: sched.OpRecv, From: st.From, Recv: st.Recv, Add: st.Add}, {Op: sched.OpSend, To: st.To, Send: out}}
 	}
 	var pair [2]*Request // a pair's requests stay off the heap
 	reqs := pair[:0]
@@ -216,10 +211,11 @@ func (r *Rank) runStep(st sched.Step, b *bufs, chunk int) error {
 		var err error
 		switch {
 		case f.Op == sched.OpCopy:
-			err = r.runStep(f, b, 0)
+			err = r.runStep(f, b)
 		case f.Op == sched.OpSend && f.To >= 0:
-			_, out := b.source(f)
-			req, err = r.isend(f.To, tag, b.at(out), nil)
+			req, err = r.isend(f.To, tag, b.at(b.source(f)), nil)
+		case f.Op == sched.OpRecv && f.From >= 0 && f.Add:
+			req, err = r.irecvAdd(f.From, tag, b.at(f.Recv))
 		case f.Op == sched.OpRecv && f.From >= 0:
 			req, err = r.irecv(f.From, tag, b.at(f.Recv))
 		}
@@ -230,69 +226,20 @@ func (r *Rank) runStep(st sched.Step, b *bufs, chunk int) error {
 			reqs = append(reqs, req)
 		}
 	}
-	if st.Op == sched.OpSendrecv {
+	if st.Op == sched.OpSendrecv && !st.RecvFirst {
 		slices.Reverse(reqs)
 	}
-	return r.Waitall(reqs...)
-}
-
-// rdWindow bounds the spans a recursive-doubling round keeps open (posted
-// but unconsumed). Each open span holds its outbound payload in the
-// engine's pool (Config.PoolBuffers slots) and lets the peer stage one
-// inbound payload there; every span is its own message, so chunk credits
-// cannot help, and a whole vector's spans at once would exhaust the pool
-// into uncompressed PoolFallbacks sends. Two is all the overlap a round can
-// use (one span in flight while the previous one reduces), and it keeps the
-// worst case at 2(rdWindow+1)+1 slots, under the smallest configured pools.
-const rdWindow = 2
-
-// rdExchange runs one recursive-doubling round with peer: the local
-// accumulator streams out chunk by chunk while the peer's streams in, each
-// received chunk decoding into the sum (irecvAdd) as its span closes. The
-// send and reduce ranges are the same spans, so a span's reduction waits
-// for its outbound send first (MPI freezes a buffer with posted sends).
-// src is the buffer the send is compressed from (bufs.source).
-// Liveness: a rank opens span c only after closing span c-rdWindow and
-// posts its receive for c before its send, so the slower side lags by at
-// most the window.
-func (r *Rank) rdExchange(peer, tag int, src, acc *gpusim.Buffer, chunk int) error {
-	spans := sched.ChunkSpans(acc.Len(), chunk)
-	rreqs := make([]*Request, len(spans))
-	sreqs := make([]*Request, len(spans))
-	closeSpan := func(c int) error {
-		if err := r.Wait(sreqs[c]); err != nil {
-			return err
-		}
-		if err := r.Wait(rreqs[c]); err != nil {
-			return err
-		}
-		chargeSum(r, rreqs[c].buf)
-		return nil
-	}
-	for c, sp := range spans {
-		if c >= rdWindow {
-			if err := closeSpan(c - rdWindow); err != nil {
-				return err
+	var first error
+	for _, req := range reqs {
+		if err := r.Wait(req); err != nil {
+			if first == nil {
+				first = err
 			}
+			continue
 		}
-		rreq, err := r.irecvAdd(peer, tag, acc.Slice(sp[0], sp[1]))
-		if err != nil {
-			return err
-		}
-		rreqs[c] = rreq
-		sreq, err := r.isend(peer, tag, src.Slice(sp[0], sp[1]), nil)
-		if err != nil {
-			return err
-		}
-		sreqs[c] = sreq
-	}
-	for c := max(len(spans)-rdWindow, 0); c < len(spans); c++ {
-		if err := closeSpan(c); err != nil {
-			return err
+		if req.add {
+			chargeSum(r, req.buf)
 		}
 	}
-	if len(spans) > 1 {
-		r.Engine.NotePipelinedChunks(len(spans))
-	}
-	return nil
+	return first
 }

@@ -125,12 +125,15 @@ func TestTwoLevelAllgather(t *testing.T) {
 // blocking oracle over rounding-sensitive data in one world: float32
 // addition is commutative but not associative, so byte equality proves
 // the fast path performs the oracle's additions in the oracle's order.
+// The smallest reduce message (a 4x2 ring block, Rabenseifner's last
+// half) is two chunks, so the chunked tier cuts every reduce step's
+// message, and each pipelined run must have grown its rank's chunk count.
 func TestAllreduceOraclesBitIdentical(t *testing.T) {
-	const n = 1 << 17 // 512 KB: compressed, chunk-pipelined
+	const n = 1 << 18 // 1 MiB: compressed, cut into 64 KiB chunks
 	pairs := []struct {
 		name string
 		gen  sched.Generator
-	}{{"ring", sched.Ring}, {"rd", sched.RecursiveDoubling}, {"rab", sched.Rabenseifner}}
+	}{{"ring", sched.Ring}, {"rd", sched.RecursiveDoubling}, {"rab", sched.Rabenseifner}, {"two-level", sched.TwoLevel}}
 	for _, layout := range []struct{ nodes, ppn int }{{4, 2}, {3, 2}} {
 		for _, pair := range pairs {
 			runColl(t, Options{Cluster: hw.Longhorn(), Nodes: layout.nodes, PPN: layout.ppn,
@@ -141,8 +144,13 @@ func TestAllreduceOraclesBitIdentical(t *testing.T) {
 				in := devBuf(r, vals)
 				fastOut := emptyDevBuf(r, n)
 				slowOut := emptyDevBuf(r, n)
+				chunks := r.Engine.PipeSnapshot().Chunks
 				if err := allreduceBy(pair.gen, true)(r, in, fastOut); err != nil {
 					return err
+				}
+				if r.Engine.PipeSnapshot().Chunks == chunks {
+					t.Errorf("%s rank %d (%dx%d): the pipelined run sent no chunked message",
+						pair.name, r.ID(), layout.nodes, layout.ppn)
 				}
 				if err := allreduceBy(pair.gen, false)(r, in, slowOut); err != nil {
 					return err
@@ -303,9 +311,10 @@ func TestRingBlocksEdgeCases(t *testing.T) {
 // algoSoakWorld runs the given collectives over compressible data on one
 // world layout and returns the makespan plus a CRC per rank. It fails the
 // test if any rank's engine recorded a pool fallback: the soak layouts
-// are chosen so the staging pool never exhausts (see rdWindow), because
-// which rank a racing fallback lands on is wall-clock dependent and
-// would move the makespan between runs.
+// are chosen so the staging pool never exhausts (a chunked reduce
+// message's credit window holds its draw to the receiver's staging
+// slots), because which rank a racing fallback lands on is wall-clock
+// dependent and would move the makespan between runs.
 func algoSoakWorld(t *testing.T, workers, nodes, ppn int, colls ...func(r *Rank, in, out *gpusim.Buffer) error) (simtime.Time, []uint32) {
 	t.Helper()
 	w := mustWorld(t, Options{

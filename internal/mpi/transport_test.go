@@ -298,8 +298,8 @@ func (r *Rank) plantedBcast(root int, buf *gpusim.Buffer) error {
 func transportCallers(t *testing.T, srcs map[string]any) []string {
 	prims := map[string]bool{"isend": true, "irecv": true, "irecvAdd": true, "send": true, "recv": true, "sendrecv": true,
 		"isendPayload": true, "prepare": true, "post": true}
-	allowed := map[string]bool{"runStep": true, "ringReduceStep": true, "rdExchange": true, "relayRing": true,
-		"treeRelay": true, "alltoallvStep": true, "healVerdict": true}
+	allowed := map[string]bool{"runStep": true, "relayRing": true, "treeRelay": true, "alltoallvStep": true,
+		"healVerdict": true}
 	fset := token.NewFileSet()
 	var out []string
 	for name, src := range srcs {

@@ -6,11 +6,12 @@ import (
 )
 
 // Ring is the ring: P-1 reduce-scatter steps, after which view rank i
-// holds block i+1 fully reduced, then P-1 allgather hops. Pipelined, the
-// reduce-scatter streams in chunks, its first send compresses from sendBuf,
-// and the allgather relays each block's compressed payload verbatim (one
-// compression at its origin, one decompression per rank); blocking, whole
-// blocks move through sendrecv and every hop recompresses.
+// holds block i+1 fully reduced, then P-1 allgather hops. Pipelined, each
+// reduce-scatter step adds the arriving block before its own send is
+// waited, its first send compresses from sendBuf, and the allgather relays
+// each block's compressed payload verbatim (one compression at its origin,
+// one decompression per rank); blocking, every send drains before its add
+// and every allgather hop recompresses.
 func Ring(l Layout, n int, pipelined bool) []Step {
 	size := l.Size
 	if n/4 < size {
@@ -24,9 +25,9 @@ func Ring(l Layout, n int, pipelined bool) []Step {
 	right, left := l.Real((l.VRank+1)%size), l.Real((l.VRank-1+size)%size)
 	steps := make([]Step, 0, 2*size-1)
 	for s := 0; s < size-1; s++ {
-		steps = append(steps, Step{Op: OpReduce, To: right, From: left, Tag: BaseAllreduce,
+		steps = append(steps, Step{Op: OpSendrecv, To: right, From: left, Tag: BaseAllreduce,
 			Send: block(l.VRank - s), Recv: block(l.VRank - s - 1),
-			FromSend: pipelined && s == 0, Chunked: pipelined, SendFirst: !pipelined})
+			FromSend: pipelined && s == 0, Add: true, RecvFirst: pipelined})
 	}
 	if pipelined {
 		hops := make([]Span, size-1)
@@ -46,22 +47,23 @@ func Ring(l Layout, n int, pipelined bool) []Step {
 // rank against the ring's 2n(P-1)/P, but log2 P message latencies against
 // 2(P-1).
 func RecursiveDoubling(l Layout, n int, pipelined bool) []Step {
-	return inPlace(n, rdRounds(l.Peers(), l.VRank, n, pipelined, pipelined))
+	return inPlace(n, rdRounds(l.Peers(), l.VRank, n, pipelined))
 }
 
 // rdRounds is recursive doubling over an explicit world-rank list (me this
 // rank's index in it): the fold, then log2 pow2 full-vector exchanges at
-// doubling distances. fromSend lets the first transmission compress from
-// sendBuf; the two-level schedule runs these rounds among node leaders,
-// whose vectors are already sums.
-func rdRounds(peers []int, me, n int, chunked, fromSend bool) []Step {
+// doubling distances, each adding the peer's vector into the one it sends
+// (so the send is waited first). fromSend lets the first transmission
+// compress from sendBuf; the two-level schedule runs these rounds among
+// node leaders, whose vectors are already sums.
+func rdRounds(peers []int, me, n int, fromSend bool) []Step {
 	whole := Span{N: n}
 	return folded(peers, me, n, fromSend, func(pow2, nr int, peer func(mask int) int) []Step {
 		steps := make([]Step, 0, bits.TrailingZeros(uint(pow2)))
 		for mask := 1; mask < pow2; mask <<= 1 {
 			p := peer(mask)
-			steps = append(steps, Step{Op: OpExchange, To: p, From: p, Send: whole, Recv: whole,
-				Tag: BaseAllreduce, Chunked: chunked})
+			steps = append(steps, Step{Op: OpSendrecv, To: p, From: p, Send: whole, Recv: whole,
+				Tag: BaseAllreduce, Add: true})
 		}
 		return steps
 	})
@@ -90,8 +92,8 @@ func Rabenseifner(l Layout, n int, pipelined bool) []Step {
 				keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
 			}
 			p := peer(mask)
-			steps = append(steps, Step{Op: OpReduce, To: p, From: p, Tag: BaseAllreduce,
-				Send: blocks(sendLo, sendHi), Recv: blocks(keepLo, keepHi), Chunked: pipelined})
+			steps = append(steps, Step{Op: OpSendrecv, To: p, From: p, Tag: BaseAllreduce,
+				Send: blocks(sendLo, sendHi), Recv: blocks(keepLo, keepHi), Add: true, RecvFirst: true})
 			lo, hi = keepLo, keepHi
 		}
 		for mask := 1; mask < pow2; mask <<= 1 {
@@ -138,7 +140,7 @@ func folded(peers []int, me, n int, fromSend bool, core func(pow2, nr int, peer 
 	// The even member of a fold pair adds its partner's vector first and
 	// hands it the result last.
 	steps := make([]Step, 0, len(body)+2)
-	steps = append(steps, Step{Op: OpReduce, To: -1, From: peers[me+1], Recv: whole, Tag: BaseAllreduce})
+	steps = append(steps, Step{Op: OpRecv, From: peers[me+1], Recv: whole, Tag: BaseAllreduce, Add: true})
 	steps = append(steps, body...)
 	return append(steps, Step{Op: OpSend, To: peers[me+1], Send: whole, Tag: BaseAllreduce})
 }
@@ -168,14 +170,14 @@ func TwoLevel(l Layout, n int, pipelined bool) []Step {
 	local := l.nodeMates(myNode, me)
 	var steps []Step
 	for _, p := range local {
-		steps = append(steps, Step{Op: OpReduce, To: -1, From: p, Recv: whole, Tag: BaseReduce})
+		steps = append(steps, Step{Op: OpRecv, From: p, Recv: whole, Tag: BaseReduce, Add: true})
 	}
 	if len(liveNodes) > 1 {
 		peers := make([]int, len(liveNodes))
 		for i, nd := range liveNodes {
 			peers[i] = leaderOf[nd]
 		}
-		steps = append(steps, rdRounds(peers, nodeIdx[myNode], n, pipelined, false)...)
+		steps = append(steps, rdRounds(peers, nodeIdx[myNode], n, false)...)
 	}
 	for _, p := range local {
 		steps = append(steps, Step{Op: OpSend, To: p, Send: whole, Tag: BaseBcast})

@@ -232,7 +232,7 @@ func Reduce(l Layout, root, n int) []Step {
 	}
 	steps := []Step{{Op: OpCopy, Send: mine, Recv: acc}}
 	for _, c := range children {
-		steps = append(steps, Step{Op: OpReduce, To: -1, From: at(c), Recv: acc, Tag: BaseReduce})
+		steps = append(steps, Step{Op: OpRecv, From: at(c), Recv: acc, Tag: BaseReduce, Add: true})
 	}
 	if parent >= 0 {
 		return append(steps, Step{Op: OpSend, To: at(parent), Send: acc, Tag: BaseReduce})

@@ -22,12 +22,10 @@ import "slices"
 type Op uint8
 
 const (
-	OpReduce    Op = iota // ringReduceStep: send to To (a -1 peer is skipped), add what From sends into Recv
-	OpExchange            // rdExchange with To: the whole vector both ways, added
-	OpSendrecv            // send to To, receive from From into Recv; a -1 peer is skipped
+	OpSendrecv  Op = iota // send to To, receive from From into Recv (added with Add); a -1 peer is skipped
 	OpRelay               // relayRing: compress Send once, hop h lands in Relay[h]
 	OpSend                // blocking send of the Send span to To
-	OpRecv                // blocking receive from From into Recv
+	OpRecv                // blocking receive from From into Recv (added with Add)
 	OpTree                // treeRelay: the payload from From (the root compresses Send) goes on to Peers verbatim, then lands in Recv
 	OpFan                 // every Fan step posted in order (a copy done on the spot), then all waited
 	OpCopy                // Send copied into Recv
@@ -60,10 +58,15 @@ type Step struct {
 	Tag        int    // tag base (Base*)
 	// FromSend compresses the send from sendBuf, which holds its bytes at
 	// Send.Off-Mirror, when sendBuf is device-resident.
-	FromSend  bool
-	Mirror    int
-	Chunked   bool // stream in pipeline chunks
-	SendFirst bool // OpReduce: drain the sends before adding (the blocking order)
+	FromSend bool
+	Mirror   int
+	// Add makes the receive a reduction's: the arriving float32 words are
+	// added into Recv instead of overwriting it.
+	Add bool
+	// RecvFirst waits an OpSendrecv's receive, and its add, before its
+	// send; otherwise the send is waited first (the blocking order), which
+	// a step that adds into the span it sends needs.
+	RecvFirst bool
 	// Charge bills an OpCopy from device memory as a D2D memcpy, after a
 	// health check (the allgathers' own block); other local copies are free.
 	Charge bool
@@ -202,17 +205,4 @@ func RingBlocks(n, size int) []int {
 		}
 	}
 	return offs
-}
-
-// ChunkSpans splits a block of n bytes into pipeline chunk spans
-// ([offset, length] pairs); one span when chunking is off.
-func ChunkSpans(n, chunk int) [][2]int {
-	if chunk <= 0 || n <= chunk {
-		return [][2]int{{0, n}}
-	}
-	spans := make([][2]int, 0, (n+chunk-1)/chunk)
-	for off := 0; off < n; off += chunk {
-		spans = append(spans, [2]int{off, min(chunk, n-off)})
-	}
-	return spans
 }

@@ -137,7 +137,7 @@ type symAct struct {
 
 func symActs(st Step) []symAct {
 	snd := symAct{op: OpSend, peer: st.To, tag: st.Tag, sp: st.Send, fromSend: st.FromSend, mirror: st.Mirror}
-	rcv := symAct{op: OpRecv, peer: st.From, tag: st.Tag, sp: st.Recv, add: st.Op == OpReduce || st.Op == OpExchange}
+	rcv := symAct{op: OpRecv, peer: st.From, tag: st.Tag, sp: st.Recv, add: st.Add}
 	var acts []symAct
 	switch st.Op {
 	case OpCopy:
@@ -173,7 +173,7 @@ func symActs(st Step) []symAct {
 		}
 		return acts
 	}
-	// OpReduce, OpExchange, OpSendrecv; a -1 peer is skipped.
+	// OpSendrecv; a -1 peer is skipped.
 	if st.To >= 0 {
 		acts = append(acts, snd)
 	}
