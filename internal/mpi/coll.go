@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mpicomp/internal/core"
 	"mpicomp/internal/gpusim"
@@ -42,29 +44,32 @@ func (r *Rank) collView() (sched.View, error) {
 }
 
 // consumeRaw decompresses a relayed raw payload into dst and releases its
-// staging buffer — the per-hop consume step of the compression-aware
-// collectives. The real decode fans across the codec worker pool while the
-// simulated kernel accounting stays on this rank's goroutine. A relayed
-// payload is the same immutable bytes on every consuming rank: the first
-// to get here runs the codec job and publishes its output on the companion
-// the payload traveled with, and the others copy it
-// (core.DecompressRelayed). A raw compression chunk stream (a pipelined
-// Alltoallv segment) has no whole payload: its chunks are verified and
-// decoded here, in the order the receive would have drained them.
-func (r *Rank) consumeRaw(raw rawResult, dst *gpusim.Buffer) error {
+// staging buffer, charging clk — the per-hop consume step of the
+// compression-aware collectives. The real decode fans across the codec
+// worker pool while the simulated kernel accounting stays on this rank's
+// goroutine. A relayed payload is the same immutable bytes on every
+// consuming rank: the first to get here runs the codec job and publishes
+// its output on the companion the payload traveled with, and the others
+// copy it (core.DecompressRelayed). A raw compression chunk stream (a
+// pipelined Alltoallv segment) has no whole payload: its chunks are
+// verified and decoded here, each no earlier than its own arrival, in the
+// order the receive would have drained them.
+func (r *Rank) consumeRaw(raw rawResult, clk *simtime.Clock, dst *gpusim.Buffer) error {
 	if raw.chunks != nil {
 		into := &Request{buf: dst}
 		for _, i := range chunkOrder(raw.chunks) {
-			if err := r.decodeChunk(&raw.chunks[i], into); err != nil {
+			c := &raw.chunks[i]
+			clk.AdvanceTo(c.arrival)
+			if err := r.decodeChunk(clk, c, into); err != nil {
 				return fmt.Errorf("chunk %d: %w", i, err)
 			}
 		}
 		return nil
 	}
-	err := r.Engine.DecompressRelayed(r.Clock, raw.hdr, raw.payload, dst, raw.decoded)
+	err := r.Engine.DecompressRelayed(clk, raw.hdr, raw.payload, dst, raw.decoded)
 	// Hand the staging slot back even when the decode fails — an aborting
 	// collective must not leak pool credits.
-	r.Engine.ReleaseRecv(r.Clock, raw.staged)
+	r.Engine.ReleaseRecv(clk, raw.staged)
 	r.dropRawStaged(raw.staged)
 	return err
 }
@@ -132,7 +137,7 @@ func (r *Rank) treeRelay(from int, children []int, tag int, out, into *gpusim.Bu
 		sends = append(sends, req)
 	}
 	if from >= 0 {
-		if err := r.consumeRaw(raw, into); err != nil {
+		if err := r.consumeRaw(raw, r.Clock, into); err != nil {
 			return fmt.Errorf("tree decompress: %w", err)
 		}
 	}
@@ -152,7 +157,7 @@ func (r *Rank) relayRing(left, right, tag, steps int, payload []byte, hdr core.H
 		if into == nil {
 			return nil
 		}
-		if err := r.consumeRaw(arrived, into); err != nil {
+		if err := r.consumeRaw(arrived, r.Clock, into); err != nil {
 			return fmt.Errorf("relay decompress: %w", err)
 		}
 		return nil
@@ -328,10 +333,11 @@ func checkAlltoallv(side string, buf *gpusim.Buffer, counts, displs []int, size 
 // its fabric in barrier-separated waves, one per node-local rank index
 // (alltoallvStep; DESIGN.md §13): no two in-flight transfers of a wave
 // share a calendar and an intra-node pair sends its two directions lower
-// rank first. The waves order bookings only; they do not delay the wire:
-// every segment is prepared before the first barrier and travels from the
-// instant its wire form was ready, and each arrival is decoded after its
-// step's waves.
+// rank first. The waves order bookings only; they delay neither the wire
+// nor the decodes: every segment is prepared before the first barrier and
+// travels from the instant its wire form was ready, and each arrival is
+// verified when it lands and decoded, in arrival order, as soon as the
+// rank's GPU is free of its own compressions and the earlier decodes.
 func (r *Rank) Alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, recvBuf *gpusim.Buffer, recvCounts, recvDispls []int) error {
 	bad := checkAlltoallv("send", sendBuf, sendCounts, sendDispls, r.Size())
 	if bad == nil {
@@ -354,7 +360,12 @@ func (r *Rank) Alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 // the instant each one was ready; only then come each step's barrier waves,
 // which fix the host order of the fabric bookings, and in its wave a
 // segment's RTS (an eager segment's injection) leaves at its ready instant,
-// not at the wave's. Each step's arrival is decoded after its waves.
+// not at the wave's. Each raw receive is verified from the instant it
+// landed (verifyAtLanding); after the waves the arrivals are decoded in
+// (arrival, source) order on a clock of their own, each from the latest of
+// its arrival, the end of the preparation and the previous decode's end —
+// one GPU stream, behind the rank's compressions — and the rank's clock
+// then moves to the last decode's end.
 func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 	w := r.world
 	pow2 := w.size&(w.size-1) == 0
@@ -370,6 +381,7 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 		if err != nil {
 			return err
 		}
+		req.verifyAtLanding = true
 		rreqs[i] = req
 	}
 	outs := make([]*envelope, len(ex))
@@ -384,6 +396,7 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 		}
 		outs[i], ready[i] = env, r.Clock.Now()
 	}
+	prepared := r.Clock.Now()
 	for i, st := range ex {
 		dst, rreq := st.To, rreqs[i]
 		// Our active wave: XOR pairs act in the pair's wave (both sides
@@ -426,16 +439,29 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 				return err
 			}
 		}
+	}
+	// The waves order bookings and delay no decode.
+	landed := make([]int, 0, len(ex))
+	for i, rreq := range rreqs {
 		if rreq == nil {
 			continue
 		}
 		if err := r.Wait(rreq); err != nil {
 			return err
 		}
-		if err := r.consumeRaw(rreq.raw, b.at(st.Recv)); err != nil {
+		landed = append(landed, i)
+	}
+	slices.SortFunc(landed, func(a, b int) int {
+		return cmp.Or(cmp.Compare(rreqs[a].raw.arrival, rreqs[b].raw.arrival), cmp.Compare(ex[a].From, ex[b].From))
+	})
+	decode := simtime.NewClock(prepared)
+	for _, i := range landed {
+		decode.AdvanceTo(rreqs[i].raw.arrival)
+		if err := r.consumeRaw(rreqs[i].raw, decode, b.at(ex[i].Recv)); err != nil {
 			return err
 		}
 	}
+	r.Clock.AdvanceTo(decode.Now())
 	return nil
 }
 

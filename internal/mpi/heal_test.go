@@ -312,12 +312,43 @@ func TestSelfHealBcastHierarchicalCompletes(t *testing.T) {
 // vector all-to-all: survivors complete on the shrunken group and every
 // live-to-live segment lands bit-exactly.
 func TestSelfHealAlltoallvCompletes(t *testing.T) {
+	selfHealAlltoallv(t, core.Config{}, 2<<10, 100*simtime.Microsecond)
+}
+
+// TestSelfHealAlltoallvReleasesStaging is the MPC run of
+// TestSelfHealAlltoallvCompletes, its 64 KiB segments compressed: an
+// Alltoallv rank parks each landed segment's staging slot until it decodes
+// it, after every wave, so a crash can abort exchanges holding slots. The
+// crash onset sweeps the first calls; in some runs the fated rank must fail
+// holding slots, and after every run every slot must be back in its pool
+// (the survivors' drainAborted and the fated rank's reapInflight, both
+// through releaseRawStaged).
+func TestSelfHealAlltoallvReleasesStaging(t *testing.T) {
+	cfg := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, MPCDim: 1, PipelineChunkBytes: -1, Threshold: 4 << 10}
+	aborts := 0
+	for window := simtime.Millisecond; window <= 5*simtime.Millisecond; window += 200 * simtime.Microsecond {
+		w, held := selfHealAlltoallv(t, cfg, 16<<10, window)
+		assertPoolBalance(t, w, fmt.Sprintf("self-heal MPC alltoallv, crash window %v", window))
+		if held > 0 {
+			aborts++
+		}
+	}
+	if aborts == 0 {
+		t.Error("no crash aborted an exchange holding staging slots: the sweep misses what it guards")
+	}
+}
+
+// selfHealAlltoallv runs eight Alltoallv calls of blkWords-word segments
+// on a 4x1 world under cfg where one rank crashes within window, checks
+// the survivors' segments and returns the world and the number of raw
+// staging slots the fated rank held when its call failed.
+func selfHealAlltoallv(t *testing.T, cfg core.Config, blkWords int, window simtime.Duration) (*World, int) {
+	t.Helper()
 	const nodes, ppn = 4, 1
-	const blkWords = 2 << 10
-	fcfg := faults.Config{CrashRate: 0.25, FailWindow: 100 * simtime.Microsecond}
+	fcfg := faults.Config{CrashRate: 0.25, FailWindow: window}
 	fcfg.Seed = findHealSeed(t, nodes*ppn, fcfg, 1)
 	w := mustWorld(t, Options{
-		Cluster: hw.Longhorn(), Nodes: nodes, PPN: ppn,
+		Cluster: hw.Longhorn(), Nodes: nodes, PPN: ppn, Engine: cfg,
 		Faults: &fcfg,
 		Health: HealthPolicy{SelfHeal: true, Deadline: 100 * simtime.Microsecond},
 	})
@@ -328,6 +359,7 @@ func TestSelfHealAlltoallvCompletes(t *testing.T) {
 	P := w.Size()
 	segVal := func(src, dst, i int) float32 { return float32(src*1000+dst*100) + float32(i%97) }
 	final := make([]*gpusim.Buffer, P)
+	held := 0
 	_, errs := w.RunAll(func(r *Rank) error {
 		counts := make([]int, P)
 		displs := make([]int, P)
@@ -347,8 +379,16 @@ func TestSelfHealAlltoallvCompletes(t *testing.T) {
 		core.FloatsToBytes(send.Data[:0], vals)
 		for it := 0; it < 8; it++ {
 			if err := r.Alltoallv(send, counts, displs, recv, counts, displs); err != nil {
+				if r.ID() == doomed[0] {
+					held = len(r.rawStaged)
+				}
 				return err
 			}
+		}
+		// Nothing is in flight to this rank any more: a slot missing now
+		// leaked in a healed call (the world's own reap comes later).
+		if free, total := r.Engine.PoolBalance(); free != total {
+			return fmt.Errorf("rank %d staging pool free=%d total=%d after its calls", r.ID(), free, total)
 		}
 		return nil
 	})
@@ -380,6 +420,7 @@ func TestSelfHealAlltoallvCompletes(t *testing.T) {
 	if rs := w.RecoveryStats(); rs.ShrinkCompletions == 0 {
 		t.Errorf("alltoallv never healed: %+v", rs)
 	}
+	return w, held
 }
 
 // TestPartitionRideOut runs an allreduce straight through an operator

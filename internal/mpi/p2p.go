@@ -322,7 +322,12 @@ type Request struct {
 	add bool
 	// raw receive (collective relay path): a receive with no buf captures
 	// the verified wire payload here instead of decoding it.
-	raw rawResult
+	// verifyAtLanding charges the verification from the instant the
+	// payload landed, on a clock of its own rather than the rank's, and
+	// makes the end of it raw.arrival (Alltoallv's receives, whose decodes
+	// wait for that and not for the rank).
+	raw             rawResult
+	verifyAtLanding bool
 }
 
 // Send transmits buf to rank dst with the given tag, blocking until the
@@ -653,10 +658,15 @@ func (r *Rank) waitRecv(req *Request) error {
 		<-env.done
 	}
 	defer r.releaseStaging(env)
+	// landed is when the payload was whole on this rank, however late the
+	// rank got to its Wait (verifyAtLanding starts the verification there).
+	var landed simtime.Time
 	switch {
 	case env.eager:
+		const unpack = 500 * simtime.Nanosecond
 		r.Clock.AdvanceTo(env.arrival)
-		r.Clock.Advance(simtime.FromMicroseconds(0.5)) // unpack
+		r.Clock.Advance(unpack)
+		landed = env.arrival.Add(unpack)
 	case env.pipelined:
 		// Chunks are consumed as they land; a failed stream is observed at
 		// its bounded give-up instant.
@@ -667,7 +677,8 @@ func (r *Rank) waitRecv(req *Request) error {
 	default:
 		// The payload lands in the staged device buffer once the transfer
 		// completes (step 5).
-		r.Clock.AdvanceTo(simtime.Max(env.matchTime, env.dataArrival))
+		landed = simtime.Max(env.matchTime, env.dataArrival)
+		r.Clock.AdvanceTo(landed)
 	}
 	if env.deliveryErr != nil {
 		return env.deliveryErr
@@ -685,25 +696,28 @@ func (r *Rank) waitRecv(req *Request) error {
 		// offset in the wire payload, which is then handled whole below; a
 		// compression chunk is verified and decoded at its packed offset
 		// while later chunks are still on the wire — or, on a raw receive,
-		// kept in that order for consumeRaw to decode.
+		// kept in that order for consumeRaw to decode, the stream counting
+		// as landed with its first chunk.
 		if env.relayChunks {
 			payload = make([]byte, env.hdr.CompBytes)
 		}
-		for _, i := range chunkOrder(env.chunks) {
+		for k, i := range chunkOrder(env.chunks) {
 			c := &env.chunks[i]
 			r.Clock.AdvanceTo(c.arrival)
 			switch {
 			case env.relayChunks:
 				copy(payload[c.off:], c.payload)
 			case req.buf != nil:
-				if err := r.decodeChunk(c, req); err != nil {
+				if err := r.decodeChunk(r.Clock, c, req); err != nil {
 					return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
 				}
+			case k == 0:
+				landed = c.arrival
 			}
 		}
 		if !env.relayChunks {
 			if req.buf == nil {
-				req.raw = rawResult{chunks: env.chunks}
+				req.raw = rawResult{chunks: env.chunks, arrival: landed}
 			}
 			return nil
 		}
@@ -711,7 +725,11 @@ func (r *Rank) waitRecv(req *Request) error {
 	// End-to-end integrity: verify the wire payload against the header
 	// checksum before it reaches a decoder or is relayed onward — a relay
 	// chain then detects corruption at the hop where it happened.
-	if err := r.Engine.VerifyPayload(r.Clock, env.hdr, payload); err != nil {
+	clk := r.Clock
+	if req.verifyAtLanding {
+		clk = simtime.NewClock(landed)
+	}
+	if err := r.Engine.VerifyPayload(clk, env.hdr, payload); err != nil {
 		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
 	}
 	switch {
@@ -719,7 +737,8 @@ func (r *Rank) waitRecv(req *Request) error {
 		// Raw: capture for forwarding. The staging buffer parks on the
 		// rank until consumeRaw, so it is no longer the envelope's to
 		// release.
-		req.raw = rawResult{payload: payload, hdr: env.hdr, decoded: env.decoded, staged: env.staged}
+		req.raw = rawResult{payload: payload, hdr: env.hdr, decoded: env.decoded, staged: env.staged,
+			arrival: clk.Now()}
 		r.noteRawStaged(env.staged)
 		env.staged = nil
 	case env.eager && !req.add:
@@ -735,7 +754,7 @@ func (r *Rank) waitRecv(req *Request) error {
 		// The decompression kernel restores the payload into the user
 		// buffer (steps 6-7); an add receive adds it, an eager payload
 		// straight from the wire.
-		if err := r.land(req, env.hdr, payload, 0); err != nil {
+		if err := r.land(r.Clock, req, env.hdr, payload, 0); err != nil {
 			return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
 		}
 	}
@@ -743,21 +762,22 @@ func (r *Rank) waitRecv(req *Request) error {
 }
 
 // land restores a verified payload at packed offset off of the receive's
-// buffer: stored, scattered through its layout, or added into it.
-func (r *Rank) land(req *Request, hdr core.Header, payload []byte, off int) error {
+// buffer, charged to clk: stored, scattered through its layout, or added
+// into it.
+func (r *Rank) land(clk *simtime.Clock, req *Request, hdr core.Header, payload []byte, off int) error {
 	if req.add {
-		return r.Engine.DecompressAdd(r.Clock, hdr, payload, req.buf, off)
+		return r.Engine.DecompressAdd(clk, hdr, payload, req.buf, off)
 	}
-	return r.Engine.DecompressChunk(r.Clock, hdr, payload, req.buf, req.typ, off)
+	return r.Engine.DecompressChunk(clk, hdr, payload, req.buf, req.typ, off)
 }
 
 // decodeChunk verifies one compression chunk against its own CRC and
-// lands it at its packed offset of the receive's buffer.
-func (r *Rank) decodeChunk(c *chunkPart, req *Request) error {
-	if err := r.Engine.VerifyPayload(r.Clock, c.hdr, c.payload); err != nil {
+// lands it at its packed offset of the receive's buffer, charged to clk.
+func (r *Rank) decodeChunk(clk *simtime.Clock, c *chunkPart, req *Request) error {
+	if err := r.Engine.VerifyPayload(clk, c.hdr, c.payload); err != nil {
 		return err
 	}
-	return r.land(req, c.hdr, c.payload, c.off)
+	return r.land(clk, req, c.hdr, c.payload, c.off)
 }
 
 // fellBack reports whether a message traveled in the breaker's
@@ -869,13 +889,17 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header, dec *
 // the decoded-form companion it traveled with (nil: none), and the staging
 // buffer to release after decompression — or, for a compression chunk
 // stream, its chunks alone, each still to be verified against its own CRC
-// and decoded (their staging went back to the pool with the stream).
+// and decoded at its own arrival (their staging went back to the pool with
+// the stream). arrival is when the payload was ready for its consumer:
+// verified (from its landing under verifyAtLanding, else on the rank's
+// clock), or, for a chunk stream, when its first chunk landed.
 type rawResult struct {
 	payload []byte
 	hdr     core.Header
 	decoded *core.Decoded
 	staged  *gpusim.Buffer
 	chunks  []chunkPart
+	arrival simtime.Time
 }
 
 // noteRawStaged / dropRawStaged bracket the window where a completed raw

@@ -378,10 +378,18 @@ func TestAlltoallvCorrectness(t *testing.T) {
 // model sends compressed is compressed at each send.
 func raggedAlltoallv(t *testing.T, nodes, ppn, seg int, cfg core.Config) (simtime.Time, []uint32) {
 	t.Helper()
+	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: nodes, PPN: ppn, Engine: cfg})
+	return runRagged(t, w, seg, 1, nil)
+}
+
+// runRagged runs raggedAlltoallv's exchange calls times back to back on w
+// (the send segments wrap around the msg_sppm cut where they outgrow it),
+// calling after, when non-nil, on each rank after each call.
+func runRagged(t *testing.T, w *World, seg, calls int, after func(r *Rank, call int) error) (simtime.Time, []uint32) {
+	t.Helper()
 	sppm, _ := datasets.ByName("msg_sppm")
 	stream := core.FloatsToBytes(nil, sppm.Values(4<<20))
 	size := func(i, j int) int { return seg * (1 + (i+j)%3) }
-	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: nodes, PPN: ppn, Engine: cfg})
 	crcs := make([]uint32, w.Size())
 	times, err := w.Run(func(r *Rank) error {
 		P, me := r.Size(), r.ID()
@@ -393,10 +401,24 @@ func raggedAlltoallv(t *testing.T, nodes, ppn, seg int, cfg core.Config) (simtim
 			stot += sc[j]
 			rtot += rc[j]
 		}
-		send := &gpusim.Buffer{Data: stream[me<<16 : me<<16+stot], Loc: gpusim.Device, Dev: r.Dev}
+		data := stream[me<<16:]
+		if len(data) < stot {
+			data = make([]byte, stot)
+			for off := 0; off < stot; off += len(stream) {
+				copy(data[off:], stream)
+			}
+		}
+		send := &gpusim.Buffer{Data: data[:stot], Loc: gpusim.Device, Dev: r.Dev}
 		recv := emptyDevBuf(r, rtot/4)
-		if err := r.Alltoallv(send, sc, sd, recv, rc, rd); err != nil {
-			return err
+		for call := 0; call < calls; call++ {
+			if err := r.Alltoallv(send, sc, sd, recv, rc, rd); err != nil {
+				return err
+			}
+			if after != nil {
+				if err := after(r, call); err != nil {
+					return err
+				}
+			}
 		}
 		crcs[me] = crc32.ChecksumIEEE(recv.Data)
 		return nil
@@ -455,10 +477,11 @@ func TestAlltoallvReplaysOnEveryLayout(t *testing.T) {
 // node, a rank that compressed or decoded inside its wave held its
 // neighbour's wire time hostage, and the compressed exchange lost to the
 // uncompressed one (0.73x here). Compressed must beat Mode-off on the same
-// bytes by at least minGain — it reads 1.79x; 1.28x while each segment's
-// wire waited for its wave, 1.06x with the compression inside the wave
-// too — and its latency must be the same instant for every codec worker
-// count and GOMAXPROCS: the waves still make the bookings deterministic.
+// bytes by at least minGain — it reads 1.97x; 1.79x while each arrival was
+// decoded after its step's waves, 1.28x while each segment's wire waited
+// for its wave, 1.06x with the compression inside the wave too — and its
+// latency must be the same instant for every codec worker count and
+// GOMAXPROCS: the waves still make the bookings deterministic.
 func TestAlltoallvWinsWhereWavesBind(t *testing.T) {
 	const minGain = 1.15
 	off, offCRC := raggedAlltoallv(t, 2, 2, 2<<20, core.Config{})
