@@ -22,8 +22,10 @@ import (
 // no earlier than the k-th arrival (by landing instant, then source) and
 // no later than the latest of that arrival, the end of the rank's
 // preparation and the previous decode's end, plus the fixed charges ahead
-// of a decode kernel; and decode kernel lengths ordered like the sizes of
-// the arrivals they are paired with. Decoding each arrival after its
+// of a decode kernel; the arrival's verification pass inside that gap,
+// chained behind the previous decode, not run from the landing alongside
+// the rank's other work; and decode kernel lengths ordered like the sizes
+// of the arrivals they are paired with. Decoding each arrival after its
 // step's waves starts the decodes well over a hundred microseconds late.
 func TestAlltoallvDecodesOnArrival(t *testing.T) {
 	const seg = 1 << 20
@@ -32,9 +34,9 @@ func TestAlltoallvDecodesOnArrival(t *testing.T) {
 	w := mustWorld(t, Options{Cluster: spec, Nodes: 2, PPN: 2, Tracer: tr,
 		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, MPCDim: 1, PipelineChunkBytes: -1}})
 	runRagged(t, w, seg, 1, nil)
-	// Ahead of its kernel a decode pays a staging-pool hit and the d_off
-	// kernel's launch (6.2 us on Longhorn) and, from its landing, the
-	// payload's verification pass; the slack leaves room for both.
+	// Ahead of its kernel a decode pays the payload's verification pass,
+	// a staging-pool hit and the d_off kernel's launch (6.2 us on
+	// Longhorn); the slack leaves room for them.
 	slack := 2 * spec.GPU.KernelLaunch
 	// longer compares two kernels' lengths, within a microsecond alike.
 	longer := func(a, b trace.Event) int {
@@ -100,10 +102,14 @@ func TestAlltoallvDecodesOnArrival(t *testing.T) {
 			if d.Start < a.at {
 				t.Errorf("rank %d: decode %d starts at %v, before arrival %d (from rank %d) landed at %v", me, k, d.Start, k, a.src, a.at)
 			}
-			bound := max(a.at, prepared, prevEnd).Add(slack)
-			if d.Start > bound {
+			from := max(a.at, prepared, prevEnd)
+			if bound := from.Add(slack); d.Start > bound {
 				t.Errorf("rank %d: decode %d starts at %v, later than %v = max(arrival %v from rank %d, prepared %v, previous decode's end %v) + %v",
 					me, k, d.Start, bound, a.at, a.src, prepared, prevEnd, slack)
+			}
+			if !slices.ContainsFunc(checksums, func(c trace.Event) bool { return c.Start >= from && c.End <= d.Start }) {
+				t.Errorf("rank %d: no verification pass between %v and decode %d's start at %v: arrival %d (from rank %d) was not verified on the decode's clock",
+					me, from, k, d.Start, k, a.src)
 			}
 			prevEnd = d.End
 			for j := range k {
@@ -118,15 +124,18 @@ func TestAlltoallvDecodesOnArrival(t *testing.T) {
 
 // TestAlltoallvStagingStaysPooled: an Alltoallv rank holds every landed
 // compressed segment's staging slot until its decode, so a rank of P holds
-// up to P-1 at once. On the ragged MPC exchange at omb's 1 MiB on 2x2,
-// 4x2, 2x4 and 8x1, and at its 8 MiB on 2x2 — every segment compressed —
-// no send may fall back to uncompressed for want of a slot, every slot
-// must be back in the pool after each call, and a second call may add no
-// device allocation to the first's.
+// up to P-1 at once — or, past the pool's eight slots, as many as the pool
+// has before it decodes the ones in so far. On the ragged MPC exchange at
+// omb's 1 MiB on 2x2, 4x2, 2x4 and 8x1, at its 8 MiB on 2x2 and at 512 KiB
+// on 4x4 (15 arrivals a rank) — every segment compressed — no send may
+// fall back to uncompressed for want of a slot, every slot must be back
+// in the pool after each call (a slot the pool grew by leaves it
+// unbalanced), and a second call may add no device allocation to the
+// first's.
 func TestAlltoallvStagingStaysPooled(t *testing.T) {
 	cells := []struct{ nodes, ppn, seg int }{
 		{2, 2, 512 << 10}, {4, 2, 512 << 10}, {2, 4, 512 << 10}, {8, 1, 512 << 10},
-		{2, 2, 4 << 20},
+		{2, 2, 4 << 20}, {4, 4, 256 << 10},
 	}
 	for _, c := range cells {
 		name := fmt.Sprintf("%dx%d/seg=%d", c.nodes, c.ppn, c.seg)

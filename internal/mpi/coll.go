@@ -53,7 +53,9 @@ func (r *Rank) collView() (sched.View, error) {
 // copy it (core.DecompressRelayed). A raw compression chunk stream (a
 // pipelined Alltoallv segment) has no whole payload: its chunks are
 // verified and decoded here, each no earlier than its own arrival, in the
-// order the receive would have drained them.
+// order the receive would have drained them. A whole payload whose
+// verification the receive left to its consumer is verified here, on clk,
+// before its decode.
 func (r *Rank) consumeRaw(raw rawResult, clk *simtime.Clock, dst *gpusim.Buffer) error {
 	if raw.chunks != nil {
 		into := &Request{buf: dst}
@@ -66,7 +68,13 @@ func (r *Rank) consumeRaw(raw rawResult, clk *simtime.Clock, dst *gpusim.Buffer)
 		}
 		return nil
 	}
-	err := r.Engine.DecompressRelayed(clk, raw.hdr, raw.payload, dst, raw.decoded)
+	var err error
+	if raw.verify {
+		err = r.Engine.VerifyPayload(clk, raw.hdr, raw.payload)
+	}
+	if err == nil {
+		err = r.Engine.DecompressRelayed(clk, raw.hdr, raw.payload, dst, raw.decoded)
+	}
 	// Hand the staging slot back even when the decode fails — an aborting
 	// collective must not leak pool credits.
 	r.Engine.ReleaseRecv(clk, raw.staged)
@@ -335,9 +343,9 @@ func checkAlltoallv(side string, buf *gpusim.Buffer, counts, displs []int, size 
 // share a calendar and an intra-node pair sends its two directions lower
 // rank first. The waves order bookings only; they delay neither the wire
 // nor the decodes: every segment is prepared before the first barrier and
-// travels from the instant its wire form was ready, and each arrival is
-// verified when it lands and decoded, in arrival order, as soon as the
-// rank's GPU is free of its own compressions and the earlier decodes.
+// travels from the instant its wire form was ready, and the arrivals are
+// verified and decoded in arrival order, each as soon as it has landed and
+// the rank's GPU is free of its own compressions and the earlier decodes.
 func (r *Rank) Alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, recvBuf *gpusim.Buffer, recvCounts, recvDispls []int) error {
 	bad := checkAlltoallv("send", sendBuf, sendCounts, sendDispls, r.Size())
 	if bad == nil {
@@ -360,12 +368,13 @@ func (r *Rank) Alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 // the instant each one was ready; only then come each step's barrier waves,
 // which fix the host order of the fabric bookings, and in its wave a
 // segment's RTS (an eager segment's injection) leaves at its ready instant,
-// not at the wave's. Each raw receive is verified from the instant it
-// landed (verifyAtLanding); after the waves the arrivals are decoded in
-// (arrival, source) order on a clock of their own, each from the latest of
-// its arrival, the end of the preparation and the previous decode's end —
-// one GPU stream, behind the rank's compressions — and the rank's clock
-// then moves to the last decode's end.
+// not at the wave's. The arrivals are verified and decoded in (arrival,
+// source) order on a clock of their own (consumerVerifies), each from the
+// latest of its landing, the end of the preparation and the previous
+// decode's end — one GPU stream, behind the rank's compressions — and the
+// rank's clock then moves to the last decode's end. That happens after the
+// waves, or earlier for the arrivals in so far once as many are undecoded
+// as the staging pool has slots.
 func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 	w := r.world
 	pow2 := w.size&(w.size-1) == 0
@@ -381,7 +390,7 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 		if err != nil {
 			return err
 		}
-		req.verifyAtLanding = true
+		req.consumerVerifies = true
 		rreqs[i] = req
 	}
 	outs := make([]*envelope, len(ex))
@@ -396,7 +405,32 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 		}
 		outs[i], ready[i] = env, r.Clock.Now()
 	}
-	prepared := r.Clock.Now()
+	// Arrivals are decoded in (arrival, source) order on a clock of their
+	// own, which starts where the preparation ended. Each compressed
+	// arrival holds a staging slot from its match to its decode, so once
+	// as many receives are undecoded as the pool has slots, the ones in
+	// so far are decoded before the next step's match could miss the pool.
+	decode := simtime.NewClock(r.Clock.Now())
+	_, slots := r.Engine.PoolBalance()
+	var landed []int
+	consume := func() error {
+		for _, i := range landed {
+			if err := r.Wait(rreqs[i]); err != nil {
+				return err
+			}
+		}
+		slices.SortFunc(landed, func(a, b int) int {
+			return cmp.Or(cmp.Compare(rreqs[a].raw.arrival, rreqs[b].raw.arrival), cmp.Compare(ex[a].From, ex[b].From))
+		})
+		for _, i := range landed {
+			decode.AdvanceTo(rreqs[i].raw.arrival)
+			if err := r.consumeRaw(rreqs[i].raw, decode, b.at(ex[i].Recv)); err != nil {
+				return fmt.Errorf("mpi: message from rank %d: %w", ex[i].From, err)
+			}
+		}
+		landed = landed[:0]
+		return nil
+	}
 	for i, st := range ex {
 		dst, rreq := st.To, rreqs[i]
 		// Our active wave: XOR pairs act in the pair's wave (both sides
@@ -439,27 +473,18 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 				return err
 			}
 		}
-	}
-	// The waves order bookings and delay no decode.
-	landed := make([]int, 0, len(ex))
-	for i, rreq := range rreqs {
 		if rreq == nil {
 			continue
 		}
-		if err := r.Wait(rreq); err != nil {
-			return err
+		// The waves order bookings and delay no decode.
+		if landed = append(landed, i); len(landed) == slots {
+			if err := consume(); err != nil {
+				return err
+			}
 		}
-		landed = append(landed, i)
 	}
-	slices.SortFunc(landed, func(a, b int) int {
-		return cmp.Or(cmp.Compare(rreqs[a].raw.arrival, rreqs[b].raw.arrival), cmp.Compare(ex[a].From, ex[b].From))
-	})
-	decode := simtime.NewClock(prepared)
-	for _, i := range landed {
-		decode.AdvanceTo(rreqs[i].raw.arrival)
-		if err := r.consumeRaw(rreqs[i].raw, decode, b.at(ex[i].Recv)); err != nil {
-			return err
-		}
+	if err := consume(); err != nil {
+		return err
 	}
 	r.Clock.AdvanceTo(decode.Now())
 	return nil

@@ -322,12 +322,12 @@ type Request struct {
 	add bool
 	// raw receive (collective relay path): a receive with no buf captures
 	// the verified wire payload here instead of decoding it.
-	// verifyAtLanding charges the verification from the instant the
-	// payload landed, on a clock of its own rather than the rank's, and
-	// makes the end of it raw.arrival (Alltoallv's receives, whose decodes
-	// wait for that and not for the rank).
-	raw             rawResult
-	verifyAtLanding bool
+	// consumerVerifies leaves the verification to consumeRaw, which
+	// charges it on the clock of the decode that follows it (Alltoallv's
+	// receives: nothing forwards them, and their decodes run on a clock of
+	// their own, not the rank's).
+	raw              rawResult
+	consumerVerifies bool
 }
 
 // Send transmits buf to rank dst with the given tag, blocking until the
@@ -659,7 +659,7 @@ func (r *Rank) waitRecv(req *Request) error {
 	}
 	defer r.releaseStaging(env)
 	// landed is when the payload was whole on this rank, however late the
-	// rank got to its Wait (verifyAtLanding starts the verification there).
+	// rank got to its Wait.
 	var landed simtime.Time
 	switch {
 	case env.eager:
@@ -725,12 +725,11 @@ func (r *Rank) waitRecv(req *Request) error {
 	// End-to-end integrity: verify the wire payload against the header
 	// checksum before it reaches a decoder or is relayed onward — a relay
 	// chain then detects corruption at the hop where it happened.
-	clk := r.Clock
-	if req.verifyAtLanding {
-		clk = simtime.NewClock(landed)
-	}
-	if err := r.Engine.VerifyPayload(clk, env.hdr, payload); err != nil {
-		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
+	if !req.consumerVerifies {
+		if err := r.Engine.VerifyPayload(r.Clock, env.hdr, payload); err != nil {
+			return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
+		}
+		landed = r.Clock.Now()
 	}
 	switch {
 	case req.buf == nil:
@@ -738,7 +737,7 @@ func (r *Rank) waitRecv(req *Request) error {
 		// rank until consumeRaw, so it is no longer the envelope's to
 		// release.
 		req.raw = rawResult{payload: payload, hdr: env.hdr, decoded: env.decoded, staged: env.staged,
-			arrival: clk.Now()}
+			arrival: landed, verify: req.consumerVerifies}
 		r.noteRawStaged(env.staged)
 		env.staged = nil
 	case env.eager && !req.add:
@@ -891,8 +890,9 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header, dec *
 // stream, its chunks alone, each still to be verified against its own CRC
 // and decoded at its own arrival (their staging went back to the pool with
 // the stream). arrival is when the payload was ready for its consumer:
-// verified (from its landing under verifyAtLanding, else on the rank's
-// clock), or, for a chunk stream, when its first chunk landed.
+// when it landed if verify leaves its verification to consumeRaw, else
+// when the rank had verified it; for a chunk stream, when its first chunk
+// landed.
 type rawResult struct {
 	payload []byte
 	hdr     core.Header
@@ -900,6 +900,7 @@ type rawResult struct {
 	staged  *gpusim.Buffer
 	chunks  []chunkPart
 	arrival simtime.Time
+	verify  bool
 }
 
 // noteRawStaged / dropRawStaged bracket the window where a completed raw

@@ -477,7 +477,7 @@ func TestAlltoallvReplaysOnEveryLayout(t *testing.T) {
 // node, a rank that compressed or decoded inside its wave held its
 // neighbour's wire time hostage, and the compressed exchange lost to the
 // uncompressed one (0.73x here). Compressed must beat Mode-off on the same
-// bytes by at least minGain — it reads 1.97x; 1.79x while each arrival was
+// bytes by at least minGain — it reads 1.94x; 1.79x while each arrival was
 // decoded after its step's waves, 1.28x while each segment's wire waited
 // for its wave, 1.06x with the compression inside the wave too — and its
 // latency must be the same instant for every codec worker count and
