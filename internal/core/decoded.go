@@ -60,17 +60,17 @@ func (h Header) equal(o Header) bool {
 // which is what makes a companion created with an equal header safe to
 // serve from. A payload that travels uncompressed has no codec job to
 // share (its "decode" is already a copy) and leaves the companion alone.
-// The simulated side is Decompress's to the last charge; Host.DecodeJobs
-// tells the two apart.
+// Its decode stays queued until SyncDecodes; from there the simulated side
+// is Decompress's to the last charge. Host.DecodeJobs tells them apart.
 func (e *Engine) DecompressRelayed(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer, dec *Decoded) error {
+	m := message{buf: dst, n: hdr.OrigBytes}
 	if dec == nil || !hdr.Compressed || !dec.hdr.equal(hdr) {
-		return e.Decompress(clk, hdr, payload, dst)
+		return e.decompress(clk, hdr, payload, m, nil)
 	}
 	// Taken before e.mu and, by the rank that decodes, released after it:
 	// a waiter holds no engine lock, and the holder waits on nothing but
 	// its own engine. Published bytes are immutable, so copying them out
 	// needs no latch.
-	m := message{buf: dst, n: hdr.OrigBytes}
 	dec.mu.Lock()
 	if data := dec.data; data != nil {
 		dec.mu.Unlock()

@@ -61,7 +61,8 @@ func (c *consumer) simulated() simulated {
 // TestDecompressRelayedSharesOneDecode: of the consumers of one relayed
 // payload the first runs the codec job and the rest copy its output, for
 // both codecs and both integration modes, and the simulated side of every
-// consumer is the plain Decompress's to the last charge.
+// consumer, once it syncs the decode DecompressRelayed left queued, is the
+// plain Decompress's to the last charge.
 func TestDecompressRelayedSharesOneDecode(t *testing.T) {
 	for _, cfg := range []Config{
 		{Mode: ModeOpt, Algorithm: AlgoMPC}, {Mode: ModeNaive, Algorithm: AlgoMPC},
@@ -87,6 +88,7 @@ func TestDecompressRelayedSharesOneDecode(t *testing.T) {
 			if err := c.e.DecompressRelayed(c.clk, hdr, hop, c.dst, dec); err != nil {
 				t.Fatal(err)
 			}
+			c.e.SyncDecodes(c.clk)
 			if !bytes.Equal(c.dst.Data, want) {
 				t.Fatalf("%v/%v consumer %d: wrong bytes", cfg.Algorithm, cfg.Mode, i)
 			}

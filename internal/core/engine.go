@@ -129,6 +129,17 @@ type Engine struct {
 	// the periodic compressibility probe.
 	crEstimate float64
 	probes     int
+	// queued holds the decodes launched and not yet synced (SyncDecodes).
+	queued []queuedDecode
+}
+
+// queuedDecode is one decode on the streams: its stream count, its d_off
+// slot (nil for ZFP) and its launches' interval, charged at the sync (end
+// zero: a failed decode, charged nothing).
+type queuedDecode struct {
+	streams    int
+	dOff       *gpusim.Buffer
+	start, end simtime.Time
 }
 
 // RatioAchieved reports the cumulative compression ratio since the last
@@ -409,6 +420,17 @@ func (e *Engine) PoolBalance() (free, total int) {
 	return e.pool.FreeCount(), e.cfg.PoolBuffers
 }
 
+// OffPoolBalance is PoolBalance for MPC's d_off pool, whose slots the
+// decodes queued on the streams hold until SyncDecodes.
+func (e *Engine) OffPoolBalance() (free, total int) {
+	if e == nil || e.offPool == nil {
+		return 0, 0
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.offPool.FreeCount(), e.cfg.PoolBuffers
+}
+
 // poolExhaustedLocked reports whether the ModeOpt staging pool cannot
 // serve a compression without growing.
 func (e *Engine) poolExhaustedLocked() bool {
@@ -483,35 +505,22 @@ func (e *Engine) compressMPC(clk *simtime.Clock, src []byte, n int, view typedVi
 	}
 	ranges := e.ar.rangesFor(nWords, parts)
 
+	// MPC by design launches one block per SM and busy-waits for
+	// inter-block synchronization; MPC-OPT decomposes it into `parts`
+	// kernels on independent streams, each using SMs/parts blocks
+	// (Figure 7).
 	t = startTimer(clk)
-	if parts == 1 {
-		// MPC by design launches one block per SM and busy-waits for
-		// inter-block synchronization.
-		e.dev.LaunchKernel(clk, e.dev.Stream(0), gpusim.KernelSpec{
-			Blocks:         e.dev.Spec.SMs,
-			Bytes:          n,
+	blocks := max(e.dev.Spec.SMs/parts, 1)
+	for i, rg := range ranges {
+		e.dev.LaunchKernel(clk, e.dev.Stream(i), gpusim.KernelSpec{
+			Blocks:         blocks,
+			Bytes:          4 * (rg[1] - rg[0]),
 			ThroughputGbps: e.dev.Spec.MPCCompressGbps,
 			BusyWaitSync:   true,
 		})
-		e.dev.StreamSync(clk, e.dev.Stream(0))
-	} else {
-		// MPC-OPT: decompose into `parts` kernels on independent
-		// streams, each using SMs/parts blocks (Figure 7).
-		blocks := e.dev.Spec.SMs / parts
-		if blocks < 1 {
-			blocks = 1
-		}
-		for i, rg := range ranges {
-			e.dev.LaunchKernel(clk, e.dev.Stream(i), gpusim.KernelSpec{
-				Blocks:         blocks,
-				Bytes:          4 * (rg[1] - rg[0]),
-				ThroughputGbps: e.dev.Spec.MPCCompressGbps,
-				BusyWaitSync:   true,
-			})
-		}
-		for i := range ranges {
-			e.dev.StreamSync(clk, e.dev.Stream(i))
-		}
+	}
+	for i := range ranges {
+		e.dev.StreamSync(clk, e.dev.Stream(i))
 	}
 	// The real compression work (data content is exact): partitions are
 	// independent streams, so they encode concurrently, each into a
@@ -702,8 +711,8 @@ func (e *Engine) give(clk *simtime.Clock, p *gpusim.BufferPool, b *gpusim.Buffer
 }
 
 // Decompress runs the receive-side framework (Algorithm 2): given the RTS
-// header and the received payload, it launches the decompression kernel(s)
-// and writes the restored data into dst.
+// header and the received payload, it launches the decompression kernel(s),
+// syncs them (SyncDecodes) and writes the restored data into dst.
 //
 // A truncated, padded, or otherwise malformed (header, payload) pair —
 // whatever a faulty fabric or a corrupted RTS could produce — yields an
@@ -730,6 +739,7 @@ func (e *Engine) DecompressTyped(clk *simtime.Clock, hdr Header, payload []byte,
 // positions starting at packed byte offset off: of the words t selects in
 // dst, or of dst itself when t is nil.
 func (e *Engine) DecompressChunk(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer, t dtype.Type, off int) error {
+	defer e.SyncDecodes(clk)
 	return e.decompress(clk, hdr, payload, message{buf: dst, t: t, off: off, n: hdr.OrigBytes}, nil)
 }
 
@@ -746,7 +756,48 @@ func (e *Engine) DecompressAdd(clk *simtime.Clock, hdr Header, payload []byte, d
 	if hdr.OrigBytes%4 != 0 {
 		return fmt.Errorf("core: an added message must be whole float32 words, got %d bytes", hdr.OrigBytes)
 	}
+	defer e.SyncDecodes(clk)
 	return e.decompress(clk, hdr, payload, message{buf: dst, off: off, n: hdr.OrigBytes, add: true}, nil)
+}
+
+// SyncDecodes is the one host sync of decoding: it waits for the queued
+// decodes stream by stream in index order, then hands back their d_off
+// slots. It goes where the bytes are first needed: right after the decode
+// in the entry points above, at the end of a relay's collective step
+// (DecompressRelayed leaves its decode queued).
+func (e *Engine) SyncDecodes(clk *simtime.Clock) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.syncDecodesLocked(clk)
+}
+
+func (e *Engine) syncDecodesLocked(clk *simtime.Clock) {
+	if len(e.queued) == 0 {
+		return
+	}
+	// A decode whose launches ended just now (a point-to-point receive's)
+	// is charged as one interval with the sync, as it always was.
+	t := startTimer(clk)
+	for _, q := range e.queued {
+		switch {
+		case q.end == t.start:
+			t.start = q.start
+		case q.end > 0:
+			e.chargeSpan(PhaseDecompressKernel, q.start, q.end)
+		}
+	}
+	for i := range e.queued[0].streams {
+		e.dev.StreamSync(clk, e.dev.Stream(i))
+	}
+	e.charge(t, PhaseDecompressKernel)
+	for _, q := range e.queued {
+		if q.dOff != nil {
+			t = startTimer(clk)
+			e.give(clk, e.offPool, q.dOff)
+			e.charge(t, PhaseMemAlloc)
+		}
+	}
+	e.queued = e.queued[:0]
 }
 
 // decompress runs the receive-side framework into m (whose n is the
@@ -799,6 +850,11 @@ func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m me
 	if c == nil {
 		return fmt.Errorf("core: unknown algorithm %d in header", uint8(hdr.Algo))
 	}
+	// Kernels over another stream count than the last queued decode's
+	// could hold more than Spec.SMs blocks beside it: it ends first.
+	if n := len(e.queued); n > 0 && e.queued[n-1].streams != max(len(hdr.PartBytes), 1) {
+		e.syncDecodesLocked(clk)
+	}
 	out, view := span(m)
 	err := c.decompress(e, clk, hdr, payload, out, view, decoded)
 	if err == nil {
@@ -813,7 +869,7 @@ func (e *Engine) decompress(clk *simtime.Clock, hdr Header, payload []byte, m me
 // place when view is zero, otherwise decoded into worker scratch and
 // scattered into strided runs (starting at packed offset view.base) or
 // added into dst, partition by partition and only for partitions that
-// decoded.
+// decoded. Its kernels are left queued (SyncDecodes).
 func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView, decoded []byte) error {
 	nWords := hdr.OrigBytes / 4
 	parts := len(hdr.PartBytes)
@@ -847,31 +903,16 @@ func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, d
 	// Decompression kernel(s): same multi-stream decomposition as the
 	// sender, guided by the partition sizes from the header.
 	t = startTimer(clk)
-	if parts == 1 {
-		e.dev.LaunchKernel(clk, e.dev.Stream(0), gpusim.KernelSpec{
-			Blocks:         e.dev.Spec.SMs,
-			Bytes:          hdr.OrigBytes,
+	blocks := max(e.dev.Spec.SMs/parts, 1)
+	for i, rg := range ranges {
+		e.dev.LaunchKernel(clk, e.dev.Stream(i), gpusim.KernelSpec{
+			Blocks:         blocks,
+			Bytes:          4 * (rg[1] - rg[0]),
 			ThroughputGbps: e.dev.Spec.MPCDecompressGbps,
 			BusyWaitSync:   true,
 		})
-		e.dev.StreamSync(clk, e.dev.Stream(0))
-	} else {
-		blocks := e.dev.Spec.SMs / parts
-		if blocks < 1 {
-			blocks = 1
-		}
-		for i, rg := range ranges {
-			e.dev.LaunchKernel(clk, e.dev.Stream(i), gpusim.KernelSpec{
-				Blocks:         blocks,
-				Bytes:          4 * (rg[1] - rg[0]),
-				ThroughputGbps: e.dev.Spec.MPCDecompressGbps,
-				BusyWaitSync:   true,
-			})
-		}
-		for i := range ranges {
-			e.dev.StreamSync(clk, e.dev.Stream(i))
-		}
 	}
+	e.queued = append(e.queued, queuedDecode{streams: parts, dOff: dOff, start: t.start})
 	// Real decompression into dst: partitions decode concurrently into
 	// disjoint word ranges (the predictor is partition-relative, so each
 	// partition is an independent stream). Every part always runs, so
@@ -882,21 +923,15 @@ func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, d
 	}
 	e.runDecode(parts, &e.mpcD, dst, decoded)
 	if i, err := firstErr(e.mpcD.errs); err != nil {
-		// A corrupt partition must not bleed the d_off buffer: the
-		// receive path retries after NACKs, and every retry would
-		// shrink the pool until staging degrades to cudaMalloc.
-		e.give(clk, e.offPool, dOff)
+		// The d_off slot still comes back at the sync (a retried receive
+		// must not shrink the pool).
 		return fmt.Errorf("core: mpc decompress partition %d: %w", i, err)
 	}
-	e.charge(t, PhaseDecompressKernel)
-
-	t = startTimer(clk)
-	e.give(clk, e.offPool, dOff)
-	e.charge(t, PhaseMemAlloc)
+	e.queued[len(e.queued)-1].end = clk.Now()
 	return nil
 }
 
-// decompressZFP follows the decompressMPC dst/view contract.
+// decompressZFP follows the decompressMPC dst/view and queueing contract.
 func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView, decoded []byte) error {
 	opt := e.cfg.Mode == ModeOpt
 	n := hdr.OrigBytes / 4
@@ -926,7 +961,7 @@ func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, d
 		Bytes:          hdr.OrigBytes,
 		ThroughputGbps: zfpKernelGbps(e.dev.Spec.ZFPDecompressGbps, hdr.Rate),
 	})
-	e.dev.StreamSync(clk, e.dev.Stream(0))
+	e.queued = append(e.queued, queuedDecode{streams: 1, start: t.start})
 	// The real decompression work: the same byte-aligned chunk rows the
 	// sender used decode concurrently into disjoint ranges of dst.
 	nChunks := (n + zfpChunkValues - 1) / zfpChunkValues
@@ -938,7 +973,7 @@ func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, d
 	if i, err := firstErr(e.zfpD.errs); err != nil {
 		return fmt.Errorf("core: zfp decompress chunk %d: %w", i, err)
 	}
-	e.charge(t, PhaseDecompressKernel)
+	e.queued[len(e.queued)-1].end = clk.Now()
 	return nil
 }
 
@@ -985,8 +1020,10 @@ func zfpKernelGbps(base float64, rate int) float64 {
 
 // charge accrues the timer's elapsed interval to phase p and forwards it
 // to the tracer when one is attached.
-func (e *Engine) charge(t timer, p Phase) {
-	end := t.clk.Now()
-	e.Stats.Add(p, end.Sub(t.start))
-	e.Tracer.Add(e.Track, p.String(), t.start, end)
+func (e *Engine) charge(t timer, p Phase) { e.chargeSpan(p, t.start, t.clk.Now()) }
+
+// chargeSpan accrues [start, end) to phase p and forwards it to the tracer.
+func (e *Engine) chargeSpan(p Phase, start, end simtime.Time) {
+	e.Stats.Add(p, end.Sub(start))
+	e.Tracer.Add(e.Track, p.String(), start, end)
 }

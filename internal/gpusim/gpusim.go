@@ -16,6 +16,7 @@ import (
 
 	"mpicomp/internal/hw"
 	"mpicomp/internal/simtime"
+	"mpicomp/internal/trace"
 )
 
 // Location tells where a buffer's memory lives.
@@ -175,6 +176,11 @@ type GPUDevice struct {
 	// assert that OPT paths stay off the allocator.
 	MallocCount int
 	FreeCount   int
+
+	// Tracer, when non-nil, receives each stream reservation as a span
+	// "<n> blocks" on track "<Track> / stream <i>" (a D2D copy holds 0).
+	Tracer *trace.Collector
+	Track  string
 }
 
 // NewDevice creates a device with nStreams streams (minimum 1).
@@ -275,7 +281,7 @@ func (d *GPUDevice) MemcpyD2D(clk *simtime.Clock, s *Stream, dst, src []byte) {
 // charge with no host bytes to move.
 func (d *GPUDevice) CopyD2D(clk *simtime.Clock, s *Stream, n int) {
 	// A D2D copy reads and writes HBM: effective bandwidth is half peak.
-	d.launch(clk, s, simtime.TransferTime(n, d.Spec.MemBWGBps/2))
+	d.launch(clk, s, simtime.TransferTime(n, d.Spec.MemBWGBps/2), 0)
 }
 
 // KernelSpec describes one kernel launch for the cost model.
@@ -317,16 +323,19 @@ func (d *GPUDevice) KernelTime(spec KernelSpec) simtime.Duration {
 	return dur
 }
 
-// launch places dur of work on stream s, charging the CPU the kernel
-// launch overhead. The CPU does not wait for the kernel (async).
-func (d *GPUDevice) launch(clk *simtime.Clock, s *Stream, dur simtime.Duration) {
+// launch places dur of work on `blocks` thread blocks on stream s, charging
+// the CPU the kernel launch overhead. The CPU does not wait for it (async).
+func (d *GPUDevice) launch(clk *simtime.Clock, s *Stream, dur simtime.Duration, blocks int) {
 	clk.Advance(d.Spec.KernelLaunch)
-	s.tl.Reserve(clk.Now(), dur)
+	start, end := s.tl.Reserve(clk.Now(), dur)
+	if d.Tracer != nil {
+		d.Tracer.Add(fmt.Sprintf("%s / stream %d", d.Track, s.id), fmt.Sprintf("%d blocks", blocks), start, end)
+	}
 }
 
 // LaunchKernel enqueues a kernel described by spec on stream s.
 func (d *GPUDevice) LaunchKernel(clk *simtime.Clock, s *Stream, spec KernelSpec) {
-	d.launch(clk, s, d.KernelTime(spec))
+	d.launch(clk, s, d.KernelTime(spec), max(spec.Blocks, 1))
 }
 
 // StreamSync blocks the CPU until all work on s completes

@@ -43,11 +43,12 @@ func (r *Rank) collView() (sched.View, error) {
 	return v, nil
 }
 
-// consumeRaw decompresses a relayed raw payload into dst and releases its
-// staging buffer, charging clk — the per-hop consume step of the
-// compression-aware collectives. The real decode fans across the codec
-// worker pool while the simulated kernel accounting stays on this rank's
-// goroutine. A relayed payload is the same immutable bytes on every
+// consumeRaw decodes a raw payload into dst, charging clk — the per-hop
+// consume step of the compression-aware collectives. A whole payload's
+// decode stays queued on the rank's streams, holding its staging slot,
+// until the consumer settles: a relay at the end of its collective step
+// (the decoded bytes are first needed there), Alltoallv after each decode.
+// A relayed payload is the same immutable bytes on every
 // consuming rank: the first to get here runs the codec job and publishes
 // its output on the companion the payload traveled with, and the others
 // copy it (core.DecompressRelayed). A raw compression chunk stream (a
@@ -75,11 +76,24 @@ func (r *Rank) consumeRaw(raw rawResult, clk *simtime.Clock, dst *gpusim.Buffer)
 	if err == nil {
 		err = r.Engine.DecompressRelayed(clk, raw.hdr, raw.payload, dst, raw.decoded)
 	}
-	// Hand the staging slot back even when the decode fails — an aborting
-	// collective must not leak pool credits.
-	r.Engine.ReleaseRecv(clk, raw.staged)
-	r.dropRawStaged(raw.staged)
+	// The slot goes back at the settle even when the decode fails — an
+	// aborting collective must not leak pool credits.
+	if raw.staged != nil {
+		r.dropRawStaged(raw.staged)
+		r.decoding = append(r.decoding, raw.staged)
+	}
 	return err
+}
+
+// settle is a consumer's sync point: it waits for the decodes queued on
+// the rank's streams (core.Engine.SyncDecodes, which also hands back their
+// d_off slots) and then releases the staging slots they read, charging clk.
+func (r *Rank) settle(clk *simtime.Clock) {
+	r.Engine.SyncDecodes(clk)
+	for _, b := range r.decoding {
+		r.Engine.ReleaseRecv(clk, b)
+	}
+	r.decoding = r.decoding[:0]
 }
 
 // relayDecoded is the decoded-form companion a relay's origin attaches to
@@ -115,9 +129,9 @@ func (r *Rank) Bcast(root int, buf *gpusim.Buffer) error {
 // treeRelay is one rank's part of a compression-aware broadcast tree: the
 // root (from < 0) checks its health and compresses out once, any other rank
 // takes the wire payload from its parent as a raw receive; the payload goes
-// on to the children verbatim, in order, and only then is decoded into
-// `into`. A root serving two or more children attaches a decoded-form
-// companion.
+// on to the children verbatim, in order, and only then is its decode into
+// `into` queued, to be synced once the sends completed (settle). A root
+// serving two or more children attaches a decoded-form companion.
 func (r *Rank) treeRelay(from int, children []int, tag int, out, into *gpusim.Buffer) error {
 	var raw rawResult
 	if from < 0 {
@@ -149,16 +163,23 @@ func (r *Rank) treeRelay(from int, children []int, tag int, out, into *gpusim.Bu
 			return fmt.Errorf("tree decompress: %w", err)
 		}
 	}
-	return r.Waitall(sends...)
+	err := r.Waitall(sends...)
+	if err == nil {
+		r.settle(r.Clock)
+	}
+	return err
 }
 
 // relayRing is the compression-aware ring every allgather-shaped phase
 // runs: `steps` times, forward payload to right while the next one arrives
-// from left, and decompress the previous arrival into dstOf(its step) while
-// this step's transfers fly. The payload travels verbatim with its origin's
+// from left, and queue the previous arrival's decode into dstOf(its step)
+// while this step's transfers fly; the decodes are synced once at the end
+// (settle), or earlier once their staging slots would leave the next
+// receive none. The payload travels verbatim with its origin's
 // decoded-form companion (relayDecoded): compressed once, decoded once.
 func (r *Rank) relayRing(left, right, tag, steps int, payload []byte, hdr core.Header, dstOf func(step int) *gpusim.Buffer) error {
 	dec := r.relayDecoded(hdr, steps)
+	_, slots := r.Engine.PoolBalance()
 	var arrived rawResult
 	var into *gpusim.Buffer // nil until the first arrival
 	consume := func() error {
@@ -171,6 +192,10 @@ func (r *Rank) relayRing(left, right, tag, steps int, payload []byte, hdr core.H
 		return nil
 	}
 	for step := 0; step < steps; step++ {
+		// Queued decodes, the parked arrival and this receive hold a slot each.
+		if slots > 0 && len(r.decoding)+2 > slots {
+			r.settle(r.Clock)
+		}
 		rreq, err := r.irecv(left, tag, nil)
 		if err != nil {
 			return err
@@ -188,7 +213,11 @@ func (r *Rank) relayRing(left, right, tag, steps int, payload []byte, hdr core.H
 		arrived, into = rreq.raw, dstOf(step)
 		payload, hdr, dec = arrived.payload, arrived.hdr, arrived.decoded
 	}
-	return consume()
+	err := consume()
+	if err == nil {
+		r.settle(r.Clock)
+	}
+	return err
 }
 
 // Allgather gathers each rank's sendBuf into every rank's recvBuf
@@ -424,7 +453,9 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 		})
 		for _, i := range landed {
 			decode.AdvanceTo(rreqs[i].raw.arrival)
-			if err := r.consumeRaw(rreqs[i].raw, decode, b.at(ex[i].Recv)); err != nil {
+			err := r.consumeRaw(rreqs[i].raw, decode, b.at(ex[i].Recv))
+			r.settle(decode)
+			if err != nil {
 				return fmt.Errorf("mpi: message from rank %d: %w", ex[i].From, err)
 			}
 		}

@@ -269,6 +269,7 @@ func NewWorld(opt Options) (*World, error) {
 		eng := core.NewEngine(initClk, dev, opt.Engine)
 		eng.Tracer = opt.Tracer
 		eng.Track = fmt.Sprintf("rank %d", id)
+		dev.Tracer, dev.Track = opt.Tracer, eng.Track
 		r := &Rank{
 			id:      id,
 			world:   w,
@@ -526,9 +527,10 @@ type Rank struct {
 	// a self-heal retry, reaped after the join in abort mode. Touched only
 	// by the owning goroutine (and by RunAll after the join). rawStaged
 	// holds staging buffers of raw receives completed by Wait but not yet
-	// handed back through consumeRaw.
+	// handed to consumeRaw, decoding those of its decodes not yet settled.
 	inflight  []*Request
 	rawStaged []*gpusim.Buffer
+	decoding  []*gpusim.Buffer
 	// scratch is the rank's pair of reusable collective scratch vectors,
 	// scratchHeld how many a running collective holds (takeScratch).
 	scratch     [2][]byte

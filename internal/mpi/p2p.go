@@ -907,7 +907,7 @@ type rawResult struct {
 // receive's staging buffer is parked on the request: between Wait and
 // consumeRaw an abort would otherwise leak the slot, so the reap
 // (reapInflight) and the self-heal drain release whatever is still noted
-// (releaseRawStaged).
+// (releaseRawStaged), settling an aborted relay's queued decodes first.
 func (r *Rank) noteRawStaged(b *gpusim.Buffer) {
 	if b != nil {
 		r.rawStaged = append(r.rawStaged, b)
@@ -924,6 +924,7 @@ func (r *Rank) dropRawStaged(b *gpusim.Buffer) {
 }
 
 func (r *Rank) releaseRawStaged() {
+	r.settle(r.Clock)
 	for _, b := range r.rawStaged {
 		r.Engine.ReleaseRecv(r.Clock, b)
 	}

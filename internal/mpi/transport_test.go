@@ -244,7 +244,7 @@ func TestTransportWrittenOnce(t *testing.T) {
 		{"ShouldDrop", []string{"transmit"}},
 		{"deliver", []string{"post"}},
 		{"envelope{}", []string{"failEnvelope", "isendPayload", "prepare"}},
-		{"ReleaseRecv", []string{"consumeRaw", "releaseRawStaged", "releaseStaging", "runMatch"}},
+		{"ReleaseRecv", []string{"releaseRawStaged", "releaseStaging", "runMatch", "settle"}},
 		{"relay loop", []string{"relayRing"}},
 	} {
 		got := sites[c.what]
