@@ -129,8 +129,10 @@ type Engine struct {
 	// the periodic compressibility probe.
 	crEstimate float64
 	probes     int
-	// queued holds the decodes launched and not yet synced (SyncDecodes).
+	// queued holds the decodes launched and not yet synced (SyncDecodes);
+	// held the staging slots handed to them (HoldRecv), released after them.
 	queued []queuedDecode
+	held   []*gpusim.Buffer
 }
 
 // queuedDecode is one decode on the streams: its stream count, its d_off
@@ -762,13 +764,39 @@ func (e *Engine) DecompressAdd(clk *simtime.Clock, hdr Header, payload []byte, d
 
 // SyncDecodes is the one host sync of decoding: it waits for the queued
 // decodes stream by stream in index order, then hands back their d_off
-// slots. It goes where the bytes are first needed: right after the decode
-// in the entry points above, at the end of a relay's collective step
+// slots and, after them, the staging slots held for them (HoldRecv). It
+// goes where the bytes are first needed: right after the decode in the
+// entry points above, at the end of a relay's collective step
 // (DecompressRelayed leaves its decode queued).
 func (e *Engine) SyncDecodes(clk *simtime.Clock) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.syncDecodesLocked(clk)
+	for _, b := range e.held {
+		t := startTimer(clk)
+		e.give(clk, e.pool, b)
+		e.charge(t, PhaseMemAlloc)
+	}
+	e.held = nil
+}
+
+// HoldRecv hands a receive's staging slot (nil: none) to the decode queue:
+// the next SyncDecodes releases it as ReleaseRecv would, after the queued
+// decodes, even when its own decode failed or never queued.
+func (e *Engine) HoldRecv(staged *gpusim.Buffer) {
+	if staged == nil {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.held = append(e.held, staged)
+}
+
+// HeldRecvs reports how many staging slots the decode queue holds.
+func (e *Engine) HeldRecvs() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.held)
 }
 
 func (e *Engine) syncDecodesLocked(clk *simtime.Clock) {

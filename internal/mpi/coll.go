@@ -1,10 +1,8 @@
 package mpi
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"mpicomp/internal/core"
 	"mpicomp/internal/gpusim"
@@ -43,57 +41,18 @@ func (r *Rank) collView() (sched.View, error) {
 	return v, nil
 }
 
-// consumeRaw decodes a raw payload into dst, charging clk — the per-hop
-// consume step of the compression-aware collectives. A whole payload's
-// decode stays queued on the rank's streams, holding its staging slot,
-// until the consumer settles: a relay at the end of its collective step
-// (the decoded bytes are first needed there), Alltoallv after each decode.
-// A relayed payload is the same immutable bytes on every
-// consuming rank: the first to get here runs the codec job and publishes
-// its output on the companion the payload traveled with, and the others
-// copy it (core.DecompressRelayed). A raw compression chunk stream (a
-// pipelined Alltoallv segment) has no whole payload: its chunks are
-// verified and decoded here, each no earlier than its own arrival, in the
-// order the receive would have drained them. A whole payload whose
-// verification the receive left to its consumer is verified here, on clk,
-// before its decode.
-func (r *Rank) consumeRaw(raw rawResult, clk *simtime.Clock, dst *gpusim.Buffer) error {
-	if raw.chunks != nil {
-		into := &Request{buf: dst}
-		for _, i := range chunkOrder(raw.chunks) {
-			c := &raw.chunks[i]
-			clk.AdvanceTo(c.arrival)
-			if err := r.decodeChunk(clk, c, into); err != nil {
-				return fmt.Errorf("chunk %d: %w", i, err)
-			}
-		}
-		return nil
-	}
-	var err error
-	if raw.verify {
-		err = r.Engine.VerifyPayload(clk, raw.hdr, raw.payload)
-	}
-	if err == nil {
-		err = r.Engine.DecompressRelayed(clk, raw.hdr, raw.payload, dst, raw.decoded)
-	}
-	// The slot goes back at the settle even when the decode fails — an
+// consumeRaw decodes a raw payload into dst on the rank's clock. The decode
+// stays queued, holding its staging slot (core.Engine.HoldRecv), until the
+// relay ends its step with core.Engine.SyncDecodes. The first rank to
+// decode a relayed payload publishes the output on its companion, and the
+// others copy it (core.DecompressRelayed).
+func (r *Rank) consumeRaw(raw rawResult, dst *gpusim.Buffer) error {
+	err := r.Engine.DecompressRelayed(r.Clock, raw.hdr, raw.payload, dst, raw.decoded)
+	// The slot goes back at the sync even when the decode fails — an
 	// aborting collective must not leak pool credits.
-	if raw.staged != nil {
-		r.dropRawStaged(raw.staged)
-		r.decoding = append(r.decoding, raw.staged)
-	}
+	r.dropRawStaged(raw.staged)
+	r.Engine.HoldRecv(raw.staged)
 	return err
-}
-
-// settle is a consumer's sync point: it waits for the decodes queued on
-// the rank's streams (core.Engine.SyncDecodes, which also hands back their
-// d_off slots) and then releases the staging slots they read, charging clk.
-func (r *Rank) settle(clk *simtime.Clock) {
-	r.Engine.SyncDecodes(clk)
-	for _, b := range r.decoding {
-		r.Engine.ReleaseRecv(clk, b)
-	}
-	r.decoding = r.decoding[:0]
 }
 
 // relayDecoded is the decoded-form companion a relay's origin attaches to
@@ -130,7 +89,7 @@ func (r *Rank) Bcast(root int, buf *gpusim.Buffer) error {
 // root (from < 0) checks its health and compresses out once, any other rank
 // takes the wire payload from its parent as a raw receive; the payload goes
 // on to the children verbatim, in order, and only then is its decode into
-// `into` queued, to be synced once the sends completed (settle). A root
+// `into` queued, to be synced once the sends completed. A root
 // serving two or more children attaches a decoded-form companion.
 func (r *Rank) treeRelay(from int, children []int, tag int, out, into *gpusim.Buffer) error {
 	var raw rawResult
@@ -159,13 +118,13 @@ func (r *Rank) treeRelay(from int, children []int, tag int, out, into *gpusim.Bu
 		sends = append(sends, req)
 	}
 	if from >= 0 {
-		if err := r.consumeRaw(raw, r.Clock, into); err != nil {
+		if err := r.consumeRaw(raw, into); err != nil {
 			return fmt.Errorf("tree decompress: %w", err)
 		}
 	}
 	err := r.Waitall(sends...)
 	if err == nil {
-		r.settle(r.Clock)
+		r.Engine.SyncDecodes(r.Clock)
 	}
 	return err
 }
@@ -173,10 +132,10 @@ func (r *Rank) treeRelay(from int, children []int, tag int, out, into *gpusim.Bu
 // relayRing is the compression-aware ring every allgather-shaped phase
 // runs: `steps` times, forward payload to right while the next one arrives
 // from left, and queue the previous arrival's decode into dstOf(its step)
-// while this step's transfers fly; the decodes are synced once at the end
-// (settle), or earlier once their staging slots would leave the next
-// receive none. The payload travels verbatim with its origin's
-// decoded-form companion (relayDecoded): compressed once, decoded once.
+// while this step's transfers fly; the decodes are synced once at the end,
+// or earlier once their staging slots would leave the next receive none.
+// The payload travels verbatim with its origin's decoded-form companion
+// (relayDecoded): compressed once, decoded once.
 func (r *Rank) relayRing(left, right, tag, steps int, payload []byte, hdr core.Header, dstOf func(step int) *gpusim.Buffer) error {
 	dec := r.relayDecoded(hdr, steps)
 	_, slots := r.Engine.PoolBalance()
@@ -186,15 +145,15 @@ func (r *Rank) relayRing(left, right, tag, steps int, payload []byte, hdr core.H
 		if into == nil {
 			return nil
 		}
-		if err := r.consumeRaw(arrived, r.Clock, into); err != nil {
+		if err := r.consumeRaw(arrived, into); err != nil {
 			return fmt.Errorf("relay decompress: %w", err)
 		}
 		return nil
 	}
 	for step := 0; step < steps; step++ {
 		// Queued decodes, the parked arrival and this receive hold a slot each.
-		if slots > 0 && len(r.decoding)+2 > slots {
-			r.settle(r.Clock)
+		if slots > 0 && r.Engine.HeldRecvs()+2 > slots {
+			r.Engine.SyncDecodes(r.Clock)
 		}
 		rreq, err := r.irecv(left, tag, nil)
 		if err != nil {
@@ -215,7 +174,7 @@ func (r *Rank) relayRing(left, right, tag, steps int, payload []byte, hdr core.H
 	}
 	err := consume()
 	if err == nil {
-		r.settle(r.Clock)
+		r.Engine.SyncDecodes(r.Clock)
 	}
 	return err
 }
@@ -392,18 +351,14 @@ func (r *Rank) Alltoallv(sendBuf *gpusim.Buffer, sendCounts, sendDispls []int, r
 // alltoallvStep runs Alltoallv's whole exchange — ex holds one exchange
 // step per partner, each sending its Send span to To and receiving From's
 // segment into its Recv span, a -1 peer skipped — so that every segment
-// crosses the wire as soon as its own wire form is ready. It posts every raw
-// receive, then prepares every outgoing segment in step order and records
-// the instant each one was ready; only then come each step's barrier waves,
-// which fix the host order of the fabric bookings, and in its wave a
-// segment's RTS (an eager segment's injection) leaves at its ready instant,
-// not at the wave's. The arrivals are verified and decoded in (arrival,
-// source) order on a clock of their own (consumerVerifies), each from the
-// latest of its landing, the end of the preparation and the previous
-// decode's end — one GPU stream, behind the rank's compressions — and the
-// rank's clock then moves to the last decode's end. That happens after the
-// waves, or earlier for the arrivals in so far once as many are undecoded
-// as the staging pool has slots.
+// crosses the wire as soon as its own wire form is ready. It posts every
+// receive and prepares every segment, recording when each was ready; then
+// each step's barrier waves fix the host order of the fabric bookings, a
+// segment's RTS (an eager one's injection) leaving at its ready instant.
+// The waves only land the arrivals; complete consumes them on a decode
+// clock of their own from the end of the preparation — after the waves, or
+// once as many are unconsumed as the staging pool has slots — and the
+// rank's clock then moves to the last decode's end.
 func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 	w := r.world
 	pow2 := w.size&(w.size-1) == 0
@@ -412,14 +367,13 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 		if st.From < 0 {
 			continue
 		}
-		// Every raw receive is posted before any wave: a sender whose wave
+		// Every receive is posted before any wave: a sender whose wave
 		// comes earlier than ours must find it matched, so the match — and
 		// every booking it makes — completes inside the sender's wave.
-		req, err := r.irecv(st.From, tag, nil)
+		req, err := r.irecv(st.From, tag, b.at(st.Recv))
 		if err != nil {
 			return err
 		}
-		req.consumerVerifies = true
 		rreqs[i] = req
 	}
 	outs := make([]*envelope, len(ex))
@@ -434,33 +388,32 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 		}
 		outs[i], ready[i] = env, r.Clock.Now()
 	}
-	// Arrivals are decoded in (arrival, source) order on a clock of their
-	// own, which starts where the preparation ended. Each compressed
-	// arrival holds a staging slot from its match to its decode, so once
-	// as many receives are undecoded as the pool has slots, the ones in
-	// so far are decoded before the next step's match could miss the pool.
+	// follow lands an arrival, the rank's clock following: every chunk in,
+	// an eager segment copied out.
+	follow := func(req *Request) error {
+		if req.env == nil {
+			r.land(req)
+			if env := req.env; env.eager {
+				r.Clock.AdvanceTo(env.arrival)
+				r.Clock.Advance(eagerUnpack)
+			} else {
+				r.Clock.AdvanceTo(simtime.Max(env.matchTime, env.dataArrival))
+			}
+		}
+		return req.err
+	}
+	// A compressed arrival holds a staging slot from its match to its
+	// consume, so a pool's worth is consumed before the next match.
 	decode := simtime.NewClock(r.Clock.Now())
 	_, slots := r.Engine.PoolBalance()
-	var landed []int
+	var landed []*Request
 	consume := func() error {
-		for _, i := range landed {
-			if err := r.Wait(rreqs[i]); err != nil {
-				return err
-			}
+		for _, req := range landed {
+			_ = follow(req) // complete reports the error
 		}
-		slices.SortFunc(landed, func(a, b int) int {
-			return cmp.Or(cmp.Compare(rreqs[a].raw.arrival, rreqs[b].raw.arrival), cmp.Compare(ex[a].From, ex[b].From))
-		})
-		for _, i := range landed {
-			decode.AdvanceTo(rreqs[i].raw.arrival)
-			err := r.consumeRaw(rreqs[i].raw, decode, b.at(ex[i].Recv))
-			r.settle(decode)
-			if err != nil {
-				return fmt.Errorf("mpi: message from rank %d: %w", ex[i].From, err)
-			}
-		}
+		err := r.complete(decode, landed)
 		landed = landed[:0]
-		return nil
+		return err
 	}
 	for i, st := range ex {
 		dst, rreq := st.To, rreqs[i]
@@ -485,30 +438,31 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 			if pow2 && r.id > dst && w.nodeOf(dst) == r.Node() {
 				// Intra-node pair: both directions would share the node's
 				// GPU-link calendar, so they go one at a time, the lower
-				// rank first (a send's Wait returns only once every fabric
+				// rank first (a send completes only once every fabric
 				// booking of the transfer has been placed).
-				if err := r.Wait(rreq); err != nil {
+				if err := follow(rreq); err != nil {
 					return err
 				}
 			}
-			reqs := []*Request{r.post(outs[i], tag, ready[i])}
+			if err := r.Wait(r.post(outs[i], tag, ready[i])); err != nil {
+				return err
+			}
 			if pow2 {
-				// The peer acts in this same wave; wait the whole exchange
+				// The peer acts in this same wave; land the whole exchange
 				// here so every booking lands inside it. (Ring: our source
 				// may act in a later wave — waiting for the receive here
 				// would stall its barrier, so only the send completes
 				// inside it.)
-				reqs = append(reqs, rreq)
-			}
-			if err := r.Waitall(reqs...); err != nil {
-				return err
+				if err := follow(rreq); err != nil {
+					return err
+				}
 			}
 		}
 		if rreq == nil {
 			continue
 		}
 		// The waves order bookings and delay no decode.
-		if landed = append(landed, i); len(landed) == slots {
+		if landed = append(landed, rreq); len(landed) == slots {
 			if err := consume(); err != nil {
 				return err
 			}
@@ -521,16 +475,18 @@ func (r *Rank) alltoallvStep(tag int, ex []sched.Step, b *bufs) error {
 	return nil
 }
 
-// chargeSum charges the GPU the memory-bound vector-add kernel of a
-// reduction receive (reads two floats, writes one per element) once its
-// Wait has added the arriving words into dst (irecvAdd), and bumps dst's
-// content epoch, invalidating cached compressed forms.
-func chargeSum(r *Rank, dst *gpusim.Buffer) {
-	r.Dev.LaunchKernel(r.Clock, r.Dev.Stream(0), gpusim.KernelSpec{
+// chargeSum charges clk a reduction receive's memory-bound add kernel
+// (reads two floats, writes one per element; irecvAdd) and bumps its
+// buffer's content epoch, invalidating cached compressed forms.
+func (r *Rank) chargeSum(clk *simtime.Clock, req *Request) {
+	if !req.add {
+		return
+	}
+	r.Dev.LaunchKernel(clk, r.Dev.Stream(0), gpusim.KernelSpec{
 		Blocks:         r.Dev.Spec.SMs,
-		Bytes:          12 * (dst.Len() / 4),
+		Bytes:          12 * (req.buf.Len() / 4),
 		ThroughputGbps: r.Dev.Spec.MemBWGBps * 8, // GB/s -> Gb/s
 	})
-	r.Dev.StreamSync(r.Clock, r.Dev.Stream(0))
-	dst.MarkDirty()
+	r.Dev.StreamSync(clk, r.Dev.Stream(0))
+	req.buf.MarkDirty()
 }

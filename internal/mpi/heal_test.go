@@ -317,12 +317,12 @@ func TestSelfHealAlltoallvCompletes(t *testing.T) {
 
 // TestSelfHealAlltoallvReleasesStaging is the MPC run of
 // TestSelfHealAlltoallvCompletes, its 64 KiB segments compressed: an
-// Alltoallv rank parks each landed segment's staging slot until it decodes
-// it, after every wave, so a crash can abort exchanges holding slots. The
-// crash onset sweeps the first calls; in some runs the fated rank must fail
-// holding slots, and after every run every slot must be back in its pool
-// (the survivors' drainAborted and the fated rank's reapInflight, both
-// through releaseRawStaged).
+// Alltoallv rank keeps each landed segment's staging slot on its receive
+// until it decodes it, after the waves, so a crash can abort exchanges
+// holding slots. The crash onset sweeps the first calls; in some runs the
+// fated rank must fail holding slots, and after every run every slot must
+// be back in its pool (the survivors' drainAborted and the fated rank's
+// reapInflight, both through releaseStaging).
 func TestSelfHealAlltoallvReleasesStaging(t *testing.T) {
 	cfg := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, MPCDim: 1, PipelineChunkBytes: -1, Threshold: 4 << 10}
 	aborts := 0
@@ -340,8 +340,8 @@ func TestSelfHealAlltoallvReleasesStaging(t *testing.T) {
 
 // selfHealAlltoallv runs eight Alltoallv calls of blkWords-word segments
 // on a 4x1 world under cfg where one rank crashes within window, checks
-// the survivors' segments and returns the world and the number of raw
-// staging slots the fated rank held when its call failed.
+// the survivors' segments and returns the world and the number of staging
+// slots the fated rank's landed receives held when its call failed.
 func selfHealAlltoallv(t *testing.T, cfg core.Config, blkWords int, window simtime.Duration) (*World, int) {
 	t.Helper()
 	const nodes, ppn = 4, 1
@@ -380,7 +380,11 @@ func selfHealAlltoallv(t *testing.T, cfg core.Config, blkWords int, window simti
 		for it := 0; it < 8; it++ {
 			if err := r.Alltoallv(send, counts, displs, recv, counts, displs); err != nil {
 				if r.ID() == doomed[0] {
-					held = len(r.rawStaged)
+					for _, req := range r.inflight {
+						if req.env != nil && !req.isSend && req.env.staged != nil {
+							held++
+						}
+					}
 				}
 				return err
 			}

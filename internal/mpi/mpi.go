@@ -457,7 +457,7 @@ func (w *World) reapInflight() {
 					continue // match never completed; nothing staged
 				}
 			}
-			r.releaseStaging(env)
+			r.releaseStaging(r.Clock, env)
 		}
 		r.inflight = nil
 		r.releaseRawStaged()
@@ -527,10 +527,9 @@ type Rank struct {
 	// a self-heal retry, reaped after the join in abort mode. Touched only
 	// by the owning goroutine (and by RunAll after the join). rawStaged
 	// holds staging buffers of raw receives completed by Wait but not yet
-	// handed to consumeRaw, decoding those of its decodes not yet settled.
+	// handed to consumeRaw.
 	inflight  []*Request
 	rawStaged []*gpusim.Buffer
-	decoding  []*gpusim.Buffer
 	// scratch is the rank's pair of reusable collective scratch vectors,
 	// scratchHeld how many a running collective holds (takeScratch).
 	scratch     [2][]byte

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -306,9 +307,10 @@ type Request struct {
 	// one (0 = untracked); see trackInflight.
 	inf int
 
-	// send side
+	// env is a send's message, or a receive's once it landed (land).
 	isSend bool
 	env    *envelope
+	landed simtime.Time
 
 	// receive side (buf is nil for a raw receive)
 	buf   *gpusim.Buffer
@@ -322,12 +324,7 @@ type Request struct {
 	add bool
 	// raw receive (collective relay path): a receive with no buf captures
 	// the verified wire payload here instead of decoding it.
-	// consumerVerifies leaves the verification to consumeRaw, which
-	// charges it on the clock of the decode that follows it (Alltoallv's
-	// receives: nothing forwards them, and their decodes run on a clock of
-	// their own, not the rank's).
-	raw              rawResult
-	consumerVerifies bool
+	raw rawResult
 }
 
 // Send transmits buf to rank dst with the given tag, blocking until the
@@ -612,41 +609,90 @@ func (r *Rank) recv(src, tag int, buf *gpusim.Buffer) error {
 	return r.await(r.irecv(src, tag, buf))
 }
 
+// eagerUnpack is the host's copy of an eager message out of its buffer.
+const eagerUnpack = 500 * simtime.Nanosecond
+
 // Wait blocks until the request completes, advancing the caller's clock to
 // the completion instant and (for receives) decompressing into the user
 // buffer. Exhausted retry budgets surface as wrapped ErrDeliveryFailed.
-func (r *Rank) Wait(req *Request) error {
-	if req == nil {
-		return fmt.Errorf("mpi: Wait on nil request")
+func (r *Rank) Wait(req *Request) error { return r.complete(r.Clock, []*Request{req}) }
+
+// complete is the one completion of requests, behind Wait, Waitall and
+// Alltoallv. It waits for every send and lands every receive, moving no
+// clock, then consumes the receives on clk in (release, source, list index)
+// order, each from the later of its release — its landing or, if later,
+// the completion of the sends listed before it — and the previous
+// consume's end, and moves clk past the sends. A single request or a pair
+// is charged as waiting its parts in list order. Every receive is consumed;
+// the error is the first in list order.
+func (r *Rank) complete(clk *simtime.Clock, reqs []*Request) error {
+	type pending struct {
+		req     *Request
+		release simtime.Time
 	}
-	if req.done {
-		return req.err
-	}
-	req.done = true
-	r.untrackInflight(req)
-	if req.isSend {
-		// Local completion: the send buffer is reusable once the
-		// transfer has drained (or the transport gave up).
-		out := <-req.env.senderDone
-		r.Clock.AdvanceTo(out.t)
-		if req.env.pipelined {
-			// Feed the degrade ladder in the sender's program order.
-			r.notePipeOutcome(req.env.dst, out.retransmits, out.err != nil)
+	var few [2]pending // a pair's receives stay off the heap
+	recvs := few[:0]
+	var sent simtime.Time // latest completion of the sends listed so far
+	for _, req := range reqs {
+		switch {
+		case req == nil || req.done:
+		case req.isSend:
+			req.done = true
+			r.untrackInflight(req)
+			// Local completion: the send buffer is reusable once the
+			// transfer has drained (or the transport gave up).
+			out := <-req.env.senderDone
+			if req.env.pipelined {
+				// Feed the degrade ladder in the sender's program order.
+				r.notePipeOutcome(req.env.dst, out.retransmits, out.err != nil)
+			}
+			req.err, sent = out.err, simtime.Max(sent, out.t)
+		default:
+			r.land(req)
+			release := simtime.Max(req.landed, sent)
+			if req.env.eager {
+				// Ready once the host copied it out of its bounce buffer.
+				release = release.Add(eagerUnpack)
+			}
+			recvs = append(recvs, pending{req, release})
 		}
-		req.err = out.err
-		return out.err
 	}
-	req.err = r.waitRecv(req)
-	return req.err
+	slices.SortStableFunc(recvs, func(a, b pending) int {
+		return cmp.Or(cmp.Compare(a.release, b.release), cmp.Compare(a.req.env.src, b.req.env.src))
+	})
+	for _, p := range recvs {
+		if p.req.env.eager && clk == r.Clock {
+			// That copy is the rank's host's, behind its earlier work; a
+			// decode clock of the caller's own (Alltoallv's, whose waves
+			// charged the copy to the rank's clock) only waits for it.
+			clk.Advance(eagerUnpack)
+		}
+		clk.AdvanceTo(p.release)
+		if p.req.err = r.consume(clk, p.req); p.req.err == nil {
+			r.chargeSum(clk, p.req) // after the staging release
+		}
+	}
+	clk.AdvanceTo(sent)
+	for _, req := range reqs {
+		if req == nil {
+			return fmt.Errorf("mpi: Wait on nil request")
+		}
+		if req.err != nil {
+			return req.err
+		}
+	}
+	return nil
 }
 
-// waitRecv is the one receive completion. The tiers differ in how the
-// clock follows the message and in how the bytes are assembled; everything
-// else — delivery error, capacity, fallback note, staging copy, end-to-end
-// verification before any decoder sees the bytes, decode or raw capture —
-// is one sequence, and whatever staging the envelope still holds at the
-// end goes back to the pool on the one exit.
-func (r *Rank) waitRecv(req *Request) error {
+// land is a receive's landing: it waits for the match (and a chunk
+// stream's completion on its lane), records the message in req.env, the
+// instant it was ready for its consumer in req.landed and its error — the
+// delivery's, or a too-short buffer's — and notes a fallback. It moves no
+// clock, and the message keeps its staging until consume.
+func (r *Rank) land(req *Request) {
+	if req.env != nil {
+		return
+	}
 	env := req.early
 	if env == nil {
 		env = <-req.post.matched
@@ -657,89 +703,81 @@ func (r *Rank) waitRecv(req *Request) error {
 		// (happens-before the reads below).
 		<-env.done
 	}
-	defer r.releaseStaging(env)
-	// landed is when the payload was whole on this rank, however late the
-	// rank got to its Wait.
-	var landed simtime.Time
+	req.env = env
 	switch {
-	case env.eager:
-		const unpack = 500 * simtime.Nanosecond
-		r.Clock.AdvanceTo(env.arrival)
-		r.Clock.Advance(unpack)
-		landed = env.arrival.Add(unpack)
-	case env.pipelined:
-		// Chunks are consumed as they land; a failed stream is observed at
-		// its bounded give-up instant.
-		r.Clock.AdvanceTo(env.matchTime)
-		if env.deliveryErr != nil {
-			r.Clock.AdvanceTo(env.dataArrival)
-		}
-	default:
-		// The payload lands in the staged device buffer once the transfer
-		// completes (step 5).
-		landed = simtime.Max(env.matchTime, env.dataArrival)
-		r.Clock.AdvanceTo(landed)
-	}
-	if env.deliveryErr != nil {
-		return env.deliveryErr
-	}
-	if req.buf != nil && env.hdr.OrigBytes > r.recvCapacity(req) {
-		return fmt.Errorf("mpi: message of %d bytes truncated into %d-byte buffer", env.hdr.OrigBytes, r.recvCapacity(req))
-	}
-	if env.fellBack() {
+	case env.deliveryErr != nil:
+		req.err = env.deliveryErr
+	case req.buf != nil && env.hdr.OrigBytes > r.recvCapacity(req):
+		req.err = fmt.Errorf("mpi: message of %d bytes truncated into %d-byte buffer", env.hdr.OrigBytes, r.recvCapacity(req))
+	case env.fellBack():
 		r.fallbackRecvs++
 	}
+	switch {
+	case env.eager:
+		req.landed = env.arrival
+	case !env.pipelined || env.relayChunks || env.deliveryErr != nil:
+		// In the staged device buffer once the transfer completes (step
+		// 5), every relay segment in.
+		req.landed = simtime.Max(env.matchTime, env.dataArrival)
+	case req.err != nil:
+		req.landed = env.matchTime // too short: fails at its match
+	default:
+		// Chunks are consumed as they land: ready with the first.
+		req.landed = env.chunks[chunkOrder(env.chunks)[0]].arrival
+	}
+}
+
+// consume is a landed receive's consuming, charged to clk: the landing's
+// error, or the end-to-end verification and then the decode, copy or add —
+// or a raw receive's capture — and on the one exit the release of whatever
+// staging the message still holds.
+func (r *Rank) consume(clk *simtime.Clock, req *Request) error {
+	req.done = true
+	r.untrackInflight(req)
+	env := req.env
+	defer r.releaseStaging(clk, env)
+	if req.err != nil {
+		return req.err
+	}
+	// Chunks drain in (arrival, index) order — out-of-order completions
+	// reassemble deterministically. A relay segment is placed at its offset
+	// in the wire payload, which is then handled whole below; a compression
+	// chunk is verified and decoded at its packed offset while later chunks
+	// are still on the wire.
 	payload := env.payload
-	if env.pipelined {
-		// Chunks drain in (arrival, index) order — out-of-order completions
-		// reassemble deterministically. A relay segment is placed at its
-		// offset in the wire payload, which is then handled whole below; a
-		// compression chunk is verified and decoded at its packed offset
-		// while later chunks are still on the wire — or, on a raw receive,
-		// kept in that order for consumeRaw to decode, the stream counting
-		// as landed with its first chunk.
-		if env.relayChunks {
-			payload = make([]byte, env.hdr.CompBytes)
+	switch {
+	case env.relayChunks:
+		payload = make([]byte, env.hdr.CompBytes)
+		for _, i := range chunkOrder(env.chunks) {
+			copy(payload[env.chunks[i].off:], env.chunks[i].payload)
 		}
-		for k, i := range chunkOrder(env.chunks) {
+	case env.pipelined:
+		for _, i := range chunkOrder(env.chunks) {
 			c := &env.chunks[i]
-			r.Clock.AdvanceTo(c.arrival)
-			switch {
-			case env.relayChunks:
-				copy(payload[c.off:], c.payload)
-			case req.buf != nil:
-				if err := r.decodeChunk(r.Clock, c, req); err != nil {
-					return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
-				}
-			case k == 0:
-				landed = c.arrival
+			clk.AdvanceTo(c.arrival)
+			if err := r.decodeChunk(clk, c, req); err != nil {
+				return fmt.Errorf("mpi: chunk %d from rank %d: %w", i, env.src, err)
 			}
 		}
-		if !env.relayChunks {
-			if req.buf == nil {
-				req.raw = rawResult{chunks: env.chunks, arrival: landed}
-			}
-			return nil
-		}
+		return nil
 	}
 	// End-to-end integrity: verify the wire payload against the header
 	// checksum before it reaches a decoder or is relayed onward — a relay
 	// chain then detects corruption at the hop where it happened.
-	if !req.consumerVerifies {
-		if err := r.Engine.VerifyPayload(r.Clock, env.hdr, payload); err != nil {
-			return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
-		}
-		landed = r.Clock.Now()
+	if err := r.Engine.VerifyPayload(clk, env.hdr, payload); err != nil {
+		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
 	}
 	switch {
 	case req.buf == nil:
 		// Raw: capture for forwarding. The staging buffer parks on the
 		// rank until consumeRaw, so it is no longer the envelope's to
 		// release.
-		req.raw = rawResult{payload: payload, hdr: env.hdr, decoded: env.decoded, staged: env.staged,
-			arrival: landed, verify: req.consumerVerifies}
-		r.noteRawStaged(env.staged)
+		req.raw = rawResult{payload: payload, hdr: env.hdr, decoded: env.decoded, staged: env.staged}
+		if env.staged != nil {
+			r.rawStaged = append(r.rawStaged, env.staged)
+		}
 		env.staged = nil
+		return nil
 	case env.eager && !req.add:
 		if req.typ != nil {
 			// The payload may be shorter than the layout's packed size,
@@ -749,21 +787,21 @@ func (r *Rank) waitRecv(req *Request) error {
 			copy(req.buf.Data, payload)
 		}
 		req.buf.MarkDirty()
-	default:
-		// The decompression kernel restores the payload into the user
-		// buffer (steps 6-7); an add receive adds it, an eager payload
-		// straight from the wire.
-		if err := r.land(r.Clock, req, env.hdr, payload, 0); err != nil {
-			return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
-		}
+		return nil
+	}
+	// The decompression kernel restores the payload into the user buffer
+	// (steps 6-7); an add receive adds it, an eager payload straight from
+	// the wire.
+	if err := r.restore(clk, req, env.hdr, payload, 0); err != nil {
+		return fmt.Errorf("mpi: message from rank %d: %w", env.src, err)
 	}
 	return nil
 }
 
-// land restores a verified payload at packed offset off of the receive's
-// buffer, charged to clk: stored, scattered through its layout, or added
-// into it.
-func (r *Rank) land(clk *simtime.Clock, req *Request, hdr core.Header, payload []byte, off int) error {
+// restore restores a verified payload at packed offset off of the
+// receive's buffer, charged to clk: stored, scattered through its layout,
+// or added into it.
+func (r *Rank) restore(clk *simtime.Clock, req *Request, hdr core.Header, payload []byte, off int) error {
 	if req.add {
 		return r.Engine.DecompressAdd(clk, hdr, payload, req.buf, off)
 	}
@@ -776,7 +814,7 @@ func (r *Rank) decodeChunk(clk *simtime.Clock, c *chunkPart, req *Request) error
 	if err := r.Engine.VerifyPayload(clk, c.hdr, c.payload); err != nil {
 		return err
 	}
-	return r.land(clk, req, c.hdr, c.payload, c.off)
+	return r.restore(clk, req, c.hdr, c.payload, c.off)
 }
 
 // fellBack reports whether a message traveled in the breaker's
@@ -791,16 +829,12 @@ func (env *envelope) fellBack() bool {
 	return env.hdr.Fallback
 }
 
-// releaseStaging hands back whatever receive staging an envelope still
-// holds, at this rank's clock: waitRecv's one exit, and the reap of
-// requests an aborted collective abandoned.
-func (r *Rank) releaseStaging(env *envelope) {
-	for _, b := range env.stagedChunks {
-		r.Engine.ReleaseRecv(r.Clock, b)
-	}
-	env.stagedChunks = nil
+// releaseStaging hands back the staging buffer an envelope still holds,
+// at clk: consume's one exit, and the reap of requests an aborted
+// collective abandoned. (A stream's chunk slots go back on its lane.)
+func (r *Rank) releaseStaging(clk *simtime.Clock, env *envelope) {
 	if env.staged != nil {
-		r.Engine.ReleaseRecv(r.Clock, env.staged)
+		r.Engine.ReleaseRecv(clk, env.staged)
 		env.staged = nil
 	}
 }
@@ -814,15 +848,13 @@ func (r *Rank) recvCapacity(req *Request) int {
 	return req.buf.Len()
 }
 
-// Waitall completes all requests (in order).
+// Waitall completes all requests. The receives are verified and decoded in
+// the order they landed, each once the sends listed before it completed,
+// not in list order. Receives into overlapping buffers in one Waitall are
+// erroneous MPI: the fabric orders their writes. The error returned is the
+// first in list order.
 func (r *Rank) Waitall(reqs ...*Request) error {
-	var first error
-	for _, req := range reqs {
-		if err := r.Wait(req); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return r.complete(r.Clock, reqs)
 }
 
 // Sendrecv performs a simultaneous send and receive (the classic exchange
@@ -884,36 +916,21 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header, dec *
 	return r.post(env, tag, r.Clock.Now()), nil
 }
 
-// rawResult is what a raw receive yields: the wire payload, its header,
-// the decoded-form companion it traveled with (nil: none), and the staging
-// buffer to release after decompression — or, for a compression chunk
-// stream, its chunks alone, each still to be verified against its own CRC
-// and decoded at its own arrival (their staging went back to the pool with
-// the stream). arrival is when the payload was ready for its consumer:
-// when it landed if verify leaves its verification to consumeRaw, else
-// when the rank had verified it; for a chunk stream, when its first chunk
-// landed.
+// rawResult is what a raw receive yields: the verified wire payload, its
+// header, the decoded-form companion it traveled with (nil: none), and the
+// staging buffer to release after decompression.
 type rawResult struct {
 	payload []byte
 	hdr     core.Header
 	decoded *core.Decoded
 	staged  *gpusim.Buffer
-	chunks  []chunkPart
-	arrival simtime.Time
-	verify  bool
 }
 
-// noteRawStaged / dropRawStaged bracket the window where a completed raw
-// receive's staging buffer is parked on the request: between Wait and
-// consumeRaw an abort would otherwise leak the slot, so the reap
-// (reapInflight) and the self-heal drain release whatever is still noted
-// (releaseRawStaged), settling an aborted relay's queued decodes first.
-func (r *Rank) noteRawStaged(b *gpusim.Buffer) {
-	if b != nil {
-		r.rawStaged = append(r.rawStaged, b)
-	}
-}
-
+// rawStaged holds a completed raw receive's staging buffer from its
+// consume to consumeRaw (dropRawStaged): an abort in between would
+// otherwise leak the slot, so the reap (reapInflight) and the self-heal
+// drain release whatever is still there (releaseRawStaged), syncing an
+// aborted relay's queued decodes first.
 func (r *Rank) dropRawStaged(b *gpusim.Buffer) {
 	for i, x := range r.rawStaged {
 		if x == b {
@@ -924,7 +941,7 @@ func (r *Rank) dropRawStaged(b *gpusim.Buffer) {
 }
 
 func (r *Rank) releaseRawStaged() {
-	r.settle(r.Clock)
+	r.Engine.SyncDecodes(r.Clock)
 	for _, b := range r.rawStaged {
 		r.Engine.ReleaseRecv(r.Clock, b)
 	}

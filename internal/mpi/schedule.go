@@ -192,11 +192,14 @@ func (r *Rank) runStep(st sched.Step, b *bufs) error {
 	case sched.OpAlltoallv:
 		return r.alltoallvStep(tag, st.Fan, b)
 	}
-	// A send, a receive, a pair (receive posted first, send waited first
-	// unless RecvFirst) or a fan: every part posted in order, then all
-	// waited. An Add receive decodes into the sum (irecvAdd), and the add's
-	// kernel is charged right after its Wait; a positive PipelineChunkBytes
-	// cuts its message like any other.
+	// A send, a receive, a pair (receive posted first; its consume gated on
+	// the send unless RecvFirst) or a fan: every part posted in order, then
+	// all completed at once. A fan's receives stage their messages as they
+	// match, so once as many are posted as the staging pool has slots, those
+	// are completed before the next is posted. An Add receive decodes into
+	// the sum (irecvAdd) and charges the add's kernel; a positive
+	// PipelineChunkBytes cuts its message like any other.
+	_, slots := r.Engine.PoolBalance()
 	fan := st.Fan
 	switch st.Op {
 	case sched.OpSend, sched.OpRecv:
@@ -225,21 +228,15 @@ func (r *Rank) runStep(st sched.Step, b *bufs) error {
 		if req != nil {
 			reqs = append(reqs, req)
 		}
+		if st.Op == sched.OpFan && f.Op == sched.OpRecv && len(reqs) == slots {
+			if err := r.Waitall(reqs...); err != nil {
+				return err
+			}
+			reqs = reqs[:0]
+		}
 	}
 	if st.Op == sched.OpSendrecv && !st.RecvFirst {
 		slices.Reverse(reqs)
 	}
-	var first error
-	for _, req := range reqs {
-		if err := r.Wait(req); err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		if req.add {
-			chargeSum(r, req.buf)
-		}
-	}
-	return first
+	return r.Waitall(reqs...)
 }

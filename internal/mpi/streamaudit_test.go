@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mpicomp/internal/core"
+	"mpicomp/internal/dtype"
 	"mpicomp/internal/faults"
 	"mpicomp/internal/hw"
 	"mpicomp/internal/sched"
@@ -146,7 +147,8 @@ func auditRun(t *testing.T, name string, w *World, tr *trace.Collector, calls fu
 // Allgather and AllreduceSum under each schedule), on the transport
 // golden's relay cells and on a ring allreduce whose relayed blocks
 // straddle a partition-count boundary (1 MiB decodes over two streams,
-// the others over one), no instant holds more resident blocks than the
+// the others over one), on a Gather's root and on a typed halo Waitall
+// (decodes in landing order), no instant holds more resident blocks than the
 // device has SMs, no decode starts before its payload landed, and no call
 // returns while a kernel it launched still runs. Returning from a relay
 // without its sync, or queueing decodes of different partition counts
@@ -191,10 +193,58 @@ func TestStreamAudit(t *testing.T) {
 			}
 		}
 	}
+	// Waits on several receives, whose decodes follow the landings: the
+	// root of an MPC Gather of 1 MiB blocks on 4x2, and an AWP-ODC-shaped
+	// ZFP halo exchange on a 2x2 torus, each rank listing its four typed
+	// ghost-face receives before its four face sends in one Waitall.
+	tr := trace.New()
+	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 4, PPN: 2, Engine: mpcOpt, Tracer: tr})
+	auditRun(t, "gather/4x2", w, tr, func(r *Rank) []func() error {
+		send, recv := goldenPayload(r, 5, 256<<10), emptyDevBuf(r, (256<<10)*r.Size())
+		gather := func() error { return r.Gather(0, send, recv) }
+		return []func() error{gather, gather}
+	})
+	tr = trace.New()
+	w = mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 4, PPN: 1, Tracer: tr,
+		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoZFP, ZFPRate: 8, Threshold: 4 << 10, PipelineChunkBytes: -1}})
+	auditRun(t, "halo/2x2-torus/zfp", w, tr, func(r *Rank) []func() error {
+		grid := goldenPayload(r, 6, 68*68*130)
+		face := func(x, y int, alongX bool) dtype.Subarray3D {
+			if alongX {
+				return dtype.Subarray3D{Dims: [3]int{68, 68, 130}, Sub: [3]int{2, 64, 128}, Start: [3]int{x, y, 1}}
+			}
+			return dtype.Subarray3D{Dims: [3]int{68, 68, 130}, Sub: [3]int{64, 2, 128}, Start: [3]int{x, y, 1}}
+		}
+		// Directions x+, x-, y+, y-: the face sent that way, the ghost face
+		// filled from that side, and the neighbor there.
+		sendFace := []dtype.Subarray3D{face(64, 2, true), face(2, 2, true), face(2, 64, false), face(2, 2, false)}
+		ghost := []dtype.Subarray3D{face(66, 2, true), face(0, 2, true), face(2, 66, false), face(2, 0, false)}
+		me := r.ID()
+		nbr := []int{me ^ 1, me ^ 1, me ^ 2, me ^ 2}
+		exchange := func() error {
+			var reqs []*Request
+			for d := range 4 {
+				req, err := r.IrecvTyped(nbr[d], d^1, grid, ghost[d])
+				if err != nil {
+					return err
+				}
+				reqs = append(reqs, req)
+			}
+			for d := range 4 {
+				req, err := r.IsendTyped(nbr[d], d, grid, sendFace[d])
+				if err != nil {
+					return err
+				}
+				reqs = append(reqs, req)
+			}
+			return r.Waitall(reqs...)
+		}
+		return []func() error{exchange, exchange}
+	})
 	// 4 ranks of 262143 words and one word over: block 0 is 1 MiB (two
 	// partitions), the others 4 bytes short (one).
-	tr := trace.New()
-	w := mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 4, PPN: 1, Tracer: tr,
+	tr = trace.New()
+	w = mustWorld(t, Options{Cluster: hw.Longhorn(), Nodes: 4, PPN: 1, Tracer: tr,
 		Engine: core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, MPCDim: 1, PipelineChunkBytes: -1}})
 	const mixed = 4*262143 + 1
 	auditRun(t, "mixed-partitions/ring-allreduce", w, tr, func(r *Rank) []func() error {
@@ -260,7 +310,7 @@ func TestRelayStagingStaysPooled(t *testing.T) {
 // rank must fail holding queued decodes, and after every run both pools of
 // every rank must be exactly whole — a slot not handed back leaves one
 // short, a slot handed back twice one over (the survivors' drainAborted
-// and the fated rank's reapInflight settle through releaseRawStaged).
+// and the fated rank's reapInflight sync through releaseRawStaged).
 func TestSelfHealRingReleasesQueuedDecodes(t *testing.T) {
 	const nodes, words = 4, 16 << 10
 	cfg := core.Config{Mode: core.ModeOpt, Algorithm: core.AlgoMPC, MPCDim: 1, PipelineChunkBytes: -1, Threshold: 4 << 10}
@@ -277,7 +327,7 @@ func TestSelfHealRingReleasesQueuedDecodes(t *testing.T) {
 			for range 8 {
 				if err := r.Allgather(send, all); err != nil {
 					if r.ID() == doomed {
-						held = len(r.decoding)
+						held = r.Engine.HeldRecvs()
 					}
 					return err
 				}

@@ -124,7 +124,7 @@ func TestSumFloat32MatchesReference(t *testing.T) {
 	}
 	_, _, before, _ := buf.Version()
 	clk := r.Clock.Now()
-	chargeSum(r, view)
+	r.chargeSum(r.Clock, &Request{buf: view, add: true})
 	if _, _, after, _ := buf.Version(); after == before || r.Clock.Now() == clk {
 		t.Fatal("chargeSum must charge its kernel and mark the buffer dirty")
 	}

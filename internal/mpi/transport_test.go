@@ -244,7 +244,7 @@ func TestTransportWrittenOnce(t *testing.T) {
 		{"ShouldDrop", []string{"transmit"}},
 		{"deliver", []string{"post"}},
 		{"envelope{}", []string{"failEnvelope", "isendPayload", "prepare"}},
-		{"ReleaseRecv", []string{"releaseRawStaged", "releaseStaging", "runMatch", "settle"}},
+		{"ReleaseRecv", []string{"releaseRawStaged", "releaseStaging", "runMatch"}},
 		{"relay loop", []string{"relayRing"}},
 	} {
 		got := sites[c.what]

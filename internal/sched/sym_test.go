@@ -201,6 +201,41 @@ func symPure(t testing.TB, name string, l Layout, gen func(l Layout) []Step) {
 	}
 }
 
+// symOrderSafe fails t unless every rank's steps stay bit-identical in any
+// order the executor may consume a step's receives in — the order they
+// land, which follows the fabric: no fan holds two receives writing
+// overlapping spans, and an Add receive of a RecvFirst pair, consumed
+// without waiting for the pair's send, adds into a span the send does not
+// read.
+func symOrderSafe(t testing.TB, name string, l Layout, gen func(l Layout) []Step) {
+	t.Helper()
+	overlap := func(a, b Span) bool {
+		return a.Buf == b.Buf && a.N > 0 && b.N > 0 && a.Off < b.Off+b.N && b.Off < a.Off+a.N
+	}
+	for vr := 0; vr < l.Size; vr++ {
+		if l.Skips(l.Real(vr)) {
+			continue
+		}
+		lv := l
+		lv.VRank = vr
+		for i, st := range gen(lv) {
+			if st.Op == OpSendrecv && st.RecvFirst && st.Add && st.From >= 0 && st.To >= 0 && overlap(st.Recv, st.Send) {
+				t.Fatalf("%s on %d ranks: view rank %d step %d adds its receive into %v before its send of %v completes", name, l.Size, vr, i, st.Recv, st.Send)
+			}
+			if st.Op != OpFan {
+				continue
+			}
+			for a, x := range st.Fan {
+				for _, y := range st.Fan[a+1:] {
+					if x.Op == OpRecv && y.Op == OpRecv && overlap(x.Recv, y.Recv) {
+						t.Fatalf("%s on %d ranks: view rank %d step %d receives from %d and %d into overlapping %v and %v", name, l.Size, vr, i, x.From, y.From, x.Recv, y.Recv)
+					}
+				}
+			}
+		}
+	}
+}
+
 // symResult is what one symbolic run leaves behind, by world rank.
 type symResult struct {
 	bufs map[int]*[3]*symBuf
@@ -350,6 +385,8 @@ func checkSchedule(t testing.TB, name string, gen Generator, l Layout, n int) {
 	}
 	symPure(t, name, l, form(true))
 	symPure(t, name, l, form(false))
+	symOrderSafe(t, name, l, form(true))
+	symOrderSafe(t, name, l, form(false))
 	whole := func(int) []Span { return []Span{{N: n}} }
 	fast, slow := symRun(t, l, form(true), whole), symRun(t, l, form(false), whole)
 	var live uint64
@@ -537,6 +574,7 @@ func checkCollective(t testing.TB, c int, P, ppn int, live []int, root, blk int)
 		}
 	}
 	symPure(t, name, l, func(l Layout) []Step { return gen(l, root, blk) })
+	symOrderSafe(t, name, l, func(l Layout) []Step { return gen(l, root, blk) })
 	res := symRun(t, l, func(l Layout) []Step { return gen(l, root, blk) }, segs)
 	fail := func(format string, args ...any) {
 		t.Helper()
